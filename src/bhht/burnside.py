@@ -2,23 +2,32 @@
 
 Ambient elements are pairs (v, s) of a diagonal-group element and a
 permutation, multiplied by (v, s)(w, t) = (v + s.w, st).  Generators of the
-free abelian group are conjugacy classes of split subgroups H x| T; marks are
-computed by explicit coset enumeration with a canonical minimal-representative
-map.
+free abelian group are conjugacy classes of split subgroups H x| T.  Marks
+come from Burnside's formula in closed form: conjugation by (v, s) moves
+(h, t) to (s^-1(h + t.v - v), s^-1 t s), so fixed cosets are counted from
+S and G alone and the semidirect product is never listed.
 """
 
 import json
-from functools import cached_property
 
-from .diaggroups import generating_subset, perm_act
-from .errors import AmbientMismatchError, MembershipError, SizeBoundError
-from .permgroups import compose, conjugate, cycle_notation, generating_set, inverse
-
-MARK_SIZE_BOUND = 2 ** 24
+from .diaggroups import generating_subset, perm_act, span
+from .errors import (
+    AmbientMismatchError,
+    MembershipError,
+    StructuralAssumptionViolated,
+)
+from .permgroups import (
+    closure,
+    conjugate,
+    cycle_notation,
+    generating_set,
+    identity_perm,
+    inverse,
+)
 
 
 class SemidirectAmbient:
-    """The group G x| S with its element list and coset machinery."""
+    """The group G x| S, given by its two factors."""
 
     def __init__(self, diag, perms):
         if diag.n != perms.n:
@@ -27,9 +36,7 @@ class SemidirectAmbient:
         self.perms = perms
         self.n = diag.n
         self.order = diag.order * perms.order
-        self.identity = (diag.zero, perms.elements[0] if perms.order else None)
-        assert self.identity[1] == tuple(range(self.n))
-        self._repmaps = {}
+        self.identity = (diag.zero, identity_perm(self.n))
 
     @property
     def signature(self):
@@ -37,50 +44,6 @@ class SemidirectAmbient:
 
     def compatible(self, other):
         return self.signature == other.signature
-
-    def mul(self, a, b):
-        (v, s), (w, t) = a, b
-        return (self.diag.add(v, perm_act(s, w)), compose(s, t))
-
-    def inv(self, a):
-        v, s = a
-        si = inverse(s)
-        return (self.diag.neg(perm_act(si, v)), si)
-
-    @cached_property
-    def elements(self):
-        if self.order > MARK_SIZE_BOUND:
-            raise SizeBoundError("semidirect product of order %d exceeds %d"
-                                 % (self.order, MARK_SIZE_BOUND))
-        out = [(v, s) for v in self.diag.elements for s in self.perms.elements]
-        out.sort()
-        return out
-
-    @cached_property
-    def index(self):
-        return {g: i for i, g in enumerate(self.elements)}
-
-    def repmap(self, ht):
-        """Canonical coset map for the subgroup: element id -> id of min(g K').
-
-        Representatives are coset minima under the fixed (v, s) total order,
-        which makes every downstream enumeration deterministic.
-        """
-        key = ht.tag
-        if key not in self._repmaps:
-            els = self.elements
-            idx = self.index
-            assign = [-1] * len(els)
-            reps = []
-            members = ht.subgroup_elements()
-            for i, g in enumerate(els):
-                if assign[i] >= 0:
-                    continue
-                reps.append(i)
-                for k in members:
-                    assign[idx[self.mul(g, k)]] = i
-            self._repmaps[key] = (reps, assign)
-        return self._repmaps[key]
 
 
 class HTClass:
@@ -91,41 +54,49 @@ class HTClass:
     ambient group iff they are conjugate by some element of S.
     """
 
-    __slots__ = ("ambient", "h_elements", "t_elements", "tag")
+    __slots__ = ("ambient", "h_elements", "t_elements", "tag", "h_gens", "t_gens")
 
     def __init__(self, ambient, h_elements, t_elements):
-        from .diaggroups import subgroup_generated
-        from .permgroups import closure
-
+        diag, perms = ambient.diag, ambient.perms
         h_elements = frozenset(h_elements)
         t_elements = frozenset(t_elements)
-        if ambient.diag.zero not in h_elements:
+        if diag.zero not in h_elements:
             raise MembershipError("H must contain the identity")
-        if subgroup_generated(ambient.diag,
-                              generating_subset(ambient.diag, h_elements)) \
-                != h_elements:
+        h_gens, generated = span(diag, h_elements)
+        if generated != h_elements:
             raise MembershipError("H is not closed under addition")
-        if not t_elements <= ambient.perms.element_set:
+        if not t_elements <= perms.element_set:
             raise MembershipError("T is not a subgroup of S")
-        if closure(generating_set(t_elements), ambient.n, bound=None) != t_elements:
+        t_gens = generating_set(t_elements)
+        if closure(t_gens, ambient.n) != t_elements:
             raise MembershipError("T is not closed under composition")
-        for t in t_elements:
-            if frozenset(perm_act(t, h) for h in h_elements) != h_elements:
-                raise MembershipError(
-                    "H is not invariant under T; the split subgroup is ill-formed")
-        best_h, best_t = None, None
-        best = None
-        for s in ambient.perms.elements:
+        # T-invariance of the subgroup H follows from its generators and T's
+        if not all(perm_act(t, h) in h_elements for t in t_gens for h in h_gens):
+            raise MembershipError(
+                "H is not invariant under T; the split subgroup is ill-formed")
+        # least (sorted T, sorted H): sort H only for the s minimising the T-part
+        by_t = {}
+        for s in perms.elements:
             tc = tuple(sorted(conjugate(s, t) for t in t_elements))
-            hc = tuple(sorted(perm_act(s, h) for h in h_elements))
-            cand = (tc, hc)
-            if best is None or cand < best:
-                best = cand
-                best_t, best_h = tc, hc
+            by_t.setdefault(tc, []).append(s)
+        best_t = min(by_t)
+        best_h = best_s = sorted_h = None
+        for s in by_t[best_t]:
+            if all(perm_act(s, h) in h_elements for h in h_gens):
+                if sorted_h is None:
+                    sorted_h = tuple(sorted(h_elements))
+                hc = sorted_h
+            else:
+                hc = tuple(sorted(perm_act(s, h) for h in h_elements))
+            if best_h is None or hc < best_h:
+                best_h, best_s = hc, s
         self.ambient = ambient
         self.h_elements = frozenset(best_h)
         self.t_elements = frozenset(best_t)
-        self.tag = best
+        self.tag = (best_t, best_h)
+        # generators of the representative, for marks
+        self.h_gens = tuple(perm_act(best_s, h) for h in h_gens)
+        self.t_gens = tuple(conjugate(best_s, t) for t in t_gens)
 
     @property
     def h_order(self):
@@ -153,13 +124,6 @@ class HTClass:
     def subgroup_elements(self):
         return [(h, t) for h in sorted(self.h_elements)
                 for t in sorted(self.t_elements)]
-
-    def generators(self):
-        e = tuple(range(self.ambient.n))
-        gens = [(h, e) for h in generating_subset(self.ambient.diag, self.h_elements)]
-        gens += [(self.ambient.diag.zero, t)
-                 for t in generating_set(self.t_elements)]
-        return gens
 
     def describe(self):
         diag = self.ambient.diag
@@ -279,25 +243,50 @@ def generator_element(ambient, h_elements, t_elements, coefficient=1):
 def mark(kprime, k):
     """Number of K-fixed points on the coset space (G x| S) / K'.
 
-    Both classes must live over the same ambient group; the count is done by
-    explicit coset enumeration with the canonical representative map.
+    Burnside's formula counts #{g : g^-1 K g <= K'} / |K'|.  For K = H x| T,
+    K' = H' x| T' and g = (v, s), the conjugate of (h, t) is
+    (s^-1(h + t.v - v), s^-1 t s), so g qualifies exactly when
+    s^-1 T s <= T', H <= s.H' and t.v - v lies in s.H' for every generator t
+    of T (a cocycle condition into the T-module G / s.H').  Writing v = s.w,
+    the count over v is #{w in G : u.w - w in H'} for the generators
+    u = s^-1 t s, so it depends on s only through those u.
     """
     ambient = kprime.ambient
     if not ambient.compatible(k.ambient):
         raise AmbientMismatchError("marks need a common ambient group")
-    reps, assign = ambient.repmap(kprime)
-    gens = k.generators()
-    if not gens:
-        return len(reps)
-    els = ambient.elements
-    idx = ambient.index
-    mul = ambient.mul
-    count = 0
-    for ri in reps:
-        r = els[ri]
-        if all(assign[idx[mul(g, r)]] == ri for g in gens):
-            count += 1
+    diag = ambient.diag
+    hp, tp = kprime.h_elements, kprime.t_elements
+    identity = ambient.identity[1]
+    counts = {}
+    total = 0
+    for s in ambient.perms.elements:
+        si = inverse(s)
+        moved = tuple(u for u in (conjugate(si, t) for t in k.t_gens) if u != identity)
+        if not all(u in tp for u in moved):
+            continue
+        if not all(perm_act(si, h) in hp for h in k.h_gens):
+            continue
+        if moved not in counts:
+            counts[moved] = _cocycle_kernel_order(diag, moved, hp)
+        total += counts[moved]
+    count, rest = divmod(total, kprime.order)
+    if rest:
+        raise StructuralAssumptionViolated(
+            "%d fixed elements are not a multiple of |K'| = %d for %r in %r"
+            % (total, kprime.order, k, kprime))
     return count
+
+
+def _cocycle_kernel_order(diag, perms, subgroup):
+    """#{w in G : u.w - w lies in the subgroup for every u in perms}."""
+    if not perms:
+        return diag.order
+    L = diag.exponent
+    pulls = [inverse(u) for u in perms]  # (u.w)_i = w_{u^-1(i)}
+    points = range(diag.n)
+    return sum(1 for w in diag.elements
+               if all(tuple((w[p[i]] - w[i]) % L for i in points) in subgroup
+                      for p in pulls))
 
 
 def induction(element, perms_big):

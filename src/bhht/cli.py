@@ -1,17 +1,31 @@
 """Command-line front end.
 
 Verbs: validate, pc, dual, euler, verify, table1, selftest.
-Exit codes: 0 all expectations met, 1 mathematical mismatch, 2 input error.
+Exit codes:
+
+    0  all expectations met
+    1  mathematical mismatch: a result differs from its expectation or golden
+    2  input error: bad fixture, polynomial or group text, missing file
+    3  mathematical failure: a structural self-check failed
+       (StructuralAssumptionViolated, DegeneratePairingError)
+    4  resource bound: a group or enumeration exceeded its size bound
+       (SizeBoundError)
 """
 
 import argparse
 import json
+import re
 import sys
 import time
 from pathlib import Path
 
 from .diaggroups import CharacterPairing
-from .errors import BhhtError
+from .errors import (
+    BhhtError,
+    DegeneratePairingError,
+    SizeBoundError,
+    StructuralAssumptionViolated,
+)
 from .euler import euler_analysis, lemma_level_checks, verify_duality
 from .fixtures import (
     FixtureSpec,
@@ -25,7 +39,7 @@ from .oracles import check_fixed_point_consistency, naive_mark
 from .permgroups import cycle_notation, pc_check
 from .polynomials import serialize_polynomial, transpose
 
-OK, MISMATCH, INPUT_ERROR = 0, 1, 2
+OK, MISMATCH, INPUT_ERROR, MATH_FAILURE, RESOURCE_BOUND = 0, 1, 2, 3, 4
 
 
 def main(argv=None):
@@ -33,6 +47,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (StructuralAssumptionViolated, DegeneratePairingError) as exc:
+        print("error: mathematical failure: %s" % exc, file=sys.stderr)
+        return MATH_FAILURE
+    except SizeBoundError as exc:
+        print("error: resource bound: %s" % exc, file=sys.stderr)
+        return RESOURCE_BOUND
     except BhhtError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return INPUT_ERROR
@@ -287,11 +307,17 @@ def cmd_verify(args):
     return status
 
 
+def _row_key(fx):
+    """Numeric order of row ids such as 2, 11, 80d; ids without digits last."""
+    row = str(fx.meta.get("row", fx.name))
+    digits = re.match(r"\d*", row).group()
+    return (not digits, int(digits or 0), row)
+
+
 def cmd_table1(args):
     catalogue = load_catalogue(args.fixtures)
     rows = sorted((fx for name, fx in catalogue.items()
-                   if name.startswith("table1_")),
-                  key=lambda fx: str(fx.meta.get("row", fx.name)))
+                   if name.startswith("table1_")), key=_row_key)
     status = OK
     cache = {}
     lines = ["%-6s %-4s %-22s %-6s %-8s %s"
@@ -305,21 +331,24 @@ def cmd_table1(args):
             status = max(status, MISMATCH)
         key = (fx.polynomial_text, tuple(sorted(S.elements)))
         size = fx.diagonal_group().order * S.order
+        cached = False
         if size > args.max_group_order:
             verdict, elapsed = "skip", 0.0
         elif key in cache:
-            verdict, elapsed = cache[key]
+            verdict, elapsed, cached = cache[key], None, True
         else:
             t0 = time.time()
             verdict = "equal" if verify_duality(fx.matrix, S).equal else "differs"
             elapsed = time.time() - t0
-            cache[key] = (verdict, elapsed)
-        lines.append("%-6s %-4s %-22s %-6s %-8s %.1fs"
+            cache[key] = verdict
+        lines.append("%-6s %-4s %-22s %-6s %-8s %s"
                      % (fx.meta.get("row"), fx.meta.get("f"),
-                        ",".join(fx.s_lines), result.satisfies, verdict, elapsed))
+                        ",".join(fx.s_lines), result.satisfies, verdict,
+                        "cached" if cached else "%.1fs" % elapsed))
         payload.append({"row": fx.meta.get("row"), "f": fx.meta.get("f"),
                         "S": fx.s_lines, "pc": result.satisfies,
-                        "duality": verdict, "seconds": round(elapsed, 3)})
+                        "duality": verdict, "cached": cached,
+                        "seconds": None if cached else round(elapsed, 3)})
     _emit(args, payload, lines)
     return status
 

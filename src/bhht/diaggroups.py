@@ -163,19 +163,24 @@ def subgroup_generated(group, generators):
     for g in generators:
         if g not in group:
             raise MembershipError("generator %s not in the group" % (g,))
-    els = {group.zero}
-    frontier = [g for g in generators if g not in els]
-    els.update(frontier)
-    while frontier:
-        nxt = []
-        for g in generators:
-            for h in frontier:
-                s = group.add(g, h)
-                if s not in els:
-                    els.add(s)
-                    nxt.append(s)
-        frontier = nxt
-    return frozenset(els)
+    have = {group.zero}
+    for g in generators:
+        if g not in have:
+            have = _extend(group, have, g)
+    return frozenset(have)
+
+
+def _extend(group, have, e):
+    """The subgroup generated by a subgroup and one more element, as a set.
+
+    It is the union of the cosets have + k.e for k below the index [<have, e> : have].
+    """
+    grown = set(have)
+    step = e
+    while step not in have:
+        grown.update(group.add(h, step) for h in have)
+        step = group.add(step, e)
+    return grown
 
 
 def subgroup_from_fraction_rows(group, rows):
@@ -209,15 +214,25 @@ def fixed_subgroup(group, perms):
 
 def generating_subset(group, elements):
     """Small deterministic generating set for a subgroup given as a set."""
+    return span(group, elements)[0]
+
+
+def span(group, elements):
+    """The generating subset of a set of elements and the subgroup it generates.
+
+    The subgroup equals the given set exactly when that set is a subgroup.
+    """
     gens = []
     have = {group.zero}
     for e in sorted(elements):
         if e not in have:
+            if e not in group:
+                raise MembershipError("generator %s not in the group" % (e,))
             gens.append(e)
-            have = subgroup_generated(group, gens)
+            have = _extend(group, have, e)
             if len(have) == len(elements):
                 break
-    return tuple(gens)
+    return tuple(gens), frozenset(have)
 
 
 class CharacterPairing:

@@ -1,27 +1,64 @@
 """Slow, independent cross-checks: naive marks, naive conjugacy, fixed-point sums.
 
-These deliberately avoid the canonical-representative machinery of the main
-code paths so they can serve as oracles for it; everything here is plain
-enumeration over small groups.
+These deliberately avoid the closed forms and canonical representatives of
+the main code paths so they can serve as oracles for it; everything here is
+plain enumeration over small groups, including the element list of the
+semidirect product G x| S, which the main paths never build.
 """
 
 from .burnside import mark
-from .diaggroups import subgroup_generated
+from .diaggroups import perm_act, subgroup_generated
 from .errors import SizeBoundError
 from .euler import stratum_chi_fixed
+from .permgroups import compose, conjugate, inverse
+
+# Every enumeration here lists a whole group; none runs on one larger than this.
+ORACLE_ORDER_BOUND = 20000
+
+
+def mul(ambient, a, b):
+    """(v, s)(w, t) = (v + s.w, st) in G x| S."""
+    (v, s), (w, t) = a, b
+    return (ambient.diag.add(v, perm_act(s, w)), compose(s, t))
+
+
+def inv(ambient, a):
+    v, s = a
+    si = inverse(s)
+    return (ambient.diag.neg(perm_act(si, v)), si)
+
+
+def ambient_elements(ambient):
+    """Every element of a small G x| S, sorted."""
+    if ambient.order > ORACLE_ORDER_BOUND:
+        raise SizeBoundError("semidirect product of order %d exceeds %d"
+                             % (ambient.order, ORACLE_ORDER_BOUND))
+    return sorted((v, s) for v in ambient.diag.elements
+                  for s in ambient.perms.elements)
+
+
+def brute_tag(ambient, h_elements, t_elements):
+    """Canonical tag of a split subgroup: least (sorted T, sorted H) over all of S."""
+    return min((tuple(sorted(conjugate(s, t) for t in t_elements)),
+                tuple(sorted(perm_act(s, h) for h in h_elements)))
+               for s in ambient.perms.elements)
 
 
 def naive_mark(kprime, k):
-    """Fixed cosets counted with explicit coset sets, no canonical map."""
+    """Fixed cosets counted with explicit coset sets, no closed form."""
     ambient = kprime.ambient
     members = kprime.subgroup_elements()
     cosets = set()
-    for g in ambient.elements:
-        cosets.add(frozenset(ambient.mul(g, m) for m in members))
+    covered = set()
+    for g in ambient_elements(ambient):
+        if g not in covered:
+            coset = frozenset(mul(ambient, g, m) for m in members)
+            covered |= coset
+            cosets.add(coset)
     kelems = k.subgroup_elements()
     count = 0
     for coset in cosets:
-        if all(frozenset(ambient.mul(x, g) for g in coset) == coset for x in kelems):
+        if all(frozenset(mul(ambient, x, g) for g in coset) == coset for x in kelems):
             count += 1
     return count
 
@@ -31,18 +68,19 @@ def brute_conjugate_element(ambient, h1, t1, h2, t2):
     onto the other, or None.  Used to validate the S-only conjugacy criterion."""
     first = frozenset((h, t) for h in h1 for t in t1)
     second = frozenset((h, t) for h in h2 for t in t2)
-    for g in ambient.elements:
-        gi = ambient.inv(g)
-        moved = frozenset(ambient.mul(ambient.mul(g, x), gi) for x in first)
+    for g in ambient_elements(ambient):
+        gi = inv(ambient, g)
+        moved = frozenset(mul(ambient, mul(ambient, g, x), gi) for x in first)
         if moved == second:
             return g
     return None
 
 
-def all_subgroups_abelian(group, limit=20000):
+def all_subgroups_abelian(group):
     """Every subgroup of a small diagonal group, by one-element extensions."""
-    if group.order > limit:
-        raise SizeBoundError("subgroup enumeration capped at order %d" % limit)
+    if group.order > ORACLE_ORDER_BOUND:
+        raise SizeBoundError("subgroup enumeration capped at order %d"
+                             % ORACLE_ORDER_BOUND)
     trivial = frozenset({group.zero})
     found = {trivial}
     queue = [trivial]
@@ -58,11 +96,10 @@ def all_subgroups_abelian(group, limit=20000):
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
-def split_subgroup_pairs(group, perms, limit=20000):
+def split_subgroup_pairs(group, perms):
     """All well-formed (H, T) pairs over a small group, without deduplication."""
-    from .diaggroups import perm_act
     pairs = []
-    subgroups = all_subgroups_abelian(group, limit)
+    subgroups = all_subgroups_abelian(group)
     lattice = perms.lattice
     for t_set in lattice.subgroups:
         for h in subgroups:

@@ -22,7 +22,11 @@ from bhht.diaggroups import (
 )
 from bhht.errors import AmbientMismatchError, MembershipError
 from bhht.oracles import (
+    ambient_elements,
     brute_conjugate_element,
+    brute_tag,
+    inv,
+    mul,
     naive_mark,
     split_subgroup_pairs,
 )
@@ -39,25 +43,35 @@ def small():
     return SemidirectAmbient(group, perms)
 
 
-@pytest.fixture(scope="module")
-def small_classes(small):
+def ambient_of(polynomial, generators):
+    matrix = parse_polynomial(polynomial)
+    return SemidirectAmbient(symmetry_group(matrix.anchored()),
+                             group_from_generators(matrix.n, generators))
+
+
+def split_classes(ambient):
     classes = {}
-    for h, t in split_subgroup_pairs(small.diag, small.perms):
-        cls = HTClass(small, h, t)
+    for h, t in split_subgroup_pairs(ambient.diag, ambient.perms):
+        cls = HTClass(ambient, h, t)
         classes.setdefault(cls.tag, cls)
     return sorted(classes.values(), key=lambda c: c.tag)
 
 
+@pytest.fixture(scope="module")
+def small_classes(small):
+    return split_classes(small)
+
+
 def test_ambient_group_axioms(small):
     rng = seeded(41)
-    els = small.elements
+    els = ambient_elements(small)
     assert len(els) == 48
     e = small.identity
     for _ in range(80):
         a, b, c = (rng.choice(els) for _ in range(3))
-        assert small.mul(small.mul(a, b), c) == small.mul(a, small.mul(b, c))
-        assert small.mul(a, small.inv(a)) == e
-        assert small.mul(e, a) == a
+        assert mul(small, mul(small, a, b), c) == mul(small, a, mul(small, b, c))
+        assert mul(small, a, inv(small, a)) == e
+        assert mul(small, e, a) == a
 
 
 def test_ht_class_requires_actual_subgroups(small):
@@ -127,6 +141,14 @@ def test_canonicalize_conjugates_share_representative(small, small_classes):
     assert len(tags) == len(small_classes)
 
 
+@pytest.mark.parametrize("polynomial", ["x1^2+x2^2+x3^2", "x1^3+x2^3+x3^3"])
+def test_canonical_tag_matches_brute_force(polynomial):
+    # the fast canonicaliser against the minimum over every s of (sorted T, sorted H)
+    ambient = ambient_of(polynomial, ["(12)", "(123)"])
+    for h, t in split_subgroup_pairs(ambient.diag, ambient.perms):
+        assert HTClass(ambient, h, t).tag == brute_tag(ambient, h, t)
+
+
 def test_element_arithmetic(small):
     full = generator_element(small, small.diag.elements, small.perms.elements)
     assert full + zero_element(small) == full
@@ -159,6 +181,31 @@ def test_mark_against_naive_oracle(small, small_classes):
             assert mark(kp, k) == naive_mark(kp, k)
 
 
+@pytest.mark.parametrize("polynomial, generators, cyclic_g", [
+    ("x1^2+x2^2+x3^2+x4^2", ["(12)(34)", "(13)(24)"], False),  # (Z2)^4 x| Klein four
+    ("x1^3*x2+x2^3*x3+x3^3*x4+x4^3*x1", ["(1234)"], True),      # loop, its rotation
+])
+def test_mark_against_naive_oracle_on_all_class_pairs(polynomial, generators,
+                                                      cyclic_g):
+    # every pair of classes, including H != H' and H' not S-invariant, which
+    # the Euler characteristic path never asks for; subgroups of a cyclic G
+    # are all S-invariant
+    from bhht.diaggroups import perm_act
+
+    ambient = ambient_of(polynomial, generators)
+    classes = split_classes(ambient)
+    unequal_h = not_invariant = 0
+    for kp in classes:
+        invariant = all(frozenset(perm_act(s, h) for h in kp.h_elements)
+                        == kp.h_elements for s in ambient.perms.generators)
+        for k in classes:
+            assert mark(kp, k) == naive_mark(kp, k)
+            unequal_h += kp.h_elements != k.h_elements
+            not_invariant += not invariant
+    assert unequal_h
+    assert bool(not_invariant) != cyclic_g
+
+
 def test_mark_triangular_in_subconjugacy(small, small_classes):
     order = sorted(small_classes, key=lambda c: (-c.order, c.tag))
     for i, a in enumerate(order):
@@ -175,9 +222,9 @@ def test_mark_triangular_in_subconjugacy(small, small_classes):
 def ht_subconjugate(ambient, inner, outer):
     members = set(outer.subgroup_elements())
     inner_members = inner.subgroup_elements()
-    for g in ambient.elements:
-        gi = ambient.inv(g)
-        if all(ambient.mul(ambient.mul(gi, x), g) in members
+    for g in ambient_elements(ambient):
+        gi = inv(ambient, g)
+        if all(mul(ambient, mul(ambient, gi, x), g) in members
                for x in inner_members):
             return True
     return False
@@ -189,9 +236,9 @@ def test_diagonal_mark_is_normalizer_index(small, small_classes):
     for cls in small_classes:
         members = set(cls.subgroup_elements())
         normalizer = 0
-        for g in small.elements:
-            gi = small.inv(g)
-            if all(small.mul(small.mul(g, x), gi) in members for x in members):
+        for g in ambient_elements(small):
+            gi = inv(small, g)
+            if all(mul(small, mul(small, g, x), gi) in members for x in members):
                 normalizer += 1
         assert mark(cls, cls) == normalizer // cls.order
 

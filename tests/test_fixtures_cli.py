@@ -205,6 +205,41 @@ def test_cmd_table1_skips_large_groups():
     assert len(pc_true) == 22  # 9 dual pairs plus the two extra pairs
 
 
+def test_cmd_table1_labels_cached_rows_and_sorts_row_ids_numerically():
+    code, out = run_cli("table1", "--max-group-order", "3000")
+    assert code == 0
+    rows = [line.split() for line in out.splitlines()[1:]]
+    ids = [r[0] for r in rows]
+    assert ids.index("2") < ids.index("11") < ids.index("80") < ids.index("80d")
+    times = {r[0]: r[-1] for r in rows}
+    # row 12 repeats the (f, S) of row 11, so its verdict is reused
+    assert times["11"].endswith("s") and times["12"] == "cached"
+    code, out = run_cli("table1", "--max-group-order", "3000", "--json")
+    records = {str(rec["row"]): rec for rec in json.loads(out)}
+    assert records["11"]["cached"] is False and records["11"]["seconds"] >= 0
+    assert records["12"]["cached"] is True and records["12"]["seconds"] is None
+
+
+def test_size_bound_is_a_resource_error(tmp_path):
+    fx = tmp_path / "big.fix"
+    fx.write_text("[polynomial]\n%s\n\n[S]\n" % "+".join(
+        "x%d^4" % i for i in range(1, 12)))
+    code, _out = run_cli("verify", str(fx), "--max-group-order", "100000000")
+    assert code == 4
+
+
+def test_structural_failure_is_a_mathematical_error(monkeypatch):
+    import bhht.cli
+    from bhht.errors import StructuralAssumptionViolated
+
+    def fail(*_args):
+        raise StructuralAssumptionViolated("marks residual 1 on stratum (1,)")
+
+    monkeypatch.setattr(bhht.cli, "verify_duality", fail)
+    code, _out = run_cli("verify", "x1_z2")
+    assert code == 3
+
+
 def test_fixture_dir_env_override(tmp_path, monkeypatch):
     fx = tmp_path / "only.fix"
     fx.write_text("[polynomial]\nx1^3+x2^3+x3^3\n\n[S]\n(123)\n\n[expect]\npc = true\n")
