@@ -16,6 +16,7 @@ from .errors import (
     MembershipError,
     StructuralAssumptionViolated,
 )
+from .intmat import kernel_mod
 from .permgroups import (
     closure,
     conjugate,
@@ -257,6 +258,7 @@ def mark(kprime, k):
     diag = ambient.diag
     hp, tp = kprime.h_elements, kprime.t_elements
     identity = ambient.identity[1]
+    congruences = None
     counts = {}
     total = 0
     for s in ambient.perms.elements:
@@ -267,26 +269,31 @@ def mark(kprime, k):
         if not all(perm_act(si, h) in hp for h in k.h_gens):
             continue
         if moved not in counts:
-            counts[moved] = _cocycle_kernel_order(diag, moved, hp)
+            if congruences is None:
+                congruences = kernel_mod(kprime.h_gens, diag.n, diag.exponent)[0]
+            counts[moved] = _cocycle_kernel_order(diag, moved, congruences)
         total += counts[moved]
     count, rest = divmod(total, kprime.order)
     if rest:
         raise StructuralAssumptionViolated(
             "%d fixed elements are not a multiple of |K'| = %d for %r in %r"
-            % (total, kprime.order, k, kprime))
+            % (total, kprime.order, k, kprime),
+            class_order=kprime.order, residual=rest)
     return count
 
 
-def _cocycle_kernel_order(diag, perms, subgroup):
-    """#{w in G : u.w - w lies in the subgroup for every u in perms}."""
+def _cocycle_kernel_order(diag, perms, congruences):
+    """#{w in G : u.w - w lies in H' for every u in perms}.
+
+    H' is given by its congruences c (c.x = 0 mod L exactly on H'); since
+    (u.w)_i = w_{u^-1(i)}, c.(u.w - w) = 0 is the row c_{u(i)} - c_i, and
+    the count is the order of a kernel.
+    """
     if not perms:
         return diag.order
-    L = diag.exponent
-    pulls = [inverse(u) for u in perms]  # (u.w)_i = w_{u^-1(i)}
     points = range(diag.n)
-    return sum(1 for w in diag.elements
-               if all(tuple((w[p[i]] - w[i]) % L for i in points) in subgroup
-                      for p in pulls))
+    rows = [[c[u[i]] - c[i] for i in points] for u in perms for c in congruences]
+    return diag.kernel(rows)[1]
 
 
 def induction(element, perms_big):

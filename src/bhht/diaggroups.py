@@ -4,20 +4,21 @@ An element of the group of a matrix E is a vector v of rationals mod 1 with
 E @ v integral.  Internally every element is a tuple of integers modulo the
 group exponent L (the largest invariant factor of E), i.e. v = a / L; this
 keeps equality, hashing and arithmetic exact and fast.
+
+Subgroups given by congruences (annihilators, stratum kernels, the subgroup
+fixed by permutations) are cut out as kernels: the rows of E plus the extra
+congruences go through ``intmat.kernel_mod``, and only the kernel's own
+elements are ever listed, never those of the whole group.
 """
 
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-import numpy as np
-
 from .errors import DegeneratePairingError, MembershipError, SizeBoundError
-from .intmat import matvec, smith_normal_form
+from .intmat import kernel_mod, matvec, smith_normal_form
 
 DEFAULT_GROUP_BOUND = 10 ** 6
-
-_NP_LIMIT = 2 ** 62
 
 
 class DiagonalGroup:
@@ -85,34 +86,17 @@ class DiagonalGroup:
         assert len(els) == self.order
         return tuple(els)
 
-    @cached_property
-    def element_index(self):
-        return {e: i for i, e in enumerate(self.elements)}
+    def kernel(self, rows=()):
+        """Generators and order of the subgroup cut out by extra congruences mod L."""
+        return kernel_mod([list(r) for r in self.matrix.rows] + list(rows),
+                          self.n, self.exponent)
 
-    @cached_property
-    def _array(self):
-        return np.array(self.elements, dtype=np.int64).reshape(self.order, self.n)
-
-    def select(self, int_rows_matrix, modulus):
-        """Elements whose dot products with the given integer rows vanish mod modulus.
-
-        Used for the linear-condition subgroups (annihilators); falls back to
-        exact Python ints when the numpy path could overflow.
-        """
-        if not int_rows_matrix:
-            return frozenset(self.elements)
-        maxc = max(abs(c) for row in int_rows_matrix for c in row) or 1
-        if maxc * self.exponent * self.n < _NP_LIMIT:
-            c = np.array(int_rows_matrix, dtype=np.int64).T
-            prod = self._array @ c % modulus
-            mask = ~prod.any(axis=1)
-            return frozenset(self.elements[i] for i in np.nonzero(mask)[0])
-        out = []
-        for e in self.elements:
-            if all(sum(x * y for x, y in zip(row, e)) % modulus == 0
-                   for row in int_rows_matrix):
-                out.append(e)
-        return frozenset(out)
+    def kernel_elements(self, gens, order):
+        """The elements of a kernel, listed only when its order is within the bound."""
+        if order > self.bound:
+            raise SizeBoundError(
+                "subgroup of order %d exceeds bound %d" % (order, self.bound))
+        return _closure(self, gens)
 
     # -- conversions -------------------------------------------------------
 
@@ -163,6 +147,10 @@ def subgroup_generated(group, generators):
     for g in generators:
         if g not in group:
             raise MembershipError("generator %s not in the group" % (g,))
+    return _closure(group, generators)
+
+
+def _closure(group, generators):
     have = {group.zero}
     for g in generators:
         if g not in have:
@@ -183,33 +171,28 @@ def _extend(group, have, e):
     return grown
 
 
-def subgroup_from_fraction_rows(group, rows):
-    return subgroup_generated(group, [group.from_fractions(r) for r in rows])
+def _unit_row(n, i):
+    row = [0] * n
+    row[i] = 1
+    return row
 
 
 def isotropy_on_stratum(group, subset):
     """Elements acting trivially on the open stratum of the subset: v_i = 0 on it."""
-    subset = set(subset)
-    return frozenset(e for e in group.elements
-                     if all(e[i] == 0 for i in subset))
+    rows = [_unit_row(group.n, i) for i in set(subset)]
+    return group.kernel_elements(*group.kernel(rows))
 
 
 def fixed_subgroup(group, perms):
-    """Elements constant on the orbits of the permutation group."""
-    reps = {}
-    for p in perms.elements:
-        for i in range(group.n):
-            reps.setdefault(i, set()).add(p[i])
-    out = []
-    for e in group.elements:
-        ok = True
-        for i, orbit in reps.items():
-            if any(e[j] != e[i] for j in orbit):
-                ok = False
-                break
-        if ok:
-            out.append(e)
-    return frozenset(out)
+    """Elements constant on the orbits of the permutation group: v_p(i) = v_i."""
+    rows = []
+    for p in perms.generators:
+        for i, j in enumerate(p):
+            if i != j:
+                row = _unit_row(group.n, j)
+                row[i] = -1
+                rows.append(row)
+    return group.kernel_elements(*group.kernel(rows))
 
 
 def generating_subset(group, elements):
@@ -278,24 +261,43 @@ class CharacterPairing:
         return Fraction(total, L1 * L2) % 1
 
     def annihilator(self, subgroup_elements):
-        """Dual subgroup: characters vanishing on the given left subgroup."""
-        gens = generating_subset(self.left, subgroup_elements)
-        rows = [matvec([list(r) for r in self.matrix.rows], list(g)) for g in gens]
-        modulus = self.left.exponent * self.right.exponent
-        return self.right.select(rows, modulus)
+        """Dual subgroup: characters vanishing on the given left subgroup H.
 
-    def verify_nondegenerate(self, limit=5000):
-        """Exhaustive non-degeneracy check for small groups."""
-        if self.left.order > limit:
-            return
+        A character w kills a in H iff c.w = 0 mod L2 for c = E.a / L1, so
+        the annihilator is a kernel inside the right group.  An element adds
+        its congruence only if it does not already pair to zero with every
+        generator of the kernel so far; the search ends as soon as the kernel
+        has |G_f| / |H| elements, which only the annihilator of all of H has.
+        """
+        L2 = self.right.exponent
+        rows = []
+        gens, order = self.right.kernel()
+        for a in subgroup_elements:
+            if order * len(subgroup_elements) == self.left.order:
+                break
+            c = self._congruence(a)
+            if any(sum(x * y for x, y in zip(c, w)) % L2 for w in gens):
+                rows.append(c)
+                gens, order = self.right.kernel(rows)
+        return self.right.kernel_elements(gens, order)
+
+    def _congruence(self, a):
+        """The row c = E.a / L1 of a left element a: w kills a iff c.w = 0 mod L2."""
+        c = []
+        for x in matvec(self.matrix.rows, a):
+            q, r = divmod(x, self.left.exponent)
+            if r:
+                raise MembershipError("element %s not in the group" % (a,))
+            c.append(q)
+        return c
+
+    def verify_nondegenerate(self):
+        """Both annihilators of a whole group are trivial, by kernel orders."""
         if self.left.order != self.right.order:
             raise DegeneratePairingError(self.matrix, "group orders differ")
-        full = self.annihilator(frozenset(self.left.elements))
-        if full != frozenset({self.right.zero}):
-            raise DegeneratePairingError(
-                self.matrix, "a nonzero character vanishes on the whole group")
-        sw = self.swapped()
-        full = sw.annihilator(frozenset(sw.left.elements))
-        if full != frozenset({sw.right.zero}):
-            raise DegeneratePairingError(
-                self.matrix, "a nonzero element is killed by every character")
+        sides = ((self, "a nonzero character vanishes on the whole group"),
+                 (self.swapped(), "a nonzero element is killed by every character"))
+        for pairing, what in sides:
+            rows = [pairing._congruence(vec) for vec, _order in pairing.left.basis]
+            if pairing.right.kernel(rows)[1] != 1:
+                raise DegeneratePairingError(self.matrix, what)

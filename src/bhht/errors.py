@@ -56,4 +56,16 @@ class DegeneratePairingError(BhhtError):
 
 
 class StructuralAssumptionViolated(BhhtError):
-    """A per-stratum isotropy ansatz produced a non-integer or inconsistent solution."""
+    """A per-stratum isotropy ansatz produced a non-integer or inconsistent solution.
+
+    Besides the message it carries the failing stratum (1-based variable
+    indices), the order of the class concerned and the residual left over
+    (a division remainder or a solve's difference); each is None when it
+    does not apply or is unknown where the failure was raised.
+    """
+
+    def __init__(self, message, stratum=None, class_order=None, residual=None):
+        super().__init__(message)
+        self.stratum = stratum
+        self.class_order = class_order
+        self.residual = residual

@@ -123,12 +123,17 @@ def _stratum_contribution(matrix, group, subset, stabilizer):
     node = {key: HTClass(ambient, kernel, reps[key].element_set) for key in keys}
     fixed = {key: stratum_chi_fixed(matrix, subset, reps[key]) for key in keys}
 
+    stratum = tuple(i + 1 for i in subset)
     marks = {}
     for i, ki in enumerate(order):
         for j in range(i + 1):
             kj = order[j]
             if lattice.is_subconjugate(reps[ki].element_set, reps[kj].element_set):
-                marks[(kj, ki)] = mark(node[kj], node[ki])
+                try:
+                    marks[(kj, ki)] = mark(node[kj], node[ki])
+                except StructuralAssumptionViolated as exc:
+                    exc.stratum = stratum
+                    raise
 
     solved = {}
     for i, ki in enumerate(order):
@@ -140,21 +145,22 @@ def _stratum_contribution(matrix, group, subset, stabilizer):
         diag = marks[(ki, ki)]
         if diag <= 0:
             raise StructuralAssumptionViolated(
-                "non-positive diagonal mark on stratum %s"
-                % (tuple(i + 1 for i in subset),))
+                "non-positive diagonal mark on stratum %s" % (stratum,),
+                stratum=stratum, class_order=len(ki))
         q = acc / diag
         if q.denominator != 1:
             raise StructuralAssumptionViolated(
                 "non-integer coefficient %s for class of order %d on stratum %s"
-                % (q, len(ki), tuple(i + 1 for i in subset)))
+                % (q, len(ki), stratum),
+                stratum=stratum, class_order=len(ki), residual=acc % diag)
         solved[ki] = int(q)
     for i, ki in enumerate(order):
         total = sum(solved[order[j]] * marks.get((order[j], ki), 0)
                     for j in range(i + 1))
         if total != fixed[ki]:
             raise StructuralAssumptionViolated(
-                "marks residual %d on stratum %s"
-                % (total - fixed[ki], tuple(i + 1 for i in subset)))
+                "marks residual %d on stratum %s" % (total - fixed[ki], stratum),
+                stratum=stratum, class_order=len(ki), residual=total - fixed[ki])
 
     element = BurnsideElement(
         ambient, {node[key]: solved[key] for key in keys if solved[key]})
@@ -292,7 +298,9 @@ def lemma_level_checks(matrix, perms, pairing=None):
         pairing = CharacterPairing(matrix)
     dual_matrix = transpose(matrix)
     lhs = euler_analysis(matrix, perms, group=pairing.left)
-    rhs = euler_analysis(dual_matrix, perms, group=pairing.right)
+    # f^T = f: the dual side is the same analysis
+    rhs = (lhs if dual_matrix == matrix
+           else euler_analysis(dual_matrix, perms, group=pairing.right))
     n = matrix.n
     checks = []
 

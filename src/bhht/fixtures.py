@@ -81,9 +81,9 @@ def parse_group_element(line, group):
 def format_group_subgroup(group, elements):
     """Generator lines for a subgroup, matching the fixture grammar."""
     from .diaggroups import generating_subset
-    gens = generating_subset(group, elements)
-    if frozenset(elements) == frozenset(group.elements):
+    if len(elements) == group.order:
         return ["full"]
+    gens = generating_subset(group, elements)
     return [group.format_element(g) for g in gens] or [group.format_element(group.zero)]
 
 

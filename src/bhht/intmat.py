@@ -5,6 +5,7 @@ solver); no floating point is used anywhere.
 """
 
 from fractions import Fraction
+from math import gcd
 
 
 def identity(n):
@@ -72,17 +73,23 @@ def solve_exact(a, b):
     return [row[n] for row in m]
 
 
-def smith_normal_form(a):
+def smith_normal_form(a, modulus=None):
     """Smith normal form of an integer matrix.
 
     Returns (d, u, v) with u @ a @ v == d, u and v unimodular, d diagonal
-    with non-negative entries and d[i][i] | d[i+1][i+1].
+    with non-negative entries and d[i][i] | d[i+1][i+1].  With a modulus,
+    every entry of d, u and v is kept reduced mod it, so the identity and
+    the diagonal form hold mod the modulus and no entry outgrows it
+    (unreduced, the transforms of a wide matrix can grow to many thousands
+    of bits).
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
     m = [list(row) for row in a]
     u = identity(rows)
     v = identity(cols)
+    if modulus:
+        m = [[x % modulus for x in row] for row in m]
 
     def swap_rows(i, j):
         m[i], m[j] = m[j], m[i]
@@ -98,12 +105,20 @@ def smith_normal_form(a):
         # row dst += q * row src
         m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
         u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+        if modulus:
+            m[dst] = [x % modulus for x in m[dst]]
+            u[dst] = [x % modulus for x in u[dst]]
 
     def add_col(src, dst, q):
         for row in m:
             row[dst] += q * row[src]
         for row in v:
             row[dst] += q * row[src]
+        if modulus:
+            for row in m:
+                row[dst] %= modulus
+            for row in v:
+                row[dst] %= modulus
 
     def negate_row(i):
         m[i] = [-x for x in m[i]]
@@ -161,3 +176,28 @@ def invariant_factors(a):
     """Nonzero diagonal of the Smith normal form."""
     d, _, _ = smith_normal_form(a)
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i] != 0]
+
+
+def kernel_mod(rows, n, m):
+    """Generators and order of {x in (Z/m)^n : r.x = 0 mod m for every row r}.
+
+    With U @ A @ V = D in Smith normal form mod m, x = V @ y turns the
+    congruences into d_j * y_j = 0 mod m (d_j = 0 beyond the rank), so y_j
+    runs over the gcd(d_j, m) multiples of m / gcd(d_j, m).  The generators
+    are the columns of V scaled by those steps, reduced mod m; trivial ones
+    are left out.
+    """
+    if rows:
+        d, _u, v = smith_normal_form(rows, modulus=m)
+        diag = [d[j][j] if j < len(d) else 0 for j in range(n)]
+    else:
+        v, diag = identity(n), [0] * n
+    gens = []
+    order = 1
+    for j, dj in enumerate(diag):
+        g = gcd(dj, m)
+        order *= g
+        if g != 1:
+            step = m // g
+            gens.append(tuple(v[i][j] * step % m for i in range(n)))
+    return gens, order

@@ -76,6 +76,31 @@ def brute_conjugate_element(ambient, h1, t1, h2, t2):
     return None
 
 
+def brute_isotropy(group, subset):
+    """Elements vanishing on the subset, by a scan of the whole group."""
+    subset = set(subset)
+    return frozenset(e for e in group.elements
+                     if all(e[i] == 0 for i in subset))
+
+
+def brute_cocycle_kernel_order(diag, perms, subgroup):
+    """#{w in G : u.w - w lies in the subgroup for every u in perms}, by a scan of G."""
+    if not perms:
+        return diag.order
+    L = diag.exponent
+    pulls = [inverse(u) for u in perms]  # (u.w)_i = w_{u^-1(i)}
+    points = range(diag.n)
+    return sum(1 for w in diag.elements
+               if all(tuple((w[p[i]] - w[i]) % L for i in points) in subgroup
+                      for p in pulls))
+
+
+def brute_annihilator(pairing, subgroup_elements):
+    """Characters of the right group pairing to zero with every given element."""
+    return frozenset(w for w in pairing.right.elements
+                     if all(pairing.value(v, w) == 0 for v in subgroup_elements))
+
+
 def all_subgroups_abelian(group):
     """Every subgroup of a small diagonal group, by one-element extensions."""
     if group.order > ORACLE_ORDER_BOUND:

@@ -402,14 +402,17 @@ def pc_check(group):
 
     The fixed-space dimension of a subgroup equals its orbit count on the
     points, so the check is purely combinatorial.  Returns a violating
-    subgroup as witness when the condition fails.
+    subgroup as witness when the condition fails: the least violating
+    subgroup by (order, sorted elements).  Orbit counts are invariant under
+    conjugation, so that is the least member of the first violating
+    conjugacy class, and no classes need to be formed.  The orbit of i under
+    a subgroup is the set of its images p(i).
     """
     n = group.n
-    for cls in group.lattice.conjugacy_classes:
-        rep = group.lattice.class_representative(cls)
-        sub = group.subgroup(rep)
-        if (orbit_count(sub, range(n)) - n) % 2 != 0:
-            return PCResult(False, sub)
+    for rep in group.lattice.subgroups:
+        orbits = {frozenset(p[i] for p in rep) for i in range(n)}
+        if (len(orbits) - n) % 2 != 0:
+            return PCResult(False, group.subgroup(rep))
     return PCResult(True, None)
 
 

@@ -206,6 +206,33 @@ def test_mark_against_naive_oracle_on_all_class_pairs(polynomial, generators,
     assert bool(not_invariant) != cyclic_g
 
 
+@pytest.mark.parametrize("polynomial, generators", [
+    ("x1^2+x2^2+x3^2+x4^2", ["(12)(34)", "(13)(24)"]),
+    ("x1^3*x2+x2^3*x3+x3^3*x4+x4^3*x1", ["(1234)"]),
+])
+def test_cocycle_kernel_order_matches_scan(polynomial, generators):
+    # every (K', K) class pair and every s that mark counts over
+    from bhht.burnside import _cocycle_kernel_order
+    from bhht.intmat import kernel_mod
+    from bhht.oracles import brute_cocycle_kernel_order
+    from bhht.permgroups import conjugate, inverse
+
+    ambient = ambient_of(polynomial, generators)
+    diag = ambient.diag
+    classes = split_classes(ambient)
+    checked = set()
+    for kp in classes:
+        congruences = kernel_mod(kp.h_gens, diag.n, diag.exponent)[0]
+        for k in classes:
+            for s in ambient.perms.elements:
+                moved = tuple(conjugate(inverse(s), t) for t in k.t_gens)
+                if (kp.tag, moved) not in checked:
+                    checked.add((kp.tag, moved))
+                    assert _cocycle_kernel_order(diag, moved, congruences) \
+                        == brute_cocycle_kernel_order(diag, moved, kp.h_elements)
+    assert len(checked) > len(classes)
+
+
 def test_mark_triangular_in_subconjugacy(small, small_classes):
     order = sorted(small_classes, key=lambda c: (-c.order, c.tag))
     for i, a in enumerate(order):

@@ -13,7 +13,7 @@ from bhht.diaggroups import (
     symmetry_group,
 )
 from bhht.errors import MembershipError, SizeBoundError
-from bhht.oracles import all_subgroups_abelian
+from bhht.oracles import all_subgroups_abelian, brute_annihilator, brute_isotropy
 from bhht.permgroups import group_from_generators, parse_cycles, trivial_group
 from bhht.polynomials import check_invariance, parse_polynomial, weights
 
@@ -252,15 +252,48 @@ def test_annihilator_s_invariance(quintic):
         assert frozenset(perm_act(s, x) for x in ann) == ann
 
 
-def test_select_python_fallback_matches_numpy(quintic, monkeypatch):
-    import bhht.diaggroups as dg
+def test_annihilator_kernel_matches_pairing_scan(quintic, x14):
+    # the kernel annihilator against a scan of the dual group with the pairing
+    for matrix in (quintic, x14):
+        pairing = CharacterPairing(matrix)
+        rng = seeded(37)
+        for size in range(4):
+            gens = [rng.choice(pairing.left.elements) for _ in range(size)]
+            h = subgroup_generated(pairing.left, gens)
+            assert pairing.annihilator(h) == brute_annihilator(pairing, h)
+    for text in ("x1^2*x2+x2^3", "x1^2+x2^2+x3^2", "x1^4*x2+x2^4*x1",
+                 "x1^2*x2+x2^2*x3+x3^3"):
+        pairing = CharacterPairing(parse_polynomial(text))
+        for side in (pairing, pairing.swapped()):
+            for h in all_subgroups_abelian(side.left):
+                assert side.annihilator(h) == brute_annihilator(side, h)
 
-    pairing = CharacterPairing(quintic)
+
+def test_kernels_never_list_the_whole_group(quintic):
+    # a bound below |G| = 3125 stops any listing of G, not the kernels
+    pairing = CharacterPairing(quintic, bound=1000)
+    with pytest.raises(SizeBoundError):
+        _ = pairing.right.elements
     h = subgroup_generated(pairing.left, [J(pairing.left)])
-    fast = pairing.annihilator(h)
-    monkeypatch.setattr(dg, "_NP_LIMIT", 1)  # force the exact-int path
-    slow = pairing.annihilator(h)
-    assert fast == slow
+    assert len(pairing.annihilator(h)) == 625
+    assert len(isotropy_on_stratum(pairing.left, [0, 1])) == 125
+    assert len(fixed_subgroup(pairing.left, group_from_generators(5, ["(12345)"]))) == 5
+    with pytest.raises(SizeBoundError):
+        isotropy_on_stratum(pairing.left, [])  # all 3125 elements
+    pairing.verify_nondegenerate()
+
+
+def test_isotropy_on_stratum_matches_scan(quintic, x14, x15):
+    from itertools import combinations
+
+    rng = seeded(38)
+    matrices = [quintic, x14, x15, parse_polynomial("x1^2*x2+x2^3"),
+                random_invertible(rng, max_vars=4)]
+    for matrix in matrices:
+        group = symmetry_group(matrix.anchored())
+        for k in range(group.n + 1):
+            for subset in combinations(range(group.n), k):
+                assert isotropy_on_stratum(group, subset) == brute_isotropy(group, subset)
 
 
 def test_generating_subset_round_trip(gq):

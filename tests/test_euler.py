@@ -114,6 +114,33 @@ def test_residual_check_trips_on_wrong_fixed_data(quintic):
         euler_mod.stratum_chi_fixed = original
 
 
+def test_structural_failure_carries_stratum_class_and_residual(monkeypatch):
+    import bhht.burnside as burnside_mod
+    import bhht.euler as euler_mod
+
+    f = parse_polynomial("x1^2+x2^2")
+    swap = group_from_generators(2, ["(12)"])
+    # first stratum (1,): kernel of order 2, trivial stabilizer; the diagonal
+    # mark is 2 and the fixed-locus Euler characteristic 2
+    original = euler_mod.stratum_chi_fixed
+    monkeypatch.setattr(euler_mod, "stratum_chi_fixed",
+                        lambda m, subset, perms: original(m, subset, perms) + 1)
+    with pytest.raises(StructuralAssumptionViolated) as info:
+        euler_analysis(f, swap)
+    assert (info.value.stratum, info.value.class_order, info.value.residual) \
+        == ((1,), 1, 1)
+    monkeypatch.undo()
+
+    # a fixed-element count one too many: mark divides 5 by |K'| = 2
+    count = burnside_mod._cocycle_kernel_order
+    monkeypatch.setattr(burnside_mod, "_cocycle_kernel_order",
+                        lambda diag, perms, congruences: count(diag, perms, congruences) + 1)
+    with pytest.raises(StructuralAssumptionViolated) as info:
+        euler_analysis(f, swap)
+    assert (info.value.stratum, info.value.class_order, info.value.residual) \
+        == ((1,), 2, 1)
+
+
 # -- assembled invariants -------------------------------------------------------------
 
 

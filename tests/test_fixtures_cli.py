@@ -253,6 +253,15 @@ def test_missing_fixture_is_input_error():
     assert code == 2
 
 
+def test_import_leaves_numpy_out():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bhht.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_console_script_entry_point():
     proc = subprocess.run([sys.executable, "-m", "bhht.cli", "selftest"],
                           capture_output=True, text=True)

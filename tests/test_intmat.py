@@ -1,4 +1,8 @@
 from fractions import Fraction
+from itertools import product
+from math import gcd, prod
+
+import pytest
 
 from conftest import seeded
 
@@ -6,6 +10,7 @@ from bhht.intmat import (
     determinant,
     identity,
     invariant_factors,
+    kernel_mod,
     matmul,
     smith_normal_form,
     solve_exact,
@@ -110,3 +115,54 @@ def test_solve_singular_raises():
 
 def test_identity():
     assert identity(2) == [[1, 0], [0, 1]]
+
+
+def _span_mod(gens, n, m):
+    have = {(0,) * n}
+    for g in gens:
+        while True:
+            more = {tuple((a + b) % m for a, b in zip(x, g)) for x in have} - have
+            if not more:
+                break
+            have |= more
+    return have
+
+
+def test_kernel_mod_matches_brute_force():
+    rng = seeded(41)
+    for _ in range(300):
+        n, m, k = rng.randint(1, 3), rng.randint(1, 12), rng.randint(0, 4)
+        rows = random_matrix(rng, k, n)
+        gens, order = kernel_mod(rows, n, m)
+        brute = {x for x in product(range(m), repeat=n)
+                 if all(sum(a * b for a, b in zip(r, x)) % m == 0 for r in rows)}
+        assert order == len(brute)
+        assert all(g in brute for g in gens)
+        assert _span_mod(gens, n, m) == brute
+
+
+def test_kernel_mod_order_matches_sympy_smith_form():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = seeded(42)
+    for _ in range(60):
+        n, k = rng.randint(1, 6), rng.randint(1, 8)
+        m = rng.choice([2, 6, 12, 30, 64, 625, 1000])
+        rows = random_matrix(rng, k, n, -30, 30)
+        d = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
+        diag = [abs(int(d[j, j])) if j < k else 0 for j in range(n)]
+        assert kernel_mod(rows, n, m)[1] == prod(gcd(dj, m) for dj in diag)
+
+
+def test_smith_normal_form_mod_keeps_entries_reduced():
+    rng = seeded(43)
+    for _ in range(100):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 6)
+        m = rng.choice([2, 12, 625, 1000])
+        a = random_matrix(rng, rows, cols, -999, 999)
+        d, u, v = smith_normal_form(a, modulus=m)
+        assert all(0 <= x < m for mat in (d, u, v) for row in mat for x in row)
+        assert [[x % m for x in row] for row in matmul(matmul(u, a), v)] == d
+        assert all(d[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
+        assert gcd(determinant(u), m) == 1 and gcd(determinant(v), m) == 1

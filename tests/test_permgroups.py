@@ -212,6 +212,33 @@ def test_pc_implies_alternating_over_s5():
             assert is_alternating_subgroup(sub)
 
 
+def _class_based_witness(group):
+    # the earlier choice: the representative of the first violating class,
+    # classes ordered by (order, least sorted member)
+    lattice = group.lattice
+    for cls in lattice.conjugacy_classes:
+        sub = group.subgroup(lattice.class_representative(cls))
+        if (orbit_count(sub, range(group.n)) - group.n) % 2:
+            return sub.generators
+    return None
+
+
+def test_pc_witness_matches_class_based_choice():
+    groups = [(5, ["(12)", "(12345)"]), (5, ["A5"]), (4, ["A4"]), (4, ["Z2x2"]),
+              (5, ["D10"]), (4, ["(12)", "(1234)"]), (4, ["(1234)"]),
+              (4, ["(12)", "(34)"]), (6, ["(123456)"]), (6, ["(12)(34)(56)", "(135)(246)"]),
+              (6, ["(123)", "(456)", "(14)(25)(36)"]), (6, ["(12)", "(34)", "(56)"]),
+              (6, ["(123)(456)", "(12)(45)"])]
+    violated = 0
+    for n, gens in groups:
+        group = group_from_generators(n, gens)
+        witness = pc_check(group).witness
+        assert (None if witness is None else witness.generators) \
+            == _class_based_witness(group), gens
+        violated += witness is not None
+    assert 0 < violated < len(groups)
+
+
 def test_cyclic_criterion_s6():
     # a cyclic group satisfies the parity condition iff its generator is even
     n = 6
