@@ -1,75 +1,6 @@
-"""Exact equivariant Euler characteristics and Saito duality for invertible polynomials."""
+"""Exact equivariant Euler characteristics and Saito duality for invertible polynomials.
 
-from .burnside import (
-    BurnsideElement,
-    HTClass,
-    SemidirectAmbient,
-    canonicalize,
-    generator_element,
-    ht_conjugate_test,
-    induction,
-    mark,
-    saito_dual,
-    zero_element,
-)
-from .diaggroups import (
-    CharacterPairing,
-    DiagonalGroup,
-    fixed_subgroup,
-    isotropy_on_stratum,
-    perm_act,
-    subgroup_generated,
-    symmetry_group,
-)
-from .errors import (
-    AmbientMismatchError,
-    BhhtError,
-    DegenerateLoopError,
-    DegeneratePairingError,
-    FlipSymmetryError,
-    MembershipError,
-    NotInvariantError,
-    NotInvertibleError,
-    ParseError,
-    SizeBoundError,
-    StructuralAssumptionViolated,
-)
-from .euler import (
-    DualityReport,
-    EulerAnalysis,
-    LemmaReport,
-    StratumContribution,
-    equivariant_euler,
-    euler_analysis,
-    lemma_level_checks,
-    reduced_equivariant_euler,
-    stratum_chi_fixed,
-    verify_duality,
-)
-from .permgroups import (
-    PermGroup,
-    coloured_hasse,
-    group_from_generators,
-    is_alternating_subgroup,
-    orbit_count,
-    orbits_on_subsets,
-    parse_cycles,
-    pc_check,
-    trivial_group,
-)
-from .polynomials import (
-    AtomicBlock,
-    BlockActionReport,
-    ExponentMatrix,
-    RestrictedPolynomial,
-    check_invariance,
-    diagonal_restrict,
-    parse_polynomial,
-    restrict,
-    serialize_polynomial,
-    transpose,
-    validate_invertible,
-    weights,
-)
+The package exports nothing at top level; import from its submodules.
+"""
 
 __version__ = "0.1.0"

@@ -152,10 +152,6 @@ def ht_conjugate_test(ambient, h1, t1, h2, t2):
     return None
 
 
-def canonicalize(ambient, h_elements, t_elements):
-    return HTClass(ambient, h_elements, t_elements)
-
-
 class BurnsideElement:
     """Finitely supported integer combination of split-subgroup classes."""
 

@@ -19,7 +19,7 @@ import sys
 import time
 from pathlib import Path
 
-from .diaggroups import CharacterPairing
+from .diaggroups import DEFAULT_GROUP_BOUND, CharacterPairing
 from .errors import (
     BhhtError,
     DegeneratePairingError,
@@ -35,7 +35,11 @@ from .fixtures import (
     load_fixture,
     serialize_fixture,
 )
-from .oracles import check_fixed_point_consistency, naive_mark
+from .oracles import (
+    CONSISTENCY_ORDER_BOUND,
+    check_fixed_point_consistency,
+    naive_mark,
+)
 from .permgroups import cycle_notation, pc_check
 from .polynomials import serialize_polynomial, transpose
 
@@ -70,7 +74,7 @@ def _build_parser():
     common.add_argument("--oracle", action="store_true",
                         help="run slow brute-force cross-checks on small fixtures")
     common.add_argument("--max-group-order", type=int, metavar="N",
-                        default=10 ** 6,
+                        default=DEFAULT_GROUP_BOUND,
                         help="skip computations whose semidirect product exceeds N")
     parser = argparse.ArgumentParser(
         prog="bhht",
@@ -247,7 +251,7 @@ def cmd_euler(args):
             print("%s: skipped (group order over %d)" % (fx.name, args.max_group_order))
             continue
         analysis = euler_analysis(fx.matrix, S)
-        if args.oracle and analysis.ambient.order <= 2000:
+        if args.oracle and analysis.ambient.order <= CONSISTENCY_ORDER_BOUND:
             checked = check_fixed_point_consistency(analysis)
             print("# oracle: %d fixed-point classes consistent" % checked,
                   file=sys.stderr)
@@ -277,7 +281,8 @@ def cmd_verify(args):
             print("%s: skipped (group order over %d)" % (fx.name, args.max_group_order))
             continue
         report = verify_duality(fx.matrix, S)
-        if args.oracle and report.lhs_analysis.ambient.order <= 2000:
+        if (args.oracle
+                and report.lhs_analysis.ambient.order <= CONSISTENCY_ORDER_BOUND):
             check_fixed_point_consistency(report.lhs_analysis)
             check_fixed_point_consistency(report.rhs_analysis)
         expected = fx.expect.get("duality_equal")

@@ -61,7 +61,7 @@ def stratum_chi_fixed(matrix, subset, perms):
     return (-1) ** (o - 1) * abs(folded.determinant())
 
 
-@dataclass
+@dataclass(frozen=True)
 class StratumContribution:
     """Diagnostics and result for one orbit of strata."""
 
@@ -105,16 +105,10 @@ class EulerAnalysis:
         return self.element.reduce()
 
 
-def _class_key(lattice, cls):
-    return tuple(sorted(lattice.class_representative(cls)))
-
-
-def _stratum_contribution(matrix, group, subset, stabilizer):
+def _stratum_contribution(matrix, group, perms, subset, stabilizer, orbit_size):
     lattice = stabilizer.lattice
-    classes = lattice.conjugacy_classes
-    keys = [_class_key(lattice, cls) for cls in classes]
-    reps = {key: stabilizer.subgroup(lattice.class_representative(cls))
-            for key, cls in zip(keys, classes)}
+    keys = [lattice.class_key(cls) for cls in lattice.conjugacy_classes]
+    reps = {key: stabilizer.subgroup(key) for key in keys}
     # descending subgroup order; ties broken by the canonical representative
     order = sorted(keys, key=lambda k: (-len(k), k))
 
@@ -167,12 +161,12 @@ def _stratum_contribution(matrix, group, subset, stabilizer):
     return StratumContribution(
         subset=subset,
         stabilizer=stabilizer,
-        orbit_size=0,
+        orbit_size=orbit_size,
         class_keys=tuple(order),
         fixed_chi=fixed,
         coefficients=solved,
         element=element,
-        induced=None,
+        induced=induction(element, perms),
     )
 
 
@@ -193,12 +187,7 @@ def euler_analysis(matrix, perms, group=None):
         if not restrict(matrix, rep).full:
             skipped.append((rep, "restriction not full"))
             continue
-        contribution = _stratum_contribution(matrix, group, rep, stab)
-        contribution.orbit_size = size
-        contribution.induced = induction(contribution.element, perms)
-        # reuse the shared ambient so class keys merge across strata
-        contribution.induced = BurnsideElement(
-            ambient, contribution.induced.coefficients)
+        contribution = _stratum_contribution(matrix, group, perms, rep, stab, size)
         total = total + contribution.induced
         strata.append(contribution)
     return EulerAnalysis(matrix=matrix, perms=perms, group=group,
@@ -339,7 +328,6 @@ def lemma_level_checks(matrix, perms, pairing=None):
                             % (s.subset,))
             break
         mirrored = saito_dual(dual_side.induced, pairing.swapped()).scale((-1) ** n)
-        mirrored = BurnsideElement(lhs.ambient, mirrored.coefficients)
         if mirrored != s.induced:
             ok_c = False
             detail_c = "orbit of %s is not dual to the orbit of its complement" \
@@ -371,8 +359,7 @@ def lemma_level_checks(matrix, perms, pairing=None):
             profiles.setdefault(profile, []).append((s.subset, vector))
             lattice = stab_group.lattice
             for key in s.class_keys:
-                rep = stab_group.subgroup(lattice.class_representative(
-                    lattice.class_of(frozenset(key))))
+                rep = stab_group.subgroup(key)
                 norm = len(lattice.normalizer(rep.element_set))
                 folded = diagonal_restrict(analysis.matrix, s.subset, rep)
                 if not folded.full:

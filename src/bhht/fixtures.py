@@ -44,9 +44,8 @@ class FixtureSpec:
     def nvars(self):
         return self.matrix.n
 
-    def perm_group(self, bound=None):
-        kwargs = {} if bound is None else {"bound": bound}
-        return group_from_generators(self.nvars, self.s_lines, **kwargs)
+    def perm_group(self):
+        return group_from_generators(self.nvars, self.s_lines)
 
     def diagonal_group(self):
         return symmetry_group(self.matrix.anchored())
@@ -72,10 +71,10 @@ def parse_group_element(line, group):
         m = int(denom_part)
         if not rest.endswith(")"):
             raise ValueError
-        entries = [int(t) for t in rest[:-1].split(",")]
-    except ValueError as exc:
+        fractions = [Fraction(int(t), m) for t in rest[:-1].split(",")]
+    except (ValueError, ZeroDivisionError) as exc:
         raise ParseError("bad group element %r" % line) from exc
-    return group.from_fractions([Fraction(a, m) for a in entries])
+    return group.from_fractions(fractions)
 
 
 def format_group_subgroup(group, elements):

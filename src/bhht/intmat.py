@@ -23,10 +23,6 @@ def matvec(a, v):
     return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
 
 
-def transposed(a):
-    return [list(col) for col in zip(*a)]
-
-
 def determinant(a):
     """Determinant of a square integer matrix (Bareiss, fraction free)."""
     n = len(a)

@@ -14,6 +14,8 @@ from .permgroups import compose, conjugate, inverse
 
 # Every enumeration here lists a whole group; none runs on one larger than this.
 ORACLE_ORDER_BOUND = 20000
+# The fixed-point consistency sweep runs only on ambient groups up to this order.
+CONSISTENCY_ORDER_BOUND = 2000
 
 
 def mul(ambient, a, b):
@@ -154,7 +156,7 @@ def fixed_point_euler(matrix, perms, h_elements, t_elements):
     return total
 
 
-def check_fixed_point_consistency(analysis, limit=2000):
+def check_fixed_point_consistency(analysis):
     """Marks of the assembled invariant against direct stratum sums.
 
     For every split class of the ambient group, the weighted sum of marks of
@@ -163,8 +165,9 @@ def check_fixed_point_consistency(analysis, limit=2000):
     number of classes checked; raises AssertionError on any mismatch.
     """
     ambient = analysis.ambient
-    if ambient.order > limit:
-        raise SizeBoundError("consistency check capped at order %d" % limit)
+    if ambient.order > CONSISTENCY_ORDER_BOUND:
+        raise SizeBoundError("consistency check capped at order %d"
+                             % CONSISTENCY_ORDER_BOUND)
     from .burnside import HTClass
     done = set()
     checked = 0

@@ -50,27 +50,6 @@ def is_even(p):
     return sign == 1
 
 
-def cycle_count(p, points=None):
-    """Number of cycles of p on the given points (all points by default)."""
-    if points is None:
-        points = range(len(p))
-    points = set(points)
-    for i in points:
-        if p[i] not in points:
-            raise ValueError("permutation does not preserve the point set")
-    count = 0
-    seen = set()
-    for i in sorted(points):
-        if i in seen:
-            continue
-        count += 1
-        j = i
-        while j not in seen:
-            seen.add(j)
-            j = p[j]
-    return count
-
-
 def parse_cycles(text, n):
     """Parse 1-based cycle notation like ``(12)(34)`` or ``(1 10 3)``."""
     s = text.strip()
@@ -85,10 +64,13 @@ def parse_cycles(text, n):
         if not (chunk.startswith("(") and chunk.endswith(")")):
             raise ParseError("bad cycle notation %r" % text)
         inner = chunk[1:-1].strip()
-        if any(c in inner for c in ", "):
-            pts = [int(t) for t in inner.replace(",", " ").split()]
-        else:
-            pts = [int(c) for c in inner]
+        try:
+            if any(c in inner for c in ", "):
+                pts = [int(t) for t in inner.replace(",", " ").split()]
+            else:
+                pts = [int(c) for c in inner]
+        except ValueError as exc:
+            raise ParseError("bad point in cycle notation %r" % text) from exc
         if len(pts) < 2:
             raise ParseError("cycle with fewer than 2 points in %r" % text)
         pts0 = [p - 1 for p in pts]
@@ -199,9 +181,6 @@ class PermGroup:
     def lattice(self):
         return SubgroupLattice(self)
 
-    def named_generating_set(self):
-        return [cycle_notation(g) for g in self.generators]
-
 
 NAMED_GROUPS = {
     "A3": ["(123)"],
@@ -292,9 +271,6 @@ class SubgroupLattice:
     def __len__(self):
         return len(self.subgroups)
 
-    def index_of(self, subgroup):
-        return self._index[frozenset(subgroup)]
-
     @property
     def conjugacy_classes(self):
         """List of classes; each class is a sorted list of subgroup indices."""
@@ -321,15 +297,7 @@ class SubgroupLattice:
 
     def class_representative(self, cls):
         """Lexicographically least sorted element list in the class."""
-        best = min(cls, key=lambda i: tuple(sorted(self.subgroups[i])))
-        return self.subgroups[best]
-
-    def class_of(self, subgroup):
-        i = self.index_of(subgroup)
-        for cls in self.conjugacy_classes:
-            if i in cls:
-                return cls
-        raise KeyError(subgroup)
+        return frozenset(self.class_key(cls))
 
     def normalizer(self, subgroup):
         H = frozenset(subgroup)
@@ -350,17 +318,32 @@ class SubgroupLattice:
                 return True
         return False
 
-    def contains_relation(self):
-        """Pairs (i, j) with subgroup i a subset of subgroup j."""
-        out = set()
-        for i, a in enumerate(self.subgroups):
-            for j, b in enumerate(self.subgroups):
-                if len(a) < len(b) and a <= b:
-                    out.add((i, j))
-        return out
-
 
 # -- parity condition -------------------------------------------------------------
+
+
+def orbits(group, points):
+    """Orbits of the group on a point set it preserves, as sorted tuples.
+
+    The orbits are found by walking the generators and come out ordered by
+    their least points.
+    """
+    remaining = set(points)
+    out = []
+    while remaining:
+        seed = min(remaining)
+        orbit = {seed}
+        frontier = [seed]
+        while frontier:
+            v = frontier.pop()
+            for p in group.generators:
+                w = p[v]
+                if w not in orbit:
+                    orbit.add(w)
+                    frontier.append(w)
+        out.append(tuple(sorted(orbit)))
+        remaining -= orbit
+    return out
 
 
 def orbit_count(group, points):
@@ -369,23 +352,7 @@ def orbit_count(group, points):
     for p in group.elements:
         if {p[i] for i in points} != points:
             raise ValueError("group does not preserve the point set")
-    seen = set()
-    count = 0
-    for i in sorted(points):
-        if i in seen:
-            continue
-        count += 1
-        orbit = {i}
-        frontier = [i]
-        while frontier:
-            v = frontier.pop()
-            for p in group.generators or (identity_perm(group.n),):
-                w = p[v]
-                if w not in orbit:
-                    orbit.add(w)
-                    frontier.append(w)
-        seen |= orbit
-    return count
+    return len(orbits(group, points))
 
 
 @dataclass(frozen=True)
@@ -451,45 +418,3 @@ def orbits_on_subsets(group):
         out.append((tuple(sorted(rep)), stab, len(orbit)))
     out.sort(key=lambda t: (len(t[0]), t[0]))
     return out
-
-
-# -- coloured Hasse diagram --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ColouredHasse:
-    """Subgroup-class poset of a stabilizer, coloured by fixed-space codimension parity."""
-
-    nodes: tuple        # canonical class representatives (sorted element tuples)
-    orders: tuple       # subgroup order per node
-    colours: tuple      # parity bits
-    covers: tuple       # (lower, upper) index pairs, covering relations only
-
-
-def coloured_hasse(stabilizer, points):
-    points = tuple(sorted(points))
-    lat = stabilizer.lattice
-    classes = lat.conjugacy_classes
-    nodes = []
-    orders = []
-    colours = []
-    for cls in classes:
-        rep = lat.class_representative(cls)
-        sub = stabilizer.subgroup(rep)
-        nodes.append(tuple(sorted(rep)))
-        orders.append(len(rep))
-        colours.append((len(points) - orbit_count(sub, points)) % 2)
-    less = [[False] * len(classes) for _ in classes]
-    for i, ci in enumerate(classes):
-        for j, cj in enumerate(classes):
-            if i != j and lat.is_subconjugate(lat.class_representative(ci),
-                                              lat.class_representative(cj)):
-                less[i][j] = True
-    covers = []
-    for i in range(len(classes)):
-        for j in range(len(classes)):
-            if less[i][j] and not any(less[i][k] and less[k][j]
-                                      for k in range(len(classes))):
-                covers.append((i, j))
-    return ColouredHasse(tuple(nodes), tuple(orders), tuple(colours),
-                         tuple(sorted(covers)))

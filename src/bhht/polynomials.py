@@ -23,6 +23,7 @@ from .errors import (
     ParseError,
 )
 from .intmat import determinant, solve_exact
+from .permgroups import orbits as perm_orbits
 
 log = logging.getLogger("bhht")
 
@@ -125,9 +126,6 @@ class ExponentMatrix:
         out.validate()
         return out
 
-    def is_anchored(self):
-        return all(a == r for r, a in self.anchors().items())
-
 
 def parse_polynomial(text):
     """Parse the fixture polynomial grammar into an ExponentMatrix."""
@@ -171,7 +169,10 @@ def _split_term(term, pos):
     parts = term.split("*")
     coeff = Fraction(1)
     if _COEFF_RE.match(parts[0]):
-        coeff = Fraction(parts[0])
+        try:
+            coeff = Fraction(parts[0])
+        except ZeroDivisionError as exc:
+            raise ParseError("zero denominator in %r" % parts[0], pos) from exc
         if coeff == 0:
             raise ParseError("zero coefficient", pos)
         parts = parts[1:]
@@ -417,8 +418,8 @@ def restrict(matrix, subset):
 def diagonal_restrict(matrix, subset, perms):
     """Identify the variables of f^I along the orbits of a permutation group.
 
-    ``perms`` is a PermGroup (or any object with .elements and .n) acting on
-    all n variables; it must preserve the subset and f^I.  Monomials whose
+    ``perms`` is a PermGroup acting on all n variables; it must preserve the
+    subset and f^I.  Monomials whose
     exponent vectors become equal are merged by summing coefficients.
     """
     base = restrict(matrix, subset)
@@ -429,7 +430,7 @@ def diagonal_restrict(matrix, subset, perms):
             raise NotInvariantError("group does not preserve the subset")
     if not _preserves_monomials(base, perms):
         raise NotInvariantError("group does not preserve the restricted polynomial")
-    orbits = _orbits_within(perms, subset)
+    orbits = perm_orbits(perms, subset)
     column = {v: k for k, orb in enumerate(orbits) for v in orb}
     merged = {}
     for mono, coeff in base.monomials:
@@ -467,25 +468,6 @@ def _preserves_monomials(base, perms):
     return True
 
 
-def _orbits_within(perms, subset):
-    remaining = set(subset)
-    orbits = []
-    while remaining:
-        seed = min(remaining)
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            v = frontier.pop()
-            for p in perms.elements:
-                w = p[v]
-                if w not in orbit:
-                    orbit.add(w)
-                    frontier.append(w)
-        orbits.append(tuple(sorted(orbit)))
-        remaining -= orbit
-    return sorted(orbits)
-
-
 # -- permutation symmetries ------------------------------------------------------
 
 
@@ -503,10 +485,6 @@ class BlockOrbit:
 class BlockActionReport:
     blocks: tuple
     orbits: tuple
-
-    @property
-    def has_rotations(self):
-        return any(o.kind == "second" for o in self.orbits)
 
 
 def check_invariance(matrix, group):

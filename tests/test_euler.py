@@ -4,6 +4,7 @@ from conftest import X14, X15, seeded
 from bhht.diaggroups import isotropy_on_stratum, symmetry_group
 from bhht.errors import StructuralAssumptionViolated
 from bhht.euler import (
+    _stratum_profile,
     equivariant_euler,
     euler_analysis,
     lemma_level_checks,
@@ -12,7 +13,13 @@ from bhht.euler import (
     verify_duality,
 )
 from bhht.oracles import check_fixed_point_consistency
-from bhht.permgroups import group_from_generators, orbit_count, trivial_group
+from bhht.permgroups import (
+    group_from_generators,
+    orbit_count,
+    orbits_on_subsets,
+    pc_check,
+    trivial_group,
+)
 from bhht.polynomials import parse_polynomial, restrict, transpose
 
 
@@ -331,3 +338,42 @@ def test_deepest_coefficient_matches_orbit_parity(x14):
         top_key = max(stratum.class_keys, key=len)
         expected = (-1) ** (orbit_count(stratum.stabilizer, stratum.subset) - 1)
         assert stratum.coefficients[top_key] == expected
+
+
+# -- coloured subgroup diagrams -----------------------------------------------------
+
+
+def class_keys(group):
+    lattice = group.lattice
+    return [lattice.class_key(cls) for cls in lattice.conjugacy_classes]
+
+
+def test_stratum_profile_trivial():
+    g = trivial_group(2)
+    profile, sign = _stratum_profile((0, 1), g, class_keys(g))
+    assert profile == (g.element_set, (0,))  # one node, coloured 0
+    assert sign == -1  # two orbits at the deepest node
+
+
+def test_stratum_profile_swap():
+    g = group_from_generators(2, ["(12)"])
+    keys = class_keys(g)
+    assert [len(key) for key in keys] == [1, 2]
+    profile, sign = _stratum_profile((0, 1), g, keys)
+    # colours relative to the deepest node, the whole group with one orbit
+    assert profile == (g.element_set, (1, 0))
+    assert sign == 1
+
+
+def test_stratum_profile_equal_for_complements_under_pc():
+    # quasi-parity for D10: a stratum and its complement have the same
+    # coloured subgroup diagram, and the same codimension parity at its top
+    g = group_from_generators(5, ["(12345)", "(14)(23)"])
+    assert pc_check(g).satisfies
+    for rep, stab, _size in orbits_on_subsets(g):
+        complement = tuple(sorted(set(range(5)) - set(rep)))
+        keys = class_keys(stab)
+        assert (_stratum_profile(rep, stab, keys)[0]
+                == _stratum_profile(complement, stab, keys)[0])
+        assert ((len(rep) - orbit_count(stab, rep)) % 2
+                == (len(complement) - orbit_count(stab, complement)) % 2)

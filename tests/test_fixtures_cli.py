@@ -99,6 +99,21 @@ def test_cmd_validate_bad_polynomial(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("verb, polynomial, g_line, s_line", [
+    ("pc", "x1^2+x2^2+x3^2+x4^2", "full", "(12) (34)"),
+    ("pc", "x1^2+x2^2+x3^2+x4^2", "full", "(1,x)"),
+    ("pc", "x1^2+x2^2+x3^2+x4^2", "full", "((12))"),
+    ("validate", "1/0*x1^3", "full", ""),
+    ("dual", "x1^2+x2^2", "1/0(1,1)", ""),
+], ids=["cycle-spaced", "cycle-letter", "cycle-nested", "coefficient-over-zero",
+        "g-over-zero"])
+def test_malformed_text_is_an_input_error(tmp_path, verb, polynomial, g_line, s_line):
+    fx = tmp_path / "bad.fix"
+    fx.write_text("[polynomial]\n%s\n\n[G]\n%s\n\n[S]\n%s\n" % (polynomial, g_line, s_line))
+    code, _out = run_cli(verb, str(fx))
+    assert code == 2
+
+
 def test_cmd_pc_five_example_groups():
     code, out = run_cli("pc", "pc_a3", "pc_a4", "pc_z2x2", "pc_d10", "pc_a5")
     assert code == 0
@@ -168,6 +183,15 @@ def test_cmd_euler_all_goldens():
 
 def test_cmd_euler_oracle_flag():
     code, _out = run_cli("euler", "--oracle", "pc_a3")
+    assert code == 0
+
+
+def test_cmd_verify_oracle_skips_groups_above_the_cap():
+    # |G x| S| = 6,250 for x1_z2: the consistency sweep is skipped, not failed
+    from bhht.oracles import CONSISTENCY_ORDER_BOUND
+
+    assert CONSISTENCY_ORDER_BOUND < 6250
+    code, _out = run_cli("verify", "--oracle", "x1_z2")
     assert code == 0
 
 

@@ -7,7 +7,6 @@ from bhht.errors import ParseError, SizeBoundError
 from bhht.permgroups import (
     PermGroup,
     closure,
-    coloured_hasse,
     compose,
     conjugate,
     cycle_notation,
@@ -17,6 +16,7 @@ from bhht.permgroups import (
     is_alternating_subgroup,
     is_even,
     orbit_count,
+    orbits,
     orbits_on_subsets,
     parse_cycles,
     pc_check,
@@ -140,7 +140,8 @@ def test_normalizer_and_conjugacy():
     g = group_from_generators(3, ["(12)", "(123)"])  # S3
     h = frozenset({identity_perm(3), parse_cycles("(12)", 3)})
     assert g.lattice.normalizer(h) == h
-    cls = g.lattice.class_of(h)
+    cls = next(c for c in g.lattice.conjugacy_classes
+               if h in (g.lattice.subgroups[i] for i in c))
     assert len(cls) == 3  # three conjugate reflections
     rep = g.lattice.class_representative(cls)
     assert tuple(sorted(rep)) == min(
@@ -164,6 +165,8 @@ def test_subconjugacy():
 def test_orbit_count_examples():
     t = group_from_generators(5, ["(12)(34)"])
     assert orbit_count(t, range(5)) == 3
+    assert orbits(t, range(5)) == [(0, 1), (2, 3), (4,)]
+    assert orbits(t, [4, 1, 0]) == [(0, 1), (4,)]
     assert orbit_count(trivial_group(5), range(5)) == 5
     d10 = group_from_generators(5, ["D10"])
     assert orbit_count(d10, range(5)) == 1
@@ -288,24 +291,6 @@ def test_stabilizers_match_complements():
         assert comp_stab == s
 
 
-# -- coloured Hasse ----------------------------------------------------------------
-
-
-def test_coloured_hasse_trivial():
-    h = coloured_hasse(trivial_group(2), [0, 1])
-    assert len(h.nodes) == 1
-    assert h.colours == (0,)
-    assert h.covers == ()
-
-
-def test_coloured_hasse_swap():
-    g = group_from_generators(2, ["(12)"])
-    h = coloured_hasse(g, [0, 1])
-    assert h.orders == (1, 2)
-    assert h.colours == (0, 1)
-    assert h.covers == ((0, 1),)
-
-
 def test_quasi_parity_for_complementary_subsets():
     # under the parity condition, relative fixed-dimension parities agree
     # between a subset and its complement, for every subgroup of the stabilizer
@@ -319,13 +304,3 @@ def test_quasi_parity_for_complementary_subsets():
             lhs = orbit_count(t, rep) - orbit_count(stab, rep)
             rhs = orbit_count(t, complement) - orbit_count(stab, complement)
             assert (lhs - rhs) % 2 == 0
-
-
-def test_coloured_hasse_equal_for_complements_under_pc():
-    g = group_from_generators(5, ["(12345)", "(14)(23)"])
-    for rep, stab, _size in orbits_on_subsets(g):
-        complement = tuple(sorted(set(range(5)) - set(rep)))
-        a = coloured_hasse(stab, rep)
-        b = coloured_hasse(stab, complement)
-        assert a.nodes == b.nodes and a.covers == b.covers
-        assert a.colours == b.colours
