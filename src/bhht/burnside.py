@@ -8,8 +8,6 @@ come from Burnside's formula in closed form: conjugation by (v, s) moves
 S and G alone and the semidirect product is never listed.
 """
 
-import json
-
 from .diaggroups import generating_subset, perm_act, span
 from .errors import (
     AmbientMismatchError,
@@ -140,18 +138,6 @@ class HTClass:
         }
 
 
-def ht_conjugate_test(ambient, h1, t1, h2, t2):
-    """Some s in S conjugating (H1, T1) to (H2, T2), or None."""
-    h1, h2 = frozenset(h1), frozenset(h2)
-    t1, t2 = frozenset(t1), frozenset(t2)
-    for s in ambient.perms.elements:
-        if frozenset(conjugate(s, t) for t in t1) != t2:
-            continue
-        if frozenset(perm_act(s, h) for h in h1) == h2:
-            return s
-    return None
-
-
 class BurnsideElement:
     """Finitely supported integer combination of split-subgroup classes."""
 
@@ -219,10 +205,6 @@ class BurnsideElement:
             out.append(rec)
         return out
 
-    def to_jsonl(self):
-        return "\n".join(json.dumps(r, sort_keys=True, separators=(",", ":"))
-                         for r in self.records())
-
     def __repr__(self):
         parts = ["%+d*%r" % (c, cls) for cls, c in self.items_sorted()]
         return " ".join(parts) if parts else "0"
@@ -230,11 +212,6 @@ class BurnsideElement:
 
 def zero_element(ambient):
     return BurnsideElement(ambient, {})
-
-
-def generator_element(ambient, h_elements, t_elements, coefficient=1):
-    cls = HTClass(ambient, h_elements, t_elements)
-    return BurnsideElement(ambient, {cls: coefficient})
 
 
 def mark(kprime, k):

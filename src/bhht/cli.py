@@ -41,7 +41,7 @@ from .oracles import (
     naive_mark,
 )
 from .permgroups import cycle_notation, pc_check
-from .polynomials import serialize_polynomial, transpose
+from .polynomials import check_invariance, serialize_polynomial, transpose
 
 OK, MISMATCH, INPUT_ERROR, MATH_FAILURE, RESOURCE_BOUND = 0, 1, 2, 3, 4
 
@@ -209,6 +209,7 @@ def cmd_dual(args):
     matrix = fx.matrix.anchored()
     pairing = CharacterPairing(matrix)
     S = fx.perm_group()
+    check_invariance(matrix, S)
     # the configured subgroup must itself be S-invariant for the dual pair
     from .diaggroups import perm_act
     subgroup = fx.g_subgroup(pairing.left)

@@ -5,10 +5,10 @@ E @ v integral.  Internally every element is a tuple of integers modulo the
 group exponent L (the largest invariant factor of E), i.e. v = a / L; this
 keeps equality, hashing and arithmetic exact and fast.
 
-Subgroups given by congruences (annihilators, stratum kernels, the subgroup
-fixed by permutations) are cut out as kernels: the rows of E plus the extra
-congruences go through ``intmat.kernel_mod``, and only the kernel's own
-elements are ever listed, never those of the whole group.
+Subgroups given by congruences (annihilators, stratum kernels) are cut out
+as kernels: the rows of E plus the extra congruences go through
+``intmat.kernel_mod``, and only the kernel's own elements are ever listed,
+never those of the whole group.
 """
 
 from fractions import Fraction
@@ -118,10 +118,6 @@ class DiagonalGroup:
             raise MembershipError("vector %s is not a diagonal symmetry" % (fractions,))
         return element
 
-    def to_fractions(self, element):
-        L = self.exponent
-        return tuple(Fraction(a, L) for a in element)
-
     def format_element(self, element):
         """Short notation 1/m(a1,...,an) with the least common denominator."""
         L = self.exponent
@@ -180,18 +176,6 @@ def _unit_row(n, i):
 def isotropy_on_stratum(group, subset):
     """Elements acting trivially on the open stratum of the subset: v_i = 0 on it."""
     rows = [_unit_row(group.n, i) for i in set(subset)]
-    return group.kernel_elements(*group.kernel(rows))
-
-
-def fixed_subgroup(group, perms):
-    """Elements constant on the orbits of the permutation group: v_p(i) = v_i."""
-    rows = []
-    for p in perms.generators:
-        for i, j in enumerate(p):
-            if i != j:
-                row = _unit_row(group.n, j)
-                row[i] = -1
-                rows.append(row)
     return group.kernel_elements(*group.kernel(rows))
 
 

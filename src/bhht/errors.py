@@ -27,10 +27,6 @@ class NotInvariantError(BhhtError):
     """The permutation group does not preserve the polynomial."""
 
 
-class FlipSymmetryError(BhhtError):
-    """A loop is mapped to itself with reversed orientation (excluded case)."""
-
-
 class MembershipError(BhhtError):
     """An element does not belong to the group it was claimed to be in."""
 

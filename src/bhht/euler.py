@@ -25,8 +25,10 @@ from .permgroups import PCResult, orbit_count, orbits_on_subsets, pc_check
 from .polynomials import check_invariance, diagonal_restrict, restrict, transpose
 
 
-def _stratum_profile(subset, stabilizer, class_keys):
+def _stratum_profile(subset, stabilizer, reps):
     """Key identifying the coloured subgroup diagram of a stratum.
+
+    ``reps`` are the stabilizer's class representatives, in class order.
 
     Colours are fixed-space dimension parities taken relative to the deepest
     node (the full stabilizer); with that normalisation the coefficient
@@ -36,9 +38,7 @@ def _stratum_profile(subset, stabilizer, class_keys):
     variable count is odd.
     """
     deepest = orbit_count(stabilizer, subset)
-    colours = tuple(
-        (orbit_count(stabilizer.subgroup(key), subset) - deepest) % 2
-        for key in class_keys)
+    colours = tuple((orbit_count(rep, subset) - deepest) % 2 for rep in reps)
     return (stabilizer.element_set, colours), (-1) ** (deepest - 1)
 
 
@@ -69,6 +69,7 @@ class StratumContribution:
     stabilizer: object
     orbit_size: int
     class_keys: tuple          # canonical key per conjugacy class of the stabilizer
+    reps: dict                 # class key -> the key's subgroup of the stabilizer
     fixed_chi: dict            # class key -> chi of the fixed locus
     coefficients: dict         # class key -> solved integer coefficient
     element: BurnsideElement   # over G x| stabilizer
@@ -118,24 +119,23 @@ def _stratum_contribution(matrix, group, perms, subset, stabilizer, orbit_size):
     fixed = {key: stratum_chi_fixed(matrix, subset, reps[key]) for key in keys}
 
     stratum = tuple(i + 1 for i in subset)
+    # a mark is 0 unless the class ki is subconjugate to kj; mark decides that
     marks = {}
     for i, ki in enumerate(order):
         for j in range(i + 1):
             kj = order[j]
-            if lattice.is_subconjugate(reps[ki].element_set, reps[kj].element_set):
-                try:
-                    marks[(kj, ki)] = mark(node[kj], node[ki])
-                except StructuralAssumptionViolated as exc:
-                    exc.stratum = stratum
-                    raise
+            try:
+                marks[(kj, ki)] = mark(node[kj], node[ki])
+            except StructuralAssumptionViolated as exc:
+                exc.stratum = stratum
+                raise
 
     solved = {}
     for i, ki in enumerate(order):
         acc = Fraction(fixed[ki])
         for j in range(i):
             kj = order[j]
-            if (kj, ki) in marks:
-                acc -= solved[kj] * marks[(kj, ki)]
+            acc -= solved[kj] * marks[(kj, ki)]
         diag = marks[(ki, ki)]
         if diag <= 0:
             raise StructuralAssumptionViolated(
@@ -149,8 +149,7 @@ def _stratum_contribution(matrix, group, perms, subset, stabilizer, orbit_size):
                 stratum=stratum, class_order=len(ki), residual=acc % diag)
         solved[ki] = int(q)
     for i, ki in enumerate(order):
-        total = sum(solved[order[j]] * marks.get((order[j], ki), 0)
-                    for j in range(i + 1))
+        total = sum(solved[order[j]] * marks[(order[j], ki)] for j in range(i + 1))
         if total != fixed[ki]:
             raise StructuralAssumptionViolated(
                 "marks residual %d on stratum %s" % (total - fixed[ki], stratum),
@@ -163,6 +162,7 @@ def _stratum_contribution(matrix, group, perms, subset, stabilizer, orbit_size):
         stabilizer=stabilizer,
         orbit_size=orbit_size,
         class_keys=tuple(order),
+        reps=reps,
         fixed_chi=fixed,
         coefficients=solved,
         element=element,
@@ -193,14 +193,6 @@ def euler_analysis(matrix, perms, group=None):
     return EulerAnalysis(matrix=matrix, perms=perms, group=group,
                          ambient=ambient, strata=strata, skipped=skipped,
                          element=total)
-
-
-def equivariant_euler(matrix, perms, group=None):
-    return euler_analysis(matrix, perms, group).element
-
-
-def reduced_equivariant_euler(matrix, perms, group=None):
-    return euler_analysis(matrix, perms, group).reduced
 
 
 @dataclass
@@ -354,12 +346,13 @@ def lemma_level_checks(matrix, perms, pairing=None):
             if s.coefficients[top_key] != expect:
                 ok_deep = False
                 detail_d = "deepest coefficient on stratum %s" % (s.subset,)
-            profile, deep_sign = _stratum_profile(s.subset, stab_group, s.class_keys)
+            profile, deep_sign = _stratum_profile(
+                s.subset, stab_group, [s.reps[k] for k in s.class_keys])
             vector = tuple(deep_sign * s.coefficients[k] for k in s.class_keys)
             profiles.setdefault(profile, []).append((s.subset, vector))
             lattice = stab_group.lattice
             for key in s.class_keys:
-                rep = stab_group.subgroup(key)
+                rep = s.reps[key]
                 norm = len(lattice.normalizer(rep.element_set))
                 folded = diagonal_restrict(analysis.matrix, s.subset, rep)
                 if not folded.full:

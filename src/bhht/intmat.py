@@ -12,13 +12,6 @@ def identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def matmul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    assert all(len(r) == inner for r in a)
-    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-            for i in range(rows)]
-
-
 def matvec(a, v):
     return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
 
@@ -166,12 +159,6 @@ def smith_normal_form(a, modulus=None):
             negate_row(t)
         t += 1
     return m, u, v
-
-
-def invariant_factors(a):
-    """Nonzero diagonal of the Smith normal form."""
-    d, _, _ = smith_normal_form(a)
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i] != 0]
 
 
 def kernel_mod(rows, n, m):

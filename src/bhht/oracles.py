@@ -65,6 +65,17 @@ def naive_mark(kprime, k):
     return count
 
 
+def brute_conjugating_perm(ambient, h1, t1, h2, t2):
+    """Some s in S conjugating (H1, T1) onto (H2, T2), by a scan of S, or None."""
+    h1, h2 = frozenset(h1), frozenset(h2)
+    t1, t2 = frozenset(t1), frozenset(t2)
+    for s in ambient.perms.elements:
+        if (frozenset(conjugate(s, t) for t in t1) == t2
+                and frozenset(perm_act(s, h) for h in h1) == h2):
+            return s
+    return None
+
+
 def brute_conjugate_element(ambient, h1, t1, h2, t2):
     """Some (v, s) in the whole semidirect product conjugating one split subgroup
     onto the other, or None.  Used to validate the S-only conjugacy criterion."""

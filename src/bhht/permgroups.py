@@ -33,23 +33,6 @@ def conjugate(s, t):
     return compose(compose(s, t), inverse(s))
 
 
-def is_even(p):
-    seen = [False] * len(p)
-    sign = 1
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign == 1
-
-
 def parse_cycles(text, n):
     """Parse 1-based cycle notation like ``(12)(34)`` or ``(1 10 3)``."""
     s = text.strip()
@@ -165,10 +148,6 @@ class PermGroup:
         gens = ",".join(cycle_notation(g) for g in self.generators) or "e"
         return "PermGroup(n=%d, <%s>, order %d)" % (self.n, gens, self.order)
 
-    @cached_property
-    def inverses(self):
-        return {p: inverse(p) for p in self.elements}
-
     def is_subgroup_of(self, other):
         return self.n == other.n and self.element_set <= other.element_set
 
@@ -204,10 +183,6 @@ def group_from_generators(n, gens, bound=DEFAULT_ORDER_BOUND):
         else:
             parsed.append(tuple(g))
     return PermGroup(n, parsed, bound=bound)
-
-
-def trivial_group(n):
-    return PermGroup(n, ())
 
 
 def generating_set(elements):
@@ -295,10 +270,6 @@ class SubgroupLattice:
     def class_key(self, cls):
         return min(tuple(sorted(self.subgroups[i])) for i in cls)
 
-    def class_representative(self, cls):
-        """Lexicographically least sorted element list in the class."""
-        return frozenset(self.class_key(cls))
-
     def normalizer(self, subgroup):
         H = frozenset(subgroup)
         if H not in self._normalizers:
@@ -306,17 +277,6 @@ class SubgroupLattice:
                    if all(conjugate(g, h) in H for h in H)}
             self._normalizers[H] = frozenset(els)
         return self._normalizers[H]
-
-    def is_subconjugate(self, inner, outer):
-        """True if some conjugate of ``inner`` lies inside ``outer``."""
-        inner = frozenset(inner)
-        outer = frozenset(outer)
-        if len(inner) > len(outer):
-            return False
-        for g in self.group.elements:
-            if all(conjugate(g, h) in outer for h in inner):
-                return True
-        return False
 
 
 # -- parity condition -------------------------------------------------------------
@@ -349,7 +309,7 @@ def orbits(group, points):
 def orbit_count(group, points):
     """Number of group orbits on the point set; group must preserve it."""
     points = set(points)
-    for p in group.elements:
+    for p in group.generators:
         if {p[i] for i in points} != points:
             raise ValueError("group does not preserve the point set")
     return len(orbits(group, points))
@@ -381,10 +341,6 @@ def pc_check(group):
         if (len(orbits) - n) % 2 != 0:
             return PCResult(False, group.subgroup(rep))
     return PCResult(True, None)
-
-
-def is_alternating_subgroup(group):
-    return all(is_even(p) for p in group.elements)
 
 
 def orbits_on_subsets(group):

@@ -15,15 +15,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    DegenerateLoopError,
-    FlipSymmetryError,
-    NotInvariantError,
-    NotInvertibleError,
-    ParseError,
-)
+from .errors import DegenerateLoopError, NotInvariantError, NotInvertibleError, ParseError
 from .intmat import determinant, solve_exact
-from .permgroups import orbits as perm_orbits
+from .permgroups import cycle_notation, orbits as perm_orbits
 
 log = logging.getLogger("bhht")
 
@@ -43,10 +37,6 @@ class AtomicBlock:
     kind: str
     variables: tuple
     exponents: tuple
-
-    @property
-    def length(self):
-        return len(self.variables)
 
 
 class ExponentMatrix:
@@ -338,11 +328,6 @@ def _assign_anchors(candidates, n):
     return [by_row[i] for i in range(len(candidates))]
 
 
-def validate_invertible(matrix):
-    """Chain/loop decomposition of a square exponent matrix; raises if none exists."""
-    return matrix.validate()
-
-
 # -- basic operations -----------------------------------------------------------
 
 
@@ -425,10 +410,10 @@ def diagonal_restrict(matrix, subset, perms):
     base = restrict(matrix, subset)
     subset = base.variables
     inside = set(subset)
-    for p in perms.elements:
+    for p in perms.generators:
         if {p[j] for j in inside} != inside:
             raise NotInvariantError("group does not preserve the subset")
-    if not _preserves_monomials(base, perms):
+    if _non_symmetry(base.variables, base.monomials, perms) is not None:
         raise NotInvariantError("group does not preserve the restricted polynomial")
     orbits = perm_orbits(perms, subset)
     column = {v: k for k, orb in enumerate(orbits) for v in orb}
@@ -455,144 +440,43 @@ def _flag_nonatomic(result):
                     result.variables, exc)
 
 
-def _preserves_monomials(base, perms):
-    pos_of = {v: k for k, v in enumerate(base.variables)}
-    table = {mono: coeff for mono, coeff in base.monomials}
-    for p in perms.elements:
-        for mono, coeff in base.monomials:
+def _non_symmetry(variables, monomials, perms):
+    """A generator that moves the monomial -> coefficient table, or None.
+
+    Exponent vectors are over ``variables``, a set the generators preserve.
+    """
+    pos_of = {v: k for k, v in enumerate(variables)}
+    table = dict(monomials)
+    for p in perms.generators:
+        for mono, coeff in table.items():
             moved = [0] * len(mono)
             for pos, e in enumerate(mono):
-                moved[pos_of[p[base.variables[pos]]]] = e
+                moved[pos_of[p[variables[pos]]]] = e
             if table.get(tuple(moved)) != coeff:
-                return False
-    return True
+                return p
+    return None
 
 
 # -- permutation symmetries ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlockOrbit:
-    """One orbit of atomic blocks under the symmetry group."""
-
-    blocks: tuple          # indices into the validated block list
-    kind: str              # "first" or "second"
-    period: int | None     # rotation period l for second type (shifts are multiples)
-    turns: int | None      # k = block length / l
-
-
-@dataclass(frozen=True)
-class BlockActionReport:
-    blocks: tuple
-    orbits: tuple
-
-
 def check_invariance(matrix, group):
-    """Verify f is group-invariant and classify the action on blocks.
+    """Verify that the permutation group preserves f.
 
-    Raises NotInvariantError if some element moves the monomial set, and
-    FlipSymmetryError if a loop is mapped onto itself orientation-reversed.
+    Checks the degree, validates the chain/loop structure and checks that
+    every generator maps the monomial -> coefficient table to itself, which
+    is all the theorem asks of S.  Nothing more can go wrong for a valid f:
+    a permutation preserving f maps blocks (link-graph components) onto
+    blocks, fixes a chain it maps to itself pointwise (its one pure power
+    first, then each link), and reverses a loop of length >= 3 only when all
+    its exponents are 1, which validation rejects as DegenerateLoopError.
+    Raises NotInvariantError for a non-symmetry.
     """
     if group.n != matrix.n:
         raise NotInvariantError("group degree %d != variable count %d"
                                 % (group.n, matrix.n))
-    blocks = matrix.validate()
-    table = {}
-    for row, coeff in zip(matrix.rows, matrix.coefficients):
-        table[row] = coeff
-    var_block = {}
-    for bi, b in enumerate(blocks):
-        for v in b.variables:
-            var_block[v] = bi
-
-    moved = {}
-    for p in group.elements:
-        _induced_row_map(matrix, table, p)  # every element, not only generators
-        for bi, b in enumerate(blocks):
-            image = {p[v] for v in b.variables}
-            ti = var_block[min(image)]
-            if image != set(blocks[ti].variables):
-                raise NotInvariantError("block image is not a block")
-            moved.setdefault(bi, set()).add(ti)
-
-    orbit_sets = _merge_orbits(moved, len(blocks))
-    orbits = []
-    for orb in orbit_sets:
-        shifts = set()
-        for bi in orb:
-            shifts |= {s for (kind, s) in _self_maps(blocks, bi, group)
-                       if kind == "rot" and s}
-        if not shifts:
-            orbits.append(BlockOrbit(tuple(sorted(orb)), "first", None, None))
-            continue
-        m = blocks[min(orb)].length
-        period = min(_subgroup_of_shifts(shifts, m))
-        for bi in orb:
-            exps = blocks[bi].exponents
-            for i in range(len(exps)):
-                assert exps[(i + period) % len(exps)] == exps[i]
-        orbits.append(BlockOrbit(tuple(sorted(orb)), "second", period, m // period))
-    return BlockActionReport(blocks, tuple(sorted(orbits, key=lambda o: o.blocks)))
-
-
-def _induced_row_map(matrix, table, p):
-    """Check that permuting variables by p maps the polynomial to itself."""
-    for row, coeff in zip(matrix.rows, matrix.coefficients):
-        moved = [0] * matrix.n
-        for j, e in enumerate(row):
-            moved[p[j]] = e
-        if table.get(tuple(moved)) != coeff:
-            raise NotInvariantError(
-                "permutation %s does not preserve the polynomial" % (p,))
-
-
-def _self_maps(blocks, bi, group):
-    """Rotation shifts realised on block bi; raises on flips."""
-    b = blocks[bi]
-    vs = b.variables
-    m = len(vs)
-    pos = {v: i for i, v in enumerate(vs)}
-    out = set()
-    for p in group.elements:
-        if {p[v] for v in vs} != set(vs):
-            continue
-        images = [pos[p[vs[i]]] for i in range(m)]
-        shift = images[0]
-        if all(images[i] == (i + shift) % m for i in range(m)):
-            if b.kind == CHAIN and shift != 0:
-                raise NotInvariantError("a chain is permuted non-trivially")
-            out.add(("rot", shift))
-        elif b.kind == LOOP and all(images[i] == (shift - i) % m for i in range(m)):
-            raise FlipSymmetryError(
-                "loop on variables %s is flipped" % ([v + 1 for v in vs],))
-        else:
-            raise NotInvariantError("unexpected self-map of a block")
-    return out
-
-
-def _subgroup_of_shifts(shifts, m):
-    from math import gcd
-    g = m
-    for s in shifts:
-        g = gcd(g, s)
-    return {g} if g else {m}
-
-
-def _merge_orbits(moved, nblocks):
-    parent = list(range(nblocks))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, targets in moved.items():
-        for b in targets:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    groups = {}
-    for i in range(nblocks):
-        groups.setdefault(find(i), set()).add(i)
-    return sorted(groups.values(), key=min)
+    matrix.validate()
+    p = _non_symmetry(range(matrix.n), zip(matrix.rows, matrix.coefficients), group)
+    if p is not None:
+        raise NotInvariantError(
+            "permutation %s does not preserve the polynomial" % cycle_notation(p))

@@ -59,5 +59,11 @@ def random_invertible(rng, max_vars=6):
     return ExponentMatrix(rows)
 
 
+def is_even(p):
+    """Parity of a permutation tuple, from its inversion count."""
+    n = len(p)
+    return sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n)) % 2 == 0
+
+
 def seeded(seed=20240817):
     return random.Random(seed)

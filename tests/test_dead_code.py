@@ -1,9 +1,10 @@
-"""Every function, class and method of the package is used somewhere.
+"""Every function, class and method of the package is used by the program.
 
 A name counts as used when it appears as a name, an attribute or an
-imported name outside its own definition, in the package modules, the tests
-or the benchmark.  The package ``__init__`` does not count: a
-re-export is not a use.
+imported name outside its own definition, in the package modules or the
+non-test modules of the benchmark.  The package ``__init__`` does not
+count: a re-export is not a use.  Tests do not count either, except for
+``oracles.py``: its brute-force scans exist for tests to compare against.
 """
 
 import ast
@@ -12,12 +13,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "bhht"
+ORACLES = PACKAGE / "oracles.py"
 
 
-def _sources():
+def _program():
     return ([p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-            + sorted((ROOT / "tests").glob("*.py"))
-            + sorted((ROOT / "perfbench").glob("*.py")))
+            + [p for p in sorted((ROOT / "perfbench").glob("*.py"))
+               if not p.name.startswith("test_")])
+
+
+def _tests():
+    return (sorted((ROOT / "tests").glob("*.py"))
+            + sorted((ROOT / "perfbench").glob("test_*.py")))
 
 
 def _references(tree):
@@ -38,17 +45,26 @@ def _definitions(tree):
             and not (node.name.startswith("__") and node.name.endswith("__"))]
 
 
-def unreferenced_definitions():
-    trees = {path: ast.parse(path.read_text()) for path in _sources()}
+def _used(paths):
     used = Counter()
-    for tree in trees.values():
-        used += _references(tree)
+    for path in paths:
+        used += _references(ast.parse(path.read_text()))
+    return used
+
+
+def unreferenced_definitions():
+    trees = {path: ast.parse(path.read_text()) for path in _program()}
+    used = _used(trees)
+    used_by_tests = _used(_tests())
     out = []
     for path, tree in trees.items():
         if path.parent != PACKAGE:
             continue
         for node in _definitions(tree):
-            if used[node.name] - _references(node)[node.name] <= 0:
+            count = used[node.name] - _references(node)[node.name]
+            if path == ORACLES:
+                count += used_by_tests[node.name]
+            if count <= 0:
                 out.append("%s:%d %s" % (path.name, node.lineno, node.name))
     return out
 

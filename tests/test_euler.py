@@ -5,20 +5,18 @@ from bhht.diaggroups import isotropy_on_stratum, symmetry_group
 from bhht.errors import StructuralAssumptionViolated
 from bhht.euler import (
     _stratum_profile,
-    equivariant_euler,
     euler_analysis,
     lemma_level_checks,
-    reduced_equivariant_euler,
     stratum_chi_fixed,
     verify_duality,
 )
 from bhht.oracles import check_fixed_point_consistency
 from bhht.permgroups import (
+    PermGroup,
     group_from_generators,
     orbit_count,
     orbits_on_subsets,
     pc_check,
-    trivial_group,
 )
 from bhht.polynomials import parse_polynomial, restrict, transpose
 
@@ -39,13 +37,13 @@ def torus_curve_chi_oracle(m):
 def test_chi_one_variable_power():
     for m in range(1, 8):
         e = parse_polynomial("x1^%d" % m)
-        assert stratum_chi_fixed(e, [0], trivial_group(1)) == m
+        assert stratum_chi_fixed(e, [0], PermGroup(1, ())) == m
 
 
 def test_chi_fermat_curve_matches_genus_oracle():
     for m in range(2, 8):
         e = parse_polynomial("x1^%d+x2^%d" % (m, m))
-        value = stratum_chi_fixed(e, [0, 1], trivial_group(2))
+        value = stratum_chi_fixed(e, [0, 1], PermGroup(2, ()))
         assert value == torus_curve_chi_oracle(m) == -m * m
 
 
@@ -57,12 +55,12 @@ def test_chi_fermat_curve_swapped():
 
 
 def test_chi_degenerate_restriction_is_zero(x15):
-    assert stratum_chi_fixed(x15, [0, 1], trivial_group(5)) == 0
+    assert stratum_chi_fixed(x15, [0, 1], PermGroup(5, ())) == 0
 
 
 def test_chi_empty_stratum_rejected(quintic):
     with pytest.raises(ValueError):
-        stratum_chi_fixed(quintic, [], trivial_group(5))
+        stratum_chi_fixed(quintic, [], PermGroup(5, ()))
 
 
 # -- stratum contributions ----------------------------------------------------------
@@ -71,7 +69,7 @@ def test_chi_empty_stratum_rejected(quintic):
 def test_full_stratum_trivial_group_coefficient(quintic, x14):
     for matrix, n in ((quintic, 5), (x14, 5),
                       (parse_polynomial("x1^3+x2^3"), 2)):
-        analysis = euler_analysis(matrix, trivial_group(n))
+        analysis = euler_analysis(matrix, PermGroup(n, ()))
         top = next(s for s in analysis.strata if len(s.subset) == n)
         assert list(top.coefficients.values()) == [(-1) ** (n - 1)]
 
@@ -116,7 +114,7 @@ def test_residual_check_trips_on_wrong_fixed_data(quintic):
     euler_mod.stratum_chi_fixed = corrupted
     try:
         with pytest.raises(StructuralAssumptionViolated):
-            equivariant_euler(quintic, group_from_generators(5, ["(12)(34)"]))
+            euler_analysis(quintic, group_from_generators(5, ["(12)(34)"]))
     finally:
         euler_mod.stratum_chi_fixed = original
 
@@ -153,7 +151,7 @@ def test_structural_failure_carries_stratum_class_and_residual(monkeypatch):
 
 def test_one_variable_milnor_fibre():
     e = parse_polynomial("x1^6")
-    element = equivariant_euler(e, trivial_group(1))
+    element = euler_analysis(e, PermGroup(1, ())).element
     (cls, coeff), = element.coefficients.items()
     assert coeff == 1 and cls.h_order == 1  # one free orbit of 6 points
 
@@ -161,7 +159,7 @@ def test_one_variable_milnor_fibre():
 def test_counterexample_free_class_coefficient():
     e = parse_polynomial("x1^3+x2^3+x3^3+x4^3")
     s = group_from_generators(4, ["(12)(34)", "(13)(24)"])
-    element = equivariant_euler(e, s)
+    element = euler_analysis(e, s).element
     free = [c for cls, c in element.coefficients.items()
             if cls.h_order == 1 and cls.t_order == 1]
     assert free == [1]
@@ -170,7 +168,7 @@ def test_counterexample_free_class_coefficient():
 def test_support_is_stratum_kernels(quintic):
     s = group_from_generators(5, ["(12)(34)"])
     group = symmetry_group(quintic)
-    element = equivariant_euler(quintic, s, group=group)
+    element = euler_analysis(quintic, s, group=group).element
     kernels = set()
     for mask in range(1, 1 << 5):
         subset = [i for i in range(5) if mask >> i & 1]
@@ -192,10 +190,8 @@ def test_assembly_is_sum_of_stratum_inductions(x14):
 
 
 def test_reduce_subtracts_the_point(quintic):
-    s = trivial_group(5)
-    full = equivariant_euler(quintic, s)
-    reduced = reduced_equivariant_euler(quintic, s)
-    delta = full - reduced
+    analysis = euler_analysis(quintic, PermGroup(5, ()))
+    delta = analysis.element - analysis.reduced
     (cls, coeff), = delta.coefficients.items()
     assert coeff == 1 and cls.h_order == 3125 and cls.t_order == 1
 
@@ -220,7 +216,7 @@ def expected_kernel_orders(matrix, n):
 
 def test_chain_regression_element():
     matrix = parse_polynomial("x1^2*x2+x2^3")
-    element = equivariant_euler(matrix, trivial_group(2))
+    element = euler_analysis(matrix, PermGroup(2, ())).element
     # strata: {2} gives +1 on the order-2 kernel, the torus gives -1 on ..0..
     by_h_order = {cls.h_order: c for cls, c in element.coefficients.items()}
     assert by_h_order == {2: 1, 1: -1}
@@ -229,14 +225,14 @@ def test_chain_regression_element():
 
 def test_loop_regression_element():
     matrix = parse_polynomial("x1^2*x2+x1*x2^3")
-    element = equivariant_euler(matrix, trivial_group(2))
+    element = euler_analysis(matrix, PermGroup(2, ())).element
     by_h_order = {cls.h_order: c for cls, c in element.coefficients.items()}
     assert by_h_order == {1: -1}
 
 
 def test_fermat_square_regression_element():
     matrix = parse_polynomial("x1^5+x2^5")
-    element = equivariant_euler(matrix, trivial_group(2))
+    element = euler_analysis(matrix, PermGroup(2, ())).element
     coeffs = sorted((cls.h_order, c) for cls, c in element.coefficients.items())
     assert coeffs == [(1, -1), (5, 1), (5, 1)]
 
@@ -247,7 +243,7 @@ def test_fermat_square_regression_element():
 def test_duality_abelian_regressions():
     for text, n in (("x1^5+x2^5", 2), ("x1^5+x2^5+x3^5", 3),
                     (X14, 5), ("x1^2*x2+x2^3", 2), ("x1^2*x2+x1*x2^3", 2)):
-        report = verify_duality(parse_polynomial(text), trivial_group(n))
+        report = verify_duality(parse_polynomial(text), PermGroup(n, ()))
         assert report.equal, text
 
 
@@ -295,7 +291,7 @@ def test_sign_law_under_pc():
     s = group_from_generators(5, ["D10"])
     lattice = s.lattice
     for cls in lattice.conjugacy_classes:
-        t = s.subgroup(lattice.class_representative(cls))
+        t = s.subgroup(lattice.class_key(cls))
         value = stratum_chi_fixed(matrix, range(5), t)
         assert value != 0
         assert value * (-1) ** (5 - 1) > 0
@@ -343,23 +339,23 @@ def test_deepest_coefficient_matches_orbit_parity(x14):
 # -- coloured subgroup diagrams -----------------------------------------------------
 
 
-def class_keys(group):
+def class_reps(group):
     lattice = group.lattice
-    return [lattice.class_key(cls) for cls in lattice.conjugacy_classes]
+    return [group.subgroup(lattice.class_key(cls)) for cls in lattice.conjugacy_classes]
 
 
 def test_stratum_profile_trivial():
-    g = trivial_group(2)
-    profile, sign = _stratum_profile((0, 1), g, class_keys(g))
+    g = PermGroup(2, ())
+    profile, sign = _stratum_profile((0, 1), g, class_reps(g))
     assert profile == (g.element_set, (0,))  # one node, coloured 0
     assert sign == -1  # two orbits at the deepest node
 
 
 def test_stratum_profile_swap():
     g = group_from_generators(2, ["(12)"])
-    keys = class_keys(g)
-    assert [len(key) for key in keys] == [1, 2]
-    profile, sign = _stratum_profile((0, 1), g, keys)
+    reps = class_reps(g)
+    assert [rep.order for rep in reps] == [1, 2]
+    profile, sign = _stratum_profile((0, 1), g, reps)
     # colours relative to the deepest node, the whole group with one orbit
     assert profile == (g.element_set, (1, 0))
     assert sign == 1
@@ -372,8 +368,8 @@ def test_stratum_profile_equal_for_complements_under_pc():
     assert pc_check(g).satisfies
     for rep, stab, _size in orbits_on_subsets(g):
         complement = tuple(sorted(set(range(5)) - set(rep)))
-        keys = class_keys(stab)
-        assert (_stratum_profile(rep, stab, keys)[0]
-                == _stratum_profile(complement, stab, keys)[0])
+        reps = class_reps(stab)
+        assert (_stratum_profile(rep, stab, reps)[0]
+                == _stratum_profile(complement, stab, reps)[0])
         assert ((len(rep) - orbit_count(stab, rep)) % 2
                 == (len(complement) - orbit_count(stab, complement)) % 2)

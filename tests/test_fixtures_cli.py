@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+
 import pytest
 
 from bhht.cli import main
@@ -65,7 +67,7 @@ def test_group_element_grammar(catalogue):
     gen = parse_group_element("1/41(1,-4,16,18,10)", group)
     assert gen in group
     j = parse_group_element("J", group)
-    assert group.to_fractions(j) == (Fraction(1, 5),) * 5
+    assert j == group.from_fractions([Fraction(1, 5)] * 5)
     with pytest.raises(ParseError):
         parse_group_element("5(1,2)", group)
 
@@ -163,6 +165,16 @@ def test_cmd_dual_matches_listed_dual_group(catalogue):
     pairing = CharacterPairing(catalogue["table1_r2"].matrix.anchored())
     expected = catalogue["table1_r83"].g_subgroup(pairing.right)
     assert dual.g_subgroup(pairing.right) == expected
+
+
+@pytest.mark.parametrize("g_section", ["[G]\n1/3(0,0)\n\n", ""], ids=["trivial_g", "no_g"])
+def test_cmd_dual_rejects_s_that_does_not_preserve_f(tmp_path, capsys, g_section):
+    # (12) swaps x1^3 and x2^4, so there is no dual pair to emit
+    fx = tmp_path / "swap.fix"
+    fx.write_text("[polynomial]\nx1^3+x2^4\n\n%s[S]\n(12)\n" % g_section)
+    code, out = run_cli("dual", str(fx))
+    assert (code, out) == (2, "")
+    assert "permutation (12) does not preserve the polynomial" in capsys.readouterr().err
 
 
 def test_cmd_euler_golden_byte_stable():
@@ -277,17 +289,22 @@ def test_missing_fixture_is_input_error():
     assert code == 2
 
 
+def run_python(*args):
+    """A fresh interpreter that imports the package from the same source tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(DATA_DIR.parents[1]), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env)
+
+
 def test_import_leaves_numpy_out():
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, bhht.cli; print('numpy' in sys.modules)"],
-        capture_output=True, text=True)
+    proc = run_python("-c", "import sys, bhht.cli; print('numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
 
 def test_console_script_entry_point():
-    proc = subprocess.run([sys.executable, "-m", "bhht.cli", "selftest"],
-                          capture_output=True, text=True)
+    proc = run_python("-m", "bhht.cli", "selftest")
     assert proc.returncode == 0
     assert "0 failure(s)" in proc.stdout

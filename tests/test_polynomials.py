@@ -1,16 +1,16 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from conftest import random_invertible, seeded
 
 from bhht.errors import (
     DegenerateLoopError,
-    FlipSymmetryError,
     NotInvariantError,
     NotInvertibleError,
     ParseError,
 )
-from bhht.permgroups import group_from_generators, trivial_group
+from bhht.permgroups import PermGroup, group_from_generators, inverse
 from bhht.polynomials import (
     ExponentMatrix,
     check_invariance,
@@ -19,7 +19,6 @@ from bhht.polynomials import (
     restrict,
     serialize_polynomial,
     transpose,
-    validate_invertible,
     weights,
 )
 
@@ -90,13 +89,13 @@ def test_serialize_round_trip_byte_stable():
 
 
 def test_validate_quintic_is_five_chains(quintic):
-    blocks = validate_invertible(quintic)
+    blocks = quintic.validate()
     assert len(blocks) == 5
     assert all(b.kind == "chain" and b.exponents == (5,) for b in blocks)
 
 
 def test_validate_x14(x14):
-    blocks = validate_invertible(x14)
+    blocks = x14.validate()
     kinds = sorted((b.kind, b.variables, b.exponents) for b in blocks)
     assert kinds == [("chain", (4,), (5,)),
                      ("loop", (0, 1), (4, 4)),
@@ -258,7 +257,7 @@ def test_diagonal_restrict_two_squares():
 
 
 def test_diagonal_restrict_trivial_group_is_restrict(x14):
-    t = trivial_group(5)
+    t = PermGroup(5, ())
     for subset in ([0, 1], [2, 3, 4], [4]):
         d = diagonal_restrict(x14, subset, t)
         r = restrict(x14, subset)
@@ -287,13 +286,9 @@ def test_diagonal_restrict_merged_coefficients_positive_integers():
     rng = seeded(17)
     for _ in range(20):
         m = random_invertible(rng, max_vars=5)
-        report = None
-        try:
-            report = check_invariance(m, trivial_group(m.n))
-        except Exception:
-            continue
+        check_invariance(m, PermGroup(m.n, ()))
         full = list(range(m.n))
-        d = diagonal_restrict(m, full, trivial_group(m.n))
+        d = diagonal_restrict(m, full, PermGroup(m.n, ()))
         for _mono, c in d.monomials:
             assert c.denominator == 1 and c > 0
 
@@ -305,9 +300,7 @@ def test_diagonal_restrict_requires_invariance(x14):
 
 def test_plain_swap_is_a_rotation_of_a_short_loop(x14):
     # (12) rotates the first loop; it is a genuine symmetry on its own
-    report = check_invariance(x14, group_from_generators(5, ["(12)"]))
-    rotated = [o for o in report.orbits if o.kind == "second"]
-    assert len(rotated) == 1
+    check_invariance(x14, group_from_generators(5, ["(12)"]))
 
 
 def test_diagonal_restrict_requires_preserved_subset(quintic):
@@ -315,35 +308,36 @@ def test_diagonal_restrict_requires_preserved_subset(quintic):
         diagonal_restrict(quintic, [0], group_from_generators(5, ["(12)"]))
 
 
-# -- invariance reports -----------------------------------------------------------
+# -- invariance ------------------------------------------------------------------
+
+
+def preserves(matrix, p):
+    """Oracle: the variable permutation p maps the monomial table to itself."""
+    table = dict(zip(matrix.rows, matrix.coefficients))
+    q = inverse(p)
+    return all(table.get(tuple(row[q[i]] for i in range(matrix.n))) == c
+               for row, c in table.items())
 
 
 def test_invariance_quintic_any_subgroup(quintic):
     for gens in (["(12)"], ["(12345)"], ["(123)", "(45)"]):
-        report = check_invariance(quintic, group_from_generators(5, gens))
-        assert all(o.kind == "first" for o in report.orbits)
+        check_invariance(quintic, group_from_generators(5, gens))
 
 
 def test_invariance_x15_rotation(x15):
-    report = check_invariance(x15, group_from_generators(5, ["(12345)"]))
-    assert len(report.orbits) == 1
-    orbit = report.orbits[0]
-    assert orbit.kind == "second"
-    assert orbit.period == 1 and orbit.turns == 5
+    check_invariance(x15, group_from_generators(5, ["(12345)"]))
+    with pytest.raises(NotInvariantError):  # the reflection of the loop
+        check_invariance(x15, group_from_generators(5, ["(25)(34)"]))
 
 
 def test_invariance_x14_double_swap(x14):
-    report = check_invariance(x14, group_from_generators(5, ["(12)(34)"]))
-    rotated = [o for o in report.orbits if o.kind == "second"]
-    assert len(rotated) == 2
-    assert all(o.period == 1 and o.turns == 2 for o in rotated)
+    # (12)(34) rotates both loops at once
+    check_invariance(x14, group_from_generators(5, ["(12)(34)"]))
 
 
 def test_invariance_x14_loop_exchange(x14):
     # (13)(24) swaps the two loops without rotating either
-    report = check_invariance(x14, group_from_generators(5, ["(13)(24)"]))
-    exchanged = [o for o in report.orbits if len(o.blocks) == 2]
-    assert len(exchanged) == 1 and exchanged[0].kind == "first"
+    check_invariance(x14, group_from_generators(5, ["(13)(24)"]))
 
 
 def test_invariance_rejects_non_symmetry(x14):
@@ -351,15 +345,80 @@ def test_invariance_rejects_non_symmetry(x14):
         check_invariance(x14, group_from_generators(5, ["(23)"]))
 
 
-def test_flip_symmetry_detected():
-    # a degenerate loop admits a flip; bypass validation to reach the check
-    m = ExponentMatrix([(1, 1, 0), (0, 1, 1), (1, 0, 1)])
-    from bhht.polynomials import AtomicBlock
+def candidate_perms(rng, matrix):
+    """Block swaps, loop rotations and random transpositions of f's variables."""
+    n = matrix.n
+    blocks = matrix.validate()
+    out = []
+    for a in blocks:
+        m = len(a.variables)
+        for b in blocks:
+            if a.variables < b.variables and len(b.variables) == m:
+                p = list(range(n))
+                for u, v in zip(a.variables, b.variables):
+                    p[u], p[v] = v, u
+                out.append(tuple(p))
+        if a.kind == "loop":
+            for k in range(1, m):
+                p = list(range(n))
+                for i, v in enumerate(a.variables):
+                    p[v] = a.variables[(i + k) % m]
+                out.append(tuple(p))
+    for _ in range(2):
+        i, j = rng.sample(range(n), 2)
+        p = list(range(n))
+        p[i], p[j] = j, i
+        out.append(tuple(p))
+    return out
 
-    m._blocks = (AtomicBlock("loop", (0, 1, 2), (1, 1, 1)),)
-    m._anchors = {0: 0, 1: 1, 2: 2}
-    with pytest.raises(FlipSymmetryError):
-        check_invariance(m, group_from_generators(3, ["(23)"]))
+
+def test_invariance_on_generators_matches_a_scan_of_every_element():
+    rng = seeded(18)
+    outcomes = {True: 0, False: 0}
+    for _ in range(150):
+        half = random_invertible(rng, max_vars=3)
+        n = half.n
+        # two copies of one polynomial, the second maybe with coefficient 2
+        rows = [r + (0,) * n for r in half.rows] + [(0,) * n + r for r in half.rows]
+        coeffs = [1] * n + [rng.choice([1, 1, 2])] * n
+        matrix = ExponentMatrix(rows, coeffs)
+        copy_swap = tuple(range(n, 2 * n)) + tuple(range(n))
+        gens = rng.sample(candidate_perms(rng, matrix), rng.randint(0, 2))
+        perms = PermGroup(2 * n, [copy_swap] + gens)
+        expected = all(preserves(matrix, p) for p in perms.elements)
+        try:
+            check_invariance(matrix, perms)
+            accepted = True
+        except NotInvariantError:
+            accepted = False
+        assert accepted == expected
+        outcomes[accepted] += 1
+    assert min(outcomes.values()) >= 20
+
+
+def test_no_loop_reflection_preserves_f():
+    # only a loop with all exponents 1, which validation rejects, has a
+    # reflection among its symmetries; for length 2 each reflection is a rotation
+    for m in range(2, 6):
+        for exps in product(range(1, 5), repeat=m):
+            rows = []
+            for i, a in enumerate(exps):
+                row = [0] * m
+                row[i] = a
+                row[(i + 1) % m] += 1
+                rows.append(row)
+            matrix = ExponentMatrix(rows)
+            reflections = [tuple((s - i) % m for i in range(m)) for s in range(m)]
+            if all(a == 1 for a in exps):
+                assert m == 2 or all(preserves(matrix, r) for r in reflections)
+                continue
+            for r in reflections:
+                rotation = all(r[i] == (i + r[0]) % m for i in range(m))
+                try:
+                    check_invariance(matrix, PermGroup(m, [r]))
+                except NotInvariantError:
+                    continue
+                assert rotation, (exps, r)
 
 
 def test_degenerate_loop_cannot_reach_flip_check():
