@@ -8,7 +8,7 @@ come from Burnside's formula in closed form: conjugation by (v, s) moves
 S and G alone and the semidirect product is never listed.
 """
 
-from .diaggroups import generating_subset, perm_act, span
+from .diaggroups import perm_act, span
 from .errors import (
     AmbientMismatchError,
     MembershipError,
@@ -131,7 +131,7 @@ class HTClass:
             "T": sorted(cycle_notation(t) for t in generating_set(self.t_elements))
                  or ["()"],
             "H": sorted(diag.format_element(h)
-                        for h in generating_subset(diag, self.h_elements))
+                        for h in span(diag, self.h_elements)[0])
                  or [diag.format_element(diag.zero)],
             "Torder": self.t_order,
             "Horder": self.h_order,
@@ -208,10 +208,6 @@ class BurnsideElement:
     def __repr__(self):
         parts = ["%+d*%r" % (c, cls) for cls, c in self.items_sorted()]
         return " ".join(parts) if parts else "0"
-
-
-def zero_element(ambient):
-    return BurnsideElement(ambient, {})
 
 
 def mark(kprime, k):

@@ -65,31 +65,37 @@ def main(argv=None):
         return INPUT_ERROR
 
 
+def _option(*args, **kwargs):
+    """A parent parser holding one option, for the verbs that read it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*args, **kwargs)
+    return parent
+
+
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--fixtures", metavar="DIR", default=None,
-                        help="fixture directory (default: bundled; "
-                             "env SAITO_FIXTURES overrides)")
-    common.add_argument("--json", action="store_true", help="JSON output")
-    common.add_argument("--oracle", action="store_true",
-                        help="run slow brute-force cross-checks on small fixtures")
-    common.add_argument("--max-group-order", type=int, metavar="N",
-                        default=DEFAULT_GROUP_BOUND,
-                        help="skip computations whose semidirect product exceeds N")
+    fixtures = _option("--fixtures", metavar="DIR", default=None,
+                       help="fixture directory (default: bundled; "
+                            "env SAITO_FIXTURES overrides)")
+    as_json = _option("--json", action="store_true", help="JSON output")
+    oracle = _option("--oracle", action="store_true",
+                     help="run slow brute-force cross-checks on small fixtures")
+    bound = _option("--max-group-order", type=int, metavar="N",
+                    default=DEFAULT_GROUP_BOUND,
+                    help="skip computations whose semidirect product exceeds N")
     parser = argparse.ArgumentParser(
         prog="bhht",
         description="Equivariant Euler characteristics of Milnor fibres of "
                     "invertible polynomials and their Saito duality.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    def add(name, *options, **kwargs):
+        return sub.add_parser(name, parents=[fixtures, *options], **kwargs)
 
-    p = add("validate", help="chain/loop decomposition report")
+    p = add("validate", as_json, help="chain/loop decomposition report")
     p.add_argument("files", nargs="+")
     p.set_defaults(func=cmd_validate)
 
-    p = add("pc", help="parity-condition report")
+    p = add("pc", as_json, help="parity-condition report")
     p.add_argument("files", nargs="+")
     p.set_defaults(func=cmd_pc)
 
@@ -98,19 +104,20 @@ def _build_parser():
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_dual)
 
-    p = add("euler", help="reduced equivariant Euler characteristic")
+    p = add("euler", oracle, bound, help="reduced equivariant Euler characteristic")
     p.add_argument("files", nargs="+")
     p.add_argument("--write-golden", action="store_true",
                    help="write golden files instead of comparing")
     p.set_defaults(func=cmd_euler)
 
-    p = add("verify", help="check the duality identity")
+    p = add("verify", as_json, oracle, bound, help="check the duality identity")
     p.add_argument("files", nargs="+")
     p.add_argument("--lemmas", action="store_true",
                    help="also run the per-stratum lemma checks (PC fixtures)")
     p.set_defaults(func=cmd_verify)
 
-    p = add("table1", help="summary over the bundled dual-pair table")
+    p = add("table1", as_json, bound,
+            help="summary over the bundled dual-pair table")
     p.set_defaults(func=cmd_table1)
 
     p = add("selftest", help="quick internal consistency battery")
@@ -143,6 +150,7 @@ def cmd_validate(args):
         expected_error = fx.expect.get("error")
         try:
             blocks = fx.matrix.validate()
+            check_invariance(fx.matrix, fx.perm_group())
         except BhhtError as exc:
             kind = type(exc).__name__
             if expected_error:
@@ -186,6 +194,7 @@ def cmd_pc(args):
     for name in args.files:
         fx = _load(args, name)
         S = fx.perm_group()
+        check_invariance(fx.matrix, S)
         result = pc_check(S)
         expected = fx.expect.get("pc")
         ok = expected is None or expected == result.satisfies
@@ -364,7 +373,7 @@ def cmd_selftest(args):
     from .oracles import split_subgroup_pairs
     from .permgroups import group_from_generators
     from .polynomials import parse_polynomial
-    from .diaggroups import symmetry_group
+    from .diaggroups import DiagonalGroup
 
     failures = []
 
@@ -388,7 +397,7 @@ def cmd_selftest(args):
          lambda: _expect(lemma_level_checks(E, S).all_passed, "lemma check failed"))
 
     def marks_battery():
-        G = symmetry_group(E.anchored())
+        G = DiagonalGroup(E.anchored())
         amb = SemidirectAmbient(G, S)
         classes = {}
         for h, t in split_subgroup_pairs(G, S):

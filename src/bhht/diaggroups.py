@@ -24,7 +24,7 @@ DEFAULT_GROUP_BOUND = 10 ** 6
 class DiagonalGroup:
     """The full group of diagonal symmetries of an exponent matrix."""
 
-    def __init__(self, matrix, bound=DEFAULT_GROUP_BOUND):
+    def __init__(self, matrix):
         if not matrix.is_square:
             raise ValueError("diagonal symmetry group needs a square matrix")
         det = matrix.determinant()
@@ -33,18 +33,8 @@ class DiagonalGroup:
         self.matrix = matrix
         self.n = matrix.n
         self.order = abs(det)
-        self.bound = bound
-        d, _u, v = smith_normal_form([list(r) for r in matrix.rows])
-        diag = [d[i][i] for i in range(self.n)]
-        self.exponent = lcm(1, *diag)
-        L = self.exponent
-        # basis vectors: column j of V divided by d_j, of order d_j
-        self.basis = []
-        for j in range(self.n):
-            if diag[j] == 1:
-                continue
-            vec = tuple((v[i][j] * (L // diag[j])) % L for i in range(self.n))
-            self.basis.append((vec, diag[j]))
+        d, _u, _v = smith_normal_form([list(r) for r in matrix.rows])
+        self.exponent = lcm(1, *(d[i][i] for i in range(self.n)))
         self.zero = (0,) * self.n
 
     def __repr__(self):
@@ -69,22 +59,7 @@ class DiagonalGroup:
 
     @cached_property
     def elements(self):
-        if self.order > self.bound:
-            raise SizeBoundError(
-                "group of order %d exceeds bound %d; use generator arithmetic"
-                % (self.order, self.bound))
-        els = [self.zero]
-        for vec, order in self.basis:
-            step = vec
-            block = list(els)
-            cur = self.zero
-            for _ in range(order - 1):
-                cur = self.add(cur, step)
-                block.extend(self.add(e, cur) for e in els)
-            els = block
-        els = sorted(set(els))
-        assert len(els) == self.order
-        return tuple(els)
+        return tuple(sorted(self.kernel_elements(*self.kernel())))
 
     def kernel(self, rows=()):
         """Generators and order of the subgroup cut out by extra congruences mod L."""
@@ -93,9 +68,9 @@ class DiagonalGroup:
 
     def kernel_elements(self, gens, order):
         """The elements of a kernel, listed only when its order is within the bound."""
-        if order > self.bound:
-            raise SizeBoundError(
-                "subgroup of order %d exceeds bound %d" % (order, self.bound))
+        if order > DEFAULT_GROUP_BOUND:
+            raise SizeBoundError("group of order %d exceeds bound %d"
+                                 % (order, DEFAULT_GROUP_BOUND))
         return _closure(self, gens)
 
     # -- conversions -------------------------------------------------------
@@ -124,10 +99,6 @@ class DiagonalGroup:
         g = gcd(L, *element) if any(element) else L
         m = L // g
         return "1/%d(%s)" % (m, ",".join(str(a // g) for a in element))
-
-
-def symmetry_group(matrix, bound=DEFAULT_GROUP_BOUND):
-    return DiagonalGroup(matrix, bound=bound)
 
 
 def perm_act(perm, element):
@@ -179,11 +150,6 @@ def isotropy_on_stratum(group, subset):
     return group.kernel_elements(*group.kernel(rows))
 
 
-def generating_subset(group, elements):
-    """Small deterministic generating set for a subgroup given as a set."""
-    return span(group, elements)[0]
-
-
 def span(group, elements):
     """The generating subset of a set of elements and the subgroup it generates.
 
@@ -210,16 +176,11 @@ class CharacterPairing:
     subgroup lattices; the suite checks non-degeneracy rather than assuming it.
     """
 
-    def __init__(self, matrix, left=None, right=None, bound=DEFAULT_GROUP_BOUND):
+    def __init__(self, matrix):
         from .polynomials import transpose as transpose_poly
         self.matrix = matrix.anchored()
-        self.left = left if left is not None else DiagonalGroup(self.matrix, bound)
-        self.right = (right if right is not None
-                      else DiagonalGroup(transpose_poly(self.matrix), bound))
-        if self.left.matrix != self.matrix:
-            raise MembershipError("left group was not built from this matrix")
-        if self.right.matrix != transpose_poly(self.matrix):
-            raise MembershipError("right group was not built from the transpose")
+        self.left = DiagonalGroup(self.matrix)
+        self.right = DiagonalGroup(transpose_poly(self.matrix))
         self._swapped = None
 
     def swapped(self):
@@ -282,6 +243,6 @@ class CharacterPairing:
         sides = ((self, "a nonzero character vanishes on the whole group"),
                  (self.swapped(), "a nonzero element is killed by every character"))
         for pairing, what in sides:
-            rows = [pairing._congruence(vec) for vec, _order in pairing.left.basis]
+            rows = [pairing._congruence(vec) for vec in pairing.left.kernel()[0]]
             if pairing.right.kernel(rows)[1] != 1:
                 raise DegeneratePairingError(self.matrix, what)

@@ -17,9 +17,8 @@ from .burnside import (
     induction,
     mark,
     saito_dual,
-    zero_element,
 )
-from .diaggroups import CharacterPairing, isotropy_on_stratum, symmetry_group
+from .diaggroups import CharacterPairing, DiagonalGroup, isotropy_on_stratum
 from .errors import StructuralAssumptionViolated
 from .permgroups import PCResult, orbit_count, orbits_on_subsets, pc_check
 from .polynomials import check_invariance, diagonal_restrict, restrict, transpose
@@ -175,9 +174,9 @@ def euler_analysis(matrix, perms, group=None):
     matrix = matrix.anchored()
     check_invariance(matrix, perms)
     if group is None:
-        group = symmetry_group(matrix)
+        group = DiagonalGroup(matrix)
     ambient = SemidirectAmbient(group, perms)
-    total = zero_element(ambient)
+    total = BurnsideElement(ambient)
     strata = []
     skipped = []
     for rep, stab, size in orbits_on_subsets(perms):
@@ -221,11 +220,10 @@ class DualityReport:
         return out
 
 
-def verify_duality(matrix, perms, pairing=None):
+def verify_duality(matrix, perms):
     """Compare the reduced invariant of f with the sign-twisted dual of its transpose."""
     matrix = matrix.anchored()
-    if pairing is None:
-        pairing = CharacterPairing(matrix)
+    pairing = CharacterPairing(matrix)
     dual_matrix = transpose(matrix)
     lhs_analysis = euler_analysis(matrix, perms, group=pairing.left)
     rhs_analysis = euler_analysis(dual_matrix, perms, group=pairing.right)
@@ -260,7 +258,7 @@ class LemmaReport:
         return all(c.passed for c in self.checks)
 
 
-def lemma_level_checks(matrix, perms, pairing=None):
+def lemma_level_checks(matrix, perms):
     """Structured per-stratum assertions behind the duality theorem.
 
     Requires the parity condition; checks (a) the open-torus contribution is
@@ -275,8 +273,7 @@ def lemma_level_checks(matrix, perms, pairing=None):
     pc = pc_check(perms)
     if not pc.satisfies:
         raise ValueError("lemma-level checks require the parity condition")
-    if pairing is None:
-        pairing = CharacterPairing(matrix)
+    pairing = CharacterPairing(matrix)
     dual_matrix = transpose(matrix)
     lhs = euler_analysis(matrix, perms, group=pairing.left)
     # f^T = f: the dual side is the same analysis
@@ -354,10 +351,7 @@ def lemma_level_checks(matrix, perms, pairing=None):
             for key in s.class_keys:
                 rep = s.reps[key]
                 norm = len(lattice.normalizer(rep.element_set))
-                folded = diagonal_restrict(analysis.matrix, s.subset, rep)
-                if not folded.full:
-                    continue
-                weight = abs(folded.determinant())
+                weight = abs(s.fixed_chi[key])
                 if (s.coefficients[key] * norm * weight) % rep.order != 0:
                     ok_div = False
                     detail_d = "divisibility fails on stratum %s" % (s.subset,)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .diaggroups import subgroup_generated, symmetry_group
+from .diaggroups import DiagonalGroup, span, subgroup_generated
 from .errors import ParseError
 from .permgroups import group_from_generators
 from .polynomials import parse_polynomial, serialize_polynomial, weights
@@ -48,11 +48,10 @@ class FixtureSpec:
         return group_from_generators(self.nvars, self.s_lines)
 
     def diagonal_group(self):
-        return symmetry_group(self.matrix.anchored())
+        return DiagonalGroup(self.matrix.anchored())
 
-    def g_subgroup(self, group=None):
+    def g_subgroup(self, group):
         """The configured subgroup of the diagonal symmetry group."""
-        group = group or self.diagonal_group()
         if self.g_lines == ["full"]:
             return frozenset(group.elements)
         gens = [parse_group_element(line, group) for line in self.g_lines]
@@ -79,10 +78,9 @@ def parse_group_element(line, group):
 
 def format_group_subgroup(group, elements):
     """Generator lines for a subgroup, matching the fixture grammar."""
-    from .diaggroups import generating_subset
     if len(elements) == group.order:
         return ["full"]
-    gens = generating_subset(group, elements)
+    gens = span(group, elements)[0]
     return [group.format_element(g) for g in gens] or [group.format_element(group.zero)]
 
 

@@ -170,7 +170,7 @@ NAMED_GROUPS = {
 }
 
 
-def group_from_generators(n, gens, bound=DEFAULT_ORDER_BOUND):
+def group_from_generators(n, gens):
     """Build a group from cycle-notation strings, permutation tuples or a name."""
     parsed = []
     for g in gens:
@@ -182,7 +182,7 @@ def group_from_generators(n, gens, bound=DEFAULT_ORDER_BOUND):
                 parsed.append(parse_cycles(name, n))
         else:
             parsed.append(tuple(g))
-    return PermGroup(n, parsed, bound=bound)
+    return PermGroup(n, parsed)
 
 
 def generating_set(elements):

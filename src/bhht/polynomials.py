@@ -10,7 +10,6 @@ rational coefficient followed by ``*`` and one or more factors ``xK`` or
 ``xK^P`` joined by ``*``.  Whitespace is ignored.
 """
 
-import logging
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,8 +17,6 @@ from fractions import Fraction
 from .errors import DegenerateLoopError, NotInvariantError, NotInvertibleError, ParseError
 from .intmat import determinant, solve_exact
 from .permgroups import cycle_notation, orbits as perm_orbits
-
-log = logging.getLogger("bhht")
 
 CHAIN = "chain"
 LOOP = "loop"
@@ -42,16 +39,11 @@ class AtomicBlock:
 class ExponentMatrix:
     """Exponent matrix of a polynomial, with per-monomial coefficients."""
 
-    def __init__(self, rows, coefficients=None, nvars=None):
+    def __init__(self, rows, coefficients=None):
         rows = tuple(tuple(int(e) for e in row) for row in rows)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged exponent rows")
-        else:
-            width = 0 if nvars is None else nvars
-        if nvars is not None and rows and nvars != width:
-            raise ValueError("nvars does not match row width")
+        width = len(rows[0]) if rows else 0
+        if any(len(r) != width for r in rows):
+            raise ValueError("ragged exponent rows")
         if any(e < 0 for row in rows for e in row):
             raise ValueError("negative exponent")
         if coefficients is None:
@@ -372,13 +364,6 @@ class RestrictedPolynomial:
     def nvars(self):
         return len(self.variables)
 
-    def matrix(self):
-        if not self.full:
-            raise ValueError("restriction is not full")
-        return ExponentMatrix([m for m, _c in self.monomials],
-                              [c for _m, c in self.monomials],
-                              nvars=self.nvars)
-
     def determinant(self):
         if not self.full:
             raise ValueError("restriction is not full")
@@ -425,19 +410,7 @@ def diagonal_restrict(matrix, subset, perms):
         key = tuple(folded)
         merged[key] = merged.get(key, Fraction(0)) + coeff
     monos = tuple(sorted(((m, c) for m, c in merged.items() if c != 0), reverse=True))
-    result = RestrictedPolynomial(tuple(orbits), monos,
-                                  full=len(monos) == len(orbits))
-    if result.full and result.nvars:
-        _flag_nonatomic(result)
-    return result
-
-
-def _flag_nonatomic(result):
-    try:
-        result.matrix().validate()
-    except (NotInvertibleError, DegenerateLoopError) as exc:
-        log.warning("diagonal restriction %s is full but not chain/loop: %s",
-                    result.variables, exc)
+    return RestrictedPolynomial(tuple(orbits), monos, full=len(monos) == len(orbits))
 
 
 def _non_symmetry(variables, monomials, perms):

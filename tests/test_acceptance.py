@@ -12,9 +12,9 @@ from conftest import X1, X14, X15, is_even, seeded
 from bhht.burnside import BurnsideElement, HTClass, SemidirectAmbient, induction, mark, saito_dual
 from bhht.diaggroups import (
     CharacterPairing,
+    DiagonalGroup,
     perm_act,
     subgroup_generated,
-    symmetry_group,
 )
 from bhht.euler import euler_analysis, stratum_chi_fixed, verify_duality
 from bhht.fixtures import load_catalogue
@@ -126,7 +126,7 @@ def test_criterion_5_varchenko_and_marks_oracles():
                                  PermGroup(1, ())) == m
     # exhaustive marks cross-check on a 162-element semidirect product
     matrix = parse_polynomial("x1^3+x2^3+x3^3")
-    group = symmetry_group(matrix.anchored())
+    group = DiagonalGroup(matrix.anchored())
     perms = group_from_generators(3, ["(12)", "(123)"])
     ambient = SemidirectAmbient(group, perms)
     assert ambient.order == 162 <= 2000

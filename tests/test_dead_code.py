@@ -1,10 +1,14 @@
-"""Every function, class and method of the package is used by the program.
+"""Every function, class, method and default of the package is used by the program.
 
 A name counts as used when it appears as a name, an attribute or an
 imported name outside its own definition, in the package modules or the
 non-test modules of the benchmark.  The package ``__init__`` does not
 count: a re-export is not a use.  Tests do not count either, except for
 ``oracles.py``: its brute-force scans exist for tests to compare against.
+
+A parameter with a default counts as used when some call in those same
+modules passes it, by keyword or positionally past the required arguments.
+A parameter that only tests set is a knob the program never turns.
 """
 
 import ast
@@ -71,3 +75,68 @@ def unreferenced_definitions():
 
 def test_every_definition_is_referenced():
     assert unreferenced_definitions() == []
+
+
+def _defaults(tree):
+    """(callee, parameter, position) per defaulted parameter of the tree.
+
+    The callee is the name a call uses: the function's, or the class's for
+    an ``__init__``.  The position is the parameter's index among the
+    positional arguments of a call, or None for a keyword-only parameter.
+    """
+    methods = {id(f): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for f in cls.body if isinstance(f, ast.FunctionDef)}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args
+        if id(node) in methods:
+            params = params[1:]
+        callee = methods[id(node)] if node.name == "__init__" else node.name
+        first = len(params) - len(a.defaults)
+        out += [(callee, p.arg, i) for i, p in enumerate(params) if i >= first]
+        out += [(callee, p.arg, None)
+                for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return out
+
+
+def _passes(call, name, position):
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    args = call.args
+    return len(args) > position or any(isinstance(x, ast.Starred) for x in args)
+
+
+def _callee(call):
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
+def unpassed_defaults():
+    trees = {path: ast.parse(path.read_text()) for path in _program()}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_callee(node), []).append(node)
+    out = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for callee, name, position in _defaults(tree):
+            if (path.name, callee) == ("cli.py", "main"):
+                continue  # argv is the seam tests drive the command line through
+            if not any(_passes(c, name, position) for c in calls.get(callee, ())):
+                out.append("%s(%s)" % (callee, name))
+    return out
+
+
+def test_every_default_is_passed_by_the_program():
+    assert unpassed_defaults() == []

@@ -4,12 +4,13 @@ import pytest
 from conftest import random_invertible, seeded
 
 from bhht.diaggroups import (
+    DEFAULT_GROUP_BOUND,
     CharacterPairing,
-    generating_subset,
+    DiagonalGroup,
     isotropy_on_stratum,
     perm_act,
+    span,
     subgroup_generated,
-    symmetry_group,
 )
 from bhht.errors import MembershipError, SizeBoundError
 from bhht.oracles import all_subgroups_abelian, brute_annihilator, brute_isotropy
@@ -23,23 +24,23 @@ def J(group):
 
 @pytest.fixture
 def gq(quintic):
-    return symmetry_group(quintic.anchored())
+    return DiagonalGroup(quintic.anchored())
 
 
 # -- construction -------------------------------------------------------------
 
 
 def test_group_orders(quintic, x14, x15):
-    assert symmetry_group(quintic).order == 3125
-    assert symmetry_group(x14.anchored()).order == 1125
-    assert symmetry_group(x15.anchored()).order == 1025
+    assert DiagonalGroup(quintic).order == 3125
+    assert DiagonalGroup(x14.anchored()).order == 1125
+    assert DiagonalGroup(x15.anchored()).order == 1025
 
 
 def test_order_equals_det_random():
     rng = seeded(31)
     for _ in range(40):
         m = random_invertible(rng, max_vars=5)
-        g = symmetry_group(m.anchored())
+        g = DiagonalGroup(m.anchored())
         assert g.order == abs(m.determinant())
         assert len(g.elements) == g.order
         for e in g.elements:
@@ -47,14 +48,14 @@ def test_order_equals_det_random():
 
 
 def test_cyclic_of_order_six():
-    g = symmetry_group(parse_polynomial("x1^2*x2+x2^3"))
+    g = DiagonalGroup(parse_polynomial("x1^2*x2+x2^3"))
     assert g.order == 6
     orders = sorted({len(subgroup_generated(g, [e])) for e in g.elements})
     assert 6 in orders  # cyclic: an element of full order exists
 
 
 def test_single_variable_power():
-    g = symmetry_group(parse_polynomial("x1^7"))
+    g = DiagonalGroup(parse_polynomial("x1^7"))
     assert g.order == 7
     assert g.elements == tuple((k,) for k in range(7))
 
@@ -70,7 +71,7 @@ def test_quintic_generators(gq):
 
 def test_size_bound():
     m = parse_polynomial("+".join("x%d^8" % i for i in range(1, 8)))
-    g = symmetry_group(m, bound=10 ** 6)
+    g = DiagonalGroup(m)
     with pytest.raises(SizeBoundError):
         _ = g.elements  # 8^7 > 10^6
 
@@ -80,8 +81,7 @@ def test_size_bound():
 
 def test_subgroup_generated_trivial_and_full(gq):
     assert subgroup_generated(gq, []) == frozenset({gq.zero})
-    basis = [vec for vec, _order in gq.basis]
-    assert subgroup_generated(gq, basis) == frozenset(gq.elements)
+    assert subgroup_generated(gq, gq.kernel()[0]) == frozenset(gq.elements)
 
 
 def test_exponential_grading_subgroup(gq):
@@ -91,7 +91,7 @@ def test_exponential_grading_subgroup(gq):
 
 
 def test_generator_not_in_group():
-    g = symmetry_group(parse_polynomial("x1^2*x2+x2^3"))  # exponent 6
+    g = DiagonalGroup(parse_polynomial("x1^2*x2+x2^3"))  # exponent 6
     with pytest.raises(MembershipError):
         subgroup_generated(g, [(1, 0)])  # 1/6 in the first slot: not a symmetry
 
@@ -139,13 +139,13 @@ def test_perm_act_membership_iff_symmetry():
     from bhht.errors import NotInvariantError
 
     m = parse_polynomial("x1^2*x2+x2^3")
-    g = symmetry_group(m)
+    g = DiagonalGroup(m)
     swap = parse_cycles("(12)", 2)
     with pytest.raises(NotInvariantError):
         check_invariance(m, group_from_generators(2, ["(12)"]))
     assert frozenset(perm_act(swap, e) for e in g.elements) \
         != frozenset(g.elements)
-    gq = symmetry_group(parse_polynomial("x1^3+x2^3"))
+    gq = DiagonalGroup(parse_polynomial("x1^3+x2^3"))
     assert frozenset(perm_act(parse_cycles("(12)", 2), e) for e in gq.elements) \
         == frozenset(gq.elements)
 
@@ -272,16 +272,18 @@ def test_annihilator_kernel_matches_pairing_scan(quintic, x14):
                 assert side.annihilator(h) == brute_annihilator(side, h)
 
 
-def test_kernels_never_list_the_whole_group(quintic):
-    # a bound below |G| = 3125 stops any listing of G, not the kernels
-    pairing = CharacterPairing(quintic, bound=1000)
+def test_kernels_never_list_the_whole_group():
+    # |G| = 8^7 = 2,097,152 is over the bound, so G is never listed; kernels are
+    matrix = parse_polynomial("+".join("x%d^8" % i for i in range(1, 8)))
+    pairing = CharacterPairing(matrix)
+    assert pairing.right.order == 8 ** 7 > DEFAULT_GROUP_BOUND
     with pytest.raises(SizeBoundError):
         _ = pairing.right.elements
-    h = subgroup_generated(pairing.left, [J(pairing.left)])
-    assert len(pairing.annihilator(h)) == 625
-    assert len(isotropy_on_stratum(pairing.left, [0, 1])) == 125
+    h = isotropy_on_stratum(pairing.left, range(5))
+    assert len(h) == 64
+    assert len(pairing.annihilator(h)) == 8 ** 5
     with pytest.raises(SizeBoundError):
-        isotropy_on_stratum(pairing.left, [])  # all 3125 elements
+        isotropy_on_stratum(pairing.left, [])  # all of G
     pairing.verify_nondegenerate()
 
 
@@ -292,7 +294,7 @@ def test_isotropy_on_stratum_matches_scan(quintic, x14, x15):
     matrices = [quintic, x14, x15, parse_polynomial("x1^2*x2+x2^3"),
                 random_invertible(rng, max_vars=4)]
     for matrix in matrices:
-        group = symmetry_group(matrix.anchored())
+        group = DiagonalGroup(matrix.anchored())
         for k in range(group.n + 1):
             for subset in combinations(range(group.n), k):
                 assert isotropy_on_stratum(group, subset) == brute_isotropy(group, subset)
@@ -303,7 +305,7 @@ def test_generating_subset_round_trip(gq):
     for _ in range(20):
         gens = [rng.choice(gq.elements) for _ in range(rng.randint(1, 3))]
         h = subgroup_generated(gq, gens)
-        small = generating_subset(gq, h)
+        small = span(gq, h)[0]
         assert subgroup_generated(gq, small) == h
         assert len(small) <= 5
 

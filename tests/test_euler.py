@@ -1,7 +1,7 @@
 import pytest
 from conftest import X14, X15, seeded
 
-from bhht.diaggroups import isotropy_on_stratum, symmetry_group
+from bhht.diaggroups import DiagonalGroup, isotropy_on_stratum
 from bhht.errors import StructuralAssumptionViolated
 from bhht.euler import (
     _stratum_profile,
@@ -167,7 +167,7 @@ def test_counterexample_free_class_coefficient():
 
 def test_support_is_stratum_kernels(quintic):
     s = group_from_generators(5, ["(12)(34)"])
-    group = symmetry_group(quintic)
+    group = DiagonalGroup(quintic)
     element = euler_analysis(quintic, s, group=group).element
     kernels = set()
     for mask in range(1, 1 << 5):
@@ -178,11 +178,11 @@ def test_support_is_stratum_kernels(quintic):
 
 
 def test_assembly_is_sum_of_stratum_inductions(x14):
-    from bhht.burnside import BurnsideElement, zero_element
+    from bhht.burnside import BurnsideElement
 
     s = group_from_generators(5, ["(12)(34)"])
     analysis = euler_analysis(x14, s)
-    total = zero_element(analysis.ambient)
+    total = BurnsideElement(analysis.ambient)
     for stratum in analysis.strata:
         total = total + BurnsideElement(analysis.ambient,
                                         stratum.induced.coefficients)
@@ -201,7 +201,7 @@ def test_reduce_subtracts_the_point(quintic):
 
 def expected_kernel_orders(matrix, n):
     """Map each full stratum to (kernel order, sign) by direct restriction."""
-    group = symmetry_group(matrix.anchored())
+    group = DiagonalGroup(matrix.anchored())
     out = {}
     for mask in range(1, 1 << n):
         subset = tuple(i for i in range(n) if mask >> i & 1)

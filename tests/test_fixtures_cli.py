@@ -73,10 +73,10 @@ def test_group_element_grammar(catalogue):
 
 
 def test_g_subgroup_orders(catalogue):
-    assert len(catalogue["table1_r2"].g_subgroup()) == 5
-    assert len(catalogue["table1_r83"].g_subgroup()) == 625
-    assert len(catalogue["table1_r80"].g_subgroup()) == 205
-    assert len(catalogue["x1_z2"].g_subgroup()) == 3125  # full
+    for name, order in (("table1_r2", 5), ("table1_r83", 625),
+                        ("table1_r80", 205), ("x1_z2", 3125)):  # x1_z2: full
+        fx = catalogue[name]
+        assert len(fx.g_subgroup(fx.diagonal_group())) == order
 
 
 # -- CLI verbs ----------------------------------------------------------------------
@@ -175,6 +175,28 @@ def test_cmd_dual_rejects_s_that_does_not_preserve_f(tmp_path, capsys, g_section
     code, out = run_cli("dual", str(fx))
     assert (code, out) == (2, "")
     assert "permutation (12) does not preserve the polynomial" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["validate", "pc"])
+def test_cmd_rejects_s_that_does_not_preserve_f(tmp_path, capsys, verb):
+    fx = tmp_path / "swap.fix"
+    fx.write_text("[polynomial]\nx1^3+x2^4\n\n[S]\n(12)\n")
+    code, out = run_cli(verb, str(fx))
+    assert (code, out) == (2, "")
+    assert "permutation (12) does not preserve the polynomial" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("dual", "--json", "table1_r2"),
+    ("selftest", "--json"),
+    ("validate", "--max-group-order", "5", "x1_z2"),
+    ("pc", "--oracle", "pc_a3"),
+])
+def test_options_only_on_verbs_that_read_them(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cmd_euler_golden_byte_stable():

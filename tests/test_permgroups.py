@@ -5,6 +5,7 @@ from conftest import is_even, seeded
 
 from bhht.errors import ParseError, SizeBoundError
 from bhht.permgroups import (
+    DEFAULT_ORDER_BOUND,
     PermGroup,
     closure,
     compose,
@@ -85,8 +86,10 @@ def test_orders_of_named_examples():
 
 
 def test_order_bound_enforced():
+    # |S8| = 40320 exceeds the default bound
+    assert DEFAULT_ORDER_BOUND < 40320
     with pytest.raises(SizeBoundError):
-        group_from_generators(8, ["(12)", "(12345678)"], bound=1000)
+        group_from_generators(8, ["(12)", "(12345678)"])
 
 
 def test_contains_and_inverses():
