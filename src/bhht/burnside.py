@@ -2,13 +2,14 @@
 
 Ambient elements are pairs (v, s) of a diagonal-group element and a
 permutation, multiplied by (v, s)(w, t) = (v + s.w, st).  Generators of the
-free abelian group are conjugacy classes of split subgroups H x| T.  Marks
+free abelian group are classes of split subgroups H x| T, built from
+generators of H and T and closed once, in the class.  Marks
 come from Burnside's formula in closed form: conjugation by (v, s) moves
 (h, t) to (s^-1(h + t.v - v), s^-1 t s), so fixed cosets are counted from
 S and G alone and the semidirect product is never listed.
 """
 
-from .diaggroups import perm_act, span
+from .diaggroups import check_listable, perm_act, span
 from .errors import (
     AmbientMismatchError,
     MembershipError,
@@ -31,6 +32,7 @@ class SemidirectAmbient:
     def __init__(self, diag, perms):
         if diag.n != perms.n:
             raise AmbientMismatchError("diagonal and permutation degrees differ")
+        check_listable(diag.order)  # every class over G x| S lists its H
         self.diag = diag
         self.perms = perms
         self.n = diag.n
@@ -48,6 +50,8 @@ class SemidirectAmbient:
 class HTClass:
     """Conjugacy class of a split subgroup H x| T, stored by a canonical representative.
 
+    The class is built from generating sets of H and T; any set of elements of
+    G and of S generates a subgroup, so an element set is a valid input too.
     The representative minimises (sorted T, sorted H) lexicographically over
     conjugation by the elements of S; two split subgroups are conjugate in the
     ambient group iff they are conjugate by some element of S.
@@ -55,20 +59,13 @@ class HTClass:
 
     __slots__ = ("ambient", "h_elements", "t_elements", "tag", "h_gens", "t_gens")
 
-    def __init__(self, ambient, h_elements, t_elements):
+    def __init__(self, ambient, h_generators, t_generators):
         diag, perms = ambient.diag, ambient.perms
-        h_elements = frozenset(h_elements)
-        t_elements = frozenset(t_elements)
-        if diag.zero not in h_elements:
-            raise MembershipError("H must contain the identity")
-        h_gens, generated = span(diag, h_elements)
-        if generated != h_elements:
-            raise MembershipError("H is not closed under addition")
-        if not t_elements <= perms.element_set:
+        h_gens, h_elements = span(diag, h_generators)
+        t_gens = tuple(t_generators)
+        if not all(t in perms.element_set for t in t_gens):
             raise MembershipError("T is not a subgroup of S")
-        t_gens = generating_set(t_elements)
-        if closure(t_gens, ambient.n) != t_elements:
-            raise MembershipError("T is not closed under composition")
+        t_elements = closure(t_gens, ambient.n)
         # T-invariance of the subgroup H follows from its generators and T's
         if not all(perm_act(t, h) in h_elements for t in t_gens for h in h_gens):
             raise MembershipError(
@@ -183,13 +180,10 @@ class BurnsideElement:
     def coefficient(self, cls):
         return self.coefficients.get(cls, 0)
 
-    def full_class(self):
-        return HTClass(self.ambient, self.ambient.diag.elements,
-                       self.ambient.perms.elements)
-
     def reduce(self):
         """Subtract the class of the one-point set [G x| S / G x| S]."""
-        full = self.full_class()
+        ambient = self.ambient
+        full = HTClass(ambient, ambient.diag.kernel()[0], ambient.perms.generators)
         out = dict(self.coefficients)
         out[full] = out.get(full, 0) - 1
         return BurnsideElement(self.ambient, out)
@@ -273,7 +267,7 @@ def induction(element, perms_big):
     big = SemidirectAmbient(small.diag, perms_big)
     out = {}
     for cls, c in element.coefficients.items():
-        lifted = HTClass(big, cls.h_elements, cls.t_elements)
+        lifted = HTClass(big, cls.h_gens, cls.t_gens)
         out[lifted] = out.get(lifted, 0) + c
     return BurnsideElement(big, out)
 
@@ -290,7 +284,6 @@ def saito_dual(element, pairing):
     dual_ambient = SemidirectAmbient(pairing.right, src.perms)
     out = {}
     for cls, c in element.coefficients.items():
-        dual_h = pairing.annihilator(cls.h_elements)
-        lifted = HTClass(dual_ambient, dual_h, cls.t_elements)
+        lifted = HTClass(dual_ambient, pairing.dual_kernel(cls.h_gens)[0], cls.t_gens)
         out[lifted] = out.get(lifted, 0) + c
     return BurnsideElement(dual_ambient, out)

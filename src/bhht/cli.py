@@ -252,12 +252,18 @@ def _euler_jsonl(analysis):
     return "\n".join(lines) + "\n"
 
 
+def _over_bound(args, fx, S):
+    """Whether |G_f x| S| exceeds --max-group-order, once S is known to preserve f."""
+    check_invariance(fx.matrix, S)
+    return fx.diagonal_group().order * S.order > args.max_group_order
+
+
 def cmd_euler(args):
     status = OK
     for name in args.files:
         fx = _load(args, name)
         S = fx.perm_group()
-        if fx.diagonal_group().order * S.order > args.max_group_order:
+        if _over_bound(args, fx, S):
             print("%s: skipped (group order over %d)" % (fx.name, args.max_group_order))
             continue
         analysis = euler_analysis(fx.matrix, S)
@@ -287,7 +293,7 @@ def cmd_verify(args):
     for name in args.files:
         fx = _load(args, name)
         S = fx.perm_group()
-        if fx.diagonal_group().order * S.order > args.max_group_order:
+        if _over_bound(args, fx, S):
             print("%s: skipped (group order over %d)" % (fx.name, args.max_group_order))
             continue
         report = verify_duality(fx.matrix, S)
@@ -345,9 +351,8 @@ def cmd_table1(args):
         if expected is not None and expected != result.satisfies:
             status = max(status, MISMATCH)
         key = (fx.polynomial_text, tuple(sorted(S.elements)))
-        size = fx.diagonal_group().order * S.order
         cached = False
-        if size > args.max_group_order:
+        if _over_bound(args, fx, S):
             verdict, elapsed = "skip", 0.0
         elif key in cache:
             verdict, elapsed, cached = cache[key], None, True

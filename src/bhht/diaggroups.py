@@ -41,9 +41,9 @@ class DiagonalGroup:
         return "DiagonalGroup(order %d, exponent %d)" % (self.order, self.exponent)
 
     def __contains__(self, element):
-        if len(element) != self.n:
-            return False
         L = self.exponent
+        if len(element) != self.n or not all(0 <= a < L for a in element):
+            return False
         for row in self.matrix.rows:
             if sum(e * a for e, a in zip(row, element)) % L != 0:
                 return False
@@ -66,12 +66,15 @@ class DiagonalGroup:
         return kernel_mod([list(r) for r in self.matrix.rows] + list(rows),
                           self.n, self.exponent)
 
+    def stratum_kernel(self, subset):
+        """Generators and order of the elements acting trivially on the open
+        stratum of the subset: v_i = 0 on it."""
+        return self.kernel([_unit_row(self.n, i) for i in set(subset)])
+
     def kernel_elements(self, gens, order):
         """The elements of a kernel, listed only when its order is within the bound."""
-        if order > DEFAULT_GROUP_BOUND:
-            raise SizeBoundError("group of order %d exceeds bound %d"
-                                 % (order, DEFAULT_GROUP_BOUND))
-        return _closure(self, gens)
+        check_listable(order)
+        return span(self, gens)[1]
 
     # -- conversions -------------------------------------------------------
 
@@ -109,22 +112,6 @@ def perm_act(perm, element):
     return tuple(out)
 
 
-def subgroup_generated(group, generators):
-    """Closure of the generators under addition mod 1."""
-    for g in generators:
-        if g not in group:
-            raise MembershipError("generator %s not in the group" % (g,))
-    return _closure(group, generators)
-
-
-def _closure(group, generators):
-    have = {group.zero}
-    for g in generators:
-        if g not in have:
-            have = _extend(group, have, g)
-    return frozenset(have)
-
-
 def _extend(group, have, e):
     """The subgroup generated by a subgroup and one more element, as a set.
 
@@ -145,27 +132,29 @@ def _unit_row(n, i):
 
 
 def isotropy_on_stratum(group, subset):
-    """Elements acting trivially on the open stratum of the subset: v_i = 0 on it."""
-    rows = [_unit_row(group.n, i) for i in set(subset)]
-    return group.kernel_elements(*group.kernel(rows))
+    """The elements of the stratum kernel, listed."""
+    return group.kernel_elements(*group.stratum_kernel(subset))
 
 
-def span(group, elements):
-    """The generating subset of a set of elements and the subgroup it generates.
-
-    The subgroup equals the given set exactly when that set is a subgroup.
-    """
+def span(group, generators):
+    """An independent subset of the generators, in sorted order, and the
+    subgroup they generate: the one closure routine of diagonal subgroups."""
     gens = []
     have = {group.zero}
-    for e in sorted(elements):
+    for e in sorted(generators):
         if e not in have:
             if e not in group:
                 raise MembershipError("generator %s not in the group" % (e,))
             gens.append(e)
             have = _extend(group, have, e)
-            if len(have) == len(elements):
-                break
     return tuple(gens), frozenset(have)
+
+
+def check_listable(order):
+    """Refuse to list a group whose order exceeds the bound."""
+    if order > DEFAULT_GROUP_BOUND:
+        raise SizeBoundError("group of order %d exceeds bound %d"
+                             % (order, DEFAULT_GROUP_BOUND))
 
 
 class CharacterPairing:
@@ -226,6 +215,10 @@ class CharacterPairing:
                 gens, order = self.right.kernel(rows)
         return self.right.kernel_elements(gens, order)
 
+    def dual_kernel(self, gens):
+        """Generators and order of the annihilator of the subgroup gens generate."""
+        return self.right.kernel([self._congruence(a) for a in gens])
+
     def _congruence(self, a):
         """The row c = E.a / L1 of a left element a: w kills a iff c.w = 0 mod L2."""
         c = []
@@ -243,6 +236,5 @@ class CharacterPairing:
         sides = ((self, "a nonzero character vanishes on the whole group"),
                  (self.swapped(), "a nonzero element is killed by every character"))
         for pairing, what in sides:
-            rows = [pairing._congruence(vec) for vec in pairing.left.kernel()[0]]
-            if pairing.right.kernel(rows)[1] != 1:
+            if pairing.dual_kernel(pairing.left.kernel()[0])[1] != 1:
                 raise DegeneratePairingError(self.matrix, what)

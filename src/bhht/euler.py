@@ -112,9 +112,9 @@ def _stratum_contribution(matrix, group, perms, subset, stabilizer, orbit_size):
     # descending subgroup order; ties broken by the canonical representative
     order = sorted(keys, key=lambda k: (-len(k), k))
 
-    kernel = isotropy_on_stratum(group, subset)
+    kernel = group.stratum_kernel(subset)[0]
     ambient = SemidirectAmbient(group, stabilizer)
-    node = {key: HTClass(ambient, kernel, reps[key].element_set) for key in keys}
+    node = {key: HTClass(ambient, kernel, reps[key].generators) for key in keys}
     fixed = {key: stratum_chi_fixed(matrix, subset, reps[key]) for key in keys}
 
     stratum = tuple(i + 1 for i in subset)
@@ -286,7 +286,7 @@ def lemma_level_checks(matrix, perms):
     top = next(s for s in lhs.strata if s.subset == full)
     expected = BurnsideElement(
         top.element.ambient,
-        {HTClass(top.element.ambient, {lhs.group.zero}, perms.element_set):
+        {HTClass(top.element.ambient, (), perms.generators):
          (-1) ** (n - 1)})
     checks.append(LemmaCheck(
         "open-torus contribution is (-1)^(n-1) [G x| S / e x| S]",

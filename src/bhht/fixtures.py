@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .diaggroups import DiagonalGroup, span, subgroup_generated
+from .diaggroups import DiagonalGroup, span
 from .errors import ParseError
 from .permgroups import group_from_generators
 from .polynomials import parse_polynomial, serialize_polynomial, weights
@@ -55,7 +55,7 @@ class FixtureSpec:
         if self.g_lines == ["full"]:
             return frozenset(group.elements)
         gens = [parse_group_element(line, group) for line in self.g_lines]
-        return subgroup_generated(group, gens)
+        return span(group, gens)[1]
 
 
 def parse_group_element(line, group):

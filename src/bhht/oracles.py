@@ -7,7 +7,7 @@ semidirect product G x| S, which the main paths never build.
 """
 
 from .burnside import mark
-from .diaggroups import perm_act, subgroup_generated
+from .diaggroups import perm_act, span
 from .errors import SizeBoundError
 from .euler import stratum_chi_fixed
 from .permgroups import compose, conjugate, inverse
@@ -127,7 +127,7 @@ def all_subgroups_abelian(group):
         for g in group.elements:
             if g in h:
                 continue
-            k = subgroup_generated(group, list(h) + [g])
+            k = span(group, list(h) + [g])[1]
             if k not in found:
                 found.add(k)
                 queue.append(k)

@@ -14,7 +14,7 @@ from bhht.diaggroups import (
     CharacterPairing,
     DiagonalGroup,
     perm_act,
-    subgroup_generated,
+    span,
 )
 from bhht.euler import euler_analysis, stratum_chi_fixed, verify_duality
 from bhht.fixtures import load_catalogue
@@ -148,7 +148,7 @@ def _random_split_pair(rng, group, perms, t_choices):
     t_set = rng.choice(t_choices)
     seeds = [rng.choice(group.elements) for _ in range(rng.randint(0, 2))]
     stable = [perm_act(t, g) for g in seeds for t in t_set]
-    h = subgroup_generated(group, stable)
+    h = span(group, stable)[1]
     return h, t_set
 
 

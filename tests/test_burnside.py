@@ -13,7 +13,7 @@ from bhht.diaggroups import (
     CharacterPairing,
     DiagonalGroup,
     isotropy_on_stratum,
-    subgroup_generated,
+    span,
 )
 from bhht.errors import AmbientMismatchError, MembershipError
 from bhht.oracles import (
@@ -26,7 +26,13 @@ from bhht.oracles import (
     naive_mark,
     split_subgroup_pairs,
 )
-from bhht.permgroups import PermGroup, group_from_generators, parse_cycles
+from bhht.permgroups import (
+    PermGroup,
+    closure,
+    generating_set,
+    group_from_generators,
+    parse_cycles,
+)
 from bhht.polynomials import parse_polynomial
 
 
@@ -76,18 +82,27 @@ def test_ambient_group_axioms(small):
         assert mul(small, e, a) == a
 
 
-def test_ht_class_requires_actual_subgroups(small):
+def test_ht_class_of_generators_is_the_class_of_their_closure(small):
+    e, c = parse_cycles("e", 3), parse_cycles("(123)", 3)
+    h = {(1, 0, 0), (0, 1, 0)}
+    closed = HTClass(small, span(small.diag, h)[1], {e})
+    assert HTClass(small, h, {e}) == closed and closed.h_order == 4
+    rotations = HTClass(small, (), closure([c], 3))
+    assert HTClass(small, (), {c}) == rotations and rotations.t_order == 3
+
+
+def test_ht_class_rejects_generators_outside_g_or_s(small):
+    e = parse_cycles("e", 3)
     with pytest.raises(MembershipError):
-        HTClass(small, {small.diag.zero, (1, 0, 0), (0, 1, 0)},  # not closed
-                {parse_cycles("e", 3)})
+        HTClass(small, {(1, 0, 2)}, {e})  # unreduced: a_3 = 2 is not below the exponent 2
+    rotations = SemidirectAmbient(small.diag, group_from_generators(3, ["(123)"]))
     with pytest.raises(MembershipError):
-        HTClass(small, {small.diag.zero},
-                {parse_cycles("e", 3), parse_cycles("(123)", 3)})  # not closed
+        HTClass(rotations, (), {parse_cycles("(12)", 3)})
 
 
 def test_ht_class_requires_invariant_h(small):
     # H = <first basis vector> is not invariant under (12)
-    h = subgroup_generated(small.diag, [(1, 0, 0)])
+    h = span(small.diag, [(1, 0, 0)])[1]
     with pytest.raises(MembershipError):
         HTClass(small, h, {parse_cycles("(12)", 3), parse_cycles("e", 3)})
 
@@ -145,10 +160,13 @@ def test_canonicalize_conjugates_share_representative(small, small_classes):
 
 @pytest.mark.parametrize("polynomial", ["x1^2+x2^2+x3^2", "x1^3+x2^3+x3^3"])
 def test_canonical_tag_matches_brute_force(polynomial):
-    # the fast canonicaliser against the minimum over every s of (sorted T, sorted H)
+    # the fast canonicaliser against the minimum over every s of (sorted T, sorted H),
+    # for a class built from element sets and from generating sets
     ambient = ambient_of(polynomial, ["(12)", "(123)"])
     for h, t in split_subgroup_pairs(ambient.diag, ambient.perms):
-        assert HTClass(ambient, h, t).tag == brute_tag(ambient, h, t)
+        tag = brute_tag(ambient, h, t)
+        assert HTClass(ambient, h, t).tag == tag
+        assert HTClass(ambient, span(ambient.diag, h)[0], generating_set(t)).tag == tag
 
 
 def test_element_arithmetic(small):

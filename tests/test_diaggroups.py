@@ -10,7 +10,6 @@ from bhht.diaggroups import (
     isotropy_on_stratum,
     perm_act,
     span,
-    subgroup_generated,
 )
 from bhht.errors import MembershipError, SizeBoundError
 from bhht.oracles import all_subgroups_abelian, brute_annihilator, brute_isotropy
@@ -50,7 +49,7 @@ def test_order_equals_det_random():
 def test_cyclic_of_order_six():
     g = DiagonalGroup(parse_polynomial("x1^2*x2+x2^3"))
     assert g.order == 6
-    orders = sorted({len(subgroup_generated(g, [e])) for e in g.elements})
+    orders = sorted({len(span(g, [e])[1]) for e in g.elements})
     assert 6 in orders  # cyclic: an element of full order exists
 
 
@@ -80,20 +79,35 @@ def test_size_bound():
 
 
 def test_subgroup_generated_trivial_and_full(gq):
-    assert subgroup_generated(gq, []) == frozenset({gq.zero})
-    assert subgroup_generated(gq, gq.kernel()[0]) == frozenset(gq.elements)
+    assert span(gq, [])[1] == frozenset({gq.zero})
+    assert span(gq, gq.kernel()[0])[1] == frozenset(gq.elements)
 
 
 def test_exponential_grading_subgroup(gq):
     j = J(gq)
     assert j == gq.from_fractions([Fraction(1, 5)] * 5)
-    assert len(subgroup_generated(gq, [j])) == 5
+    assert len(span(gq, [j])[1]) == 5
 
 
 def test_generator_not_in_group():
     g = DiagonalGroup(parse_polynomial("x1^2*x2+x2^3"))  # exponent 6
     with pytest.raises(MembershipError):
-        subgroup_generated(g, [(1, 0)])  # 1/6 in the first slot: not a symmetry
+        span(g, [(1, 0)])  # 1/6 in the first slot: not a symmetry
+
+
+def test_membership_requires_reduced_vectors():
+    g = DiagonalGroup(parse_polynomial("x1^3+x2^3"))  # exponent 3
+    assert (0, 2) in g
+    assert (0, 5) not in g and (0, -1) not in g
+    with pytest.raises(MembershipError):
+        span(g, [(0, 5)])
+
+
+def test_span_keeps_every_generator_it_needs():
+    # the first generator spans a subgroup as large as the input set; the
+    # third still lies outside it
+    g = DiagonalGroup(parse_polynomial("x1^3+x2^3"))
+    assert span(g, [(0, 1), (0, 2), (1, 0)]) == (((0, 1), (1, 0)), frozenset(g.elements))
 
 
 def test_isotropy_on_stratum(gq):
@@ -111,7 +125,7 @@ def test_fixed_subgroup(gq):
     assert fixed(PermGroup(5, ())) == frozenset(gq.elements)
     assert len(fixed(group_from_generators(5, ["(12)(34)"]))) == 125
     transitive = group_from_generators(5, ["(12345)"])
-    assert fixed(transitive) == subgroup_generated(gq, [J(gq)])
+    assert fixed(transitive) == span(gq, [J(gq)])[1]
 
 
 def test_perm_act():
@@ -222,7 +236,7 @@ def test_annihilator_extremes(quintic):
 def test_annihilator_of_grading_element(quintic):
     # characters killing the grading element: total exponent divisible by 5
     pairing = CharacterPairing(quintic)
-    ann = pairing.annihilator(subgroup_generated(pairing.left, [J(pairing.left)]))
+    ann = pairing.annihilator(span(pairing.left, [J(pairing.left)])[1])
     assert len(ann) == 625
     assert all(sum(w) % 5 == 0 for w in ann)
 
@@ -243,11 +257,11 @@ def test_annihilator_s_invariance(quintic):
     # if the subgroup is preserved by a symmetry, so is its annihilator
     pairing = CharacterPairing(quintic)
     perms = group_from_generators(5, ["(12345)", "(14)(23)"])
-    h = subgroup_generated(
+    h = span(
         pairing.left,
         [J(pairing.left),
          pairing.left.from_fractions([Fraction(k, 5) for k in (0, 1, 4, 4, 1)]),
-         pairing.left.from_fractions([Fraction(k, 5) for k in (0, 1, 2, 3, 4)])])
+         pairing.left.from_fractions([Fraction(k, 5) for k in (0, 1, 2, 3, 4)])])[1]
     for s in perms.elements:
         assert frozenset(perm_act(s, x) for x in h) == h
     ann = pairing.annihilator(h)
@@ -262,7 +276,7 @@ def test_annihilator_kernel_matches_pairing_scan(quintic, x14):
         rng = seeded(37)
         for size in range(4):
             gens = [rng.choice(pairing.left.elements) for _ in range(size)]
-            h = subgroup_generated(pairing.left, gens)
+            h = span(pairing.left, gens)[1]
             assert pairing.annihilator(h) == brute_annihilator(pairing, h)
     for text in ("x1^2*x2+x2^3", "x1^2+x2^2+x3^2", "x1^4*x2+x2^4*x1",
                  "x1^2*x2+x2^2*x3+x3^3"):
@@ -304,9 +318,9 @@ def test_generating_subset_round_trip(gq):
     rng = seeded(36)
     for _ in range(20):
         gens = [rng.choice(gq.elements) for _ in range(rng.randint(1, 3))]
-        h = subgroup_generated(gq, gens)
+        h = span(gq, gens)[1]
         small = span(gq, h)[0]
-        assert subgroup_generated(gq, small) == h
+        assert span(gq, small)[1] == h
         assert len(small) <= 5
 
 

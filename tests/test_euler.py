@@ -10,6 +10,7 @@ from bhht.euler import (
     stratum_chi_fixed,
     verify_duality,
 )
+from bhht.fixtures import load_catalogue
 from bhht.oracles import check_fixed_point_consistency
 from bhht.permgroups import (
     PermGroup,
@@ -258,6 +259,18 @@ def test_duality_pc_cases_small():
         report = verify_duality(matrix, s)
         assert report.pc.satisfies
         assert report.equal, (text, gens)
+
+
+def test_verify_duality_lists_no_kernel(monkeypatch):
+    # classes are built from the generators of kernels and annihilators
+    def refuse(*_args):
+        raise AssertionError("a kernel was listed")
+
+    monkeypatch.setattr(DiagonalGroup, "kernel_elements", refuse)
+    catalogue = load_catalogue()
+    for name in ("x1_z2", "x15_z5", "pc_a3"):
+        fx = catalogue[name]
+        assert verify_duality(fx.matrix, fx.perm_group()).equal, name
 
 
 def test_duality_counterexample_diff_structure():

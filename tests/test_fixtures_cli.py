@@ -177,11 +177,19 @@ def test_cmd_dual_rejects_s_that_does_not_preserve_f(tmp_path, capsys, g_section
     assert "permutation (12) does not preserve the polynomial" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("verb", ["validate", "pc"])
-def test_cmd_rejects_s_that_does_not_preserve_f(tmp_path, capsys, verb):
-    fx = tmp_path / "swap.fix"
+@pytest.mark.parametrize("verb, options", [
+    ("validate", ()),
+    ("pc", ()),
+    # skipping an input for its size must not skip the check
+    ("euler", ("--max-group-order", "1")),
+    ("verify", ("--max-group-order", "1")),
+    ("table1", ("--max-group-order", "1")),
+], ids=["validate", "pc", "euler", "verify", "table1"])
+def test_cmd_rejects_s_that_does_not_preserve_f(tmp_path, capsys, verb, options):
+    fx = tmp_path / "table1_swap.fix"
     fx.write_text("[polynomial]\nx1^3+x2^4\n\n[S]\n(12)\n")
-    code, out = run_cli(verb, str(fx))
+    files = ["--fixtures", str(tmp_path)] if verb == "table1" else [str(fx)]
+    code, out = run_cli(verb, *options, *files)
     assert (code, out) == (2, "")
     assert "permutation (12) does not preserve the polynomial" in capsys.readouterr().err
 
