@@ -255,7 +255,7 @@ def _euler_jsonl(analysis):
 def _over_bound(args, fx, S):
     """Whether |G_f x| S| exceeds --max-group-order, once S is known to preserve f."""
     check_invariance(fx.matrix, S)
-    return fx.diagonal_group().order * S.order > args.max_group_order
+    return abs(fx.matrix.determinant()) * S.order > args.max_group_order
 
 
 def cmd_euler(args):

@@ -33,8 +33,10 @@ class DiagonalGroup:
         self.matrix = matrix
         self.n = matrix.n
         self.order = abs(det)
-        d, _u, _v = smith_normal_form([list(r) for r in matrix.rows])
-        self.exponent = lcm(1, *(d[i][i] for i in range(self.n)))
+        # |det E| kills the group, so its cyclic factors are the
+        # gcd(d_ii, |det E|) of the Smith form mod |det E|
+        d, _u, _v = smith_normal_form([list(r) for r in matrix.rows], self.order)
+        self.exponent = lcm(1, *(gcd(d[i][i], self.order) for i in range(self.n)))
         self.zero = (0,) * self.n
 
     def __repr__(self):
@@ -129,11 +131,6 @@ def _unit_row(n, i):
     row = [0] * n
     row[i] = 1
     return row
-
-
-def isotropy_on_stratum(group, subset):
-    """The elements of the stratum kernel, listed."""
-    return group.kernel_elements(*group.stratum_kernel(subset))
 
 
 def span(group, generators):

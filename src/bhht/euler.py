@@ -18,9 +18,16 @@ from .burnside import (
     mark,
     saito_dual,
 )
-from .diaggroups import CharacterPairing, DiagonalGroup, isotropy_on_stratum
+from .diaggroups import CharacterPairing, DiagonalGroup
 from .errors import StructuralAssumptionViolated
-from .permgroups import PCResult, orbit_count, orbits_on_subsets, pc_check
+from .permgroups import (
+    PCResult,
+    orbit,
+    orbit_count,
+    orbits_on_subsets,
+    pc_check,
+    subset_image,
+)
 from .polynomials import check_invariance, diagonal_restrict, restrict, transpose
 
 
@@ -169,12 +176,11 @@ def _stratum_contribution(matrix, group, perms, subset, stabilizer, orbit_size):
     )
 
 
-def euler_analysis(matrix, perms, group=None):
+def euler_analysis(matrix, perms):
     """Everything about chi^{G x| S}(V_f): per-stratum pieces and the total."""
     matrix = matrix.anchored()
     check_invariance(matrix, perms)
-    if group is None:
-        group = DiagonalGroup(matrix)
+    group = DiagonalGroup(matrix)
     ambient = SemidirectAmbient(group, perms)
     total = BurnsideElement(ambient)
     strata = []
@@ -225,8 +231,8 @@ def verify_duality(matrix, perms):
     matrix = matrix.anchored()
     pairing = CharacterPairing(matrix)
     dual_matrix = transpose(matrix)
-    lhs_analysis = euler_analysis(matrix, perms, group=pairing.left)
-    rhs_analysis = euler_analysis(dual_matrix, perms, group=pairing.right)
+    lhs_analysis = euler_analysis(matrix, perms)
+    rhs_analysis = euler_analysis(dual_matrix, perms)
     n = matrix.n
     lhs = lhs_analysis.reduced
     rhs = saito_dual(rhs_analysis.reduced, pairing.swapped()).scale((-1) ** n)
@@ -275,10 +281,9 @@ def lemma_level_checks(matrix, perms):
         raise ValueError("lemma-level checks require the parity condition")
     pairing = CharacterPairing(matrix)
     dual_matrix = transpose(matrix)
-    lhs = euler_analysis(matrix, perms, group=pairing.left)
+    lhs = euler_analysis(matrix, perms)
     # f^T = f: the dual side is the same analysis
-    rhs = (lhs if dual_matrix == matrix
-           else euler_analysis(dual_matrix, perms, group=pairing.right))
+    rhs = lhs if dual_matrix == matrix else euler_analysis(dual_matrix, perms)
     n = matrix.n
     checks = []
 
@@ -305,7 +310,8 @@ def lemma_level_checks(matrix, perms):
         if len(s.subset) in (0, n):
             continue
         complement = tuple(sorted(set(range(n)) - set(s.subset)))
-        comp_rep = _orbit_representative(perms, complement)
+        comp_rep = min(tuple(sorted(c)) for c in
+                       orbit(frozenset(complement), perms.generators, subset_image))
         dual_side = rhs_by_subset.get(comp_rep)
         if dual_side is None:
             if comp_rep not in rhs_skipped:
@@ -322,8 +328,12 @@ def lemma_level_checks(matrix, perms):
             detail_c = "orbit of %s is not dual to the orbit of its complement" \
                        % (tuple(i + 1 for i in s.subset),)
             break
-        ann = pairing.annihilator(isotropy_on_stratum(pairing.left, s.subset))
-        if ann != isotropy_on_stratum(pairing.right, complement):
+        # the annihilator of the stratum kernel lies in the complement's
+        # stratum kernel (its generators vanish there) and has its order
+        ann_gens, ann_order = pairing.dual_kernel(
+            pairing.left.stratum_kernel(s.subset)[0])
+        if (ann_order != pairing.right.stratum_kernel(complement)[1]
+                or any(w[i] for w in ann_gens for i in complement)):
             ok_c = False
             detail_c = "stratum kernel of the complement is not the annihilator"
             break
@@ -348,9 +358,10 @@ def lemma_level_checks(matrix, perms):
             vector = tuple(deep_sign * s.coefficients[k] for k in s.class_keys)
             profiles.setdefault(profile, []).append((s.subset, vector))
             lattice = stab_group.lattice
-            for key in s.class_keys:
+            for cls in lattice.conjugacy_classes:
+                key = lattice.class_key(cls)
                 rep = s.reps[key]
-                norm = len(lattice.normalizer(rep.element_set))
+                norm = stab_group.order // len(cls)
                 weight = abs(s.fixed_chi[key])
                 if (s.coefficients[key] * norm * weight) % rep.order != 0:
                     ok_div = False
@@ -370,11 +381,3 @@ def lemma_level_checks(matrix, perms):
         detail_d if not ok_div else ""))
     return LemmaReport(checks)
 
-
-def _orbit_representative(perms, subset):
-    best = tuple(sorted(subset))
-    for p in perms.elements:
-        cand = tuple(sorted(p[i] for i in subset))
-        if cand < best:
-            best = cand
-    return best

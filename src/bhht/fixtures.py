@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .diaggroups import DiagonalGroup, span
+from .diaggroups import span
 from .errors import ParseError
 from .permgroups import group_from_generators
 from .polynomials import parse_polynomial, serialize_polynomial, weights
@@ -46,9 +46,6 @@ class FixtureSpec:
 
     def perm_group(self):
         return group_from_generators(self.nvars, self.s_lines)
-
-    def diagonal_group(self):
-        return DiagonalGroup(self.matrix.anchored())
 
     def g_subgroup(self, group):
         """The configured subgroup of the diagonal symmetry group."""

@@ -62,23 +62,21 @@ def solve_exact(a, b):
     return [row[n] for row in m]
 
 
-def smith_normal_form(a, modulus=None):
-    """Smith normal form of an integer matrix.
+def smith_normal_form(a, modulus):
+    """Smith normal form of an integer matrix mod a positive modulus.
 
-    Returns (d, u, v) with u @ a @ v == d, u and v unimodular, d diagonal
-    with non-negative entries and d[i][i] | d[i+1][i+1].  With a modulus,
-    every entry of d, u and v is kept reduced mod it, so the identity and
-    the diagonal form hold mod the modulus and no entry outgrows it
-    (unreduced, the transforms of a wide matrix can grow to many thousands
-    of bits).
+    Returns (d, u, v) with u @ a @ v == d mod the modulus, u and v invertible
+    mod it and d diagonal.  Every entry is kept reduced mod the modulus, so
+    none outgrows it (over Z, the transforms of a wide matrix can grow to
+    many thousands of bits).  The solutions of a.x = 0 mod m form the sum
+    of the Z/gcd(d[j][j], m) over the columns j, with d[j][j] = 0 past the
+    last row.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    m = [list(row) for row in a]
+    m = [[x % modulus for x in row] for row in a]
     u = identity(rows)
     v = identity(cols)
-    if modulus:
-        m = [[x % modulus for x in row] for row in m]
 
     def swap_rows(i, j):
         m[i], m[j] = m[j], m[i]
@@ -92,34 +90,21 @@ def smith_normal_form(a, modulus=None):
 
     def add_row(src, dst, q):
         # row dst += q * row src
-        m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-        if modulus:
-            m[dst] = [x % modulus for x in m[dst]]
-            u[dst] = [x % modulus for x in u[dst]]
+        m[dst] = [(x + q * y) % modulus for x, y in zip(m[dst], m[src])]
+        u[dst] = [(x + q * y) % modulus for x, y in zip(u[dst], u[src])]
 
     def add_col(src, dst, q):
-        for row in m:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-        if modulus:
-            for row in m:
-                row[dst] %= modulus
-            for row in v:
-                row[dst] %= modulus
-
-    def negate_row(i):
-        m[i] = [-x for x in m[i]]
-        u[i] = [-x for x in u[i]]
+        for mat in (m, v):
+            for row in mat:
+                row[dst] = (row[dst] + q * row[src]) % modulus
 
     t = 0
     while t < min(rows, cols):
-        # choose the nonzero entry of smallest absolute value as pivot
+        # choose the least nonzero entry as pivot
         best = None
         for i in range(t, rows):
             for j in range(t, cols):
-                if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
+                if m[i][j] != 0 and (best is None or m[i][j] < m[best[0]][best[1]]):
                     best = (i, j)
         if best is None:
             break
@@ -155,8 +140,6 @@ def smith_normal_form(a, modulus=None):
             if culprit is None:
                 break
             add_row(culprit, t, 1)
-        if m[t][t] < 0:
-            negate_row(t)
         t += 1
     return m, u, v
 
@@ -171,7 +154,7 @@ def kernel_mod(rows, n, m):
     are left out.
     """
     if rows:
-        d, _u, v = smith_normal_form(rows, modulus=m)
+        d, _u, v = smith_normal_form(rows, m)
         diag = [d[j][j] if j < len(d) else 0 for j in range(n)]
     else:
         v, diag = identity(n), [0] * n

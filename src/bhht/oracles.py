@@ -76,6 +76,29 @@ def brute_conjugating_perm(ambient, h1, t1, h2, t2):
     return None
 
 
+def brute_conjugacy_classes(lattice):
+    """The lattice's subgroups partitioned into classes by conjugating each
+    by every element of the group; sorted index lists in lattice class order."""
+    index = {h: i for i, h in enumerate(lattice.subgroups)}
+    classes = {frozenset(index[frozenset(conjugate(g, h) for h in H)]
+                         for g in lattice.group.elements)
+               for H in lattice.subgroups}
+    return sorted((sorted(cls) for cls in classes),
+                  key=lambda cls: (len(lattice.subgroups[cls[0]]),
+                                   lattice.class_key(cls)))
+
+
+def brute_normalizer_order(group, subgroup):
+    """|N(H)|, by a scan of the group."""
+    return sum(1 for g in group.elements
+               if all(conjugate(g, h) in subgroup for h in subgroup))
+
+
+def brute_subset_representative(perms, subset):
+    """The least sorted image of a subset over every element of S."""
+    return min(tuple(sorted(p[i] for i in subset)) for p in perms.elements)
+
+
 def brute_conjugate_element(ambient, h1, t1, h2, t2):
     """Some (v, s) in the whole semidirect product conjugating one split subgroup
     onto the other, or None.  Used to validate the S-only conjugacy criterion."""

@@ -201,12 +201,37 @@ def generating_set(elements):
     return tuple(gens)
 
 
+def orbit(seed, generators, act):
+    """The orbit of seed under the group the generators generate, as a set.
+
+    act(g, x) is the image of x under g.  The orbit is found by walking the
+    generators; in a finite group every inverse is a power, so no inverses
+    are needed.
+    """
+    found = {seed}
+    frontier = [seed]
+    while frontier:
+        x = frontier.pop()
+        for g in generators:
+            y = act(g, x)
+            if y not in found:
+                found.add(y)
+                frontier.append(y)
+    return found
+
+
+def subset_image(p, subset):
+    """The image of a set of points under a permutation."""
+    return frozenset(p[i] for i in subset)
+
+
 class SubgroupLattice:
-    """All subgroups of a small group, with conjugacy classes and normalizers.
+    """All subgroups of a small group, with their conjugacy classes.
 
     Enumeration extends already-found subgroups by single elements, starting
     from the cyclic subgroups, until closure; this finds every subgroup since
-    any subgroup is reached by adjoining its generators one at a time.
+    any subgroup is reached by adjoining its generators one at a time.  The
+    order of the normalizer of a subgroup is |group| / |its class|.
     """
 
     def __init__(self, group):
@@ -214,34 +239,33 @@ class SubgroupLattice:
         self.subgroups = self._enumerate()
         self._index = {s: i for i, s in enumerate(self.subgroups)}
         self._classes = None
-        self._normalizers = {}
 
     def _enumerate(self):
         G = self.group
         n = G.n
-        found = {frozenset({identity_perm(n)})}
+        # each subgroup found, with the generators it was reached with
+        gens = {frozenset({identity_perm(n)}): ()}
         queue = []
         for g in G.elements:
             cyc = closure([g], n, bound=None)
-            if cyc not in found:
-                found.add(cyc)
+            if cyc not in gens:
+                gens[cyc] = (g,)
                 queue.append(cyc)
         while queue:
             H = queue.pop()
             if len(H) == G.order:
                 continue
-            gens_h = list(generating_set(H))
             covered = set(H)
             for g in G.elements:
                 if g in covered:
                     continue
-                K = closure(gens_h + [g], n, bound=None)
-                if K not in found:
-                    found.add(K)
+                K = closure(gens[H] + (g,), n, bound=None)
+                if K not in gens:
+                    gens[K] = gens[H] + (g,)
                     queue.append(K)
                 # skip the rest of the double coset H g H
                 covered.update(compose(h1, compose(g, h2)) for h1 in H for h2 in H)
-        return sorted(found, key=lambda s: (len(s), sorted(s)))
+        return sorted(gens, key=lambda s: (len(s), sorted(s)))
 
     def __len__(self):
         return len(self.subgroups)
@@ -250,18 +274,16 @@ class SubgroupLattice:
     def conjugacy_classes(self):
         """List of classes; each class is a sorted list of subgroup indices."""
         if self._classes is None:
-            G = self.group
+            def act(g, i):
+                return self._index[frozenset(conjugate(g, h)
+                                             for h in self.subgroups[i])]
+
             unassigned = set(range(len(self.subgroups)))
             classes = []
             while unassigned:
-                i = min(unassigned)
-                orbit = {i}
-                H = self.subgroups[i]
-                for g in G.elements:
-                    img = frozenset(conjugate(g, h) for h in H)
-                    orbit.add(self._index[img])
-                classes.append(sorted(orbit))
-                unassigned -= orbit
+                cls = orbit(min(unassigned), self.group.generators, act)
+                classes.append(sorted(cls))
+                unassigned -= cls
             classes.sort(key=lambda cls: (len(self.subgroups[cls[0]]),
                                           self.class_key(cls)))
             self._classes = classes
@@ -270,39 +292,19 @@ class SubgroupLattice:
     def class_key(self, cls):
         return min(tuple(sorted(self.subgroups[i])) for i in cls)
 
-    def normalizer(self, subgroup):
-        H = frozenset(subgroup)
-        if H not in self._normalizers:
-            els = {g for g in self.group.elements
-                   if all(conjugate(g, h) in H for h in H)}
-            self._normalizers[H] = frozenset(els)
-        return self._normalizers[H]
-
 
 # -- parity condition -------------------------------------------------------------
 
 
 def orbits(group, points):
-    """Orbits of the group on a point set it preserves, as sorted tuples.
-
-    The orbits are found by walking the generators and come out ordered by
-    their least points.
-    """
+    """Orbits of the group on a point set it preserves, as sorted tuples,
+    ordered by their least points."""
     remaining = set(points)
     out = []
     while remaining:
-        seed = min(remaining)
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            v = frontier.pop()
-            for p in group.generators:
-                w = p[v]
-                if w not in orbit:
-                    orbit.add(w)
-                    frontier.append(w)
-        out.append(tuple(sorted(orbit)))
-        remaining -= orbit
+        found = orbit(min(remaining), group.generators, lambda p, v: p[v])
+        out.append(tuple(sorted(found)))
+        remaining -= found
     return out
 
 
@@ -357,20 +359,12 @@ def orbits_on_subsets(group):
         base = frozenset(i for i in range(n) if mask >> i & 1)
         if base in seen:
             continue
-        orbit = {base}
-        frontier = [base]
-        while frontier:
-            cur = frontier.pop()
-            for p in group.generators or (identity_perm(n),):
-                img = frozenset(p[i] for i in cur)
-                if img not in orbit:
-                    orbit.add(img)
-                    frontier.append(img)
-        seen |= orbit
-        rep = min(orbit, key=lambda s: tuple(sorted(s)))
+        found = orbit(base, group.generators, subset_image)
+        seen |= found
+        rep = min(found, key=lambda s: tuple(sorted(s)))
         stab = group.subgroup([p for p in group.elements
-                               if {p[i] for i in rep} == set(rep)])
-        assert group.order == len(orbit) * stab.order
-        out.append((tuple(sorted(rep)), stab, len(orbit)))
+                               if subset_image(p, rep) == rep])
+        assert group.order == len(found) * stab.order
+        out.append((tuple(sorted(rep)), stab, len(found)))
     out.sort(key=lambda t: (len(t[0]), t[0]))
     return out

@@ -12,7 +12,6 @@ from bhht.burnside import (
 from bhht.diaggroups import (
     CharacterPairing,
     DiagonalGroup,
-    isotropy_on_stratum,
     span,
 )
 from bhht.errors import AmbientMismatchError, MembershipError
@@ -118,8 +117,9 @@ def test_conjugate_test_coordinate_subgroups():
     group = DiagonalGroup(quintic)
     perms = group_from_generators(5, ["(12)", "(123)"])  # S3 on the first three
     ambient = SemidirectAmbient(group, perms)
-    h1 = isotropy_on_stratum(group, [0, 2])   # vanishing on slots 1 and 3
-    h2 = isotropy_on_stratum(group, [1, 2])
+    # vanishing on slots 1 and 3
+    h1 = group.kernel_elements(*group.stratum_kernel([0, 2]))
+    h2 = group.kernel_elements(*group.stratum_kernel([1, 2]))
     t1 = {parse_cycles("e", 5), parse_cycles("(13)", 5)}
     t2 = {parse_cycles("e", 5), parse_cycles("(23)", 5)}
     sigma = brute_conjugating_perm(ambient, h1, t1, h2, t2)
@@ -300,8 +300,8 @@ def test_induction_fuses_conjugate_classes():
     group = DiagonalGroup(quintic)
     s3 = group_from_generators(3, ["(12)", "(123)"])
     loner = SemidirectAmbient(group, PermGroup(3, ()))
-    h1 = isotropy_on_stratum(group, [0])
-    h2 = isotropy_on_stratum(group, [1])
+    h1 = group.kernel_elements(*group.stratum_kernel([0]))
+    h2 = group.kernel_elements(*group.stratum_kernel([1]))
     e3 = {parse_cycles("e", 3)}
     x = single(loner, h1, e3) + single(loner, h2, e3)
     lifted = induction(x, s3)

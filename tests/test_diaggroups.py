@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from conftest import random_invertible, seeded
@@ -7,7 +8,6 @@ from bhht.diaggroups import (
     DEFAULT_GROUP_BOUND,
     CharacterPairing,
     DiagonalGroup,
-    isotropy_on_stratum,
     perm_act,
     span,
 )
@@ -103,6 +103,15 @@ def test_membership_requires_reduced_vectors():
         span(g, [(0, 5)])
 
 
+def test_exponent_is_largest_element_order():
+    rng = seeded(44)
+    for _ in range(40):
+        g = DiagonalGroup(random_invertible(rng, max_vars=3))
+        L = g.exponent
+        assert len(g.elements) == g.order
+        assert max(L // gcd(L, *e) for e in g.elements) == L
+
+
 def test_span_keeps_every_generator_it_needs():
     # the first generator spans a subgroup as large as the input set; the
     # third still lies outside it
@@ -111,9 +120,9 @@ def test_span_keeps_every_generator_it_needs():
 
 
 def test_isotropy_on_stratum(gq):
-    assert isotropy_on_stratum(gq, range(5)) == frozenset({gq.zero})
-    assert isotropy_on_stratum(gq, []) == frozenset(gq.elements)
-    assert len(isotropy_on_stratum(gq, [0, 1])) == 125
+    assert gq.kernel_elements(*gq.stratum_kernel(range(5))) == frozenset({gq.zero})
+    assert gq.kernel_elements(*gq.stratum_kernel([])) == frozenset(gq.elements)
+    assert len(gq.kernel_elements(*gq.stratum_kernel([0, 1]))) == 125
 
 
 def test_fixed_subgroup(gq):
@@ -293,11 +302,11 @@ def test_kernels_never_list_the_whole_group():
     assert pairing.right.order == 8 ** 7 > DEFAULT_GROUP_BOUND
     with pytest.raises(SizeBoundError):
         _ = pairing.right.elements
-    h = isotropy_on_stratum(pairing.left, range(5))
+    h = pairing.left.kernel_elements(*pairing.left.stratum_kernel(range(5)))
     assert len(h) == 64
     assert len(pairing.annihilator(h)) == 8 ** 5
     with pytest.raises(SizeBoundError):
-        isotropy_on_stratum(pairing.left, [])  # all of G
+        pairing.left.kernel_elements(*pairing.left.stratum_kernel([]))  # all of G
     pairing.verify_nondegenerate()
 
 
@@ -311,7 +320,8 @@ def test_isotropy_on_stratum_matches_scan(quintic, x14, x15):
         group = DiagonalGroup(matrix.anchored())
         for k in range(group.n + 1):
             for subset in combinations(range(group.n), k):
-                assert isotropy_on_stratum(group, subset) == brute_isotropy(group, subset)
+                listed = group.kernel_elements(*group.stratum_kernel(subset))
+                assert listed == brute_isotropy(group, subset)
 
 
 def test_generating_subset_round_trip(gq):

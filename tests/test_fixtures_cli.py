@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from bhht.cli import main
-from bhht.diaggroups import CharacterPairing
+from bhht.diaggroups import CharacterPairing, DiagonalGroup
 from bhht.errors import ParseError
 from bhht.fixtures import (
     DATA_DIR,
@@ -63,7 +63,7 @@ def test_fixture_grammar_errors():
 
 def test_group_element_grammar(catalogue):
     fx = catalogue["table1_r80"]
-    group = fx.diagonal_group()
+    group = DiagonalGroup(fx.matrix.anchored())
     gen = parse_group_element("1/41(1,-4,16,18,10)", group)
     assert gen in group
     j = parse_group_element("J", group)
@@ -76,7 +76,7 @@ def test_g_subgroup_orders(catalogue):
     for name, order in (("table1_r2", 5), ("table1_r83", 625),
                         ("table1_r80", 205), ("x1_z2", 3125)):  # x1_z2: full
         fx = catalogue[name]
-        assert len(fx.g_subgroup(fx.diagonal_group())) == order
+        assert len(fx.g_subgroup(DiagonalGroup(fx.matrix.anchored()))) == order
 
 
 # -- CLI verbs ----------------------------------------------------------------------
@@ -153,7 +153,7 @@ def test_cmd_dual_is_involutive(tmp_path):
     original = load_fixture(DATA_DIR / "table1_r2.fix")
     twice = load_fixture(second)
     assert twice.matrix == original.matrix.anchored()
-    group = original.diagonal_group()
+    group = DiagonalGroup(original.matrix.anchored())
     assert twice.g_subgroup(group) == original.g_subgroup(group)
 
 

@@ -60,25 +60,20 @@ def test_determinant_trivila_cases():
 
 def test_smith_normal_form_properties():
     rng = seeded(2)
-    for _ in range(150):
+    for _ in range(100):
         rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
+        cols = rng.randint(1, 3)
+        m = rng.choice([1, 2, 6, 9, 12])
         a = random_matrix(rng, rows, cols, -6, 6)
-        d, u, v = smith_normal_form(a)
-        assert matmul(matmul(u, a), v) == d
-        assert abs(determinant(u)) == 1
-        assert abs(determinant(v)) == 1
-        diag = [d[i][i] for i in range(min(rows, cols))]
-        for i in range(rows):
-            for j in range(cols):
-                if i != j:
-                    assert d[i][j] == 0
-        for x, y in zip(diag, diag[1:]):
-            assert x >= 0 and y >= 0
-            if x == 0:
-                assert y == 0
-            else:
-                assert y % x == 0
+        d, u, v = smith_normal_form(a, m)
+        assert [[x % m for x in row] for row in matmul(matmul(u, a), v)] == d
+        assert gcd(determinant(u), m) == 1 and gcd(determinant(v), m) == 1
+        assert all(d[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
+        # the solutions of a.x = 0 mod m: one factor gcd(d_jj, m) per column
+        diag = [d[j][j] if j < rows else 0 for j in range(cols)]
+        solutions = sum(1 for x in product(range(m), repeat=cols)
+                        if not any(sum(r * y for r, y in zip(row, x)) % m for row in a))
+        assert solutions == prod(gcd(dj, m) for dj in diag)
 
 
 def test_invariant_factors_product_is_det():
@@ -86,11 +81,11 @@ def test_invariant_factors_product_is_det():
     for _ in range(100):
         n = rng.randint(1, 4)
         a = random_matrix(rng, n, n, -5, 5)
-        det = determinant(a)
+        det = abs(determinant(a))
         if det == 0:
             continue
-        d, _u, _v = smith_normal_form(a)
-        assert prod(d[i][i] for i in range(n)) == abs(det)
+        d, _u, _v = smith_normal_form(a, det)
+        assert prod(gcd(d[i][i], det) for i in range(n)) == det
 
 
 def test_solve_exact():
@@ -160,7 +155,7 @@ def test_smith_normal_form_mod_keeps_entries_reduced():
         rows, cols = rng.randint(1, 8), rng.randint(1, 6)
         m = rng.choice([2, 12, 625, 1000])
         a = random_matrix(rng, rows, cols, -999, 999)
-        d, u, v = smith_normal_form(a, modulus=m)
+        d, u, v = smith_normal_form(a, m)
         assert all(0 <= x < m for mat in (d, u, v) for row in mat for x in row)
         assert [[x % m for x in row] for row in matmul(matmul(u, a), v)] == d
         assert all(d[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)

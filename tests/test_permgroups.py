@@ -14,12 +14,24 @@ from bhht.permgroups import (
     group_from_generators,
     identity_perm,
     inverse,
+    orbit,
     orbit_count,
     orbits,
     orbits_on_subsets,
     parse_cycles,
     pc_check,
+    subset_image,
 )
+from bhht.oracles import (
+    brute_conjugacy_classes,
+    brute_normalizer_order,
+    brute_subset_representative,
+)
+
+S5 = ["(12345)", "(12)"]
+# (degree, generators) of the groups whose classes are checked against scans
+CLASS_GROUPS = [(3, ["A3"]), (4, ["A4"]), (4, ["(12)", "(1234)"]), (5, ["A5"]),
+                (5, S5), (5, ["D10"]), (4, ["Z2x2"])]
 
 
 def brute_force_subgroups(group, max_gens=3):
@@ -140,12 +152,43 @@ def test_lattice_matches_brute_force():
 def test_normalizer_and_conjugacy():
     g = group_from_generators(3, ["(12)", "(123)"])  # S3
     h = frozenset({identity_perm(3), parse_cycles("(12)", 3)})
-    assert g.lattice.normalizer(h) == h
     cls = next(c for c in g.lattice.conjugacy_classes
                if h in (g.lattice.subgroups[i] for i in c))
     assert len(cls) == 3  # three conjugate reflections
+    assert g.order // len(cls) == 2  # N(<(12)>) = <(12)>
     assert g.lattice.class_key(cls) == min(
         tuple(sorted(g.lattice.subgroups[i])) for i in cls)
+
+
+@pytest.fixture(scope="module")
+def class_groups():
+    groups = [group_from_generators(n, gens) for n, gens in CLASS_GROUPS]
+    a5 = group_from_generators(5, ["A5"])  # the S of x1_a5
+    return groups + [stab for _rep, stab, _size in orbits_on_subsets(a5)]
+
+
+def test_conjugacy_classes_match_scan(class_groups):
+    for g in class_groups:
+        assert g.lattice.conjugacy_classes == brute_conjugacy_classes(g.lattice), g
+
+
+def test_normalizer_orders_from_class_sizes_match_scan(class_groups):
+    for g in class_groups:
+        lattice = g.lattice
+        for cls in lattice.conjugacy_classes:
+            for i in cls:
+                assert g.order // len(cls) == brute_normalizer_order(
+                    g, lattice.subgroups[i]), (g, lattice.subgroups[i])
+
+
+def test_subset_walk_representative_matches_scan():
+    for gens in (["A5"], ["D10"], S5):
+        g = group_from_generators(5, gens)
+        for k in range(6):
+            for subset in combinations(range(5), k):
+                walked = orbit(frozenset(subset), g.generators, subset_image)
+                assert (min(tuple(sorted(c)) for c in walked)
+                        == brute_subset_representative(g, subset)), (g, subset)
 
 
 # -- orbit counting ----------------------------------------------------------------
