@@ -65,7 +65,7 @@ class HTClass:
         t_gens = tuple(t_generators)
         if not all(t in perms.element_set for t in t_gens):
             raise MembershipError("T is not a subgroup of S")
-        t_elements = closure(t_gens, ambient.n)
+        t_elements = closure(t_gens, identity_perm(ambient.n))
         # T-invariance of the subgroup H follows from its generators and T's
         if not all(perm_act(t, h) in h_elements for t in t_gens for h in h_gens):
             raise MembershipError(

@@ -375,7 +375,7 @@ def cmd_table1(args):
 
 def cmd_selftest(args):
     from .burnside import HTClass, SemidirectAmbient, mark
-    from .oracles import split_subgroup_pairs
+    from .oracles import brute_subgroups, split_subgroup_pairs
     from .permgroups import group_from_generators
     from .polynomials import parse_polynomial
     from .diaggroups import DiagonalGroup
@@ -413,6 +413,14 @@ def cmd_selftest(args):
                 if mark(a, b) != naive_mark(a, b):
                     raise AssertionError("mark mismatch on %r / %r" % (a, b))
     step("marks against the naive oracle", marks_battery)
+
+    def lattice_battery():
+        lattice = group_from_generators(4, ["(12)", "(1234)"]).lattice
+        _expect(set(lattice.subgroups) == brute_subgroups(lattice.group),
+                "lattice differs from the brute-force oracle")
+        _expect((len(lattice.subgroups), len(lattice.conjugacy_classes)) == (30, 11),
+                "S4 should have 30 subgroups in 11 classes")
+    step("subgroup lattice of S4 matches the brute-force oracle", lattice_battery)
 
     print("selftest: %d failure(s)" % len(failures))
     return OK if not failures else MISMATCH

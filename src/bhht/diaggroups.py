@@ -114,17 +114,27 @@ def perm_act(perm, element):
     return tuple(out)
 
 
-def _extend(group, have, e):
-    """The subgroup generated by a subgroup and one more element, as a set.
+def _extend(group, have, gens):
+    """The subgroup generated by have = <gens[:-1]> and e = gens[-1], as a set.
 
-    It is the union of the cosets have + k.e for k below the index [<have, e> : have].
+    It is the union of the cosets have + k.e for k below the index
+    [<have, e> : have]; each coset is the previous one moved by e, one table
+    lookup per coordinate.  Coordinate i only takes multiples of
+    gcd(L, gens_i), so its table shift[i][x] = (x + e_i) % L has no more
+    entries than the subgroup has values there.
     """
+    L = group.exponent
+    shift = []
+    for column in zip(*gens):
+        d = gcd(L, *column)
+        shift.append({x: (x + column[-1]) % L for x in range(0, L, d)})
     grown = set(have)
-    step = e
-    while step not in have:
-        grown.update(group.add(h, step) for h in have)
-        step = group.add(step, e)
-    return grown
+    coset = list(have)
+    while True:
+        coset = [tuple(map(dict.__getitem__, shift, h)) for h in coset]
+        if coset[0] in have:
+            return grown
+        grown.update(coset)
 
 
 def _unit_row(n, i):
@@ -143,7 +153,7 @@ def span(group, generators):
             if e not in group:
                 raise MembershipError("generator %s not in the group" % (e,))
             gens.append(e)
-            have = _extend(group, have, e)
+            have = _extend(group, have, gens)
     return tuple(gens), frozenset(have)
 
 

@@ -6,6 +6,8 @@ plain enumeration over small groups, including the element list of the
 semidirect product G x| S, which the main paths never build.
 """
 
+from itertools import combinations_with_replacement
+
 from .burnside import mark
 from .diaggroups import perm_act, span
 from .errors import SizeBoundError
@@ -88,6 +90,29 @@ def brute_conjugacy_classes(lattice):
                                    lattice.class_key(cls)))
 
 
+def brute_subgroups(group):
+    """The closures of all 1- and 2-element subsets of the group, with a
+    product loop of its own.
+
+    That is every subgroup when each subgroup is 2-generated, as in S4, A5,
+    S5 and PGL(2,5).
+    """
+    identity = tuple(range(group.n))
+    found = {frozenset([identity])}
+    for pair in combinations_with_replacement(group.elements, 2):
+        elements = {identity}
+        todo = [identity]
+        while todo:
+            x = todo.pop()
+            for g in pair:
+                y = tuple([x[i] for i in g])  # x after g
+                if y not in elements:
+                    elements.add(y)
+                    todo.append(y)
+        found.add(frozenset(elements))
+    return found
+
+
 def brute_normalizer_order(group, subgroup):
     """|N(H)|, by a scan of the group."""
     return sum(1 for g in group.elements
@@ -135,6 +160,22 @@ def brute_annihilator(pairing, subgroup_elements):
     """Characters of the right group pairing to zero with every given element."""
     return frozenset(w for w in pairing.right.elements
                      if all(pairing.value(v, w) == 0 for v in subgroup_elements))
+
+
+def brute_span(group, generators):
+    """The subgroup the generators generate, by a breadth-first walk under add."""
+    found = {group.zero}
+    frontier = [group.zero]
+    while frontier:
+        step = []
+        for x in frontier:
+            for g in generators:
+                y = group.add(x, g)
+                if y not in found:
+                    found.add(y)
+                    step.append(y)
+        frontier = step
+    return frozenset(found)
 
 
 def all_subgroups_abelian(group):

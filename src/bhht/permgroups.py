@@ -18,7 +18,7 @@ def identity_perm(n):
 
 def compose(p, q):
     """p after q."""
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple([p[i] for i in q])
 
 
 def inverse(p):
@@ -92,15 +92,20 @@ def cycle_notation(p):
     return "".join("(" + sep.join(str(x + 1) for x in c) + ")" for c in cycles)
 
 
-def closure(generators, n, bound=None):
-    els = {identity_perm(n)}
+def closure(generators, identity, product=compose, bound=None):
+    """The group the generators generate, as a frozenset.
+
+    Elements are whatever product(a, b) multiplies: permutation tuples under
+    compose, or indices into a Cayley table.
+    """
+    els = {identity}
     frontier = [g for g in generators if g not in els]
     els.update(frontier)
     while frontier:
         nxt = []
         for g in generators:
             for h in frontier:
-                prod = compose(g, h)
+                prod = product(g, h)
                 if prod not in els:
                     els.add(prod)
                     nxt.append(prod)
@@ -121,7 +126,7 @@ class PermGroup:
             if sorted(g) != list(range(n)):
                 raise ValueError("not a permutation of 0..%d: %s" % (n - 1, g))
         if _elements is None:
-            _elements = closure(self.generators, n, bound)
+            _elements = closure(self.generators, identity_perm(n), bound=bound)
         elif bound is not None and len(_elements) > bound:
             raise SizeBoundError("group order exceeds bound %d" % bound)
         self.element_set = frozenset(_elements)
@@ -189,13 +194,13 @@ def generating_set(elements):
     """Small deterministic generating set of a subgroup given as a set."""
     if not elements:
         return ()
-    n = len(next(iter(elements)))
+    identity = identity_perm(len(next(iter(elements))))
     gens = []
-    have = {identity_perm(n)}
+    have = {identity}
     for p in sorted(elements):
         if p not in have:
             gens.append(p)
-            have = closure(gens, n, bound=None)
+            have = closure(gens, identity)
             if len(have) == len(elements):
                 break
     return tuple(gens)
@@ -228,43 +233,59 @@ def subset_image(p, subset):
 class SubgroupLattice:
     """All subgroups of a small group, with their conjugacy classes.
 
-    Enumeration extends already-found subgroups by single elements, starting
-    from the cyclic subgroups, until closure; this finds every subgroup since
-    any subgroup is reached by adjoining its generators one at a time.  The
+    The group's sorted elements are indexed once, and all work runs on
+    indices through the Cayley table mul[a][b], the index of
+    compose(elements[a], elements[b]); the sorted order makes the identity
+    index 0 and keeps index order equal to element order.  Enumeration
+    extends already-found subgroups by single elements, starting from the
+    cyclic subgroups, until closure; this finds every subgroup since any
+    subgroup is reached by adjoining its generators one at a time.  The
     order of the normalizer of a subgroup is |group| / |its class|.
     """
 
     def __init__(self, group):
         self.group = group
-        self.subgroups = self._enumerate()
-        self._index = {s: i for i, s in enumerate(self.subgroups)}
+        els = group.elements
+        index = {p: i for i, p in enumerate(els)}
+        self._mul = [[index[compose(p, q)] for q in els] for p in els]
+        self._generators = [index[g] for g in group.generators]
+        self._sets = self._enumerate()
+        self._index = {s: i for i, s in enumerate(self._sets)}
+        self.subgroups = [frozenset([els[i] for i in s]) for s in self._sets]
         self._classes = None
 
     def _enumerate(self):
-        G = self.group
-        n = G.n
+        """Every subgroup as a frozenset of indices, by (order, sorted indices)."""
+        mul = self._mul
+        order = len(mul)
+
+        def product(a, b):
+            return mul[a][b]
+
         # each subgroup found, with the generators it was reached with
-        gens = {frozenset({identity_perm(n)}): ()}
+        gens = {frozenset({0}): ()}
         queue = []
-        for g in G.elements:
-            cyc = closure([g], n, bound=None)
+        for g in range(order):
+            cyc = closure((g,), 0, product)
             if cyc not in gens:
                 gens[cyc] = (g,)
                 queue.append(cyc)
         while queue:
             H = queue.pop()
-            if len(H) == G.order:
+            if len(H) == order:
                 continue
+            rows = [mul[h] for h in H]
             covered = set(H)
-            for g in G.elements:
+            for g in range(order):
                 if g in covered:
                     continue
-                K = closure(gens[H] + (g,), n, bound=None)
+                K = closure(gens[H] + (g,), 0, product)
                 if K not in gens:
                     gens[K] = gens[H] + (g,)
                     queue.append(K)
                 # skip the rest of the double coset H g H
-                covered.update(compose(h1, compose(g, h2)) for h1 in H for h2 in H)
+                gH = [mul[g][h] for h in H]
+                covered.update(row[x] for row in rows for x in gH)
         return sorted(gens, key=lambda s: (len(s), sorted(s)))
 
     def __len__(self):
@@ -274,14 +295,18 @@ class SubgroupLattice:
     def conjugacy_classes(self):
         """List of classes; each class is a sorted list of subgroup indices."""
         if self._classes is None:
-            def act(g, i):
-                return self._index[frozenset(conjugate(g, h)
-                                             for h in self.subgroups[i])]
+            mul = self._mul
+            inv = [row.index(0) for row in mul]
 
-            unassigned = set(range(len(self.subgroups)))
+            def act(g, i):
+                row, g_inv = mul[g], inv[g]
+                return self._index[frozenset([mul[row[h]][g_inv]
+                                              for h in self._sets[i]])]
+
+            unassigned = set(range(len(self._sets)))
             classes = []
             while unassigned:
-                cls = orbit(min(unassigned), self.group.generators, act)
+                cls = orbit(min(unassigned), self._generators, act)
                 classes.append(sorted(cls))
                 unassigned -= cls
             classes.sort(key=lambda cls: (len(self.subgroups[cls[0]]),

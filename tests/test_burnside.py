@@ -86,7 +86,7 @@ def test_ht_class_of_generators_is_the_class_of_their_closure(small):
     h = {(1, 0, 0), (0, 1, 0)}
     closed = HTClass(small, span(small.diag, h)[1], {e})
     assert HTClass(small, h, {e}) == closed and closed.h_order == 4
-    rotations = HTClass(small, (), closure([c], 3))
+    rotations = HTClass(small, (), closure([c], e))
     assert HTClass(small, (), {c}) == rotations and rotations.t_order == 3
 
 

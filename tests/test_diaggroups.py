@@ -12,7 +12,12 @@ from bhht.diaggroups import (
     span,
 )
 from bhht.errors import MembershipError, SizeBoundError
-from bhht.oracles import all_subgroups_abelian, brute_annihilator, brute_isotropy
+from bhht.oracles import (
+    all_subgroups_abelian,
+    brute_annihilator,
+    brute_isotropy,
+    brute_span,
+)
 from bhht.permgroups import PermGroup, group_from_generators, parse_cycles
 from bhht.polynomials import check_invariance, parse_polynomial, weights
 
@@ -332,6 +337,27 @@ def test_generating_subset_round_trip(gq):
         small = span(gq, h)[0]
         assert span(gq, small)[1] == h
         assert len(small) <= 5
+
+
+def test_span_matches_breadth_first_closure():
+    rng = seeded(39)
+    partial = 0  # generators whose order exceeds the index they add
+    tested = 0
+    while tested < 40:
+        group = DiagonalGroup(random_invertible(rng, max_vars=4).anchored())
+        if group.order > 2000:
+            continue
+        tested += 1
+        gens = [rng.choice(group.elements) for _ in range(rng.randint(1, 4))]
+        h = span(group, gens)[1]
+        assert h == brute_span(group, gens), gens
+        assert span(group, span(group, h)[0])[1] == h
+        prefix = []
+        for e in sorted(gens):
+            index = len(brute_span(group, prefix + [e])) // len(brute_span(group, prefix))
+            partial += 1 < index < len(brute_span(group, [e]))
+            prefix.append(e)
+    assert partial > 0
 
 
 def test_format_element(gq):

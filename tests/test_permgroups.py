@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 from conftest import is_even, seeded
 
+from bhht import permgroups
 from bhht.errors import ParseError, SizeBoundError
 from bhht.permgroups import (
     DEFAULT_ORDER_BOUND,
@@ -25,27 +26,15 @@ from bhht.permgroups import (
 from bhht.oracles import (
     brute_conjugacy_classes,
     brute_normalizer_order,
+    brute_subgroups,
     brute_subset_representative,
 )
 
 S5 = ["(12345)", "(12)"]
+PGL25 = ["(1 2 6 5 3 4)", "(1 2)(3 4)"]  # PGL(2,5) acting on the 6 points of P^1(F_5)
 # (degree, generators) of the groups whose classes are checked against scans
 CLASS_GROUPS = [(3, ["A3"]), (4, ["A4"]), (4, ["(12)", "(1234)"]), (5, ["A5"]),
                 (5, S5), (5, ["D10"]), (4, ["Z2x2"])]
-
-
-def brute_force_subgroups(group, max_gens=3):
-    """Oracle: closures of all generating subsets of bounded size.
-
-    Valid for the groups used here: every subgroup of order <= 24 (and of
-    D10, A4, S4) is generated by at most three elements.
-    """
-    els = list(group.elements)
-    found = {frozenset({identity_perm(group.n)})}
-    for k in range(1, max_gens + 1):
-        for combo in combinations(els, k):
-            found.add(closure(combo, group.n, bound=None))
-    return found
 
 
 # -- parsing -------------------------------------------------------------------
@@ -144,9 +133,37 @@ def test_lattice_matches_brute_force():
                     [["(12)", "(123)"], 3],
                     [["D10"], 5],
                     [["A4"], 4],
-                    [["(12)", "(1234)"], 4]):
+                    [["(12)", "(1234)"], 4],
+                    [["A5"], 5],
+                    [S5, 5],
+                    [PGL25, 6]):
         g = group_from_generators(n, gens)
-        assert set(g.lattice.subgroups) == brute_force_subgroups(g)
+        assert set(g.lattice.subgroups) == brute_subgroups(g), gens
+
+
+def test_lattice_of_a6_counts():
+    # A6 has 501 subgroups in 22 conjugacy classes (S6, with 1,455 in 56,
+    # takes several times longer)
+    lattice = group_from_generators(6, ["(123)", "(23456)"]).lattice
+    assert lattice.group.order == 360
+    assert len(lattice.subgroups) == 501
+    assert len(lattice.conjugacy_classes) == 22
+
+
+def test_lattice_products_come_from_the_cayley_table(monkeypatch):
+    # the table takes |S|^2 products of permutation tuples, and the
+    # enumeration no more
+    calls = []
+    plain = permgroups.compose
+
+    def counted(p, q):
+        calls.append(1)
+        return plain(p, q)
+
+    s5 = group_from_generators(5, S5)
+    monkeypatch.setattr(permgroups, "compose", counted)
+    assert len(s5.lattice.subgroups) == 156
+    assert len(calls) <= s5.order ** 2
 
 
 def test_normalizer_and_conjugacy():
@@ -278,7 +295,7 @@ def test_cyclic_criterion_s6():
     # a cyclic group satisfies the parity condition iff its generator is even
     n = 6
     s6 = [p for p in closure([parse_cycles("(12)", n), parse_cycles("(123456)", n)],
-                             n, bound=None)]
+                             identity_perm(n))]
     assert len(s6) == 720
     for p in s6:
         cyc = PermGroup(n, [p])
