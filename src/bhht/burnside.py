@@ -57,7 +57,8 @@ class HTClass:
     ambient group iff they are conjugate by some element of S.
     """
 
-    __slots__ = ("ambient", "h_elements", "t_elements", "tag", "h_gens", "t_gens")
+    __slots__ = ("ambient", "h_elements", "t_elements", "tag", "_hash", "h_gens",
+                 "t_gens")
 
     def __init__(self, ambient, h_generators, t_generators):
         diag, perms = ambient.diag, ambient.perms
@@ -90,6 +91,7 @@ class HTClass:
         self.h_elements = frozenset(best_h)
         self.t_elements = frozenset(best_t)
         self.tag = (best_t, best_h)
+        self._hash = hash(self.tag)  # tuples do not cache their hash
         # generators of the representative, for marks
         self.h_gens = tuple(perm_act(best_s, h) for h in h_gens)
         self.t_gens = tuple(conjugate(best_s, t) for t in t_gens)
@@ -111,7 +113,7 @@ class HTClass:
                 and self.ambient.compatible(other.ambient))
 
     def __hash__(self):
-        return hash(self.tag)
+        return self._hash
 
     def __repr__(self):
         return "[G:%d x| S/H:%d x| T:%d]" % (self.ambient.diag.order,

@@ -7,8 +7,10 @@ of marks against the fixed-point Euler characteristics, which are plain
 determinant counts.  Everything is exact integer arithmetic.
 """
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .burnside import (
     BurnsideElement,
@@ -107,7 +109,7 @@ class EulerAnalysis:
     skipped: list
     element: BurnsideElement
 
-    @property
+    @cached_property
     def reduced(self):
         return self.element.reduce()
 
@@ -176,9 +178,25 @@ def _stratum_contribution(matrix, group, perms, subset, stabilizer, orbit_size):
     )
 
 
+# the analyses of the latest verdict, oldest first
+_RECENT = deque(maxlen=2)
+
+
 def euler_analysis(matrix, perms):
-    """Everything about chi^{G x| S}(V_f): per-stratum pieces and the total."""
+    """Everything about chi^{G x| S}(V_f): per-stratum pieces and the total.
+
+    The two analyses of the latest verdict, of f and of f^T, are kept.  An
+    entry is keyed on the S object itself, compared with ``is`` as
+    ``PermGroup.lattice`` is scoped, so an equal but distinct S is analysed
+    afresh; and on the anchored exponent matrix, compared with ``==``.  A
+    hit returns the kept analysis itself.  A miss analyses and checks from
+    scratch, then pushes out the older of the two.  An analysis that raises
+    is not kept.
+    """
     matrix = matrix.anchored()
+    for analysis in _RECENT:
+        if analysis.perms is perms and analysis.matrix == matrix:
+            return analysis
     check_invariance(matrix, perms)
     group = DiagonalGroup(matrix)
     ambient = SemidirectAmbient(group, perms)
@@ -195,9 +213,11 @@ def euler_analysis(matrix, perms):
         contribution = _stratum_contribution(matrix, group, perms, rep, stab, size)
         total = total + contribution.induced
         strata.append(contribution)
-    return EulerAnalysis(matrix=matrix, perms=perms, group=group,
-                         ambient=ambient, strata=strata, skipped=skipped,
-                         element=total)
+    analysis = EulerAnalysis(matrix=matrix, perms=perms, group=group,
+                             ambient=ambient, strata=strata, skipped=skipped,
+                             element=total)
+    _RECENT.append(analysis)
+    return analysis
 
 
 @dataclass
@@ -280,10 +300,8 @@ def lemma_level_checks(matrix, perms):
     if not pc.satisfies:
         raise ValueError("lemma-level checks require the parity condition")
     pairing = CharacterPairing(matrix)
-    dual_matrix = transpose(matrix)
     lhs = euler_analysis(matrix, perms)
-    # f^T = f: the dual side is the same analysis
-    rhs = lhs if dual_matrix == matrix else euler_analysis(dual_matrix, perms)
+    rhs = euler_analysis(transpose(matrix), perms)
     n = matrix.n
     checks = []
 

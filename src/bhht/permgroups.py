@@ -375,7 +375,8 @@ def orbits_on_subsets(group):
 
     Returns a list of (representative, stabilizer, orbit size) sorted by
     (representative size, representative); the representative is the
-    lexicographically least sorted tuple in its orbit.
+    lexicographically least sorted tuple in its orbit.  A subset the group
+    fixes has the group itself as its stabilizer.
     """
     n = group.n
     seen = set()
@@ -387,8 +388,11 @@ def orbits_on_subsets(group):
         found = orbit(base, group.generators, subset_image)
         seen |= found
         rep = min(found, key=lambda s: tuple(sorted(s)))
-        stab = group.subgroup([p for p in group.elements
-                               if subset_image(p, rep) == rep])
+        if len(found) == 1:
+            stab = group  # the same object, so its cached lattice is shared
+        else:
+            stab = group.subgroup([p for p in group.elements
+                                   if subset_image(p, rep) == rep])
         assert group.order == len(found) * stab.order
         out.append((tuple(sorted(rep)), stab, len(found)))
     out.sort(key=lambda t: (len(t[0]), t[0]))

@@ -386,3 +386,93 @@ def test_stratum_profile_equal_for_complements_under_pc():
                 == _stratum_profile(complement, stab, reps)[0])
         assert ((len(rep) - orbit_count(stab, rep)) % 2
                 == (len(complement) - orbit_count(stab, complement)) % 2)
+
+
+# -- one analysis per verdict ---------------------------------------------------------
+
+
+def count_stratum_contributions(monkeypatch):
+    import bhht.euler as euler_mod
+
+    calls = []
+    original = euler_mod._stratum_contribution
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(euler_mod, "_stratum_contribution", counted)
+    return calls
+
+
+def test_self_dual_verdict_analyses_once():
+    fx = load_catalogue()["pc_a3"]
+    report = verify_duality(fx.matrix, fx.perm_group())
+    assert report.rhs_analysis is report.lhs_analysis
+    assert report.lhs_analysis.reduced is report.lhs_analysis.reduced
+
+
+@pytest.mark.parametrize("name", ["pc_a3", "x15_z5"])
+def test_lemma_checks_reuse_the_verdicts_analyses(monkeypatch, name):
+    fx = load_catalogue()[name]
+    s = fx.perm_group()
+    report = verify_duality(fx.matrix, s)
+    assert (report.rhs_analysis is report.lhs_analysis) == (name == "pc_a3")
+    calls = count_stratum_contributions(monkeypatch)
+    assert lemma_level_checks(fx.matrix, s).all_passed
+    assert calls == []
+
+
+def test_equal_but_fresh_group_is_analysed_again(monkeypatch):
+    fx = load_catalogue()["pc_a3"]
+    first = euler_analysis(fx.matrix, fx.perm_group())
+    calls = count_stratum_contributions(monkeypatch)
+    again = euler_analysis(fx.matrix, fx.perm_group())
+    assert calls and again is not first
+    assert again.element == first.element
+
+
+def test_third_verdict_pushes_out_the_first(monkeypatch):
+    cases = [(parse_polynomial(text), group_from_generators(3, gens))
+             for text, gens in (("x1^2+x2^2+x3^2", ["(12)"]),
+                                ("x1^3+x2^3+x3^3", ["(123)"]),
+                                ("x1^2*x2+x2^3+x3^2", []))]
+    first, _second, third = [euler_analysis(m, s) for m, s in cases]
+    calls = count_stratum_contributions(monkeypatch)
+    assert euler_analysis(*cases[2]) is third and calls == []
+    assert euler_analysis(*cases[0]) is not first and calls
+
+
+def test_failed_analysis_is_not_remembered(monkeypatch):
+    import bhht.euler as euler_mod
+
+    f = parse_polynomial("x1^2+x2^2")
+    swap = group_from_generators(2, ["(12)"])
+    original = euler_mod.stratum_chi_fixed
+    monkeypatch.setattr(euler_mod, "stratum_chi_fixed",
+                        lambda m, subset, perms: original(m, subset, perms) + 1)
+    with pytest.raises(StructuralAssumptionViolated):
+        euler_analysis(f, swap)
+    monkeypatch.undo()
+    calls = count_stratum_contributions(monkeypatch)
+    analysis = euler_analysis(f, swap)
+    fresh = group_from_generators(2, ["(12)"])
+    assert calls and analysis.element == euler_analysis(f, fresh).element
+
+
+def test_one_lattice_of_s_per_verify_with_lemmas(monkeypatch):
+    import bhht.permgroups as permgroups_mod
+
+    fx = load_catalogue()["table1_r2"]
+    s = fx.perm_group()
+    built = []
+    original = permgroups_mod.SubgroupLattice.__init__
+
+    def counted(lattice, group):
+        built.append(group)
+        original(lattice, group)
+
+    monkeypatch.setattr(permgroups_mod.SubgroupLattice, "__init__", counted)
+    assert verify_duality(fx.matrix, s).equal
+    assert lemma_level_checks(fx.matrix, s).all_passed
+    assert s.order > 1 and built.count(s) == 1
