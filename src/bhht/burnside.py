@@ -17,12 +17,13 @@ from .errors import (
 )
 from .intmat import kernel_mod
 from .permgroups import (
-    closure,
+    compose,
     conjugate,
     cycle_notation,
     generating_set,
     identity_perm,
     inverse,
+    orbit,
 )
 
 
@@ -54,7 +55,9 @@ class HTClass:
     G and of S generates a subgroup, so an element set is a valid input too.
     The representative minimises (sorted T, sorted H) lexicographically over
     conjugation by the elements of S; two split subgroups are conjugate in the
-    ambient group iff they are conjugate by some element of S.
+    ambient group iff they are conjugate by some element of S.  So its T is
+    the key of T's class in the lattice of S, and its H is least over the s
+    that carry T onto that key.
     """
 
     __slots__ = ("ambient", "h_elements", "t_elements", "tag", "_hash", "h_gens",
@@ -66,19 +69,17 @@ class HTClass:
         t_gens = tuple(t_generators)
         if not all(t in perms.element_set for t in t_gens):
             raise MembershipError("T is not a subgroup of S")
-        t_elements = closure(t_gens, identity_perm(ambient.n))
         # T-invariance of the subgroup H follows from its generators and T's
         if not all(perm_act(t, h) in h_elements for t in t_gens for h in h_gens):
             raise MembershipError(
                 "H is not invariant under T; the split subgroup is ill-formed")
-        # least (sorted T, sorted H): sort H only for the s minimising the T-part
-        by_t = {}
-        for s in perms.elements:
-            tc = tuple(sorted(conjugate(s, t) for t in t_elements))
-            by_t.setdefault(tc, []).append(s)
-        best_t = min(by_t)
+        best_t = perms.lattice.key_of[
+            orbit(identity_perm(ambient.n), t_gens, compose)]
+        t_elements = frozenset(best_t)
         best_h = best_s = sorted_h = None
-        for s in by_t[best_t]:
+        for s in perms.elements:
+            if not all(conjugate(s, t) in t_elements for t in t_gens):
+                continue
             if all(perm_act(s, h) in h_elements for h in h_gens):
                 if sorted_h is None:
                     sorted_h = tuple(sorted(h_elements))
@@ -89,7 +90,7 @@ class HTClass:
                 best_h, best_s = hc, s
         self.ambient = ambient
         self.h_elements = frozenset(best_h)
-        self.t_elements = frozenset(best_t)
+        self.t_elements = t_elements
         self.tag = (best_t, best_h)
         self._hash = hash(self.tag)  # tuples do not cache their hash
         # generators of the representative, for marks

@@ -258,6 +258,19 @@ def _over_bound(args, fx, S):
     return abs(fx.matrix.determinant()) * S.order > args.max_group_order
 
 
+def _oracle_sweep(fx, *analyses):
+    """Run the fixed-point consistency sweep if the ambient is small; say so."""
+    order = analyses[0].ambient.order
+    if order > CONSISTENCY_ORDER_BOUND:
+        done = "sweep skipped above %d" % CONSISTENCY_ORDER_BOUND
+    else:
+        distinct = {id(a): a for a in analyses}.values()  # f^T = f: one analysis
+        done = "%d fixed-point classes consistent" % sum(
+            check_fixed_point_consistency(a) for a in distinct)
+    print("# oracle: %s: %s, |G x| S| = %d" % (fx.name, done, order),
+          file=sys.stderr)
+
+
 def cmd_euler(args):
     status = OK
     for name in args.files:
@@ -267,10 +280,8 @@ def cmd_euler(args):
             print("%s: skipped (group order over %d)" % (fx.name, args.max_group_order))
             continue
         analysis = euler_analysis(fx.matrix, S)
-        if args.oracle and analysis.ambient.order <= CONSISTENCY_ORDER_BOUND:
-            checked = check_fixed_point_consistency(analysis)
-            print("# oracle: %d fixed-point classes consistent" % checked,
-                  file=sys.stderr)
+        if args.oracle:
+            _oracle_sweep(fx, analysis)
         out = _euler_jsonl(analysis)
         golden_name = fx.expect.get("golden_euler")
         if golden_name and not args.write_golden:
@@ -297,11 +308,8 @@ def cmd_verify(args):
             print("%s: skipped (group order over %d)" % (fx.name, args.max_group_order))
             continue
         report = verify_duality(fx.matrix, S)
-        if (args.oracle
-                and report.lhs_analysis.ambient.order <= CONSISTENCY_ORDER_BOUND):
-            check_fixed_point_consistency(report.lhs_analysis)
-            if report.rhs_analysis is not report.lhs_analysis:
-                check_fixed_point_consistency(report.rhs_analysis)
+        if args.oracle:
+            _oracle_sweep(fx, report.lhs_analysis, report.rhs_analysis)
         expected = fx.expect.get("duality_equal")
         ok = expected is None or expected == report.equal
         pc_expected = fx.expect.get("pc")

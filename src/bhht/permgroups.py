@@ -92,46 +92,23 @@ def cycle_notation(p):
     return "".join("(" + sep.join(str(x + 1) for x in c) + ")" for c in cycles)
 
 
-def closure(generators, identity, product=compose, bound=None):
-    """The group the generators generate, as a frozenset.
-
-    Elements are whatever product(a, b) multiplies: permutation tuples under
-    compose, or indices into a Cayley table.
-    """
-    els = {identity}
-    frontier = [g for g in generators if g not in els]
-    els.update(frontier)
-    while frontier:
-        nxt = []
-        for g in generators:
-            for h in frontier:
-                prod = product(g, h)
-                if prod not in els:
-                    els.add(prod)
-                    nxt.append(prod)
-                    if bound is not None and len(els) > bound:
-                        raise SizeBoundError(
-                            "group order exceeds bound %d" % bound)
-        frontier = nxt
-    return frozenset(els)
-
-
 class PermGroup:
     """A permutation group with its full element list."""
 
-    def __init__(self, n, generators=(), bound=DEFAULT_ORDER_BOUND, _elements=None):
+    def __init__(self, n, generators=(), _elements=None):
         self.n = n
         self.generators = tuple(tuple(g) for g in generators)
         for g in self.generators:
             if sorted(g) != list(range(n)):
                 raise ValueError("not a permutation of 0..%d: %s" % (n - 1, g))
         if _elements is None:
-            _elements = closure(self.generators, identity_perm(n), bound=bound)
-        elif bound is not None and len(_elements) > bound:
-            raise SizeBoundError("group order exceeds bound %d" % bound)
+            _elements = orbit(identity_perm(n), self.generators, compose,
+                              DEFAULT_ORDER_BOUND)
         self.element_set = frozenset(_elements)
         self.elements = tuple(sorted(self.element_set))
         self.order = len(self.elements)
+        # element set -> subgroup object, shared by a group and its subgroups
+        self._subgroups = {self.element_set: self}
 
     def __contains__(self, p):
         return tuple(p) in self.element_set
@@ -157,9 +134,15 @@ class PermGroup:
         return self.n == other.n and self.element_set <= other.element_set
 
     def subgroup(self, elements):
+        """The subgroup with these elements: one object per element set, so
+        equal subgroups share one lattice, and a group is its own subgroup."""
         els = frozenset(tuple(p) for p in elements)
-        gens = generating_set(els)
-        return PermGroup(self.n, gens, bound=None, _elements=els)
+        sub = self._subgroups.get(els)
+        if sub is None:
+            sub = PermGroup(self.n, generating_set(els), _elements=els)
+            sub._subgroups = self._subgroups
+            self._subgroups[els] = sub
+        return sub
 
     @cached_property
     def lattice(self):
@@ -200,29 +183,36 @@ def generating_set(elements):
     for p in sorted(elements):
         if p not in have:
             gens.append(p)
-            have = closure(gens, identity)
+            have = orbit(identity, gens, compose)
             if len(have) == len(elements):
                 break
     return tuple(gens)
 
 
-def orbit(seed, generators, act):
-    """The orbit of seed under the group the generators generate, as a set.
+def orbit(seed, generators, act, bound=None):
+    """The orbit of seed under the group the generators generate, as a frozenset.
 
     act(g, x) is the image of x under g.  The orbit is found by walking the
-    generators; in a finite group every inverse is a power, so no inverses
-    are needed.
+    generators frontier by frontier; in a finite group every inverse is a
+    power, so no inverses are needed.  A group is the orbit of its identity
+    under left multiplication, e.g. orbit(identity, generators, compose).
+    More than ``bound`` points raise SizeBoundError.
     """
     found = {seed}
     frontier = [seed]
     while frontier:
-        x = frontier.pop()
+        nxt = []
         for g in generators:
-            y = act(g, x)
-            if y not in found:
-                found.add(y)
-                frontier.append(y)
-    return found
+            for x in frontier:
+                y = act(g, x)
+                if y not in found:
+                    found.add(y)
+                    nxt.append(y)
+                    if bound is not None and len(found) > bound:
+                        raise SizeBoundError(
+                            "group order exceeds bound %d" % bound)
+        frontier = nxt
+    return frozenset(found)
 
 
 def subset_image(p, subset):
@@ -266,7 +256,7 @@ class SubgroupLattice:
         gens = {frozenset({0}): ()}
         queue = []
         for g in range(order):
-            cyc = closure((g,), 0, product)
+            cyc = orbit(0, (g,), product)
             if cyc not in gens:
                 gens[cyc] = (g,)
                 queue.append(cyc)
@@ -279,7 +269,7 @@ class SubgroupLattice:
             for g in range(order):
                 if g in covered:
                     continue
-                K = closure(gens[H] + (g,), 0, product)
+                K = orbit(0, gens[H] + (g,), product)
                 if K not in gens:
                     gens[K] = gens[H] + (g,)
                     queue.append(K)
@@ -288,12 +278,10 @@ class SubgroupLattice:
                 covered.update(row[x] for row in rows for x in gH)
         return sorted(gens, key=lambda s: (len(s), sorted(s)))
 
-    def __len__(self):
-        return len(self.subgroups)
-
     @property
     def conjugacy_classes(self):
-        """List of classes; each class is a sorted list of subgroup indices."""
+        """List of classes, each a sorted list of subgroup indices, in the order
+        of their least indices: by (order, class key), as subgroups are indexed."""
         if self._classes is None:
             mul = self._mul
             inv = [row.index(0) for row in mul]
@@ -309,13 +297,18 @@ class SubgroupLattice:
                 cls = orbit(min(unassigned), self._generators, act)
                 classes.append(sorted(cls))
                 unassigned -= cls
-            classes.sort(key=lambda cls: (len(self.subgroups[cls[0]]),
-                                          self.class_key(cls)))
             self._classes = classes
         return self._classes
 
     def class_key(self, cls):
-        return min(tuple(sorted(self.subgroups[i])) for i in cls)
+        """The class's least member as a sorted tuple: its first, as indexed."""
+        return tuple(sorted(self.subgroups[cls[0]]))
+
+    @cached_property
+    def key_of(self):
+        """Each subgroup, as an element set, to the key of its class."""
+        return {self.subgroups[i]: self.class_key(cls)
+                for cls in self.conjugacy_classes for i in cls}
 
 
 # -- parity condition -------------------------------------------------------------
@@ -375,8 +368,8 @@ def orbits_on_subsets(group):
 
     Returns a list of (representative, stabilizer, orbit size) sorted by
     (representative size, representative); the representative is the
-    lexicographically least sorted tuple in its orbit.  A subset the group
-    fixes has the group itself as its stabilizer.
+    lexicographically least sorted tuple in its orbit.  Equal stabilizers are
+    one object, the group itself for a subset the group fixes.
     """
     n = group.n
     seen = set()
@@ -388,11 +381,8 @@ def orbits_on_subsets(group):
         found = orbit(base, group.generators, subset_image)
         seen |= found
         rep = min(found, key=lambda s: tuple(sorted(s)))
-        if len(found) == 1:
-            stab = group  # the same object, so its cached lattice is shared
-        else:
-            stab = group.subgroup([p for p in group.elements
-                                   if subset_image(p, rep) == rep])
+        stab = group.subgroup([p for p in group.elements
+                               if subset_image(p, rep) == rep])
         assert group.order == len(found) * stab.order
         out.append((tuple(sorted(rep)), stab, len(found)))
     out.sort(key=lambda t: (len(t[0]), t[0]))

@@ -21,8 +21,9 @@ from bhht.fixtures import load_catalogue
 from bhht.oracles import naive_mark, split_subgroup_pairs
 from bhht.permgroups import (
     PermGroup,
-    closure,
+    compose,
     group_from_generators,
+    orbit,
     parse_cycles,
     pc_check,
 )
@@ -106,8 +107,8 @@ def test_criterion_4_parity_condition_table():
         if pc_check(subgroup).satisfies:
             pc_count += 1
             assert all(is_even(p) for p in subgroup)
-    s6 = closure([parse_cycles("(12)", 6), parse_cycles("(123456)", 6)],
-                 parse_cycles("e", 6))
+    s6 = orbit(parse_cycles("e", 6),
+               [parse_cycles("(12)", 6), parse_cycles("(123456)", 6)], compose)
     for p in sorted(s6):
         assert pc_check(PermGroup(6, [p])).satisfies == is_even(p)
     report(4, "five example verdicts, parity implies even over all 156 "

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from conftest import X14, X15, seeded
 
@@ -15,6 +17,7 @@ from bhht.oracles import check_fixed_point_consistency
 from bhht.permgroups import (
     PermGroup,
     group_from_generators,
+    identity_perm,
     orbit_count,
     orbits_on_subsets,
     pc_check,
@@ -340,6 +343,72 @@ def test_lemma_checks_require_pc(quintic):
         lemma_level_checks(quintic, s)
 
 
+def _stratum(analysis, subset):
+    return next(i for i, s in enumerate(analysis.strata) if s.subset == subset)
+
+
+def _deepest(stratum):
+    return max(stratum.class_keys, key=len)
+
+
+def _negate_open_torus(analysis):
+    i = _stratum(analysis, (0, 1, 2))
+    top = analysis.strata[i]
+    analysis.strata[i] = replace(top, element=top.element.scale(-1))
+
+
+def _open_torus_proper_class(analysis):
+    top = analysis.strata[_stratum(analysis, (0, 1, 2))]
+    top.coefficients[min(top.class_keys, key=len)] = 1
+
+
+def _double_induced(analysis):
+    i = _stratum(analysis, (0,))
+    analysis.strata[i] = replace(analysis.strata[i],
+                                 induced=analysis.strata[i].induced.scale(2))
+
+
+def _negate_deepest(analysis):
+    s = analysis.strata[_stratum(analysis, (0,))]
+    s.coefficients[_deepest(s)] *= -1
+
+
+def _shift_shallow_class(analysis):
+    # x14_z2a: strata (5) and (1234) have one coloured diagram
+    s = analysis.strata[_stratum(analysis, (4,))]
+    s.coefficients[min(s.class_keys, key=len)] += 1
+
+
+def _enlarge_deepest_rep(analysis):
+    # |T| divides |N(T)| for a true representative, so only a representative
+    # of the wrong order can trip the check: the deepest class of the open
+    # torus (coefficient 1, |N(T)| = 3, |fixed chi| = 3) claims one of order 6
+    s = analysis.strata[_stratum(analysis, (0, 1, 2))]
+    s.reps[_deepest(s)] = group_from_generators(3, ["(12)", "(123)"])
+
+
+@pytest.mark.parametrize("name, corrupt, failing", [
+    pytest.param("pc_a3", _negate_open_torus, 0, id="open-torus"),
+    pytest.param("pc_a3", _open_torus_proper_class, 1, id="proper-zero"),
+    pytest.param("pc_a3", _double_induced, 2, id="complementary"),
+    pytest.param("pc_a3", _negate_deepest, 3, id="deepest"),
+    pytest.param("x14_z2a", _shift_shallow_class, 4, id="diagrams"),
+    pytest.param("pc_a3", _enlarge_deepest_rep, 5, id="divisibility"),
+])
+def test_each_lemma_check_fails_on_a_corrupted_analysis(name, corrupt, failing):
+    # the lemma checks read the verdict's kept analysis; corrupting it in
+    # place must turn exactly the targeted check (and for a coefficient of
+    # the deepest class also the diagram check) to failed
+    fx = load_catalogue()[name]
+    s = fx.perm_group()
+    analysis = euler_analysis(fx.matrix, s)
+    assert lemma_level_checks(fx.matrix, s).all_passed
+    corrupt(analysis)
+    checks = lemma_level_checks(fx.matrix, s).checks
+    failed = {i for i, check in enumerate(checks) if not check.passed}
+    assert failing in failed and failed <= {failing, 4}, checks
+
+
 def test_deepest_coefficient_matches_orbit_parity(x14):
     s = group_from_generators(5, ["(12)(34)"])
     analysis = euler_analysis(x14, s)
@@ -476,3 +545,8 @@ def test_one_lattice_of_s_per_verify_with_lemmas(monkeypatch):
     assert verify_duality(fx.matrix, s).equal
     assert lemma_level_checks(fx.matrix, s).all_passed
     assert s.order > 1 and built.count(s) == 1
+    # equal stabilizers, of f, of f^T and in the lemma checks, are one object
+    assert len(built) == len(set(built)) == 2
+    assert s.subgroup(s.elements) is s
+    trivial = s.subgroup([identity_perm(s.n)])
+    assert s.subgroup(trivial.elements) is trivial.subgroup(trivial.elements) is trivial

@@ -223,18 +223,28 @@ def test_cmd_euler_all_goldens():
         assert out == (DATA_DIR / ("%s.golden.jsonl" % name)).read_text()
 
 
-def test_cmd_euler_oracle_flag():
+def test_cmd_euler_oracle_flag(capsys):
     code, _out = run_cli("euler", "--oracle", "pc_a3")
     assert code == 0
+    assert "# oracle: pc_a3: 16 fixed-point classes consistent, |G x| S| = 81\n" \
+        in capsys.readouterr().err
 
 
-def test_cmd_verify_oracle_skips_groups_above_the_cap():
-    # |G x| S| = 6,250 for x1_z2: the consistency sweep is skipped, not failed
+def test_cmd_verify_oracle_skips_groups_above_the_cap(capsys):
+    # |G x| S| = 6,250 for x1_z2: the consistency sweep is skipped, not failed,
+    # and says so on stderr; stdout is that of a run without --oracle
     from bhht.oracles import CONSISTENCY_ORDER_BOUND
 
     assert CONSISTENCY_ORDER_BOUND < 6250
-    code, _out = run_cli("verify", "--oracle", "x1_z2")
-    assert code == 0
+    code, plain = run_cli("verify", "x1_z2", "pc_a3")
+    capsys.readouterr()
+    code, out = run_cli("verify", "--oracle", "x1_z2", "pc_a3")
+    assert code == 0 and out == plain
+    assert capsys.readouterr().err.splitlines() == [
+        "# oracle: x1_z2: sweep skipped above %d, |G x| S| = 6250"
+        % CONSISTENCY_ORDER_BOUND,
+        "# oracle: pc_a3: 16 fixed-point classes consistent, |G x| S| = 81",
+    ]
 
 
 def test_cmd_verify_expected_outcomes():

@@ -8,7 +8,6 @@ from bhht.errors import ParseError, SizeBoundError
 from bhht.permgroups import (
     DEFAULT_ORDER_BOUND,
     PermGroup,
-    closure,
     compose,
     conjugate,
     cycle_notation,
@@ -186,7 +185,12 @@ def class_groups():
 
 def test_conjugacy_classes_match_scan(class_groups):
     for g in class_groups:
-        assert g.lattice.conjugacy_classes == brute_conjugacy_classes(g.lattice), g
+        lattice = g.lattice
+        assert lattice.conjugacy_classes == brute_conjugacy_classes(lattice), g
+        for cls in lattice.conjugacy_classes:
+            key = min(tuple(sorted(lattice.subgroups[i])) for i in cls)
+            assert lattice.class_key(cls) == key
+            assert all(lattice.key_of[lattice.subgroups[i]] == key for i in cls)
 
 
 def test_normalizer_orders_from_class_sizes_match_scan(class_groups):
@@ -294,8 +298,8 @@ def test_pc_witness_matches_class_based_choice():
 def test_cyclic_criterion_s6():
     # a cyclic group satisfies the parity condition iff its generator is even
     n = 6
-    s6 = [p for p in closure([parse_cycles("(12)", n), parse_cycles("(123456)", n)],
-                             identity_perm(n))]
+    s6 = orbit(identity_perm(n), [parse_cycles("(12)", n), parse_cycles("(123456)", n)],
+               compose)
     assert len(s6) == 720
     for p in s6:
         cyc = PermGroup(n, [p])
