@@ -3,13 +3,26 @@
 Ambient elements are pairs (v, s) of a diagonal-group element and a
 permutation, multiplied by (v, s)(w, t) = (v + s.w, st).  Generators of the
 free abelian group are classes of split subgroups H x| T, built from
-generators of H and T and closed once, in the class.  Marks
-come from Burnside's formula in closed form: conjugation by (v, s) moves
-(h, t) to (s^-1(h + t.v - v), s^-1 t s), so fixed cosets are counted from
-S and G alone and the semidirect product is never listed.
+generators of H and T and identified without listing either: T by the key
+of its class in the lattice of S, H by the Hermite normal form of the
+lattice it spans (``diaggroups.hermite_key``), which also decides
+membership.  Element lists are made for output alone.  Marks come from
+Burnside's formula in closed form: conjugation by (v, s) moves (h, t) to
+(s^-1(h + t.v - v), s^-1 t s), so fixed cosets are counted from S and G
+alone and the semidirect product is never listed.
 """
 
-from .diaggroups import check_listable, perm_act, span
+from functools import cached_property
+
+from .diaggroups import (
+    check_listable,
+    hermite_generators,
+    hermite_key,
+    hermite_order,
+    in_hermite,
+    perm_act,
+    span,
+)
 from .errors import (
     AmbientMismatchError,
     MembershipError,
@@ -39,6 +52,7 @@ class SemidirectAmbient:
         self.n = diag.n
         self.order = diag.order * perms.order
         self.identity = (diag.zero, identity_perm(self.n))
+        self._cocycles = {}  # Hermite key of H -> (its congruences, {perms: order})
 
     @property
     def signature(self):
@@ -47,59 +61,73 @@ class SemidirectAmbient:
     def compatible(self, other):
         return self.signature == other.signature
 
+    def cocycle_kernel_order(self, h_key, perms):
+        """#{w in G : u.w - w lies in H for every u in perms}, for the H of a
+        Hermite key.  The classes of one stratum share their H, so the
+        congruences of H and the orders are kept per H and perms, for as
+        long as the ambient group."""
+        known = self._cocycles.get(h_key)
+        if known is None:
+            L = self.diag.exponent
+            congruences = kernel_mod(hermite_generators(h_key, L), self.n, L)[0]
+            known = self._cocycles[h_key] = (congruences, {})
+        congruences, orders = known
+        order = orders.get(perms)
+        if order is None:
+            order = orders[perms] = _cocycle_kernel_order(self.diag, perms, congruences)
+        return order
+
 
 class HTClass:
-    """Conjugacy class of a split subgroup H x| T, stored by a canonical representative.
+    """Conjugacy class of a split subgroup H x| T, identified by canonical keys.
 
     The class is built from generating sets of H and T; any set of elements of
     G and of S generates a subgroup, so an element set is a valid input too.
-    The representative minimises (sorted T, sorted H) lexicographically over
-    conjugation by the elements of S; two split subgroups are conjugate in the
-    ambient group iff they are conjugate by some element of S.  So its T is
-    the key of T's class in the lattice of S, and its H is least over the s
-    that carry T onto that key.
+    Two split subgroups are conjugate in the ambient group iff they are
+    conjugate by some element of S.  So the class is identified by the key of
+    T's class in the lattice of S and the least Hermite key of s.H over the s
+    that carry T onto that key; the representative stored, with generators
+    for marks and a key for membership, is that s.H x| key.  Nothing is
+    listed: the element lists and the output order ``tag``, the least (sorted
+    T, sorted H) over conjugation, are computed on first use.
     """
-
-    __slots__ = ("ambient", "h_elements", "t_elements", "tag", "_hash", "h_gens",
-                 "t_gens")
 
     def __init__(self, ambient, h_generators, t_generators):
         diag, perms = ambient.diag, ambient.perms
-        h_gens, h_elements = span(diag, h_generators)
+        n, L = diag.n, diag.exponent
+        for h in h_generators:
+            if h not in diag:
+                raise MembershipError("generator %s not in the group" % (h,))
+        h_key = hermite_key(h_generators, n, L)
+        h_gens = hermite_generators(h_key, L)
         t_gens = tuple(t_generators)
         if not all(t in perms.element_set for t in t_gens):
             raise MembershipError("T is not a subgroup of S")
         # T-invariance of the subgroup H follows from its generators and T's
-        if not all(perm_act(t, h) in h_elements for t in t_gens for h in h_gens):
+        if not all(in_hermite(h_key, perm_act(t, h)) for t in t_gens for h in h_gens):
             raise MembershipError(
                 "H is not invariant under T; the split subgroup is ill-formed")
         best_t = perms.lattice.key_of[
             orbit(identity_perm(ambient.n), t_gens, compose)]
         t_elements = frozenset(best_t)
-        best_h = best_s = sorted_h = None
-        for s in perms.elements:
-            if not all(conjugate(s, t) in t_elements for t in t_gens):
-                continue
-            if all(perm_act(s, h) in h_elements for h in h_gens):
-                if sorted_h is None:
-                    sorted_h = tuple(sorted(h_elements))
-                hc = sorted_h
+        best_key = best_s = None
+        for s in _carriers(perms, t_gens, t_elements):
+            moved = [perm_act(s, h) for h in h_gens]
+            if all(in_hermite(h_key, h) for h in moved):
+                key = h_key
             else:
-                hc = tuple(sorted(perm_act(s, h) for h in h_elements))
-            if best_h is None or hc < best_h:
-                best_h, best_s = hc, s
+                key = hermite_key(moved, n, L)
+            if best_key is None or key < best_key:
+                best_key, best_s = key, s
         self.ambient = ambient
-        self.h_elements = frozenset(best_h)
         self.t_elements = t_elements
-        self.tag = (best_t, best_h)
-        self._hash = hash(self.tag)  # tuples do not cache their hash
+        self.h_key = best_key
+        self.key = (best_t, best_key)
+        self._hash = hash(self.key)  # tuples do not cache their hash
         # generators of the representative, for marks
-        self.h_gens = tuple(perm_act(best_s, h) for h in h_gens)
+        self.h_gens = hermite_generators(best_key, L)
         self.t_gens = tuple(conjugate(best_s, t) for t in t_gens)
-
-    @property
-    def h_order(self):
-        return len(self.h_elements)
+        self.h_order = hermite_order(best_key, L)
 
     @property
     def t_order(self):
@@ -110,7 +138,7 @@ class HTClass:
         return self.h_order * self.t_order
 
     def __eq__(self, other):
-        return (isinstance(other, HTClass) and self.tag == other.tag
+        return (isinstance(other, HTClass) and self.key == other.key
                 and self.ambient.compatible(other.ambient))
 
     def __hash__(self):
@@ -120,22 +148,47 @@ class HTClass:
         return "[G:%d x| S/H:%d x| T:%d]" % (self.ambient.diag.order,
                                              self.h_order, self.t_order)
 
+    @cached_property
+    def h_elements(self):
+        return span(self.ambient.diag, self.h_gens)[1]
+
+    @cached_property
+    def tag(self):
+        """The least (sorted T, sorted H) over conjugation: the output order."""
+        sorted_h = tuple(sorted(self.h_elements))
+        best_h = None
+        for s in _carriers(self.ambient.perms, self.t_gens, self.t_elements):
+            if all(in_hermite(self.h_key, perm_act(s, h)) for h in self.h_gens):
+                hc = sorted_h
+            else:
+                hc = tuple(sorted(perm_act(s, h) for h in self.h_elements))
+            if best_h is None or hc < best_h:
+                best_h = hc
+        return tuple(sorted(self.t_elements)), best_h
+
     def subgroup_elements(self):
         return [(h, t) for h in sorted(self.h_elements)
                 for t in sorted(self.t_elements)]
 
     def describe(self):
+        """The class for output, read from the representative of ``tag``."""
         diag = self.ambient.diag
         return {
             "orbitType": "[G⋊S/H⋊T]",
             "T": sorted(cycle_notation(t) for t in generating_set(self.t_elements))
                  or ["()"],
-            "H": sorted(diag.format_element(h)
-                        for h in span(diag, self.h_elements)[0])
+            "H": sorted(diag.format_element(h) for h in span(diag, self.tag[1])[0])
                  or [diag.format_element(diag.zero)],
             "Torder": self.t_order,
             "Horder": self.h_order,
         }
+
+
+def _carriers(perms, t_gens, target):
+    """The s in S with s T s^-1 = target, for T generated by t_gens and a
+    target of T's order."""
+    return [s for s in perms.elements
+            if all(conjugate(s, t) in target for t in t_gens)]
 
 
 class BurnsideElement:
@@ -221,24 +274,18 @@ def mark(kprime, k):
     ambient = kprime.ambient
     if not ambient.compatible(k.ambient):
         raise AmbientMismatchError("marks need a common ambient group")
-    diag = ambient.diag
-    hp, tp = kprime.h_elements, kprime.t_elements
+    tp = kprime.t_elements
     identity = ambient.identity[1]
-    congruences = None
-    counts = {}
     total = 0
     for s in ambient.perms.elements:
         si = inverse(s)
-        moved = tuple(u for u in (conjugate(si, t) for t in k.t_gens) if u != identity)
+        moved = tuple(u for u in (compose(si, compose(t, s)) for t in k.t_gens)
+                      if u != identity)
         if not all(u in tp for u in moved):
             continue
-        if not all(perm_act(si, h) in hp for h in k.h_gens):
+        if not all(in_hermite(kprime.h_key, perm_act(si, h)) for h in k.h_gens):
             continue
-        if moved not in counts:
-            if congruences is None:
-                congruences = kernel_mod(kprime.h_gens, diag.n, diag.exponent)[0]
-            counts[moved] = _cocycle_kernel_order(diag, moved, congruences)
-        total += counts[moved]
+        total += ambient.cocycle_kernel_order(kprime.h_key, moved)
     count, rest = divmod(total, kprime.order)
     if rest:
         raise StructuralAssumptionViolated(

@@ -17,6 +17,7 @@ import json
 import re
 import sys
 import time
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 from .diaggroups import DEFAULT_GROUP_BOUND, CharacterPairing
@@ -384,7 +385,7 @@ def cmd_table1(args):
 
 def cmd_selftest(args):
     from .burnside import HTClass, SemidirectAmbient, mark
-    from .oracles import brute_subgroups, split_subgroup_pairs
+    from .oracles import brute_subgroups, check_hermite_keys, split_subgroup_pairs
     from .permgroups import group_from_generators
     from .polynomials import parse_polynomial
     from .diaggroups import DiagonalGroup
@@ -413,15 +414,17 @@ def cmd_selftest(args):
     def marks_battery():
         G = DiagonalGroup(E.anchored())
         amb = SemidirectAmbient(G, S)
-        classes = {}
-        for h, t in split_subgroup_pairs(G, S):
-            cls = HTClass(amb, h, t)
-            classes[cls.tag] = cls
-        for a in classes.values():
-            for b in classes.values():
+        classes = {HTClass(amb, h, t) for h, t in split_subgroup_pairs(G, S)}
+        for a in classes:
+            for b in classes:
                 if mark(a, b) != naive_mark(a, b):
                     raise AssertionError("mark mismatch on %r / %r" % (a, b))
     step("marks against the naive oracle", marks_battery)
+
+    def hermite_battery():
+        G = DiagonalGroup(E.anchored())
+        check_hermite_keys(G, combinations_with_replacement(G.elements, 2))
+    step("Hermite keys match listed subgroups", hermite_battery)
 
     def lattice_battery():
         lattice = group_from_generators(4, ["(12)", "(1234)"]).lattice

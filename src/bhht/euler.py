@@ -226,10 +226,15 @@ class DualityReport:
     pc: PCResult
     lhs: BurnsideElement
     rhs: BurnsideElement
-    diff: list
+    differences: list          # (class, lhs, rhs) where they differ, unordered
     equal: bool
     lhs_analysis: EulerAnalysis = field(repr=False, default=None)
     rhs_analysis: EulerAnalysis = field(repr=False, default=None)
+
+    @cached_property
+    def diff(self):
+        """The differences in output order, sorted on first read."""
+        return sorted(self.differences, key=lambda d: d[0].tag)
 
     def to_records(self):
         out = {
@@ -256,15 +261,14 @@ def verify_duality(matrix, perms):
     n = matrix.n
     lhs = lhs_analysis.reduced
     rhs = saito_dual(rhs_analysis.reduced, pairing.swapped()).scale((-1) ** n)
-    keys = {cls for cls in lhs.coefficients} | {cls for cls in rhs.coefficients}
-    diff = []
-    for cls in sorted(keys, key=lambda c: c.tag):
+    differences = []
+    for cls in lhs.coefficients.keys() | rhs.coefficients.keys():
         lc = lhs.coefficient(cls)
         rc = rhs.coefficient(cls)
         if lc != rc:
-            diff.append((cls, lc, rc))
+            differences.append((cls, lc, rc))
     return DualityReport(nvars=n, pc=pc_check(perms), lhs=lhs, rhs=rhs,
-                         diff=diff, equal=not diff,
+                         differences=differences, equal=not differences,
                          lhs_analysis=lhs_analysis, rhs_analysis=rhs_analysis)
 
 

@@ -9,7 +9,7 @@ semidirect product G x| S, which the main paths never build.
 from itertools import combinations_with_replacement
 
 from .burnside import mark
-from .diaggroups import perm_act, span
+from .diaggroups import hermite_key, hermite_order, in_hermite, perm_act, span
 from .errors import SizeBoundError
 from .euler import stratum_chi_fixed
 from .permgroups import compose, conjugate, inverse
@@ -178,6 +178,31 @@ def brute_span(group, generators):
     return frozenset(found)
 
 
+def check_hermite_keys(group, generator_sets):
+    """Hermite keys against listed subgroups, for each set of generators.
+
+    Keys must be equal exactly when the listed subgroups are, a key must
+    contain exactly the listed elements, and its pivots must give the listed
+    order.  Returns the number of distinct subgroups; raises AssertionError
+    on any mismatch.
+    """
+    n, L = group.n, group.exponent
+    listed = {}
+    for gens in generator_sets:
+        elements = span(group, gens)[1]
+        key = hermite_key(gens, n, L)
+        if listed.setdefault(key, elements) != elements:
+            raise AssertionError("one key %s for two subgroups" % (key,))
+        if hermite_order(key, L) != len(elements):
+            raise AssertionError("key %s gives order %d, listed %d"
+                                 % (key, hermite_order(key, L), len(elements)))
+        if any(in_hermite(key, g) != (g in elements) for g in group.elements):
+            raise AssertionError("key %s and its listed subgroup differ" % (key,))
+    if len(set(listed.values())) != len(listed):
+        raise AssertionError("one subgroup under two keys")
+    return len(listed)
+
+
 def all_subgroups_abelian(group):
     """Every subgroup of a small diagonal group, by one-element extensions."""
     if group.order > ORACLE_ORDER_BOUND:
@@ -248,9 +273,9 @@ def check_fixed_point_consistency(analysis):
     checked = 0
     for h, t in split_subgroup_pairs(analysis.group, analysis.perms):
         probe = HTClass(ambient, h, t)
-        if probe.tag in done:
+        if probe in done:
             continue
-        done.add(probe.tag)
+        done.add(probe)
         lhs = sum(c * mark(cls, probe)
                   for cls, c in analysis.element.coefficients.items())
         rhs = fixed_point_euler(analysis.matrix, analysis.perms,

@@ -161,14 +161,17 @@ def test_canonicalize_conjugates_share_representative(small, small_classes):
     assert len(tags) == len(small_classes)
 
 
-@pytest.mark.parametrize("polynomial, generators", [
+# T with several conjugates: S4, D8 and Z2 x Z2 on four variables
+TAG_AMBIENTS = [
     pytest.param("x1^2+x2^2+x3^2", ["(12)", "(123)"], id="x1^2+x2^2+x3^2"),
     pytest.param("x1^3+x2^3+x3^3", ["(12)", "(123)"], id="x1^3+x2^3+x3^3"),
-    # T with several conjugates: S4, D8 and Z2 x Z2 on four variables
     pytest.param("x1^2+x2^2+x3^2+x4^2", ["(12)", "(1234)"], id="S4"),
     pytest.param("x1^2+x2^2+x3^2+x4^2", ["(1234)", "(13)"], id="D8"),
     pytest.param("x1^2+x2^2+x3^2+x4^2", ["(12)(34)", "(13)(24)"], id="Z2xZ2"),
-])
+]
+
+
+@pytest.mark.parametrize("polynomial, generators", TAG_AMBIENTS)
 def test_canonical_tag_matches_brute_force(polynomial, generators):
     # the fast canonicaliser against the minimum over every s of (sorted T, sorted H),
     # for a class built from element sets and from generating sets
@@ -177,6 +180,23 @@ def test_canonical_tag_matches_brute_force(polynomial, generators):
         tag = brute_tag(ambient, h, t)
         assert HTClass(ambient, h, t).tag == tag
         assert HTClass(ambient, span(ambient.diag, h)[0], generating_set(t)).tag == tag
+
+
+@pytest.mark.parametrize("polynomial, generators", TAG_AMBIENTS)
+def test_class_identity_matches_brute_force(polynomial, generators):
+    # classes are equal, with equal hashes, exactly when their brute-force
+    # tags are: the Hermite keys identify the same classes as sorted lists
+    ambient = ambient_of(polynomial, generators)
+    by_tag = {}
+    for h, t in split_subgroup_pairs(ambient.diag, ambient.perms):
+        by_tag.setdefault(brute_tag(ambient, h, t), []).append(
+            HTClass(ambient, span(ambient.diag, h)[0], generating_set(t)))
+    reps = []
+    for same in by_tag.values():
+        assert all(cls == same[0] and hash(cls) == hash(same[0]) for cls in same)
+        reps.append(same[0])
+    assert all((a == b) == (i == j) for i, a in enumerate(reps)
+               for j, b in enumerate(reps))
 
 
 def test_class_keys_come_from_the_lattice(monkeypatch):

@@ -17,6 +17,7 @@ from bhht.oracles import (
     brute_annihilator,
     brute_isotropy,
     brute_span,
+    check_hermite_keys,
 )
 from bhht.permgroups import PermGroup, group_from_generators, parse_cycles
 from bhht.polynomials import check_invariance, parse_polynomial, weights
@@ -358,6 +359,27 @@ def test_span_matches_breadth_first_closure():
             partial += 1 < index < len(brute_span(group, [e]))
             prefix.append(e)
     assert partial > 0
+
+
+def test_hermite_keys_match_listed_subgroups():
+    # equal keys exactly for equal spans, key membership as in the list and
+    # the order from the pivots; each subgroup also comes from other
+    # generating sets (reordered, with a sum added, all its elements), so a
+    # key left unreduced above its pivots shows as two keys for one subgroup
+    rng = seeded(43)
+    tested = distinct = 0
+    while tested < 40:
+        group = DiagonalGroup(random_invertible(rng, max_vars=4).anchored())
+        if group.order > 2000:
+            continue
+        tested += 1
+        generator_sets = []
+        for _ in range(4):
+            gens = [rng.choice(group.elements) for _ in range(rng.randint(1, 3))]
+            generator_sets += [gens, gens[::-1], gens + [group.add(gens[0], gens[-1])],
+                               span(group, gens)[1]]
+        distinct += check_hermite_keys(group, generator_sets)
+    assert distinct > 80
 
 
 def test_format_element(gq):

@@ -1,8 +1,11 @@
+import sys
+from collections import deque
 from dataclasses import replace
 
 import pytest
 from conftest import X14, X15, seeded
 
+from bhht import diaggroups, euler
 from bhht.diaggroups import DiagonalGroup
 from bhht.errors import StructuralAssumptionViolated
 from bhht.euler import (
@@ -274,6 +277,35 @@ def test_verify_duality_lists_no_kernel(monkeypatch):
     for name in ("x1_z2", "x15_z5", "pc_a3"):
         fx = catalogue[name]
         assert verify_duality(fx.matrix, fx.perm_group()).equal, name
+
+
+def test_verdict_path_lists_no_subgroup(monkeypatch):
+    # classes are told apart by Hermite keys, so neither a verdict nor its
+    # lemma checks closes a diagonal subgroup or lists G
+    spans, reads = [], []
+    plain = diaggroups.span
+    listed = vars(DiagonalGroup)["elements"].func
+
+    def counted_span(group, generators):
+        spans.append(1)
+        return plain(group, generators)
+
+    def counted_elements(group):
+        reads.append(1)
+        return listed(group)
+
+    for module in list(sys.modules.values()):
+        if module and module.__name__.startswith("bhht") \
+                and getattr(module, "span", None) is plain:
+            monkeypatch.setattr(module, "span", counted_span)
+    monkeypatch.setattr(DiagonalGroup, "elements", property(counted_elements))
+    monkeypatch.setattr(euler, "_RECENT", deque(maxlen=2))
+    catalogue = load_catalogue()
+    for name in ("pc_a3", "table1_r2"):
+        fx = catalogue[name]
+        assert verify_duality(fx.matrix, fx.perm_group()).equal, name
+        assert lemma_level_checks(fx.matrix, fx.perm_group()).all_passed, name
+    assert (len(spans), len(reads)) == (0, 0)
 
 
 def test_duality_counterexample_diff_structure():
