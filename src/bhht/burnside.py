@@ -5,7 +5,7 @@ permutation, multiplied by (v, s)(w, t) = (v + s.w, st).  Generators of the
 free abelian group are classes of split subgroups H x| T, built from
 generators of H and T and identified without listing either: T by the key
 of its class in the lattice of S, H by the Hermite normal form of the
-lattice it spans (``diaggroups.hermite_key``), which also decides
+lattice it spans (``intmat.hermite_key``), which also decides
 membership.  Element lists are made for output alone.  Marks come from
 Burnside's formula in closed form: conjugation by (v, s) moves (h, t) to
 (s^-1(h + t.v - v), s^-1 t s), so fixed cosets are counted from S and G
@@ -14,21 +14,19 @@ alone and the semidirect product is never listed.
 
 from functools import cached_property
 
-from .diaggroups import (
-    check_listable,
-    hermite_generators,
-    hermite_key,
-    hermite_order,
-    in_hermite,
-    perm_act,
-    span,
-)
+from .diaggroups import check_listable, perm_act, span
 from .errors import (
     AmbientMismatchError,
     MembershipError,
     StructuralAssumptionViolated,
 )
-from .intmat import kernel_mod
+from .intmat import (
+    hermite_generators,
+    hermite_key,
+    hermite_order,
+    in_hermite,
+    kernel_mod,
+)
 from .permgroups import (
     compose,
     conjugate,

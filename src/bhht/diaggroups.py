@@ -9,16 +9,16 @@ Subgroups given by congruences (annihilators, stratum kernels) are cut out
 as kernels: the rows of E plus the extra congruences go through
 ``intmat.kernel_mod``, and only the kernel's own elements are ever listed,
 never those of the whole group.  A subgroup handed on by generators is
-named by its Hermite key (``hermite_key``), which decides equality,
+named by its Hermite key (``intmat.hermite_key``), which decides equality,
 membership and order without listing it.
 """
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .errors import DegeneratePairingError, MembershipError, SizeBoundError
-from .intmat import kernel_mod, matvec, smith_normal_form
+from .intmat import kernel_mod, matvec
 
 DEFAULT_GROUP_BOUND = 10 ** 6
 
@@ -35,10 +35,12 @@ class DiagonalGroup:
         self.matrix = matrix
         self.n = matrix.n
         self.order = abs(det)
-        # |det E| kills the group, so its cyclic factors are the
-        # gcd(d_ii, |det E|) of the Smith form mod |det E|
-        d, _u, _v = smith_normal_form([list(r) for r in matrix.rows], self.order)
-        self.exponent = lcm(1, *(gcd(d[i][i], self.order) for i in range(self.n)))
+        # |det E| kills the group, so its elements are the x / |det E| with
+        # E.x = 0 mod |det E|, and its exponent is the lcm of the orders of
+        # that kernel's generators
+        D = self.order
+        gens = kernel_mod([list(r) for r in matrix.rows], self.n, D)[0]
+        self.exponent = lcm(1, *(D // gcd(D, *g) for g in gens))
         self.zero = (0,) * self.n
 
     def __repr__(self):
@@ -157,65 +159,6 @@ def span(group, generators):
             gens.append(e)
             have = _extend(group, have, gens)
     return tuple(gens), frozenset(have)
-
-
-def hermite_key(generators, n, L):
-    """The Hermite normal form of the lattice the generators and L.Z^n span.
-
-    A subgroup H of (Z/L)^n is that lattice taken mod L, so two subgroups
-    are equal exactly when their keys are, and nothing is listed to tell.
-    The key is n rows, upper triangular: row j starts at column j with a
-    pivot d_j dividing L, and every entry above a pivot is reduced mod it.
-    A row with pivot L is L.e_j, which is zero mod L.  Each column is
-    cleared by Euclid's algorithm on rows, starting from L.e_j: every step
-    swaps two rows or subtracts a multiple of one from another, so the
-    lattice never changes; it contains L.Z^n, so every entry can be kept
-    mod L.
-    """
-    rows = [[x % L for x in g] for g in generators]
-    key = []
-    for j in range(n):
-        pivot = [0] * n
-        pivot[j] = L
-        rest = []
-        for row in rows:
-            while row[j]:
-                q = pivot[j] // row[j]
-                pivot, row = row, [(p - q * r) % L for p, r in zip(pivot, row)]
-            if any(row):
-                rest.append(row)
-        rows = rest
-        key.append(pivot)
-    for j, row in enumerate(key):
-        for above in key[:j]:
-            q = above[j] // row[j]
-            if q:
-                above[j:] = [a - q * b for a, b in zip(above[j:], row[j:])]
-    return tuple(map(tuple, key))
-
-
-def in_hermite(key, element):
-    """Whether the element lies in the subgroup of the key: it reduces to zero
-    against the rows, column by column."""
-    v = list(element)
-    for j, row in enumerate(key):
-        q, r = divmod(v[j], row[j])
-        if r:
-            return False
-        if q:
-            for i in range(j + 1, len(v)):
-                v[i] -= q * row[i]
-    return True
-
-
-def hermite_order(key, L):
-    """|H| = the product of L / d_j over the pivots."""
-    return prod(L // row[j] for j, row in enumerate(key))
-
-
-def hermite_generators(key, L):
-    """Generators of the key's subgroup: its rows with a pivot below L."""
-    return tuple(row for j, row in enumerate(key) if row[j] != L)
 
 
 def check_listable(order):

@@ -2,14 +2,15 @@
 
 Everything here works on plain lists of Python ints (or Fractions for the
 solver); no floating point is used anywhere.
+
+The one integer normal form is the Hermite key of a lattice that contains
+L.Z^n (``hermite_key``).  Taken mod L, it names a subgroup of (Z/L)^n and
+decides its membership and order without listing it; the key of a larger
+lattice gives the kernel of congruences mod m (``kernel_mod``).
 """
 
 from fractions import Fraction
-from math import gcd
-
-
-def identity(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+from math import prod
 
 
 def matvec(a, v):
@@ -62,108 +63,75 @@ def solve_exact(a, b):
     return [row[n] for row in m]
 
 
-def smith_normal_form(a, modulus):
-    """Smith normal form of an integer matrix mod a positive modulus.
+def hermite_key(generators, n, L):
+    """The Hermite normal form of the lattice the generators and L.Z^n span.
 
-    Returns (d, u, v) with u @ a @ v == d mod the modulus, u and v invertible
-    mod it and d diagonal.  Every entry is kept reduced mod the modulus, so
-    none outgrows it (over Z, the transforms of a wide matrix can grow to
-    many thousands of bits).  The solutions of a.x = 0 mod m form the sum
-    of the Z/gcd(d[j][j], m) over the columns j, with d[j][j] = 0 past the
-    last row.
+    A subgroup H of (Z/L)^n is that lattice taken mod L, so two subgroups
+    are equal exactly when their keys are, and nothing is listed to tell.
+    The key is n rows, upper triangular: row j starts at column j with a
+    pivot d_j dividing L, and every entry above a pivot is reduced mod it.
+    A row with pivot L is L.e_j, which is zero mod L.  Each column is
+    cleared by Euclid's algorithm on rows, starting from L.e_j: every step
+    swaps two rows or subtracts a multiple of one from another, so the
+    lattice never changes; it contains L.Z^n, so every entry can be kept
+    mod L.
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = [[x % modulus for x in row] for row in a]
-    u = identity(rows)
-    v = identity(cols)
+    rows = [[x % L for x in g] for g in generators]
+    key = []
+    for j in range(n):
+        pivot = [0] * n
+        pivot[j] = L
+        rest = []
+        for row in rows:
+            while row[j]:
+                q = pivot[j] // row[j]
+                pivot, row = row, [(p - q * r) % L for p, r in zip(pivot, row)]
+            if any(row):
+                rest.append(row)
+        rows = rest
+        key.append(pivot)
+    for j, row in enumerate(key):
+        for above in key[:j]:
+            q = above[j] // row[j]
+            if q:
+                above[j:] = [a - q * b for a, b in zip(above[j:], row[j:])]
+    return tuple(map(tuple, key))
 
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
 
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+def in_hermite(key, element):
+    """Whether the element lies in the subgroup of the key: it reduces to zero
+    against the rows, column by column."""
+    v = list(element)
+    for j, row in enumerate(key):
+        q, r = divmod(v[j], row[j])
+        if r:
+            return False
+        if q:
+            for i in range(j + 1, len(v)):
+                v[i] -= q * row[i]
+    return True
 
-    def add_row(src, dst, q):
-        # row dst += q * row src
-        m[dst] = [(x + q * y) % modulus for x, y in zip(m[dst], m[src])]
-        u[dst] = [(x + q * y) % modulus for x, y in zip(u[dst], u[src])]
 
-    def add_col(src, dst, q):
-        for mat in (m, v):
-            for row in mat:
-                row[dst] = (row[dst] + q * row[src]) % modulus
+def hermite_order(key, L):
+    """|H| = the product of L / d_j over the pivots."""
+    return prod(L // row[j] for j, row in enumerate(key))
 
-    t = 0
-    while t < min(rows, cols):
-        # choose the least nonzero entry as pivot
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if m[i][j] != 0 and (best is None or m[i][j] < m[best[0]][best[1]]):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        while True:
-            dirty = False
-            for i in range(t + 1, rows):
-                if m[i][t] != 0:
-                    q = m[i][t] // m[t][t]
-                    add_row(t, i, -q)
-                    if m[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if m[t][j] != 0:
-                    q = m[t][j] // m[t][t]
-                    add_col(t, j, -q)
-                    if m[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide every remaining entry
-            culprit = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if m[i][j] % m[t][t] != 0:
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
-            if culprit is None:
-                break
-            add_row(culprit, t, 1)
-        t += 1
-    return m, u, v
+
+def hermite_generators(key, L):
+    """Generators of the key's subgroup: its rows with a pivot below L."""
+    return tuple(row for j, row in enumerate(key) if row[j] != L)
 
 
 def kernel_mod(rows, n, m):
     """Generators and order of {x in (Z/m)^n : r.x = 0 mod m for every row r}.
 
-    With U @ A @ V = D in Smith normal form mod m, x = V @ y turns the
-    congruences into d_j * y_j = 0 mod m (d_j = 0 beyond the rank), so y_j
-    runs over the gcd(d_j, m) multiples of m / gcd(d_j, m).  The generators
-    are the columns of V scaled by those steps, reduced mod m; trivial ones
-    are left out.
+    For the k rows A, the vectors (A.e_i, e_i) and m.Z^(k+n) span a lattice
+    whose vectors with k leading zeros are the (0, x) with A.x = 0 mod m.
+    In its Hermite key the rows past the k-th span exactly those, so their
+    last n columns are the kernel's own key.
     """
-    if rows:
-        d, _u, v = smith_normal_form(rows, m)
-        diag = [d[j][j] if j < len(d) else 0 for j in range(n)]
-    else:
-        v, diag = identity(n), [0] * n
-    gens = []
-    order = 1
-    for j, dj in enumerate(diag):
-        g = gcd(dj, m)
-        order *= g
-        if g != 1:
-            step = m // g
-            gens.append(tuple(v[i][j] * step % m for i in range(n)))
-    return gens, order
+    k = len(rows)
+    stacked = [[row[i] for row in rows] + [int(i == j) for j in range(n)]
+               for i in range(n)]
+    key = tuple(row[k:] for row in hermite_key(stacked, k + n, m)[k:])
+    return list(hermite_generators(key, m)), hermite_order(key, m)

@@ -9,9 +9,10 @@ semidirect product G x| S, which the main paths never build.
 from itertools import combinations_with_replacement
 
 from .burnside import mark
-from .diaggroups import hermite_key, hermite_order, in_hermite, perm_act, span
+from .diaggroups import perm_act, span
 from .errors import SizeBoundError
 from .euler import stratum_chi_fixed
+from .intmat import hermite_key, hermite_order, in_hermite
 from .permgroups import compose, conjugate, inverse
 
 # Every enumeration here lists a whole group; none runs on one larger than this.

@@ -1,10 +1,14 @@
 """Every function, class, method and default of the package is used by the program.
 
-A name counts as used when it appears as a name, an attribute or an
-imported name outside its own definition, in the package modules or the
-non-test modules of the benchmark.  The package ``__init__`` does not
-count: a re-export is not a use.  Tests do not count either, except for
-``oracles.py``: its brute-force scans exist for tests to compare against.
+The program is the package modules and the non-test modules of the
+benchmark.  A module-level function or class counts as used when a program
+module imports it by name from its module, or when its own module refers
+to it outside its own definition.  A method or nested definition counts as
+used when its name appears as a name, an attribute or an imported name
+anywhere in the program outside its own definition.  The package
+``__init__`` does not count: a re-export is not a use.  Tests do not count
+either, except for ``oracles.py``: its brute-force scans exist for tests to
+compare against.
 
 A parameter with a default counts as used when some call in those same
 modules passes it, by keyword or positionally past the required arguments.
@@ -43,6 +47,17 @@ def _references(tree):
     return names
 
 
+def _imports(tree):
+    """(module, name) per name imported from a package module."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            if node.level == 1 or node.module.startswith("bhht."):
+                module = node.module.split(".")[-1]
+                out.update((module, alias.name) for alias in node.names)
+    return out
+
+
 def _definitions(tree):
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     return [node for node in ast.walk(tree) if isinstance(node, kinds)
@@ -59,13 +74,20 @@ def _used(paths):
 def unreferenced_definitions():
     trees = {path: ast.parse(path.read_text()) for path in _program()}
     used = _used(trees)
+    imported = sum((_imports(tree) for tree in trees.values()), Counter())
     used_by_tests = _used(_tests())
     out = []
     for path, tree in trees.items():
         if path.parent != PACKAGE:
             continue
+        own = _references(tree)
+        top = {id(node) for node in tree.body}
         for node in _definitions(tree):
-            count = used[node.name] - _references(node)[node.name]
+            if id(node) in top:
+                count = (imported[(path.stem, node.name)]
+                         + own[node.name] - _references(node)[node.name])
+            else:
+                count = used[node.name] - _references(node)[node.name]
             if path == ORACLES:
                 count += used_by_tests[node.name]
             if count <= 0:
