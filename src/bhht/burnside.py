@@ -14,7 +14,7 @@ alone and the semidirect product is never listed.
 
 from functools import cached_property
 
-from .diaggroups import check_listable, perm_act, span
+from .diaggroups import perm_act, span
 from .errors import (
     AmbientMismatchError,
     MembershipError,
@@ -44,7 +44,6 @@ class SemidirectAmbient:
     def __init__(self, diag, perms):
         if diag.n != perms.n:
             raise AmbientMismatchError("diagonal and permutation degrees differ")
-        check_listable(diag.order)  # every class over G x| S lists its H
         self.diag = diag
         self.perms = perms
         self.n = diag.n
@@ -148,7 +147,7 @@ class HTClass:
 
     @cached_property
     def h_elements(self):
-        return span(self.ambient.diag, self.h_gens)[1]
+        return self.ambient.diag.kernel_elements(self.h_gens, self.h_order)
 
     @cached_property
     def tag(self):

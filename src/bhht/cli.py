@@ -8,8 +8,8 @@ Exit codes:
     2  input error: bad fixture, polynomial or group text, missing file
     3  mathematical failure: a structural self-check failed
        (StructuralAssumptionViolated, DegeneratePairingError)
-    4  resource bound: a group or enumeration exceeded its size bound
-       (SizeBoundError)
+    4  resource bound: a listing exceeded its size bound (SizeBoundError);
+       a verdict lists no diagonal subgroup
 """
 
 import argparse

@@ -5,12 +5,13 @@ E @ v integral.  Internally every element is a tuple of integers modulo the
 group exponent L (the largest invariant factor of E), i.e. v = a / L; this
 keeps equality, hashing and arithmetic exact and fast.
 
-Subgroups given by congruences (annihilators, stratum kernels) are cut out
-as kernels: the rows of E plus the extra congruences go through
-``intmat.kernel_mod``, and only the kernel's own elements are ever listed,
-never those of the whole group.  A subgroup handed on by generators is
-named by its Hermite key (``intmat.hermite_key``), which decides equality,
-membership and order without listing it.
+G is cut out of (Z/L)^n by the rows of the Hermite key of E's rows mod L
+with a pivot below L (none for a Fermat polynomial), and its subgroups given
+by further congruences (annihilators, stratum kernels) are kernels of both
+(``intmat.kernel_mod``).  Only ``kernel_elements`` lists them, within
+``DEFAULT_GROUP_BOUND``.  A subgroup handed on by generators is named by its
+Hermite key (``intmat.hermite_key``), which decides equality, membership and
+order without listing it.
 """
 
 from fractions import Fraction
@@ -18,7 +19,7 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .errors import DegeneratePairingError, MembershipError, SizeBoundError
-from .intmat import kernel_mod, matvec
+from .intmat import hermite_generators, hermite_key, kernel_mod, matvec
 
 DEFAULT_GROUP_BOUND = 10 ** 6
 
@@ -40,7 +41,10 @@ class DiagonalGroup:
         # that kernel's generators
         D = self.order
         gens = kernel_mod([list(r) for r in matrix.rows], self.n, D)[0]
-        self.exponent = lcm(1, *(D // gcd(D, *g) for g in gens))
+        L = self.exponent = lcm(1, *(D // gcd(D, *g) for g in gens))
+        # the rows of E span the same congruences mod L as their Hermite key
+        key = hermite_key(matrix.rows, self.n, L)
+        self.congruences = list(hermite_generators(key, L))
         self.zero = (0,) * self.n
 
     def __repr__(self):
@@ -50,10 +54,8 @@ class DiagonalGroup:
         L = self.exponent
         if len(element) != self.n or not all(0 <= a < L for a in element):
             return False
-        for row in self.matrix.rows:
-            if sum(e * a for e, a in zip(row, element)) % L != 0:
-                return False
-        return True
+        return all(sum(c * a for c, a in zip(row, element)) % L == 0
+                   for row in self.congruences)
 
     def add(self, a, b):
         L = self.exponent
@@ -69,8 +71,7 @@ class DiagonalGroup:
 
     def kernel(self, rows=()):
         """Generators and order of the subgroup cut out by extra congruences mod L."""
-        return kernel_mod([list(r) for r in self.matrix.rows] + list(rows),
-                          self.n, self.exponent)
+        return kernel_mod(self.congruences + list(rows), self.n, self.exponent)
 
     def stratum_kernel(self, subset):
         """Generators and order of the elements acting trivially on the open
@@ -79,7 +80,9 @@ class DiagonalGroup:
 
     def kernel_elements(self, gens, order):
         """The elements of a kernel, listed only when its order is within the bound."""
-        check_listable(order)
+        if order > DEFAULT_GROUP_BOUND:
+            raise SizeBoundError("group of order %d exceeds bound %d"
+                                 % (order, DEFAULT_GROUP_BOUND))
         return span(self, gens)[1]
 
     # -- conversions -------------------------------------------------------
@@ -159,13 +162,6 @@ def span(group, generators):
             gens.append(e)
             have = _extend(group, have, gens)
     return tuple(gens), frozenset(have)
-
-
-def check_listable(order):
-    """Refuse to list a group whose order exceeds the bound."""
-    if order > DEFAULT_GROUP_BOUND:
-        raise SizeBoundError("group of order %d exceeds bound %d"
-                             % (order, DEFAULT_GROUP_BOUND))
 
 
 class CharacterPairing:

@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .diaggroups import span
 from .errors import ParseError
+from .intmat import hermite_key, hermite_order
 from .permgroups import group_from_generators
 from .polynomials import parse_polynomial, serialize_polynomial, weights
 
@@ -52,7 +53,9 @@ class FixtureSpec:
         if self.g_lines == ["full"]:
             return frozenset(group.elements)
         gens = [parse_group_element(line, group) for line in self.g_lines]
-        return span(group, gens)[1]
+        L = group.exponent
+        order = hermite_order(hermite_key(gens, group.n, L), L)
+        return group.kernel_elements(gens, order)
 
 
 def parse_group_element(line, group):

@@ -12,6 +12,7 @@ from bhht.diaggroups import (
     span,
 )
 from bhht.errors import MembershipError, SizeBoundError
+from bhht.fixtures import load_catalogue
 from bhht.oracles import (
     all_subgroups_abelian,
     brute_annihilator,
@@ -338,6 +339,46 @@ def test_generating_subset_round_trip(gq):
         small = span(gq, h)[0]
         assert span(gq, small)[1] == h
         assert len(small) <= 5
+
+
+def test_reduced_congruences_cut_out_the_group():
+    # G keeps E's rows only as their Hermite key mod L: membership by those
+    # congruences is E.v = 0 mod L, and a kernel of further rows is the scan
+    # of G for them
+    rng = seeded(45)
+    catalogue = load_catalogue()
+    matrices = [catalogue[name].matrix for name in (
+        "chain23_abelian", "loop23_abelian", "x1_n2_abelian", "counterexample_m4",
+        "x1_z2")]
+    matrices += [random_invertible(rng, max_vars=4) for _ in range(40)]
+    inside = outside = scanned = 0
+    for matrix in matrices:
+        group = DiagonalGroup(matrix.anchored())
+        n, L = group.n, group.exponent
+        gens = group.kernel()[0]
+        for _ in range(20):
+            v = [rng.randrange(L) for _ in range(n)]
+            if rng.random() < 0.5:  # a member: a combination of G's generators
+                v = [sum(rng.randrange(L) * g[i] for g in gens) % L for i in range(n)]
+            by_e = all(sum(e * a for e, a in zip(row, v)) % L == 0
+                       for row in group.matrix.rows)
+            assert (tuple(v) in group) == by_e, (matrix, v)
+            inside += by_e
+            outside += not by_e
+        if group.order > 2000:
+            continue
+        scanned += 1
+        for _ in range(5):
+            rows = [[rng.randrange(-L, L) for _ in range(n)]
+                    for _ in range(rng.randint(1, 3))]
+            kgens, order = group.kernel(rows)
+            scan = frozenset(g for g in group.elements if all(
+                sum(r * a for r, a in zip(row, g)) % L == 0 for row in rows))
+            assert order == len(scan), (matrix, rows)
+            assert group.kernel_elements(kgens, order) == scan, (matrix, rows)
+    assert inside > 100 and outside > 100 and scanned > 30
+    fermat = DiagonalGroup(catalogue["x1_z2"].matrix)
+    assert fermat.congruences == []  # E = 5.I vanishes mod 5
 
 
 def test_span_matches_breadth_first_closure():

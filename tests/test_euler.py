@@ -301,10 +301,17 @@ def test_verdict_path_lists_no_subgroup(monkeypatch):
     monkeypatch.setattr(DiagonalGroup, "elements", property(counted_elements))
     monkeypatch.setattr(euler, "_RECENT", deque(maxlen=2))
     catalogue = load_catalogue()
-    for name in ("pc_a3", "table1_r2"):
-        fx = catalogue[name]
-        assert verify_duality(fx.matrix, fx.perm_group()).equal, name
-        assert lemma_level_checks(fx.matrix, fx.perm_group()).all_passed, name
+    cases = [(fx.matrix, fx.perm_group(), 0)
+             for fx in (catalogue["pc_a3"], catalogue["table1_r2"])]
+    # |G| = 11^6 is over DEFAULT_GROUP_BOUND, which bounds listing only
+    fermat = parse_polynomial("+".join("x%d^11" % i for i in range(1, 7)))
+    cases += [(fermat, group_from_generators(6, ["(123)(456)"]), 0),
+              (fermat, group_from_generators(6, ["(12)"]), 64)]
+    for matrix, s, differences in cases:
+        report = verify_duality(matrix, s)
+        assert len(report.differences) == differences, matrix
+        if report.pc.satisfies:
+            assert lemma_level_checks(matrix, s).all_passed, matrix
     assert (len(spans), len(reads)) == (0, 0)
 
 

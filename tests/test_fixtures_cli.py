@@ -297,11 +297,27 @@ def test_cmd_table1_labels_cached_rows_and_sorts_row_ids_numerically():
 
 
 def test_size_bound_is_a_resource_error(tmp_path):
+    # |G| = 11^6 is over DEFAULT_GROUP_BOUND: the verdict lists nothing, but
+    # the JSON output lists the H of the full class
     fx = tmp_path / "big.fix"
-    fx.write_text("[polynomial]\n%s\n\n[S]\n" % "+".join(
-        "x%d^4" % i for i in range(1, 12)))
-    code, _out = run_cli("verify", str(fx), "--max-group-order", "100000000")
+    fx.write_text("[polynomial]\n%s\n\n[S]\n(123)(456)\n" % "+".join(
+        "x%d^11" % i for i in range(1, 7)))
+    code, _out = run_cli("verify", str(fx), "--json", "--max-group-order", "100000000")
     assert code == 4
+    code, out = run_cli("verify", str(fx), "--lemmas", "--max-group-order", "100000000")
+    assert code == 0 and "duality HOLDS" in out
+    assert sum(line.endswith(" ok") for line in out.splitlines()) == 6
+
+
+def test_listing_bound_does_not_depend_on_how_g_is_written(tmp_path):
+    # 8^7 elements over DEFAULT_GROUP_BOUND, as the word full or as generators
+    text = "[polynomial]\n%s\n\n[G]\n%s\n\n[S]\n"
+    poly = "+".join("x%d^8" % i for i in range(1, 8))
+    units = ["1/8(%s)" % ",".join(str(int(i == j)) for j in range(7)) for i in range(7)]
+    for name, g_lines in (("full", ["full"]), ("units", units)):
+        fx = tmp_path / (name + ".fix")
+        fx.write_text(text % (poly, "\n".join(g_lines)))
+        assert run_cli("dual", str(fx))[0] == 4, name
 
 
 def test_structural_failure_is_a_mathematical_error(monkeypatch):
