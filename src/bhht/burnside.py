@@ -14,7 +14,7 @@ alone and the semidirect product is never listed.
 
 from functools import cached_property
 
-from .diaggroups import perm_act, span
+from .diaggroups import check_listing_bound, perm_act, span
 from .errors import (
     AmbientMismatchError,
     MembershipError,
@@ -66,7 +66,8 @@ class SemidirectAmbient:
         known = self._cocycles.get(h_key)
         if known is None:
             L = self.diag.exponent
-            congruences = kernel_mod(hermite_generators(h_key, L), self.n, L)[0]
+            congruences = hermite_generators(
+                kernel_mod(hermite_generators(h_key, L), self.n, L), L)
             known = self._cocycles[h_key] = (congruences, {})
         congruences, orders = known
         order = orders.get(perms)
@@ -147,7 +148,7 @@ class HTClass:
 
     @cached_property
     def h_elements(self):
-        return self.ambient.diag.kernel_elements(self.h_gens, self.h_order)
+        return self.ambient.diag.kernel_elements(self.h_key)
 
     @cached_property
     def tag(self):
@@ -236,12 +237,17 @@ class BurnsideElement:
     def reduce(self):
         """Subtract the class of the one-point set [G x| S / G x| S]."""
         ambient = self.ambient
-        full = HTClass(ambient, ambient.diag.kernel()[0], ambient.perms.generators)
+        diag = ambient.diag
+        full = HTClass(ambient, hermite_generators(diag.kernel(), diag.exponent),
+                       ambient.perms.generators)
         out = dict(self.coefficients)
         out[full] = out.get(full, 0) - 1
         return BurnsideElement(self.ambient, out)
 
     def items_sorted(self):
+        # each tag lists its class's H: hold them all to the bound first
+        for cls in self.coefficients:
+            check_listing_bound(cls.h_order)
         return sorted(self.coefficients.items(), key=lambda kv: kv[0].tag)
 
     def records(self):
@@ -303,7 +309,7 @@ def _cocycle_kernel_order(diag, perms, congruences):
         return diag.order
     points = range(diag.n)
     rows = [[c[u[i]] - c[i] for i in points] for u in perms for c in congruences]
-    return diag.kernel(rows)[1]
+    return hermite_order(diag.kernel(rows), diag.exponent)
 
 
 def induction(element, perms_big):
@@ -329,8 +335,10 @@ def saito_dual(element, pairing):
     if pairing.left is not src.diag and pairing.left.matrix != src.diag.matrix:
         raise AmbientMismatchError("pairing does not match the element's group")
     dual_ambient = SemidirectAmbient(pairing.right, src.perms)
+    L = pairing.right.exponent
     out = {}
     for cls, c in element.coefficients.items():
-        lifted = HTClass(dual_ambient, pairing.dual_kernel(cls.h_gens)[0], cls.t_gens)
+        h_gens = hermite_generators(pairing.dual_kernel(cls.h_gens), L)
+        lifted = HTClass(dual_ambient, h_gens, cls.t_gens)
         out[lifted] = out.get(lifted, 0) + c
     return BurnsideElement(dual_ambient, out)

@@ -20,7 +20,7 @@ import time
 from itertools import combinations_with_replacement
 from pathlib import Path
 
-from .diaggroups import DEFAULT_GROUP_BOUND, CharacterPairing
+from .diaggroups import DEFAULT_GROUP_BOUND, CharacterPairing, perm_act
 from .errors import (
     BhhtError,
     DegeneratePairingError,
@@ -36,6 +36,7 @@ from .fixtures import (
     load_fixture,
     serialize_fixture,
 )
+from .intmat import hermite_generators, in_hermite
 from .oracles import (
     CONSISTENCY_ORDER_BOUND,
     check_fixed_point_consistency,
@@ -220,12 +221,13 @@ def cmd_dual(args):
     pairing = CharacterPairing(matrix)
     S = fx.perm_group()
     check_invariance(matrix, S)
-    # the configured subgroup must itself be S-invariant for the dual pair
-    from .diaggroups import perm_act
-    subgroup = fx.g_subgroup(pairing.left)
-    for s in S.generators:
-        if frozenset(perm_act(s, h) for h in subgroup) != subgroup:
-            raise BhhtError("G is not invariant under S; no dual pair")
+    # the configured subgroup must itself be S-invariant for the dual pair:
+    # each generator of S carries each generator of G into G
+    key = fx.g_key(pairing.left)
+    if not all(in_hermite(key, perm_act(s, g)) for s in S.generators
+               for g in hermite_generators(key, pairing.left.exponent)):
+        raise BhhtError("G is not invariant under S; no dual pair")
+    subgroup = pairing.left.kernel_elements(key)
     dual = FixtureSpec(
         name=fx.name + "_dual",
         polynomial_text=serialize_polynomial(transpose(matrix)),

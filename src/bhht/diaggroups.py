@@ -8,18 +8,22 @@ keeps equality, hashing and arithmetic exact and fast.
 G is cut out of (Z/L)^n by the rows of the Hermite key of E's rows mod L
 with a pivot below L (none for a Fermat polynomial), and its subgroups given
 by further congruences (annihilators, stratum kernels) are kernels of both
-(``intmat.kernel_mod``).  Only ``kernel_elements`` lists them, within
-``DEFAULT_GROUP_BOUND``.  A subgroup handed on by generators is named by its
-Hermite key (``intmat.hermite_key``), which decides equality, membership and
-order without listing it.
+(``intmat.kernel_mod``).  Every subgroup is named by its Hermite key
+(``intmat.hermite_key``), which decides equality, membership and order
+without listing it.  Only ``kernel_elements`` lists a subgroup, straight
+from its key and within ``DEFAULT_GROUP_BOUND``; ``span`` closes a
+generating set for output and for the oracles.
 """
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import chain, product, repeat
 from math import gcd, lcm
+from operator import add, itemgetter, mod
 
 from .errors import DegeneratePairingError, MembershipError, SizeBoundError
-from .intmat import hermite_generators, hermite_key, kernel_mod, matvec
+from .intmat import hermite_generators, hermite_key, hermite_order, kernel_mod, matvec
+from .permgroups import DEFAULT_ORDER_BOUND, inverse
 
 DEFAULT_GROUP_BOUND = 10 ** 6
 
@@ -40,7 +44,7 @@ class DiagonalGroup:
         # E.x = 0 mod |det E|, and its exponent is the lcm of the orders of
         # that kernel's generators
         D = self.order
-        gens = kernel_mod([list(r) for r in matrix.rows], self.n, D)[0]
+        gens = hermite_generators(kernel_mod(matrix.rows, self.n, D), D)
         L = self.exponent = lcm(1, *(D // gcd(D, *g) for g in gens))
         # the rows of E span the same congruences mod L as their Hermite key
         key = hermite_key(matrix.rows, self.n, L)
@@ -67,23 +71,48 @@ class DiagonalGroup:
 
     @cached_property
     def elements(self):
-        return tuple(sorted(self.kernel_elements(*self.kernel())))
+        return tuple(sorted(self.kernel_elements(self.kernel())))
 
     def kernel(self, rows=()):
-        """Generators and order of the subgroup cut out by extra congruences mod L."""
+        """The Hermite key of the subgroup cut out by extra congruences mod L."""
         return kernel_mod(self.congruences + list(rows), self.n, self.exponent)
 
     def stratum_kernel(self, subset):
-        """Generators and order of the elements acting trivially on the open
+        """The Hermite key of the elements acting trivially on the open
         stratum of the subset: v_i = 0 on it."""
         return self.kernel([_unit_row(self.n, i) for i in set(subset)])
 
-    def kernel_elements(self, gens, order):
-        """The elements of a kernel, listed only when its order is within the bound."""
-        if order > DEFAULT_GROUP_BOUND:
-            raise SizeBoundError("group of order %d exceeds bound %d"
-                                 % (order, DEFAULT_GROUP_BOUND))
-        return span(self, gens)[1]
+    def kernel_elements(self, key):
+        """The elements of the subgroup of a Hermite key mod L, as a frozenset,
+        listed only when its order is within the bound.
+
+        The key is in echelon form with pivots d_k dividing L, so every
+        element is written once as the sum of c_k.row_k over 0 <= c_k < L/d_k:
+        nothing is met twice or looked up.  Split c_k = r_k + w_k.q_k with
+        0 <= r_k < w_k, where w_k divides L/d_k and w_k.row_k is zero past
+        column k modulo the steps of those columns, or w_k = L/d_k.  Then
+        q_k moves coordinate k alone, in steps of w_k.d_k, so each sum of
+        the r_k.row_k is completed by one product of ranges.  The w_k are
+        taken least from the last row up; a diagonal key is one product.
+        """
+        L = self.exponent
+        check_listing_bound(hermite_order(key, L))
+        n = self.n
+        steps = [L] * n
+        sums = [self.zero]  # unreduced: only their residues are read
+        for k in reversed(range(n)):
+            row = key[k]
+            w = lcm(1, *(steps[i] // gcd(steps[i], row[i]) for i in range(k + 1, n)))
+            if (L // row[k]) % w:
+                w = L // row[k]
+            steps[k] = w * row[k]
+            if w > 1:
+                multiples = [tuple(r * x for x in row) for r in range(w)]
+                sums = [tuple(map(add, s, m)) for m in multiples for s in sums]
+        if steps == [L] * n:  # every product is one element
+            return frozenset(tuple(map(mod, s, steps)) for s in sums)
+        return frozenset(chain.from_iterable(
+            product(*map(range, map(mod, s, steps), repeat(L), steps)) for s in sums))
 
     # -- conversions -------------------------------------------------------
 
@@ -113,12 +142,25 @@ class DiagonalGroup:
         return "1/%d(%s)" % (m, ",".join(str(a // g) for a in element))
 
 
+def check_listing_bound(order):
+    """Refuse to list a subgroup of more than ``DEFAULT_GROUP_BOUND`` elements."""
+    if order > DEFAULT_GROUP_BOUND:
+        raise SizeBoundError("group of order %d exceeds bound %d"
+                             % (order, DEFAULT_GROUP_BOUND))
+
+
 def perm_act(perm, element):
     """(sigma . v)_i = v_{sigma^-1(i)}."""
-    out = [0] * len(element)
-    for i, j in enumerate(perm):
-        out[j] = element[i]
-    return tuple(out)
+    return _permuter(perm)(element)
+
+
+@lru_cache(maxsize=DEFAULT_ORDER_BOUND)
+def _permuter(perm):
+    """v -> sigma.v as one C-level call, the getter of sigma^-1's images;
+    a getter of one item returns it bare, so one point gets ``tuple``."""
+    if len(perm) < 2:
+        return tuple
+    return itemgetter(*inverse(perm))
 
 
 def _extend(group, have, gens):
@@ -212,18 +254,20 @@ class CharacterPairing:
         """
         L2 = self.right.exponent
         rows = []
-        gens, order = self.right.kernel()
+        key = self.right.kernel()
+        gens, order = hermite_generators(key, L2), hermite_order(key, L2)
         for a in subgroup_elements:
             if order * len(subgroup_elements) == self.left.order:
                 break
             c = self._congruence(a)
             if any(sum(x * y for x, y in zip(c, w)) % L2 for w in gens):
                 rows.append(c)
-                gens, order = self.right.kernel(rows)
-        return self.right.kernel_elements(gens, order)
+                key = self.right.kernel(rows)
+                gens, order = hermite_generators(key, L2), hermite_order(key, L2)
+        return self.right.kernel_elements(key)
 
     def dual_kernel(self, gens):
-        """Generators and order of the annihilator of the subgroup gens generate."""
+        """The Hermite key of the annihilator of the subgroup gens generate."""
         return self.right.kernel([self._congruence(a) for a in gens])
 
     def _congruence(self, a):
@@ -243,5 +287,6 @@ class CharacterPairing:
         sides = ((self, "a nonzero character vanishes on the whole group"),
                  (self.swapped(), "a nonzero element is killed by every character"))
         for pairing, what in sides:
-            if pairing.dual_kernel(pairing.left.kernel()[0])[1] != 1:
+            left_gens = hermite_generators(pairing.left.kernel(), pairing.left.exponent)
+            if hermite_order(pairing.dual_kernel(left_gens), pairing.right.exponent) != 1:
                 raise DegeneratePairingError(self.matrix, what)

@@ -20,8 +20,9 @@ from .burnside import (
     mark,
     saito_dual,
 )
-from .diaggroups import CharacterPairing, DiagonalGroup
+from .diaggroups import CharacterPairing, DiagonalGroup, check_listing_bound
 from .errors import StructuralAssumptionViolated
+from .intmat import hermite_generators, hermite_order
 from .permgroups import (
     PCResult,
     orbit,
@@ -121,7 +122,7 @@ def _stratum_contribution(matrix, group, perms, subset, stabilizer, orbit_size):
     # descending subgroup order; ties broken by the canonical representative
     order = sorted(keys, key=lambda k: (-len(k), k))
 
-    kernel = group.stratum_kernel(subset)[0]
+    kernel = hermite_generators(group.stratum_kernel(subset), group.exponent)
     ambient = SemidirectAmbient(group, stabilizer)
     node = {key: HTClass(ambient, kernel, reps[key].generators) for key in keys}
     fixed = {key: stratum_chi_fixed(matrix, subset, reps[key]) for key in keys}
@@ -200,7 +201,7 @@ def euler_analysis(matrix, perms):
     check_invariance(matrix, perms)
     group = DiagonalGroup(matrix)
     ambient = SemidirectAmbient(group, perms)
-    total = BurnsideElement(ambient)
+    total = {}  # the strata's classes and their summed coefficients
     strata = []
     skipped = []
     for rep, stab, size in orbits_on_subsets(perms):
@@ -211,11 +212,12 @@ def euler_analysis(matrix, perms):
             skipped.append((rep, "restriction not full"))
             continue
         contribution = _stratum_contribution(matrix, group, perms, rep, stab, size)
-        total = total + contribution.induced
+        for cls, c in contribution.induced.coefficients.items():
+            total[cls] = total.get(cls, 0) + c
         strata.append(contribution)
     analysis = EulerAnalysis(matrix=matrix, perms=perms, group=group,
                              ambient=ambient, strata=strata, skipped=skipped,
-                             element=total)
+                             element=BurnsideElement(ambient, total))
     _RECENT.append(analysis)
     return analysis
 
@@ -234,6 +236,8 @@ class DualityReport:
     @cached_property
     def diff(self):
         """The differences in output order, sorted on first read."""
+        for cls, _lc, _rc in self.differences:
+            check_listing_bound(cls.h_order)
         return sorted(self.differences, key=lambda d: d[0].tag)
 
     def to_records(self):
@@ -352,10 +356,12 @@ def lemma_level_checks(matrix, perms):
             break
         # the annihilator of the stratum kernel lies in the complement's
         # stratum kernel (its generators vanish there) and has its order
-        ann_gens, ann_order = pairing.dual_kernel(
-            pairing.left.stratum_kernel(s.subset)[0])
-        if (ann_order != pairing.right.stratum_kernel(complement)[1]
-                or any(w[i] for w in ann_gens for i in complement)):
+        L1, L2 = pairing.left.exponent, pairing.right.exponent
+        ann = pairing.dual_kernel(
+            hermite_generators(pairing.left.stratum_kernel(s.subset), L1))
+        if (hermite_order(ann, L2)
+                != hermite_order(pairing.right.stratum_kernel(complement), L2)
+                or any(w[i] for w in hermite_generators(ann, L2) for i in complement)):
             ok_c = False
             detail_c = "stratum kernel of the complement is not the annihilator"
             break

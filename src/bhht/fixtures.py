@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .diaggroups import span
 from .errors import ParseError
-from .intmat import hermite_key, hermite_order
+from .intmat import hermite_key
 from .permgroups import group_from_generators
 from .polynomials import parse_polynomial, serialize_polynomial, weights
 
@@ -48,14 +48,16 @@ class FixtureSpec:
     def perm_group(self):
         return group_from_generators(self.nvars, self.s_lines)
 
-    def g_subgroup(self, group):
-        """The configured subgroup of the diagonal symmetry group."""
+    def g_key(self, group):
+        """The Hermite key of the configured subgroup of the diagonal group."""
         if self.g_lines == ["full"]:
-            return frozenset(group.elements)
+            return group.kernel()
         gens = [parse_group_element(line, group) for line in self.g_lines]
-        L = group.exponent
-        order = hermite_order(hermite_key(gens, group.n, L), L)
-        return group.kernel_elements(gens, order)
+        return hermite_key(gens, group.n, group.exponent)
+
+    def g_subgroup(self, group):
+        """The configured subgroup of the diagonal symmetry group, listed."""
+        return group.kernel_elements(self.g_key(group))
 
 
 def parse_group_element(line, group):

@@ -123,7 +123,7 @@ def hermite_generators(key, L):
 
 
 def kernel_mod(rows, n, m):
-    """Generators and order of {x in (Z/m)^n : r.x = 0 mod m for every row r}.
+    """The Hermite key of {x in (Z/m)^n : r.x = 0 mod m for every row r}.
 
     For the k rows A, the vectors (A.e_i, e_i) and m.Z^(k+n) span a lattice
     whose vectors with k leading zeros are the (0, x) with A.x = 0 mod m.
@@ -133,5 +133,4 @@ def kernel_mod(rows, n, m):
     k = len(rows)
     stacked = [[row[i] for row in rows] + [int(i == j) for j in range(n)]
                for i in range(n)]
-    key = tuple(row[k:] for row in hermite_key(stacked, k + n, m)[k:])
-    return list(hermite_generators(key, m)), hermite_order(key, m)
+    return tuple(row[k:] for row in hermite_key(stacked, k + n, m)[k:])

@@ -33,6 +33,14 @@ def inv(ambient, a):
     return (ambient.diag.neg(perm_act(si, v)), si)
 
 
+def loop_perm_act(perm, vector):
+    """(sigma . v)_i = v_{sigma^-1(i)}, one index at a time."""
+    out = [0] * len(vector)
+    for i, j in enumerate(perm):
+        out[j] = vector[i]
+    return tuple(out)
+
+
 def ambient_elements(ambient):
     """Every element of a small G x| S, sorted."""
     if ambient.order > ORACLE_ORDER_BOUND:
@@ -183,9 +191,9 @@ def check_hermite_keys(group, generator_sets):
     """Hermite keys against listed subgroups, for each set of generators.
 
     Keys must be equal exactly when the listed subgroups are, a key must
-    contain exactly the listed elements, and its pivots must give the listed
-    order.  Returns the number of distinct subgroups; raises AssertionError
-    on any mismatch.
+    contain exactly the listed elements, its pivots must give the listed
+    order, and listing it must give the listed elements.  Returns the
+    number of distinct subgroups; raises AssertionError on any mismatch.
     """
     n, L = group.n, group.exponent
     listed = {}
@@ -199,6 +207,8 @@ def check_hermite_keys(group, generator_sets):
                                  % (key, hermite_order(key, L), len(elements)))
         if any(in_hermite(key, g) != (g in elements) for g in group.elements):
             raise AssertionError("key %s and its listed subgroup differ" % (key,))
+        if group.kernel_elements(key) != elements:
+            raise AssertionError("key %s lists another subgroup" % (key,))
     if len(set(listed.values())) != len(listed):
         raise AssertionError("one subgroup under two keys")
     return len(listed)
@@ -222,6 +232,17 @@ def all_subgroups_abelian(group):
                 found.add(k)
                 queue.append(k)
     return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def lattice_pc_witness(group):
+    """The least subgroup, by (order, sorted elements), whose orbit count
+    differs from n in parity, as an element set, by a walk over the whole
+    subgroup lattice; None when the parity condition holds."""
+    n = group.n
+    for rep in group.lattice.subgroups:
+        if (len({frozenset(p[i] for p in rep) for i in range(n)}) - n) % 2:
+            return rep
+    return None
 
 
 def split_subgroup_pairs(group, perms):

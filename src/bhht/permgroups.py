@@ -350,12 +350,20 @@ def pc_check(group):
     The fixed-space dimension of a subgroup equals its orbit count on the
     points, so the check is purely combinatorial.  Returns a violating
     subgroup as witness when the condition fails: the least violating
-    subgroup by (order, sorted elements).  Orbit counts are invariant under
-    conjugation, so that is the least member of the first violating
-    conjugacy class, and no classes need to be formed.  The orbit of i under
-    a subgroup is the set of its images p(i).
+    subgroup by (order, sorted elements).  The trivial subgroup has n
+    orbits, and <t> for an involution t has n minus the number of its
+    2-cycles, so it violates exactly when t is odd: the least odd involution
+    names the witness, if there is one, and no lattice is built.  Otherwise
+    the subgroups are read in the lattice's order.  Orbit counts are
+    invariant under conjugation, so no classes need to be formed.  The
+    orbit of i under a subgroup is the set of its images p(i).
     """
     n = group.n
+    identity = identity_perm(n)
+    for t in group.elements:
+        # an odd number of 2-cycles moves 2 mod 4 points
+        if sum(p != i for i, p in enumerate(t)) % 4 == 2 and compose(t, t) == identity:
+            return PCResult(False, group.subgroup([identity, t]))
     for rep in group.lattice.subgroups:
         orbits = {frozenset(p[i] for p in rep) for i in range(n)}
         if (len(orbits) - n) % 2 != 0:

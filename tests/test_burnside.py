@@ -121,8 +121,8 @@ def test_conjugate_test_coordinate_subgroups():
     perms = group_from_generators(5, ["(12)", "(123)"])  # S3 on the first three
     ambient = SemidirectAmbient(group, perms)
     # vanishing on slots 1 and 3
-    h1 = group.kernel_elements(*group.stratum_kernel([0, 2]))
-    h2 = group.kernel_elements(*group.stratum_kernel([1, 2]))
+    h1 = group.kernel_elements(group.stratum_kernel([0, 2]))
+    h2 = group.kernel_elements(group.stratum_kernel([1, 2]))
     t1 = {parse_cycles("e", 5), parse_cycles("(13)", 5)}
     t2 = {parse_cycles("e", 5), parse_cycles("(23)", 5)}
     sigma = brute_conjugating_perm(ambient, h1, t1, h2, t2)
@@ -280,7 +280,7 @@ def test_mark_against_naive_oracle_on_all_class_pairs(polynomial, generators,
 def test_cocycle_kernel_order_matches_scan(polynomial, generators):
     # every (K', K) class pair and every s that mark counts over
     from bhht.burnside import _cocycle_kernel_order
-    from bhht.intmat import kernel_mod
+    from bhht.intmat import hermite_generators, kernel_mod
     from bhht.oracles import brute_cocycle_kernel_order
     from bhht.permgroups import conjugate, inverse
 
@@ -288,8 +288,9 @@ def test_cocycle_kernel_order_matches_scan(polynomial, generators):
     diag = ambient.diag
     classes = split_classes(ambient)
     checked = set()
+    L = diag.exponent
     for kp in classes:
-        congruences = kernel_mod(kp.h_gens, diag.n, diag.exponent)[0]
+        congruences = hermite_generators(kernel_mod(kp.h_gens, diag.n, L), L)
         for k in classes:
             for s in ambient.perms.elements:
                 moved = tuple(conjugate(inverse(s), t) for t in k.t_gens)
@@ -347,8 +348,8 @@ def test_induction_fuses_conjugate_classes():
     group = DiagonalGroup(quintic)
     s3 = group_from_generators(3, ["(12)", "(123)"])
     loner = SemidirectAmbient(group, PermGroup(3, ()))
-    h1 = group.kernel_elements(*group.stratum_kernel([0]))
-    h2 = group.kernel_elements(*group.stratum_kernel([1]))
+    h1 = group.kernel_elements(group.stratum_kernel([0]))
+    h2 = group.kernel_elements(group.stratum_kernel([1]))
     e3 = {parse_cycles("e", 3)}
     x = single(loner, h1, e3) + single(loner, h2, e3)
     lifted = induction(x, s3)

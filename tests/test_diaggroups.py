@@ -13,8 +13,10 @@ from bhht.diaggroups import (
 )
 from bhht.errors import MembershipError, SizeBoundError
 from bhht.fixtures import load_catalogue
+from bhht.intmat import hermite_generators, hermite_key, hermite_order
 from bhht.oracles import (
     all_subgroups_abelian,
+    loop_perm_act,
     brute_annihilator,
     brute_isotropy,
     brute_span,
@@ -87,7 +89,8 @@ def test_size_bound():
 
 def test_subgroup_generated_trivial_and_full(gq):
     assert span(gq, [])[1] == frozenset({gq.zero})
-    assert span(gq, gq.kernel()[0])[1] == frozenset(gq.elements)
+    gens = hermite_generators(gq.kernel(), gq.exponent)
+    assert span(gq, gens)[1] == frozenset(gq.elements)
 
 
 def test_exponential_grading_subgroup(gq):
@@ -127,9 +130,9 @@ def test_span_keeps_every_generator_it_needs():
 
 
 def test_isotropy_on_stratum(gq):
-    assert gq.kernel_elements(*gq.stratum_kernel(range(5))) == frozenset({gq.zero})
-    assert gq.kernel_elements(*gq.stratum_kernel([])) == frozenset(gq.elements)
-    assert len(gq.kernel_elements(*gq.stratum_kernel([0, 1]))) == 125
+    assert gq.kernel_elements(gq.stratum_kernel(range(5))) == frozenset({gq.zero})
+    assert gq.kernel_elements(gq.stratum_kernel([])) == frozenset(gq.elements)
+    assert len(gq.kernel_elements(gq.stratum_kernel([0, 1]))) == 125
 
 
 def test_fixed_subgroup(gq):
@@ -148,6 +151,17 @@ def test_perm_act():
     v = (1, 2, 0, 0, 0)
     assert perm_act(parse_cycles("e", 5), v) == v
     assert perm_act(parse_cycles("(12)", 5), v) == (2, 1, 0, 0, 0)
+
+
+def test_perm_act_matches_the_index_loop():
+    rng = seeded(33)
+    for n in list(range(1, 8)) * 20:
+        s = list(range(n))
+        rng.shuffle(s)
+        v = [rng.randrange(7) for _ in range(n)]
+        assert perm_act(tuple(s), v) == loop_perm_act(tuple(s), v)
+        assert perm_act(tuple(s), tuple(v)) == loop_perm_act(tuple(s), v)
+    assert perm_act((0,), (3,)) == (3,)
 
 
 def test_perm_act_composition_law():
@@ -309,11 +323,11 @@ def test_kernels_never_list_the_whole_group():
     assert pairing.right.order == 8 ** 7 > DEFAULT_GROUP_BOUND
     with pytest.raises(SizeBoundError):
         _ = pairing.right.elements
-    h = pairing.left.kernel_elements(*pairing.left.stratum_kernel(range(5)))
+    h = pairing.left.kernel_elements(pairing.left.stratum_kernel(range(5)))
     assert len(h) == 64
     assert len(pairing.annihilator(h)) == 8 ** 5
     with pytest.raises(SizeBoundError):
-        pairing.left.kernel_elements(*pairing.left.stratum_kernel([]))  # all of G
+        pairing.left.kernel_elements(pairing.left.stratum_kernel([]))  # all of G
     pairing.verify_nondegenerate()
 
 
@@ -327,7 +341,7 @@ def test_isotropy_on_stratum_matches_scan(quintic, x14, x15):
         group = DiagonalGroup(matrix.anchored())
         for k in range(group.n + 1):
             for subset in combinations(range(group.n), k):
-                listed = group.kernel_elements(*group.stratum_kernel(subset))
+                listed = group.kernel_elements(group.stratum_kernel(subset))
                 assert listed == brute_isotropy(group, subset)
 
 
@@ -355,7 +369,7 @@ def test_reduced_congruences_cut_out_the_group():
     for matrix in matrices:
         group = DiagonalGroup(matrix.anchored())
         n, L = group.n, group.exponent
-        gens = group.kernel()[0]
+        gens = hermite_generators(group.kernel(), L)
         for _ in range(20):
             v = [rng.randrange(L) for _ in range(n)]
             if rng.random() < 0.5:  # a member: a combination of G's generators
@@ -371,11 +385,11 @@ def test_reduced_congruences_cut_out_the_group():
         for _ in range(5):
             rows = [[rng.randrange(-L, L) for _ in range(n)]
                     for _ in range(rng.randint(1, 3))]
-            kgens, order = group.kernel(rows)
+            key = group.kernel(rows)
             scan = frozenset(g for g in group.elements if all(
                 sum(r * a for r, a in zip(row, g)) % L == 0 for row in rows))
-            assert order == len(scan), (matrix, rows)
-            assert group.kernel_elements(kgens, order) == scan, (matrix, rows)
+            assert hermite_order(key, L) == len(scan), (matrix, rows)
+            assert group.kernel_elements(key) == scan, (matrix, rows)
     assert inside > 100 and outside > 100 and scanned > 30
     fermat = DiagonalGroup(catalogue["x1_z2"].matrix)
     assert fermat.congruences == []  # E = 5.I vanishes mod 5
@@ -421,6 +435,40 @@ def test_hermite_keys_match_listed_subgroups():
                                span(group, gens)[1]]
         distinct += check_hermite_keys(group, generator_sets)
     assert distinct > 80
+
+
+def test_key_listing_matches_span_closure():
+    # random keys, each listed from the key and by closing its generators
+    rng = seeded(45)
+    kinds = dict.fromkeys(["trivial", "full", "diagonal", "non-diagonal", "n = 1"], 0)
+    # the last group's key has first row (4, 1, 7) mod 8: its multiples repeat
+    # past column 0 with period 8, which does not divide L/d_0 = 2, so the row
+    # is walked whole
+    matrices = [parse_polynomial(text) for text in (
+        "x1^7", "x1^12", "x1^2*x2+x2^3*x3+x3^4", "x1^2+x1*x3^4+x2*x3")]
+    matrices += [random_invertible(rng, max_vars=rng.randint(1, 4)) for _ in range(60)]
+    for matrix in matrices:
+        group = DiagonalGroup(matrix.anchored())
+        if group.order > 3000:
+            continue
+        n, L = group.n, group.exponent
+        generator_sets = [[], hermite_generators(group.kernel(), L)]
+        generator_sets += [[rng.choice(group.elements) for _ in range(rng.randint(1, 3))]
+                           for _ in range(6)]
+        for gens in generator_sets:
+            key = hermite_key(gens, n, L)
+            listed = group.kernel_elements(key)
+            assert listed == span(group, gens)[1], (matrix, gens)
+            if len(listed) == 1:
+                kinds["trivial"] += 1
+            elif len(listed) == group.order:
+                kinds["full"] += 1
+            elif any(x for j, row in enumerate(key) for x in row[j + 1:]):
+                kinds["non-diagonal"] += 1
+            else:
+                kinds["diagonal"] += 1
+            kinds["n = 1"] += n == 1
+    assert min(kinds.values()) >= 10, kinds
 
 
 def test_format_element(gq):

@@ -179,7 +179,7 @@ def test_support_is_stratum_kernels(quintic):
     kernels = set()
     for mask in range(1, 1 << 5):
         subset = [i for i in range(5) if mask >> i & 1]
-        kernels.add(group.kernel_elements(*group.stratum_kernel(subset)))
+        kernels.add(group.kernel_elements(group.stratum_kernel(subset)))
     for cls in element.coefficients:
         assert cls.h_elements in kernels
 
@@ -215,7 +215,7 @@ def expected_kernel_orders(matrix, n):
         base = restrict(matrix.anchored(), subset)
         if not base.full:
             continue
-        kernel = group.kernel_elements(*group.stratum_kernel(subset))
+        kernel = group.kernel_elements(group.stratum_kernel(subset))
         chi = (-1) ** (len(subset) - 1) * abs(base.determinant())
         out[subset] = (len(kernel), chi * len(kernel) // group.order)
     return out

@@ -296,15 +296,27 @@ def test_cmd_table1_labels_cached_rows_and_sorts_row_ids_numerically():
     assert records["12"]["cached"] is True and records["12"]["seconds"] is None
 
 
-def test_size_bound_is_a_resource_error(tmp_path):
+def test_size_bound_is_a_resource_error(tmp_path, monkeypatch):
     # |G| = 11^6 is over DEFAULT_GROUP_BOUND: the verdict lists nothing, but
-    # the JSON output lists the H of the full class
-    fx = tmp_path / "big.fix"
-    fx.write_text("[polynomial]\n%s\n\n[S]\n(123)(456)\n" % "+".join(
-        "x%d^11" % i for i in range(1, 7)))
-    code, _out = run_cli("verify", str(fx), "--json", "--max-group-order", "100000000")
-    assert code == 4
-    code, out = run_cli("verify", str(fx), "--lemmas", "--max-group-order", "100000000")
+    # the JSON and euler output would list the H of the full class, and the
+    # differences of the failed verdict under (12) one of order 11^6 too, so
+    # each fails before it lists any H
+    text = "[polynomial]\n%s\n\n[S]\n%%s\n" % "+".join("x%d^11" % i for i in range(1, 7))
+    for name, s_line in (("big", "(123)(456)"), ("swap", "(12)")):
+        (tmp_path / (name + ".fix")).write_text(text % s_line)
+    big, swap = str(tmp_path / "big.fix"), str(tmp_path / "swap.fix")
+    listings = []
+    listed = DiagonalGroup.kernel_elements
+
+    def counted(group, key):
+        listings.append(key)
+        return listed(group, key)
+
+    monkeypatch.setattr(DiagonalGroup, "kernel_elements", counted)
+    for args in (("verify", big, "--json"), ("euler", big), ("verify", swap)):
+        code, _out = run_cli(*args, "--max-group-order", "100000000")
+        assert (code, listings) == (4, []), args
+    code, out = run_cli("verify", big, "--lemmas", "--max-group-order", "100000000")
     assert code == 0 and "duality HOLDS" in out
     assert sum(line.endswith(" ok") for line in out.splitlines()) == 6
 
@@ -318,6 +330,18 @@ def test_listing_bound_does_not_depend_on_how_g_is_written(tmp_path):
         fx = tmp_path / (name + ".fix")
         fx.write_text(text % (poly, "\n".join(g_lines)))
         assert run_cli("dual", str(fx))[0] == 4, name
+
+
+def test_cmd_dual_rejects_g_that_s_does_not_preserve(tmp_path, capsys):
+    # (12) moves 1/3(1,0) out of <1/3(1,0)> but keeps <1/3(1,2)>
+    for g_line, expected in (("1/3(1,0)", 2), ("1/3(1,2)", 0)):
+        fx = tmp_path / "g.fix"
+        fx.write_text("[polynomial]\nx1^3+x2^3\n\n[G]\n%s\n\n[S]\n(12)\n" % g_line)
+        code, out = run_cli("dual", str(fx))
+        assert code == expected, g_line
+        err = capsys.readouterr().err
+        assert ("G is not invariant under S; no dual pair" in err) == (code == 2)
+    assert parse_fixture(out).g_lines == ["1/3(1,1)"]  # the annihilator
 
 
 def test_structural_failure_is_a_mathematical_error(monkeypatch):

@@ -6,7 +6,13 @@ import pytest
 
 from conftest import seeded
 
-from bhht.intmat import determinant, kernel_mod, solve_exact
+from bhht.intmat import (
+    determinant,
+    hermite_generators,
+    hermite_order,
+    kernel_mod,
+    solve_exact,
+)
 
 
 def det_by_fractions(a):
@@ -57,7 +63,7 @@ def test_invariant_factors_product_is_det():
         det = abs(determinant(a))
         if det == 0:
             continue
-        assert kernel_mod(a, n, det)[1] == det
+        assert hermite_order(kernel_mod(a, n, det), det) == det
 
 
 def test_solve_exact():
@@ -95,7 +101,8 @@ def test_kernel_mod_matches_brute_force():
     for _ in range(300):
         n, m, k = rng.randint(1, 3), rng.randint(1, 12), rng.randint(0, 4)
         rows = random_matrix(rng, k, n)
-        gens, order = kernel_mod(rows, n, m)
+        key = kernel_mod(rows, n, m)
+        gens, order = hermite_generators(key, m), hermite_order(key, m)
         brute = {x for x in product(range(m), repeat=n)
                  if all(sum(a * b for a, b in zip(r, x)) % m == 0 for r in rows)}
         assert order == len(brute)
@@ -114,7 +121,7 @@ def test_kernel_mod_order_matches_sympy_smith_form():
         rows = random_matrix(rng, k, n, -30, 30)
         d = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
         diag = [abs(int(d[j, j])) if j < k else 0 for j in range(n)]
-        assert kernel_mod(rows, n, m)[1] == prod(gcd(dj, m) for dj in diag)
+        assert hermite_order(kernel_mod(rows, n, m), m) == prod(gcd(dj, m) for dj in diag)
 
 
 def test_kernel_mod_keeps_entries_reduced():
@@ -123,7 +130,7 @@ def test_kernel_mod_keeps_entries_reduced():
         rows, cols = rng.randint(1, 8), rng.randint(1, 6)
         m = rng.choice([2, 12, 625, 1000])
         a = random_matrix(rng, rows, cols, -999, 999)
-        gens, _order = kernel_mod(a, cols, m)
+        gens = hermite_generators(kernel_mod(a, cols, m), m)
         assert all(len(g) == cols and all(0 <= x < m for x in g) for g in gens)
         assert all(sum(r * x for r, x in zip(row, g)) % m == 0
                    for row in a for g in gens)

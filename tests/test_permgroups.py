@@ -27,6 +27,7 @@ from bhht.oracles import (
     brute_normalizer_order,
     brute_subgroups,
     brute_subset_representative,
+    lattice_pc_witness,
 )
 
 S5 = ["(12345)", "(12)"]
@@ -293,6 +294,30 @@ def test_pc_witness_matches_class_based_choice():
             == _class_based_witness(group), gens
         violated += witness is not None
     assert 0 < violated < len(groups)
+
+
+def test_pc_check_matches_the_lattice_walk():
+    # the least odd involution names the witness without a lattice; <(1234)>
+    # has odd elements but no odd involution, so it walks its lattice
+    from bhht.fixtures import load_catalogue
+
+    s5 = group_from_generators(5, S5)
+    groups = [s5.subgroup(h) for h in s5.lattice.subgroups]
+    assert len(groups) == 156
+    groups += [fx.perm_group() for fx in load_catalogue().values()]
+    c4 = group_from_generators(4, ["(1234)"])
+    groups.append(c4)
+    shortcut = 0
+    for group in groups:
+        result = pc_check(group)
+        witness = lattice_pc_witness(group)
+        assert result.satisfies == (witness is None), group
+        if witness is not None:
+            assert result.witness.element_set == witness, group
+            assert result.witness is group.subgroup(witness)
+            shortcut += witness != group.element_set and len(witness) == 2
+    assert pc_check(c4).witness is c4
+    assert shortcut > 50
 
 
 def test_cyclic_criterion_s6():
