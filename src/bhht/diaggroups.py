@@ -98,8 +98,9 @@ class DiagonalGroup:
         L = self.exponent
         check_listing_bound(hermite_order(key, L))
         n = self.n
-        steps = [L] * n
-        sums = [self.zero]  # unreduced: only their residues are read
+        moduli = (L,) * n
+        steps = list(moduli)
+        sums = [self.zero]
         for k in reversed(range(n)):
             row = key[k]
             w = lcm(1, *(steps[i] // gcd(steps[i], row[i]) for i in range(k + 1, n)))
@@ -108,9 +109,10 @@ class DiagonalGroup:
             steps[k] = w * row[k]
             if w > 1:
                 multiples = [tuple(r * x for x in row) for r in range(w)]
-                sums = [tuple(map(add, s, m)) for m in multiples for s in sums]
-        if steps == [L] * n:  # every product is one element
-            return frozenset(tuple(map(mod, s, steps)) for s in sums)
+                sums = [tuple(map(mod, map(add, s, m), moduli))
+                        for m in multiples for s in sums]
+        if steps == list(moduli):  # every product is one element
+            return frozenset(sums)
         return frozenset(chain.from_iterable(
             product(*map(range, map(mod, s, steps), repeat(L), steps)) for s in sums))
 

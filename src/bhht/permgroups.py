@@ -6,6 +6,7 @@ text is 1-based, e.g. ``(12)(34)``.
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import ne
 
 from .errors import ParseError, SizeBoundError
 
@@ -362,7 +363,7 @@ def pc_check(group):
     identity = identity_perm(n)
     for t in group.elements:
         # an odd number of 2-cycles moves 2 mod 4 points
-        if sum(p != i for i, p in enumerate(t)) % 4 == 2 and compose(t, t) == identity:
+        if sum(map(ne, t, identity)) % 4 == 2 and compose(t, t) == identity:
             return PCResult(False, group.subgroup([identity, t]))
     for rep in group.lattice.subgroups:
         orbits = {frozenset(p[i] for p in rep) for i in range(n)}
