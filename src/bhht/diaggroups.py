@@ -99,7 +99,7 @@ class DiagonalGroup:
         check_listing_bound(hermite_order(key, L))
         n = self.n
         moduli = (L,) * n
-        steps = list(moduli)
+        steps = [L] * n
         sums = [self.zero]
         for k in reversed(range(n)):
             row = key[k]
@@ -111,7 +111,7 @@ class DiagonalGroup:
                 multiples = [tuple(r * x for x in row) for r in range(w)]
                 sums = [tuple(map(mod, map(add, s, m), moduli))
                         for m in multiples for s in sums]
-        if steps == list(moduli):  # every product is one element
+        if min(steps) == L:  # every product is one element
             return frozenset(sums)
         return frozenset(chain.from_iterable(
             product(*map(range, map(mod, s, steps), repeat(L), steps)) for s in sums))
