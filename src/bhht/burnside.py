@@ -2,11 +2,11 @@
 
 Ambient elements are pairs (v, s) of a diagonal-group element and a
 permutation, multiplied by (v, s)(w, t) = (v + s.w, st).  Generators of the
-free abelian group are classes of split subgroups H x| T, built from
-generators of H and T and identified without listing either: T by the key
-of its class in the lattice of S, H by the Hermite normal form of the
-lattice it spans (``intmat.hermite_key``), which also decides
-membership.  Element lists are made for output alone.  Marks come from
+free abelian group are classes of split subgroups H x| T, built from the
+Hermite key of H (``intmat.hermite_key``), which names H and decides
+membership, and from generators of T, identified without listing either:
+T by the key of its class in the lattice of S, H by the least key of its
+conjugates.  Element lists are made for output alone.  Marks come from
 Burnside's formula in closed form: conjugation by (v, s) moves (h, t) to
 (s^-1(h + t.v - v), s^-1 t s), so fixed cosets are counted from S and G
 alone and the semidirect product is never listed.
@@ -79,25 +79,25 @@ class SemidirectAmbient:
 class HTClass:
     """Conjugacy class of a split subgroup H x| T, identified by canonical keys.
 
-    The class is built from generating sets of H and T; any set of elements of
-    G and of S generates a subgroup, so an element set is a valid input too.
-    Two split subgroups are conjugate in the ambient group iff they are
-    conjugate by some element of S.  So the class is identified by the key of
-    T's class in the lattice of S and the least Hermite key of s.H over the s
-    that carry T onto that key; the representative stored, with generators
-    for marks and a key for membership, is that s.H x| key.  Nothing is
-    listed: the element lists and the output order ``tag``, the least (sorted
-    T, sorted H) over conjugation, are computed on first use.
+    The class is built from the Hermite key of H, as ``hermite_key`` makes it,
+    and a generating set of T; any set of elements of S generates a subgroup,
+    so an element set of T is a valid input too.  Two split subgroups are
+    conjugate in the ambient group iff they are conjugate by some element of
+    S.  So the class is identified by the key of T's class in the lattice of
+    S and the least Hermite key of s.H over the s that carry T onto that key;
+    the representative stored, with generators for marks and a key for
+    membership, is that s.H x| key.  Nothing is listed: the element lists and
+    the output order ``tag``, the least (sorted T, sorted H) over
+    conjugation, are computed on first use.
     """
 
-    def __init__(self, ambient, h_generators, t_generators):
+    def __init__(self, ambient, h_key, t_generators):
         diag, perms = ambient.diag, ambient.perms
         n, L = diag.n, diag.exponent
-        for h in h_generators:
+        h_gens = hermite_generators(h_key, L)
+        for h in h_gens:
             if h not in diag:
                 raise MembershipError("generator %s not in the group" % (h,))
-        h_key = hermite_key(h_generators, n, L)
-        h_gens = hermite_generators(h_key, L)
         t_gens = tuple(t_generators)
         if not all(t in perms.element_set for t in t_gens):
             raise MembershipError("T is not a subgroup of S")
@@ -202,20 +202,6 @@ class BurnsideElement:
                         raise AmbientMismatchError("class over a different group")
                     self.coefficients[cls] = int(c)
 
-    def _require(self, other):
-        if not self.ambient.compatible(other.ambient):
-            raise AmbientMismatchError("elements over different groups")
-
-    def __add__(self, other):
-        self._require(other)
-        out = dict(self.coefficients)
-        for cls, c in other.coefficients.items():
-            out[cls] = out.get(cls, 0) + c
-        return BurnsideElement(self.ambient, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
     def scale(self, k):
         return BurnsideElement(self.ambient,
                                {cls: k * c for cls, c in self.coefficients.items()})
@@ -225,21 +211,13 @@ class BurnsideElement:
                 and self.ambient.compatible(other.ambient)
                 and self.coefficients == other.coefficients)
 
-    def __hash__(self):
-        return hash(frozenset(self.coefficients.items()))
-
-    def __bool__(self):
-        return bool(self.coefficients)
-
     def coefficient(self, cls):
         return self.coefficients.get(cls, 0)
 
     def reduce(self):
         """Subtract the class of the one-point set [G x| S / G x| S]."""
         ambient = self.ambient
-        diag = ambient.diag
-        full = HTClass(ambient, hermite_generators(diag.kernel(), diag.exponent),
-                       ambient.perms.generators)
+        full = HTClass(ambient, ambient.diag.kernel(), ambient.perms.generators)
         out = dict(self.coefficients)
         out[full] = out.get(full, 0) - 1
         return BurnsideElement(self.ambient, out)
@@ -320,7 +298,7 @@ def induction(element, perms_big):
     big = SemidirectAmbient(small.diag, perms_big)
     out = {}
     for cls, c in element.coefficients.items():
-        lifted = HTClass(big, cls.h_gens, cls.t_gens)
+        lifted = HTClass(big, cls.h_key, cls.t_gens)
         out[lifted] = out.get(lifted, 0) + c
     return BurnsideElement(big, out)
 
@@ -335,10 +313,8 @@ def saito_dual(element, pairing):
     if pairing.left is not src.diag and pairing.left.matrix != src.diag.matrix:
         raise AmbientMismatchError("pairing does not match the element's group")
     dual_ambient = SemidirectAmbient(pairing.right, src.perms)
-    L = pairing.right.exponent
     out = {}
     for cls, c in element.coefficients.items():
-        h_gens = hermite_generators(pairing.dual_kernel(cls.h_gens), L)
-        lifted = HTClass(dual_ambient, h_gens, cls.t_gens)
+        lifted = HTClass(dual_ambient, pairing.dual_kernel(cls.h_key), cls.t_gens)
         out[lifted] = out.get(lifted, 0) + c
     return BurnsideElement(dual_ambient, out)

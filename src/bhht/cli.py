@@ -36,7 +36,7 @@ from .fixtures import (
     load_fixture,
     serialize_fixture,
 )
-from .intmat import hermite_generators, in_hermite
+from .intmat import hermite_generators, hermite_key, in_hermite
 from .oracles import (
     CONSISTENCY_ORDER_BOUND,
     check_fixed_point_consistency,
@@ -416,7 +416,8 @@ def cmd_selftest(args):
     def marks_battery():
         G = DiagonalGroup(E.anchored())
         amb = SemidirectAmbient(G, S)
-        classes = {HTClass(amb, h, t) for h, t in split_subgroup_pairs(G, S)}
+        classes = {HTClass(amb, hermite_key(h, G.n, G.exponent), t)
+                   for h, t in split_subgroup_pairs(G, S)}
         for a in classes:
             for b in classes:
                 if mark(a, b) != naive_mark(a, b):

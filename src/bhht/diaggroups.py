@@ -268,8 +268,9 @@ class CharacterPairing:
                 gens, order = hermite_generators(key, L2), hermite_order(key, L2)
         return self.right.kernel_elements(key)
 
-    def dual_kernel(self, gens):
-        """The Hermite key of the annihilator of the subgroup gens generate."""
+    def dual_kernel(self, key):
+        """The Hermite key of the annihilator of the left subgroup of a key."""
+        gens = hermite_generators(key, self.left.exponent)
         return self.right.kernel([self._congruence(a) for a in gens])
 
     def _congruence(self, a):
@@ -289,6 +290,6 @@ class CharacterPairing:
         sides = ((self, "a nonzero character vanishes on the whole group"),
                  (self.swapped(), "a nonzero element is killed by every character"))
         for pairing, what in sides:
-            left_gens = hermite_generators(pairing.left.kernel(), pairing.left.exponent)
-            if hermite_order(pairing.dual_kernel(left_gens), pairing.right.exponent) != 1:
+            if hermite_order(pairing.dual_kernel(pairing.left.kernel()),
+                             pairing.right.exponent) != 1:
                 raise DegeneratePairingError(self.matrix, what)

@@ -22,7 +22,7 @@ from .burnside import (
 )
 from .diaggroups import CharacterPairing, DiagonalGroup, check_listing_bound
 from .errors import StructuralAssumptionViolated
-from .intmat import hermite_generators, hermite_order
+from .intmat import hermite_generators, hermite_key, hermite_order
 from .permgroups import (
     PCResult,
     orbit,
@@ -122,7 +122,7 @@ def _stratum_contribution(matrix, group, perms, subset, stabilizer, orbit_size):
     # descending subgroup order; ties broken by the canonical representative
     order = sorted(keys, key=lambda k: (-len(k), k))
 
-    kernel = hermite_generators(group.stratum_kernel(subset), group.exponent)
+    kernel = group.stratum_kernel(subset)
     ambient = SemidirectAmbient(group, stabilizer)
     node = {key: HTClass(ambient, kernel, reps[key].generators) for key in keys}
     fixed = {key: stratum_chi_fixed(matrix, subset, reps[key]) for key in keys}
@@ -315,10 +315,10 @@ def lemma_level_checks(matrix, perms):
 
     full = tuple(range(n))
     top = next(s for s in lhs.strata if s.subset == full)
+    ambient = top.element.ambient
+    trivial = hermite_key((), n, ambient.diag.exponent)
     expected = BurnsideElement(
-        top.element.ambient,
-        {HTClass(top.element.ambient, (), perms.generators):
-         (-1) ** (n - 1)})
+        ambient, {HTClass(ambient, trivial, perms.generators): (-1) ** (n - 1)})
     checks.append(LemmaCheck(
         "open-torus contribution is (-1)^(n-1) [G x| S / e x| S]",
         top.element == expected))
@@ -356,9 +356,8 @@ def lemma_level_checks(matrix, perms):
             break
         # the annihilator of the stratum kernel lies in the complement's
         # stratum kernel (its generators vanish there) and has its order
-        L1, L2 = pairing.left.exponent, pairing.right.exponent
-        ann = pairing.dual_kernel(
-            hermite_generators(pairing.left.stratum_kernel(s.subset), L1))
+        L2 = pairing.right.exponent
+        ann = pairing.dual_kernel(pairing.left.stratum_kernel(s.subset))
         if (hermite_order(ann, L2)
                 != hermite_order(pairing.right.stratum_kernel(complement), L2)
                 or any(w[i] for w in hermite_generators(ann, L2) for i in complement)):

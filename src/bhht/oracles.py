@@ -8,7 +8,7 @@ semidirect product G x| S, which the main paths never build.
 
 from itertools import combinations_with_replacement
 
-from .burnside import mark
+from .burnside import HTClass, mark
 from .diaggroups import perm_act, span
 from .errors import SizeBoundError
 from .euler import stratum_chi_fixed
@@ -290,11 +290,11 @@ def check_fixed_point_consistency(analysis):
     if ambient.order > CONSISTENCY_ORDER_BOUND:
         raise SizeBoundError("consistency check capped at order %d"
                              % CONSISTENCY_ORDER_BOUND)
-    from .burnside import HTClass
+    group = analysis.group
     done = set()
     checked = 0
-    for h, t in split_subgroup_pairs(analysis.group, analysis.perms):
-        probe = HTClass(ambient, h, t)
+    for h, t in split_subgroup_pairs(group, analysis.perms):
+        probe = HTClass(ambient, hermite_key(h, group.n, group.exponent), t)
         if probe in done:
             continue
         done.add(probe)

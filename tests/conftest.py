@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from bhht.burnside import BurnsideElement
+from bhht.intmat import hermite_key
 from bhht.polynomials import ExponentMatrix, parse_polynomial
 
 X1 = "x1^5+x2^5+x3^5+x4^5+x5^5"
@@ -22,6 +24,21 @@ def x14():
 @pytest.fixture
 def x15():
     return parse_polynomial(X15)
+
+
+def key_of(group, elements):
+    """The Hermite key of the subgroup of a diagonal group that the elements
+    generate: how a test hands ``HTClass`` an H it holds as elements."""
+    return hermite_key(elements, group.n, group.exponent)
+
+
+def summed(ambient, *elements):
+    """The sum of Burnside elements, as the program sums strata: in one dict."""
+    total = {}
+    for x in elements:
+        for cls, c in x.coefficients.items():
+            total[cls] = total.get(cls, 0) + c
+    return BurnsideElement(ambient, total)
 
 
 def random_invertible(rng, max_vars=6):

@@ -7,14 +7,13 @@ run with ``pytest -s tests/test_acceptance.py`` to see them.
 import time
 
 import pytest
-from conftest import X1, X14, X15, is_even, seeded
+from conftest import X1, X14, X15, is_even, key_of, seeded
 
 from bhht.burnside import BurnsideElement, HTClass, SemidirectAmbient, induction, mark, saito_dual
 from bhht.diaggroups import (
     CharacterPairing,
     DiagonalGroup,
     perm_act,
-    span,
 )
 from bhht.euler import euler_analysis, stratum_chi_fixed, verify_duality
 from bhht.fixtures import load_catalogue
@@ -133,7 +132,7 @@ def test_criterion_5_varchenko_and_marks_oracles():
     assert ambient.order == 162 <= 2000
     classes = {}
     for h, t in split_subgroup_pairs(group, perms):
-        cls = HTClass(ambient, h, t)
+        cls = HTClass(ambient, key_of(group, h), t)
         classes.setdefault(cls.tag, cls)
     pairs = 0
     for a in classes.values():
@@ -149,8 +148,7 @@ def _random_split_pair(rng, group, perms, t_choices):
     t_set = rng.choice(t_choices)
     seeds = [rng.choice(group.elements) for _ in range(rng.randint(0, 2))]
     stable = [perm_act(t, g) for g in seeds for t in t_set]
-    h = span(group, stable)[1]
-    return h, t_set
+    return key_of(group, stable), t_set
 
 
 def test_criterion_6_structural_suite(catalogue):
@@ -186,15 +184,15 @@ def test_criterion_6_structural_suite(catalogue):
         for _ in range(100):
             coeffs = {}
             for _term in range(rng.randint(1, 3)):
-                h, t = _random_split_pair(rng, pairing.left, perms, t_choices)
-                cls = HTClass(ambient, h, t)
+                h_key, t = _random_split_pair(rng, pairing.left, perms, t_choices)
+                cls = HTClass(ambient, h_key, t)
                 coeffs[cls] = coeffs.get(cls, 0) + rng.randint(-3, 3)
             x = BurnsideElement(ambient, coeffs)
             back = saito_dual(saito_dual(x, pairing), pairing.swapped())
             assert BurnsideElement(ambient, back.coefficients) == x
-            h, t = _random_split_pair(rng, pairing.left, sub, sub_choices)
+            h_key, t = _random_split_pair(rng, pairing.left, sub, sub_choices)
             y = BurnsideElement(sub_ambient,
-                                {HTClass(sub_ambient, h, t): rng.randint(-3, 3)})
+                                {HTClass(sub_ambient, h_key, t): rng.randint(-3, 3)})
             one = induction(saito_dual(y, pairing), perms)
             two = saito_dual(induction(y, perms), pairing)
             dual_ambient = SemidirectAmbient(pairing.right, perms)

@@ -3,7 +3,7 @@ from collections import deque
 from dataclasses import replace
 
 import pytest
-from conftest import X14, X15, seeded
+from conftest import X14, X15, seeded, summed
 
 from bhht import diaggroups, euler
 from bhht.diaggroups import DiagonalGroup
@@ -185,20 +185,15 @@ def test_support_is_stratum_kernels(quintic):
 
 
 def test_assembly_is_sum_of_stratum_inductions(x14):
-    from bhht.burnside import BurnsideElement
-
     s = group_from_generators(5, ["(12)(34)"])
     analysis = euler_analysis(x14, s)
-    total = BurnsideElement(analysis.ambient)
-    for stratum in analysis.strata:
-        total = total + BurnsideElement(analysis.ambient,
-                                        stratum.induced.coefficients)
+    total = summed(analysis.ambient, *(stratum.induced for stratum in analysis.strata))
     assert total == analysis.element
 
 
 def test_reduce_subtracts_the_point(quintic):
     analysis = euler_analysis(quintic, PermGroup(5, ()))
-    delta = analysis.element - analysis.reduced
+    delta = summed(analysis.ambient, analysis.element, analysis.reduced.scale(-1))
     (cls, coeff), = delta.coefficients.items()
     assert coeff == 1 and cls.h_order == 3125 and cls.t_order == 1
 
@@ -412,10 +407,11 @@ def _negate_deepest(analysis):
     s.coefficients[_deepest(s)] *= -1
 
 
-def _shift_shallow_class(analysis):
-    # x14_z2a: strata (5) and (1234) have one coloured diagram
-    s = analysis.strata[_stratum(analysis, (4,))]
-    s.coefficients[min(s.class_keys, key=len)] += 1
+def _shift_shallow_class(subset):
+    def corrupt(analysis):
+        s = analysis.strata[_stratum(analysis, subset)]
+        s.coefficients[min(s.class_keys, key=len)] += 1
+    return corrupt
 
 
 def _enlarge_deepest_rep(analysis):
@@ -431,7 +427,10 @@ def _enlarge_deepest_rep(analysis):
     pytest.param("pc_a3", _open_torus_proper_class, 1, id="proper-zero"),
     pytest.param("pc_a3", _double_induced, 2, id="complementary"),
     pytest.param("pc_a3", _negate_deepest, 3, id="deepest"),
-    pytest.param("x14_z2a", _shift_shallow_class, 4, id="diagrams"),
+    # x14_z2a: strata (5) and (1234) have one coloured diagram
+    pytest.param("x14_z2a", _shift_shallow_class((4,)), 4, id="diagrams"),
+    # pc_d10: strata (12) and (124) share a diagram of two classes
+    pytest.param("pc_d10", _shift_shallow_class((0, 1)), 4, id="diagrams-d10"),
     pytest.param("pc_a3", _enlarge_deepest_rep, 5, id="divisibility"),
 ])
 def test_each_lemma_check_fails_on_a_corrupted_analysis(name, corrupt, failing):

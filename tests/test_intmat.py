@@ -9,6 +9,7 @@ from conftest import seeded
 from bhht.intmat import (
     determinant,
     hermite_generators,
+    hermite_key,
     hermite_order,
     kernel_mod,
     solve_exact,
@@ -103,6 +104,8 @@ def test_kernel_mod_matches_brute_force():
         rows = random_matrix(rng, k, n)
         key = kernel_mod(rows, n, m)
         gens, order = hermite_generators(key, m), hermite_order(key, m)
+        # the key is canonical: classes take it as the name of the subgroup
+        assert key == hermite_key(gens, n, m)
         brute = {x for x in product(range(m), repeat=n)
                  if all(sum(a * b for a, b in zip(r, x)) % m == 0 for r in rows)}
         assert order == len(brute)
