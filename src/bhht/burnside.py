@@ -14,7 +14,7 @@ alone and the semidirect product is never listed.
 
 from functools import cached_property
 
-from .diaggroups import check_listing_bound, perm_act, span
+from .diaggroups import check_listing_bound, independent_generators, perm_act
 from .errors import (
     AmbientMismatchError,
     MembershipError,
@@ -171,11 +171,12 @@ class HTClass:
     def describe(self):
         """The class for output, read from the representative of ``tag``."""
         diag = self.ambient.diag
+        h_gens = independent_generators(diag, self.tag[1])[0]
         return {
             "orbitType": "[G⋊S/H⋊T]",
             "T": sorted(cycle_notation(t) for t in generating_set(self.t_elements))
                  or ["()"],
-            "H": sorted(diag.format_element(h) for h in span(diag, self.tag[1])[0])
+            "H": sorted(map(diag.format_element, h_gens))
                  or [diag.format_element(diag.zero)],
             "Torder": self.t_order,
             "Horder": self.h_order,

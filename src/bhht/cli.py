@@ -20,7 +20,7 @@ import time
 from itertools import combinations_with_replacement
 from pathlib import Path
 
-from .diaggroups import DEFAULT_GROUP_BOUND, CharacterPairing, perm_act
+from .diaggroups import DEFAULT_GROUP_BOUND, CharacterPairing, check_listing_bound, perm_act
 from .errors import (
     BhhtError,
     DegeneratePairingError,
@@ -36,7 +36,7 @@ from .fixtures import (
     load_fixture,
     serialize_fixture,
 )
-from .intmat import hermite_generators, hermite_key, in_hermite
+from .intmat import hermite_generators, hermite_key, hermite_order, in_hermite
 from .oracles import (
     CONSISTENCY_ORDER_BOUND,
     check_fixed_point_consistency,
@@ -227,11 +227,14 @@ def cmd_dual(args):
     if not all(in_hermite(key, perm_act(s, g)) for s in S.generators
                for g in hermite_generators(key, pairing.left.exponent)):
         raise BhhtError("G is not invariant under S; no dual pair")
-    subgroup = pairing.left.kernel_elements(key)
+    # G's order is bounded, as a listing of G would be, whatever the order
+    # of the dual G listed from its key
+    check_listing_bound(hermite_order(key, pairing.left.exponent))
+    dual_g = pairing.right.kernel_elements(pairing.dual_kernel(key))
     dual = FixtureSpec(
         name=fx.name + "_dual",
         polynomial_text=serialize_polynomial(transpose(matrix)),
-        g_lines=format_group_subgroup(pairing.right, pairing.annihilator(subgroup)),
+        g_lines=format_group_subgroup(pairing.right, dual_g),
         s_lines=fx.s_lines,
         meta={"dual_of": fx.name},
     )

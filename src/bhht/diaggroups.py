@@ -11,8 +11,8 @@ by further congruences (annihilators, stratum kernels) are kernels of both
 (``intmat.kernel_mod``).  Every subgroup is named by its Hermite key
 (``intmat.hermite_key``), which decides equality, membership and order
 without listing it.  Only ``kernel_elements`` lists a subgroup, straight
-from its key and within ``DEFAULT_GROUP_BOUND``; ``span`` closes a
-generating set for output and for the oracles.
+from its key and within ``DEFAULT_GROUP_BOUND``; ``independent_generators``
+reads output generators and the key off a subgroup's elements.
 """
 
 from fractions import Fraction
@@ -22,7 +22,8 @@ from math import gcd, lcm
 from operator import add, itemgetter, mod
 
 from .errors import DegeneratePairingError, MembershipError, SizeBoundError
-from .intmat import hermite_generators, hermite_key, hermite_order, kernel_mod, matvec
+from .intmat import (hermite_generators, hermite_key, hermite_order, in_hermite,
+                     kernel_mod, matvec)
 from .permgroups import DEFAULT_ORDER_BOUND, inverse
 
 DEFAULT_GROUP_BOUND = 10 ** 6
@@ -165,47 +166,34 @@ def _permuter(perm):
     return itemgetter(*inverse(perm))
 
 
-def _extend(group, have, gens):
-    """The subgroup generated by have = <gens[:-1]> and e = gens[-1], as a set.
-
-    It is the union of the cosets have + k.e for k below the index
-    [<have, e> : have]; each coset is the previous one moved by e, one table
-    lookup per coordinate.  Coordinate i only takes multiples of
-    gcd(L, gens_i), so its table shift[i][x] = (x + e_i) % L has no more
-    entries than the subgroup has values there.
-    """
-    L = group.exponent
-    shift = []
-    for column in zip(*gens):
-        d = gcd(L, *column)
-        shift.append({x: (x + column[-1]) % L for x in range(0, L, d)})
-    grown = set(have)
-    coset = list(have)
-    while True:
-        coset = [tuple(map(dict.__getitem__, shift, h)) for h in coset]
-        if coset[0] in have:
-            return grown
-        grown.update(coset)
-
-
 def _unit_row(n, i):
     row = [0] * n
     row[i] = 1
     return row
 
 
-def span(group, generators):
-    """An independent subset of the generators, in sorted order, and the
-    subgroup they generate: the one closure routine of diagonal subgroups."""
+def independent_generators(group, subgroup_elements):
+    """Generators of a whole subgroup, given as its elements, and its Hermite
+    key: each element in the order given that lies outside the key so far.
+
+    The walk stops once the key has as many elements as were given, so the
+    elements must be all of a subgroup.
+    """
+    n, L = group.n, group.exponent
+    size = len(subgroup_elements)
     gens = []
-    have = {group.zero}
-    for e in sorted(generators):
-        if e not in have:
+    key = hermite_key((), n, L)
+    order = 1
+    for e in subgroup_elements:
+        if order == size:
+            break
+        if not in_hermite(key, e):
             if e not in group:
                 raise MembershipError("generator %s not in the group" % (e,))
             gens.append(e)
-            have = _extend(group, have, gens)
-    return tuple(gens), frozenset(have)
+            key = hermite_key(gens, n, L)
+            order = hermite_order(key, L)
+    return tuple(gens), key
 
 
 class CharacterPairing:
@@ -246,27 +234,10 @@ class CharacterPairing:
         return Fraction(total, L1 * L2) % 1
 
     def annihilator(self, subgroup_elements):
-        """Dual subgroup: characters vanishing on the given left subgroup H.
-
-        A character w kills a in H iff c.w = 0 mod L2 for c = E.a / L1, so
-        the annihilator is a kernel inside the right group.  An element adds
-        its congruence only if it does not already pair to zero with every
-        generator of the kernel so far; the search ends as soon as the kernel
-        has |G_f| / |H| elements, which only the annihilator of all of H has.
-        """
-        L2 = self.right.exponent
-        rows = []
-        key = self.right.kernel()
-        gens, order = hermite_generators(key, L2), hermite_order(key, L2)
-        for a in subgroup_elements:
-            if order * len(subgroup_elements) == self.left.order:
-                break
-            c = self._congruence(a)
-            if any(sum(x * y for x, y in zip(c, w)) % L2 for w in gens):
-                rows.append(c)
-                key = self.right.kernel(rows)
-                gens, order = hermite_generators(key, L2), hermite_order(key, L2)
-        return self.right.kernel_elements(key)
+        """Dual subgroup: characters vanishing on the given left subgroup H,
+        listed from the annihilator of H's key."""
+        key = independent_generators(self.left, subgroup_elements)[1]
+        return self.right.kernel_elements(self.dual_kernel(key))
 
     def dual_kernel(self, key):
         """The Hermite key of the annihilator of the left subgroup of a key."""

@@ -299,9 +299,8 @@ def lemma_level_checks(matrix, perms):
     the single free class with sign (-1)^(n-1), (b) proper subgroups carry
     coefficient zero there, (c) complementary strata of the polynomial and its
     transpose are dual with sign (-1)^n, and (d) the deepest coefficient on
-    each stratum, equality of coefficient vectors for strata with identical
-    coloured subgroup diagrams, and the normalizer divisibility of the
-    exact-isotropy Euler characteristics.
+    each stratum and equality of coefficient vectors for strata with
+    identical coloured subgroup diagrams.
     """
     matrix = matrix.anchored()
     pc = pc_check(perms)
@@ -369,8 +368,7 @@ def lemma_level_checks(matrix, perms):
 
     ok_deep = True
     ok_hasse = True
-    ok_div = True
-    detail_d = ""
+    detail_hasse = ""
     profiles = {}
     for analysis in (lhs, rhs):
         for s in analysis.strata:
@@ -379,32 +377,19 @@ def lemma_level_checks(matrix, perms):
             expect = (-1) ** (orbit_count(stab_group, s.subset) - 1)
             if s.coefficients[top_key] != expect:
                 ok_deep = False
-                detail_d = "deepest coefficient on stratum %s" % (s.subset,)
             profile, deep_sign = _stratum_profile(
                 s.subset, stab_group, [s.reps[k] for k in s.class_keys])
             vector = tuple(deep_sign * s.coefficients[k] for k in s.class_keys)
             profiles.setdefault(profile, []).append((s.subset, vector))
-            lattice = stab_group.lattice
-            for cls in lattice.conjugacy_classes:
-                key = lattice.class_key(cls)
-                rep = s.reps[key]
-                norm = stab_group.order // len(cls)
-                weight = abs(s.fixed_chi[key])
-                if (s.coefficients[key] * norm * weight) % rep.order != 0:
-                    ok_div = False
-                    detail_d = "divisibility fails on stratum %s" % (s.subset,)
     for profile, entries in profiles.items():
         vectors = {v for _s, v in entries}
         if len(vectors) > 1:
             ok_hasse = False
-            detail_d = "coefficient vectors differ on strata %s" % (
+            detail_hasse = "coefficient vectors differ on strata %s" % (
                 [e[0] for e in entries],)
     checks.append(LemmaCheck("deepest stratum coefficient is a bare sign", ok_deep))
     checks.append(LemmaCheck(
         "identical coloured diagrams give identical coefficient vectors",
-        ok_hasse, detail_d if not ok_hasse else ""))
-    checks.append(LemmaCheck(
-        "exact-isotropy Euler characteristics divide out", ok_div,
-        detail_d if not ok_div else ""))
+        ok_hasse, detail_hasse))
     return LemmaReport(checks)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .diaggroups import span
+from .diaggroups import independent_generators
 from .errors import ParseError
 from .intmat import hermite_key
 from .permgroups import group_from_generators
@@ -82,7 +82,7 @@ def format_group_subgroup(group, elements):
     """Generator lines for a subgroup, matching the fixture grammar."""
     if len(elements) == group.order:
         return ["full"]
-    gens = span(group, elements)[0]
+    gens = independent_generators(group, sorted(elements))[0]
     return [group.format_element(g) for g in gens] or [group.format_element(group.zero)]
 
 

@@ -9,7 +9,7 @@ semidirect product G x| S, which the main paths never build.
 from itertools import combinations_with_replacement
 
 from .burnside import HTClass, mark
-from .diaggroups import perm_act, span
+from .diaggroups import perm_act
 from .errors import SizeBoundError
 from .euler import stratum_chi_fixed
 from .intmat import hermite_key, hermite_order, in_hermite
@@ -172,19 +172,22 @@ def brute_annihilator(pairing, subgroup_elements):
 
 
 def brute_span(group, generators):
-    """The subgroup the generators generate, by a breadth-first walk under add."""
-    found = {group.zero}
-    frontier = [group.zero]
-    while frontier:
-        step = []
-        for x in frontier:
-            for g in generators:
-                y = group.add(x, g)
-                if y not in found:
-                    found.add(y)
-                    step.append(y)
-        frontier = step
-    return frozenset(found)
+    """The subgroup the generators generate, one generator at a time."""
+    found = frozenset({group.zero})
+    for g in generators:
+        found = _adjoin(group, found, g)
+    return found
+
+
+def _adjoin(group, h, g):
+    """<h, g> for a subgroup h: the multiples of g before the first in h move
+    h onto its other cosets."""
+    shifts = []
+    x = g
+    while x not in h:
+        shifts.append(x)
+        x = group.add(x, g)
+    return h.union(group.add(a, s) for a in h for s in shifts)
 
 
 def check_hermite_keys(group, generator_sets):
@@ -198,7 +201,7 @@ def check_hermite_keys(group, generator_sets):
     n, L = group.n, group.exponent
     listed = {}
     for gens in generator_sets:
-        elements = span(group, gens)[1]
+        elements = brute_span(group, gens)
         key = hermite_key(gens, n, L)
         if listed.setdefault(key, elements) != elements:
             raise AssertionError("one key %s for two subgroups" % (key,))
@@ -215,7 +218,11 @@ def check_hermite_keys(group, generator_sets):
 
 
 def all_subgroups_abelian(group):
-    """Every subgroup of a small diagonal group, by one-element extensions."""
+    """Every subgroup of a small diagonal group, by one-element extensions.
+
+    <h, g> depends only on the coset g + h, so each subgroup h is extended
+    by one element of each coset but h itself.
+    """
     if group.order > ORACLE_ORDER_BOUND:
         raise SizeBoundError("subgroup enumeration capped at order %d"
                              % ORACLE_ORDER_BOUND)
@@ -224,10 +231,12 @@ def all_subgroups_abelian(group):
     queue = [trivial]
     while queue:
         h = queue.pop()
+        covered = set(h)
         for g in group.elements:
-            if g in h:
+            if g in covered:
                 continue
-            k = span(group, list(h) + [g])[1]
+            covered.update(group.add(g, x) for x in h)
+            k = _adjoin(group, h, g)
             if k not in found:
                 found.add(k)
                 queue.append(k)

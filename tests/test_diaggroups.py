@@ -2,14 +2,14 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from conftest import random_invertible, seeded
+from conftest import key_of, random_invertible, seeded
 
 from bhht.diaggroups import (
     DEFAULT_GROUP_BOUND,
     CharacterPairing,
     DiagonalGroup,
+    independent_generators,
     perm_act,
-    span,
 )
 from bhht.errors import MembershipError, SizeBoundError
 from bhht.fixtures import load_catalogue
@@ -58,7 +58,7 @@ def test_order_equals_det_random():
 def test_cyclic_of_order_six():
     g = DiagonalGroup(parse_polynomial("x1^2*x2+x2^3"))
     assert g.order == 6
-    orders = sorted({len(span(g, [e])[1]) for e in g.elements})
+    orders = sorted({len(brute_span(g, [e])) for e in g.elements})
     assert 6 in orders  # cyclic: an element of full order exists
 
 
@@ -88,29 +88,33 @@ def test_size_bound():
 
 
 def test_subgroup_generated_trivial_and_full(gq):
-    assert span(gq, [])[1] == frozenset({gq.zero})
+    assert independent_generators(gq, [gq.zero]) == ((), key_of(gq, ()))
     gens = hermite_generators(gq.kernel(), gq.exponent)
-    assert span(gq, gens)[1] == frozenset(gq.elements)
+    assert brute_span(gq, gens) == frozenset(gq.elements)
+    assert independent_generators(gq, gq.elements)[1] == gq.kernel()
 
 
 def test_exponential_grading_subgroup(gq):
     j = J(gq)
     assert j == gq.from_fractions([Fraction(1, 5)] * 5)
-    assert len(span(gq, [j])[1]) == 5
+    assert len(brute_span(gq, [j])) == 5
 
 
 def test_generator_not_in_group():
+    # a closed subgroup of (Z/6)^2 outside G: 1/6 in the first slot is not
+    # a symmetry
     g = DiagonalGroup(parse_polynomial("x1^2*x2+x2^3"))  # exponent 6
-    with pytest.raises(MembershipError):
-        span(g, [(1, 0)])  # 1/6 in the first slot: not a symmetry
+    outside = brute_span(g, [(1, 0)])
+    assert len(outside) == 6 and (3, 0) in g
+    for order in (sorted(outside), sorted(outside, reverse=True)):
+        with pytest.raises(MembershipError):
+            independent_generators(g, order)
 
 
 def test_membership_requires_reduced_vectors():
     g = DiagonalGroup(parse_polynomial("x1^3+x2^3"))  # exponent 3
     assert (0, 2) in g
     assert (0, 5) not in g and (0, -1) not in g
-    with pytest.raises(MembershipError):
-        span(g, [(0, 5)])
 
 
 def test_exponent_is_largest_element_order():
@@ -120,13 +124,6 @@ def test_exponent_is_largest_element_order():
         L = g.exponent
         assert len(g.elements) == g.order
         assert max(L // gcd(L, *e) for e in g.elements) == L
-
-
-def test_span_keeps_every_generator_it_needs():
-    # the first generator spans a subgroup as large as the input set; the
-    # third still lies outside it
-    g = DiagonalGroup(parse_polynomial("x1^3+x2^3"))
-    assert span(g, [(0, 1), (0, 2), (1, 0)]) == (((0, 1), (1, 0)), frozenset(g.elements))
 
 
 def test_isotropy_on_stratum(gq):
@@ -144,7 +141,7 @@ def test_fixed_subgroup(gq):
     assert fixed(PermGroup(5, ())) == frozenset(gq.elements)
     assert len(fixed(group_from_generators(5, ["(12)(34)"]))) == 125
     transitive = group_from_generators(5, ["(12345)"])
-    assert fixed(transitive) == span(gq, [J(gq)])[1]
+    assert fixed(transitive) == brute_span(gq, [J(gq)])
 
 
 def test_perm_act():
@@ -266,9 +263,17 @@ def test_annihilator_extremes(quintic):
 def test_annihilator_of_grading_element(quintic):
     # characters killing the grading element: total exponent divisible by 5
     pairing = CharacterPairing(quintic)
-    ann = pairing.annihilator(span(pairing.left, [J(pairing.left)])[1])
+    ann = pairing.annihilator(brute_span(pairing.left, [J(pairing.left)]))
     assert len(ann) == 625
     assert all(sum(w) % 5 == 0 for w in ann)
+
+
+def test_subgroup_counts_of_elementary_abelian_groups():
+    # (Z/p)^n has as many subgroups as F_p^n has subspaces: 1 + 4 + 1 for
+    # (Z/3)^2, 1 + 31 + 31 + 1 for (Z/5)^3, 1 + 15 + 35 + 15 + 1 for (Z/2)^4
+    for text, count in (("x1^3+x2^3", 6), ("x1^5+x2^5+x3^5", 64),
+                        ("x1^2+x2^2+x3^2+x4^2", 67)):
+        assert len(all_subgroups_abelian(DiagonalGroup(parse_polynomial(text)))) == count
 
 
 def test_annihilator_order_law_and_double_dual():
@@ -287,11 +292,11 @@ def test_annihilator_s_invariance(quintic):
     # if the subgroup is preserved by a symmetry, so is its annihilator
     pairing = CharacterPairing(quintic)
     perms = group_from_generators(5, ["(12345)", "(14)(23)"])
-    h = span(
+    h = brute_span(
         pairing.left,
         [J(pairing.left),
          pairing.left.from_fractions([Fraction(k, 5) for k in (0, 1, 4, 4, 1)]),
-         pairing.left.from_fractions([Fraction(k, 5) for k in (0, 1, 2, 3, 4)])])[1]
+         pairing.left.from_fractions([Fraction(k, 5) for k in (0, 1, 2, 3, 4)])])
     for s in perms.elements:
         assert frozenset(perm_act(s, x) for x in h) == h
     ann = pairing.annihilator(h)
@@ -306,7 +311,7 @@ def test_annihilator_kernel_matches_pairing_scan(quintic, x14):
         rng = seeded(37)
         for size in range(4):
             gens = [rng.choice(pairing.left.elements) for _ in range(size)]
-            h = span(pairing.left, gens)[1]
+            h = brute_span(pairing.left, gens)
             assert pairing.annihilator(h) == brute_annihilator(pairing, h)
     for text in ("x1^2*x2+x2^3", "x1^2+x2^2+x3^2", "x1^4*x2+x2^4*x1",
                  "x1^2*x2+x2^2*x3+x3^3"):
@@ -349,9 +354,10 @@ def test_generating_subset_round_trip(gq):
     rng = seeded(36)
     for _ in range(20):
         gens = [rng.choice(gq.elements) for _ in range(rng.randint(1, 3))]
-        h = span(gq, gens)[1]
-        small = span(gq, h)[0]
-        assert span(gq, small)[1] == h
+        h = brute_span(gq, gens)
+        small, key = independent_generators(gq, sorted(h))
+        assert brute_span(gq, small) == h
+        assert key == key_of(gq, gens)
         assert len(small) <= 5
 
 
@@ -395,7 +401,9 @@ def test_reduced_congruences_cut_out_the_group():
     assert fermat.congruences == []  # E = 5.I vanishes mod 5
 
 
-def test_span_matches_breadth_first_closure():
+def test_independent_generators_match_greedy_closure():
+    # each generator is the least element outside the closure of the ones
+    # before it, and the key is the subgroup's own
     rng = seeded(39)
     partial = 0  # generators whose order exceeds the index they add
     tested = 0
@@ -405,14 +413,15 @@ def test_span_matches_breadth_first_closure():
             continue
         tested += 1
         gens = [rng.choice(group.elements) for _ in range(rng.randint(1, 4))]
-        h = span(group, gens)[1]
-        assert h == brute_span(group, gens), gens
-        assert span(group, span(group, h)[0])[1] == h
-        prefix = []
-        for e in sorted(gens):
-            index = len(brute_span(group, prefix + [e])) // len(brute_span(group, prefix))
-            partial += 1 < index < len(brute_span(group, [e]))
-            prefix.append(e)
+        h = brute_span(group, gens)
+        greedy, closed = [], brute_span(group, [])
+        for e in sorted(h):
+            if e not in closed:
+                index = len(brute_span(group, greedy + [e])) // len(closed)
+                partial += 1 < index < len(brute_span(group, [e]))
+                greedy.append(e)
+                closed = brute_span(group, greedy)
+        assert independent_generators(group, sorted(h)) == (tuple(greedy), key_of(group, h))
     assert partial > 0
 
 
@@ -432,7 +441,7 @@ def test_hermite_keys_match_listed_subgroups():
         for _ in range(4):
             gens = [rng.choice(group.elements) for _ in range(rng.randint(1, 3))]
             generator_sets += [gens, gens[::-1], gens + [group.add(gens[0], gens[-1])],
-                               span(group, gens)[1]]
+                               brute_span(group, gens)]
         distinct += check_hermite_keys(group, generator_sets)
     assert distinct > 80
 
@@ -458,7 +467,7 @@ def test_key_listing_matches_span_closure():
         for gens in generator_sets:
             key = hermite_key(gens, n, L)
             listed = group.kernel_elements(key)
-            assert listed == span(group, gens)[1], (matrix, gens)
+            assert listed == brute_span(group, gens), (matrix, gens)
             if len(listed) == 1:
                 kinds["trivial"] += 1
             elif len(listed) == group.order:

@@ -318,7 +318,7 @@ def test_size_bound_is_a_resource_error(tmp_path, monkeypatch):
         assert (code, listings) == (4, []), args
     code, out = run_cli("verify", big, "--lemmas", "--max-group-order", "100000000")
     assert code == 0 and "duality HOLDS" in out
-    assert sum(line.endswith(" ok") for line in out.splitlines()) == 6
+    assert sum(line.endswith(" ok") for line in out.splitlines()) == 5
 
 
 def test_listing_bound_does_not_depend_on_how_g_is_written(tmp_path):
