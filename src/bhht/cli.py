@@ -321,10 +321,17 @@ def cmd_verify(args):
         pc_expected = fx.expect.get("pc")
         pc_ok = pc_expected is None or pc_expected == report.pc.satisfies
         status = max(status, OK if ok and pc_ok else MISMATCH)
+        lemmas = []
+        if args.lemmas and report.pc.satisfies:
+            lemmas = lemma_level_checks(fx.matrix, S).checks
+            if not all(check.passed for check in lemmas):
+                status = max(status, MISMATCH)
         if args.json:
             payload = report.to_records()
             payload["fixture"] = fx.name
             payload["expected_met"] = ok and pc_ok
+            if lemmas:
+                payload["lemmas"] = [vars(check) for check in lemmas]
             print(json.dumps(payload, sort_keys=True))
         else:
             print("%s: pc = %s, duality %s%s"
@@ -333,13 +340,9 @@ def cmd_verify(args):
                      "" if ok and pc_ok else "  (EXPECTATION NOT MET)"))
             for cls, lc, rc in report.diff:
                 print("    %r: lhs %d, rhs %d" % (cls, lc, rc))
-        if args.lemmas and report.pc.satisfies:
-            lem = lemma_level_checks(fx.matrix, S)
-            for check in lem.checks:
+            for check in lemmas:
                 print("    lemma: %-60s %s" % (check.name,
                                                "ok" if check.passed else "FAIL"))
-            if not lem.all_passed:
-                status = max(status, MISMATCH)
     return status
 
 

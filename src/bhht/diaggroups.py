@@ -206,19 +206,27 @@ class CharacterPairing:
 
     def __init__(self, matrix):
         from .polynomials import transpose as transpose_poly
-        self.matrix = matrix.anchored()
-        self.left = DiagonalGroup(self.matrix)
-        self.right = DiagonalGroup(transpose_poly(self.matrix))
+        matrix = matrix.anchored()
+        self._join(DiagonalGroup(matrix), DiagonalGroup(transpose_poly(matrix)))
+
+    @classmethod
+    def between(cls, left, right):
+        """The pairing of two groups already built: the left one of an
+        anchored matrix, the right one of its transpose."""
+        pairing = cls.__new__(cls)
+        pairing._join(left, right)
+        return pairing
+
+    def _join(self, left, right):
+        self.matrix = left.matrix
+        self.left = left
+        self.right = right
         self._swapped = None
 
     def swapped(self):
         """The same pairing read from the dual side."""
         if self._swapped is None:
-            from .polynomials import transpose as transpose_poly
-            self._swapped = CharacterPairing.__new__(CharacterPairing)
-            self._swapped.matrix = transpose_poly(self.matrix)
-            self._swapped.left = self.right
-            self._swapped.right = self.left
+            self._swapped = CharacterPairing.between(self.right, self.left)
             self._swapped._swapped = self
         return self._swapped
 

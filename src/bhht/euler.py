@@ -107,7 +107,6 @@ class EulerAnalysis:
     group: object
     ambient: SemidirectAmbient
     strata: list
-    skipped: list
     element: BurnsideElement
 
     @cached_property
@@ -141,22 +140,18 @@ def _stratum_contribution(matrix, group, perms, subset, stabilizer, orbit_size):
 
     solved = {}
     for i, ki in enumerate(order):
-        acc = Fraction(fixed[ki])
-        for j in range(i):
-            kj = order[j]
-            acc -= solved[kj] * marks[(kj, ki)]
+        acc = fixed[ki] - sum(solved[kj] * marks[(kj, ki)] for kj in order[:i])
         diag = marks[(ki, ki)]
         if diag <= 0:
             raise StructuralAssumptionViolated(
                 "non-positive diagonal mark on stratum %s" % (stratum,),
                 stratum=stratum, class_order=len(ki))
-        q = acc / diag
-        if q.denominator != 1:
+        solved[ki], rest = divmod(acc, diag)
+        if rest:
             raise StructuralAssumptionViolated(
                 "non-integer coefficient %s for class of order %d on stratum %s"
-                % (q, len(ki), stratum),
-                stratum=stratum, class_order=len(ki), residual=acc % diag)
-        solved[ki] = int(q)
+                % (Fraction(acc, diag), len(ki), stratum),
+                stratum=stratum, class_order=len(ki), residual=rest)
     for i, ki in enumerate(order):
         total = sum(solved[order[j]] * marks[(order[j], ki)] for j in range(i + 1))
         if total != fixed[ki]:
@@ -203,21 +198,15 @@ def euler_analysis(matrix, perms):
     ambient = SemidirectAmbient(group, perms)
     total = {}  # the strata's classes and their summed coefficients
     strata = []
-    skipped = []
     for rep, stab, size in orbits_on_subsets(perms):
-        if not rep:
-            skipped.append((rep, "empty stratum"))
-            continue
-        if not restrict(matrix, rep).full:
-            skipped.append((rep, "restriction not full"))
+        if not rep or not restrict(matrix, rep).full:
             continue
         contribution = _stratum_contribution(matrix, group, perms, rep, stab, size)
         for cls, c in contribution.induced.coefficients.items():
             total[cls] = total.get(cls, 0) + c
         strata.append(contribution)
-    analysis = EulerAnalysis(matrix=matrix, perms=perms, group=group,
-                             ambient=ambient, strata=strata, skipped=skipped,
-                             element=BurnsideElement(ambient, total))
+    analysis = EulerAnalysis(matrix=matrix, perms=perms, group=group, ambient=ambient,
+                             strata=strata, element=BurnsideElement(ambient, total))
     _RECENT.append(analysis)
     return analysis
 
@@ -257,12 +246,10 @@ class DualityReport:
 
 def verify_duality(matrix, perms):
     """Compare the reduced invariant of f with the sign-twisted dual of its transpose."""
-    matrix = matrix.anchored()
-    pairing = CharacterPairing(matrix)
-    dual_matrix = transpose(matrix)
     lhs_analysis = euler_analysis(matrix, perms)
-    rhs_analysis = euler_analysis(dual_matrix, perms)
-    n = matrix.n
+    rhs_analysis = euler_analysis(transpose(matrix), perms)
+    pairing = CharacterPairing.between(lhs_analysis.group, rhs_analysis.group)
+    n = lhs_analysis.matrix.n
     lhs = lhs_analysis.reduced
     rhs = saito_dual(rhs_analysis.reduced, pairing.swapped()).scale((-1) ** n)
     differences = []
@@ -302,14 +289,13 @@ def lemma_level_checks(matrix, perms):
     each stratum and equality of coefficient vectors for strata with
     identical coloured subgroup diagrams.
     """
-    matrix = matrix.anchored()
     pc = pc_check(perms)
     if not pc.satisfies:
         raise ValueError("lemma-level checks require the parity condition")
-    pairing = CharacterPairing(matrix)
     lhs = euler_analysis(matrix, perms)
     rhs = euler_analysis(transpose(matrix), perms)
-    n = matrix.n
+    pairing = CharacterPairing.between(lhs.group, rhs.group)
+    n = lhs.matrix.n
     checks = []
 
     full = tuple(range(n))
@@ -330,7 +316,6 @@ def lemma_level_checks(matrix, perms):
     ok_c = True
     detail_c = ""
     rhs_by_subset = {s.subset: s for s in rhs.strata}
-    rhs_skipped = {tuple(rep) for rep, _why in rhs.skipped}
     for s in lhs.strata:
         if len(s.subset) in (0, n):
             continue
@@ -339,13 +324,9 @@ def lemma_level_checks(matrix, perms):
                        orbit(frozenset(complement), perms.generators, subset_image))
         dual_side = rhs_by_subset.get(comp_rep)
         if dual_side is None:
-            if comp_rep not in rhs_skipped:
-                ok_c = False
-                detail_c = "missing dual stratum for %s" % (s.subset,)
-            else:
-                ok_c = False
-                detail_c = ("stratum %s is full but its dual complement is not"
-                            % (s.subset,))
+            ok_c = False
+            detail_c = ("stratum %s is full but its dual complement is not"
+                        % (s.subset,))
             break
         mirrored = saito_dual(dual_side.induced, pairing.swapped()).scale((-1) ** n)
         if mirrored != s.induced:

@@ -1,7 +1,7 @@
-"""Exact integer and rational matrix routines.
+"""Exact integer matrix routines.
 
-Everything here works on plain lists of Python ints (or Fractions for the
-solver); no floating point is used anywhere.
+Everything here works on plain lists of Python ints; no floating point is
+used anywhere.
 
 The one integer normal form is the Hermite key of a lattice that contains
 L.Z^n (``hermite_key``).  Taken mod L, it names a subgroup of (Z/L)^n and
@@ -9,7 +9,6 @@ decides its membership and order without listing it; the key of a larger
 lattice gives the kernel of congruences mod m (``kernel_mod``).
 """
 
-from fractions import Fraction
 from math import prod
 
 
@@ -40,27 +39,6 @@ def determinant(a):
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def solve_exact(a, b):
-    """Solve a @ x = b exactly over the rationals.
-
-    Raises ValueError if the matrix is singular.
-    """
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[n] for row in m]
 
 
 def hermite_key(generators, n, L):

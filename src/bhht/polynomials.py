@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateLoopError, NotInvariantError, NotInvertibleError, ParseError
-from .intmat import determinant, solve_exact
+from .intmat import determinant
 from .permgroups import cycle_notation, orbits as perm_orbits
 
 CHAIN = "chain"
@@ -251,18 +251,18 @@ def _decompose(matrix):
                     "variable x%d is linked from two monomials" % (nxt + 1))
             pred[nxt] = a
 
+    # every variable now has at most one predecessor and one successor: a
+    # walk from a variable with no predecessor is a chain that meets no
+    # variable twice, and succ permutes the variables left over, in loops
     blocks = []
     seen = set()
-    # chains start at variables with no predecessor
     for start in range(n):
-        if start in pred or start in seen:
+        if start in pred:
             continue
         chain = [start]
         seen.add(start)
         while succ[chain[-1]] is not None:
             nxt = succ[chain[-1]]
-            if nxt in seen:
-                raise NotInvertibleError("chain runs into a loop")
             chain.append(nxt)
             seen.add(nxt)
         exps = tuple(matrix.rows[row_of[a]][a] for a in chain)
@@ -275,8 +275,6 @@ def _decompose(matrix):
         seen.add(start)
         cur = succ[start]
         while cur != start:
-            if cur is None or cur in seen:
-                raise NotInvertibleError("broken loop structure")
             cycle.append(cur)
             seen.add(cur)
             cur = succ[cur]
@@ -338,12 +336,14 @@ def transpose(matrix):
 
 
 def weights(matrix):
-    """Rational weights q with E @ q = (1, ..., 1)."""
-    if not matrix.is_square:
-        raise ValueError("weights need a square exponent matrix")
-    if matrix.determinant() == 0:
+    """Rational weights q with E @ q = (1, ..., 1), by Cramer's rule: q_j is
+    the determinant of E with column j replaced by ones, over det E."""
+    det = matrix.determinant()
+    if det == 0:
         raise ValueError("singular exponent matrix")
-    return tuple(solve_exact([list(r) for r in matrix.rows], [1] * matrix.n))
+    return tuple(
+        Fraction(determinant([row[:j] + (1,) + row[j + 1:] for row in matrix.rows]), det)
+        for j in range(matrix.n))
 
 
 @dataclass(frozen=True)

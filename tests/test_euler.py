@@ -438,6 +438,19 @@ def test_each_lemma_check_fails_on_a_corrupted_analysis(name, corrupt, failing):
     assert failing in failed and failed <= {failing, 4}, checks
 
 
+def test_missing_dual_stratum_fails_the_complement_check():
+    # pc_a3 is self-dual: without the stratum (1), the stratum (1 2) has no
+    # stratum of f^T on its complement (3)
+    fx = load_catalogue()["pc_a3"]
+    s = fx.perm_group()
+    analysis = euler_analysis(fx.matrix, s)
+    assert lemma_level_checks(fx.matrix, s).all_passed
+    del analysis.strata[_stratum(analysis, (0,))]
+    check = lemma_level_checks(fx.matrix, s).checks[2]
+    assert not check.passed
+    assert check.detail == "stratum (0, 1) is full but its dual complement is not"
+
+
 def test_deepest_coefficient_matches_orbit_parity(x14):
     s = group_from_generators(5, ["(12)(34)"])
     analysis = euler_analysis(x14, s)
@@ -556,6 +569,27 @@ def test_failed_analysis_is_not_remembered(monkeypatch):
     analysis = euler_analysis(f, swap)
     fresh = group_from_generators(2, ["(12)"])
     assert calls and analysis.element == euler_analysis(f, fresh).element
+
+
+@pytest.mark.parametrize("text, generators, built", [
+    ("x1^3+x2^3+x3^3", ["(123)"], 1),  # pc_a3: f^T = f
+    ("x1^2*x2+x2^3*x3+x3^4", [], 2),
+])
+def test_one_diagonal_group_per_side_of_a_verdict(monkeypatch, text, generators, built):
+    calls = []
+    original = DiagonalGroup.__init__
+
+    def counted(group, matrix):
+        calls.append(matrix)
+        original(group, matrix)
+
+    monkeypatch.setattr(DiagonalGroup, "__init__", counted)
+    monkeypatch.setattr(euler, "_RECENT", deque(maxlen=2))
+    f = parse_polynomial(text)
+    s = group_from_generators(3, generators)
+    assert verify_duality(f, s).equal
+    assert lemma_level_checks(f, s).all_passed
+    assert len(calls) == built
 
 
 def test_one_lattice_of_s_per_verify_with_lemmas(monkeypatch):

@@ -262,6 +262,15 @@ def test_cmd_verify_json():
     assert rec["equal"] is True and rec["diff"] == []
 
 
+def test_cmd_verify_json_carries_the_lemma_checks():
+    code, out = run_cli("verify", "--json", "--lemmas", "pc_a3", "counterexample_m3")
+    assert code == 0
+    pc_a3, m3 = map(json.loads, out.splitlines())
+    assert [(rec["passed"], rec["detail"]) for rec in pc_a3["lemmas"]] == [(True, "")] * 5
+    assert all(rec["name"] for rec in pc_a3["lemmas"])
+    assert m3["fixture"] == "counterexample_m3" and "lemmas" not in m3
+
+
 def test_cmd_verify_detects_wrong_expectation(tmp_path):
     fx = tmp_path / "wrong.fix"
     fx.write_text("[polynomial]\nx1^4+x2^4+x3^4+x4^4\n\n[S]\n(12)(34)\n(13)(24)\n"

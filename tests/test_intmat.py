@@ -12,7 +12,6 @@ from bhht.intmat import (
     hermite_key,
     hermite_order,
     kernel_mod,
-    solve_exact,
 )
 
 
@@ -65,25 +64,6 @@ def test_invariant_factors_product_is_det():
         if det == 0:
             continue
         assert hermite_order(kernel_mod(a, n, det), det) == det
-
-
-def test_solve_exact():
-    rng = seeded(4)
-    for _ in range(100):
-        n = rng.randint(1, 5)
-        a = random_matrix(rng, n, n)
-        if determinant(a) == 0:
-            continue
-        x = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
-        b = [sum(a[i][j] * x[j] for j in range(n)) for i in range(n)]
-        assert solve_exact(a, b) == x
-
-
-def test_solve_singular_raises():
-    import pytest
-
-    with pytest.raises(ValueError):
-        solve_exact([[1, 2], [2, 4]], [1, 1])
 
 
 def _span_mod(gens, n, m):

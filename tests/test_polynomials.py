@@ -199,11 +199,15 @@ def test_weights_chain():
 
 def test_weights_defining_equation_random():
     rng = seeded(15)
-    for _ in range(40):
+    for _ in range(200):
         m = random_invertible(rng)
         q = weights(m)
-        for row in m.rows:
-            assert sum(e * w for e, w in zip(row, q)) == 1
+        assert all(isinstance(w, Fraction) for w in q)
+        assert [sum(e * w for e, w in zip(row, q)) for row in m.rows] == [1] * m.n
+    with pytest.raises(ValueError):
+        weights(ExponentMatrix([(1, 2), (2, 4)]))
+    with pytest.raises(ValueError):
+        weights(ExponentMatrix([(2, 1)]))
 
 
 # -- restrict ------------------------------------------------------------------
