@@ -21,11 +21,12 @@ from .errors import (
     StructuralAssumptionViolated,
 )
 from .intmat import (
+    hermite_dual,
     hermite_generators,
     hermite_key,
     hermite_order,
     in_hermite,
-    kernel_mod,
+    kernel_order,
 )
 from .permgroups import (
     compose,
@@ -65,9 +66,7 @@ class SemidirectAmbient:
         long as the ambient group."""
         known = self._cocycles.get(h_key)
         if known is None:
-            L = self.diag.exponent
-            congruences = hermite_generators(
-                kernel_mod(hermite_generators(h_key, L), self.n, L), L)
+            congruences = hermite_dual(h_key, self.diag.exponent)
             known = self._cocycles[h_key] = (congruences, {})
         congruences, orders = known
         order = orders.get(perms)
@@ -288,7 +287,7 @@ def _cocycle_kernel_order(diag, perms, congruences):
         return diag.order
     points = range(diag.n)
     rows = [[c[u[i]] - c[i] for i in points] for u in perms for c in congruences]
-    return hermite_order(diag.kernel(rows), diag.exponent)
+    return kernel_order(diag.congruences + rows, diag.n, diag.exponent)
 
 
 def induction(element, perms_big):

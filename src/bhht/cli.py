@@ -74,6 +74,17 @@ def _option(*args, **kwargs):
     return parent
 
 
+def _positive_int(text):
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("%r is not a positive integer" % text)
+    return value
+
+
 def _build_parser():
     fixtures = _option("--fixtures", metavar="DIR", default=None,
                        help="fixture directory (default: bundled; "
@@ -81,7 +92,7 @@ def _build_parser():
     as_json = _option("--json", action="store_true", help="JSON output")
     oracle = _option("--oracle", action="store_true",
                      help="run slow brute-force cross-checks on small fixtures")
-    bound = _option("--max-group-order", type=int, metavar="N",
+    bound = _option("--max-group-order", type=_positive_int, metavar="N",
                     default=DEFAULT_GROUP_BOUND,
                     help="skip computations whose semidirect product exceeds N")
     parser = argparse.ArgumentParser(

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, product, repeat
 from math import gcd, lcm
-from operator import add, itemgetter, mod
+from operator import add, itemgetter, mod, mul
 
 from .errors import DegeneratePairingError, MembershipError, SizeBoundError
 from .intmat import (hermite_generators, hermite_key, hermite_order, in_hermite,
@@ -59,8 +59,7 @@ class DiagonalGroup:
         L = self.exponent
         if len(element) != self.n or not all(0 <= a < L for a in element):
             return False
-        return all(sum(c * a for c, a in zip(row, element)) % L == 0
-                   for row in self.congruences)
+        return not any(sum(map(mul, row, element)) % L for row in self.congruences)
 
     def add(self, a, b):
         L = self.exponent
@@ -80,8 +79,25 @@ class DiagonalGroup:
 
     def stratum_kernel(self, subset):
         """The Hermite key of the elements acting trivially on the open
-        stratum of the subset: v_i = 0 on it."""
-        return self.kernel([_unit_row(self.n, i) for i in set(subset)])
+        stratum of the subset: v_i = 0 on it.
+
+        The congruences are solved on the free coordinates, those outside
+        the subset, alone: the lattice is (L.Z)^subset plus that kernel.
+        The kernel's key spread over the free coordinates, with the row L.e_i
+        for each i of the subset in between, is triangular and reduced, so
+        it is the lattice's own key."""
+        n, L = self.n, self.exponent
+        fixed = set(subset)
+        free = [i for i in range(n) if i not in fixed]
+        kernel = kernel_mod([[row[i] for i in free] for row in self.congruences],
+                            len(free), L)
+        key = [[0] * n for _ in range(n)]
+        for i in fixed:
+            key[i][i] = L
+        for i, row in zip(free, kernel):
+            for j, x in zip(free, row):
+                key[i][j] = x
+        return tuple(map(tuple, key))
 
     def kernel_elements(self, key):
         """The elements of the subgroup of a Hermite key mod L, as a frozenset,
@@ -164,12 +180,6 @@ def _permuter(perm):
     if len(perm) < 2:
         return tuple
     return itemgetter(*inverse(perm))
-
-
-def _unit_row(n, i):
-    row = [0] * n
-    row[i] = 1
-    return row
 
 
 def independent_generators(group, subgroup_elements):

@@ -5,15 +5,20 @@ used anywhere.
 
 The one integer normal form is the Hermite key of a lattice that contains
 L.Z^n (``hermite_key``).  Taken mod L, it names a subgroup of (Z/L)^n and
-decides its membership and order without listing it; the key of a larger
-lattice gives the kernel of congruences mod m (``kernel_mod``).
+decides its membership and order without listing it.  Every key is n
+columns wide, and so is every step that makes one.  A key is upper
+triangular, so back substitution over it gives its dual, the congruences
+that cut its subgroup out (``hermite_dual``).  The kernel of congruences
+mod m is the dual of their own key (``kernel_mod``), and its order is the
+product of that key's pivots (``kernel_order``).
 """
 
 from math import prod
+from operator import mul
 
 
 def matvec(a, v):
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def determinant(a):
@@ -100,15 +105,47 @@ def hermite_generators(key, L):
     return tuple(row for j, row in enumerate(key) if row[j] != L)
 
 
+def hermite_dual(key, m):
+    """The nonzero columns mod m of m.B^-1 for the key B of a lattice that
+    contains m.Z^n: they span, with m.Z^n, the c with B.c in m.Z^n, that is
+    the c with c.x = 0 mod m for every x of the lattice.
+
+    m.Z^n lies in the lattice, so m.I = B.C for an integer C = m.B^-1.  C is
+    upper triangular like B, and row j of B.C = m.I gives row j of C from
+    the rows below it, d_j.C_j = m.e_j - sum of B_ji.C_i over i > j, exactly;
+    a remainder means the key was not such a key.
+    """
+    n = len(key)
+    inverse = [None] * n
+    for j in range(n - 1, -1, -1):
+        row = key[j]
+        c = [0] * n
+        c[j] = m
+        for i in range(j + 1, n):
+            if row[i]:
+                c = [a - row[i] * b for a, b in zip(c, inverse[i])]
+        if any(a % row[j] for a in c):
+            raise ArithmeticError("%r is not a Hermite key of a lattice "
+                                  "containing %d.Z^%d" % (key, m, n))
+        inverse[j] = [a // row[j] for a in c]
+    columns = ([a % m for a in column] for column in zip(*inverse))
+    return [column for column in columns if any(column)]
+
+
 def kernel_mod(rows, n, m):
     """The Hermite key of {x in (Z/m)^n : r.x = 0 mod m for every row r}.
 
-    For the k rows A, the vectors (A.e_i, e_i) and m.Z^(k+n) span a lattice
-    whose vectors with k leading zeros are the (0, x) with A.x = 0 mod m.
-    In its Hermite key the rows past the k-th span exactly those, so their
-    last n columns are the kernel's own key.
+    Two n-wide steps.  The rows and m.Z^n span a lattice with key B, and x
+    lies in the kernel exactly when B.x lies in m.Z^n, so the kernel is
+    spanned by the columns of m.B^-1 (``hermite_dual``).  The key of those
+    columns is the kernel's key; it is unique, so any other construction of
+    the same kernel gives the same tuple.
     """
-    k = len(rows)
-    stacked = [[row[i] for row in rows] + [int(i == j) for j in range(n)]
-               for i in range(n)]
-    return tuple(row[k:] for row in hermite_key(stacked, k + n, m)[k:])
+    return hermite_key(hermite_dual(hermite_key(rows, n, m), m), n, m)
+
+
+def kernel_order(rows, n, m):
+    """|{x in (Z/m)^n : r.x = 0 mod m for every row r}|, with no key of the
+    kernel: for the rows' key B with pivots d_j, the kernel m.B^-1.Z^n has
+    index m^n / prod(d_j) in Z^n, so it holds prod(d_j) elements mod m."""
+    return prod(row[j] for j, row in enumerate(hermite_key(rows, n, m)))

@@ -190,6 +190,21 @@ def _adjoin(group, h, g):
     return h.union(group.add(a, s) for a in h for s in shifts)
 
 
+def stacked_kernel_mod(rows, n, m):
+    """The Hermite key of {x in (Z/m)^n : r.x = 0 mod m for every row r},
+    from one key k + n columns wide for the k rows A.
+
+    The vectors (A.e_i, e_i) and m.Z^(k+n) span a lattice whose vectors
+    with k leading zeros are the (0, x) with A.x = 0 mod m.  In its Hermite
+    key the rows past the k-th span exactly those, so their last n columns
+    are the kernel's own key.
+    """
+    k = len(rows)
+    stacked = [[row[i] for row in rows] + [int(i == j) for j in range(n)]
+               for i in range(n)]
+    return tuple(row[k:] for row in hermite_key(stacked, k + n, m)[k:])
+
+
 def check_hermite_keys(group, generator_sets):
     """Hermite keys against listed subgroups, for each set of generators.
 

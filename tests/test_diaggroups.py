@@ -350,6 +350,23 @@ def test_isotropy_on_stratum_matches_scan(quintic, x14, x15):
                 assert listed == brute_isotropy(group, subset)
 
 
+def test_stratum_kernel_is_the_kernel_of_unit_rows(quintic):
+    # solved on the free coordinates alone, the key is the one the unit
+    # congruences e_i.x = 0 give, for every subset of a chain, a loop and
+    # a Fermat polynomial
+    from itertools import combinations
+
+    matrices = [parse_polynomial("x1^2*x2+x2^3*x3+x3^4*x4+x4^2"),
+                parse_polynomial("x1^3*x2+x2^2*x3+x3^4*x4+x4^2*x1"), quintic]
+    for matrix in matrices:
+        group = DiagonalGroup(matrix)
+        n = group.n
+        for k in range(n + 1):
+            for subset in combinations(range(n), k):
+                units = [[int(i == j) for j in range(n)] for i in subset]
+                assert group.stratum_kernel(subset) == group.kernel(units)
+
+
 def test_generating_subset_round_trip(gq):
     rng = seeded(36)
     for _ in range(20):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 from conftest import X14, X15, seeded, summed
 
-from bhht import diaggroups, euler
+from bhht import diaggroups, euler, intmat
 from bhht.diaggroups import DiagonalGroup
 from bhht.errors import StructuralAssumptionViolated
 from bhht.euler import (
@@ -590,6 +590,34 @@ def test_one_diagonal_group_per_side_of_a_verdict(monkeypatch, text, generators,
     assert verify_duality(f, s).equal
     assert lemma_level_checks(f, s).all_passed
     assert len(calls) == built
+
+
+@pytest.mark.parametrize("name", ["pc_a3", "x15_z5", "table1_r2"])
+def test_every_hermite_key_of_a_verdict_is_n_wide(monkeypatch, name):
+    # kernels mod L are solved at most n columns wide (stratum kernels on
+    # their free coordinates, narrower); a lattice stacked k + n wide would
+    # show here as a wider key
+    import bhht
+
+    fx = load_catalogue()[name]
+    n = fx.matrix.n
+    original = intmat.hermite_key
+    widths = []
+
+    def measured(generators, width, L):
+        generators = [tuple(g) for g in generators]
+        assert all(len(g) == width for g in generators)
+        widths.append(width)
+        return original(generators, width, L)
+
+    for module in vars(bhht).values():
+        if getattr(module, "hermite_key", None) is original:
+            monkeypatch.setattr(module, "hermite_key", measured)
+    monkeypatch.setattr(euler, "_RECENT", deque(maxlen=2))
+    s = fx.perm_group()
+    assert verify_duality(fx.matrix, s).equal
+    assert lemma_level_checks(fx.matrix, s).all_passed
+    assert max(widths) == n
 
 
 def test_one_lattice_of_s_per_verify_with_lemmas(monkeypatch):

@@ -207,6 +207,22 @@ def test_options_only_on_verbs_that_read_them(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb, files", [
+    ("euler", ("x1_z2",)),
+    ("verify", ("x1_z2",)),
+    ("table1", ()),
+])
+@pytest.mark.parametrize("bound", ["-5", "0"])
+def test_max_group_order_must_be_positive(verb, files, bound, capsys):
+    # a bound below 1 would skip every input and still exit 0
+    with pytest.raises(SystemExit) as exc:
+        main([verb, *files, "--max-group-order", bound])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-group-order: '%s' is not a positive integer" % bound in captured.err
+
+
 def test_cmd_euler_golden_byte_stable():
     code1, out1 = run_cli("euler", "counterexample_m3")
     code2, out2 = run_cli("euler", "counterexample_m3")

@@ -8,11 +8,14 @@ from conftest import seeded
 
 from bhht.intmat import (
     determinant,
+    hermite_dual,
     hermite_generators,
     hermite_key,
     hermite_order,
     kernel_mod,
+    kernel_order,
 )
+from bhht.oracles import stacked_kernel_mod
 
 
 def det_by_fractions(a):
@@ -117,3 +120,35 @@ def test_kernel_mod_keeps_entries_reduced():
         assert all(len(g) == cols and all(0 <= x < m for x in g) for g in gens)
         assert all(sum(r * x for r, x in zip(row, g)) % m == 0
                    for row in a for g in gens)
+
+
+def test_kernel_mod_matches_the_stacked_oracle():
+    # the kernel's key is unique, so the n-wide dual and the (k + n)-wide
+    # stacked lattice give the same tuple; k = 0 and k > n included, with
+    # entries negative and entries past m
+    rng = seeded(44)
+    for m in (1, 2, 12, 625, 1000, 9 ** 5):
+        for _ in range(12):
+            n = rng.randint(1, 6)
+            for k in (0, rng.randint(1, n), rng.randint(n + 1, n + 4)):
+                rows = random_matrix(rng, k, n, -3 * m, 3 * m)
+                key = kernel_mod(rows, n, m)
+                assert key == stacked_kernel_mod(rows, n, m)
+                assert kernel_order(rows, n, m) == hermite_order(key, m)
+
+
+def test_hermite_dual_is_its_own_inverse_on_keys():
+    # the congruences of a subgroup cut out exactly that subgroup
+    rng = seeded(45)
+    for _ in range(100):
+        n, m = rng.randint(1, 5), rng.choice([2, 12, 625, 1000])
+        key = hermite_key(random_matrix(rng, rng.randint(0, 4), n, 0, m - 1), n, m)
+        dual = hermite_dual(key, m)
+        assert all(len(c) == n and any(c) and all(0 <= x < m for x in c) for c in dual)
+        assert kernel_mod(dual, n, m) == key
+
+
+def test_hermite_dual_refuses_a_lattice_without_m_zn():
+    # (2, 1) and (0, 3) span a lattice that does not contain 4.Z^2
+    with pytest.raises(ArithmeticError):
+        hermite_dual(((2, 1), (0, 3)), 4)
