@@ -2,28 +2,35 @@
 
 Ambient elements are pairs (v, s) of a diagonal-group element and a
 permutation, multiplied by (v, s)(w, t) = (v + s.w, st).  Generators of the
-free abelian group are classes of split subgroups H x| T, built from the
-Hermite key of H (``intmat.hermite_key``), which names H and decides
-membership, and from generators of T, identified without listing either:
-T by the key of its class in the lattice of S, H by the least key of its
-conjugates.  Element lists are made for output alone.  Marks come from
-Burnside's formula in closed form: conjugation by (v, s) moves (h, t) to
-(s^-1(h + t.v - v), s^-1 t s), so fixed cosets are counted from S and G
-alone and the semidirect product is never listed.
+free abelian group are classes of split subgroups H x| T.
+
+On the verdict path every class is [K_I x| T]: K_I is the stratum kernel
+of a subset I of the points, the elements vanishing on I (K_empty = G), and
+T <= S_I.  K_I is also the kernel of its zero set C = Z(K_I), which
+contains I, is fixed by S_I and is the only such set with that kernel; C
+is I itself unless some point outside I is fixed by all of K_I.  Since
+s.K_I = K_{s(I)}, two such classes are conjugate exactly when some s
+carries the one C to the other and T onto the other T.  So a class is
+named (C0, key): C0 represents C's orbit under S, and key is T's class key
+in the lattice of S_C0.  Induction keeps the name of a stratum's class, and
+the Saito dual sends K_C to ann(K_C) = K'_{C^c}, checked once per C and
+renamed through the orbit transversal (``PermGroup.subset_orbits``).  No
+class scans S or computes a Hermite key.  Output orders classes by
+``tag``, computed from the named representative on first use; the oracles
+name classes of any H by Hermite keys (``oracles.key_class``).
+
+Marks come from Burnside's formula in closed form: conjugation by (v, s)
+moves (h, t) to (s^-1(h + t.v - v), s^-1 t s), so fixed cosets are counted
+from S and G alone and the semidirect product is never listed.
 """
 
 from functools import cached_property
 
 from .diaggroups import check_listing_bound, independent_generators, perm_act
-from .errors import (
-    AmbientMismatchError,
-    MembershipError,
-    StructuralAssumptionViolated,
-)
+from .errors import AmbientMismatchError, StructuralAssumptionViolated
 from .intmat import (
     hermite_dual,
     hermite_generators,
-    hermite_key,
     hermite_order,
     in_hermite,
     kernel_order,
@@ -35,7 +42,6 @@ from .permgroups import (
     generating_set,
     identity_perm,
     inverse,
-    orbit,
 )
 
 
@@ -76,55 +82,28 @@ class SemidirectAmbient:
 
 
 class HTClass:
-    """Conjugacy class of a split subgroup H x| T, identified by canonical keys.
+    """Conjugacy class of a split subgroup H x| T of an ambient G x| P: a name
+    and a representative.
 
-    The class is built from the Hermite key of H, as ``hermite_key`` makes it,
-    and a generating set of T; any set of elements of S generates a subgroup,
-    so an element set of T is a valid input too.  Two split subgroups are
-    conjugate in the ambient group iff they are conjugate by some element of
-    S.  So the class is identified by the key of T's class in the lattice of
-    S and the least Hermite key of s.H over the s that carry T onto that key;
-    the representative stored, with generators for marks and a key for
-    membership, is that s.H x| key.  Nothing is listed: the element lists and
-    the output order ``tag``, the least (sorted T, sorted H) over
-    conjugation, are computed on first use.
+    Classes of one ambient are equal when their names are.  On the verdict
+    path the class is [K_I x| T], named by stratum (``stratum_class``); the
+    oracles name a class of any H by Hermite keys.  The representative, with
+    generators for marks and a key for membership, is H x| T: H by its
+    Hermite key, T by its generators and elements.  Nothing is listed: the
+    element lists and the output order ``tag``, the least (sorted T,
+    sorted H) over conjugation, are computed on first use.
     """
 
-    def __init__(self, ambient, h_key, t_generators):
-        diag, perms = ambient.diag, ambient.perms
-        n, L = diag.n, diag.exponent
-        h_gens = hermite_generators(h_key, L)
-        for h in h_gens:
-            if h not in diag:
-                raise MembershipError("generator %s not in the group" % (h,))
-        t_gens = tuple(t_generators)
-        if not all(t in perms.element_set for t in t_gens):
-            raise MembershipError("T is not a subgroup of S")
-        # T-invariance of the subgroup H follows from its generators and T's
-        if not all(in_hermite(h_key, perm_act(t, h)) for t in t_gens for h in h_gens):
-            raise MembershipError(
-                "H is not invariant under T; the split subgroup is ill-formed")
-        best_t = perms.lattice.key_of[
-            orbit(identity_perm(ambient.n), t_gens, compose)]
-        t_elements = frozenset(best_t)
-        best_key = best_s = None
-        for s in _carriers(perms, t_gens, t_elements):
-            moved = [perm_act(s, h) for h in h_gens]
-            if all(in_hermite(h_key, h) for h in moved):
-                key = h_key
-            else:
-                key = hermite_key(moved, n, L)
-            if best_key is None or key < best_key:
-                best_key, best_s = key, s
+    def __init__(self, ambient, name, h_key, t_gens, t_elements):
+        L = ambient.diag.exponent
         self.ambient = ambient
+        self.name = name
+        self._hash = hash(name)  # tuples do not cache their hash
+        self.h_key = h_key
+        self.h_gens = hermite_generators(h_key, L)
+        self.h_order = hermite_order(h_key, L)
+        self.t_gens = t_gens
         self.t_elements = t_elements
-        self.h_key = best_key
-        self.key = (best_t, best_key)
-        self._hash = hash(self.key)  # tuples do not cache their hash
-        # generators of the representative, for marks
-        self.h_gens = hermite_generators(best_key, L)
-        self.t_gens = tuple(conjugate(best_s, t) for t in t_gens)
-        self.h_order = hermite_order(best_key, L)
 
     @property
     def t_order(self):
@@ -135,7 +114,7 @@ class HTClass:
         return self.h_order * self.t_order
 
     def __eq__(self, other):
-        return (isinstance(other, HTClass) and self.key == other.key
+        return (isinstance(other, HTClass) and self.name == other.name
                 and self.ambient.compatible(other.ambient))
 
     def __hash__(self):
@@ -151,17 +130,22 @@ class HTClass:
 
     @cached_property
     def tag(self):
-        """The least (sorted T, sorted H) over conjugation: the output order."""
+        """The least (sorted T, sorted H) over conjugation: the output order.
+
+        T's least conjugate is its class key in the lattice of P, and H's
+        least image is taken over the s that carry T there."""
+        perms = self.ambient.perms
+        best_t = perms.lattice.key_of[self.t_elements]
         sorted_h = tuple(sorted(self.h_elements))
         best_h = None
-        for s in _carriers(self.ambient.perms, self.t_gens, self.t_elements):
+        for s in carriers(perms, self.t_gens, frozenset(best_t)):
             if all(in_hermite(self.h_key, perm_act(s, h)) for h in self.h_gens):
                 hc = sorted_h
             else:
                 hc = tuple(sorted(perm_act(s, h) for h in self.h_elements))
             if best_h is None or hc < best_h:
                 best_h = hc
-        return tuple(sorted(self.t_elements)), best_h
+        return best_t, best_h
 
     def subgroup_elements(self):
         return [(h, t) for h in sorted(self.h_elements)
@@ -170,11 +154,11 @@ class HTClass:
     def describe(self):
         """The class for output, read from the representative of ``tag``."""
         diag = self.ambient.diag
-        h_gens = independent_generators(diag, self.tag[1])[0]
+        best_t, best_h = self.tag
+        h_gens = independent_generators(diag, best_h)[0]
         return {
             "orbitType": "[G⋊S/H⋊T]",
-            "T": sorted(cycle_notation(t) for t in generating_set(self.t_elements))
-                 or ["()"],
+            "T": sorted(cycle_notation(t) for t in generating_set(best_t)) or ["()"],
             "H": sorted(map(diag.format_element, h_gens))
                  or [diag.format_element(diag.zero)],
             "Torder": self.t_order,
@@ -182,9 +166,36 @@ class HTClass:
         }
 
 
-def _carriers(perms, t_gens, target):
+def stratum_class(ambient, subset, t_key):
+    """The class [K_I x| T] for a subset I that P fixes, as a sorted tuple,
+    and the subgroup T of P with class key ``t_key`` in P's lattice: named
+    (Z(K_I), t_key), since P fixes Z(K_I) too."""
+    return _named(ambient, ambient.diag.zero_set(ambient.diag.stratum_key(subset)),
+                  t_key)
+
+
+def _named(ambient, closed, t_key):
+    """The class named (C, key), for C a zero set of a stratum kernel that
+    represents its orbit under P, and a class key of P_C's lattice."""
+    t = ambient.perms.subgroup(t_key)
+    return HTClass(ambient, (closed, t_key), ambient.diag.stratum_key(closed),
+                   t.generators, t.element_set)
+
+
+def _renamed(ambient, closed, t_elements):
+    """The class [K_C x| T] of the ambient, for any zero set C of a stratum
+    kernel and T <= P_C: the transversal element s carries C to its
+    representative C0, where the class is named by the key of sTs^-1 in
+    P_C0's lattice."""
+    rep, s, stabilizer = ambient.perms.subset_orbits[1][closed]
+    if rep != closed:
+        t_elements = frozenset([conjugate(s, t) for t in t_elements])
+    return _named(ambient, rep, stabilizer.lattice.key_of[t_elements])
+
+
+def carriers(perms, t_gens, target):
     """The s in S with s T s^-1 = target, for T generated by t_gens and a
-    target of T's order."""
+    target of T's order, by a scan of S."""
     return [s for s in perms.elements
             if all(conjugate(s, t) in target for t in t_gens)]
 
@@ -213,14 +224,6 @@ class BurnsideElement:
 
     def coefficient(self, cls):
         return self.coefficients.get(cls, 0)
-
-    def reduce(self):
-        """Subtract the class of the one-point set [G x| S / G x| S]."""
-        ambient = self.ambient
-        full = HTClass(ambient, ambient.diag.kernel(), ambient.perms.generators)
-        out = dict(self.coefficients)
-        out[full] = out.get(full, 0) - 1
-        return BurnsideElement(self.ambient, out)
 
     def items_sorted(self):
         # each tag lists its class's H: hold them all to the bound first
@@ -291,14 +294,20 @@ def _cocycle_kernel_order(diag, perms, congruences):
 
 
 def induction(element, perms_big):
-    """Reinterpret classes over G x| S' inside G x| S for S' <= S."""
+    """Reinterpret classes over G x| S' inside G x| S for S' <= S.
+
+    The class named (C, key) is [K_C x| T] in G x| S too, renamed by C's
+    orbit under S.  On the verdict path S' = S_I for a stratum I that
+    represents its S-orbit, and C = I unless K_I vanishes beyond I, so the
+    name stays: two classes of the stratum are S-conjugate only by an
+    element of S_I, and none fuse."""
     small = element.ambient
     if not small.perms.is_subgroup_of(perms_big):
         raise AmbientMismatchError("induction target does not contain the source")
     big = SemidirectAmbient(small.diag, perms_big)
     out = {}
     for cls, c in element.coefficients.items():
-        lifted = HTClass(big, cls.h_key, cls.t_gens)
+        lifted = _renamed(big, cls.name[0], cls.t_elements)
         out[lifted] = out.get(lifted, 0) + c
     return BurnsideElement(big, out)
 
@@ -307,14 +316,34 @@ def saito_dual(element, pairing):
     """Replace every H by its annihilator, keeping T and coefficients.
 
     ``pairing`` must have its left group equal to the element's diagonal
-    group; the result lives over (right group) x| S.
+    group; the result lives over (right group) x| S.  The class named
+    (C, key) has H = K_C and goes to [K'_{C^c} x| T], renamed by the orbit
+    of the zero set of K'_{C^c}.  That ann(K_C) = K'_{C^c} is checked once
+    per C; otherwise StructuralAssumptionViolated names the stratum.
     """
     src = element.ambient
     if pairing.left is not src.diag and pairing.left.matrix != src.diag.matrix:
         raise AmbientMismatchError("pairing does not match the element's group")
     dual_ambient = SemidirectAmbient(pairing.right, src.perms)
+    duals = {}
     out = {}
     for cls, c in element.coefficients.items():
-        lifted = HTClass(dual_ambient, pairing.dual_kernel(cls.h_key), cls.t_gens)
+        closed = cls.name[0]
+        dual = duals.get(closed)
+        if dual is None:
+            dual = duals[closed] = _dual_stratum(pairing, closed)
+        lifted = _renamed(dual_ambient, dual, cls.t_elements)
         out[lifted] = out.get(lifted, 0) + c
     return BurnsideElement(dual_ambient, out)
+
+
+def _dual_stratum(pairing, closed):
+    """The zero set of ann(K_C), once ann(K_C) = K'_{C^c} is checked."""
+    ann = pairing.dual_kernel(pairing.left.stratum_key(closed))
+    complement = tuple(i for i in range(pairing.left.n) if i not in closed)
+    if ann != pairing.right.stratum_key(complement):
+        stratum = tuple(i + 1 for i in closed)
+        raise StructuralAssumptionViolated(
+            "the annihilator of the kernel of stratum %s is not the kernel of "
+            "its complement" % (stratum,), stratum=stratum)
+    return pairing.right.zero_set(ann)

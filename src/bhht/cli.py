@@ -403,8 +403,9 @@ def cmd_table1(args):
 
 
 def cmd_selftest(args):
-    from .burnside import HTClass, SemidirectAmbient, mark
-    from .oracles import brute_subgroups, check_hermite_keys, split_subgroup_pairs
+    from .burnside import SemidirectAmbient, mark
+    from .oracles import (brute_subgroups, check_hermite_keys, key_class,
+                          split_subgroup_pairs)
     from .permgroups import group_from_generators
     from .polynomials import parse_polynomial
     from .diaggroups import DiagonalGroup
@@ -433,7 +434,7 @@ def cmd_selftest(args):
     def marks_battery():
         G = DiagonalGroup(E.anchored())
         amb = SemidirectAmbient(G, S)
-        classes = {HTClass(amb, hermite_key(h, G.n, G.exponent), t)
+        classes = {key_class(amb, hermite_key(h, G.n, G.exponent), t)
                    for h, t in split_subgroup_pairs(G, S)}
         for a in classes:
             for b in classes:

@@ -51,6 +51,8 @@ class DiagonalGroup:
         key = hermite_key(matrix.rows, self.n, L)
         self.congruences = list(hermite_generators(key, L))
         self.zero = (0,) * self.n
+        self._stratum_keys = {}  # subset -> its stratum kernel
+        self.pairings = {}  # group of the transpose -> CharacterPairing
 
     def __repr__(self):
         return "DiagonalGroup(order %d, exponent %d)" % (self.order, self.exponent)
@@ -98,6 +100,21 @@ class DiagonalGroup:
             for j, x in zip(free, row):
                 key[i][j] = x
         return tuple(map(tuple, key))
+
+    def stratum_key(self, subset):
+        """The stratum kernel K_I of a subset given as a sorted tuple,
+        solved once per subset."""
+        key = self._stratum_keys.get(subset)
+        if key is None:
+            key = self._stratum_keys[subset] = self.stratum_kernel(subset)
+        return key
+
+    def zero_set(self, key):
+        """The points where every element of the key's subgroup vanishes, as
+        a sorted tuple.  For a stratum kernel K_I it is the closure of I: it
+        contains I, has the same kernel, and is that kernel's only such set."""
+        gens = hermite_generators(key, self.exponent)
+        return tuple(i for i in range(self.n) if not any(g[i] for g in gens))
 
     def kernel_elements(self, key):
         """The elements of the subgroup of a Hermite key mod L, as a frozenset,
@@ -222,23 +239,25 @@ class CharacterPairing:
     @classmethod
     def between(cls, left, right):
         """The pairing of two groups already built: the left one of an
-        anchored matrix, the right one of its transpose."""
-        pairing = cls.__new__(cls)
-        pairing._join(left, right)
+        anchored matrix, the right one of its transpose.  There is one
+        pairing per pair of groups, kept by the left group, so a verdict and
+        its lemma checks share its annihilators."""
+        pairing = left.pairings.get(right)
+        if pairing is None:
+            pairing = cls.__new__(cls)
+            pairing._join(left, right)
         return pairing
 
     def _join(self, left, right):
         self.matrix = left.matrix
         self.left = left
         self.right = right
-        self._swapped = None
+        self._dual_kernels = {}  # left key -> the key of its annihilator
+        left.pairings[right] = self
 
     def swapped(self):
         """The same pairing read from the dual side."""
-        if self._swapped is None:
-            self._swapped = CharacterPairing.between(self.right, self.left)
-            self._swapped._swapped = self
-        return self._swapped
+        return CharacterPairing.between(self.right, self.left)
 
     def value(self, v, w):
         if v not in self.left:
@@ -258,9 +277,14 @@ class CharacterPairing:
         return self.right.kernel_elements(self.dual_kernel(key))
 
     def dual_kernel(self, key):
-        """The Hermite key of the annihilator of the left subgroup of a key."""
-        gens = hermite_generators(key, self.left.exponent)
-        return self.right.kernel([self._congruence(a) for a in gens])
+        """The Hermite key of the annihilator of the left subgroup of a key,
+        solved once per key."""
+        dual = self._dual_kernels.get(key)
+        if dual is None:
+            gens = hermite_generators(key, self.left.exponent)
+            dual = self._dual_kernels[key] = self.right.kernel(
+                [self._congruence(a) for a in gens])
+        return dual
 
     def _congruence(self, a):
         """The row c = E.a / L1 of a left element a: w kills a iff c.w = 0 mod L2."""

@@ -1,10 +1,17 @@
 """Equivariant Euler characteristics of Milnor fibres by torus stratification.
 
-The fibre is cut along the coordinate tori; on each stratum the classes that
-can occur as isotropy groups are the split subgroups (stratum kernel) x| T,
-and their coefficients are obtained by exactly solving the triangular system
-of marks against the fixed-point Euler characteristics, which are plain
-determinant counts.  Everything is exact integer arithmetic.
+The fibre is cut along the coordinate tori.  On the stratum of a subset I
+the classes that can occur as isotropy groups are the [K_I x| T], for K_I
+the stratum kernel and T <= S_I, and their coefficients are obtained by
+exactly solving the triangular system of marks against the fixed-point
+Euler characteristics, which are plain determinant counts.  Each class is
+named by its stratum: by the zero set C of K_I, which is I itself unless
+K_I vanishes beyond I, carried to the representative of its S-orbit, and
+by T's class key in the lattice of S_C (``burnside.stratum_class``); the
+point class is (Z(G), S), and Z(G) is empty unless G fixes a point.  So
+the strata sum to chi without re-identifying a class, and the Saito dual
+of f^T's classes is read off the complements.
+Everything is exact integer arithmetic.
 """
 
 from collections import deque
@@ -14,23 +21,15 @@ from functools import cached_property
 
 from .burnside import (
     BurnsideElement,
-    HTClass,
     SemidirectAmbient,
     induction,
     mark,
     saito_dual,
+    stratum_class,
 )
 from .diaggroups import CharacterPairing, DiagonalGroup, check_listing_bound
 from .errors import StructuralAssumptionViolated
-from .intmat import hermite_generators, hermite_key, hermite_order
-from .permgroups import (
-    PCResult,
-    orbit,
-    orbit_count,
-    orbits_on_subsets,
-    pc_check,
-    subset_image,
-)
+from .permgroups import PCResult, orbit_count, orbits_on_subsets, pc_check
 from .polynomials import check_invariance, diagonal_restrict, restrict, transpose
 
 
@@ -111,7 +110,11 @@ class EulerAnalysis:
 
     @cached_property
     def reduced(self):
-        return self.element.reduce()
+        """The element minus the class of the one-point set, [G x| S / G x| S]."""
+        point = stratum_class(self.ambient, (), self.perms.elements)
+        total = dict(self.element.coefficients)
+        total[point] = total.get(point, 0) - 1
+        return BurnsideElement(self.ambient, total)
 
 
 def _stratum_contribution(matrix, group, perms, subset, stabilizer, orbit_size):
@@ -121,9 +124,8 @@ def _stratum_contribution(matrix, group, perms, subset, stabilizer, orbit_size):
     # descending subgroup order; ties broken by the canonical representative
     order = sorted(keys, key=lambda k: (-len(k), k))
 
-    kernel = group.stratum_kernel(subset)
     ambient = SemidirectAmbient(group, stabilizer)
-    node = {key: HTClass(ambient, kernel, reps[key].generators) for key in keys}
+    node = {key: stratum_class(ambient, subset, key) for key in keys}
     fixed = {key: stratum_chi_fixed(matrix, subset, reps[key]) for key in keys}
 
     stratum = tuple(i + 1 for i in subset)
@@ -301,9 +303,8 @@ def lemma_level_checks(matrix, perms):
     full = tuple(range(n))
     top = next(s for s in lhs.strata if s.subset == full)
     ambient = top.element.ambient
-    trivial = hermite_key((), n, ambient.diag.exponent)
     expected = BurnsideElement(
-        ambient, {HTClass(ambient, trivial, perms.generators): (-1) ** (n - 1)})
+        ambient, {stratum_class(ambient, full, perms.elements): (-1) ** (n - 1)})
     checks.append(LemmaCheck(
         "open-torus contribution is (-1)^(n-1) [G x| S / e x| S]",
         top.element == expected))
@@ -316,13 +317,12 @@ def lemma_level_checks(matrix, perms):
     ok_c = True
     detail_c = ""
     rhs_by_subset = {s.subset: s for s in rhs.strata}
+    representatives = perms.subset_orbits[1]
     for s in lhs.strata:
         if len(s.subset) in (0, n):
             continue
-        complement = tuple(sorted(set(range(n)) - set(s.subset)))
-        comp_rep = min(tuple(sorted(c)) for c in
-                       orbit(frozenset(complement), perms.generators, subset_image))
-        dual_side = rhs_by_subset.get(comp_rep)
+        complement = tuple(i for i in range(n) if i not in s.subset)
+        dual_side = rhs_by_subset.get(representatives[complement][0])
         if dual_side is None:
             ok_c = False
             detail_c = ("stratum %s is full but its dual complement is not"
@@ -334,13 +334,10 @@ def lemma_level_checks(matrix, perms):
             detail_c = "orbit of %s is not dual to the orbit of its complement" \
                        % (tuple(i + 1 for i in s.subset),)
             break
-        # the annihilator of the stratum kernel lies in the complement's
-        # stratum kernel (its generators vanish there) and has its order
-        L2 = pairing.right.exponent
-        ann = pairing.dual_kernel(pairing.left.stratum_kernel(s.subset))
-        if (hermite_order(ann, L2)
-                != hermite_order(pairing.right.stratum_kernel(complement), L2)
-                or any(w[i] for w in hermite_generators(ann, L2) for i in complement)):
+        # Hermite keys are unique, so the annihilator of the stratum kernel
+        # is the complement's stratum kernel exactly when their keys agree
+        if (pairing.dual_kernel(pairing.left.stratum_key(s.subset))
+                != pairing.right.stratum_key(complement)):
             ok_c = False
             detail_c = "stratum kernel of the complement is not the annihilator"
             break

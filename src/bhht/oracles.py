@@ -8,12 +8,12 @@ semidirect product G x| S, which the main paths never build.
 
 from itertools import combinations_with_replacement
 
-from .burnside import HTClass, mark
+from .burnside import BurnsideElement, HTClass, SemidirectAmbient, carriers, mark
 from .diaggroups import perm_act
-from .errors import SizeBoundError
+from .errors import MembershipError, SizeBoundError
 from .euler import stratum_chi_fixed
-from .intmat import hermite_key, hermite_order, in_hermite
-from .permgroups import compose, conjugate, inverse
+from .intmat import hermite_generators, hermite_key, hermite_order, in_hermite
+from .permgroups import compose, conjugate, identity_perm, inverse, orbit
 
 # Every enumeration here lists a whole group; none runs on one larger than this.
 ORACLE_ORDER_BOUND = 20000
@@ -55,6 +55,65 @@ def brute_tag(ambient, h_elements, t_elements):
     return min((tuple(sorted(conjugate(s, t) for t in t_elements)),
                 tuple(sorted(perm_act(s, h) for h in h_elements)))
                for s in ambient.perms.elements)
+
+
+def key_class(ambient, h_key, t_generators):
+    """The class of H x| T named by Hermite keys, for any H, by a scan of S.
+
+    H is given by its Hermite key and T by generators; any set of elements
+    of S generates a subgroup, so an element set of T is a valid input too.
+    Two split subgroups are conjugate in the ambient group iff they are
+    conjugate by some element of S.  So the class is named by the key of T's
+    class in the lattice of S and the least Hermite key of s.H over the s
+    that carry T onto that key; the representative is that s.H x| key.
+    """
+    diag, perms = ambient.diag, ambient.perms
+    n, L = diag.n, diag.exponent
+    h_gens = hermite_generators(h_key, L)
+    for h in h_gens:
+        if h not in diag:
+            raise MembershipError("generator %s not in the group" % (h,))
+    t_gens = tuple(t_generators)
+    if not all(t in perms.element_set for t in t_gens):
+        raise MembershipError("T is not a subgroup of S")
+    # T-invariance of the subgroup H follows from its generators and T's
+    if not all(in_hermite(h_key, perm_act(t, h)) for t in t_gens for h in h_gens):
+        raise MembershipError(
+            "H is not invariant under T; the split subgroup is ill-formed")
+    best_t = perms.lattice.key_of[orbit(identity_perm(n), t_gens, compose)]
+    best_key = best_s = None
+    for s in carriers(perms, t_gens, frozenset(best_t)):
+        moved = [perm_act(s, h) for h in h_gens]
+        if all(in_hermite(h_key, h) for h in moved):
+            key = h_key
+        else:
+            key = hermite_key(moved, n, L)
+        if best_key is None or key < best_key:
+            best_key, best_s = key, s
+    return HTClass(ambient, (best_t, best_key), best_key,
+                   tuple(conjugate(best_s, t) for t in t_gens), frozenset(best_t))
+
+
+def key_induction(element, perms_big):
+    """``burnside.induction`` by Hermite keys: every class named again by
+    ``key_class`` over G x| S."""
+    big = SemidirectAmbient(element.ambient.diag, perms_big)
+    out = {}
+    for cls, c in element.coefficients.items():
+        lifted = key_class(big, cls.h_key, cls.t_gens)
+        out[lifted] = out.get(lifted, 0) + c
+    return BurnsideElement(big, out)
+
+
+def key_saito_dual(element, pairing):
+    """``burnside.saito_dual`` by Hermite keys: every H replaced by its
+    annihilator and the class named again by ``key_class``."""
+    dual_ambient = SemidirectAmbient(pairing.right, element.ambient.perms)
+    out = {}
+    for cls, c in element.coefficients.items():
+        lifted = key_class(dual_ambient, pairing.dual_kernel(cls.h_key), cls.t_gens)
+        out[lifted] = out.get(lifted, 0) + c
+    return BurnsideElement(dual_ambient, out)
 
 
 def naive_mark(kprime, k):
@@ -318,7 +377,7 @@ def check_fixed_point_consistency(analysis):
     done = set()
     checked = 0
     for h, t in split_subgroup_pairs(group, analysis.perms):
-        probe = HTClass(ambient, hermite_key(h, group.n, group.exponent), t)
+        probe = key_class(ambient, hermite_key(h, group.n, group.exponent), t)
         if probe in done:
             continue
         done.add(probe)

@@ -149,6 +149,51 @@ class PermGroup:
     def lattice(self):
         return SubgroupLattice(self)
 
+    @cached_property
+    def subset_orbits(self):
+        """The orbits on all subsets of {0..n-1}, walked once per group.
+
+        Returns a list of (representative, stabilizer, orbit size) sorted by
+        (representative size, representative), and a dict from every subset,
+        as a sorted tuple, to (its representative, an s with s(subset) =
+        representative, the representative's stabilizer).  The
+        representative is the lexicographically least sorted tuple in its
+        orbit, and carries itself by the identity.  Equal stabilizers are
+        one object, the group itself for a subset the group fixes.  The walk
+        keeps, for each subset it meets, a p carrying the orbit's first
+        subset there, so s is the representative's p after the subset's p
+        inverted.
+        """
+        n = self.n
+        identity = identity_perm(n)
+        out = []
+        transversal = {}
+        for mask in range(1 << n):
+            base = tuple(i for i in range(n) if mask >> i & 1)
+            if base in transversal:
+                continue
+            reach = {base: identity}
+            frontier = [base]
+            while frontier:
+                nxt = []
+                for g in self.generators:
+                    for x in frontier:
+                        y = tuple(sorted(g[i] for i in x))
+                        if y not in reach:
+                            reach[y] = compose(g, reach[x])
+                            nxt.append(y)
+                frontier = nxt
+            rep = min(reach)
+            stab = self.subgroup([p for p in self.elements
+                                  if subset_image(p, rep) == set(rep)])
+            assert self.order == len(reach) * stab.order
+            to_rep = reach[rep]
+            for subset, p in reach.items():
+                transversal[subset] = (rep, compose(to_rep, inverse(p)), stab)
+            out.append((rep, stab, len(reach)))
+        out.sort(key=lambda t: (len(t[0]), t[0]))
+        return out, transversal
+
 
 NAMED_GROUPS = {
     "A3": ["(123)"],
@@ -373,26 +418,6 @@ def pc_check(group):
 
 
 def orbits_on_subsets(group):
-    """Orbits of the group on all subsets of {0..n-1}.
-
-    Returns a list of (representative, stabilizer, orbit size) sorted by
-    (representative size, representative); the representative is the
-    lexicographically least sorted tuple in its orbit.  Equal stabilizers are
-    one object, the group itself for a subset the group fixes.
-    """
-    n = group.n
-    seen = set()
-    out = []
-    for mask in range(1 << n):
-        base = frozenset(i for i in range(n) if mask >> i & 1)
-        if base in seen:
-            continue
-        found = orbit(base, group.generators, subset_image)
-        seen |= found
-        rep = min(found, key=lambda s: tuple(sorted(s)))
-        stab = group.subgroup([p for p in group.elements
-                               if subset_image(p, rep) == rep])
-        assert group.order == len(found) * stab.order
-        out.append((tuple(sorted(rep)), stab, len(found)))
-    out.sort(key=lambda t: (len(t[0]), t[0]))
-    return out
+    """Orbits of the group on all subsets of {0..n-1}: the list of
+    ``PermGroup.subset_orbits``."""
+    return group.subset_orbits[0]

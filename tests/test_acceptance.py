@@ -9,7 +9,7 @@ import time
 import pytest
 from conftest import X1, X14, X15, is_even, key_of, seeded
 
-from bhht.burnside import BurnsideElement, HTClass, SemidirectAmbient, induction, mark, saito_dual
+from bhht.burnside import BurnsideElement, SemidirectAmbient, mark
 from bhht.diaggroups import (
     CharacterPairing,
     DiagonalGroup,
@@ -17,7 +17,13 @@ from bhht.diaggroups import (
 )
 from bhht.euler import euler_analysis, stratum_chi_fixed, verify_duality
 from bhht.fixtures import load_catalogue
-from bhht.oracles import naive_mark, split_subgroup_pairs
+from bhht.oracles import (
+    key_class,
+    key_induction,
+    key_saito_dual,
+    naive_mark,
+    split_subgroup_pairs,
+)
 from bhht.permgroups import (
     PermGroup,
     compose,
@@ -132,7 +138,7 @@ def test_criterion_5_varchenko_and_marks_oracles():
     assert ambient.order == 162 <= 2000
     classes = {}
     for h, t in split_subgroup_pairs(group, perms):
-        cls = HTClass(ambient, key_of(group, h), t)
+        cls = key_class(ambient, key_of(group, h), t)
         classes.setdefault(cls.tag, cls)
     pairs = 0
     for a in classes.values():
@@ -185,16 +191,16 @@ def test_criterion_6_structural_suite(catalogue):
             coeffs = {}
             for _term in range(rng.randint(1, 3)):
                 h_key, t = _random_split_pair(rng, pairing.left, perms, t_choices)
-                cls = HTClass(ambient, h_key, t)
+                cls = key_class(ambient, h_key, t)
                 coeffs[cls] = coeffs.get(cls, 0) + rng.randint(-3, 3)
             x = BurnsideElement(ambient, coeffs)
-            back = saito_dual(saito_dual(x, pairing), pairing.swapped())
+            back = key_saito_dual(key_saito_dual(x, pairing), pairing.swapped())
             assert BurnsideElement(ambient, back.coefficients) == x
             h_key, t = _random_split_pair(rng, pairing.left, sub, sub_choices)
             y = BurnsideElement(sub_ambient,
-                                {HTClass(sub_ambient, h_key, t): rng.randint(-3, 3)})
-            one = induction(saito_dual(y, pairing), perms)
-            two = saito_dual(induction(y, perms), pairing)
+                                {key_class(sub_ambient, h_key, t): rng.randint(-3, 3)})
+            one = key_induction(key_saito_dual(y, pairing), perms)
+            two = key_saito_dual(key_induction(y, perms), pairing)
             dual_ambient = SemidirectAmbient(pairing.right, perms)
             assert BurnsideElement(dual_ambient, one.coefficients) \
                 == BurnsideElement(dual_ambient, two.coefficients)

@@ -4,11 +4,11 @@ from conftest import X1, key_of, seeded, summed
 from bhht import burnside
 from bhht.burnside import (
     BurnsideElement,
-    HTClass,
     SemidirectAmbient,
     induction,
     mark,
     saito_dual,
+    stratum_class,
 )
 from bhht.diaggroups import (
     CharacterPairing,
@@ -24,6 +24,9 @@ from bhht.oracles import (
     brute_span,
     brute_tag,
     inv,
+    key_class,
+    key_induction,
+    key_saito_dual,
     mul,
     naive_mark,
     split_subgroup_pairs,
@@ -57,14 +60,14 @@ def ambient_of(polynomial, generators):
 def single(ambient, h_elements, t_elements, coefficient=1):
     """The element coefficient * [G x| S / H x| T]."""
     return BurnsideElement(ambient,
-                           {HTClass(ambient, key_of(ambient.diag, h_elements), t_elements):
+                           {key_class(ambient, key_of(ambient.diag, h_elements), t_elements):
                             coefficient})
 
 
 def split_classes(ambient):
     classes = {}
     for h, t in split_subgroup_pairs(ambient.diag, ambient.perms):
-        cls = HTClass(ambient, key_of(ambient.diag, h), t)
+        cls = key_class(ambient, key_of(ambient.diag, h), t)
         classes.setdefault(cls.tag, cls)
     return sorted(classes.values(), key=lambda c: c.tag)
 
@@ -89,11 +92,11 @@ def test_ambient_group_axioms(small):
 def test_ht_class_of_generators_is_the_class_of_their_closure(small):
     e, c = parse_cycles("e", 3), parse_cycles("(123)", 3)
     h = {(1, 0, 0), (0, 1, 0)}
-    closed = HTClass(small, key_of(small.diag, brute_span(small.diag, h)), {e})
-    assert HTClass(small, key_of(small.diag, h), {e}) == closed and closed.h_order == 4
+    closed = key_class(small, key_of(small.diag, brute_span(small.diag, h)), {e})
+    assert key_class(small, key_of(small.diag, h), {e}) == closed and closed.h_order == 4
     trivial = key_of(small.diag, ())
-    rotations = HTClass(small, trivial, orbit(e, [c], compose))
-    assert HTClass(small, trivial, {c}) == rotations and rotations.t_order == 3
+    rotations = key_class(small, trivial, orbit(e, [c], compose))
+    assert key_class(small, trivial, {c}) == rotations and rotations.t_order == 3
 
 
 def test_ht_class_rejects_generators_outside_g_or_s(small):
@@ -104,17 +107,17 @@ def test_ht_class_rejects_generators_outside_g_or_s(small):
     outside = key_of(chain.diag, [(1, 0)])
     assert (1, 0) not in chain.diag and (1, 0) in outside
     with pytest.raises(MembershipError):
-        HTClass(chain, outside, {parse_cycles("e", 2)})
+        key_class(chain, outside, {parse_cycles("e", 2)})
     rotations = SemidirectAmbient(small.diag, group_from_generators(3, ["(123)"]))
     with pytest.raises(MembershipError):
-        HTClass(rotations, key_of(small.diag, ()), {parse_cycles("(12)", 3)})
+        key_class(rotations, key_of(small.diag, ()), {parse_cycles("(12)", 3)})
 
 
 def test_ht_class_requires_invariant_h(small):
     # H = <first basis vector> is not invariant under (12)
     h = key_of(small.diag, [(1, 0, 0)])
     with pytest.raises(MembershipError):
-        HTClass(small, h, {parse_cycles("(12)", 3), parse_cycles("e", 3)})
+        key_class(small, h, {parse_cycles("(12)", 3), parse_cycles("e", 3)})
 
 
 def test_conjugate_test_identical(small):
@@ -163,7 +166,7 @@ def test_canonicalize_conjugates_share_representative(small, small_classes):
         for s in small.perms.elements:
             moved_h = frozenset(perm_act(s, h) for h in cls.h_elements)
             moved_t = frozenset(conjugate(s, t) for t in cls.t_elements)
-            again = HTClass(small, key_of(small.diag, moved_h), moved_t)
+            again = key_class(small, key_of(small.diag, moved_h), moved_t)
             assert again.tag == cls.tag
     tags = {cls.tag for cls in small_classes}
     assert len(tags) == len(small_classes)
@@ -186,9 +189,9 @@ def test_canonical_tag_matches_brute_force(polynomial, generators):
     ambient = ambient_of(polynomial, generators)
     for h, t in split_subgroup_pairs(ambient.diag, ambient.perms):
         tag = brute_tag(ambient, h, t)
-        assert HTClass(ambient, key_of(ambient.diag, h), t).tag == tag
+        assert key_class(ambient, key_of(ambient.diag, h), t).tag == tag
         gens = independent_generators(ambient.diag, sorted(h))[0]
-        assert HTClass(ambient, key_of(ambient.diag, gens), generating_set(t)).tag == tag
+        assert key_class(ambient, key_of(ambient.diag, gens), generating_set(t)).tag == tag
 
 
 @pytest.mark.parametrize("polynomial, generators", TAG_AMBIENTS)
@@ -199,7 +202,7 @@ def test_class_identity_matches_brute_force(polynomial, generators):
     by_tag = {}
     for h, t in split_subgroup_pairs(ambient.diag, ambient.perms):
         by_tag.setdefault(brute_tag(ambient, h, t), []).append(
-            HTClass(ambient, independent_generators(ambient.diag, sorted(h))[1],
+            key_class(ambient, independent_generators(ambient.diag, sorted(h))[1],
                     generating_set(t)))
     reps = []
     for same in by_tag.values():
@@ -227,25 +230,30 @@ def test_class_keys_come_from_the_lattice(monkeypatch):
 
 
 def test_classes_take_the_key_they_are_handed(monkeypatch):
-    # with S trivial every carrier fixes H, so no class re-reduces a key:
-    # the classes of the quintic's verdict (95 of them) make no call
-    calls = []
-    plain = burnside.hermite_key
+    # a verdict's classes take their H from the stratum kernel their name
+    # hands them: each kernel is solved once per subset, and no class keys
+    # a moved H.  The quintic is self-transposed with S trivial, so its 31
+    # strata and the point name every subset exactly once
+    from bhht import euler
 
-    def counted(*args):
-        calls.append(1)
-        return plain(*args)
+    solved = []
+    plain = DiagonalGroup.stratum_kernel
 
-    monkeypatch.setattr(burnside, "hermite_key", counted)
+    def counted(group, subset):
+        solved.append(tuple(subset))
+        return plain(group, subset)
+
+    monkeypatch.setattr(DiagonalGroup, "stratum_kernel", counted)
+    monkeypatch.setattr(euler, "_RECENT", type(euler._RECENT)(maxlen=2))
     assert verify_duality(parse_polynomial(X1), PermGroup(5, ())).equal
-    assert not calls
+    assert sorted(solved) == sorted(set(solved)) and len(solved) == 32
+    assert not hasattr(burnside, "hermite_key")
 
 
 def test_element_arithmetic(small):
     full = single(small, small.diag.elements, small.perms.elements)
     assert summed(small, full, BurnsideElement(small)) == full
-    assert full.reduce() == BurnsideElement(small)
-    assert full.reduce().reduce() == full.scale(-1)
+    assert full.scale(2) == summed(small, full, full)
     assert summed(small, full, full.scale(-1)) == BurnsideElement(small)
 
 
@@ -257,13 +265,13 @@ def test_element_ambient_mismatch(small):
 
 
 def test_mark_trivial_column_is_index(small, small_classes):
-    trivial = HTClass(small, key_of(small.diag, ()), {parse_cycles("e", 3)})
+    trivial = key_class(small, key_of(small.diag, ()), {parse_cycles("e", 3)})
     for cls in small_classes:
         assert mark(cls, trivial) == small.order // cls.order
 
 
 def test_mark_full_row_is_one(small, small_classes):
-    full = HTClass(small, small.diag.kernel(), small.perms.elements)
+    full = key_class(small, small.diag.kernel(), small.perms.elements)
     for cls in small_classes:
         assert mark(full, cls) == 1
 
@@ -365,7 +373,7 @@ def test_diagonal_mark_is_normalizer_index(small, small_classes):
 
 
 def test_induction_identity(small):
-    full = single(small, small.diag.elements, small.perms.elements)
+    full = BurnsideElement(small, {stratum_class(small, (), small.perms.elements): 1})
     assert induction(full, small.perms) == full
 
 
@@ -374,12 +382,13 @@ def test_induction_fuses_conjugate_classes():
     group = DiagonalGroup(quintic)
     s3 = group_from_generators(3, ["(12)", "(123)"])
     loner = SemidirectAmbient(group, PermGroup(3, ()))
-    e3 = {parse_cycles("e", 3)}
-    x = BurnsideElement(loner, {HTClass(loner, group.stratum_kernel([i]), e3): 1
-                                for i in (0, 1)})
+    e3 = (parse_cycles("e", 3),)
+    x = BurnsideElement(loner, {stratum_class(loner, (i,), e3): 1 for i in (0, 1)})
     lifted = induction(x, s3)
-    assert len(lifted.coefficients) == 1
-    assert list(lifted.coefficients.values()) == [2]
+    (cls, c), = lifted.coefficients.items()
+    assert c == 2 and cls.name == ((0,), e3)
+    # the key naming fuses the same two classes
+    assert list(key_induction(x, s3).coefficients.values()) == [2]
 
 
 def test_induction_requires_subgroup(small):
@@ -388,24 +397,27 @@ def test_induction_requires_subgroup(small):
 
 
 def test_saito_dual_extremes(small):
+    # [G x| S / G x| S] and [G x| S / e x| S] are the classes of the
+    # strata empty and {1, 2, 3}, each other's complement
     matrix = parse_polynomial("x1^2+x2^2+x3^2")
     pairing = CharacterPairing(matrix)
-    full_h = single(small, small.diag.elements, small.perms.elements)
+    s = small.perms.elements
+    full_h = BurnsideElement(small, {stratum_class(small, (), s): 1})
     dual = saito_dual(full_h, pairing)
     (cls, coeff), = dual.coefficients.items()
-    assert coeff == 1
+    assert coeff == 1 and cls.name == ((0, 1, 2), s)
     assert cls.h_order == 1 and cls.t_order == small.perms.order
-    free = single(small, {small.diag.zero}, small.perms.elements)
+    free = BurnsideElement(small, {stratum_class(small, (0, 1, 2), s): 1})
     dual_free = saito_dual(free, pairing)
     (cls2, _), = dual_free.coefficients.items()
-    assert cls2.h_order == pairing.right.order
+    assert cls2.name == ((), s) and cls2.h_order == pairing.right.order
 
 
 def random_element(rng, ambient, pairs, max_terms=3):
     coeffs = {}
     for _ in range(rng.randint(1, max_terms)):
         h, t = rng.choice(pairs)
-        cls = HTClass(ambient, key_of(ambient.diag, h), t)
+        cls = key_class(ambient, key_of(ambient.diag, h), t)
         coeffs[cls] = coeffs.get(cls, 0) + rng.randint(-3, 3)
     return BurnsideElement(ambient, coeffs)
 
@@ -420,11 +432,11 @@ def test_saito_dual_involution_and_induction_commute(small):
     sub_pairs = [(h, t) for h, t in split_subgroup_pairs(small.diag, sub_perms)]
     for _ in range(100):
         x = random_element(rng, small, pairs)
-        back = saito_dual(saito_dual(x, pairing), pairing.swapped())
+        back = key_saito_dual(key_saito_dual(x, pairing), pairing.swapped())
         assert BurnsideElement(small, back.coefficients) == x
         y = random_element(rng, sub_ambient, sub_pairs)
-        a = induction(saito_dual(y, pairing), small.perms)
-        b = saito_dual(induction(y, small.perms), pairing)
+        a = key_induction(key_saito_dual(y, pairing), small.perms)
+        b = key_saito_dual(key_induction(y, small.perms), pairing)
         assert BurnsideElement(small, a.coefficients) \
             == BurnsideElement(small, b.coefficients)
 
