@@ -200,6 +200,14 @@ def carriers(perms, t_gens, target):
             if all(conjugate(s, t) in target for t in t_gens)]
 
 
+def sorted_by_tag(entries):
+    """Tuples led by a class, sorted by the class's ``tag``; each tag lists
+    its class's H, so every H is held to the listing bound before the first."""
+    for entry in entries:
+        check_listing_bound(entry[0].h_order)
+    return sorted(entries, key=lambda entry: entry[0].tag)
+
+
 class BurnsideElement:
     """Finitely supported integer combination of split-subgroup classes."""
 
@@ -225,22 +233,16 @@ class BurnsideElement:
     def coefficient(self, cls):
         return self.coefficients.get(cls, 0)
 
-    def items_sorted(self):
-        # each tag lists its class's H: hold them all to the bound first
-        for cls in self.coefficients:
-            check_listing_bound(cls.h_order)
-        return sorted(self.coefficients.items(), key=lambda kv: kv[0].tag)
-
     def records(self):
         out = []
-        for cls, c in self.items_sorted():
+        for cls, c in sorted_by_tag(self.coefficients.items()):
             rec = cls.describe()
             rec["coefficient"] = c
             out.append(rec)
         return out
 
     def __repr__(self):
-        parts = ["%+d*%r" % (c, cls) for cls, c in self.items_sorted()]
+        parts = ["%+d*%r" % (c, cls) for cls, c in sorted_by_tag(self.coefficients.items())]
         return " ".join(parts) if parts else "0"
 
 

@@ -386,9 +386,9 @@ def cmd_table1(args):
         elif key in cache:
             verdict, elapsed, cached = cache[key], None, True
         else:
-            t0 = time.time()
+            t0 = time.perf_counter()
             verdict = "equal" if verify_duality(fx.matrix, S).equal else "differs"
-            elapsed = time.time() - t0
+            elapsed = time.perf_counter() - t0
             cache[key] = verdict
         lines.append("%-6s %-4s %-22s %-6s %-8s %s"
                      % (fx.meta.get("row"), fx.meta.get("f"),

@@ -25,9 +25,10 @@ from .burnside import (
     induction,
     mark,
     saito_dual,
+    sorted_by_tag,
     stratum_class,
 )
-from .diaggroups import CharacterPairing, DiagonalGroup, check_listing_bound
+from .diaggroups import CharacterPairing, DiagonalGroup
 from .errors import StructuralAssumptionViolated
 from .permgroups import PCResult, orbit_count, orbits_on_subsets, pc_check
 from .polynomials import check_invariance, diagonal_restrict, restrict, transpose
@@ -50,23 +51,19 @@ def _stratum_profile(subset, stabilizer, reps):
     return (stabilizer.element_set, colours), (-1) ** (deepest - 1)
 
 
-def stratum_chi_fixed(matrix, subset, perms):
+def stratum_chi_fixed(restricted, perms):
     """Euler characteristic of the T-fixed part of the fibre on an open stratum.
 
-    Zero when the restriction (or its diagonal restriction) has fewer
-    monomials than coordinates; otherwise a signed determinant: the sign is
-    (-1)^(orbits-1) and the magnitude the folded exponent determinant.
+    ``restricted`` is f^I.  Zero unless its fold along T's orbits is full,
+    which it never is when f^I is not (T permutes the monomials of f^I as it
+    permutes their anchors); then (-1)^(orbits-1) |folded determinant|.
     """
-    if not subset:
+    if not restricted.variables:
         raise ValueError("the empty stratum has no fibre points")
-    base = restrict(matrix, subset)
-    if not base.full:
-        return 0
-    folded = diagonal_restrict(matrix, subset, perms)
+    folded = diagonal_restrict(restricted, perms)
     if not folded.full:
         return 0
-    o = folded.nvars
-    return (-1) ** (o - 1) * abs(folded.determinant())
+    return (-1) ** (folded.nvars - 1) * abs(folded.determinant())
 
 
 @dataclass(frozen=True)
@@ -117,7 +114,8 @@ class EulerAnalysis:
         return BurnsideElement(self.ambient, total)
 
 
-def _stratum_contribution(matrix, group, perms, subset, stabilizer, orbit_size):
+def _stratum_contribution(restricted, group, perms, stabilizer, orbit_size):
+    subset = restricted.variables
     lattice = stabilizer.lattice
     keys = [lattice.class_key(cls) for cls in lattice.conjugacy_classes]
     reps = {key: stabilizer.subgroup(key) for key in keys}
@@ -126,7 +124,7 @@ def _stratum_contribution(matrix, group, perms, subset, stabilizer, orbit_size):
 
     ambient = SemidirectAmbient(group, stabilizer)
     node = {key: stratum_class(ambient, subset, key) for key in keys}
-    fixed = {key: stratum_chi_fixed(matrix, subset, reps[key]) for key in keys}
+    fixed = {key: stratum_chi_fixed(restricted, reps[key]) for key in keys}
 
     stratum = tuple(i + 1 for i in subset)
     # a mark is 0 unless the class ki is subconjugate to kj; mark decides that
@@ -201,9 +199,10 @@ def euler_analysis(matrix, perms):
     total = {}  # the strata's classes and their summed coefficients
     strata = []
     for rep, stab, size in orbits_on_subsets(perms):
-        if not rep or not restrict(matrix, rep).full:
+        restricted = restrict(matrix, rep)
+        if not rep or not restricted.full:
             continue
-        contribution = _stratum_contribution(matrix, group, perms, rep, stab, size)
+        contribution = _stratum_contribution(restricted, group, perms, stab, size)
         for cls, c in contribution.induced.coefficients.items():
             total[cls] = total.get(cls, 0) + c
         strata.append(contribution)
@@ -227,9 +226,7 @@ class DualityReport:
     @cached_property
     def diff(self):
         """The differences in output order, sorted on first read."""
-        for cls, _lc, _rc in self.differences:
-            check_listing_bound(cls.h_order)
-        return sorted(self.differences, key=lambda d: d[0].tag)
+        return sorted_by_tag(self.differences)
 
     def to_records(self):
         out = {

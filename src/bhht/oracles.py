@@ -14,6 +14,7 @@ from .errors import MembershipError, SizeBoundError
 from .euler import stratum_chi_fixed
 from .intmat import hermite_generators, hermite_key, hermite_order, in_hermite
 from .permgroups import compose, conjugate, identity_perm, inverse, orbit
+from .polynomials import restrict
 
 # Every enumeration here lists a whole group; none runs on one larger than this.
 ORACLE_ORDER_BOUND = 20000
@@ -357,7 +358,7 @@ def fixed_point_euler(matrix, perms, h_elements, t_elements):
             continue
         if any({t[i] for i in subset} != set(subset) for t in t_elements):
             continue
-        total += stratum_chi_fixed(matrix, subset, t_group)
+        total += stratum_chi_fixed(restrict(matrix, subset), t_group)
     return total
 
 

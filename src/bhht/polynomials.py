@@ -385,25 +385,24 @@ def restrict(matrix, subset):
                                 full=len(monos) == len(subset))
 
 
-def diagonal_restrict(matrix, subset, perms):
+def diagonal_restrict(restricted, perms):
     """Identify the variables of f^I along the orbits of a permutation group.
 
-    ``perms`` is a PermGroup acting on all n variables; it must preserve the
-    subset and f^I.  Monomials whose
-    exponent vectors become equal are merged by summing coefficients.
+    ``restricted`` is f^I, as ``restrict`` returns it; ``perms`` is a PermGroup
+    acting on all n variables; it must preserve the subset and f^I.  Monomials
+    whose exponent vectors become equal are merged by summing coefficients.
     """
-    base = restrict(matrix, subset)
-    subset = base.variables
+    subset = restricted.variables
     inside = set(subset)
     for p in perms.generators:
         if {p[j] for j in inside} != inside:
             raise NotInvariantError("group does not preserve the subset")
-    if _non_symmetry(base.variables, base.monomials, perms) is not None:
+    if _non_symmetry(subset, restricted.monomials, perms) is not None:
         raise NotInvariantError("group does not preserve the restricted polynomial")
     orbits = perm_orbits(perms, subset)
     column = {v: k for k, orb in enumerate(orbits) for v in orb}
     merged = {}
-    for mono, coeff in base.monomials:
+    for mono, coeff in restricted.monomials:
         folded = [0] * len(orbits)
         for pos, e in enumerate(mono):
             folded[column[subset[pos]]] += e

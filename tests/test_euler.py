@@ -1,9 +1,10 @@
 import sys
-from collections import deque
+from collections import Counter, deque
 from dataclasses import replace
 
 import pytest
 from conftest import X14, X15, seeded, summed
+from test_stratum_naming import CATALOGUE, catalogue_pairs, generated_pairs
 
 from bhht import diaggroups, euler, intmat
 from bhht.diaggroups import DiagonalGroup
@@ -25,7 +26,7 @@ from bhht.permgroups import (
     orbits_on_subsets,
     pc_check,
 )
-from bhht.polynomials import parse_polynomial, restrict, transpose
+from bhht.polynomials import diagonal_restrict, parse_polynomial, restrict, transpose
 
 
 def torus_curve_chi_oracle(m):
@@ -44,13 +45,13 @@ def torus_curve_chi_oracle(m):
 def test_chi_one_variable_power():
     for m in range(1, 8):
         e = parse_polynomial("x1^%d" % m)
-        assert stratum_chi_fixed(e, [0], PermGroup(1, ())) == m
+        assert stratum_chi_fixed(restrict(e, [0]), PermGroup(1, ())) == m
 
 
 def test_chi_fermat_curve_matches_genus_oracle():
     for m in range(2, 8):
         e = parse_polynomial("x1^%d+x2^%d" % (m, m))
-        value = stratum_chi_fixed(e, [0, 1], PermGroup(2, ()))
+        value = stratum_chi_fixed(restrict(e, [0, 1]), PermGroup(2, ()))
         assert value == torus_curve_chi_oracle(m) == -m * m
 
 
@@ -58,16 +59,48 @@ def test_chi_fermat_curve_swapped():
     for m in range(2, 8):
         e = parse_polynomial("x1^%d+x2^%d" % (m, m))
         swap = group_from_generators(2, ["(12)"])
-        assert stratum_chi_fixed(e, [0, 1], swap) == m
+        assert stratum_chi_fixed(restrict(e, [0, 1]), swap) == m
 
 
 def test_chi_degenerate_restriction_is_zero(x15):
-    assert stratum_chi_fixed(x15, [0, 1], PermGroup(5, ())) == 0
+    assert stratum_chi_fixed(restrict(x15, [0, 1]), PermGroup(5, ())) == 0
 
 
 def test_chi_empty_stratum_rejected(quintic):
     with pytest.raises(ValueError):
-        stratum_chi_fixed(quintic, [], PermGroup(5, ()))
+        stratum_chi_fixed(restrict(quintic, []), PermGroup(5, ()))
+
+
+def fold_cases():
+    """Each distinct catalogue (f, S) on the f and the f^T side, then 50
+    seeded inputs."""
+    for name in catalogue_pairs():
+        fx = CATALOGUE[name]
+        s = fx.perm_group()
+        yield fx.matrix.anchored(), s
+        yield transpose(fx.matrix), s
+    yield from generated_pairs()
+
+
+def test_fold_fullness_alone_decides_a_fixed_chi():
+    # stratum_chi_fixed tests only the fold: a restriction that is not full
+    # folds to one that is not full, for every class T of every S_I
+    short = 0
+    for matrix, perms in fold_cases():
+        for subset, stabilizer, _size in orbits_on_subsets(perms):
+            if not subset:
+                continue
+            base = restrict(matrix, subset)
+            lattice = stabilizer.lattice
+            for cls in lattice.conjugacy_classes:
+                t = stabilizer.subgroup(lattice.class_key(cls))
+                folded = diagonal_restrict(base, t)
+                expected = 0
+                if base.full and folded.full:
+                    expected = (-1) ** (folded.nvars - 1) * abs(folded.determinant())
+                assert stratum_chi_fixed(base, t) == expected
+                short += not base.full
+    assert short
 
 
 # -- stratum contributions ----------------------------------------------------------
@@ -114,9 +147,9 @@ def test_residual_check_trips_on_wrong_fixed_data(quintic):
 
     original = euler_mod.stratum_chi_fixed
 
-    def corrupted(matrix, subset, perms):
-        value = original(matrix, subset, perms)
-        return value + 1 if len(subset) == 5 and perms.order == 2 else value
+    def corrupted(restricted, perms):
+        value = original(restricted, perms)
+        return value + 1 if restricted.nvars == 5 and perms.order == 2 else value
 
     euler_mod.stratum_chi_fixed = corrupted
     try:
@@ -136,7 +169,7 @@ def test_structural_failure_carries_stratum_class_and_residual(monkeypatch):
     # mark is 2 and the fixed-locus Euler characteristic 2
     original = euler_mod.stratum_chi_fixed
     monkeypatch.setattr(euler_mod, "stratum_chi_fixed",
-                        lambda m, subset, perms: original(m, subset, perms) + 1)
+                        lambda restricted, perms: original(restricted, perms) + 1)
     with pytest.raises(StructuralAssumptionViolated) as info:
         euler_analysis(f, swap)
     assert (info.value.stratum, info.value.class_order, info.value.residual) \
@@ -342,7 +375,7 @@ def test_sign_law_under_pc():
     lattice = s.lattice
     for cls in lattice.conjugacy_classes:
         t = s.subgroup(lattice.class_key(cls))
-        value = stratum_chi_fixed(matrix, range(5), t)
+        value = stratum_chi_fixed(restrict(matrix, range(5)), t)
         assert value != 0
         assert value * (-1) ** (5 - 1) > 0
 
@@ -561,7 +594,7 @@ def test_failed_analysis_is_not_remembered(monkeypatch):
     swap = group_from_generators(2, ["(12)"])
     original = euler_mod.stratum_chi_fixed
     monkeypatch.setattr(euler_mod, "stratum_chi_fixed",
-                        lambda m, subset, perms: original(m, subset, perms) + 1)
+                        lambda restricted, perms: original(restricted, perms) + 1)
     with pytest.raises(StructuralAssumptionViolated):
         euler_analysis(f, swap)
     monkeypatch.undo()
@@ -618,6 +651,34 @@ def test_every_hermite_key_of_a_verdict_is_n_wide(monkeypatch, name):
     assert verify_duality(fx.matrix, s).equal
     assert lemma_level_checks(fx.matrix, s).all_passed
     assert max(widths) == n
+
+
+@pytest.mark.parametrize("name", ["pc_a3", "x15_z5", "table1_r2", "quartic6_a3"])
+def test_a_verdict_restricts_each_stratum_once(monkeypatch, name):
+    # the classes of a stratum fold the one restriction of f that decided
+    # whether the stratum counts; quartic6_a3 is x1^4+...+x6^4 with <(123)>
+    import bhht
+
+    if name == "quartic6_a3":
+        f = parse_polynomial("+".join("x%d^4" % i for i in range(1, 7)))
+        s = group_from_generators(6, ["(123)"])
+    else:
+        fx = load_catalogue()[name]
+        f, s = fx.matrix, fx.perm_group()
+    original = restrict
+    calls = Counter()
+
+    def counted(matrix, subset):
+        calls[matrix, tuple(subset)] += 1
+        return original(matrix, subset)
+
+    for module in vars(bhht).values():
+        if getattr(module, "restrict", None) is original:
+            monkeypatch.setattr(module, "restrict", counted)
+    monkeypatch.setattr(euler, "_RECENT", deque(maxlen=2))
+    assert verify_duality(f, s).equal
+    assert lemma_level_checks(f, s).all_passed
+    assert calls and set(calls.values()) == {1}
 
 
 def test_one_lattice_of_s_per_verify_with_lemmas(monkeypatch):

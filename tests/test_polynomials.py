@@ -254,7 +254,7 @@ def test_restrict_full_iff_dual_complement_full():
 
 def test_diagonal_restrict_two_squares():
     m = parse_polynomial("x1^4+x2^4")
-    d = diagonal_restrict(m, [0, 1], group_from_generators(2, ["(12)"]))
+    d = diagonal_restrict(restrict(m, [0, 1]), group_from_generators(2, ["(12)"]))
     assert d.full
     assert d.variables == ((0, 1),)
     assert d.monomials == (((4,), Fraction(2)),)
@@ -263,8 +263,8 @@ def test_diagonal_restrict_two_squares():
 def test_diagonal_restrict_trivial_group_is_restrict(x14):
     t = PermGroup(5, ())
     for subset in ([0, 1], [2, 3, 4], [4]):
-        d = diagonal_restrict(x14, subset, t)
         r = restrict(x14, subset)
+        d = diagonal_restrict(r, t)
         assert d.full == r.full
         assert [c for _m, c in d.monomials] == [c for _m, c in r.monomials]
 
@@ -272,7 +272,8 @@ def test_diagonal_restrict_trivial_group_is_restrict(x14):
 def test_diagonal_restrict_x14_pair_swap(x14):
     # (12)(34) folds each loop onto one variable: the linked monomials become
     # fifth powers of the orbit variable, merged with doubled coefficients
-    d = diagonal_restrict(x14, [0, 1, 2, 3], group_from_generators(5, ["(12)(34)"]))
+    d = diagonal_restrict(restrict(x14, [0, 1, 2, 3]),
+                          group_from_generators(5, ["(12)(34)"]))
     assert d.full
     assert d.variables == ((0, 1), (2, 3))
     assert d.monomials == (((5, 0), Fraction(2)), ((0, 5), Fraction(2)))
@@ -280,7 +281,8 @@ def test_diagonal_restrict_x14_pair_swap(x14):
 
 def test_diagonal_restrict_cross_pairing(x14):
     # (13)(24) identifies the two loops monomial by monomial
-    d = diagonal_restrict(x14, [0, 1, 2, 3], group_from_generators(5, ["(13)(24)"]))
+    d = diagonal_restrict(restrict(x14, [0, 1, 2, 3]),
+                          group_from_generators(5, ["(13)(24)"]))
     assert d.full
     assert d.monomials == (((4, 1), Fraction(2)), ((1, 4), Fraction(2)))
 
@@ -292,14 +294,14 @@ def test_diagonal_restrict_merged_coefficients_positive_integers():
         m = random_invertible(rng, max_vars=5)
         check_invariance(m, PermGroup(m.n, ()))
         full = list(range(m.n))
-        d = diagonal_restrict(m, full, PermGroup(m.n, ()))
+        d = diagonal_restrict(restrict(m, full), PermGroup(m.n, ()))
         for _mono, c in d.monomials:
             assert c.denominator == 1 and c > 0
 
 
 def test_diagonal_restrict_requires_invariance(x14):
     with pytest.raises(NotInvariantError):
-        diagonal_restrict(x14, [0, 1, 2, 3], group_from_generators(5, ["(23)"]))
+        diagonal_restrict(restrict(x14, [0, 1, 2, 3]), group_from_generators(5, ["(23)"]))
 
 
 def test_plain_swap_is_a_rotation_of_a_short_loop(x14):
@@ -309,7 +311,7 @@ def test_plain_swap_is_a_rotation_of_a_short_loop(x14):
 
 def test_diagonal_restrict_requires_preserved_subset(quintic):
     with pytest.raises(NotInvariantError):
-        diagonal_restrict(quintic, [0], group_from_generators(5, ["(12)"]))
+        diagonal_restrict(restrict(quintic, [0]), group_from_generators(5, ["(12)"]))
 
 
 # -- invariance ------------------------------------------------------------------
