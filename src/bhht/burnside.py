@@ -42,6 +42,7 @@ from .permgroups import (
     generating_set,
     identity_perm,
     inverse,
+    subset_image,
 )
 
 
@@ -57,6 +58,8 @@ class SemidirectAmbient:
         self.order = diag.order * perms.order
         self.identity = (diag.zero, identity_perm(self.n))
         self._cocycles = {}  # Hermite key of H -> (its congruences, {perms: order})
+        self._by_subgroup = {}  # (C, U) -> c(U)
+        self._by_orbits = {}  # (C, U's orbits on C) -> c(U)
 
     @property
     def signature(self):
@@ -80,24 +83,58 @@ class SemidirectAmbient:
             order = orders[perms] = _cocycle_kernel_order(self.diag, perms, congruences)
         return order
 
+    def fixes(self, closed):
+        """Whether P maps the point set to itself."""
+        points = frozenset(closed)
+        return all(subset_image(g, closed) == points for g in self.perms.generators)
+
+    def stratum_cocycle_order(self, closed, u_elements):
+        """c(U) = #{w in G : w is constant on U's orbits in C}, for a
+        subgroup U of P given by its elements and a zero set C that P fixes.
+
+        It is the cocycle kernel order into K_C, whose congruences relative
+        to G are the unit rows e_i for i in C: (u.w - w)_i = 0 there says
+        w_{u^-1(i)} = w_i.  So it depends on U through its orbits on C
+        alone, and is solved once per orbit partition, for the one
+        permutation whose cycles are those orbits; U acting trivially on C
+        constrains nothing, and c(U) = |G|."""
+        order = self._by_subgroup.get((closed, u_elements))
+        if order is None:
+            blocks = frozenset(frozenset(u[i] for u in u_elements) for i in closed)
+            order = self._by_orbits.get((closed, blocks))
+            if order is None:
+                n = self.n
+                cycles = list(range(n))
+                for block in map(sorted, blocks):
+                    for a, b in zip(block, block[1:] + block[:1]):
+                        cycles[a] = b
+                moved = (tuple(cycles),) if len(blocks) < len(closed) else ()
+                units = [[int(i == j) for i in range(n)] for j in closed]
+                order = self._by_orbits[closed, blocks] = _cocycle_kernel_order(
+                    self.diag, moved, units)
+            self._by_subgroup[closed, u_elements] = order
+        return order
+
 
 class HTClass:
     """Conjugacy class of a split subgroup H x| T of an ambient G x| P: a name
     and a representative.
 
     Classes of one ambient are equal when their names are.  On the verdict
-    path the class is [K_I x| T], named by stratum (``stratum_class``); the
-    oracles name a class of any H by Hermite keys.  The representative, with
+    path the class is [K_I x| T], named by stratum (``stratum_class``), and
+    ``closed`` is the zero set C with H = K_C; the oracles name a class of
+    any H by Hermite keys, and ``closed`` is None.  The representative, with
     generators for marks and a key for membership, is H x| T: H by its
     Hermite key, T by its generators and elements.  Nothing is listed: the
     element lists and the output order ``tag``, the least (sorted T,
     sorted H) over conjugation, are computed on first use.
     """
 
-    def __init__(self, ambient, name, h_key, t_gens, t_elements):
+    def __init__(self, ambient, name, h_key, t_gens, t_elements, closed=None):
         L = ambient.diag.exponent
         self.ambient = ambient
         self.name = name
+        self.closed = closed
         self._hash = hash(name)  # tuples do not cache their hash
         self.h_key = h_key
         self.h_gens = hermite_generators(h_key, L)
@@ -179,7 +216,7 @@ def _named(ambient, closed, t_key):
     represents its orbit under P, and a class key of P_C's lattice."""
     t = ambient.perms.subgroup(t_key)
     return HTClass(ambient, (closed, t_key), ambient.diag.stratum_key(closed),
-                   t.generators, t.element_set)
+                   t.generators, t.element_set, closed)
 
 
 def _renamed(ambient, closed, t_elements):
@@ -247,10 +284,35 @@ class BurnsideElement:
 
 
 def mark(kprime, k):
-    """Number of K-fixed points on the coset space (G x| S) / K'.
+    """Number of K-fixed points on the coset space (G x| P) / K'.
 
-    Burnside's formula counts #{g : g^-1 K g <= K'} / |K'|.  For K = H x| T,
-    K' = H' x| T' and g = (v, s), the conjugate of (h, t) is
+    Burnside's formula counts #{g : g^-1 K g <= K'} / |K'|.  Two classes of
+    one stratum, H = H' = K_C with P fixing C, count by the conjugates of T
+    (``conjugators_by_class``); any other pair by a scan of P
+    (``conjugators_by_scan``).  A count that |K'| does not divide is a
+    structural failure, reported with its residual.
+    """
+    ambient = kprime.ambient
+    if not ambient.compatible(k.ambient):
+        raise AmbientMismatchError("marks need a common ambient group")
+    closed = k.closed
+    if closed is not None and closed == kprime.closed and ambient.fixes(closed):
+        total = conjugators_by_class(kprime, k)
+    else:
+        total = conjugators_by_scan(kprime, k)
+    count, rest = divmod(total, kprime.order)
+    if rest:
+        raise StructuralAssumptionViolated(
+            "%d fixed elements are not a multiple of |K'| = %d for %r in %r"
+            % (total, kprime.order, k, kprime),
+            class_order=kprime.order, residual=rest)
+    return count
+
+
+def conjugators_by_scan(kprime, k):
+    """#{g in G x| P : g^-1 K g <= K'}, by a scan of P.
+
+    For K = H x| T, K' = H' x| T' and g = (v, s), the conjugate of (h, t) is
     (s^-1(h + t.v - v), s^-1 t s), so g qualifies exactly when
     s^-1 T s <= T', H <= s.H' and t.v - v lies in s.H' for every generator t
     of T (a cocycle condition into the T-module G / s.H').  Writing v = s.w,
@@ -258,8 +320,6 @@ def mark(kprime, k):
     u = s^-1 t s, so it depends on s only through those u.
     """
     ambient = kprime.ambient
-    if not ambient.compatible(k.ambient):
-        raise AmbientMismatchError("marks need a common ambient group")
     tp = kprime.t_elements
     identity = ambient.identity[1]
     total = 0
@@ -272,21 +332,34 @@ def mark(kprime, k):
         if not all(in_hermite(kprime.h_key, perm_act(si, h)) for h in k.h_gens):
             continue
         total += ambient.cocycle_kernel_order(kprime.h_key, moved)
-    count, rest = divmod(total, kprime.order)
-    if rest:
-        raise StructuralAssumptionViolated(
-            "%d fixed elements are not a multiple of |K'| = %d for %r in %r"
-            % (total, kprime.order, k, kprime),
-            class_order=kprime.order, residual=rest)
-    return count
+    return total
+
+
+def conjugators_by_class(kprime, k):
+    """#{g in G x| P : g^-1 K g <= K'} for K = K_C x| T and K' = K_C x| T'
+    with P fixing C: |N(T)| times the sum of c(U) over the conjugates U of T
+    that lie in T'.
+
+    Every s in P fixes K_C, so the scan's test H <= s.H' always passes, and
+    the s with s^-1 T s = U are a coset of N(T); each adds the cocycle
+    kernel order into K_C of U's generators, which is c(U)
+    (``SemidirectAmbient.stratum_cocycle_order``).
+    """
+    ambient = kprime.ambient
+    lattice = ambient.perms.lattice
+    conjugates = lattice.class_members[lattice.key_of[k.t_elements]]
+    tp = kprime.t_elements
+    closed = k.closed
+    total = sum(ambient.stratum_cocycle_order(closed, u) for u in conjugates if u <= tp)
+    return ambient.perms.order // len(conjugates) * total
 
 
 def _cocycle_kernel_order(diag, perms, congruences):
     """#{w in G : u.w - w lies in H' for every u in perms}.
 
-    H' is given by its congruences c (c.x = 0 mod L exactly on H'); since
-    (u.w)_i = w_{u^-1(i)}, c.(u.w - w) = 0 is the row c_{u(i)} - c_i, and
-    the count is the order of a kernel.
+    H' is given by its congruences c (c.x = 0 mod L exactly on H' within
+    G); since (u.w)_i = w_{u^-1(i)}, c.(u.w - w) = 0 is the row
+    c_{u(i)} - c_i, and the count is the order of a kernel.
     """
     if not perms:
         return diag.order
@@ -321,31 +394,23 @@ def saito_dual(element, pairing):
     group; the result lives over (right group) x| S.  The class named
     (C, key) has H = K_C and goes to [K'_{C^c} x| T], renamed by the orbit
     of the zero set of K'_{C^c}.  That ann(K_C) = K'_{C^c} is checked once
-    per C; otherwise StructuralAssumptionViolated names the stratum.
+    per C (``CharacterPairing.dual_stratum``); otherwise
+    StructuralAssumptionViolated names the stratum.
     """
     src = element.ambient
     if pairing.left is not src.diag and pairing.left.matrix != src.diag.matrix:
         raise AmbientMismatchError("pairing does not match the element's group")
     dual_ambient = SemidirectAmbient(pairing.right, src.perms)
-    duals = {}
+    transversal = src.perms.subset_orbits[1]
     out = {}
     for cls, c in element.coefficients.items():
         closed = cls.name[0]
-        dual = duals.get(closed)
+        dual = pairing.dual_stratum(closed, transversal)
         if dual is None:
-            dual = duals[closed] = _dual_stratum(pairing, closed)
+            stratum = tuple(i + 1 for i in closed)
+            raise StructuralAssumptionViolated(
+                "the annihilator of the kernel of stratum %s is not the kernel of "
+                "its complement" % (stratum,), stratum=stratum)
         lifted = _renamed(dual_ambient, dual, cls.t_elements)
         out[lifted] = out.get(lifted, 0) + c
     return BurnsideElement(dual_ambient, out)
-
-
-def _dual_stratum(pairing, closed):
-    """The zero set of ann(K_C), once ann(K_C) = K'_{C^c} is checked."""
-    ann = pairing.dual_kernel(pairing.left.stratum_key(closed))
-    complement = tuple(i for i in range(pairing.left.n) if i not in closed)
-    if ann != pairing.right.stratum_key(complement):
-        stratum = tuple(i + 1 for i in closed)
-        raise StructuralAssumptionViolated(
-            "the annihilator of the kernel of stratum %s is not the kernel of "
-            "its complement" % (stratum,), stratum=stratum)
-    return pairing.right.zero_set(ann)

@@ -403,7 +403,8 @@ def cmd_table1(args):
 
 
 def cmd_selftest(args):
-    from .burnside import SemidirectAmbient, mark
+    from .burnside import (SemidirectAmbient, conjugators_by_class, conjugators_by_scan,
+                           mark, stratum_class)
     from .oracles import (brute_subgroups, check_hermite_keys, key_class,
                           split_subgroup_pairs)
     from .permgroups import group_from_generators
@@ -440,6 +441,14 @@ def cmd_selftest(args):
             for b in classes:
                 if mark(a, b) != naive_mark(a, b):
                     raise AssertionError("mark mismatch on %r / %r" % (a, b))
+        # the classes of each stratum, by the class formula and by a scan of S_I
+        for stratum in euler_analysis(E, S).strata:
+            amb = SemidirectAmbient(G, stratum.stabilizer)
+            classes = [stratum_class(amb, stratum.subset, key) for key in stratum.class_keys]
+            for a in classes:
+                for b in classes:
+                    if conjugators_by_class(a, b) != conjugators_by_scan(a, b):
+                        raise AssertionError("class mark mismatch on %r / %r" % (a, b))
     step("marks against the naive oracle", marks_battery)
 
     def hermite_battery():

@@ -12,7 +12,11 @@ by further congruences (annihilators, stratum kernels) are kernels of both
 (``intmat.hermite_key``), which decides equality, membership and order
 without listing it.  Only ``kernel_elements`` lists a subgroup, straight
 from its key and within ``DEFAULT_GROUP_BOUND``; ``independent_generators``
-reads output generators and the key off a subgroup's elements.
+reads output generators and the key off a subgroup's elements.  The stratum
+kernel of a subset is carried from its orbit representative's key
+(``carried_kernel``), and the verdict checks ann(K_C) = K'_{C^c} by
+containment and orders (``CharacterPairing.dual_stratum``), so neither a
+complement nor an annihilator is ever keyed on its path.
 """
 
 from fractions import Fraction
@@ -23,7 +27,7 @@ from operator import add, itemgetter, mod, mul
 
 from .errors import DegeneratePairingError, MembershipError, SizeBoundError
 from .intmat import (hermite_generators, hermite_key, hermite_order, in_hermite,
-                     kernel_mod, matvec)
+                     kernel_mod, kernel_order, matvec)
 from .permgroups import DEFAULT_ORDER_BOUND, inverse
 
 DEFAULT_GROUP_BOUND = 10 ** 6
@@ -113,8 +117,20 @@ class DiagonalGroup:
         """The points where every element of the key's subgroup vanishes, as
         a sorted tuple.  For a stratum kernel K_I it is the closure of I: it
         contains I, has the same kernel, and is that kernel's only such set."""
+        return _zeros(self.n, hermite_generators(key, self.exponent))
+
+    def carried_kernel(self, subset, transversal):
+        """Generators and order of the stratum kernel K_I of any subset I,
+        carried from the key of its orbit representative J = s(I), with
+        ``transversal`` the subset map of ``PermGroup.subset_orbits``: the
+        group is S-invariant and s^-1 moves J's open stratum onto I's, so
+        K_I = s^-1.K_J and only J is ever solved."""
+        rep, s = transversal[subset][:2]
+        key = self.stratum_key(rep)
         gens = hermite_generators(key, self.exponent)
-        return tuple(i for i in range(self.n) if not any(g[i] for g in gens))
+        if rep != subset:
+            gens = tuple(map(_permuter(inverse(s)), gens))
+        return gens, hermite_order(key, self.exponent)
 
     def kernel_elements(self, key):
         """The elements of the subgroup of a Hermite key mod L, as a frozenset,
@@ -176,6 +192,11 @@ class DiagonalGroup:
         g = gcd(L, *element) if any(element) else L
         m = L // g
         return "1/%d(%s)" % (m, ",".join(str(a // g) for a in element))
+
+
+def _zeros(n, gens):
+    """The points where every generator vanishes, as a sorted tuple."""
+    return tuple(i for i in range(n) if not any(g[i] for g in gens))
 
 
 def check_listing_bound(order):
@@ -241,7 +262,7 @@ class CharacterPairing:
         """The pairing of two groups already built: the left one of an
         anchored matrix, the right one of its transpose.  There is one
         pairing per pair of groups, kept by the left group, so a verdict and
-        its lemma checks share its annihilators."""
+        its lemma checks share its checked dual strata."""
         pairing = left.pairings.get(right)
         if pairing is None:
             pairing = cls.__new__(cls)
@@ -252,7 +273,8 @@ class CharacterPairing:
         self.matrix = left.matrix
         self.left = left
         self.right = right
-        self._dual_kernels = {}  # left key -> the key of its annihilator
+        self._dual_strata = {}  # zero set C -> the zero set of ann(K_C), or None
+        self._nondegenerate = False
         left.pairings[right] = self
 
     def swapped(self):
@@ -277,14 +299,9 @@ class CharacterPairing:
         return self.right.kernel_elements(self.dual_kernel(key))
 
     def dual_kernel(self, key):
-        """The Hermite key of the annihilator of the left subgroup of a key,
-        solved once per key."""
-        dual = self._dual_kernels.get(key)
-        if dual is None:
-            gens = hermite_generators(key, self.left.exponent)
-            dual = self._dual_kernels[key] = self.right.kernel(
-                [self._congruence(a) for a in gens])
-        return dual
+        """The Hermite key of the annihilator of the left subgroup of a key."""
+        gens = hermite_generators(key, self.left.exponent)
+        return self.right.kernel([self._congruence(a) for a in gens])
 
     def _congruence(self, a):
         """The row c = E.a / L1 of a left element a: w kills a iff c.w = 0 mod L2."""
@@ -296,13 +313,47 @@ class CharacterPairing:
             c.append(q)
         return c
 
+    def dual_stratum(self, closed, transversal):
+        """The zero set of ann(K_C), for the zero set C of a left stratum
+        kernel, once ann(K_C) = K'_{C^c} is checked; None if it is not.
+        Checked once per C.
+
+        K'_{C^c} is carried from the key of C^c's orbit representative
+        (``DiagonalGroup.carried_kernel``), never keyed itself.  It is
+        ann(K_C) exactly when every pair of generators pairs to zero and
+        |K_C| |K'_{C^c}| = |G|: under a nondegenerate pairing, verified
+        first, ann(K_C) has order |G| / |K_C|."""
+        if closed in self._dual_strata:
+            return self._dual_strata[closed]
+        self.verify_nondegenerate()
+        left, right = self.left, self.right
+        complement = tuple(i for i in range(left.n) if i not in closed)
+        gens, order = right.carried_kernel(complement, transversal)
+        key = left.stratum_key(closed)
+        rows = [self._congruence(a) for a in hermite_generators(key, left.exponent)]
+        L = right.exponent
+        dual = None
+        if (hermite_order(key, left.exponent) * order == left.order
+                and not any(sum(map(mul, c, b)) % L for c in rows for b in gens)):
+            dual = _zeros(right.n, gens)
+        self._dual_strata[closed] = dual
+        return dual
+
     def verify_nondegenerate(self):
-        """Both annihilators of a whole group are trivial, by kernel orders."""
+        """Both radicals are trivial: no nonzero element of either group
+        pairs to zero with every generator of the other, by kernel orders.
+        Checked once per pairing."""
+        if self._nondegenerate:
+            return
         if self.left.order != self.right.order:
             raise DegeneratePairingError(self.matrix, "group orders differ")
         sides = ((self, "a nonzero character vanishes on the whole group"),
                  (self.swapped(), "a nonzero element is killed by every character"))
         for pairing, what in sides:
-            if hermite_order(pairing.dual_kernel(pairing.left.kernel()),
-                             pairing.right.exponent) != 1:
+            left, right = pairing.left, pairing.right
+            # K_empty = G
+            rows = [pairing._congruence(a)
+                    for a in hermite_generators(left.stratum_key(()), left.exponent)]
+            if kernel_order(right.congruences + rows, right.n, right.exponent) != 1:
                 raise DegeneratePairingError(self.matrix, what)
+        self._nondegenerate = True

@@ -331,10 +331,9 @@ def lemma_level_checks(matrix, perms):
             detail_c = "orbit of %s is not dual to the orbit of its complement" \
                        % (tuple(i + 1 for i in s.subset),)
             break
-        # Hermite keys are unique, so the annihilator of the stratum kernel
-        # is the complement's stratum kernel exactly when their keys agree
-        if (pairing.dual_kernel(pairing.left.stratum_key(s.subset))
-                != pairing.right.stratum_key(complement)):
+        # the verdict's own check, on the stratum's zero set C: K_I = K_C
+        closed = pairing.left.zero_set(pairing.left.stratum_key(s.subset))
+        if pairing.dual_stratum(closed, representatives) is None:
             ok_c = False
             detail_c = "stratum kernel of the complement is not the annihilator"
             break

@@ -356,6 +356,12 @@ class SubgroupLattice:
         return {self.subgroups[i]: self.class_key(cls)
                 for cls in self.conjugacy_classes for i in cls}
 
+    @cached_property
+    def class_members(self):
+        """The key of each class to its subgroups, as element sets."""
+        return {self.class_key(cls): [self.subgroups[i] for i in cls]
+                for cls in self.conjugacy_classes}
+
 
 # -- parity condition -------------------------------------------------------------
 

@@ -1,0 +1,232 @@
+"""Marks by class and the Saito dual by containment, against their oracles.
+
+Inside a stratum every class has H = K_C and the stabilizer fixes C, so a
+mark is a sum over the conjugates of T of one kernel order per orbit
+partition of C; the element scan of S and the coset count of
+``oracles.naive_mark`` must agree with it on every class pair.  The Saito
+dual accepts ann(K_C) = K'_{C^c} by containment and orders; that must agree
+with the annihilator solved by keys on every C, and refuse a corrupted
+order or generator.
+"""
+
+import pytest
+from test_stratum_naming import CATALOGUE, catalogue_pairs, generated_pairs
+
+from bhht import burnside
+from bhht.burnside import (
+    SemidirectAmbient,
+    conjugators_by_class,
+    conjugators_by_scan,
+    mark,
+    stratum_class,
+)
+from bhht.diaggroups import CharacterPairing, DiagonalGroup
+from bhht.euler import euler_analysis
+from bhht.intmat import hermite_generators, hermite_order, in_hermite
+from bhht.oracles import CONSISTENCY_ORDER_BOUND, brute_cocycle_kernel_order, naive_mark
+from bhht.permgroups import group_from_generators
+from bhht.polynomials import parse_polynomial, transpose
+
+
+def small_catalogue_pairs():
+    """The catalogue pairs within the consistency sweep's bound, by name."""
+    return [name for name in catalogue_pairs()
+            if abs(CATALOGUE[name].matrix.determinant()) * CATALOGUE[name].perm_group().order
+            <= CONSISTENCY_ORDER_BOUND]
+
+
+SMALL = small_catalogue_pairs()
+# stabilizers with classes of several conjugates, which the catalogue within
+# the bound and the generated inputs barely reach
+SYMMETRIC = [
+    ("x1^2+x2^2+x3^2", ["(12)", "(123)"]),
+    ("x1^3+x2^3+x3^3", ["(12)", "(123)"]),
+    ("x1^2+x2^2+x3^2+x4^2", ["(12)", "(1234)"]),
+    ("x1^2+x2^2+x3^2+x4^2", ["(13)", "(1234)"]),
+]
+
+
+def catalogue_input(name):
+    fx = CATALOGUE[name]
+    return fx.matrix.anchored(), fx.perm_group()
+
+
+def symmetric_input(text, generators):
+    matrix = parse_polynomial(text).anchored()
+    return matrix, group_from_generators(matrix.n, generators)
+
+
+def stratum_classes(analysis):
+    """Per stratum: its ambient G x| S_I and every class [K_C x| T] of it."""
+    for stratum in analysis.strata:
+        ambient = SemidirectAmbient(analysis.group, stratum.stabilizer)
+        yield ambient, [stratum_class(ambient, stratum.subset, key)
+                        for key in stratum.class_keys]
+
+
+def assert_class_marks(matrix, perms):
+    """Every class pair of every stratum of f and f^T; returns their number."""
+    pairs = 0
+    for side in (matrix, transpose(matrix)):
+        for ambient, classes in stratum_classes(euler_analysis(side, perms)):
+            closed = classes[0].closed
+            assert closed is not None and ambient.fixes(closed)
+            for kp in classes:
+                for k in classes:
+                    by_class = conjugators_by_class(kp, k)
+                    assert by_class == conjugators_by_scan(kp, k)
+                    assert mark(kp, k) == by_class // kp.order == naive_mark(kp, k)
+                    pairs += 1
+    return pairs
+
+
+def assert_orbit_counts(matrix, perms):
+    """c(U) for every subgroup U of every stratum's stabilizer."""
+    for ambient, classes in stratum_classes(euler_analysis(matrix, perms)):
+        diag = ambient.diag
+        closed = classes[0].closed
+        h_elements = diag.kernel_elements(diag.stratum_key(closed))
+        for u in ambient.perms.lattice.subgroups:
+            assert ambient.stratum_cocycle_order(closed, u) \
+                == brute_cocycle_kernel_order(diag, tuple(u), h_elements)
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_class_marks_match_the_scan_and_the_naive_count_on_the_catalogue(name):
+    assert assert_class_marks(*catalogue_input(name))
+
+
+def test_class_marks_match_the_scan_and_the_naive_count_on_generated_inputs():
+    assert sum(assert_class_marks(m, s) for m, s in generated_pairs()) > 100
+
+
+@pytest.mark.parametrize("text, generators", SYMMETRIC)
+def test_class_marks_sum_over_several_conjugates(text, generators):
+    matrix, perms = symmetric_input(text, generators)
+    classes = perms.lattice.class_members.values()
+    assert any(len(members) > 1 for members in classes)
+    assert assert_class_marks(matrix, perms)
+    assert_orbit_counts(matrix, perms)
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_orbit_partition_counts_match_a_scan_of_g_on_the_catalogue(name):
+    assert_orbit_counts(*catalogue_input(name))
+
+
+def test_orbit_partition_counts_match_a_scan_of_g_on_generated_inputs():
+    for matrix, perms in generated_pairs():
+        assert_orbit_counts(matrix, perms)
+
+
+def test_only_a_mixed_pair_is_scanned(monkeypatch):
+    # over G x| S the classes of different strata have different C, and S
+    # need not fix a C: those pairs scan S, and no other pair does
+    fx = CATALOGUE["pc_a3"]
+    analysis = euler_analysis(fx.matrix, fx.perm_group())
+    scanned = []
+    plain = burnside.conjugators_by_scan
+
+    def counted(kprime, k):
+        scanned.append((kprime, k))
+        return plain(kprime, k)
+
+    monkeypatch.setattr(burnside, "conjugators_by_scan", counted)
+    classes = list(analysis.element.coefficients)
+    mixed = [(kp, k) for kp in classes for k in classes
+             if kp.closed != k.closed or not analysis.ambient.fixes(k.closed)]
+    assert mixed and len(mixed) < len(classes) ** 2
+    for kp in classes:
+        for k in classes:
+            mark(kp, k)
+    assert scanned == mixed
+
+
+# -- the Saito dual by containment ----------------------------------------------------
+
+
+def zero_sets(group):
+    """Z(K_I) for every subset I: every C a verdict can hand the dual."""
+    n = group.n
+    return sorted({group.zero_set(group.stratum_kernel(
+        tuple(i for i in range(n) if m >> i & 1))) for m in range(1 << n)})
+
+
+def complement_of(closed, n):
+    return tuple(i for i in range(n) if i not in closed)
+
+
+def assert_containment_agrees_with_keys(matrix, perms):
+    """Both directions of the pairing, every C; returns how many were checked."""
+    transversal = perms.subset_orbits[1]
+    forward = CharacterPairing(matrix)
+    checked = 0
+    for pairing in (forward, forward.swapped()):
+        left, right = pairing.left, pairing.right
+        for closed in zero_sets(left):
+            ann = pairing.dual_kernel(left.stratum_key(closed))
+            dual = pairing.dual_stratum(closed, transversal)
+            assert ann == right.stratum_kernel(complement_of(closed, left.n))
+            assert dual == right.zero_set(ann)
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_containment_agrees_with_the_annihilator_keys_on_the_catalogue(name):
+    assert assert_containment_agrees_with_keys(*catalogue_input(name))
+
+
+def test_containment_agrees_with_the_annihilator_keys_on_generated_inputs():
+    for matrix, perms in generated_pairs():
+        assert assert_containment_agrees_with_keys(matrix, perms)
+
+
+def refused_with(monkeypatch, matrix, perms, closed, corrupt):
+    """Whether a fresh pairing refuses the dual of C when the kernel of C's
+    complement is handed out through ``corrupt(group, gens, order)``."""
+    plain = DiagonalGroup.carried_kernel
+    complement = complement_of(closed, matrix.n)
+
+    def wrong(group, subset, transversal):
+        gens, order = plain(group, subset, transversal)
+        return corrupt(group, gens, order) if subset == complement else (gens, order)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(DiagonalGroup, "carried_kernel", wrong)
+        return CharacterPairing(matrix).dual_stratum(closed, perms.subset_orbits[1]) is None
+
+
+def assert_corruptions_refused(monkeypatch, matrix, perms):
+    """On every C: a doubled order is refused, and so is a first generator
+    moved by a character that K_C does not kill, if K_C is nontrivial."""
+    reference = CharacterPairing(matrix)
+    left, right = reference.left, reference.right
+    whole = hermite_generators(right.stratum_key(()), right.exponent)
+    moved = 0
+    for closed in zero_sets(left):
+        assert refused_with(monkeypatch, matrix, perms, closed,
+                            lambda group, gens, order: (gens, 2 * order))
+        key = left.stratum_key(closed)
+        if hermite_order(key, left.exponent) == 1:
+            continue
+        ann = reference.dual_kernel(key)
+        w = next(g for g in whole if not in_hermite(ann, g))
+
+        def move(group, gens, order):
+            first = group.add(gens[0], w) if gens else w
+            return (first,) + tuple(gens[1:]), order
+
+        assert refused_with(monkeypatch, matrix, perms, closed, move)
+        moved += 1
+    return moved
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_a_corrupted_order_or_generator_is_refused_on_the_catalogue(monkeypatch, name):
+    assert assert_corruptions_refused(monkeypatch, *catalogue_input(name))
+
+
+def test_a_corrupted_order_or_generator_is_refused_on_generated_inputs(monkeypatch):
+    assert sum(assert_corruptions_refused(monkeypatch, m, s)
+               for m, s in generated_pairs()) > 50

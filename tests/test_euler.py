@@ -176,7 +176,9 @@ def test_structural_failure_carries_stratum_class_and_residual(monkeypatch):
         == ((1,), 1, 1)
     monkeypatch.undo()
 
-    # a fixed-element count one too many: mark divides 5 by |K'| = 2
+    # a fixed-element count one too many: the class formula's c(U) for the
+    # trivial U, one kernel order per orbit partition, reads 5, and mark
+    # divides 5 by |K'| = 2
     count = burnside_mod._cocycle_kernel_order
     monkeypatch.setattr(burnside_mod, "_cocycle_kernel_order",
                         lambda diag, perms, congruences: count(diag, perms, congruences) + 1)
@@ -653,18 +655,22 @@ def test_every_hermite_key_of_a_verdict_is_n_wide(monkeypatch, name):
     assert max(widths) == n
 
 
+def verdict_input(name):
+    """A catalogue pair, or quartic6_a3: x1^4+...+x6^4 with <(123)>."""
+    if name == "quartic6_a3":
+        return (parse_polynomial("+".join("x%d^4" % i for i in range(1, 7))),
+                group_from_generators(6, ["(123)"]))
+    fx = load_catalogue()[name]
+    return fx.matrix, fx.perm_group()
+
+
 @pytest.mark.parametrize("name", ["pc_a3", "x15_z5", "table1_r2", "quartic6_a3"])
 def test_a_verdict_restricts_each_stratum_once(monkeypatch, name):
     # the classes of a stratum fold the one restriction of f that decided
-    # whether the stratum counts; quartic6_a3 is x1^4+...+x6^4 with <(123)>
+    # whether the stratum counts
     import bhht
 
-    if name == "quartic6_a3":
-        f = parse_polynomial("+".join("x%d^4" % i for i in range(1, 7)))
-        s = group_from_generators(6, ["(123)"])
-    else:
-        fx = load_catalogue()[name]
-        f, s = fx.matrix, fx.perm_group()
+    f, s = verdict_input(name)
     original = restrict
     calls = Counter()
 
@@ -679,6 +685,31 @@ def test_a_verdict_restricts_each_stratum_once(monkeypatch, name):
     assert verify_duality(f, s).equal
     assert lemma_level_checks(f, s).all_passed
     assert calls and set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("name", ["pc_a3", "x15_z5", "table1_r2", "quartic6_a3"])
+def test_a_verdict_solves_each_stratum_kernel_once(monkeypatch, name):
+    # the Saito dual carries K'_{C^c} from the kernel of its orbit
+    # representative, so a verdict and its lemma checks solve the kernel of
+    # an orbit representative or of the zero set of one's kernel, each once
+    f, s = verdict_input(name)
+    plain = DiagonalGroup.stratum_kernel
+    calls = Counter()
+    groups = {}
+
+    def counted(group, subset):
+        groups[group.matrix] = group
+        calls[group.matrix, tuple(subset)] += 1
+        return plain(group, subset)
+
+    monkeypatch.setattr(DiagonalGroup, "stratum_kernel", counted)
+    monkeypatch.setattr(euler, "_RECENT", deque(maxlen=2))
+    assert verify_duality(f, s).equal
+    assert lemma_level_checks(f, s).all_passed
+    reps = {rep for rep, _stab, _size in orbits_on_subsets(s)}
+    allowed = {(matrix, subset) for matrix, group in groups.items() for rep in reps
+               for subset in (rep, group.zero_set(plain(group, rep)))}
+    assert calls and set(calls.values()) == {1} and set(calls) <= allowed
 
 
 def test_one_lattice_of_s_per_verify_with_lemmas(monkeypatch):

@@ -137,14 +137,15 @@ def fresh(monkeypatch):
 
 
 def test_a_wrong_stratum_kernel_is_refused(monkeypatch, fresh):
-    # the kernel of (2 3) handed out as the trivial group: the annihilator of
-    # K_(1) no longer matches the kernel of its complement
-    plain = DiagonalGroup.stratum_kernel
+    # the kernel of (2 3), carried from its orbit representative (1 2), handed
+    # out as the trivial group: it pairs to zero with K_(1), but its order is
+    # not |G| / |K_(1)|, so it is not the annihilator of K_(1)
+    plain = DiagonalGroup.carried_kernel
 
-    def wrong(group, subset):
-        return plain(group, (0, 1, 2) if tuple(subset) == (1, 2) else subset)
+    def wrong(group, subset, transversal):
+        return plain(group, (0, 1, 2) if subset == (1, 2) else subset, transversal)
 
-    monkeypatch.setattr(DiagonalGroup, "stratum_kernel", wrong)
+    monkeypatch.setattr(DiagonalGroup, "carried_kernel", wrong)
     fx = CATALOGUE["pc_a3"]
     with pytest.raises(StructuralAssumptionViolated) as info:
         verify_duality(fx.matrix, fx.perm_group())
@@ -153,15 +154,15 @@ def test_a_wrong_stratum_kernel_is_refused(monkeypatch, fresh):
 
 
 def test_a_wrong_annihilator_is_refused(monkeypatch, fresh):
-    # the annihilator of K_(1) reported as the whole dual group
-    plain = CharacterPairing.dual_kernel
+    # K'_(1 2) handed out for K'_(2 3), the annihilator K_(1) is checked
+    # against: it has the annihilator's order, but does not pair to zero
+    # with K_(1)
+    plain = DiagonalGroup.carried_kernel
 
-    def wrong(pairing, key):
-        if key == pairing.left.stratum_kernel((0,)):
-            return pairing.right.kernel()
-        return plain(pairing, key)
+    def wrong(group, subset, transversal):
+        return plain(group, (0, 1) if subset == (1, 2) else subset, transversal)
 
-    monkeypatch.setattr(CharacterPairing, "dual_kernel", wrong)
+    monkeypatch.setattr(DiagonalGroup, "carried_kernel", wrong)
     fx = CATALOGUE["pc_a3"]
     with pytest.raises(StructuralAssumptionViolated) as info:
         verify_duality(fx.matrix, fx.perm_group())
