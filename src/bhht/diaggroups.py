@@ -274,6 +274,7 @@ class CharacterPairing:
         self.left = left
         self.right = right
         self._dual_strata = {}  # zero set C -> the zero set of ann(K_C), or None
+        self._congruences = {}  # left element a -> E.a / L1
         self._nondegenerate = False
         left.pairings[right] = self
 
@@ -304,13 +305,18 @@ class CharacterPairing:
         return self.right.kernel([self._congruence(a) for a in gens])
 
     def _congruence(self, a):
-        """The row c = E.a / L1 of a left element a: w kills a iff c.w = 0 mod L2."""
-        c = []
-        for x in matvec(self.matrix.rows, a):
-            q, r = divmod(x, self.left.exponent)
-            if r:
-                raise MembershipError("element %s not in the group" % (a,))
-            c.append(q)
+        """The row c = E.a / L1 of a left element a: w kills a iff c.w = 0 mod L2.
+        Computed once per element; an element outside the group is refused
+        every time."""
+        c = self._congruences.get(a)
+        if c is None:
+            c = []
+            for x in matvec(self.matrix.rows, a):
+                q, r = divmod(x, self.left.exponent)
+                if r:
+                    raise MembershipError("element %s not in the group" % (a,))
+                c.append(q)
+            c = self._congruences[a] = tuple(c)
         return c
 
     def dual_stratum(self, closed, transversal):

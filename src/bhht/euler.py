@@ -4,7 +4,9 @@ The fibre is cut along the coordinate tori.  On the stratum of a subset I
 the classes that can occur as isotropy groups are the [K_I x| T], for K_I
 the stratum kernel and T <= S_I, and their coefficients are obtained by
 exactly solving the triangular system of marks against the fixed-point
-Euler characteristics, which are plain determinant counts.  Each class is
+Euler characteristics, which are plain determinant counts.  Both whether a
+stratum counts and those counts are read off f's anchored exponent rows
+(``fixed_chi``); f is never restricted to a stratum.  Each class is
 named by its stratum: by the zero set C of K_I, which is I itself unless
 K_I vanishes beyond I, carried to the representative of its S-orbit, and
 by T's class key in the lattice of S_C (``burnside.stratum_class``); the
@@ -28,10 +30,11 @@ from .burnside import (
     sorted_by_tag,
     stratum_class,
 )
-from .diaggroups import CharacterPairing, DiagonalGroup
-from .errors import StructuralAssumptionViolated
-from .permgroups import PCResult, orbit_count, orbits_on_subsets, pc_check
-from .polynomials import check_invariance, diagonal_restrict, restrict, transpose
+from .diaggroups import CharacterPairing, DiagonalGroup, perm_act
+from .errors import NotInvariantError, StructuralAssumptionViolated
+from .intmat import determinant
+from .permgroups import PCResult, orbit_count, orbits, orbits_on_subsets, pc_check
+from .polynomials import check_invariance, transpose
 
 
 def _stratum_profile(subset, stabilizer, reps):
@@ -51,19 +54,45 @@ def _stratum_profile(subset, stabilizer, reps):
     return (stabilizer.element_set, colours), (-1) ** (deepest - 1)
 
 
-def stratum_chi_fixed(restricted, perms):
-    """Euler characteristic of the T-fixed part of the fibre on an open stratum.
+def fixed_chi(matrix, subset, perms):
+    """Euler characteristic of the T-fixed part of the fibre on the open
+    stratum of a subset I, for T = ``perms``, from f's anchored rows.
 
-    ``restricted`` is f^I.  Zero unless its fold along T's orbits is full,
-    which it never is when f^I is not (T permutes the monomials of f^I as it
-    permutes their anchors); then (-1)^(orbits-1) |folded determinant|.
+    T must move the monomial anchored at each a of I to the one anchored at
+    t(a), coefficient included, as every symmetry of f does; so it preserves
+    f^I, and it refuses T otherwise.  Zero unless f^I is full
+    (``ExponentMatrix.full_on``).  Then the monomials anchored in one
+    T-orbit fold along T's orbits to one exponent vector, with coefficient
+    |orbit|.c, never 0: F takes, for each of the k orbits, the anchored row
+    of one of its points with its columns summed over the orbits, and chi
+    is (-1)^(k-1) |det F|.  Two orbits that fold alike make F singular, and
+    chi is 0.
     """
-    if not restricted.variables:
+    if not subset:
         raise ValueError("the empty stratum has no fibre points")
-    folded = diagonal_restrict(restricted, perms)
-    if not folded.full:
+    matrix = matrix.anchored()
+    rows, coefficients = matrix.rows, matrix.coefficients
+    inside = set(subset)
+    for p in perms.generators:
+        if {p[j] for j in inside} != inside:
+            raise NotInvariantError("group does not preserve the subset")
+        for a in subset:
+            if perm_act(p, rows[a]) != rows[p[a]] or coefficients[a] != coefficients[p[a]]:
+                raise NotInvariantError(
+                    "group does not move the monomial anchored at x%d to the one "
+                    "anchored at its image" % (a + 1))
+    if not matrix.full_on(subset):
         return 0
-    return (-1) ** (folded.nvars - 1) * abs(folded.determinant())
+    orbs = orbits(perms, subset)
+    column = {v: k for k, orb in enumerate(orbs) for v in orb}
+    folded = []
+    for orb in orbs:
+        row = [0] * len(orbs)
+        for j, e in enumerate(rows[orb[0]]):
+            if e:
+                row[column[j]] += e
+        folded.append(row)
+    return (-1) ** (len(orbs) - 1) * abs(determinant(folded))
 
 
 @dataclass(frozen=True)
@@ -114,8 +143,7 @@ class EulerAnalysis:
         return BurnsideElement(self.ambient, total)
 
 
-def _stratum_contribution(restricted, group, perms, stabilizer, orbit_size):
-    subset = restricted.variables
+def _stratum_contribution(matrix, subset, group, perms, stabilizer, orbit_size):
     lattice = stabilizer.lattice
     keys = [lattice.class_key(cls) for cls in lattice.conjugacy_classes]
     reps = {key: stabilizer.subgroup(key) for key in keys}
@@ -124,7 +152,7 @@ def _stratum_contribution(restricted, group, perms, stabilizer, orbit_size):
 
     ambient = SemidirectAmbient(group, stabilizer)
     node = {key: stratum_class(ambient, subset, key) for key in keys}
-    fixed = {key: stratum_chi_fixed(restricted, reps[key]) for key in keys}
+    fixed = {key: fixed_chi(matrix, subset, reps[key]) for key in keys}
 
     stratum = tuple(i + 1 for i in subset)
     # a mark is 0 unless the class ki is subconjugate to kj; mark decides that
@@ -199,10 +227,9 @@ def euler_analysis(matrix, perms):
     total = {}  # the strata's classes and their summed coefficients
     strata = []
     for rep, stab, size in orbits_on_subsets(perms):
-        restricted = restrict(matrix, rep)
-        if not rep or not restricted.full:
+        if not rep or not matrix.full_on(rep):
             continue
-        contribution = _stratum_contribution(restricted, group, perms, stab, size)
+        contribution = _stratum_contribution(matrix, rep, group, perms, stab, size)
         for cls, c in contribution.induced.coefficients.items():
             total[cls] = total.get(cls, 0) + c
         strata.append(contribution)

@@ -3,18 +3,20 @@
 These deliberately avoid the closed forms and canonical representatives of
 the main code paths so they can serve as oracles for it; everything here is
 plain enumeration over small groups, including the element list of the
-semidirect product G x| S, which the main paths never build.
+semidirect product G x| S, which the main paths never build, and f
+restricted to a stratum and folded monomial by monomial.
 """
 
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .burnside import BurnsideElement, HTClass, SemidirectAmbient, carriers, mark
 from .diaggroups import perm_act
-from .errors import MembershipError, SizeBoundError
-from .euler import stratum_chi_fixed
-from .intmat import hermite_generators, hermite_key, hermite_order, in_hermite
-from .permgroups import compose, conjugate, identity_perm, inverse, orbit
-from .polynomials import restrict
+from .errors import MembershipError, NotInvariantError, SizeBoundError
+from .intmat import determinant, hermite_generators, hermite_key, hermite_order, in_hermite
+from .permgroups import compose, conjugate, identity_perm, inverse, orbit, orbits
+from .polynomials import non_symmetry
 
 # Every enumeration here lists a whole group; none runs on one larger than this.
 ORACLE_ORDER_BOUND = 20000
@@ -339,6 +341,89 @@ def split_subgroup_pairs(group, perms):
             if all(frozenset(perm_act(t, x) for x in h) == h for t in t_set):
                 pairs.append((h, t_set))
     return pairs
+
+
+@dataclass(frozen=True)
+class RestrictedPolynomial:
+    """A polynomial restricted to a coordinate subspace (and maybe a fixed space).
+
+    ``variables`` are the remaining coordinates: plain 0-based indices for a
+    restriction, orbit tuples for a diagonal restriction.  ``monomials`` hold
+    (exponent vector over those coordinates, coefficient), sorted descending.
+    ``full`` means the monomial count equals the coordinate count.
+    """
+
+    variables: tuple
+    monomials: tuple
+    full: bool
+
+    @property
+    def nvars(self):
+        return len(self.variables)
+
+    def determinant(self):
+        if not self.full:
+            raise ValueError("restriction is not full")
+        return determinant([list(m) for m, _c in self.monomials])
+
+
+def restrict(matrix, subset):
+    """Keep the monomials supported inside ``subset`` (0-based indices)."""
+    subset = sorted(set(subset))
+    if any(j < 0 or j >= matrix.n for j in subset):
+        raise ValueError("subset out of range")
+    inside = set(subset)
+    monos = []
+    for row, coeff in zip(matrix.rows, matrix.coefficients):
+        if all(e == 0 or j in inside for j, e in enumerate(row)):
+            monos.append((tuple(row[j] for j in subset), coeff))
+    monos.sort(reverse=True)
+    return RestrictedPolynomial(tuple(subset), tuple(monos),
+                                full=len(monos) == len(subset))
+
+
+def diagonal_restrict(restricted, perms):
+    """Identify the variables of f^I along the orbits of a permutation group.
+
+    ``restricted`` is f^I, as ``restrict`` returns it; ``perms`` is a PermGroup
+    acting on all n variables; it must preserve the subset and f^I.  Monomials
+    whose exponent vectors become equal are merged by summing coefficients.
+    """
+    subset = restricted.variables
+    inside = set(subset)
+    for p in perms.generators:
+        if {p[j] for j in inside} != inside:
+            raise NotInvariantError("group does not preserve the subset")
+    if non_symmetry(subset, restricted.monomials, perms) is not None:
+        raise NotInvariantError("group does not preserve the restricted polynomial")
+    orbs = orbits(perms, subset)
+    column = {v: k for k, orb in enumerate(orbs) for v in orb}
+    merged = {}
+    for mono, coeff in restricted.monomials:
+        folded = [0] * len(orbs)
+        for pos, e in enumerate(mono):
+            folded[column[subset[pos]]] += e
+        key = tuple(folded)
+        merged[key] = merged.get(key, Fraction(0)) + coeff
+    monos = tuple(sorted(((m, c) for m, c in merged.items() if c != 0), reverse=True))
+    return RestrictedPolynomial(tuple(orbs), monos, full=len(monos) == len(orbs))
+
+
+def stratum_chi_fixed(restricted, perms):
+    """Euler characteristic of the T-fixed part of the fibre on an open stratum,
+    by restriction and fold: the slow reference for ``euler.fixed_chi``.
+
+    ``restricted`` is f^I.  Zero unless its fold along T's orbits is full,
+    which it never is when f^I is not and T preserves f (T then permutes the
+    monomials of f^I as it permutes their anchors); then (-1)^(orbits-1)
+    |folded determinant|.
+    """
+    if not restricted.variables:
+        raise ValueError("the empty stratum has no fibre points")
+    folded = diagonal_restrict(restricted, perms)
+    if not folded.full:
+        return 0
+    return (-1) ** (folded.nvars - 1) * abs(folded.determinant())
 
 
 def fixed_point_euler(matrix, perms, h_elements, t_elements):

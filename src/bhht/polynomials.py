@@ -1,4 +1,4 @@
-"""Invertible polynomials: parsing, chain/loop validation, transposes, restrictions.
+"""Invertible polynomials: parsing, chain/loop validation, transposes, symmetries.
 
 A polynomial is stored as its exponent matrix: one row per monomial, one
 column per variable, plus a rational coefficient per row.  Variable indices
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import DegenerateLoopError, NotInvariantError, NotInvertibleError, ParseError
 from .intmat import determinant
-from .permgroups import cycle_notation, orbits as perm_orbits
+from .permgroups import cycle_notation
 
 CHAIN = "chain"
 LOOP = "loop"
@@ -89,9 +89,7 @@ class ExponentMatrix:
     def validate(self):
         """Chain/loop decomposition; raises if the polynomial is not invertible."""
         if self._blocks is None:
-            blocks, anchors = _decompose(self)
-            self._blocks = blocks
-            self._anchors = anchors
+            self._blocks, self._anchors, self._successors = _decompose(self)
         return self._blocks
 
     def anchors(self):
@@ -100,13 +98,28 @@ class ExponentMatrix:
         return self._anchors
 
     def anchored(self):
-        """Rows permuted so that row i is the monomial anchored at variable i."""
+        """Rows permuted so that row i is the monomial anchored at variable i:
+        the matrix itself when every row already is.  The permuted copy takes
+        the block structure over, since blocks name variables, not rows."""
         anchors = self.anchors()
         order = sorted(range(self.nmonomials), key=lambda r: anchors[r])
+        if order == list(range(self.nmonomials)):
+            return self
         out = ExponentMatrix([self.rows[r] for r in order],
                              [self.coefficients[r] for r in order])
-        out.validate()
+        out._blocks, out._successors = self._blocks, self._successors
+        out._anchors = {a: a for a in range(self.n)}
         return out
+
+    def full_on(self, subset):
+        """Whether f^I, the monomials supported inside the subset, is full:
+        as many monomials as points.  A monomial involves its anchor and its
+        successor and nothing else, so f^I is full exactly when the subset is
+        closed under successors."""
+        self.validate()
+        succ = self._successors
+        inside = set(subset)
+        return all(succ[a] is None or succ[a] in inside for a in subset)
 
 
 def parse_polynomial(text):
@@ -199,15 +212,16 @@ def serialize_polynomial(matrix):
 def _decompose(matrix):
     """Find the chain/loop block structure, or raise.
 
-    Returns (blocks, anchors) where anchors maps row index -> the variable
-    the monomial is anchored at (x_a^p or x_a^p * x_next).
+    Returns (blocks, anchors, successors): anchors maps row index -> the
+    variable the monomial is anchored at (x_a^p or x_a^p * x_next), and
+    successors maps that variable -> x_next, or None for x_a^p.
     """
     if not matrix.is_square:
         raise NotInvertibleError(
             "%d monomials in %d variables" % (matrix.nmonomials, matrix.n))
     n = matrix.n
     if n == 0:
-        return (), {}
+        return (), {}, {}
     if len(set(matrix.rows)) != matrix.nmonomials:
         raise NotInvertibleError("repeated monomial (determinant is zero)")
     supports = []
@@ -288,7 +302,7 @@ def _decompose(matrix):
                 % ([v + 1 for v in cycle],))
         blocks.append(AtomicBlock(LOOP, tuple(cycle), exps))
     blocks.sort(key=lambda b: b.variables)
-    return tuple(blocks), anchors
+    return tuple(blocks), anchors, succ
 
 
 def _assign_anchors(candidates, n):
@@ -346,73 +360,7 @@ def weights(matrix):
         for j in range(matrix.n))
 
 
-@dataclass(frozen=True)
-class RestrictedPolynomial:
-    """A polynomial restricted to a coordinate subspace (and maybe a fixed space).
-
-    ``variables`` are the remaining coordinates: plain 0-based indices for a
-    restriction, orbit tuples for a diagonal restriction.  ``monomials`` hold
-    (exponent vector over those coordinates, coefficient), sorted descending.
-    ``full`` means the monomial count equals the coordinate count.
-    """
-
-    variables: tuple
-    monomials: tuple
-    full: bool
-
-    @property
-    def nvars(self):
-        return len(self.variables)
-
-    def determinant(self):
-        if not self.full:
-            raise ValueError("restriction is not full")
-        return determinant([list(m) for m, _c in self.monomials])
-
-
-def restrict(matrix, subset):
-    """Keep the monomials supported inside ``subset`` (0-based indices)."""
-    subset = sorted(set(subset))
-    if any(j < 0 or j >= matrix.n for j in subset):
-        raise ValueError("subset out of range")
-    inside = set(subset)
-    monos = []
-    for row, coeff in zip(matrix.rows, matrix.coefficients):
-        if all(e == 0 or j in inside for j, e in enumerate(row)):
-            monos.append((tuple(row[j] for j in subset), coeff))
-    monos.sort(reverse=True)
-    return RestrictedPolynomial(tuple(subset), tuple(monos),
-                                full=len(monos) == len(subset))
-
-
-def diagonal_restrict(restricted, perms):
-    """Identify the variables of f^I along the orbits of a permutation group.
-
-    ``restricted`` is f^I, as ``restrict`` returns it; ``perms`` is a PermGroup
-    acting on all n variables; it must preserve the subset and f^I.  Monomials
-    whose exponent vectors become equal are merged by summing coefficients.
-    """
-    subset = restricted.variables
-    inside = set(subset)
-    for p in perms.generators:
-        if {p[j] for j in inside} != inside:
-            raise NotInvariantError("group does not preserve the subset")
-    if _non_symmetry(subset, restricted.monomials, perms) is not None:
-        raise NotInvariantError("group does not preserve the restricted polynomial")
-    orbits = perm_orbits(perms, subset)
-    column = {v: k for k, orb in enumerate(orbits) for v in orb}
-    merged = {}
-    for mono, coeff in restricted.monomials:
-        folded = [0] * len(orbits)
-        for pos, e in enumerate(mono):
-            folded[column[subset[pos]]] += e
-        key = tuple(folded)
-        merged[key] = merged.get(key, Fraction(0)) + coeff
-    monos = tuple(sorted(((m, c) for m, c in merged.items() if c != 0), reverse=True))
-    return RestrictedPolynomial(tuple(orbits), monos, full=len(monos) == len(orbits))
-
-
-def _non_symmetry(variables, monomials, perms):
+def non_symmetry(variables, monomials, perms):
     """A generator that moves the monomial -> coefficient table, or None.
 
     Exponent vectors are over ``variables``, a set the generators preserve.
@@ -448,7 +396,7 @@ def check_invariance(matrix, group):
         raise NotInvariantError("group degree %d != variable count %d"
                                 % (group.n, matrix.n))
     matrix.validate()
-    p = _non_symmetry(range(matrix.n), zip(matrix.rows, matrix.coefficients), group)
+    p = non_symmetry(range(matrix.n), zip(matrix.rows, matrix.coefficients), group)
     if p is not None:
         raise NotInvariantError(
             "permutation %s does not preserve the polynomial" % cycle_notation(p))

@@ -1,10 +1,16 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from bhht.burnside import BurnsideElement
 from bhht.intmat import hermite_key
 from bhht.polynomials import ExponentMatrix, parse_polynomial
+
+# Property tests draw the same bounded examples on every run and store none.
+settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=60,
+                          database=None)
+settings.load_profile("tier1")
 
 X1 = "x1^5+x2^5+x3^5+x4^5+x5^5"
 X14 = "x1^4*x2+x1*x2^4+x3^4*x4+x3*x4^4+x5^5"

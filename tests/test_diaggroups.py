@@ -237,6 +237,45 @@ def test_pairing_symmetric_under_swap(x15):
         assert pairing.value(v, w) == sw.value(w, v)
 
 
+@pytest.mark.parametrize("text, generators", [
+    ("x1^3+x2^3+x3^3", ["(123)"]),
+    ("x1^2*x2+x2^3*x3+x3^4", []),
+    ("x1^4*x2+x1*x2^4+x3^4*x4+x3*x4^4+x5^5", ["(12)(34)"]),
+])
+def test_congruence_rows_are_computed_once_per_element(monkeypatch, text, generators):
+    # a verdict's dual strata and its nondegeneracy checks share E.a / L1 per
+    # generator on each pairing; an element outside G is refused every time
+    from collections import Counter, deque
+
+    from bhht import diaggroups, euler
+
+    computed = []
+    asked = Counter()
+    plain_matvec = diaggroups.matvec
+    plain_congruence = CharacterPairing._congruence
+
+    def counted_matvec(rows, v):
+        computed.append(tuple(v))
+        return plain_matvec(rows, v)
+
+    def counted_congruence(pairing, a):
+        asked[id(pairing), a] += 1
+        return plain_congruence(pairing, a)
+
+    monkeypatch.setattr(diaggroups, "matvec", counted_matvec)
+    monkeypatch.setattr(CharacterPairing, "_congruence", counted_congruence)
+    monkeypatch.setattr(euler, "_RECENT", deque(maxlen=2))
+    f = parse_polynomial(text)
+    s = group_from_generators(f.n, generators)
+    assert euler.verify_duality(f, s).equal
+    assert euler.lemma_level_checks(f, s).all_passed
+    assert len(computed) == len(asked) < sum(asked.values())
+    pairing = CharacterPairing(parse_polynomial("x1^2*x2+x2^3"))
+    for _ in range(2):
+        with pytest.raises(MembershipError):
+            pairing._congruence((1, 0))
+
+
 def test_pairing_equivariance(quintic, x14, x15):
     # pairing(s.v, s.w) == pairing(v, w) whenever s preserves the polynomial
     rng = seeded(35)

@@ -12,12 +12,17 @@ from bhht.errors import StructuralAssumptionViolated
 from bhht.euler import (
     _stratum_profile,
     euler_analysis,
+    fixed_chi,
     lemma_level_checks,
-    stratum_chi_fixed,
     verify_duality,
 )
 from bhht.fixtures import load_catalogue
-from bhht.oracles import check_fixed_point_consistency
+from bhht.oracles import (
+    check_fixed_point_consistency,
+    diagonal_restrict,
+    restrict,
+    stratum_chi_fixed,
+)
 from bhht.permgroups import (
     PermGroup,
     group_from_generators,
@@ -26,7 +31,7 @@ from bhht.permgroups import (
     orbits_on_subsets,
     pc_check,
 )
-from bhht.polynomials import diagonal_restrict, parse_polynomial, restrict, transpose
+from bhht.polynomials import parse_polynomial, transpose
 
 
 def torus_curve_chi_oracle(m):
@@ -45,13 +50,13 @@ def torus_curve_chi_oracle(m):
 def test_chi_one_variable_power():
     for m in range(1, 8):
         e = parse_polynomial("x1^%d" % m)
-        assert stratum_chi_fixed(restrict(e, [0]), PermGroup(1, ())) == m
+        assert fixed_chi(e, (0,), PermGroup(1, ())) == m
 
 
 def test_chi_fermat_curve_matches_genus_oracle():
     for m in range(2, 8):
         e = parse_polynomial("x1^%d+x2^%d" % (m, m))
-        value = stratum_chi_fixed(restrict(e, [0, 1]), PermGroup(2, ()))
+        value = fixed_chi(e, (0, 1), PermGroup(2, ()))
         assert value == torus_curve_chi_oracle(m) == -m * m
 
 
@@ -59,16 +64,16 @@ def test_chi_fermat_curve_swapped():
     for m in range(2, 8):
         e = parse_polynomial("x1^%d+x2^%d" % (m, m))
         swap = group_from_generators(2, ["(12)"])
-        assert stratum_chi_fixed(restrict(e, [0, 1]), swap) == m
+        assert fixed_chi(e, (0, 1), swap) == m
 
 
 def test_chi_degenerate_restriction_is_zero(x15):
-    assert stratum_chi_fixed(restrict(x15, [0, 1]), PermGroup(5, ())) == 0
+    assert fixed_chi(x15, (0, 1), PermGroup(5, ())) == 0
 
 
 def test_chi_empty_stratum_rejected(quintic):
     with pytest.raises(ValueError):
-        stratum_chi_fixed(restrict(quintic, []), PermGroup(5, ()))
+        fixed_chi(quintic, (), PermGroup(5, ()))
 
 
 def fold_cases():
@@ -145,18 +150,18 @@ def test_residual_check_trips_on_wrong_fixed_data(quintic):
     # corrupting the fixed-point values must abort, not silently solve
     import bhht.euler as euler_mod
 
-    original = euler_mod.stratum_chi_fixed
+    original = euler_mod.fixed_chi
 
-    def corrupted(restricted, perms):
-        value = original(restricted, perms)
-        return value + 1 if restricted.nvars == 5 and perms.order == 2 else value
+    def corrupted(matrix, subset, perms):
+        value = original(matrix, subset, perms)
+        return value + 1 if len(subset) == 5 and perms.order == 2 else value
 
-    euler_mod.stratum_chi_fixed = corrupted
+    euler_mod.fixed_chi = corrupted
     try:
         with pytest.raises(StructuralAssumptionViolated):
             euler_analysis(quintic, group_from_generators(5, ["(12)(34)"]))
     finally:
-        euler_mod.stratum_chi_fixed = original
+        euler_mod.fixed_chi = original
 
 
 def test_structural_failure_carries_stratum_class_and_residual(monkeypatch):
@@ -167,9 +172,9 @@ def test_structural_failure_carries_stratum_class_and_residual(monkeypatch):
     swap = group_from_generators(2, ["(12)"])
     # first stratum (1,): kernel of order 2, trivial stabilizer; the diagonal
     # mark is 2 and the fixed-locus Euler characteristic 2
-    original = euler_mod.stratum_chi_fixed
-    monkeypatch.setattr(euler_mod, "stratum_chi_fixed",
-                        lambda restricted, perms: original(restricted, perms) + 1)
+    original = euler_mod.fixed_chi
+    monkeypatch.setattr(euler_mod, "fixed_chi",
+                        lambda matrix, subset, perms: original(matrix, subset, perms) + 1)
     with pytest.raises(StructuralAssumptionViolated) as info:
         euler_analysis(f, swap)
     assert (info.value.stratum, info.value.class_order, info.value.residual) \
@@ -377,7 +382,7 @@ def test_sign_law_under_pc():
     lattice = s.lattice
     for cls in lattice.conjugacy_classes:
         t = s.subgroup(lattice.class_key(cls))
-        value = stratum_chi_fixed(restrict(matrix, range(5)), t)
+        value = fixed_chi(matrix, tuple(range(5)), t)
         assert value != 0
         assert value * (-1) ** (5 - 1) > 0
 
@@ -594,9 +599,9 @@ def test_failed_analysis_is_not_remembered(monkeypatch):
 
     f = parse_polynomial("x1^2+x2^2")
     swap = group_from_generators(2, ["(12)"])
-    original = euler_mod.stratum_chi_fixed
-    monkeypatch.setattr(euler_mod, "stratum_chi_fixed",
-                        lambda restricted, perms: original(restricted, perms) + 1)
+    original = euler_mod.fixed_chi
+    monkeypatch.setattr(euler_mod, "fixed_chi",
+                        lambda matrix, subset, perms: original(matrix, subset, perms) + 1)
     with pytest.raises(StructuralAssumptionViolated):
         euler_analysis(f, swap)
     monkeypatch.undo()
@@ -666,25 +671,65 @@ def verdict_input(name):
 
 @pytest.mark.parametrize("name", ["pc_a3", "x15_z5", "table1_r2", "quartic6_a3"])
 def test_a_verdict_restricts_each_stratum_once(monkeypatch, name):
-    # the classes of a stratum fold the one restriction of f that decided
-    # whether the stratum counts
+    # a verdict and its lemma checks restrict nothing: fullness is read off
+    # the anchored rows, and fixed_chi folds each (stratum, class) once
     import bhht
+    from bhht import oracles
 
     f, s = verdict_input(name)
-    original = restrict
+    restrictions = []
+    patched = 0
+    for fn in ("restrict", "diagonal_restrict"):
+        original = getattr(oracles, fn)
+
+        def counted(*args, original=original, fn=fn):
+            restrictions.append(fn)
+            return original(*args)
+
+        for module in vars(bhht).values():
+            if getattr(module, fn, None) is original:
+                monkeypatch.setattr(module, fn, counted)
+                patched += 1
+    fold = euler.fixed_chi
     calls = Counter()
 
-    def counted(matrix, subset):
-        calls[matrix, tuple(subset)] += 1
-        return original(matrix, subset)
+    def folded(matrix, subset, perms):
+        calls[matrix, tuple(subset), perms.element_set] += 1
+        return fold(matrix, subset, perms)
 
-    for module in vars(bhht).values():
-        if getattr(module, "restrict", None) is original:
-            monkeypatch.setattr(module, "restrict", counted)
+    monkeypatch.setattr(euler, "fixed_chi", folded)
     monkeypatch.setattr(euler, "_RECENT", deque(maxlen=2))
     assert verify_duality(f, s).equal
     assert lemma_level_checks(f, s).all_passed
+    assert patched >= 2 and restrictions == []
     assert calls and set(calls.values()) == {1}
+
+
+def test_a_verdict_decomposes_f_once_and_f_transpose_once(monkeypatch):
+    # an anchored matrix is its own anchored form, and anchoring carries the
+    # block structure over: a verdict decomposes the parsed f and its
+    # transpose, and its lemma checks only the transpose they build again
+    from bhht import polynomials
+    from bhht.polynomials import serialize_polynomial
+
+    fx = load_catalogue()["table1_r11"]
+    # the monomials in reverse, so that anchoring permutes the rows
+    f = parse_polynomial("+".join(reversed(serialize_polynomial(fx.matrix).split("+"))))
+    s = fx.perm_group()
+    plain = polynomials._decompose
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return plain(matrix)
+
+    monkeypatch.setattr(polynomials, "_decompose", counted)
+    monkeypatch.setattr(euler, "_RECENT", deque(maxlen=2))
+    assert verify_duality(f, s).equal
+    assert len(calls) == 2
+    assert lemma_level_checks(f, s).all_passed
+    assert len(calls) == 3
+    assert f.rows != f.anchored().rows
 
 
 @pytest.mark.parametrize("name", ["pc_a3", "x15_z5", "table1_r2", "quartic6_a3"])

@@ -10,13 +10,12 @@ from bhht.errors import (
     NotInvertibleError,
     ParseError,
 )
+from bhht.oracles import diagonal_restrict, restrict
 from bhht.permgroups import PermGroup, group_from_generators, inverse
 from bhht.polynomials import (
     ExponentMatrix,
     check_invariance,
-    diagonal_restrict,
     parse_polynomial,
-    restrict,
     serialize_polynomial,
     transpose,
     weights,
@@ -160,6 +159,20 @@ def test_transpose_x15_is_reversed_loop(x15):
             moved[relabel[j]] = e
         rows.add(tuple(moved))
     assert rows == set(x15.rows)
+
+
+def test_anchored_is_the_matrix_itself_once_anchored():
+    # the anchored form of an anchored matrix, or of a transpose, is that
+    # matrix; a permuted copy keeps the blocks and anchors row i at x_i
+    rng = seeded(24)
+    for _ in range(25):
+        m = random_invertible(rng, max_vars=6)
+        a = m.anchored()
+        t = transpose(m)
+        assert a.anchored() is a and t.anchored() is t
+        assert a == m and a.validate() == m.validate()
+        assert a.anchors() == {i: i for i in range(m.n)}
+        assert all(a.rows[m.anchors()[r]] == row for r, row in enumerate(m.rows))
 
 
 def test_transpose_involution_random():
