@@ -37,11 +37,6 @@ from .fixtures import (
     serialize_fixture,
 )
 from .intmat import hermite_generators, hermite_key, hermite_order, in_hermite
-from .oracles import (
-    CONSISTENCY_ORDER_BOUND,
-    check_fixed_point_consistency,
-    naive_mark,
-)
 from .permgroups import cycle_notation, pc_check
 from .polynomials import check_invariance, serialize_polynomial, transpose
 
@@ -277,6 +272,8 @@ def _over_bound(args, fx, S):
 
 def _oracle_sweep(fx, *analyses):
     """Run the fixed-point consistency sweep if the ambient is small; say so."""
+    from .oracles import CONSISTENCY_ORDER_BOUND, check_fixed_point_consistency
+
     order = analyses[0].ambient.order
     if order > CONSISTENCY_ORDER_BOUND:
         done = "sweep skipped above %d" % CONSISTENCY_ORDER_BOUND
@@ -405,7 +402,7 @@ def cmd_table1(args):
 def cmd_selftest(args):
     from .burnside import (SemidirectAmbient, conjugators_by_class, conjugators_by_scan,
                            mark, stratum_class)
-    from .oracles import (brute_subgroups, check_hermite_keys, key_class,
+    from .oracles import (brute_subgroups, check_hermite_keys, key_class, naive_mark,
                           split_subgroup_pairs)
     from .permgroups import group_from_generators
     from .polynomials import parse_polynomial

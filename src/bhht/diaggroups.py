@@ -20,7 +20,7 @@ complement nor an annihilator is ever keyed on its path.
 """
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain, product, repeat
 from math import gcd, lcm
 from operator import add, itemgetter, mod, mul
@@ -28,7 +28,7 @@ from operator import add, itemgetter, mod, mul
 from .errors import DegeneratePairingError, MembershipError, SizeBoundError
 from .intmat import (hermite_generators, hermite_key, hermite_order, in_hermite,
                      kernel_mod, kernel_order, matvec)
-from .permgroups import DEFAULT_ORDER_BOUND, inverse
+from .permgroups import inverse
 
 DEFAULT_GROUP_BOUND = 10 ** 6
 
@@ -129,7 +129,7 @@ class DiagonalGroup:
         key = self.stratum_key(rep)
         gens = hermite_generators(key, self.exponent)
         if rep != subset:
-            gens = tuple(map(_permuter(inverse(s)), gens))
+            gens = tuple(map(_PERMUTERS[inverse(s)], gens))
         return gens, hermite_order(key, self.exponent)
 
     def kernel_elements(self, key):
@@ -208,16 +208,20 @@ def check_listing_bound(order):
 
 def perm_act(perm, element):
     """(sigma . v)_i = v_{sigma^-1(i)}."""
-    return _permuter(perm)(element)
+    return _PERMUTERS[perm](element)
 
 
-@lru_cache(maxsize=DEFAULT_ORDER_BOUND)
-def _permuter(perm):
-    """v -> sigma.v as one C-level call, the getter of sigma^-1's images;
-    a getter of one item returns it bare, so one point gets ``tuple``."""
-    if len(perm) < 2:
-        return tuple
-    return itemgetter(*inverse(perm))
+class _Permuters(dict):
+    """sigma -> (v -> sigma.v) as one C-level call, the getter of sigma^-1's
+    images, made on first use and kept: a hit is a plain dict lookup.  A
+    getter of one item returns it bare, so one point gets ``tuple``."""
+
+    def __missing__(self, perm):
+        getter = self[perm] = tuple if len(perm) < 2 else itemgetter(*inverse(perm))
+        return getter
+
+
+_PERMUTERS = _Permuters()
 
 
 def independent_generators(group, subgroup_elements):

@@ -16,8 +16,7 @@ of f^T's classes is read off the complements.
 Everything is exact integer arithmetic.
 """
 
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
 from fractions import Fraction
 from functools import cached_property
 
@@ -33,7 +32,7 @@ from .burnside import (
 from .diaggroups import CharacterPairing, DiagonalGroup, perm_act
 from .errors import NotInvariantError, StructuralAssumptionViolated
 from .intmat import determinant
-from .permgroups import PCResult, orbit_count, orbits, orbits_on_subsets, pc_check
+from .permgroups import orbit_count, orbits, orbits_on_subsets, pc_check
 from .polynomials import check_invariance, transpose
 
 
@@ -95,19 +94,18 @@ def fixed_chi(matrix, subset, perms):
     return (-1) ** (len(orbs) - 1) * abs(determinant(folded))
 
 
-@dataclass(frozen=True)
-class StratumContribution:
+class StratumContribution(namedtuple("StratumContribution", [
+        "subset", "stabilizer", "orbit_size",
+        "class_keys",      # canonical key per conjugacy class of the stabilizer
+        "reps",            # class key -> the key's subgroup of the stabilizer
+        "fixed_chi",       # class key -> chi of the fixed locus
+        "coefficients",    # class key -> solved integer coefficient
+        "element",         # BurnsideElement over G x| stabilizer
+        "induced",         # BurnsideElement over G x| S
+        ])):
     """Diagnostics and result for one orbit of strata."""
 
-    subset: tuple
-    stabilizer: object
-    orbit_size: int
-    class_keys: tuple          # canonical key per conjugacy class of the stabilizer
-    reps: dict                 # class key -> the key's subgroup of the stabilizer
-    fixed_chi: dict            # class key -> chi of the fixed locus
-    coefficients: dict         # class key -> solved integer coefficient
-    element: BurnsideElement   # over G x| stabilizer
-    induced: BurnsideElement   # over G x| S
+    __slots__ = ()
 
     def to_record(self):
         return {
@@ -125,14 +123,14 @@ class StratumContribution:
         }
 
 
-@dataclass
 class EulerAnalysis:
-    matrix: object
-    perms: object
-    group: object
-    ambient: SemidirectAmbient
-    strata: list
-    element: BurnsideElement
+    def __init__(self, matrix, perms, group, ambient, strata, element):
+        self.matrix = matrix
+        self.perms = perms
+        self.group = group
+        self.ambient = ambient
+        self.strata = strata
+        self.element = element
 
     @cached_property
     def reduced(self):
@@ -239,16 +237,16 @@ def euler_analysis(matrix, perms):
     return analysis
 
 
-@dataclass
 class DualityReport:
-    nvars: int
-    pc: PCResult
-    lhs: BurnsideElement
-    rhs: BurnsideElement
-    differences: list          # (class, lhs, rhs) where they differ, unordered
-    equal: bool
-    lhs_analysis: EulerAnalysis = field(repr=False, default=None)
-    rhs_analysis: EulerAnalysis = field(repr=False, default=None)
+    def __init__(self, nvars, pc, lhs, rhs, differences, equal, lhs_analysis, rhs_analysis):
+        self.nvars = nvars
+        self.pc = pc
+        self.lhs = lhs
+        self.rhs = rhs
+        self.differences = differences  # (class, lhs, rhs) where they differ, unordered
+        self.equal = equal
+        self.lhs_analysis = lhs_analysis
+        self.rhs_analysis = rhs_analysis
 
     @cached_property
     def diff(self):
@@ -289,16 +287,16 @@ def verify_duality(matrix, perms):
                          lhs_analysis=lhs_analysis, rhs_analysis=rhs_analysis)
 
 
-@dataclass
 class LemmaCheck:
-    name: str
-    passed: bool
-    detail: str = ""
+    def __init__(self, name, passed, detail=""):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
 
-@dataclass
 class LemmaReport:
-    checks: list
+    def __init__(self, checks):
+        self.checks = checks
 
     @property
     def all_passed(self):

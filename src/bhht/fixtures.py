@@ -14,8 +14,8 @@ Format: section headers in brackets, one datum per line, ``#`` comments.
 """
 
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 from .diaggroups import independent_generators
@@ -28,17 +28,19 @@ DATA_DIR = Path(__file__).parent / "fixtures_data"
 ENV_VAR = "SAITO_FIXTURES"
 
 
-@dataclass
 class FixtureSpec:
-    name: str
-    polynomial_text: str
-    g_lines: list
-    s_lines: list
-    expect: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
+    def __init__(self, name, polynomial_text, g_lines, s_lines, expect=None, meta=None):
+        self.name = name
+        self.polynomial_text = polynomial_text
+        self.g_lines = g_lines
+        self.s_lines = s_lines
+        self.expect = {} if expect is None else expect
+        self.meta = {} if meta is None else meta
 
-    @property
+    @cached_property
     def matrix(self):
+        """The polynomial, parsed on first read; a text that does not parse
+        raises on every read."""
         return parse_polynomial(self.polynomial_text)
 
     @property

@@ -7,7 +7,7 @@ semidirect product G x| S, which the main paths never build, and f
 restricted to a stratum and folded monomial by monomial.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -343,8 +343,7 @@ def split_subgroup_pairs(group, perms):
     return pairs
 
 
-@dataclass(frozen=True)
-class RestrictedPolynomial:
+class RestrictedPolynomial(namedtuple("RestrictedPolynomial", "variables monomials full")):
     """A polynomial restricted to a coordinate subspace (and maybe a fixed space).
 
     ``variables`` are the remaining coordinates: plain 0-based indices for a
@@ -353,9 +352,7 @@ class RestrictedPolynomial:
     ``full`` means the monomial count equals the coordinate count.
     """
 
-    variables: tuple
-    monomials: tuple
-    full: bool
+    __slots__ = ()
 
     @property
     def nvars(self):

@@ -4,7 +4,7 @@ Permutations are tuples p with p[i] = image of point i.  Cycle notation in
 text is 1-based, e.g. ``(12)(34)``.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from operator import ne
 
@@ -387,10 +387,10 @@ def orbit_count(group, points):
     return len(orbits(group, points))
 
 
-@dataclass(frozen=True)
-class PCResult:
-    satisfies: bool
-    witness: PermGroup | None
+class PCResult(namedtuple("PCResult", "satisfies witness")):
+    """The parity verdict, and a violating subgroup (a PermGroup) or None."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.satisfies

@@ -11,7 +11,7 @@ rational coefficient followed by ``*`` and one or more factors ``xK`` or
 """
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DegenerateLoopError, NotInvariantError, NotInvertibleError, ParseError
@@ -22,8 +22,7 @@ CHAIN = "chain"
 LOOP = "loop"
 
 
-@dataclass(frozen=True)
-class AtomicBlock:
+class AtomicBlock(namedtuple("AtomicBlock", "kind variables exponents")):
     """One atomic summand of an invertible polynomial.
 
     ``variables`` lists the 0-based variable indices in block order: for a
@@ -31,9 +30,7 @@ class AtomicBlock:
     loop the last monomial is v(m-1)^p(m-1)*v0.
     """
 
-    kind: str
-    variables: tuple
-    exponents: tuple
+    __slots__ = ()
 
 
 class ExponentMatrix:

@@ -1,6 +1,5 @@
 import sys
 from collections import Counter, deque
-from dataclasses import replace
 
 import pytest
 from conftest import X14, X15, seeded, summed
@@ -428,7 +427,7 @@ def _deepest(stratum):
 def _negate_open_torus(analysis):
     i = _stratum(analysis, (0, 1, 2))
     top = analysis.strata[i]
-    analysis.strata[i] = replace(top, element=top.element.scale(-1))
+    analysis.strata[i] = top._replace(element=top.element.scale(-1))
 
 
 def _open_torus_proper_class(analysis):
@@ -438,8 +437,8 @@ def _open_torus_proper_class(analysis):
 
 def _double_induced(analysis):
     i = _stratum(analysis, (0,))
-    analysis.strata[i] = replace(analysis.strata[i],
-                                 induced=analysis.strata[i].induced.scale(2))
+    analysis.strata[i] = analysis.strata[i]._replace(
+        induced=analysis.strata[i].induced.scale(2))
 
 
 def _negate_deepest(analysis):

@@ -17,6 +17,7 @@ from bhht.fixtures import (
     parse_group_element,
     serialize_fixture,
 )
+from bhht.polynomials import parse_polynomial
 
 
 @pytest.fixture(scope="module")
@@ -407,6 +408,36 @@ def test_import_leaves_numpy_out():
     proc = run_python("-c", "import sys, bhht.cli; print('numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_import_leaves_dataclasses_inspect_and_oracles_out():
+    # only what the import itself loads counts: the interpreter's start-up may
+    # have loaded some of these already
+    proc = run_python("-c", "import sys; before = set(sys.modules); "
+                      "import bhht.cli, bhht.euler; "
+                      "print(sorted({'dataclasses', 'inspect', 'bhht.oracles'} "
+                      "& (set(sys.modules) - before)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_fixture_parses_its_polynomial_once(monkeypatch):
+    from bhht import fixtures
+
+    path = DATA_DIR / "table1_r2.fix"
+    text = serialize_fixture(load_fixture(path))
+    calls = []
+
+    def counted(polynomial_text):
+        calls.append(polynomial_text)
+        return parse_polynomial(polynomial_text)
+
+    monkeypatch.setattr(fixtures, "parse_polynomial", counted)
+    fx = load_fixture(path)
+    assert fx.matrix is fx.matrix
+    assert fx.nvars == fx.matrix.n == fx.perm_group().n
+    assert serialize_fixture(fx) == text
+    assert calls == [fx.polynomial_text]
 
 
 def test_console_script_entry_point():
