@@ -14,10 +14,13 @@ carries the one C to the other and T onto the other T.  So a class is
 named (C0, key): C0 represents C's orbit under S, and key is T's class key
 in the lattice of S_C0.  Induction keeps the name of a stratum's class, and
 the Saito dual sends K_C to ann(K_C) = K'_{C^c}, checked once per C and
-renamed through the orbit transversal (``PermGroup.subset_orbits``).  No
-class scans S or computes a Hermite key.  Output orders classes by
-``tag``, computed from the named representative on first use; the oracles
-name classes of any H by Hermite keys (``oracles.key_class``).
+renamed through the orbit transversal (``PermGroup.subset_orbits``).  H
+comes with its generators and order in closed form
+(``DiagonalGroup.stratum_kernel``), and membership in it is v_i = 0 on C.
+No class scans S or computes a Hermite key.  Output orders classes by
+``tag``, computed from the named representative on first use, and only
+output and the oracles, which name classes of any H by Hermite keys
+(``oracles.key_class``), build H's key.
 
 Marks come from Burnside's formula in closed form: conjugation by (v, s)
 moves (h, t) to (s^-1(h + t.v - v), s^-1 t s), so fixed cosets are counted
@@ -25,16 +28,11 @@ from S and G alone and the semidirect product is never listed.
 """
 
 from functools import cached_property
+from operator import mul
 
 from .diaggroups import check_listing_bound, independent_generators, perm_act
 from .errors import AmbientMismatchError, StructuralAssumptionViolated
-from .intmat import (
-    hermite_dual,
-    hermite_generators,
-    hermite_order,
-    in_hermite,
-    kernel_order,
-)
+from .intmat import hermite_dual, hermite_key, in_hermite, kernel_order
 from .permgroups import (
     compose,
     conjugate,
@@ -57,7 +55,7 @@ class SemidirectAmbient:
         self.n = diag.n
         self.order = diag.order * perms.order
         self.identity = (diag.zero, identity_perm(self.n))
-        self._cocycles = {}  # Hermite key of H -> (its congruences, {perms: order})
+        self._cocycles = {}  # congruences of H -> {perms: order}
         self._by_subgroup = {}  # (C, U) -> c(U)
         self._by_orbits = {}  # (C, U's orbits on C) -> c(U)
 
@@ -68,16 +66,12 @@ class SemidirectAmbient:
     def compatible(self, other):
         return self.signature == other.signature
 
-    def cocycle_kernel_order(self, h_key, perms):
-        """#{w in G : u.w - w lies in H for every u in perms}, for the H of a
-        Hermite key.  The classes of one stratum share their H, so the
-        congruences of H and the orders are kept per H and perms, for as
-        long as the ambient group."""
-        known = self._cocycles.get(h_key)
-        if known is None:
-            congruences = hermite_dual(h_key, self.diag.exponent)
-            known = self._cocycles[h_key] = (congruences, {})
-        congruences, orders = known
+    def cocycle_kernel_order(self, congruences, perms):
+        """#{w in G : u.w - w lies in H for every u in perms}, for the H cut
+        out of G by the congruences (``HTClass.h_congruences``).  Classes
+        share their H, so the orders are kept per H and perms, for as long
+        as the ambient group."""
+        orders = self._cocycles.setdefault(congruences, {})
         order = orders.get(perms)
         if order is None:
             order = orders[perms] = _cocycle_kernel_order(self.diag, perms, congruences)
@@ -109,9 +103,8 @@ class SemidirectAmbient:
                     for a, b in zip(block, block[1:] + block[:1]):
                         cycles[a] = b
                 moved = (tuple(cycles),) if len(blocks) < len(closed) else ()
-                units = [[int(i == j) for i in range(n)] for j in closed]
                 order = self._by_orbits[closed, blocks] = _cocycle_kernel_order(
-                    self.diag, moved, units)
+                    self.diag, moved, _units(n, closed))
             self._by_subgroup[closed, u_elements] = order
         return order
 
@@ -123,22 +116,20 @@ class HTClass:
     Classes of one ambient are equal when their names are.  On the verdict
     path the class is [K_I x| T], named by stratum (``stratum_class``), and
     ``closed`` is the zero set C with H = K_C; the oracles name a class of
-    any H by Hermite keys, and ``closed`` is None.  The representative, with
-    generators for marks and a key for membership, is H x| T: H by its
-    Hermite key, T by its generators and elements.  Nothing is listed: the
+    any H by Hermite keys, and ``closed`` is None.  The representative is
+    H x| T: H by its generators and order, T by its generators and
+    elements.  Nothing is listed and nothing keyed: H's Hermite key, the
     element lists and the output order ``tag``, the least (sorted T,
     sorted H) over conjugation, are computed on first use.
     """
 
-    def __init__(self, ambient, name, h_key, t_gens, t_elements, closed=None):
-        L = ambient.diag.exponent
+    def __init__(self, ambient, name, h_gens, h_order, t_gens, t_elements, closed=None):
         self.ambient = ambient
         self.name = name
         self.closed = closed
         self._hash = hash(name)  # tuples do not cache their hash
-        self.h_key = h_key
-        self.h_gens = hermite_generators(h_key, L)
-        self.h_order = hermite_order(h_key, L)
+        self.h_gens = h_gens
+        self.h_order = h_order
         self.t_gens = t_gens
         self.t_elements = t_elements
 
@@ -160,6 +151,20 @@ class HTClass:
     def __repr__(self):
         return "[G:%d x| S/H:%d x| T:%d]" % (self.ambient.diag.order,
                                              self.h_order, self.t_order)
+
+    @cached_property
+    def h_key(self):
+        """H's Hermite key, for output and the oracles."""
+        diag = self.ambient.diag
+        return hermite_key(self.h_gens, diag.n, diag.exponent)
+
+    @cached_property
+    def h_congruences(self):
+        """Rows c with c.v = 0 mod L exactly for the v of G in H: the unit
+        rows of C for H = K_C, else the dual of H's key."""
+        if self.closed is None:
+            return tuple(map(tuple, hermite_dual(self.h_key, self.ambient.diag.exponent)))
+        return _units(self.ambient.n, self.closed)
 
     @cached_property
     def h_elements(self):
@@ -207,16 +212,16 @@ def stratum_class(ambient, subset, t_key):
     """The class [K_I x| T] for a subset I that P fixes, as a sorted tuple,
     and the subgroup T of P with class key ``t_key`` in P's lattice: named
     (Z(K_I), t_key), since P fixes Z(K_I) too."""
-    return _named(ambient, ambient.diag.zero_set(ambient.diag.stratum_key(subset)),
-                  t_key)
+    return _named(ambient, ambient.diag.zero_set(subset), t_key)
 
 
 def _named(ambient, closed, t_key):
     """The class named (C, key), for C a zero set of a stratum kernel that
     represents its orbit under P, and a class key of P_C's lattice."""
     t = ambient.perms.subgroup(t_key)
-    return HTClass(ambient, (closed, t_key), ambient.diag.stratum_key(closed),
-                   t.generators, t.element_set, closed)
+    h_gens, h_order = ambient.diag.stratum(closed)
+    return HTClass(ambient, (closed, t_key), h_gens, h_order, t.generators,
+                   t.element_set, closed)
 
 
 def _renamed(ambient, closed, t_elements):
@@ -317,11 +322,15 @@ def conjugators_by_scan(kprime, k):
     s^-1 T s <= T', H <= s.H' and t.v - v lies in s.H' for every generator t
     of T (a cocycle condition into the T-module G / s.H').  Writing v = s.w,
     the count over v is #{w in G : u.w - w in H'} for the generators
-    u = s^-1 t s, so it depends on s only through those u.
+    u = s^-1 t s, so it depends on s only through those u.  H <= s.H' is
+    tested on H's generators by the congruences of H', for H' = K_C' the
+    unit rows of C': s^-1.h vanishes on C'.
     """
     ambient = kprime.ambient
     tp = kprime.t_elements
     identity = ambient.identity[1]
+    congruences = kprime.h_congruences
+    L = ambient.diag.exponent
     total = 0
     for s in ambient.perms.elements:
         si = inverse(s)
@@ -329,9 +338,9 @@ def conjugators_by_scan(kprime, k):
                       if u != identity)
         if not all(u in tp for u in moved):
             continue
-        if not all(in_hermite(kprime.h_key, perm_act(si, h)) for h in k.h_gens):
+        if any(sum(map(mul, c, perm_act(si, h))) % L for h in k.h_gens for c in congruences):
             continue
-        total += ambient.cocycle_kernel_order(kprime.h_key, moved)
+        total += ambient.cocycle_kernel_order(congruences, moved)
     return total
 
 
@@ -352,6 +361,11 @@ def conjugators_by_class(kprime, k):
     closed = k.closed
     total = sum(ambient.stratum_cocycle_order(closed, u) for u in conjugates if u <= tp)
     return ambient.perms.order // len(conjugates) * total
+
+
+def _units(n, closed):
+    """The unit rows e_i for the points i of C: they cut K_C out of G."""
+    return tuple(tuple(int(i == j) for i in range(n)) for j in closed)
 
 
 def _cocycle_kernel_order(diag, perms, congruences):
@@ -401,11 +415,10 @@ def saito_dual(element, pairing):
     if pairing.left is not src.diag and pairing.left.matrix != src.diag.matrix:
         raise AmbientMismatchError("pairing does not match the element's group")
     dual_ambient = SemidirectAmbient(pairing.right, src.perms)
-    transversal = src.perms.subset_orbits[1]
     out = {}
     for cls, c in element.coefficients.items():
         closed = cls.name[0]
-        dual = pairing.dual_stratum(closed, transversal)
+        dual = pairing.dual_stratum(closed)
         if dual is None:
             stratum = tuple(i + 1 for i in closed)
             raise StructuralAssumptionViolated(

@@ -2,33 +2,36 @@
 
 An element of the group of a matrix E is a vector v of rationals mod 1 with
 E @ v integral.  Internally every element is a tuple of integers modulo the
-group exponent L (the largest invariant factor of E), i.e. v = a / L; this
-keeps equality, hashing and arithmetic exact and fast.
+group exponent L, i.e. v = a / L; this keeps equality, hashing and
+arithmetic exact and fast.
 
-G is cut out of (Z/L)^n by the rows of the Hermite key of E's rows mod L
-with a pivot below L (none for a Fermat polynomial), and its subgroups given
-by further congruences (annihilators, stratum kernels) are kernels of both
-(``intmat.kernel_mod``).  Every subgroup is named by its Hermite key
-(``intmat.hermite_key``), which decides equality, membership and order
-without listing it.  Only ``kernel_elements`` lists a subgroup, straight
-from its key and within ``DEFAULT_GROUP_BOUND``; ``independent_generators``
-reads output generators and the key off a subgroup's elements.  The stratum
-kernel of a subset is carried from its orbit representative's key
-(``carried_kernel``), and the verdict checks ann(K_C) = K'_{C^c} by
-containment and orders (``CharacterPairing.dual_stratum``), so neither a
-complement nor an annihilator is ever keyed on its path.
+Each chain or loop block B of f has a cyclic group <g_B> of order d_B, so
+G is their direct sum, and every stratum kernel K_I, the elements vanishing
+on a subset I, is the direct sum of some <m_B g_B>, in closed form
+(``DiagonalGroup.stratum_kernel``).  The verdict checks ann(K_C) = K'_{C^c}
+by containment and orders (``CharacterPairing.dual_stratum``), so no
+stratum kernel, complement or annihilator is ever keyed on its path.
+
+G is cut out of (Z/L)^n by the Hermite key of E's rows mod L, and its other
+subgroups given by further congruences are kernels of both
+(``intmat.kernel_mod``), named by their Hermite key (``intmat.hermite_key``),
+which decides equality, membership and order without listing them.  Only
+``kernel_elements`` lists a subgroup, straight from its key and within
+``DEFAULT_GROUP_BOUND``; ``independent_generators`` reads output generators
+and the key off a subgroup's elements.
 """
 
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product, repeat
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, itemgetter, mod, mul
 
 from .errors import DegeneratePairingError, MembershipError, SizeBoundError
 from .intmat import (hermite_generators, hermite_key, hermite_order, in_hermite,
                      kernel_mod, kernel_order, matvec)
 from .permgroups import inverse
+from .polynomials import LOOP, transpose
 
 DEFAULT_GROUP_BOUND = 10 ** 6
 
@@ -39,23 +42,35 @@ class DiagonalGroup:
     def __init__(self, matrix):
         if not matrix.is_square:
             raise ValueError("diagonal symmetry group needs a square matrix")
-        det = matrix.determinant()
-        if det == 0:
-            raise ValueError("singular exponent matrix")
         self.matrix = matrix
-        self.n = matrix.n
-        self.order = abs(det)
-        # |det E| kills the group, so its elements are the x / |det E| with
-        # E.x = 0 mod |det E|, and its exponent is the lcm of the orders of
-        # that kernel's generators
-        D = self.order
-        gens = hermite_generators(kernel_mod(matrix.rows, self.n, D), D)
-        L = self.exponent = lcm(1, *(D // gcd(D, *g) for g in gens))
+        n = self.n = matrix.n
+        # a block's monomials v_i^a_i v_(i+1) give its angles, in block order,
+        # as the multiples of (1, -a_1, a_1 a_2, ...) / d, where the last
+        # monomial leaves d = prod a for a chain, prod a - (-1)^m for a loop
+        blocks = matrix.validate()
+        orders = []
+        for block in blocks:
+            d = prod(block.exponents)
+            if block.kind == LOOP:
+                d -= (-1) ** len(block.exponents)
+            orders.append(d)
+        self.order = prod(orders)
+        L = self.exponent = lcm(1, *orders)
+        self._blocks = []  # (d_B, g_B)
+        self._points = [None] * n  # point -> (its block, its coordinate's order)
+        for b, (block, d) in enumerate(zip(blocks, orders)):
+            g = [0] * n
+            x = 1 % d
+            for i, a in zip(block.variables, block.exponents):
+                g[i] = x * (L // d)
+                self._points[i] = b, d // gcd(d, x)
+                x = -a * x % d
+            self._blocks.append((d, g))
         # the rows of E span the same congruences mod L as their Hermite key
-        key = hermite_key(matrix.rows, self.n, L)
+        key = hermite_key(matrix.rows, n, L)
         self.congruences = list(hermite_generators(key, L))
-        self.zero = (0,) * self.n
-        self._stratum_keys = {}  # subset -> its stratum kernel
+        self.zero = (0,) * n
+        self._strata = {}  # subset -> (generators, order) of its stratum kernel
         self.pairings = {}  # group of the transpose -> CharacterPairing
 
     def __repr__(self):
@@ -84,53 +99,39 @@ class DiagonalGroup:
         return kernel_mod(self.congruences + list(rows), self.n, self.exponent)
 
     def stratum_kernel(self, subset):
-        """The Hermite key of the elements acting trivially on the open
-        stratum of the subset: v_i = 0 on it.
+        """Generators and order of K_I, the elements vanishing on the subset.
 
-        The congruences are solved on the free coordinates, those outside
-        the subset, alone: the lattice is (L.Z)^subset plus that kernel.
-        The kernel's key spread over the free coordinates, with the row L.e_i
-        for each i of the subset in between, is triangular and reduced, so
-        it is the lattice's own key."""
-        n, L = self.n, self.exponent
-        fixed = set(subset)
-        free = [i for i in range(n) if i not in fixed]
-        kernel = kernel_mod([[row[i] for i in free] for row in self.congruences],
-                            len(free), L)
-        key = [[0] * n for _ in range(n)]
-        for i in fixed:
-            key[i][i] = L
-        for i, row in zip(free, kernel):
-            for j, x in zip(free, row):
-                key[i][j] = x
-        return tuple(map(tuple, key))
+        An element is a sum of multiples k_B g_B, and k_B g_B vanishes at a
+        point of B exactly when that coordinate's order divides k_B.  So
+        K_I is the direct sum of the <m_B g_B>, for m_B the lcm of those
+        orders over the points of I in B, and |K_I| is the product of the
+        d_B / m_B; a block with m_B = d_B adds no generator."""
+        L = self.exponent
+        m = [1] * len(self._blocks)
+        for i in subset:
+            b, r = self._points[i]
+            m[b] = lcm(m[b], r)
+        gens = []
+        order = 1
+        for (d, g), k in zip(self._blocks, m):
+            if k < d:
+                order *= d // k
+                gens.append(tuple([k * x % L for x in g]))
+        return tuple(gens), order
 
-    def stratum_key(self, subset):
-        """The stratum kernel K_I of a subset given as a sorted tuple,
-        solved once per subset."""
-        key = self._stratum_keys.get(subset)
-        if key is None:
-            key = self._stratum_keys[subset] = self.stratum_kernel(subset)
-        return key
+    def stratum(self, subset):
+        """``stratum_kernel`` of a subset given as a sorted tuple, made once
+        per subset."""
+        known = self._strata.get(subset)
+        if known is None:
+            known = self._strata[subset] = self.stratum_kernel(subset)
+        return known
 
-    def zero_set(self, key):
-        """The points where every element of the key's subgroup vanishes, as
-        a sorted tuple.  For a stratum kernel K_I it is the closure of I: it
-        contains I, has the same kernel, and is that kernel's only such set."""
-        return _zeros(self.n, hermite_generators(key, self.exponent))
-
-    def carried_kernel(self, subset, transversal):
-        """Generators and order of the stratum kernel K_I of any subset I,
-        carried from the key of its orbit representative J = s(I), with
-        ``transversal`` the subset map of ``PermGroup.subset_orbits``: the
-        group is S-invariant and s^-1 moves J's open stratum onto I's, so
-        K_I = s^-1.K_J and only J is ever solved."""
-        rep, s = transversal[subset][:2]
-        key = self.stratum_key(rep)
-        gens = hermite_generators(key, self.exponent)
-        if rep != subset:
-            gens = tuple(map(_PERMUTERS[inverse(s)], gens))
-        return gens, hermite_order(key, self.exponent)
+    def zero_set(self, subset):
+        """Z(K_I) for a subset I given as a sorted tuple: the points where
+        every element of K_I vanishes.  It is the closure of I: it contains
+        I, has the same kernel, and is that kernel's only such set."""
+        return _zeros(self.n, self.stratum(subset)[0])
 
     def kernel_elements(self, key):
         """The elements of the subgroup of a Hermite key mod L, as a frozenset,
@@ -196,7 +197,9 @@ class DiagonalGroup:
 
 def _zeros(n, gens):
     """The points where every generator vanishes, as a sorted tuple."""
-    return tuple(i for i in range(n) if not any(g[i] for g in gens))
+    if not gens:
+        return tuple(range(n))
+    return tuple(i for i, column in enumerate(zip(*gens)) if not any(column))
 
 
 def check_listing_bound(order):
@@ -257,9 +260,8 @@ class CharacterPairing:
     """
 
     def __init__(self, matrix):
-        from .polynomials import transpose as transpose_poly
         matrix = matrix.anchored()
-        self._join(DiagonalGroup(matrix), DiagonalGroup(transpose_poly(matrix)))
+        self._join(DiagonalGroup(matrix), DiagonalGroup(transpose(matrix)))
 
     @classmethod
     def between(cls, left, right):
@@ -323,27 +325,27 @@ class CharacterPairing:
             c = self._congruences[a] = tuple(c)
         return c
 
-    def dual_stratum(self, closed, transversal):
+    def dual_stratum(self, closed):
         """The zero set of ann(K_C), for the zero set C of a left stratum
         kernel, once ann(K_C) = K'_{C^c} is checked; None if it is not.
         Checked once per C.
 
-        K'_{C^c} is carried from the key of C^c's orbit representative
-        (``DiagonalGroup.carried_kernel``), never keyed itself.  It is
-        ann(K_C) exactly when every pair of generators pairs to zero and
-        |K_C| |K'_{C^c}| = |G|: under a nondegenerate pairing, verified
-        first, ann(K_C) has order |G| / |K_C|."""
+        Both kernels come in closed form (``DiagonalGroup.stratum_kernel``),
+        and K'_{C^c} is never keyed.  It is ann(K_C) exactly when every pair
+        of generators pairs to zero and |K_C| |K'_{C^c}| = |G|: under a
+        nondegenerate pairing, verified first, ann(K_C) has order
+        |G| / |K_C|."""
         if closed in self._dual_strata:
             return self._dual_strata[closed]
         self.verify_nondegenerate()
         left, right = self.left, self.right
         complement = tuple(i for i in range(left.n) if i not in closed)
-        gens, order = right.carried_kernel(complement, transversal)
-        key = left.stratum_key(closed)
-        rows = [self._congruence(a) for a in hermite_generators(key, left.exponent)]
+        gens, order = right.stratum(complement)
+        h_gens, h_order = left.stratum(closed)
+        rows = [self._congruence(a) for a in h_gens]
         L = right.exponent
         dual = None
-        if (hermite_order(key, left.exponent) * order == left.order
+        if (h_order * order == left.order
                 and not any(sum(map(mul, c, b)) % L for c in rows for b in gens)):
             dual = _zeros(right.n, gens)
         self._dual_strata[closed] = dual
@@ -362,8 +364,7 @@ class CharacterPairing:
         for pairing, what in sides:
             left, right = pairing.left, pairing.right
             # K_empty = G
-            rows = [pairing._congruence(a)
-                    for a in hermite_generators(left.stratum_key(()), left.exponent)]
+            rows = [pairing._congruence(a) for a in left.stratum(())[0]]
             if kernel_order(right.congruences + rows, right.n, right.exponent) != 1:
                 raise DegeneratePairingError(self.matrix, what)
         self._nondegenerate = True

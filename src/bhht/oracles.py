@@ -14,7 +14,8 @@ from itertools import combinations_with_replacement
 from .burnside import BurnsideElement, HTClass, SemidirectAmbient, carriers, mark
 from .diaggroups import perm_act
 from .errors import MembershipError, NotInvariantError, SizeBoundError
-from .intmat import determinant, hermite_generators, hermite_key, hermite_order, in_hermite
+from .intmat import (determinant, hermite_generators, hermite_key, hermite_order, in_hermite,
+                     kernel_mod)
 from .permgroups import compose, conjugate, identity_perm, inverse, orbit, orbits
 from .polynomials import non_symmetry
 
@@ -93,8 +94,9 @@ def key_class(ambient, h_key, t_generators):
             key = hermite_key(moved, n, L)
         if best_key is None or key < best_key:
             best_key, best_s = key, s
-    return HTClass(ambient, (best_t, best_key), best_key,
-                   tuple(conjugate(best_s, t) for t in t_gens), frozenset(best_t))
+    return HTClass(ambient, (best_t, best_key), hermite_generators(best_key, L),
+                   hermite_order(best_key, L), tuple(conjugate(best_s, t) for t in t_gens),
+                   frozenset(best_t))
 
 
 def key_induction(element, perms_big):
@@ -250,6 +252,31 @@ def _adjoin(group, h, g):
         shifts.append(x)
         x = group.add(x, g)
     return h.union(group.add(a, s) for a in h for s in shifts)
+
+
+def stratum_key(group, subset):
+    """The Hermite key of the stratum kernel K_I, the elements of G vanishing
+    on the subset, by solving G's congruences: the reference for the closed
+    form ``DiagonalGroup.stratum_kernel``.
+
+    The congruences are solved on the free coordinates, those outside the
+    subset, alone: the lattice is (L.Z)^subset plus that kernel.  The
+    kernel's key spread over the free coordinates, with the row L.e_i for
+    each i of the subset in between, is triangular and reduced, so it is
+    the lattice's own key.
+    """
+    n, L = group.n, group.exponent
+    fixed = set(subset)
+    free = [i for i in range(n) if i not in fixed]
+    kernel = kernel_mod([[row[i] for i in free] for row in group.congruences],
+                        len(free), L)
+    key = [[0] * n for _ in range(n)]
+    for i in fixed:
+        key[i][i] = L
+    for i, row in zip(free, kernel):
+        for j, x in zip(free, row):
+            key[i][j] = x
+    return tuple(map(tuple, key))
 
 
 def stacked_kernel_mod(rows, n, m):

@@ -338,11 +338,27 @@ def transpose(matrix):
     Rows are aligned with their anchor variables first, so the transpose is
     invariant under the same variable permutations as the original and the
     operation is an involution.  Coefficients are reset to 1.
+
+    Row a of the transpose is column a: x_a^p times the predecessor of a.
+    So it is anchored, each chain reads backwards and each loop runs the
+    other way round from its least variable, and those blocks are set as
+    ``anchored`` sets them, with no orientation search.
     """
     anchored = matrix.anchored()
-    rows = tuple(zip(*anchored.rows))
-    out = ExponentMatrix(rows)
-    out.validate()
+    out = ExponentMatrix(tuple(zip(*anchored.rows)))
+    blocks = []
+    for b in anchored.validate():
+        if b.kind == CHAIN:
+            blocks.append(AtomicBlock(CHAIN, b.variables[::-1], b.exponents[::-1]))
+        else:
+            blocks.append(AtomicBlock(LOOP, b.variables[:1] + b.variables[:0:-1],
+                                      b.exponents[:1] + b.exponents[:0:-1]))
+    out._blocks = tuple(sorted(blocks, key=lambda b: b.variables))
+    out._successors = dict.fromkeys(range(out.n))
+    for a, b in anchored._successors.items():
+        if b is not None:
+            out._successors[b] = a
+    out._anchors = {a: a for a in range(out.n)}
     return out
 
 

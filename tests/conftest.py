@@ -4,7 +4,7 @@ import pytest
 from hypothesis import settings
 
 from bhht.burnside import BurnsideElement
-from bhht.intmat import hermite_key
+from bhht.intmat import hermite_generators, hermite_key
 from bhht.polynomials import ExponentMatrix, parse_polynomial
 
 # Property tests draw the same bounded examples on every run and store none.
@@ -36,6 +36,18 @@ def key_of(group, elements):
     """The Hermite key of the subgroup of a diagonal group that the elements
     generate: how a test hands ``HTClass`` an H it holds as elements."""
     return hermite_key(elements, group.n, group.exponent)
+
+
+def stratum_elements(group, subset):
+    """The stratum kernel K_I listed, from the closed-form generators of
+    ``DiagonalGroup.stratum_kernel``."""
+    return group.kernel_elements(key_of(group, group.stratum_kernel(subset)[0]))
+
+
+def key_zero_set(group, key):
+    """The points where every element of a key's subgroup vanishes."""
+    gens = hermite_generators(key, group.exponent)
+    return tuple(i for i in range(group.n) if not any(g[i] for g in gens))
 
 
 def summed(ambient, *elements):

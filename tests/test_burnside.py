@@ -1,5 +1,5 @@
 import pytest
-from conftest import X1, key_of, seeded, summed
+from conftest import X1, key_of, seeded, stratum_elements, summed
 
 from bhht import burnside
 from bhht.burnside import (
@@ -132,8 +132,8 @@ def test_conjugate_test_coordinate_subgroups():
     perms = group_from_generators(5, ["(12)", "(123)"])  # S3 on the first three
     ambient = SemidirectAmbient(group, perms)
     # vanishing on slots 1 and 3
-    h1 = group.kernel_elements(group.stratum_kernel([0, 2]))
-    h2 = group.kernel_elements(group.stratum_kernel([1, 2]))
+    h1 = stratum_elements(group, [0, 2])
+    h2 = stratum_elements(group, [1, 2])
     t1 = {parse_cycles("e", 5), parse_cycles("(13)", 5)}
     t2 = {parse_cycles("e", 5), parse_cycles("(23)", 5)}
     sigma = brute_conjugating_perm(ambient, h1, t1, h2, t2)
@@ -230,11 +230,14 @@ def test_class_keys_come_from_the_lattice(monkeypatch):
 
 
 def test_classes_take_the_key_they_are_handed(monkeypatch):
-    # a verdict's classes take their H from the stratum kernel their name
-    # hands them: each kernel is solved once per subset, and no class keys
-    # a moved H.  The quintic is self-transposed with S trivial, so its 31
-    # strata and the point name every subset exactly once
-    from bhht import euler
+    # a verdict's classes take H's generators and order from the closed form
+    # of the stratum kernel their name hands them: each kernel is made once
+    # per subset, and no Hermite key of one is built.  The quintic is
+    # self-transposed with S trivial, so its 31 strata and the point name
+    # every subset exactly once, and the Saito dual asks for their
+    # complements, subsets again; the one key of its one group is that of
+    # E's rows mod L
+    from bhht import diaggroups, euler
 
     solved = []
     plain = DiagonalGroup.stratum_kernel
@@ -243,11 +246,24 @@ def test_classes_take_the_key_they_are_handed(monkeypatch):
         solved.append(tuple(subset))
         return plain(group, subset)
 
+    keyed = []
+    keyer = diaggroups.hermite_key
+
+    def recorded(generators, n, L):
+        keyed.append(tuple(map(tuple, generators)))
+        return keyer(generators, n, L)
+
+    def refuse(*_args):
+        raise AssertionError("a class built the Hermite key of its H")
+
     monkeypatch.setattr(DiagonalGroup, "stratum_kernel", counted)
+    monkeypatch.setattr(diaggroups, "hermite_key", recorded)
+    monkeypatch.setattr(burnside, "hermite_key", refuse)
     monkeypatch.setattr(euler, "_RECENT", type(euler._RECENT)(maxlen=2))
-    assert verify_duality(parse_polynomial(X1), PermGroup(5, ())).equal
+    f = parse_polynomial(X1)
+    assert verify_duality(f, PermGroup(5, ())).equal
     assert sorted(solved) == sorted(set(solved)) and len(solved) == 32
-    assert not hasattr(burnside, "hermite_key")
+    assert keyed == [f.rows]
 
 
 def test_element_arithmetic(small):

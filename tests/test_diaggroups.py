@@ -1,8 +1,8 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
-from conftest import key_of, random_invertible, seeded
+from conftest import key_of, key_zero_set, random_invertible, seeded, stratum_elements
 
 from bhht.diaggroups import (
     DEFAULT_GROUP_BOUND,
@@ -21,6 +21,7 @@ from bhht.oracles import (
     brute_isotropy,
     brute_span,
     check_hermite_keys,
+    stratum_key,
 )
 from bhht.permgroups import PermGroup, group_from_generators, parse_cycles
 from bhht.polynomials import check_invariance, parse_polynomial, weights
@@ -127,9 +128,9 @@ def test_exponent_is_largest_element_order():
 
 
 def test_isotropy_on_stratum(gq):
-    assert gq.kernel_elements(gq.stratum_kernel(range(5))) == frozenset({gq.zero})
-    assert gq.kernel_elements(gq.stratum_kernel([])) == frozenset(gq.elements)
-    assert len(gq.kernel_elements(gq.stratum_kernel([0, 1]))) == 125
+    assert stratum_elements(gq, range(5)) == frozenset({gq.zero})
+    assert stratum_elements(gq, []) == frozenset(gq.elements)
+    assert len(stratum_elements(gq, [0, 1])) == 125
 
 
 def test_fixed_subgroup(gq):
@@ -367,11 +368,11 @@ def test_kernels_never_list_the_whole_group():
     assert pairing.right.order == 8 ** 7 > DEFAULT_GROUP_BOUND
     with pytest.raises(SizeBoundError):
         _ = pairing.right.elements
-    h = pairing.left.kernel_elements(pairing.left.stratum_kernel(range(5)))
+    h = stratum_elements(pairing.left, range(5))
     assert len(h) == 64
     assert len(pairing.annihilator(h)) == 8 ** 5
     with pytest.raises(SizeBoundError):
-        pairing.left.kernel_elements(pairing.left.stratum_kernel([]))  # all of G
+        stratum_elements(pairing.left, [])  # all of G
     pairing.verify_nondegenerate()
 
 
@@ -385,14 +386,14 @@ def test_isotropy_on_stratum_matches_scan(quintic, x14, x15):
         group = DiagonalGroup(matrix.anchored())
         for k in range(group.n + 1):
             for subset in combinations(range(group.n), k):
-                listed = group.kernel_elements(group.stratum_kernel(subset))
+                listed = stratum_elements(group, subset)
                 assert listed == brute_isotropy(group, subset)
 
 
 def test_stratum_kernel_is_the_kernel_of_unit_rows(quintic):
-    # solved on the free coordinates alone, the key is the one the unit
-    # congruences e_i.x = 0 give, for every subset of a chain, a loop and
-    # a Fermat polynomial
+    # in closed form, and solved on the free coordinates alone by the
+    # oracle, the key is the one the unit congruences e_i.x = 0 give, for
+    # every subset of a chain, a loop and a Fermat polynomial
     from itertools import combinations
 
     matrices = [parse_polynomial("x1^2*x2+x2^3*x3+x3^4*x4+x4^2"),
@@ -403,7 +404,60 @@ def test_stratum_kernel_is_the_kernel_of_unit_rows(quintic):
         for k in range(n + 1):
             for subset in combinations(range(n), k):
                 units = [[int(i == j) for j in range(n)] for i in subset]
-                assert group.stratum_kernel(subset) == group.kernel(units)
+                key = group.kernel(units)
+                assert stratum_key(group, subset) == key
+                assert key_of(group, group.stratum_kernel(subset)[0]) == key
+
+
+def closed_form_inputs():
+    """At least 100 seeded sums of chains and loops in up to 6 variables,
+    x1+x2^3+x3+x4^3, whose G fixes x1 and x3, and every catalogue matrix
+    with its transpose."""
+    from bhht.errors import BhhtError
+    from bhht.polynomials import transpose
+
+    rng = seeded(47)
+    matrices = [random_invertible(rng, max_vars=rng.randint(1, 6)) for _ in range(120)]
+    matrices.append(parse_polynomial("x1+x2^3+x3+x4^3"))
+    for fx in load_catalogue().values():
+        try:
+            matrices += [fx.matrix, transpose(fx.matrix)]
+        except BhhtError:
+            continue
+    return matrices
+
+
+def test_stratum_kernels_in_closed_form_match_the_solved_keys():
+    # on every subset, the closed form's generators span the kernel the
+    # oracle solves, with its order and zero set; |G| is |det E| and L the
+    # exponent of the kernel of E mod |det E|
+    from itertools import combinations
+
+    from bhht.intmat import kernel_mod
+
+    seen = dict.fromkeys(["chain ending in 1", "loop", "6 variables", "Z(G) not empty"], 0)
+    for matrix in closed_form_inputs():
+        group = DiagonalGroup(matrix)
+        n, L = group.n, group.exponent
+        det = abs(matrix.determinant())
+        assert group.order == det
+        solved = hermite_generators(kernel_mod(matrix.rows, n, det), det)
+        assert L == lcm(1, *(det // gcd(det, *g) for g in solved))
+        for k in range(n + 1):
+            for subset in combinations(range(n), k):
+                gens, order = group.stratum_kernel(subset)
+                key = stratum_key(group, subset)
+                assert key_of(group, gens) == key, (matrix, subset)
+                assert order == hermite_order(key, L)
+                zeros = key_zero_set(group, key)
+                assert group.zero_set(subset) == zeros
+                seen["Z(G) not empty"] += k == 0 and zeros != ()
+        blocks = matrix.validate()
+        seen["chain ending in 1"] += any(b.kind == "chain" and len(b.exponents) > 1
+                                         and b.exponents[-1] == 1 for b in blocks)
+        seen["loop"] += any(b.kind == "loop" for b in blocks)
+        seen["6 variables"] += n == 6
+    assert min(seen.values()) > 0, seen
 
 
 def test_generating_subset_round_trip(gq):

@@ -2,7 +2,7 @@ import sys
 from collections import Counter, deque
 
 import pytest
-from conftest import X14, X15, seeded, summed
+from conftest import X14, X15, seeded, stratum_elements, summed
 from test_stratum_naming import CATALOGUE, catalogue_pairs, generated_pairs
 
 from bhht import diaggroups, euler, intmat
@@ -218,7 +218,7 @@ def test_support_is_stratum_kernels(quintic):
     kernels = set()
     for mask in range(1, 1 << 5):
         subset = [i for i in range(5) if mask >> i & 1]
-        kernels.add(group.kernel_elements(group.stratum_kernel(subset)))
+        kernels.add(stratum_elements(group, subset))
     for cls in element.coefficients:
         assert cls.h_elements in kernels
 
@@ -249,7 +249,7 @@ def expected_kernel_orders(matrix, n):
         base = restrict(matrix.anchored(), subset)
         if not base.full:
             continue
-        kernel = group.kernel_elements(group.stratum_kernel(subset))
+        kernel = stratum_elements(group, subset)
         chi = (-1) ** (len(subset) - 1) * abs(base.determinant())
         out[subset] = (len(kernel), chi * len(kernel) // group.order)
     return out
@@ -633,9 +633,8 @@ def test_one_diagonal_group_per_side_of_a_verdict(monkeypatch, text, generators,
 
 @pytest.mark.parametrize("name", ["pc_a3", "x15_z5", "table1_r2"])
 def test_every_hermite_key_of_a_verdict_is_n_wide(monkeypatch, name):
-    # kernels mod L are solved at most n columns wide (stratum kernels on
-    # their free coordinates, narrower); a lattice stacked k + n wide would
-    # show here as a wider key
+    # kernels mod L are solved at most n columns wide; a lattice stacked
+    # k + n wide would show here as a wider key
     import bhht
 
     fx = load_catalogue()[name]
@@ -704,10 +703,10 @@ def test_a_verdict_restricts_each_stratum_once(monkeypatch, name):
     assert calls and set(calls.values()) == {1}
 
 
-def test_a_verdict_decomposes_f_once_and_f_transpose_once(monkeypatch):
-    # an anchored matrix is its own anchored form, and anchoring carries the
-    # block structure over: a verdict decomposes the parsed f and its
-    # transpose, and its lemma checks only the transpose they build again
+def test_a_verdict_decomposes_f_once_and_never_its_transpose(monkeypatch):
+    # an anchored matrix is its own anchored form, and anchoring and the
+    # transpose carry the block structure over: a verdict and its lemma
+    # checks decompose the parsed f alone
     from bhht import polynomials
     from bhht.polynomials import serialize_polynomial
 
@@ -725,17 +724,17 @@ def test_a_verdict_decomposes_f_once_and_f_transpose_once(monkeypatch):
     monkeypatch.setattr(polynomials, "_decompose", counted)
     monkeypatch.setattr(euler, "_RECENT", deque(maxlen=2))
     assert verify_duality(f, s).equal
-    assert len(calls) == 2
+    assert calls == [f]
     assert lemma_level_checks(f, s).all_passed
-    assert len(calls) == 3
+    assert calls == [f]
     assert f.rows != f.anchored().rows
 
 
 @pytest.mark.parametrize("name", ["pc_a3", "x15_z5", "table1_r2", "quartic6_a3"])
 def test_a_verdict_solves_each_stratum_kernel_once(monkeypatch, name):
-    # the Saito dual carries K'_{C^c} from the kernel of its orbit
-    # representative, so a verdict and its lemma checks solve the kernel of
-    # an orbit representative or of the zero set of one's kernel, each once
+    # a verdict and its lemma checks make the kernel of an orbit
+    # representative, of the zero set C of one's kernel, or, for the Saito
+    # dual, of such a C's complement, each once per group
     f, s = verdict_input(name)
     plain = DiagonalGroup.stratum_kernel
     calls = Counter()
@@ -751,9 +750,12 @@ def test_a_verdict_solves_each_stratum_kernel_once(monkeypatch, name):
     assert verify_duality(f, s).equal
     assert lemma_level_checks(f, s).all_passed
     reps = {rep for rep, _stab, _size in orbits_on_subsets(s)}
-    allowed = {(matrix, subset) for matrix, group in groups.items() for rep in reps
-               for subset in (rep, group.zero_set(plain(group, rep)))}
-    assert calls and set(calls.values()) == {1} and set(calls) <= allowed
+    n = f.n
+    closures = {tuple(i for i in range(n) if not any(g[i] for g in plain(group, rep)[0]))
+                for group in groups.values() for rep in reps}
+    allowed = reps | closures | {tuple(i for i in range(n) if i not in c) for c in closures}
+    assert calls and set(calls.values()) == {1}
+    assert {subset for _matrix, subset in calls} <= allowed
 
 
 def test_one_lattice_of_s_per_verify_with_lemmas(monkeypatch):

@@ -194,6 +194,29 @@ def test_validate_transposes_blocks_random():
         assert b1 == b2
 
 
+def test_transpose_carries_the_blocks_a_search_finds():
+    # the transpose's blocks, anchors and successors are f's read the other
+    # way, set without a search; they are what the orientation search finds
+    # on the transposed rows, for seeded sums and every catalogue matrix
+    from bhht.fixtures import load_catalogue
+    from bhht.polynomials import ExponentMatrix, _decompose
+
+    rng = seeded(15)
+    matrices = [random_invertible(rng) for _ in range(100)]
+    for fx in load_catalogue().values():
+        try:
+            matrices.append(fx.matrix.anchored())
+        except (DegenerateLoopError, NotInvertibleError, ParseError):
+            continue
+    kinds = set()
+    for m in matrices:
+        t = transpose(m)
+        searched = _decompose(ExponentMatrix(t.rows))
+        assert (t.validate(), t.anchors(), t._successors) == searched, m
+        kinds.update(b.kind for b in t.validate() if len(b.variables) > 2)
+    assert kinds == {"chain", "loop"}
+
+
 # -- weights -------------------------------------------------------------------
 
 

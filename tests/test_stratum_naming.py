@@ -11,7 +11,7 @@ from collections import deque
 from itertools import permutations
 
 import pytest
-from conftest import random_invertible, seeded
+from conftest import key_zero_set, random_invertible, seeded
 
 from bhht import burnside, euler
 from bhht.burnside import BurnsideElement
@@ -108,7 +108,8 @@ def assert_namings_agree(matrix, perms):
     mirrored = key_saito_dual(key_reduced(rhs)[1], pairing)
     assert key_named(dual) == mirrored
     for x in (lhs.reduced, dual):
-        assert all(cls.name[0] == x.ambient.diag.zero_set(cls.h_key) for cls in x.coefficients)
+        assert all(cls.name[0] == key_zero_set(x.ambient.diag, cls.h_key)
+                   for cls in x.coefficients)
     # the verdict compares names; the oracle compares key classes
     equal = key_named(lhs.reduced) == mirrored.scale((-1) ** matrix.n)
     assert verify_duality(matrix, perms).equal == equal
@@ -137,15 +138,15 @@ def fresh(monkeypatch):
 
 
 def test_a_wrong_stratum_kernel_is_refused(monkeypatch, fresh):
-    # the kernel of (2 3), carried from its orbit representative (1 2), handed
-    # out as the trivial group: it pairs to zero with K_(1), but its order is
-    # not |G| / |K_(1)|, so it is not the annihilator of K_(1)
-    plain = DiagonalGroup.carried_kernel
+    # the kernel of (2 3), which only the dual of (1) asks for, handed out as
+    # the trivial group: it pairs to zero with K_(1), but its order is not
+    # |G| / |K_(1)|, so it is not the annihilator of K_(1)
+    plain = DiagonalGroup.stratum_kernel
 
-    def wrong(group, subset, transversal):
-        return plain(group, (0, 1, 2) if subset == (1, 2) else subset, transversal)
+    def wrong(group, subset):
+        return plain(group, (0, 1, 2) if subset == (1, 2) else subset)
 
-    monkeypatch.setattr(DiagonalGroup, "carried_kernel", wrong)
+    monkeypatch.setattr(DiagonalGroup, "stratum_kernel", wrong)
     fx = CATALOGUE["pc_a3"]
     with pytest.raises(StructuralAssumptionViolated) as info:
         verify_duality(fx.matrix, fx.perm_group())
@@ -157,12 +158,12 @@ def test_a_wrong_annihilator_is_refused(monkeypatch, fresh):
     # K'_(1 2) handed out for K'_(2 3), the annihilator K_(1) is checked
     # against: it has the annihilator's order, but does not pair to zero
     # with K_(1)
-    plain = DiagonalGroup.carried_kernel
+    plain = DiagonalGroup.stratum_kernel
 
-    def wrong(group, subset, transversal):
-        return plain(group, (0, 1) if subset == (1, 2) else subset, transversal)
+    def wrong(group, subset):
+        return plain(group, (0, 1) if subset == (1, 2) else subset)
 
-    monkeypatch.setattr(DiagonalGroup, "carried_kernel", wrong)
+    monkeypatch.setattr(DiagonalGroup, "stratum_kernel", wrong)
     fx = CATALOGUE["pc_a3"]
     with pytest.raises(StructuralAssumptionViolated) as info:
         verify_duality(fx.matrix, fx.perm_group())
