@@ -28,6 +28,7 @@ from S and G alone and the semidirect product is never listed.
 """
 
 from functools import cached_property
+from math import gcd, lcm
 from operator import mul
 
 from .diaggroups import check_listing_bound, independent_generators, perm_act
@@ -57,7 +58,6 @@ class SemidirectAmbient:
         self.identity = (diag.zero, identity_perm(self.n))
         self._cocycles = {}  # congruences of H -> {perms: order}
         self._by_subgroup = {}  # (C, U) -> c(U)
-        self._by_orbits = {}  # (C, U's orbits on C) -> c(U)
 
     @property
     def signature(self):
@@ -84,28 +84,41 @@ class SemidirectAmbient:
 
     def stratum_cocycle_order(self, closed, u_elements):
         """c(U) = #{w in G : w is constant on U's orbits in C}, for a
-        subgroup U of P given by its elements and a zero set C that P fixes.
+        subgroup U of P given by its elements and a zero set C that P
+        fixes, in closed form and once per C and U.
 
-        It is the cocycle kernel order into K_C, whose congruences relative
-        to G are the unit rows e_i for i in C: (u.w - w)_i = 0 there says
-        w_{u^-1(i)} = w_i.  So it depends on U through its orbits on C
-        alone, and is solved once per orbit partition, for the one
-        permutation whose cycles are those orbits; U acting trivially on C
-        constrains nothing, and c(U) = |G|."""
+        Such a w is a U-fixed element of G restricted to C, lifted in |K_C|
+        ways.  G restricted to C is the direct sum of the cyclic <g_B|C>,
+        of orders m_B (``DiagonalGroup.stratum_kernel``), and U permutes
+        those summands, as S permutes isomorphic blocks.  So a U-fixed
+        element is one Stab_U(B)-fixed element of <g_B|C> per U-orbit of
+        blocks, and c(U) is |K_C| times the product of m_B / q_B over the
+        orbits, q_B the order of the subgroup of Z/L that the
+        g_B[j] - g_B[u(j)] span, for u in Stab_U(B) and j in C and B.  q_B
+        is 1 unless U rotates a loop in place."""
         order = self._by_subgroup.get((closed, u_elements))
-        if order is None:
-            blocks = frozenset(frozenset(u[i] for u in u_elements) for i in closed)
-            order = self._by_orbits.get((closed, blocks))
-            if order is None:
-                n = self.n
-                cycles = list(range(n))
-                for block in map(sorted, blocks):
-                    for a, b in zip(block, block[1:] + block[:1]):
-                        cycles[a] = b
-                moved = (tuple(cycles),) if len(blocks) < len(closed) else ()
-                order = self._by_orbits[closed, blocks] = _cocycle_kernel_order(
-                    self.diag, moved, _units(n, closed))
-            self._by_subgroup[closed, u_elements] = order
+        if order is not None:
+            return order
+        diag = self.diag
+        L = diag.exponent
+        points = diag.points
+        inside = {}  # block -> its points in C
+        for i in closed:
+            inside.setdefault(points[i][0], []).append(i)
+        order = diag.stratum(closed)[1]
+        met = set()
+        for b, js in inside.items():
+            if b in met:
+                continue
+            g = diag.blocks[b][1]
+            spanned = L
+            for u in u_elements:
+                image = points[u[js[0]]][0]
+                met.add(image)
+                if image == b:
+                    spanned = gcd(spanned, *(g[j] - g[u[j]] for j in js))
+            order *= lcm(*(points[j][1] for j in js)) * spanned // L
+        self._by_subgroup[closed, u_elements] = order
         return order
 
 

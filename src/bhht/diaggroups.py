@@ -5,20 +5,20 @@ E @ v integral.  Internally every element is a tuple of integers modulo the
 group exponent L, i.e. v = a / L; this keeps equality, hashing and
 arithmetic exact and fast.
 
-Each chain or loop block B of f has a cyclic group <g_B> of order d_B, so
-G is their direct sum, and every stratum kernel K_I, the elements vanishing
-on a subset I, is the direct sum of some <m_B g_B>, in closed form
-(``DiagonalGroup.stratum_kernel``).  The verdict checks ann(K_C) = K'_{C^c}
-by containment and orders (``CharacterPairing.dual_stratum``), so no
-stratum kernel, complement or annihilator is ever keyed on its path.
+Each chain or loop block B of f has a cyclic group <g_B> of order d_B, and
+G is their direct sum.  A verdict reads all it needs off those generators:
+the stratum kernels K_I, each a direct sum of some <m_B g_B>
+(``DiagonalGroup.stratum_kernel``), the pairing with f^T's group, checked
+nondegenerate block by block, and ann(K_C) = K'_{C^c}, checked by
+containment and orders (``CharacterPairing``).
 
-G is cut out of (Z/L)^n by the Hermite key of E's rows mod L, and its other
-subgroups given by further congruences are kernels of both
-(``intmat.kernel_mod``), named by their Hermite key (``intmat.hermite_key``),
-which decides equality, membership and order without listing them.  Only
-``kernel_elements`` lists a subgroup, straight from its key and within
-``DEFAULT_GROUP_BOUND``; ``independent_generators`` reads output generators
-and the key off a subgroup's elements.
+G's congruences, the Hermite key of E's rows mod L, are built on first use:
+by membership and by the subgroups that further congruences cut out, each
+named by its Hermite key (``intmat.kernel_mod``), which decides equality,
+membership and order without listing it.  Only ``kernel_elements`` lists a
+subgroup, from its key and within ``DEFAULT_GROUP_BOUND``;
+``independent_generators`` reads output generators and the key off a
+subgroup's elements.
 """
 
 from fractions import Fraction
@@ -29,7 +29,7 @@ from operator import add, itemgetter, mod, mul
 
 from .errors import DegeneratePairingError, MembershipError, SizeBoundError
 from .intmat import (hermite_generators, hermite_key, hermite_order, in_hermite,
-                     kernel_mod, kernel_order, matvec)
+                     kernel_mod, matvec)
 from .permgroups import inverse
 from .polynomials import LOOP, transpose
 
@@ -56,25 +56,28 @@ class DiagonalGroup:
             orders.append(d)
         self.order = prod(orders)
         L = self.exponent = lcm(1, *orders)
-        self._blocks = []  # (d_B, g_B)
-        self._points = [None] * n  # point -> (its block, its coordinate's order)
+        self.blocks = []  # (d_B, g_B, B's variables)
+        self.points = [None] * n  # point -> (its block, its coordinate's order)
         for b, (block, d) in enumerate(zip(blocks, orders)):
             g = [0] * n
             x = 1 % d
             for i, a in zip(block.variables, block.exponents):
                 g[i] = x * (L // d)
-                self._points[i] = b, d // gcd(d, x)
+                self.points[i] = b, d // gcd(d, x)
                 x = -a * x % d
-            self._blocks.append((d, g))
-        # the rows of E span the same congruences mod L as their Hermite key
-        key = hermite_key(matrix.rows, n, L)
-        self.congruences = list(hermite_generators(key, L))
+            self.blocks.append((d, tuple(g), block.variables))
         self.zero = (0,) * n
         self._strata = {}  # subset -> (generators, order) of its stratum kernel
         self.pairings = {}  # group of the transpose -> CharacterPairing
 
     def __repr__(self):
         return "DiagonalGroup(order %d, exponent %d)" % (self.order, self.exponent)
+
+    @cached_property
+    def congruences(self):
+        """Rows cutting G out of (Z/L)^n: those of E's Hermite key mod L."""
+        L = self.exponent
+        return list(hermite_generators(hermite_key(self.matrix.rows, self.n, L), L))
 
     def __contains__(self, element):
         L = self.exponent
@@ -107,13 +110,13 @@ class DiagonalGroup:
         orders over the points of I in B, and |K_I| is the product of the
         d_B / m_B; a block with m_B = d_B adds no generator."""
         L = self.exponent
-        m = [1] * len(self._blocks)
+        m = [1] * len(self.blocks)
         for i in subset:
-            b, r = self._points[i]
+            b, r = self.points[i]
             m[b] = lcm(m[b], r)
         gens = []
         order = 1
-        for (d, g), k in zip(self._blocks, m):
+        for (d, g, _), k in zip(self.blocks, m):
             if k < d:
                 order *= d // k
                 gens.append(tuple([k * x % L for x in g]))
@@ -352,19 +355,22 @@ class CharacterPairing:
         return dual
 
     def verify_nondegenerate(self):
-        """Both radicals are trivial: no nonzero element of either group
-        pairs to zero with every generator of the other, by kernel orders.
-        Checked once per pairing."""
+        """Both radicals are trivial, checked once per pairing by blocks: f is
+        anchored, so E.g_B / L1 lives on B's variables and g_B pairs to zero
+        with every block generator of f^T but g'_B, on the same variables.
+        So the pairing is nondegenerate exactly when, for every block B,
+        d_B = d'_B and g_B pairs with g'_B to a value of order d_B."""
         if self._nondegenerate:
             return
         if self.left.order != self.right.order:
             raise DegeneratePairingError(self.matrix, "group orders differ")
-        sides = ((self, "a nonzero character vanishes on the whole group"),
-                 (self.swapped(), "a nonzero element is killed by every character"))
-        for pairing, what in sides:
-            left, right = pairing.left, pairing.right
-            # K_empty = G
-            rows = [pairing._congruence(a) for a in left.stratum(())[0]]
-            if kernel_order(right.congruences + rows, right.n, right.exponent) != 1:
-                raise DegeneratePairingError(self.matrix, what)
+        duals = {frozenset(variables): (d, g) for d, g, variables in self.right.blocks}
+        L = self.right.exponent
+        for d, g, variables in self.left.blocks:
+            dual_d, dual_g = duals.get(frozenset(variables), (None, ()))
+            value = sum(map(mul, self._congruence(g), dual_g))
+            if dual_d != d or L // gcd(L, value) != d:
+                raise DegeneratePairingError(
+                    self.matrix, "the block on %s does not pair to order %d"
+                    % (", ".join("x%d" % (i + 1) for i in variables), d))
         self._nondegenerate = True

@@ -348,7 +348,7 @@ def lemma_level_checks(matrix, perms):
         if dual_side is None:
             ok_c = False
             detail_c = ("stratum %s is full but its dual complement is not"
-                        % (s.subset,))
+                        % (tuple(i + 1 for i in s.subset),))
             break
         mirrored = saito_dual(dual_side.induced, pairing.swapped()).scale((-1) ** n)
         if mirrored != s.induced:
@@ -384,7 +384,7 @@ def lemma_level_checks(matrix, perms):
         if len(vectors) > 1:
             ok_hasse = False
             detail_hasse = "coefficient vectors differ on strata %s" % (
-                [e[0] for e in entries],)
+                [tuple(i + 1 for i in e[0]) for e in entries],)
     checks.append(LemmaCheck("deepest stratum coefficient is a bare sign", ok_deep))
     checks.append(LemmaCheck(
         "identical coloured diagrams give identical coefficient vectors",

@@ -11,11 +11,12 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .burnside import BurnsideElement, HTClass, SemidirectAmbient, carriers, mark
+from .burnside import (BurnsideElement, HTClass, SemidirectAmbient, _cocycle_kernel_order,
+                       _units, carriers, mark)
 from .diaggroups import perm_act
-from .errors import MembershipError, NotInvariantError, SizeBoundError
+from .errors import DegeneratePairingError, MembershipError, NotInvariantError, SizeBoundError
 from .intmat import (determinant, hermite_generators, hermite_key, hermite_order, in_hermite,
-                     kernel_mod)
+                     kernel_mod, kernel_order)
 from .permgroups import compose, conjugate, identity_perm, inverse, orbit, orbits
 from .polynomials import non_symmetry
 
@@ -227,6 +228,37 @@ def brute_cocycle_kernel_order(diag, perms, subgroup):
     return sum(1 for w in diag.elements
                if all(tuple((w[p[i]] - w[i]) % L for i in points) in subgroup
                       for p in pulls))
+
+
+def orbit_cocycle_order(ambient, closed, u_elements):
+    """c(U) as a kernel order: the cocycle kernel order into K_C, cut out
+    of G by the unit rows of C, for the one permutation whose cycles are
+    U's orbits on C.  The reference for the closed form
+    ``SemidirectAmbient.stratum_cocycle_order``."""
+    n = ambient.n
+    orbs = {frozenset(u[i] for u in u_elements) for i in closed}
+    cycles = list(range(n))
+    for block in map(sorted, orbs):
+        for a, b in zip(block, block[1:] + block[:1]):
+            cycles[a] = b
+    moved = (tuple(cycles),) if len(orbs) < len(closed) else ()
+    return _cocycle_kernel_order(ambient.diag, moved, _units(n, closed))
+
+
+def kernel_nondegenerate(pairing):
+    """Both radicals of the pairing are trivial, by kernel orders: no
+    nonzero element of either group pairs to zero with every generator of
+    the other.  Raises DegeneratePairingError otherwise.  The reference for
+    the block check ``CharacterPairing.verify_nondegenerate``."""
+    if pairing.left.order != pairing.right.order:
+        raise DegeneratePairingError(pairing.matrix, "group orders differ")
+    sides = ((pairing, "a nonzero character vanishes on the whole group"),
+             (pairing.swapped(), "a nonzero element is killed by every character"))
+    for side, what in sides:
+        left, right = side.left, side.right
+        rows = [side._congruence(a) for a in left.stratum(())[0]]  # K_empty = G
+        if kernel_order(right.congruences + rows, right.n, right.exponent) != 1:
+            raise DegeneratePairingError(pairing.matrix, what)
 
 
 def brute_annihilator(pairing, subgroup_elements):

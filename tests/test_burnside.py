@@ -232,12 +232,12 @@ def test_class_keys_come_from_the_lattice(monkeypatch):
 def test_classes_take_the_key_they_are_handed(monkeypatch):
     # a verdict's classes take H's generators and order from the closed form
     # of the stratum kernel their name hands them: each kernel is made once
-    # per subset, and no Hermite key of one is built.  The quintic is
-    # self-transposed with S trivial, so its 31 strata and the point name
-    # every subset exactly once, and the Saito dual asks for their
-    # complements, subsets again; the one key of its one group is that of
-    # E's rows mod L
-    from bhht import diaggroups, euler
+    # per subset, and no Hermite key is built, of H or of anything else.
+    # The quintic is self-transposed with S trivial, so its 31 strata and
+    # the point name every subset exactly once, and the Saito dual asks for
+    # their complements, subsets again
+    import bhht
+    from bhht import euler, intmat
 
     solved = []
     plain = DiagonalGroup.stratum_kernel
@@ -246,24 +246,17 @@ def test_classes_take_the_key_they_are_handed(monkeypatch):
         solved.append(tuple(subset))
         return plain(group, subset)
 
-    keyed = []
-    keyer = diaggroups.hermite_key
-
-    def recorded(generators, n, L):
-        keyed.append(tuple(map(tuple, generators)))
-        return keyer(generators, n, L)
-
     def refuse(*_args):
-        raise AssertionError("a class built the Hermite key of its H")
+        raise AssertionError("a verdict built a Hermite key")
 
     monkeypatch.setattr(DiagonalGroup, "stratum_kernel", counted)
-    monkeypatch.setattr(diaggroups, "hermite_key", recorded)
-    monkeypatch.setattr(burnside, "hermite_key", refuse)
+    original = intmat.hermite_key
+    for module in vars(bhht).values():
+        if getattr(module, "hermite_key", None) is original:
+            monkeypatch.setattr(module, "hermite_key", refuse)
     monkeypatch.setattr(euler, "_RECENT", type(euler._RECENT)(maxlen=2))
-    f = parse_polynomial(X1)
-    assert verify_duality(f, PermGroup(5, ())).equal
+    assert verify_duality(parse_polynomial(X1), PermGroup(5, ())).equal
     assert sorted(solved) == sorted(set(solved)) and len(solved) == 32
-    assert keyed == [f.rows]
 
 
 def test_element_arithmetic(small):

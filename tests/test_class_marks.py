@@ -1,9 +1,10 @@
 """Marks by class and the Saito dual by containment, against their oracles.
 
 Inside a stratum every class has H = K_C and the stabilizer fixes C, so a
-mark is a sum over the conjugates of T of one kernel order per orbit
-partition of C; the element scan of S and the coset count of
-``oracles.naive_mark`` must agree with it on every class pair.  The Saito
+mark is a sum over the conjugates U of T of c(U), read off the block
+generators; the element scan of S and the coset count of
+``oracles.naive_mark`` must agree with it on every class pair, and c(U)
+with its kernel order and with a scan of G on every subgroup U.  The Saito
 dual accepts ann(K_C) = K'_{C^c} by containment and orders; that must agree
 with the annihilator solved by keys on every C, and refuse a corrupted
 order or generator.
@@ -28,9 +29,10 @@ from bhht.oracles import (
     CONSISTENCY_ORDER_BOUND,
     brute_cocycle_kernel_order,
     naive_mark,
+    orbit_cocycle_order,
     stratum_key,
 )
-from bhht.permgroups import group_from_generators
+from bhht.permgroups import group_from_generators, orbits_on_subsets
 from bhht.polynomials import parse_polynomial, transpose
 
 
@@ -123,6 +125,45 @@ def test_orbit_partition_counts_match_a_scan_of_g_on_the_catalogue(name):
 def test_orbit_partition_counts_match_a_scan_of_g_on_generated_inputs():
     for matrix, perms in generated_pairs():
         assert_orbit_counts(matrix, perms)
+
+
+def assert_closed_form_counts(matrix, perms):
+    """c(U) in closed form against its kernel order, for f and f^T, every
+    stratum zero set C and every subgroup U of C's stabilizer, which fixes
+    C; returns the number of (C, U) compared."""
+    compared = 0
+    for side in (matrix, transpose(matrix)):
+        diag = DiagonalGroup(side.anchored())
+        for rep, stabilizer, _size in orbits_on_subsets(perms):
+            ambient = SemidirectAmbient(diag, stabilizer)
+            closed = diag.zero_set(rep)
+            assert ambient.fixes(closed)
+            for u in stabilizer.lattice.subgroups:
+                assert ambient.stratum_cocycle_order(closed, u) \
+                    == orbit_cocycle_order(ambient, closed, u), (side, closed, sorted(u))
+                compared += 1
+    return compared
+
+
+@pytest.mark.parametrize("name", catalogue_pairs())
+def test_closed_form_counts_match_the_kernel_order_on_the_catalogue(name):
+    assert assert_closed_form_counts(*catalogue_input(name))
+
+
+def test_closed_form_counts_match_the_kernel_order_on_generated_inputs():
+    assert sum(assert_closed_form_counts(m, s) for m, s in generated_pairs()) > 500
+
+
+@pytest.mark.parametrize("text, generators", SYMMETRIC + [
+    # a 5-loop rotated in place
+    ("x1^4*x2+x2^4*x3+x3^4*x4+x4^4*x5+x1*x5^4", ["(12345)"]),
+    # 2-loops turned inside a block and swapped across blocks
+    ("x1^3*x2+x1*x2^3+x3^3*x4+x3*x4^3", ["(12)", "(13)(24)"]),
+])
+def test_closed_form_counts_match_the_kernel_order_on_symmetric_inputs(text, generators):
+    matrix, perms = symmetric_input(text, generators)
+    assert assert_closed_form_counts(matrix, perms)
+    assert_orbit_counts(matrix, perms)
 
 
 def test_only_a_mixed_pair_is_scanned(monkeypatch):

@@ -11,7 +11,7 @@ from bhht.diaggroups import (
     independent_generators,
     perm_act,
 )
-from bhht.errors import MembershipError, SizeBoundError
+from bhht.errors import DegeneratePairingError, MembershipError, SizeBoundError
 from bhht.fixtures import load_catalogue
 from bhht.intmat import hermite_generators, hermite_key, hermite_order
 from bhht.oracles import (
@@ -21,6 +21,7 @@ from bhht.oracles import (
     brute_isotropy,
     brute_span,
     check_hermite_keys,
+    kernel_nondegenerate,
     stratum_key,
 )
 from bhht.permgroups import PermGroup, group_from_generators, parse_cycles
@@ -226,6 +227,70 @@ def test_pairing_nondegenerate_small():
     for text in ("x1^2*x2+x2^3", "x1^2*x2+x1*x2^3", "x1^3+x2^3",
                  "x1^2+x2^2+x3^2", "x1^4*x2+x2^4*x1"):
         CharacterPairing(parse_polynomial(text)).verify_nondegenerate()
+
+
+def nondegeneracy_refusals(pairing):
+    """The messages with which the block check and the kernel-order
+    reference refuse the pairing, "" for an accepted one."""
+    out = []
+    for check in (CharacterPairing.verify_nondegenerate, kernel_nondegenerate):
+        try:
+            check(pairing)
+            out.append("")
+        except DegeneratePairingError as exc:
+            out.append(str(exc))
+    return out
+
+
+def with_dual_generator_scaled(matrix, variables, k):
+    """A fresh pairing of f whose dual group has the generator of the block
+    on the given variables multiplied by k."""
+    pairing = CharacterPairing(matrix)
+    right = pairing.right
+    b = next(b for b, block in enumerate(right.blocks) if set(block[2]) == set(variables))
+    d, g, own = right.blocks[b]
+    right.blocks[b] = d, tuple(k * x % right.exponent for x in g), own
+    return pairing
+
+
+def pairing_inputs():
+    """Every catalogue matrix and 60 seeded invertible polynomials."""
+    rng = seeded(2711)
+    return ([fx.matrix for fx in load_catalogue().values() if "error" not in fx.expect]
+            + [random_invertible(rng, max_vars=5) for _ in range(60)])
+
+
+def test_block_nondegeneracy_agrees_with_the_kernel_orders():
+    for matrix in pairing_inputs():
+        assert nondegeneracy_refusals(CharacterPairing(matrix)) == ["", ""]
+
+
+def test_a_scaled_block_generator_is_refused_exactly_when_it_loses_order():
+    # k g'_B still generates <g'_B> when k is a unit mod d_B, and otherwise
+    # generates a proper subgroup: both checks refuse exactly then
+    refused = 0
+    for matrix in pairing_inputs()[::3]:
+        for d, _g, variables in DiagonalGroup(matrix.anchored()).blocks:
+            for k in (2, 3, 5, 7):
+                block, kernel = nondegeneracy_refusals(
+                    with_dual_generator_scaled(matrix, variables, k))
+                assert bool(block) == bool(kernel) == (gcd(k, d) > 1)
+                refused += bool(block)
+    assert refused > 20
+
+
+def test_a_degenerate_pairing_names_its_block():
+    # d = 6 on the chain x1^2 x2 + x2^3; doubling f^T's generator there
+    # leaves a subgroup of order 3, which the element 3 g_B kills
+    matrix = parse_polynomial("x1^2*x2+x2^3+x3^4")
+    pairing = with_dual_generator_scaled(matrix, (0, 1), 2)
+    with pytest.raises(DegeneratePairingError) as info:
+        pairing.verify_nondegenerate()
+    assert info.value.matrix == matrix
+    assert str(info.value) == ("degenerate character pairing: "
+                               "the block on x1, x2 does not pair to order 6")
+    with pytest.raises(DegeneratePairingError, match="killed by every character"):
+        kernel_nondegenerate(with_dual_generator_scaled(matrix, (0, 1), 2))
 
 
 def test_pairing_symmetric_under_swap(x15):

@@ -181,11 +181,10 @@ def test_structural_failure_carries_stratum_class_and_residual(monkeypatch):
     monkeypatch.undo()
 
     # a fixed-element count one too many: the class formula's c(U) for the
-    # trivial U, one kernel order per orbit partition, reads 5, and mark
-    # divides 5 by |K'| = 2
-    count = burnside_mod._cocycle_kernel_order
-    monkeypatch.setattr(burnside_mod, "_cocycle_kernel_order",
-                        lambda diag, perms, congruences: count(diag, perms, congruences) + 1)
+    # trivial U, in closed form, reads 5, and mark divides 5 by |K'| = 2
+    count = burnside_mod.SemidirectAmbient.stratum_cocycle_order
+    monkeypatch.setattr(burnside_mod.SemidirectAmbient, "stratum_cocycle_order",
+                        lambda ambient, closed, u_elements: count(ambient, closed, u_elements) + 1)
     with pytest.raises(StructuralAssumptionViolated) as info:
         euler_analysis(f, swap)
     assert (info.value.stratum, info.value.class_order, info.value.residual) \
@@ -487,7 +486,20 @@ def test_missing_dual_stratum_fails_the_complement_check():
     del analysis.strata[_stratum(analysis, (0,))]
     check = lemma_level_checks(fx.matrix, s).checks[2]
     assert not check.passed
-    assert check.detail == "stratum (0, 1) is full but its dual complement is not"
+    assert check.detail == "stratum (1, 2) is full but its dual complement is not"
+
+
+def test_differing_diagrams_are_named_by_one_based_strata(monkeypatch):
+    # x14_z2a: the strata (5), (1234) and the open torus share a coloured
+    # diagram, on f and on f^T alike; the corrupted analysis is not kept
+    monkeypatch.setattr(euler, "_RECENT", deque(maxlen=2))
+    fx = load_catalogue()["x14_z2a"]
+    s = fx.perm_group()
+    _shift_shallow_class((4,))(euler_analysis(fx.matrix, s))
+    check = lemma_level_checks(fx.matrix, s).checks[4]
+    assert not check.passed
+    assert check.detail == ("coefficient vectors differ on strata "
+                            + str([(5,), (1, 2, 3, 4), (1, 2, 3, 4, 5)] * 2))
 
 
 def test_deepest_coefficient_matches_orbit_parity(x14):
@@ -631,14 +643,11 @@ def test_one_diagonal_group_per_side_of_a_verdict(monkeypatch, text, generators,
     assert len(calls) == built
 
 
-@pytest.mark.parametrize("name", ["pc_a3", "x15_z5", "table1_r2"])
-def test_every_hermite_key_of_a_verdict_is_n_wide(monkeypatch, name):
-    # kernels mod L are solved at most n columns wide; a lattice stacked
-    # k + n wide would show here as a wider key
+def measure_hermite_keys(monkeypatch):
+    """Every Hermite key any bhht module builds from here on, by its width;
+    each generator must be as wide as the key."""
     import bhht
 
-    fx = load_catalogue()[name]
-    n = fx.matrix.n
     original = intmat.hermite_key
     widths = []
 
@@ -652,10 +661,56 @@ def test_every_hermite_key_of_a_verdict_is_n_wide(monkeypatch, name):
         if getattr(module, "hermite_key", None) is original:
             monkeypatch.setattr(module, "hermite_key", measured)
     monkeypatch.setattr(euler, "_RECENT", deque(maxlen=2))
+    return widths
+
+
+@pytest.mark.parametrize("name", ["pc_a3", "x15_z5", "table1_r2"])
+def test_every_hermite_key_of_a_verdict_is_n_wide(monkeypatch, name):
+    # a verdict and its lemma checks build no Hermite key at all; the paths
+    # that still key, an annihilator, a fixture's subgroup lines and a scan
+    # of S for a mixed class pair, solve kernels mod L at most n columns
+    # wide: a lattice stacked k + n wide would show here as a wider key
+    from bhht.burnside import conjugators_by_scan, stratum_class
+    from bhht.diaggroups import CharacterPairing
+    from bhht.fixtures import format_group_subgroup
+
+    fx = load_catalogue()[name]
+    n = fx.matrix.n
+    widths = measure_hermite_keys(monkeypatch)
     s = fx.perm_group()
-    assert verify_duality(fx.matrix, s).equal
+    report = verify_duality(fx.matrix, s)
+    assert report.equal
     assert lemma_level_checks(fx.matrix, s).all_passed
-    assert max(widths) == n
+    assert widths == []
+
+    group = report.lhs_analysis.group
+    pairing = CharacterPairing.between(group, report.rhs_analysis.group)
+    kernel = stratum_elements(group, (0,))
+    assert len(pairing.annihilator(kernel)) * len(kernel) == group.order
+    assert format_group_subgroup(group, kernel) != ["full"]
+    annihilator_keys = len(widths)
+    # [G x| S] against [K_full x| S]: two strata, so S is scanned, and the
+    # cocycle count for S's generators is a kernel order
+    ambient = report.lhs_analysis.ambient
+    point = stratum_class(ambient, (), s.elements)
+    torus = stratum_class(ambient, tuple(range(n)), s.elements)
+    assert point.closed != torus.closed
+    assert conjugators_by_scan(point, torus)
+    assert annihilator_keys < len(widths) and set(widths) == {n}
+
+
+@pytest.mark.parametrize("name", [name for name in catalogue_pairs()
+                                  if abs(CATALOGUE[name].matrix.determinant())
+                                  * CATALOGUE[name].perm_group().order <= 10_000])
+def test_a_verdict_builds_no_hermite_key(monkeypatch, name):
+    # c(U) and nondegeneracy come from the block generators, and G's
+    # congruences are keyed only on first use, which no verdict makes
+    fx = CATALOGUE[name]
+    widths = measure_hermite_keys(monkeypatch)
+    s = fx.perm_group()
+    if verify_duality(fx.matrix, s).pc.satisfies:
+        assert lemma_level_checks(fx.matrix, s).all_passed
+    assert widths == []
 
 
 def verdict_input(name):
