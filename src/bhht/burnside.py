@@ -14,7 +14,9 @@ carries the one C to the other and T onto the other T.  So a class is
 named (C0, key): C0 represents C's orbit under S, and key is T's class key
 in the lattice of S_C0.  Induction keeps the name of a stratum's class, and
 the Saito dual sends K_C to ann(K_C) = K'_{C^c}, checked once per C and
-renamed through the orbit transversal (``PermGroup.subset_orbits``).  H
+renamed by the orbit of the new zero set (``PermGroup.subset_orbit``, which
+walks an orbit the first time it is asked for; zero sets are full, so these
+are orbits the stratification has walked already).  H
 comes with its generators and order in closed form
 (``DiagonalGroup.stratum_kernel``), and membership in it is v_i = 0 on C.
 No class scans S or computes a Hermite key.  Output orders classes by
@@ -242,7 +244,7 @@ def _renamed(ambient, closed, t_elements):
     kernel and T <= P_C: the transversal element s carries C to its
     representative C0, where the class is named by the key of sTs^-1 in
     P_C0's lattice."""
-    rep, s, stabilizer = ambient.perms.subset_orbits[1][closed]
+    rep, s, stabilizer = ambient.perms.subset_orbit(closed)
     if rep != closed:
         t_elements = frozenset([conjugate(s, t) for t in t_elements])
     return _named(ambient, rep, stabilizer.lattice.key_of[t_elements])

@@ -1,10 +1,15 @@
 """Equivariant Euler characteristics of Milnor fibres by torus stratification.
 
-The fibre is cut along the coordinate tori.  On the stratum of a subset I
-the classes that can occur as isotropy groups are the [K_I x| T], for K_I
-the stratum kernel and T <= S_I, and their coefficients are obtained by
-exactly solving the triangular system of marks against the fixed-point
-Euler characteristics, which are plain determinant counts.  Both whether a
+The fibre is cut along the coordinate tori.  A stratum contributes only
+when f^I is full, that is when the subset I is closed under the chain and
+loop successors; S maps such subsets to such subsets, so only their
+S-orbits are walked, on demand (``ExponentMatrix.full_subsets``,
+``PermGroup.orbits_of``), and never the orbits of all 2^n subsets.  On
+the stratum of I the classes that can occur as isotropy groups are the
+[K_I x| T], for K_I the stratum kernel and T <= S_I, and their
+coefficients are obtained by exactly solving the triangular system of
+marks against the fixed-point Euler characteristics, which are plain
+determinant counts.  Both whether a
 stratum counts and those counts are read off f's anchored exponent rows
 (``fixed_chi``); f is never restricted to a stratum.  Each class is
 named by its stratum: by the zero set C of K_I, which is I itself unless
@@ -32,7 +37,7 @@ from .burnside import (
 from .diaggroups import CharacterPairing, DiagonalGroup, perm_act
 from .errors import NotInvariantError, StructuralAssumptionViolated
 from .intmat import determinant
-from .permgroups import orbit_count, orbits, orbits_on_subsets, pc_check
+from .permgroups import orbit_count, orbits, pc_check
 from .polynomials import check_invariance, transpose
 
 
@@ -224,8 +229,8 @@ def euler_analysis(matrix, perms):
     ambient = SemidirectAmbient(group, perms)
     total = {}  # the strata's classes and their summed coefficients
     strata = []
-    for rep, stab, size in orbits_on_subsets(perms):
-        if not rep or not matrix.full_on(rep):
+    for rep, stab, size in perms.orbits_of(matrix.full_subsets()):
+        if not rep:
             continue
         contribution = _stratum_contribution(matrix, rep, group, perms, stab, size)
         for cls, c in contribution.induced.coefficients.items():
@@ -339,12 +344,11 @@ def lemma_level_checks(matrix, perms):
     ok_c = True
     detail_c = ""
     rhs_by_subset = {s.subset: s for s in rhs.strata}
-    representatives = perms.subset_orbits[1]
     for s in lhs.strata:
         if len(s.subset) in (0, n):
             continue
         complement = tuple(i for i in range(n) if i not in s.subset)
-        dual_side = rhs_by_subset.get(representatives[complement][0])
+        dual_side = rhs_by_subset.get(perms.subset_orbit(complement)[0])
         if dual_side is None:
             ok_c = False
             detail_c = ("stratum %s is full but its dual complement is not"

@@ -17,7 +17,7 @@ from .diaggroups import perm_act
 from .errors import DegeneratePairingError, MembershipError, NotInvariantError, SizeBoundError
 from .intmat import (determinant, hermite_generators, hermite_key, hermite_order, in_hermite,
                      kernel_mod, kernel_order)
-from .permgroups import compose, conjugate, identity_perm, inverse, orbit, orbits
+from .permgroups import compose, conjugate, identity_perm, inverse, orbit, orbits, subset_image
 from .polynomials import non_symmetry
 
 # Every enumeration here lists a whole group; none runs on one larger than this.
@@ -196,6 +196,52 @@ def brute_normalizer_order(group, subgroup):
 def brute_subset_representative(perms, subset):
     """The least sorted image of a subset over every element of S."""
     return min(tuple(sorted(p[i] for i in subset)) for p in perms.elements)
+
+
+def subset_orbits(group):
+    """The orbits on all 2^n subsets of {0..n-1}, every one walked.
+
+    Returns a list of (representative, stabilizer, orbit size) sorted by
+    (representative size, representative), and a dict from every subset,
+    as a sorted tuple, to (its representative, an s with s(subset) =
+    representative, the representative's stabilizer).  The representative
+    is the least sorted tuple in its orbit, and every stabilizer comes from
+    a scan of the group: the reference for ``PermGroup.subset_orbit``.
+    """
+    n = group.n
+    identity = identity_perm(n)
+    out = []
+    transversal = {}
+    for mask in range(1 << n):
+        base = tuple(i for i in range(n) if mask >> i & 1)
+        if base in transversal:
+            continue
+        reach = {base: identity}
+        frontier = [base]
+        while frontier:
+            nxt = []
+            for g in group.generators:
+                for x in frontier:
+                    y = tuple(sorted(g[i] for i in x))
+                    if y not in reach:
+                        reach[y] = compose(g, reach[x])
+                        nxt.append(y)
+            frontier = nxt
+        rep = min(reach)
+        stab = group.subgroup([p for p in group.elements
+                               if subset_image(p, rep) == set(rep)])
+        to_rep = reach[rep]
+        for subset, p in reach.items():
+            transversal[subset] = (rep, compose(to_rep, inverse(p)), stab)
+        out.append((rep, stab, len(reach)))
+    out.sort(key=lambda t: (len(t[0]), t[0]))
+    return out, transversal
+
+
+def orbits_on_subsets(group):
+    """Orbits of the group on all subsets of {0..n-1}: the list of
+    ``subset_orbits``."""
+    return subset_orbits(group)[0]
 
 
 def brute_conjugate_element(ambient, h1, t1, h2, t2):

@@ -149,50 +149,69 @@ class PermGroup:
     def lattice(self):
         return SubgroupLattice(self)
 
-    @cached_property
-    def subset_orbits(self):
-        """The orbits on all subsets of {0..n-1}, walked once per group.
+    # subset -> (its representative, s with s(subset) = representative, the
+    # representative's stabilizer), for the orbits walked so far; made on
+    # the first walk, so a group that walks none carries none
+    _walked = None
 
-        Returns a list of (representative, stabilizer, orbit size) sorted by
-        (representative size, representative), and a dict from every subset,
-        as a sorted tuple, to (its representative, an s with s(subset) =
-        representative, the representative's stabilizer).  The
-        representative is the lexicographically least sorted tuple in its
-        orbit, and carries itself by the identity.  Equal stabilizers are
-        one object, the group itself for a subset the group fixes.  The walk
-        keeps, for each subset it meets, a p carrying the orbit's first
-        subset there, so s is the representative's p after the subset's p
-        inverted.
+    def subset_orbit(self, subset):
+        """(representative, s, stabilizer) for a subset given as a sorted tuple.
+
+        The representative is the lexicographically least sorted tuple in
+        the subset's orbit, and carries itself by the identity; s carries
+        the subset to it, and the stabilizer is the representative's.  The
+        orbit is walked the first time one of its members is asked for, and
+        the answer is kept for every member.  The walk keeps, for each
+        subset it meets, a p carrying the subset asked for there, so s is
+        the representative's p after the member's p inverted.  Equal
+        stabilizers are one object: the group itself for a subset it fixes,
+        the trivial subgroup for an orbit of |group| subsets, and otherwise
+        the subgroup of the elements that fix the representative.
         """
-        n = self.n
-        identity = identity_perm(n)
-        out = []
-        transversal = {}
-        for mask in range(1 << n):
-            base = tuple(i for i in range(n) if mask >> i & 1)
-            if base in transversal:
-                continue
-            reach = {base: identity}
-            frontier = [base]
-            while frontier:
-                nxt = []
-                for g in self.generators:
-                    for x in frontier:
-                        y = tuple(sorted(g[i] for i in x))
-                        if y not in reach:
-                            reach[y] = compose(g, reach[x])
-                            nxt.append(y)
-                frontier = nxt
-            rep = min(reach)
+        walked = self._walked
+        if walked is None:
+            walked = self._walked = {}
+        known = walked.get(subset)
+        if known is not None:
+            return known
+        identity = identity_perm(self.n)
+        reach = {subset: identity}
+        frontier = [subset]
+        while frontier:
+            nxt = []
+            for g in self.generators:
+                for x in frontier:
+                    y = tuple(sorted([g[i] for i in x]))
+                    if y not in reach:
+                        reach[y] = compose(g, reach[x])
+                        nxt.append(y)
+            frontier = nxt
+        rep = min(reach)
+        if len(reach) == 1:
+            stab = self
+        elif len(reach) == self.order:
+            stab = self.subgroup([identity])
+        else:
+            inside = set(rep)
             stab = self.subgroup([p for p in self.elements
-                                  if subset_image(p, rep) == set(rep)])
+                                  if subset_image(p, rep) == inside])
             assert self.order == len(reach) * stab.order
-            to_rep = reach[rep]
-            for subset, p in reach.items():
-                transversal[subset] = (rep, compose(to_rep, inverse(p)), stab)
-            out.append((rep, stab, len(reach)))
-        out.sort(key=lambda t: (len(t[0]), t[0]))
-        return out, transversal
+        to_rep = reach[rep]
+        for member, p in reach.items():
+            walked[member] = (rep, compose(to_rep, inverse(p)), stab)
+        return walked[subset]
+
+    def orbits_of(self, subsets):
+        """The orbits that meet the subsets, each given as sorted tuples, as
+        (representative, stabilizer, orbit size) sorted by (representative
+        size, representative)."""
+        stabilizers = {}
+        for subset in subsets:
+            rep, _s, stab = self.subset_orbit(subset)
+            stabilizers[rep] = stab
+        return [(rep, stab, self.order // stab.order)
+                for rep, stab in sorted(stabilizers.items(),
+                                        key=lambda item: (len(item[0]), item[0]))]
 
 
 NAMED_GROUPS = {
@@ -421,9 +440,3 @@ def pc_check(group):
         if (len(orbits) - n) % 2 != 0:
             return PCResult(False, group.subgroup(rep))
     return PCResult(True, None)
-
-
-def orbits_on_subsets(group):
-    """Orbits of the group on all subsets of {0..n-1}: the list of
-    ``PermGroup.subset_orbits``."""
-    return group.subset_orbits[0]

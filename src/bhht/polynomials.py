@@ -118,6 +118,17 @@ class ExponentMatrix:
         inside = set(subset)
         return all(succ[a] is None or succ[a] in inside for a in subset)
 
+    def full_subsets(self):
+        """Every subset on which f^I is full (``full_on``), as sorted tuples
+        in sorted order: the subsets closed under successors, which take a
+        suffix of each chain, in block order, and all or none of each loop."""
+        subsets = [()]
+        for block in self.validate():
+            vs = block.variables
+            parts = [vs[k:] for k in range(len(vs) + 1)] if block.kind == CHAIN else [(), vs]
+            subsets = [s + part for s in subsets for part in parts]
+        return sorted(tuple(sorted(s)) for s in subsets)
+
 
 def parse_polynomial(text):
     """Parse the fixture polynomial grammar into an ExponentMatrix."""

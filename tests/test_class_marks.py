@@ -30,9 +30,10 @@ from bhht.oracles import (
     brute_cocycle_kernel_order,
     naive_mark,
     orbit_cocycle_order,
+    orbits_on_subsets,
     stratum_key,
 )
-from bhht.permgroups import group_from_generators, orbits_on_subsets
+from bhht.permgroups import group_from_generators
 from bhht.polynomials import parse_polynomial, transpose
 
 

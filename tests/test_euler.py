@@ -19,6 +19,7 @@ from bhht.fixtures import load_catalogue
 from bhht.oracles import (
     check_fixed_point_consistency,
     diagonal_restrict,
+    orbits_on_subsets,
     restrict,
     stratum_chi_fixed,
 )
@@ -27,7 +28,6 @@ from bhht.permgroups import (
     group_from_generators,
     identity_perm,
     orbit_count,
-    orbits_on_subsets,
     pc_check,
 )
 from bhht.polynomials import parse_polynomial, transpose

@@ -17,7 +17,6 @@ from bhht.permgroups import (
     orbit,
     orbit_count,
     orbits,
-    orbits_on_subsets,
     parse_cycles,
     pc_check,
     subset_image,
@@ -28,6 +27,7 @@ from bhht.oracles import (
     brute_subgroups,
     brute_subset_representative,
     lattice_pc_witness,
+    orbits_on_subsets,
 )
 
 S5 = ["(12345)", "(12)"]
