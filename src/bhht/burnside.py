@@ -26,22 +26,23 @@ output and the oracles, which name classes of any H by Hermite keys
 
 Marks come from Burnside's formula in closed form: conjugation by (v, s)
 moves (h, t) to (s^-1(h + t.v - v), s^-1 t s), so fixed cosets are counted
-from S and G alone and the semidirect product is never listed.
+from S and G alone and the semidirect product is never listed.  The class
+K' whose cosets are counted is always named by stratum, and no mark builds
+a Hermite key: each s counts the cocycles of U = s^-1 T s into K_C', which
+is c_C'(U) in closed form.
 """
 
 from functools import cached_property
 from math import gcd, lcm
-from operator import mul
 
 from .diaggroups import check_listing_bound, independent_generators, perm_act
 from .errors import AmbientMismatchError, StructuralAssumptionViolated
-from .intmat import hermite_dual, hermite_key, in_hermite, kernel_order
+from .intmat import hermite_key, in_hermite
 from .permgroups import (
     compose,
     conjugate,
     cycle_notation,
     generating_set,
-    identity_perm,
     inverse,
     subset_image,
 )
@@ -57,8 +58,6 @@ class SemidirectAmbient:
         self.perms = perms
         self.n = diag.n
         self.order = diag.order * perms.order
-        self.identity = (diag.zero, identity_perm(self.n))
-        self._cocycles = {}  # congruences of H -> {perms: order}
         self._by_subgroup = {}  # (C, U) -> c(U)
 
     @property
@@ -68,26 +67,15 @@ class SemidirectAmbient:
     def compatible(self, other):
         return self.signature == other.signature
 
-    def cocycle_kernel_order(self, congruences, perms):
-        """#{w in G : u.w - w lies in H for every u in perms}, for the H cut
-        out of G by the congruences (``HTClass.h_congruences``).  Classes
-        share their H, so the orders are kept per H and perms, for as long
-        as the ambient group."""
-        orders = self._cocycles.setdefault(congruences, {})
-        order = orders.get(perms)
-        if order is None:
-            order = orders[perms] = _cocycle_kernel_order(self.diag, perms, congruences)
-        return order
-
     def fixes(self, closed):
         """Whether P maps the point set to itself."""
         points = frozenset(closed)
         return all(subset_image(g, closed) == points for g in self.perms.generators)
 
     def stratum_cocycle_order(self, closed, u_elements):
-        """c(U) = #{w in G : w is constant on U's orbits in C}, for a
-        subgroup U of P given by its elements and a zero set C that P
-        fixes, in closed form and once per C and U.
+        """c(U) = #{w in G : w is constant on U's orbits in C}, for a zero
+        set C and a subgroup U of P that fixes C, given by its elements, in
+        closed form and once per C and U.  P itself need not fix C.
 
         Such a w is a U-fixed element of G restricted to C, lifted in |K_C|
         ways.  G restricted to C is the direct sum of the cyclic <g_B|C>,
@@ -174,14 +162,6 @@ class HTClass:
         return hermite_key(self.h_gens, diag.n, diag.exponent)
 
     @cached_property
-    def h_congruences(self):
-        """Rows c with c.v = 0 mod L exactly for the v of G in H: the unit
-        rows of C for H = K_C, else the dual of H's key."""
-        if self.closed is None:
-            return tuple(map(tuple, hermite_dual(self.h_key, self.ambient.diag.exponent)))
-        return _units(self.ambient.n, self.closed)
-
-    @cached_property
     def h_elements(self):
         return self.ambient.diag.kernel_elements(self.h_key)
 
@@ -203,10 +183,6 @@ class HTClass:
             if best_h is None or hc < best_h:
                 best_h = hc
         return best_t, best_h
-
-    def subgroup_elements(self):
-        return [(h, t) for h in sorted(self.h_elements)
-                for t in sorted(self.t_elements)]
 
     def describe(self):
         """The class for output, read from the representative of ``tag``."""
@@ -306,17 +282,21 @@ class BurnsideElement:
 def mark(kprime, k):
     """Number of K-fixed points on the coset space (G x| P) / K'.
 
-    Burnside's formula counts #{g : g^-1 K g <= K'} / |K'|.  Two classes of
+    Burnside's formula counts #{g : g^-1 K g <= K'} / |K'|.  K' must be
+    named by stratum, H' = K_C'; K may be any split class.  Two classes of
     one stratum, H = H' = K_C with P fixing C, count by the conjugates of T
     (``conjugators_by_class``); any other pair by a scan of P
-    (``conjugators_by_scan``).  A count that |K'| does not divide is a
-    structural failure, reported with its residual.
+    (``conjugators_by_scan``).  Neither builds a Hermite key.  A count that
+    |K'| does not divide is a structural failure, reported with its
+    residual.
     """
     ambient = kprime.ambient
     if not ambient.compatible(k.ambient):
         raise AmbientMismatchError("marks need a common ambient group")
+    if kprime.closed is None:
+        raise ValueError("a mark counts the cosets of a class named by stratum")
     closed = k.closed
-    if closed is not None and closed == kprime.closed and ambient.fixes(closed):
+    if closed == kprime.closed and ambient.fixes(closed):
         total = conjugators_by_class(kprime, k)
     else:
         total = conjugators_by_scan(kprime, k)
@@ -330,32 +310,26 @@ def mark(kprime, k):
 
 
 def conjugators_by_scan(kprime, k):
-    """#{g in G x| P : g^-1 K g <= K'}, by a scan of P.
+    """#{g in G x| P : g^-1 K g <= K'}, by a scan of P, for K' = K_C' x| T'.
 
-    For K = H x| T, K' = H' x| T' and g = (v, s), the conjugate of (h, t) is
+    For K = H x| T and g = (v, s), the conjugate of (h, t) is
     (s^-1(h + t.v - v), s^-1 t s), so g qualifies exactly when
-    s^-1 T s <= T', H <= s.H' and t.v - v lies in s.H' for every generator t
-    of T (a cocycle condition into the T-module G / s.H').  Writing v = s.w,
-    the count over v is #{w in G : u.w - w in H'} for the generators
-    u = s^-1 t s, so it depends on s only through those u.  H <= s.H' is
-    tested on H's generators by the congruences of H', for H' = K_C' the
-    unit rows of C': s^-1.h vanishes on C'.
+    U = s^-1 T s <= T', H <= s.K_C' = K_s(C'), that is H's generators
+    vanish on s(C'), and t.v - v lies in K_s(C') for every t of T.  Writing
+    v = s.w, the count over v is #{w in G : u.w - w vanishes on C' for u in
+    U}.  U <= T' fixes C', so u.w - w vanishes on C' exactly when w is
+    constant on U's orbits in C', and each s adds c_C'(U)
+    (``SemidirectAmbient.stratum_cocycle_order``).
     """
     ambient = kprime.ambient
     tp = kprime.t_elements
-    identity = ambient.identity[1]
-    congruences = kprime.h_congruences
-    L = ambient.diag.exponent
+    closed = kprime.closed
     total = 0
     for s in ambient.perms.elements:
         si = inverse(s)
-        moved = tuple(u for u in (compose(si, compose(t, s)) for t in k.t_gens)
-                      if u != identity)
-        if not all(u in tp for u in moved):
-            continue
-        if any(sum(map(mul, c, perm_act(si, h))) % L for h in k.h_gens for c in congruences):
-            continue
-        total += ambient.cocycle_kernel_order(congruences, moved)
+        u = frozenset([compose(si, compose(t, s)) for t in k.t_elements])
+        if u <= tp and not any(h[s[i]] for h in k.h_gens for i in closed):
+            total += ambient.stratum_cocycle_order(closed, u)
     return total
 
 
@@ -365,9 +339,7 @@ def conjugators_by_class(kprime, k):
     that lie in T'.
 
     Every s in P fixes K_C, so the scan's test H <= s.H' always passes, and
-    the s with s^-1 T s = U are a coset of N(T); each adds the cocycle
-    kernel order into K_C of U's generators, which is c(U)
-    (``SemidirectAmbient.stratum_cocycle_order``).
+    the s with s^-1 T s = U are a coset of N(T), each adding c(U).
     """
     ambient = kprime.ambient
     lattice = ambient.perms.lattice
@@ -376,25 +348,6 @@ def conjugators_by_class(kprime, k):
     closed = k.closed
     total = sum(ambient.stratum_cocycle_order(closed, u) for u in conjugates if u <= tp)
     return ambient.perms.order // len(conjugates) * total
-
-
-def _units(n, closed):
-    """The unit rows e_i for the points i of C: they cut K_C out of G."""
-    return tuple(tuple(int(i == j) for i in range(n)) for j in closed)
-
-
-def _cocycle_kernel_order(diag, perms, congruences):
-    """#{w in G : u.w - w lies in H' for every u in perms}.
-
-    H' is given by its congruences c (c.x = 0 mod L exactly on H' within
-    G); since (u.w)_i = w_{u^-1(i)}, c.(u.w - w) = 0 is the row
-    c_{u(i)} - c_i, and the count is the order of a kernel.
-    """
-    if not perms:
-        return diag.order
-    points = range(diag.n)
-    rows = [[c[u[i]] - c[i] for i in points] for u in perms for c in congruences]
-    return kernel_order(diag.congruences + rows, diag.n, diag.exponent)
 
 
 def induction(element, perms_big):

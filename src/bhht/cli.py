@@ -430,16 +430,17 @@ def cmd_selftest(args):
          lambda: _expect(lemma_level_checks(E, S).all_passed, "lemma check failed"))
 
     def marks_battery():
-        G = DiagonalGroup(E.anchored())
-        amb = SemidirectAmbient(G, S)
-        classes = {key_class(amb, hermite_key(h, G.n, G.exponent), t)
+        analysis = euler_analysis(E, S)
+        G = analysis.group
+        classes = {key_class(analysis.ambient, hermite_key(h, G.n, G.exponent), t)
                    for h, t in split_subgroup_pairs(G, S)}
-        for a in classes:
+        # chi's classes against every split class, as the oracle sweep pairs them
+        for a in analysis.element.coefficients:
             for b in classes:
                 if mark(a, b) != naive_mark(a, b):
                     raise AssertionError("mark mismatch on %r / %r" % (a, b))
         # the classes of each stratum, by the class formula and by a scan of S_I
-        for stratum in euler_analysis(E, S).strata:
+        for stratum in analysis.strata:
             amb = SemidirectAmbient(G, stratum.stabilizer)
             classes = [stratum_class(amb, stratum.subset, key) for key in stratum.class_keys]
             for a in classes:

@@ -89,10 +89,6 @@ class DiagonalGroup:
         L = self.exponent
         return tuple((x + y) % L for x, y in zip(a, b))
 
-    def neg(self, a):
-        L = self.exponent
-        return tuple((-x) % L for x in a)
-
     @cached_property
     def elements(self):
         return tuple(sorted(self.kernel_elements(self.kernel())))

@@ -11,8 +11,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .burnside import (BurnsideElement, HTClass, SemidirectAmbient, _cocycle_kernel_order,
-                       _units, carriers, mark)
+from .burnside import BurnsideElement, HTClass, SemidirectAmbient, carriers, mark
 from .diaggroups import perm_act
 from .errors import DegeneratePairingError, MembershipError, NotInvariantError, SizeBoundError
 from .intmat import (determinant, hermite_generators, hermite_key, hermite_order, in_hermite,
@@ -35,7 +34,8 @@ def mul(ambient, a, b):
 def inv(ambient, a):
     v, s = a
     si = inverse(s)
-    return (ambient.diag.neg(perm_act(si, v)), si)
+    L = ambient.diag.exponent
+    return (tuple((-x) % L for x in perm_act(si, v)), si)
 
 
 def loop_perm_act(perm, vector):
@@ -122,10 +122,15 @@ def key_saito_dual(element, pairing):
     return BurnsideElement(dual_ambient, out)
 
 
+def subgroup_elements(cls):
+    """Every element (h, t) of a class's representative H x| T, sorted."""
+    return [(h, t) for h in sorted(cls.h_elements) for t in sorted(cls.t_elements)]
+
+
 def naive_mark(kprime, k):
     """Fixed cosets counted with explicit coset sets, no closed form."""
     ambient = kprime.ambient
-    members = kprime.subgroup_elements()
+    members = subgroup_elements(kprime)
     cosets = set()
     covered = set()
     for g in ambient_elements(ambient):
@@ -133,7 +138,7 @@ def naive_mark(kprime, k):
             coset = frozenset(mul(ambient, g, m) for m in members)
             covered |= coset
             cosets.add(coset)
-    kelems = k.subgroup_elements()
+    kelems = subgroup_elements(k)
     count = 0
     for coset in cosets:
         if all(frozenset(mul(ambient, x, g) for g in coset) == coset for x in kelems):
@@ -276,6 +281,20 @@ def brute_cocycle_kernel_order(diag, perms, subgroup):
                       for p in pulls))
 
 
+def cocycle_kernel_order(diag, perms, congruences):
+    """#{w in G : u.w - w lies in H' for every u in perms}.
+
+    H' is given by its congruences c (c.x = 0 mod L exactly on H' within
+    G); since (u.w)_i = w_{u^-1(i)}, c.(u.w - w) = 0 is the row
+    c_{u(i)} - c_i, and the count is the order of a kernel.
+    """
+    if not perms:
+        return diag.order
+    points = range(diag.n)
+    rows = [[c[u[i]] - c[i] for i in points] for u in perms for c in congruences]
+    return kernel_order(diag.congruences + rows, diag.n, diag.exponent)
+
+
 def orbit_cocycle_order(ambient, closed, u_elements):
     """c(U) as a kernel order: the cocycle kernel order into K_C, cut out
     of G by the unit rows of C, for the one permutation whose cycles are
@@ -288,7 +307,8 @@ def orbit_cocycle_order(ambient, closed, u_elements):
         for a, b in zip(block, block[1:] + block[:1]):
             cycles[a] = b
     moved = (tuple(cycles),) if len(orbs) < len(closed) else ()
-    return _cocycle_kernel_order(ambient.diag, moved, _units(n, closed))
+    units = [[int(i == j) for i in range(n)] for j in closed]
+    return cocycle_kernel_order(ambient.diag, moved, units)
 
 
 def kernel_nondegenerate(pairing):

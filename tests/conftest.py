@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import settings
 
-from bhht.burnside import BurnsideElement
+from bhht.burnside import BurnsideElement, stratum_class
 from bhht.intmat import hermite_generators, hermite_key
 from bhht.polynomials import ExponentMatrix, parse_polynomial
 
@@ -42,6 +42,21 @@ def stratum_elements(group, subset):
     """The stratum kernel K_I listed, from the closed-form generators of
     ``DiagonalGroup.stratum_kernel``."""
     return group.kernel_elements(key_of(group, group.stratum_kernel(subset)[0]))
+
+
+def stratum_classes_of(ambient):
+    """Every class [K_C x| T] of G x| S named by stratum, the classes a mark
+    counts the cosets of: for every subset I, C = Z(K_I) taken to its
+    S-orbit representative, and every class key of that stabilizer's
+    lattice; sorted by name."""
+    n = ambient.n
+    classes = set()
+    for mask in range(1 << n):
+        closed = ambient.diag.zero_set(tuple(i for i in range(n) if mask >> i & 1))
+        rep, _s, stabilizer = ambient.perms.subset_orbit(closed)
+        classes.update(stratum_class(ambient, rep, key)
+                       for key in stabilizer.lattice.class_members)
+    return sorted(classes, key=lambda cls: cls.name)
 
 
 def key_zero_set(group, key):

@@ -4,14 +4,18 @@ Inside a stratum every class has H = K_C and the stabilizer fixes C, so a
 mark is a sum over the conjugates U of T of c(U), read off the block
 generators; the element scan of S and the coset count of
 ``oracles.naive_mark`` must agree with it on every class pair, and c(U)
-with its kernel order and with a scan of G on every subgroup U.  The Saito
+with its kernel order and with a scan of G on every subgroup U.  The marks
+of chi's own classes against every split class, most of them scanned,
+must match the coset count on drawn sums of identical blocks.  The Saito
 dual accepts ann(K_C) = K'_{C^c} by containment and orders; that must agree
 with the annihilator solved by keys on every C, and refuse a corrupted
 order or generator.
 """
 
 import pytest
-from conftest import key_zero_set
+from conftest import key_of, key_zero_set
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from test_stratum_naming import CATALOGUE, catalogue_pairs, generated_pairs
 
 from bhht import burnside
@@ -28,9 +32,11 @@ from bhht.intmat import hermite_generators, hermite_order, in_hermite
 from bhht.oracles import (
     CONSISTENCY_ORDER_BOUND,
     brute_cocycle_kernel_order,
+    key_class,
     naive_mark,
     orbit_cocycle_order,
     orbits_on_subsets,
+    split_subgroup_pairs,
     stratum_key,
 )
 from bhht.permgroups import group_from_generators
@@ -188,6 +194,55 @@ def test_only_a_mixed_pair_is_scanned(monkeypatch):
         for k in classes:
             mark(kp, k)
     assert scanned == mixed
+
+
+@st.composite
+def identical_blocks(draw):
+    """(f, S) for f a sum of identical blocks, Fermat terms x^a, 2-chains
+    x^a*y + y^b or 2-loops x^a*y + x*y^b, and S generated by a rotation of
+    the blocks, a swap of the first two, or a turn of the first 2-loop
+    inside itself when a = b, with |G x| S| <= 200.  G is kept to order 36:
+    the naive count grows with the number of G's subgroups, and one draw of
+    (Z/3)^4 would cost as much as all the others."""
+    kind = draw(st.sampled_from(["fermat", "chain", "loop"]))
+    count = draw(st.integers(2, 4 if kind == "fermat" else 3))
+    a = draw(st.integers(2, 5))
+    b = draw(st.integers(2, 3))
+    width = 1 if kind == "fermat" else 2
+    terms = []
+    for o in range(0, width * count, width):
+        x, y = "x%d" % (o + 1), "x%d" % (o + 2)
+        terms += {"fermat": ["%s^%d" % (x, a)],
+                  "chain": ["%s^%d*%s" % (x, a, y), "%s^%d" % (y, b)],
+                  "loop": ["%s^%d*%s" % (x, a, y), "%s*%s^%d" % (x, y, b)]}[kind]
+    moves = {
+        "rotate": "".join("(%s)" % " ".join(str(width * j + i) for j in range(count))
+                          for i in range(1, width + 1)),
+        "swap": "".join("(%d %d)" % (i, width + i) for i in range(1, width + 1)),
+    }
+    if kind == "loop" and a == b:
+        moves["turn"] = "(1 2)"
+    chosen = draw(st.sets(st.sampled_from(sorted(moves)), min_size=1))
+    matrix = parse_polynomial("+".join(terms)).anchored()
+    perms = group_from_generators(width * count, [moves[m] for m in sorted(chosen)])
+    order = DiagonalGroup(matrix).order
+    assume(order <= 36 and order * perms.order <= 200)
+    return matrix, perms
+
+
+@settings(max_examples=50)
+@given(identical_blocks())
+def test_marks_of_chi_classes_match_the_naive_count(pair):
+    # the cosets of every class of chi, fixed by every split class: pairs
+    # of one stratum count by class and all others by a scan of S
+    matrix, perms = pair
+    analysis = euler_analysis(matrix, perms)
+    group, ambient = analysis.group, analysis.ambient
+    classes = {key_class(ambient, key_of(group, h), t)
+               for h, t in split_subgroup_pairs(group, perms)}
+    for kp in analysis.element.coefficients:
+        for k in classes:
+            assert mark(kp, k) == naive_mark(kp, k)
 
 
 # -- the Saito dual by containment ----------------------------------------------------

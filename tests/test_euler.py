@@ -667,9 +667,10 @@ def measure_hermite_keys(monkeypatch):
 @pytest.mark.parametrize("name", ["pc_a3", "x15_z5", "table1_r2"])
 def test_every_hermite_key_of_a_verdict_is_n_wide(monkeypatch, name):
     # a verdict and its lemma checks build no Hermite key at all; the paths
-    # that still key, an annihilator, a fixture's subgroup lines and a scan
-    # of S for a mixed class pair, solve kernels mod L at most n columns
-    # wide: a lattice stacked k + n wide would show here as a wider key
+    # that still key, an annihilator and a fixture's subgroup lines, solve
+    # kernels mod L at most n columns wide: a lattice stacked k + n wide
+    # would show here as a wider key.  A scan of S for a mixed class pair
+    # keys nothing
     from bhht.burnside import conjugators_by_scan, stratum_class
     from bhht.diaggroups import CharacterPairing
     from bhht.fixtures import format_group_subgroup
@@ -689,14 +690,14 @@ def test_every_hermite_key_of_a_verdict_is_n_wide(monkeypatch, name):
     assert len(pairing.annihilator(kernel)) * len(kernel) == group.order
     assert format_group_subgroup(group, kernel) != ["full"]
     annihilator_keys = len(widths)
-    # [G x| S] against [K_full x| S]: two strata, so S is scanned, and the
-    # cocycle count for S's generators is a kernel order
+    # [G x| S] against [K_full x| S]: two strata, so S is scanned, and each
+    # s adds c(U) for U = s^-1 S s in closed form
     ambient = report.lhs_analysis.ambient
     point = stratum_class(ambient, (), s.elements)
     torus = stratum_class(ambient, tuple(range(n)), s.elements)
     assert point.closed != torus.closed
     assert conjugators_by_scan(point, torus)
-    assert annihilator_keys < len(widths) and set(widths) == {n}
+    assert len(widths) == annihilator_keys and set(widths) == {n}
 
 
 @pytest.mark.parametrize("name", [name for name in catalogue_pairs()
