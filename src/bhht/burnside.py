@@ -27,9 +27,10 @@ output and the oracles, which name classes of any H by Hermite keys
 Marks come from Burnside's formula in closed form: conjugation by (v, s)
 moves (h, t) to (s^-1(h + t.v - v), s^-1 t s), so fixed cosets are counted
 from S and G alone and the semidirect product is never listed.  The class
-K' whose cosets are counted is always named by stratum, and no mark builds
-a Hermite key: each s counts the cocycles of U = s^-1 T s into K_C', which
-is c_C'(U) in closed form.
+K' whose cosets are counted is always named by stratum, and one formula
+counts every mark: the class formula summed over the orbit of K''s zero
+set, as its walk left it, adding c_C'(U) in closed form per conjugate U of
+T.  No mark scans S or builds a Hermite key.
 """
 
 from functools import cached_property
@@ -38,14 +39,7 @@ from math import gcd, lcm
 from .diaggroups import check_listing_bound, independent_generators, perm_act
 from .errors import AmbientMismatchError, StructuralAssumptionViolated
 from .intmat import hermite_key, in_hermite
-from .permgroups import (
-    compose,
-    conjugate,
-    cycle_notation,
-    generating_set,
-    inverse,
-    subset_image,
-)
+from .permgroups import conjugate, cycle_notation, generating_set
 
 
 class SemidirectAmbient:
@@ -66,11 +60,6 @@ class SemidirectAmbient:
 
     def compatible(self, other):
         return self.signature == other.signature
-
-    def fixes(self, closed):
-        """Whether P maps the point set to itself."""
-        points = frozenset(closed)
-        return all(subset_image(g, closed) == points for g in self.perms.generators)
 
     def stratum_cocycle_order(self, closed, u_elements):
         """c(U) = #{w in G : w is constant on U's orbits in C}, for a zero
@@ -282,24 +271,37 @@ class BurnsideElement:
 def mark(kprime, k):
     """Number of K-fixed points on the coset space (G x| P) / K'.
 
-    Burnside's formula counts #{g : g^-1 K g <= K'} / |K'|.  K' must be
-    named by stratum, H' = K_C'; K may be any split class.  Two classes of
-    one stratum, H = H' = K_C with P fixing C, count by the conjugates of T
-    (``conjugators_by_class``); any other pair by a scan of P
-    (``conjugators_by_scan``).  Neither builds a Hermite key.  A count that
-    |K'| does not divide is a structural failure, reported with its
-    residual.
+    Burnside's formula counts #{g : g^-1 K g <= K'} / |K'|, for K' named by
+    stratum, K_C' x| T' with C' representing its P-orbit, and K = H x| T
+    any split class.  g = (v, s) qualifies exactly when H's generators
+    vanish on D = s(C'), T fixes D and U = s^-1 T s <= T', and then adds
+    c_C'(U) (``SemidirectAmbient.stratum_cocycle_order``) over v.  With
+    s = r^-1 p, for r the carrier of D onto C' that the orbit's walk kept
+    and p in P_C', U = p^-1 T_D p for T_D = r T r^-1 <= P_C', so D adds
+    |P_C'| / |class of T_D| times the sum of c_C'(U) over T_D's conjugates
+    U <= T'.  A count that |K'| does not divide is a structural failure,
+    reported with its residual.
     """
     ambient = kprime.ambient
     if not ambient.compatible(k.ambient):
         raise AmbientMismatchError("marks need a common ambient group")
-    if kprime.closed is None:
+    closed = kprime.closed
+    if closed is None:
         raise ValueError("a mark counts the cosets of a class named by stratum")
-    closed = k.closed
-    if closed == kprime.closed and ambient.fixes(closed):
-        total = conjugators_by_class(kprime, k)
-    else:
-        total = conjugators_by_scan(kprime, k)
+    stabilizer, orbit = ambient.perms.orbit_carriers(closed)
+    lattice = stabilizer.lattice
+    tp = kprime.t_elements
+    total = 0
+    for d, r in orbit:
+        t_d = k.t_elements
+        if d != closed:  # the representative's carrier is the identity
+            t_d = frozenset([conjugate(r, t) for t in t_d])
+        key = lattice.key_of.get(t_d)  # None unless T_D <= P_C', that is T fixes D
+        if key is None or any(h[i] for h in k.h_gens for i in d):
+            continue
+        conjugates = lattice.class_members[key]
+        total += stabilizer.order // len(conjugates) * sum(
+            ambient.stratum_cocycle_order(closed, u) for u in conjugates if u <= tp)
     count, rest = divmod(total, kprime.order)
     if rest:
         raise StructuralAssumptionViolated(
@@ -307,47 +309,6 @@ def mark(kprime, k):
             % (total, kprime.order, k, kprime),
             class_order=kprime.order, residual=rest)
     return count
-
-
-def conjugators_by_scan(kprime, k):
-    """#{g in G x| P : g^-1 K g <= K'}, by a scan of P, for K' = K_C' x| T'.
-
-    For K = H x| T and g = (v, s), the conjugate of (h, t) is
-    (s^-1(h + t.v - v), s^-1 t s), so g qualifies exactly when
-    U = s^-1 T s <= T', H <= s.K_C' = K_s(C'), that is H's generators
-    vanish on s(C'), and t.v - v lies in K_s(C') for every t of T.  Writing
-    v = s.w, the count over v is #{w in G : u.w - w vanishes on C' for u in
-    U}.  U <= T' fixes C', so u.w - w vanishes on C' exactly when w is
-    constant on U's orbits in C', and each s adds c_C'(U)
-    (``SemidirectAmbient.stratum_cocycle_order``).
-    """
-    ambient = kprime.ambient
-    tp = kprime.t_elements
-    closed = kprime.closed
-    total = 0
-    for s in ambient.perms.elements:
-        si = inverse(s)
-        u = frozenset([compose(si, compose(t, s)) for t in k.t_elements])
-        if u <= tp and not any(h[s[i]] for h in k.h_gens for i in closed):
-            total += ambient.stratum_cocycle_order(closed, u)
-    return total
-
-
-def conjugators_by_class(kprime, k):
-    """#{g in G x| P : g^-1 K g <= K'} for K = K_C x| T and K' = K_C x| T'
-    with P fixing C: |N(T)| times the sum of c(U) over the conjugates U of T
-    that lie in T'.
-
-    Every s in P fixes K_C, so the scan's test H <= s.H' always passes, and
-    the s with s^-1 T s = U are a coset of N(T), each adding c(U).
-    """
-    ambient = kprime.ambient
-    lattice = ambient.perms.lattice
-    conjugates = lattice.class_members[lattice.key_of[k.t_elements]]
-    tp = kprime.t_elements
-    closed = k.closed
-    total = sum(ambient.stratum_cocycle_order(closed, u) for u in conjugates if u <= tp)
-    return ambient.perms.order // len(conjugates) * total
 
 
 def induction(element, perms_big):

@@ -254,8 +254,9 @@ class CharacterPairing:
     """The bilinear pairing between the groups of a matrix and of its transpose.
 
     pairing(v, w) = v . (E^T w) mod 1, which equals w . (E v) mod 1; the value
-    is a rational in [0, 1).  The annihilator maps realise the duality between
-    subgroup lattices; the suite checks non-degeneracy rather than assuming it.
+    is a rational in [0, 1) (``oracles.pairing_value``).  The annihilator maps
+    realise the duality between subgroup lattices; the suite checks
+    non-degeneracy rather than assuming it.
     """
 
     def __init__(self, matrix):
@@ -286,17 +287,6 @@ class CharacterPairing:
     def swapped(self):
         """The same pairing read from the dual side."""
         return CharacterPairing.between(self.right, self.left)
-
-    def value(self, v, w):
-        if v not in self.left:
-            raise MembershipError("left argument not in the group")
-        if w not in self.right:
-            raise MembershipError("right argument not in the dual group")
-        L1 = self.left.exponent
-        L2 = self.right.exponent
-        ew = matvec([list(r) for r in self.matrix.rows], list(v))
-        total = sum(a * b for a, b in zip(ew, w))
-        return Fraction(total, L1 * L2) % 1
 
     def annihilator(self, subgroup_elements):
         """Dual subgroup: characters vanishing on the given left subgroup H,

@@ -183,12 +183,6 @@ def _stratum_contribution(matrix, subset, group, perms, stabilizer, orbit_size):
                 "non-integer coefficient %s for class of order %d on stratum %s"
                 % (Fraction(acc, diag), len(ki), stratum),
                 stratum=stratum, class_order=len(ki), residual=rest)
-    for i, ki in enumerate(order):
-        total = sum(solved[order[j]] * marks[(order[j], ki)] for j in range(i + 1))
-        if total != fixed[ki]:
-            raise StructuralAssumptionViolated(
-                "marks residual %d on stratum %s" % (total - fixed[ki], stratum),
-                stratum=stratum, class_order=len(ki), residual=total - fixed[ki])
 
     element = BurnsideElement(
         ambient, {node[key]: solved[key] for key in keys if solved[key]})

@@ -9,8 +9,7 @@ decides its membership and order without listing it.  Every key is n
 columns wide, and so is every step that makes one.  A key is upper
 triangular, so back substitution over it gives its dual, the congruences
 that cut its subgroup out (``hermite_dual``).  The kernel of congruences
-mod m is the dual of their own key (``kernel_mod``), and its order is the
-product of that key's pivots (``kernel_order``).
+mod m is the dual of their own key (``kernel_mod``).
 """
 
 from math import prod
@@ -143,9 +142,3 @@ def kernel_mod(rows, n, m):
     """
     return hermite_key(hermite_dual(hermite_key(rows, n, m), m), n, m)
 
-
-def kernel_order(rows, n, m):
-    """|{x in (Z/m)^n : r.x = 0 mod m for every row r}|, with no key of the
-    kernel: for the rows' key B with pivots d_j, the kernel m.B^-1.Z^n has
-    index m^n / prod(d_j) in Z^n, so it holds prod(d_j) elements mod m."""
-    return prod(row[j] for j, row in enumerate(hermite_key(rows, n, m)))

@@ -10,12 +10,13 @@ restricted to a stratum and folded monomial by monomial.
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import prod
 
 from .burnside import BurnsideElement, HTClass, SemidirectAmbient, carriers, mark
 from .diaggroups import perm_act
 from .errors import DegeneratePairingError, MembershipError, NotInvariantError, SizeBoundError
 from .intmat import (determinant, hermite_generators, hermite_key, hermite_order, in_hermite,
-                     kernel_mod, kernel_order)
+                     kernel_mod, matvec)
 from .permgroups import compose, conjugate, identity_perm, inverse, orbit, orbits, subset_image
 from .polynomials import non_symmetry
 
@@ -144,6 +145,30 @@ def naive_mark(kprime, k):
         if all(frozenset(mul(ambient, x, g) for g in coset) == coset for x in kelems):
             count += 1
     return count
+
+
+def conjugators_by_scan(kprime, k):
+    """#{g in G x| P : g^-1 K g <= K'}, by a scan of P, for K' = K_C' x| T'.
+
+    For K = H x| T and g = (v, s), the conjugate of (h, t) is
+    (s^-1(h + t.v - v), s^-1 t s), so g qualifies exactly when
+    U = s^-1 T s <= T', H <= s.K_C' = K_s(C'), that is H's generators
+    vanish on s(C'), and t.v - v lies in K_s(C') for every t of T.  Writing
+    v = s.w, the count over v is #{w in G : u.w - w vanishes on C' for u in
+    U}.  U <= T' fixes C', so u.w - w vanishes on C' exactly when w is
+    constant on U's orbits in C', and each s adds c_C'(U)
+    (``SemidirectAmbient.stratum_cocycle_order``).
+    """
+    ambient = kprime.ambient
+    tp = kprime.t_elements
+    closed = kprime.closed
+    total = 0
+    for s in ambient.perms.elements:
+        si = inverse(s)
+        u = frozenset([compose(si, compose(t, s)) for t in k.t_elements])
+        if u <= tp and not any(h[s[i]] for h in k.h_gens for i in closed):
+            total += ambient.stratum_cocycle_order(closed, u)
+    return total
 
 
 def brute_conjugating_perm(ambient, h1, t1, h2, t2):
@@ -281,6 +306,13 @@ def brute_cocycle_kernel_order(diag, perms, subgroup):
                       for p in pulls))
 
 
+def kernel_order(rows, n, m):
+    """|{x in (Z/m)^n : r.x = 0 mod m for every row r}|, with no key of the
+    kernel: for the rows' key B with pivots d_j, the kernel m.B^-1.Z^n has
+    index m^n / prod(d_j) in Z^n, so it holds prod(d_j) elements mod m."""
+    return prod(row[j] for j, row in enumerate(hermite_key(rows, n, m)))
+
+
 def cocycle_kernel_order(diag, perms, congruences):
     """#{w in G : u.w - w lies in H' for every u in perms}.
 
@@ -327,10 +359,23 @@ def kernel_nondegenerate(pairing):
             raise DegeneratePairingError(pairing.matrix, what)
 
 
+def pairing_value(pairing, v, w):
+    """The pairing of v and w, v . (E^T w) mod 1, a rational in [0, 1)."""
+    if v not in pairing.left:
+        raise MembershipError("left argument not in the group")
+    if w not in pairing.right:
+        raise MembershipError("right argument not in the dual group")
+    L1 = pairing.left.exponent
+    L2 = pairing.right.exponent
+    ew = matvec([list(r) for r in pairing.matrix.rows], list(v))
+    total = sum(a * b for a, b in zip(ew, w))
+    return Fraction(total, L1 * L2) % 1
+
+
 def brute_annihilator(pairing, subgroup_elements):
     """Characters of the right group pairing to zero with every given element."""
     return frozenset(w for w in pairing.right.elements
-                     if all(pairing.value(v, w) == 0 for v in subgroup_elements))
+                     if all(pairing_value(pairing, v, w) == 0 for v in subgroup_elements))
 
 
 def brute_span(group, generators):

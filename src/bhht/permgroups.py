@@ -150,9 +150,11 @@ class PermGroup:
         return SubgroupLattice(self)
 
     # subset -> (its representative, s with s(subset) = representative, the
-    # representative's stabilizer), for the orbits walked so far; made on
-    # the first walk, so a group that walks none carries none
+    # representative's stabilizer), and representative -> its orbit's
+    # (member, s) pairs, for the orbits walked so far; made on the first
+    # walk, so a group that walks none carries none
     _walked = None
+    _orbits = None
 
     def subset_orbit(self, subset):
         """(representative, s, stabilizer) for a subset given as a sorted tuple.
@@ -161,7 +163,8 @@ class PermGroup:
         the subset's orbit, and carries itself by the identity; s carries
         the subset to it, and the stabilizer is the representative's.  The
         orbit is walked the first time one of its members is asked for, and
-        the answer is kept for every member.  The walk keeps, for each
+        the answer is kept for every member, and the members with their s
+        for the orbit (``orbit_carriers``).  The walk keeps, for each
         subset it meets, a p carrying the subset asked for there, so s is
         the representative's p after the member's p inverted.  Equal
         stabilizers are one object: the group itself for a subset it fixes,
@@ -171,6 +174,7 @@ class PermGroup:
         walked = self._walked
         if walked is None:
             walked = self._walked = {}
+            self._orbits = {}
         known = walked.get(subset)
         if known is not None:
             return known
@@ -197,9 +201,16 @@ class PermGroup:
                                   if subset_image(p, rep) == inside])
             assert self.order == len(reach) * stab.order
         to_rep = reach[rep]
-        for member, p in reach.items():
-            walked[member] = (rep, compose(to_rep, inverse(p)), stab)
+        orbit = self._orbits[rep] = [(member, compose(to_rep, inverse(p)))
+                                     for member, p in reach.items()]
+        walked.update((member, (rep, s, stab)) for member, s in orbit)
         return walked[subset]
+
+    def orbit_carriers(self, subset):
+        """The representative's stabilizer, and the subset's orbit as
+        ``subset_orbit`` walked it: (member, s) pairs."""
+        rep, _s, stab = self.subset_orbit(subset)
+        return stab, self._orbits[rep]
 
     def orbits_of(self, subsets):
         """The orbits that meet the subsets, each given as sorted tuples, as

@@ -1,15 +1,16 @@
-"""Marks by class and the Saito dual by containment, against their oracles.
+"""Marks by one class formula and the Saito dual by containment, against
+their oracles.
 
-Inside a stratum every class has H = K_C and the stabilizer fixes C, so a
-mark is a sum over the conjugates U of T of c(U), read off the block
-generators; the element scan of S and the coset count of
-``oracles.naive_mark`` must agree with it on every class pair, and c(U)
-with its kernel order and with a scan of G on every subgroup U.  The marks
-of chi's own classes against every split class, most of them scanned,
-must match the coset count on drawn sums of identical blocks.  The Saito
-dual accepts ann(K_C) = K'_{C^c} by containment and orders; that must agree
-with the annihilator solved by keys on every C, and refuse a corrupted
-order or generator.
+A mark sums the class formula over the orbit of K''s zero set: each member
+D that K's H vanishes on and K's T fixes adds, per conjugate U of T carried
+onto K''s zero set, c(U) read off the block generators.  The element scan
+of S (``oracles.conjugators_by_scan``) and the coset count of
+``oracles.naive_mark`` must agree with it on every class pair of a stratum,
+and on chi's own classes against every split class, and c(U) with its
+kernel order and with a scan of G on every subgroup U.  No mark reads S's
+element list.  The Saito dual accepts ann(K_C) = K'_{C^c} by containment
+and orders; that must agree with the annihilator solved by keys on every C,
+and refuse a corrupted order or generator.
 """
 
 import pytest
@@ -18,20 +19,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_stratum_naming import CATALOGUE, catalogue_pairs, generated_pairs
 
-from bhht import burnside
-from bhht.burnside import (
-    SemidirectAmbient,
-    conjugators_by_class,
-    conjugators_by_scan,
-    mark,
-    stratum_class,
-)
+from bhht.burnside import SemidirectAmbient, mark, stratum_class
 from bhht.diaggroups import CharacterPairing, DiagonalGroup
 from bhht.euler import euler_analysis
 from bhht.intmat import hermite_generators, hermite_order, in_hermite
 from bhht.oracles import (
     CONSISTENCY_ORDER_BOUND,
     brute_cocycle_kernel_order,
+    conjugators_by_scan,
     key_class,
     naive_mark,
     orbit_cocycle_order,
@@ -39,7 +34,7 @@ from bhht.oracles import (
     split_subgroup_pairs,
     stratum_key,
 )
-from bhht.permgroups import group_from_generators
+from bhht.permgroups import PermGroup, conjugate, group_from_generators, identity_perm
 from bhht.polynomials import parse_polynomial, transpose
 
 
@@ -85,12 +80,13 @@ def assert_class_marks(matrix, perms):
     for side in (matrix, transpose(matrix)):
         for ambient, classes in stratum_classes(euler_analysis(side, perms)):
             closed = classes[0].closed
-            assert closed is not None and ambient.fixes(closed)
+            assert closed is not None
+            assert ambient.perms.subset_orbit(closed)[2] is ambient.perms
             for kp in classes:
                 for k in classes:
-                    by_class = conjugators_by_class(kp, k)
-                    assert by_class == conjugators_by_scan(kp, k)
-                    assert mark(kp, k) == by_class // kp.order == naive_mark(kp, k)
+                    count = mark(kp, k)
+                    assert count * kp.order == conjugators_by_scan(kp, k)
+                    assert count == naive_mark(kp, k)
                     pairs += 1
     return pairs
 
@@ -144,7 +140,7 @@ def assert_closed_form_counts(matrix, perms):
         for rep, stabilizer, _size in orbits_on_subsets(perms):
             ambient = SemidirectAmbient(diag, stabilizer)
             closed = diag.zero_set(rep)
-            assert ambient.fixes(closed)
+            assert stabilizer.subset_orbit(closed)[2] is stabilizer
             for u in stabilizer.lattice.subgroups:
                 assert ambient.stratum_cocycle_order(closed, u) \
                     == orbit_cocycle_order(ambient, closed, u), (side, closed, sorted(u))
@@ -173,27 +169,40 @@ def test_closed_form_counts_match_the_kernel_order_on_symmetric_inputs(text, gen
     assert_orbit_counts(matrix, perms)
 
 
-def test_only_a_mixed_pair_is_scanned(monkeypatch):
-    # over G x| S the classes of different strata have different C, and S
-    # need not fix a C: those pairs scan S, and no other pair does
+def test_no_mark_scans_s(monkeypatch):
+    # over G x| S the classes of chi have zero sets that S need not fix: a
+    # mark sums over the orbit of K''s zero set, as its walk left it, and
+    # reads no element list of S or of a subgroup of S
     fx = CATALOGUE["pc_a3"]
-    analysis = euler_analysis(fx.matrix, fx.perm_group())
-    scanned = []
-    plain = burnside.conjugators_by_scan
-
-    def counted(kprime, k):
-        scanned.append((kprime, k))
-        return plain(kprime, k)
-
-    monkeypatch.setattr(burnside, "conjugators_by_scan", counted)
-    classes = list(analysis.element.coefficients)
-    mixed = [(kp, k) for kp in classes for k in classes
-             if kp.closed != k.closed or not analysis.ambient.fixes(k.closed)]
-    assert mixed and len(mixed) < len(classes) ** 2
+    perms = fx.perm_group()
+    analysis = euler_analysis(fx.matrix, perms)
+    classes = sorted(analysis.element.coefficients, key=lambda cls: cls.name)
+    # every orbit walked and every stabilizer's lattice built, as a verdict
+    # leaves them; a property on the class hides every group's element list
     for kp in classes:
-        for k in classes:
-            mark(kp, k)
-    assert scanned == mixed
+        assert perms.subset_orbit(kp.closed)[2].lattice.subgroups
+    with monkeypatch.context() as patch:
+        patch.setattr(PermGroup, "elements", property(_unreadable), raising=False)
+        marks = {(kp, k): mark(kp, k) for kp in classes for k in classes}
+    summed = 0
+    for (kp, k), count in marks.items():
+        assert count * kp.order == conjugators_by_scan(kp, k)
+        assert count == naive_mark(kp, k)
+        tp = kp.t_elements
+        stabilizer, orbit = perms.orbit_carriers(kp.closed)
+        lattice = stabilizer.lattice
+        adding = [r for d, r in orbit
+                  if not any(h[i] for h in k.h_gens for i in d)
+                  and all(set(t[i] for i in d) == set(d) for t in k.t_gens)
+                  and any(u <= tp for u in lattice.class_members[lattice.key_of[
+                      frozenset(conjugate(r, t) for t in k.t_elements)]])]
+        if len(adding) > 1 and any(r != identity_perm(perms.n) for r in adding):
+            summed += 1
+    assert summed
+
+
+def _unreadable(group):
+    raise AssertionError("a mark read the element list of %r" % (group,))
 
 
 @st.composite
@@ -233,8 +242,8 @@ def identical_blocks(draw):
 @settings(max_examples=50)
 @given(identical_blocks())
 def test_marks_of_chi_classes_match_the_naive_count(pair):
-    # the cosets of every class of chi, fixed by every split class: pairs
-    # of one stratum count by class and all others by a scan of S
+    # the cosets of every class of chi, fixed by every split class, summed
+    # over the orbit of the class's zero set
     matrix, perms = pair
     analysis = euler_analysis(matrix, perms)
     group, ambient = analysis.group, analysis.ambient

@@ -10,6 +10,10 @@ anywhere in the program outside its own definition.  The package
 either, except for ``oracles.py``: its brute-force scans exist for tests to
 compare against.
 
+A definition outside ``oracles.py`` that only ``oracles.py`` uses is oracle
+code, and belongs there: counted without ``oracles.py``, every definition
+of the other modules must still be used.
+
 A parameter with a default counts as used when some call in those same
 modules passes it, by keyword or positionally past the required arguments.
 A parameter that only tests set is a knob the program never turns.
@@ -71,8 +75,8 @@ def _used(paths):
     return used
 
 
-def unreferenced_definitions():
-    trees = {path: ast.parse(path.read_text()) for path in _program()}
+def unreferenced_definitions(program=None):
+    trees = {path: ast.parse(path.read_text()) for path in program or _program()}
     used = _used(trees)
     imported = sum((_imports(tree) for tree in trees.values()), Counter())
     used_by_tests = _used(_tests())
@@ -97,6 +101,10 @@ def unreferenced_definitions():
 
 def test_every_definition_is_referenced():
     assert unreferenced_definitions() == []
+
+
+def test_no_definition_outside_the_oracles_is_used_only_by_them():
+    assert unreferenced_definitions([p for p in _program() if p != ORACLES]) == []
 
 
 def _defaults(tree):

@@ -22,6 +22,7 @@ from bhht.oracles import (
     brute_span,
     check_hermite_keys,
     kernel_nondegenerate,
+    pairing_value,
     stratum_key,
 )
 from bhht.permgroups import PermGroup, group_from_generators, parse_cycles
@@ -200,14 +201,14 @@ def test_pairing_values(quintic):
     pairing = CharacterPairing(quintic)
     e1 = pairing.left.from_fractions([Fraction(1, 5), 0, 0, 0, 0])
     f1 = pairing.right.from_fractions([Fraction(1, 5), 0, 0, 0, 0])
-    assert pairing.value(e1, f1) == Fraction(1, 5)
-    assert pairing.value(pairing.left.zero, f1) == 0
+    assert pairing_value(pairing, e1, f1) == Fraction(1, 5)
+    assert pairing_value(pairing, pairing.left.zero, f1) == 0
 
 
 def test_pairing_membership_checked():
     pairing = CharacterPairing(parse_polynomial("x1^2*x2+x2^3"))
     with pytest.raises(MembershipError):
-        pairing.value((1, 0), pairing.right.zero)
+        pairing_value(pairing, (1, 0), pairing.right.zero)
 
 
 def test_pairing_bilinear(x14):
@@ -218,8 +219,8 @@ def test_pairing_bilinear(x14):
     for _ in range(50):
         v1, v2 = rng.choice(left), rng.choice(left)
         w = rng.choice(right)
-        lhs = pairing.value(pairing.left.add(v1, v2), w)
-        rhs = (pairing.value(v1, w) + pairing.value(v2, w)) % 1
+        lhs = pairing_value(pairing, pairing.left.add(v1, v2), w)
+        rhs = (pairing_value(pairing, v1, w) + pairing_value(pairing, v2, w)) % 1
         assert lhs == rhs
 
 
@@ -300,7 +301,7 @@ def test_pairing_symmetric_under_swap(x15):
     for _ in range(50):
         v = rng.choice(pairing.left.elements)
         w = rng.choice(pairing.right.elements)
-        assert pairing.value(v, w) == sw.value(w, v)
+        assert pairing_value(pairing, v, w) == pairing_value(sw, w, v)
 
 
 @pytest.mark.parametrize("text, generators", [
@@ -353,8 +354,8 @@ def test_pairing_equivariance(quintic, x14, x15):
             s = rng.choice(perms.elements)
             v = rng.choice(pairing.left.elements)
             w = rng.choice(pairing.right.elements)
-            assert pairing.value(perm_act(s, v), perm_act(s, w)) \
-                == pairing.value(v, w)
+            assert pairing_value(pairing, perm_act(s, v), perm_act(s, w)) \
+                == pairing_value(pairing, v, w)
 
 
 def test_annihilator_extremes(quintic):

@@ -671,7 +671,8 @@ def test_every_hermite_key_of_a_verdict_is_n_wide(monkeypatch, name):
     # kernels mod L at most n columns wide: a lattice stacked k + n wide
     # would show here as a wider key.  A scan of S for a mixed class pair
     # keys nothing
-    from bhht.burnside import conjugators_by_scan, stratum_class
+    from bhht.burnside import stratum_class
+    from bhht.oracles import conjugators_by_scan
     from bhht.diaggroups import CharacterPairing
     from bhht.fixtures import format_group_subgroup
 

@@ -13,9 +13,8 @@ from bhht.intmat import (
     hermite_key,
     hermite_order,
     kernel_mod,
-    kernel_order,
 )
-from bhht.oracles import stacked_kernel_mod
+from bhht.oracles import kernel_order, stacked_kernel_mod
 
 
 def det_by_fractions(a):
