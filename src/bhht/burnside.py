@@ -59,7 +59,7 @@ class SemidirectAmbient:
         return (self.diag.matrix, self.perms.element_set)
 
     def compatible(self, other):
-        return self.signature == other.signature
+        return other is self or self.signature == other.signature
 
     def stratum_cocycle_order(self, closed, u_elements):
         """c(U) = #{w in G : w is constant on U's orbits in C}, for a zero
@@ -91,10 +91,14 @@ class SemidirectAmbient:
                 continue
             g = diag.blocks[b][1]
             spanned = L
+            first = js[0]
             for u in u_elements:
-                image = points[u[js[0]]][0]
-                met.add(image)
-                if image == b:
+                image = points[u[first]][0]
+                if image != b:
+                    met.add(image)
+                elif u[first] != first:
+                    # u rotates a loop in place; a u that maps B to itself
+                    # and fixes a point of B fixes B pointwise
                     spanned = gcd(spanned, *(g[j] - g[u[j]] for j in js))
             order *= lcm(*(points[j][1] for j in js)) * spanned // L
         self._by_subgroup[closed, u_elements] = order
@@ -192,10 +196,10 @@ def stratum_class(ambient, subset, t_key):
     """The class [K_I x| T] for a subset I that P fixes, as a sorted tuple,
     and the subgroup T of P with class key ``t_key`` in P's lattice: named
     (Z(K_I), t_key), since P fixes Z(K_I) too."""
-    return _named(ambient, ambient.diag.zero_set(subset), t_key)
+    return named_class(ambient, ambient.diag.zero_set(subset), t_key)
 
 
-def _named(ambient, closed, t_key):
+def named_class(ambient, closed, t_key):
     """The class named (C, key), for C a zero set of a stratum kernel that
     represents its orbit under P, and a class key of P_C's lattice."""
     t = ambient.perms.subgroup(t_key)
@@ -212,7 +216,7 @@ def _renamed(ambient, closed, t_elements):
     rep, s, stabilizer = ambient.perms.subset_orbit(closed)
     if rep != closed:
         t_elements = frozenset([conjugate(s, t) for t in t_elements])
-    return _named(ambient, rep, stabilizer.lattice.key_of[t_elements])
+    return named_class(ambient, rep, stabilizer.lattice.key_of[t_elements])
 
 
 def carriers(perms, t_gens, target):

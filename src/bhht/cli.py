@@ -379,18 +379,18 @@ def cmd_table1(args):
         key = (fx.polynomial_text, tuple(sorted(S.elements)))
         cached = False
         if _over_bound(args, fx, S):
-            verdict, elapsed = "skip", 0.0
+            verdict, elapsed, shown = "skip", 0.0, "-"
         elif key in cache:
-            verdict, elapsed, cached = cache[key], None, True
+            verdict, elapsed, cached, shown = cache[key], None, True, "cached"
         else:
             t0 = time.perf_counter()
             verdict = "equal" if verify_duality(fx.matrix, S).equal else "differs"
             elapsed = time.perf_counter() - t0
             cache[key] = verdict
+            shown = "%.1fms" % (elapsed * 1000)
         lines.append("%-6s %-4s %-22s %-6s %-8s %s"
                      % (fx.meta.get("row"), fx.meta.get("f"),
-                        ",".join(fx.s_lines), result.satisfies, verdict,
-                        "cached" if cached else "%.1fs" % elapsed))
+                        ",".join(fx.s_lines), result.satisfies, verdict, shown))
         payload.append({"row": fx.meta.get("row"), "f": fx.meta.get("f"),
                         "S": fx.s_lines, "pc": result.satisfies,
                         "duality": verdict, "cached": cached,

@@ -30,6 +30,7 @@ from .burnside import (
     SemidirectAmbient,
     induction,
     mark,
+    named_class,
     saito_dual,
     sorted_by_tag,
     stratum_class,
@@ -75,7 +76,7 @@ def fixed_chi(matrix, subset, perms):
     if not subset:
         raise ValueError("the empty stratum has no fibre points")
     matrix = matrix.anchored()
-    rows, coefficients = matrix.rows, matrix.coefficients
+    rows, coefficients = matrix.rows, matrix.coefficient_ids
     inside = set(subset)
     for p in perms.generators:
         if {p[j] for j in inside} != inside:
@@ -154,7 +155,8 @@ def _stratum_contribution(matrix, subset, group, perms, stabilizer, orbit_size):
     order = sorted(keys, key=lambda k: (-len(k), k))
 
     ambient = SemidirectAmbient(group, stabilizer)
-    node = {key: stratum_class(ambient, subset, key) for key in keys}
+    closed = group.zero_set(subset)
+    node = {key: named_class(ambient, closed, key) for key in keys}
     fixed = {key: fixed_chi(matrix, subset, reps[key]) for key in keys}
 
     stratum = tuple(i + 1 for i in subset)

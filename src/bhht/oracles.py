@@ -18,7 +18,7 @@ from .errors import DegeneratePairingError, MembershipError, NotInvariantError, 
 from .intmat import (determinant, hermite_generators, hermite_key, hermite_order, in_hermite,
                      kernel_mod, matvec)
 from .permgroups import compose, conjugate, identity_perm, inverse, orbit, orbits, subset_image
-from .polynomials import non_symmetry
+from .polynomials import ExponentMatrix, non_symmetry, weights
 
 # Every enumeration here lists a whole group; none runs on one larger than this.
 ORACLE_ORDER_BOUND = 20000
@@ -129,22 +129,23 @@ def subgroup_elements(cls):
 
 
 def naive_mark(kprime, k):
-    """Fixed cosets counted with explicit coset sets, no closed form."""
+    """Fixed cosets counted with explicit cosets, no closed form: every coset
+    gK' of the listed G x| P gets an id, and it is K-fixed exactly when each
+    generator x of K, (h, e) for h among H's and (0, t) for t among T's,
+    keeps its representative g in it: x.g has g's id."""
     ambient = kprime.ambient
     members = subgroup_elements(kprime)
-    cosets = set()
-    covered = set()
+    coset_of = {}
+    reps = []
     for g in ambient_elements(ambient):
-        if g not in covered:
-            coset = frozenset(mul(ambient, g, m) for m in members)
-            covered |= coset
-            cosets.add(coset)
-    kelems = subgroup_elements(k)
-    count = 0
-    for coset in cosets:
-        if all(frozenset(mul(ambient, x, g) for g in coset) == coset for x in kelems):
-            count += 1
-    return count
+        if g not in coset_of:
+            for m in members:
+                coset_of[mul(ambient, g, m)] = len(reps)
+            reps.append(g)
+    generators = ([(h, identity_perm(ambient.n)) for h in k.h_gens]
+                  + [(ambient.diag.zero, t) for t in k.t_gens])
+    return sum(all(coset_of[mul(ambient, x, g)] == c for x in generators)
+               for c, g in enumerate(reps))
 
 
 def conjugators_by_scan(kprime, k):
@@ -591,6 +592,25 @@ def stratum_chi_fixed(restricted, perms):
     if not folded.full:
         return 0
     return (-1) ** (folded.nvars - 1) * abs(folded.determinant())
+
+
+def milnor_orlik_chi(matrix, subset, t_group):
+    """chi of the T-fixed part of the Milnor fibre of f^I, over all of C^I,
+    for a subset I on which f^I is full: 1 + (-1)^(k-1) prod_O (1/q_O - 1)
+    over T's k orbits O on I, the Milnor number of f^I on T's fixed space
+    by Milnor-Orlik.  Its variables are the orbits, each of the weight q_O
+    that ``polynomials.weights`` gives f^I at the orbit's points; a weight
+    of 0, as x1*x2 + x2 has, is refused.  The orbits are read off T's
+    element list."""
+    restricted = restrict(matrix, subset)
+    if not restricted.full:
+        raise ValueError("f^I is not full on %s" % (subset,))
+    q = dict(zip(restricted.variables,
+                 weights(ExponentMatrix([m for m, _c in restricted.monomials]))))
+    if not all(q.values()):
+        raise ValueError("f^I has a variable of weight 0 on %s" % (subset,))
+    orbs = {min(t[i] for t in t_group.elements) for i in subset}
+    return 1 + (-1) ** (len(orbs) - 1) * prod(1 / q[i] - 1 for i in orbs)
 
 
 def fixed_point_euler(matrix, perms, h_elements, t_elements):

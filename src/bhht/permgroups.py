@@ -137,7 +137,7 @@ class PermGroup:
     def subgroup(self, elements):
         """The subgroup with these elements: one object per element set, so
         equal subgroups share one lattice, and a group is its own subgroup."""
-        els = frozenset(tuple(p) for p in elements)
+        els = frozenset(elements)
         sub = self._subgroups.get(els)
         if sub is None:
             sub = PermGroup(self.n, generating_set(els), _elements=els)
@@ -155,6 +155,8 @@ class PermGroup:
     # walk, so a group that walks none carries none
     _walked = None
     _orbits = None
+    # point tuple -> the group's orbits on it (``orbits``), made on first use
+    _point_orbits = None
 
     def subset_orbit(self, subset):
         """(representative, s, stabilizer) for a subset given as a sorted tuple.
@@ -397,22 +399,45 @@ class SubgroupLattice:
 
 
 def orbits(group, points):
-    """Orbits of the group on a point set it preserves, as sorted tuples,
-    ordered by their least points."""
-    remaining = set(points)
-    out = []
-    while remaining:
-        found = orbit(min(remaining), group.generators, lambda p, v: p[v])
-        out.append(tuple(sorted(found)))
-        remaining -= found
+    """Orbits of the group on a point set it preserves, as a tuple of sorted
+    tuples ordered by their least points: walked once per group object and
+    tuple of the points, and the same tuple returned after that."""
+    points = tuple(points)
+    known = group._point_orbits
+    if known is None:
+        known = group._point_orbits = {}
+    out = known.get(points)
+    if out is None:
+        out = known[points] = _walk_orbits(group, points)
     return out
+
+
+def _walk_orbits(group, points):
+    """``orbits`` by one breadth-first walk over the generators from each
+    least point not yet reached."""
+    generators = group.generators
+    reached = set()
+    out = []
+    for start in sorted(points):
+        if start in reached:
+            continue
+        reached.add(start)
+        found = [start]
+        for x in found:  # the list grows as the walk reaches new points
+            for g in generators:
+                y = g[x]
+                if y not in reached:
+                    reached.add(y)
+                    found.append(y)
+        out.append(tuple(sorted(found)))
+    return tuple(out)
 
 
 def orbit_count(group, points):
     """Number of group orbits on the point set; group must preserve it."""
-    points = set(points)
+    inside = set(points)
     for p in group.generators:
-        if {p[i] for i in points} != points:
+        if {p[i] for i in inside} != inside:
             raise ValueError("group does not preserve the point set")
     return len(orbits(group, points))
 

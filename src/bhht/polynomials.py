@@ -13,6 +13,7 @@ rational coefficient followed by ``*`` and one or more factors ``xK`` or
 import re
 from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DegenerateLoopError, NotInvariantError, NotInvertibleError, ParseError
 from .intmat import determinant
@@ -56,6 +57,9 @@ class ExponentMatrix:
         self._blocks = None
         self._anchors = None
 
+    # what ``anchored``, ``_key`` and ``transpose`` found, made on first use
+    _anchored = _sorted = _transpose = None
+
     @property
     def nmonomials(self):
         return len(self.rows)
@@ -65,10 +69,14 @@ class ExponentMatrix:
         return self.nmonomials == self.n
 
     def _key(self):
-        return (self.n, tuple(sorted(zip(self.rows, self.coefficients), reverse=True)))
+        if self._sorted is None:
+            self._sorted = (self.n, tuple(sorted(zip(self.rows, self.coefficients),
+                                                 reverse=True)))
+        return self._sorted
 
     def __eq__(self, other):
-        return isinstance(other, ExponentMatrix) and self._key() == other._key()
+        return other is self or (isinstance(other, ExponentMatrix)
+                                 and self._key() == other._key())
 
     def __hash__(self):
         return hash(self._key())
@@ -97,16 +105,27 @@ class ExponentMatrix:
     def anchored(self):
         """Rows permuted so that row i is the monomial anchored at variable i:
         the matrix itself when every row already is.  The permuted copy takes
-        the block structure over, since blocks name variables, not rows."""
-        anchors = self.anchors()
-        order = sorted(range(self.nmonomials), key=lambda r: anchors[r])
-        if order == list(range(self.nmonomials)):
-            return self
-        out = ExponentMatrix([self.rows[r] for r in order],
-                             [self.coefficients[r] for r in order])
-        out._blocks, out._successors = self._blocks, self._successors
-        out._anchors = {a: a for a in range(self.n)}
-        return out
+        the block structure over, since blocks name variables, not rows.
+        Made once per matrix, and the copy is its own."""
+        if self._anchored is None:
+            anchors = self.anchors()
+            order = sorted(range(self.nmonomials), key=anchors.__getitem__)
+            out = self
+            if order != list(range(self.nmonomials)):
+                out = ExponentMatrix([self.rows[r] for r in order],
+                                     [self.coefficients[r] for r in order])
+                out._blocks, out._successors = self._blocks, self._successors
+                out._anchors = {a: a for a in range(self.n)}
+                out._anchored = out
+            self._anchored = out
+        return self._anchored
+
+    @cached_property
+    def coefficient_ids(self):
+        """Each row's coefficient as the row of its first equal coefficient,
+        so that coefficients compare as small integers."""
+        first = {}
+        return tuple([first.setdefault(c, r) for r, c in enumerate(self.coefficients)])
 
     def full_on(self, subset):
         """Whether f^I, the monomials supported inside the subset, is full:
@@ -353,9 +372,12 @@ def transpose(matrix):
     Row a of the transpose is column a: x_a^p times the predecessor of a.
     So it is anchored, each chain reads backwards and each loop runs the
     other way round from its least variable, and those blocks are set as
-    ``anchored`` sets them, with no orientation search.
+    ``anchored`` sets them, with no orientation search.  Made once per
+    anchored matrix, and the same object returned after that.
     """
     anchored = matrix.anchored()
+    if anchored._transpose is not None:
+        return anchored._transpose
     out = ExponentMatrix(tuple(zip(*anchored.rows)))
     blocks = []
     for b in anchored.validate():
@@ -370,6 +392,7 @@ def transpose(matrix):
         if b is not None:
             out._successors[b] = a
     out._anchors = {a: a for a in range(out.n)}
+    out._anchored = anchored._transpose = out
     return out
 
 

@@ -169,6 +169,19 @@ def test_closed_form_counts_match_the_kernel_order_on_symmetric_inputs(text, gen
     assert_orbit_counts(matrix, perms)
 
 
+@pytest.mark.parametrize("generators", [
+    ["(123)"],
+    ["(123)", "(456)"],
+    ["(123)(456)", "(14)(25)(36)"],
+])
+def test_orbit_counts_where_u_rotates_one_loop_and_fixes_the_other(generators):
+    # two 3-loops: some U rotate the first in place and fix the second
+    # pointwise, so only the first loop's differences enter c(U)
+    matrix, perms = symmetric_input(
+        "x1^3*x2+x2^3*x3+x3^3*x1+x4^3*x5+x5^3*x6+x6^3*x4", generators)
+    assert_orbit_counts(matrix, perms)
+
+
 def test_no_mark_scans_s(monkeypatch):
     # over G x| S the classes of chi have zero sets that S need not fix: a
     # mark sums over the orbit of K''s zero set, as its walk left it, and

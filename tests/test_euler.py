@@ -622,6 +622,42 @@ def test_failed_analysis_is_not_remembered(monkeypatch):
     assert calls and analysis.element == euler_analysis(f, fresh).element
 
 
+def test_a_verdict_walks_each_orbit_and_transposes_once(monkeypatch):
+    # table1_r80: a 5-loop with its Z5 rotation, f^T != f and PC.  Across a
+    # verdict and its lemma checks, the orbits of one group object on one
+    # point tuple are walked at most once, shared by fixed_chi, orbit_count
+    # and the coloured diagrams, and f^T is built once
+    from bhht import permgroups
+    from bhht.polynomials import ExponentMatrix
+
+    fx = CATALOGUE["table1_r80"]
+    f = parse_polynomial(fx.polynomial_text).anchored()
+    s = fx.perm_group()
+    assert s.order == 5 and pc_check(s).satisfies
+    monkeypatch.setattr(euler, "_RECENT", deque(maxlen=2))
+    walks = []
+    walk = permgroups._walk_orbits
+
+    def counted_walk(group, points):
+        walks.append((group, points))
+        return walk(group, points)
+
+    built = []
+    init = ExponentMatrix.__init__
+
+    def counted_init(matrix, *args):
+        built.append(matrix)
+        init(matrix, *args)
+
+    monkeypatch.setattr(permgroups, "_walk_orbits", counted_walk)
+    monkeypatch.setattr(ExponentMatrix, "__init__", counted_init)
+    assert verify_duality(f, s).equal
+    assert lemma_level_checks(f, s).all_passed
+    assert walks
+    assert max(Counter((id(g), points) for g, points in walks).values()) == 1
+    assert built == [transpose(f)] and built[0] != f
+
+
 @pytest.mark.parametrize("text, generators, built", [
     ("x1^3+x2^3+x3^3", ["(123)"], 1),  # pc_a3: f^T = f
     ("x1^2*x2+x2^3*x3+x3^4", [], 2),

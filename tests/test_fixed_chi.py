@@ -6,6 +6,9 @@ the anchored exponent rows; ``oracles.stratum_chi_fixed`` restricts f to
 the stratum, folds the restriction along T's orbits by merging monomials,
 and takes the determinant of what is left.  The two must agree on every
 stratum and every subgroup of its stabilizer, and refuse the same inputs.
+Summed over the T-invariant strata J of a full subset I, ``fixed_chi`` must
+also give the chi of the T-fixed fibre of f^I on all of C^I, which
+``oracles.milnor_orlik_chi`` reads off the weights of f^I alone.
 """
 
 import random
@@ -18,9 +21,9 @@ from test_stratum_naming import CATALOGUE, catalogue_pairs, doubled, symmetries
 
 from bhht.errors import NotInvariantError
 from bhht.euler import fixed_chi
-from bhht.oracles import restrict, stratum_chi_fixed
+from bhht.oracles import milnor_orlik_chi, restrict, stratum_chi_fixed
 from bhht.permgroups import group_from_generators
-from bhht.polynomials import parse_polynomial, transpose
+from bhht.polynomials import ExponentMatrix, parse_polynomial, transpose, weights
 
 
 def subsets(n):
@@ -115,3 +118,64 @@ def test_fixed_chi_refuses_a_t_that_moves_anchors_apart():
     assert stratum_chi_fixed(restrict(matrix, (0, 1)), swap) == 2
     with pytest.raises(NotInvariantError):
         fixed_chi(matrix, (0, 1), swap)
+
+
+def restricted_matrix(matrix, subset):
+    """f^I as an exponent matrix of its own."""
+    return ExponentMatrix([m for m, _c in restrict(matrix, subset).monomials])
+
+
+def assert_inclusion_exclusion(matrix, perms):
+    """For each orbit representative I among the full subsets and each class
+    T of S_I, the sum of fixed_chi(J, T) over the nonempty T-invariant
+    J <= I is the Milnor-Orlik chi of I; returns the number of (I, T).
+
+    An f^I with a variable of weight 0, which random draws with exponent 1
+    make, is no quasi-homogeneous singularity, and the formula says nothing
+    about it; such an I is passed over."""
+    checked = 0
+    for rep, stabilizer, _size in perms.orbits_of(matrix.full_subsets()):
+        if not rep or not all(weights(restricted_matrix(matrix, rep))):
+            continue
+        for key in stabilizer.lattice.class_members:
+            t = stabilizer.subgroup(key)
+            total = 0
+            for mask in range(1, 1 << len(rep)):
+                j = tuple(p for k, p in enumerate(rep) if mask >> k & 1)
+                if all({g[i] for i in j} == set(j) for g in t.generators):
+                    total += fixed_chi(matrix, j, t)
+            assert milnor_orlik_chi(matrix, rep, t) == total, (matrix, rep, key)
+            checked += 1
+    return checked
+
+
+def test_fixed_chi_sums_to_milnor_orlik_on_the_catalogue():
+    assert sum(assert_inclusion_exclusion(m, s) for m, s in both_sides()) > 500
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_fixed_chi_sums_to_milnor_orlik_on_random_inputs(seed):
+    # drawn as in the reference comparison above
+    rng = random.Random(seed)
+    matrix = random_invertible(rng, max_vars=rng.randint(1, 4))
+    if seed % 2:
+        matrix = doubled(random_invertible(rng, max_vars=2))
+    perms = symmetries(matrix)
+    assert_inclusion_exclusion(matrix, perms)
+    assert_inclusion_exclusion(transpose(matrix), perms)
+
+
+def test_milnor_orlik_refuses_a_weight_of_zero():
+    matrix = parse_polynomial("x1*x2+x2")
+    with pytest.raises(ValueError):
+        milnor_orlik_chi(matrix, (0, 1), group_from_generators(2, []))
+
+
+def test_milnor_orlik_of_a_fermat_quintic_under_a_rotation():
+    # x1^5+...+x5^5 on all five points: mu = 4^5 with no symmetry, and the
+    # rotation's fixed space is the line x1 = ... = x5, where f is 5 x^5
+    matrix = parse_polynomial(X1)
+    rotation = group_from_generators(5, ["(12345)"])
+    trivial = group_from_generators(5, [])
+    assert milnor_orlik_chi(matrix, tuple(range(5)), trivial) == 1 + 4 ** 5
+    assert milnor_orlik_chi(matrix, tuple(range(5)), rotation) == 1 + 4

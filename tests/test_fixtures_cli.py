@@ -322,6 +322,16 @@ def test_cmd_table1_labels_cached_rows_and_sorts_row_ids_numerically():
     assert records["12"]["cached"] is True and records["12"]["seconds"] is None
 
 
+def test_cmd_table1_times_in_milliseconds_and_skipped_rows_show_a_dash():
+    code, out = run_cli("table1", "--max-group-order", "3000")
+    assert code == 0
+    rows = [line.split() for line in out.splitlines()[1:]]
+    timed = [r[-1] for r in rows if r[-2] in ("equal", "differs") and r[-1] != "cached"]
+    assert timed and all(t.endswith("ms") and float(t[:-2]) > 0 for t in timed)
+    assert all(r[-1] == "-" for r in rows if r[-2] == "skip")
+    assert any(r[-2] == "skip" for r in rows)
+
+
 def test_size_bound_is_a_resource_error(tmp_path, monkeypatch):
     # |G| = 11^6 is over DEFAULT_GROUP_BOUND: the verdict lists nothing, but
     # the JSON and euler output would list the H of the full class, and the

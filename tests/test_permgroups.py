@@ -2,6 +2,8 @@ from itertools import combinations
 
 import pytest
 from conftest import is_even, seeded
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bhht import permgroups
 from bhht.errors import ParseError, SizeBoundError
@@ -219,11 +221,28 @@ def test_subset_walk_representative_matches_scan():
 def test_orbit_count_examples():
     t = group_from_generators(5, ["(12)(34)"])
     assert orbit_count(t, range(5)) == 3
-    assert orbits(t, range(5)) == [(0, 1), (2, 3), (4,)]
-    assert orbits(t, [4, 1, 0]) == [(0, 1), (4,)]
+    assert orbits(t, range(5)) == ((0, 1), (2, 3), (4,))
+    assert orbits(t, [4, 1, 0]) == ((0, 1), (4,))
     assert orbit_count(PermGroup(5, ()), range(5)) == 5
     d10 = group_from_generators(5, ["D10"])
     assert orbit_count(d10, range(5)) == 1
+
+
+@given(n=st.sampled_from([4, 5]), data=st.data())
+def test_memoized_orbits_are_read_off_the_element_list(n, data):
+    # a random subgroup of S4 or S5, and each union of its orbits, which is
+    # a point set it preserves: the walk and the memo both give the orbits
+    # of the element list, and a second call returns the kept tuple itself
+    gens = data.draw(st.lists(st.permutations(range(n)), max_size=2))
+    group = PermGroup(n, [tuple(g) for g in gens])
+    listed = sorted({tuple(sorted({p[i] for p in group.elements})) for i in range(n)})
+    for mask in range(1, 1 << len(listed)):
+        chosen = tuple(o for k, o in enumerate(listed) if mask >> k & 1)
+        points = tuple(sorted(i for o in chosen for i in o))
+        first = orbits(group, points)
+        assert first == chosen
+        assert orbits(group, points) is first
+    assert orbit_count(group, range(n)) == len(listed)
 
 
 def test_orbit_count_requires_invariance():
