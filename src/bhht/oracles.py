@@ -1,24 +1,25 @@
-"""Slow, independent cross-checks: naive marks, naive conjugacy, fixed-point sums.
+"""Slow, independent cross-checks: naive marks, naive conjugacy, Milnor-Orlik.
 
 These deliberately avoid the closed forms and canonical representatives of
 the main code paths so they can serve as oracles for it; everything here is
 plain enumeration over small groups, including the element list of the
-semidirect product G x| S, which the main paths never build, and f
-restricted to a stratum and folded monomial by monomial.
+semidirect product G x| S, which the main paths never build, except the
+fixed-point chi, which is Milnor-Orlik's closed form in the weights of f.
+Each quantity has one reference here.
 """
 
-from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, repeat
 from math import prod
+from operator import add, mod, sub
+from types import SimpleNamespace
 
 from .burnside import BurnsideElement, HTClass, SemidirectAmbient, carriers, mark
 from .diaggroups import perm_act
-from .errors import DegeneratePairingError, MembershipError, NotInvariantError, SizeBoundError
-from .intmat import (determinant, hermite_generators, hermite_key, hermite_order, in_hermite,
-                     kernel_mod, matvec)
-from .permgroups import compose, conjugate, identity_perm, inverse, orbit, orbits, subset_image
-from .polynomials import ExponentMatrix, non_symmetry, weights
+from .errors import DegeneratePairingError, MembershipError, SizeBoundError
+from .intmat import hermite_generators, hermite_key, hermite_order, in_hermite, matvec
+from .permgroups import compose, conjugate, identity_perm, inverse, orbit
+from .polynomials import ExponentMatrix, weights
 
 # Every enumeration here lists a whole group; none runs on one larger than this.
 ORACLE_ORDER_BOUND = 20000
@@ -229,52 +230,6 @@ def brute_subset_representative(perms, subset):
     return min(tuple(sorted(p[i] for i in subset)) for p in perms.elements)
 
 
-def subset_orbits(group):
-    """The orbits on all 2^n subsets of {0..n-1}, every one walked.
-
-    Returns a list of (representative, stabilizer, orbit size) sorted by
-    (representative size, representative), and a dict from every subset,
-    as a sorted tuple, to (its representative, an s with s(subset) =
-    representative, the representative's stabilizer).  The representative
-    is the least sorted tuple in its orbit, and every stabilizer comes from
-    a scan of the group: the reference for ``PermGroup.subset_orbit``.
-    """
-    n = group.n
-    identity = identity_perm(n)
-    out = []
-    transversal = {}
-    for mask in range(1 << n):
-        base = tuple(i for i in range(n) if mask >> i & 1)
-        if base in transversal:
-            continue
-        reach = {base: identity}
-        frontier = [base]
-        while frontier:
-            nxt = []
-            for g in group.generators:
-                for x in frontier:
-                    y = tuple(sorted(g[i] for i in x))
-                    if y not in reach:
-                        reach[y] = compose(g, reach[x])
-                        nxt.append(y)
-            frontier = nxt
-        rep = min(reach)
-        stab = group.subgroup([p for p in group.elements
-                               if subset_image(p, rep) == set(rep)])
-        to_rep = reach[rep]
-        for subset, p in reach.items():
-            transversal[subset] = (rep, compose(to_rep, inverse(p)), stab)
-        out.append((rep, stab, len(reach)))
-    out.sort(key=lambda t: (len(t[0]), t[0]))
-    return out, transversal
-
-
-def orbits_on_subsets(group):
-    """Orbits of the group on all subsets of {0..n-1}: the list of
-    ``subset_orbits``."""
-    return subset_orbits(group)[0]
-
-
 def brute_conjugate_element(ambient, h1, t1, h2, t2):
     """Some (v, s) in the whole semidirect product conjugating one split subgroup
     onto the other, or None.  Used to validate the S-only conjugacy criterion."""
@@ -289,74 +244,46 @@ def brute_conjugate_element(ambient, h1, t1, h2, t2):
 
 
 def brute_isotropy(group, subset):
-    """Elements vanishing on the subset, by a scan of the whole group."""
-    subset = set(subset)
-    return frozenset(e for e in group.elements
-                     if all(e[i] == 0 for i in subset))
+    """Elements vanishing on the subset, by a scan of the whole group, cut
+    down one point of the subset at a time."""
+    found = group.elements
+    for i in subset:
+        found = [e for e in found if not e[i]]
+    return frozenset(found)
 
 
 def brute_cocycle_kernel_order(diag, perms, subgroup):
-    """#{w in G : u.w - w lies in the subgroup for every u in perms}, by a scan of G."""
-    if not perms:
-        return diag.order
+    """#{w in G : u.w - w lies in the subgroup for every u in perms}, by a
+    scan of G, cut down one u at a time."""
     L = diag.exponent
-    pulls = [inverse(u) for u in perms]  # (u.w)_i = w_{u^-1(i)}
-    points = range(diag.n)
-    return sum(1 for w in diag.elements
-               if all(tuple((w[p[i]] - w[i]) % L for i in points) in subgroup
-                      for p in pulls))
-
-
-def kernel_order(rows, n, m):
-    """|{x in (Z/m)^n : r.x = 0 mod m for every row r}|, with no key of the
-    kernel: for the rows' key B with pivots d_j, the kernel m.B^-1.Z^n has
-    index m^n / prod(d_j) in Z^n, so it holds prod(d_j) elements mod m."""
-    return prod(row[j] for j, row in enumerate(hermite_key(rows, n, m)))
-
-
-def cocycle_kernel_order(diag, perms, congruences):
-    """#{w in G : u.w - w lies in H' for every u in perms}.
-
-    H' is given by its congruences c (c.x = 0 mod L exactly on H' within
-    G); since (u.w)_i = w_{u^-1(i)}, c.(u.w - w) = 0 is the row
-    c_{u(i)} - c_i, and the count is the order of a kernel.
-    """
-    if not perms:
-        return diag.order
-    points = range(diag.n)
-    rows = [[c[u[i]] - c[i] for i in points] for u in perms for c in congruences]
-    return kernel_order(diag.congruences + rows, diag.n, diag.exponent)
-
-
-def orbit_cocycle_order(ambient, closed, u_elements):
-    """c(U) as a kernel order: the cocycle kernel order into K_C, cut out
-    of G by the unit rows of C, for the one permutation whose cycles are
-    U's orbits on C.  The reference for the closed form
-    ``SemidirectAmbient.stratum_cocycle_order``."""
-    n = ambient.n
-    orbs = {frozenset(u[i] for u in u_elements) for i in closed}
-    cycles = list(range(n))
-    for block in map(sorted, orbs):
-        for a, b in zip(block, block[1:] + block[:1]):
-            cycles[a] = b
-    moved = (tuple(cycles),) if len(orbs) < len(closed) else ()
-    units = [[int(i == j) for i in range(n)] for j in closed]
-    return cocycle_kernel_order(ambient.diag, moved, units)
+    found = diag.elements
+    for u in perms:
+        found = [w for w in found
+                 if tuple(map(mod, map(sub, perm_act(u, w), w), repeat(L))) in subgroup]
+    return len(found)
 
 
 def kernel_nondegenerate(pairing):
-    """Both radicals of the pairing are trivial, by kernel orders: no
-    nonzero element of either group pairs to zero with every generator of
-    the other.  Raises DegeneratePairingError otherwise.  The reference for
+    """Both kernels of the pairing are trivial, from its values: for each
+    side, the characters w -> (pairing(g, w)) over the block generators g
+    of one group, as w runs over the other group, take as many values as
+    that group has elements.  The values are spanned from those of the
+    generators of the other group's key (``brute_span``), with no kernel
+    solved.  Raises DegeneratePairingError otherwise.  The reference for
     the block check ``CharacterPairing.verify_nondegenerate``."""
     if pairing.left.order != pairing.right.order:
         raise DegeneratePairingError(pairing.matrix, "group orders differ")
     sides = ((pairing, "a nonzero character vanishes on the whole group"),
              (pairing.swapped(), "a nonzero element is killed by every character"))
     for side, what in sides:
-        left, right = side.left, side.right
-        rows = [side._congruence(a) for a in left.stratum(())[0]]  # K_empty = G
-        if kernel_order(right.congruences + rows, right.n, right.exponent) != 1:
+        gens = side.left.stratum(())[0]  # K_empty = G
+        right = side.right
+        m = side.left.exponent * right.exponent
+        values = SimpleNamespace(zero=(0,) * len(gens), add=lambda x, y: tuple(
+            map(mod, map(add, x, y), repeat(m))))
+        steps = [tuple(int(pairing_value(side, g, w) * m) for g in gens)
+                 for w in hermite_generators(right.kernel(), right.exponent)]
+        if len(brute_span(values, steps)) != right.order:
             raise DegeneratePairingError(pairing.matrix, what)
 
 
@@ -396,46 +323,6 @@ def _adjoin(group, h, g):
         shifts.append(x)
         x = group.add(x, g)
     return h.union(group.add(a, s) for a in h for s in shifts)
-
-
-def stratum_key(group, subset):
-    """The Hermite key of the stratum kernel K_I, the elements of G vanishing
-    on the subset, by solving G's congruences: the reference for the closed
-    form ``DiagonalGroup.stratum_kernel``.
-
-    The congruences are solved on the free coordinates, those outside the
-    subset, alone: the lattice is (L.Z)^subset plus that kernel.  The
-    kernel's key spread over the free coordinates, with the row L.e_i for
-    each i of the subset in between, is triangular and reduced, so it is
-    the lattice's own key.
-    """
-    n, L = group.n, group.exponent
-    fixed = set(subset)
-    free = [i for i in range(n) if i not in fixed]
-    kernel = kernel_mod([[row[i] for i in free] for row in group.congruences],
-                        len(free), L)
-    key = [[0] * n for _ in range(n)]
-    for i in fixed:
-        key[i][i] = L
-    for i, row in zip(free, kernel):
-        for j, x in zip(free, row):
-            key[i][j] = x
-    return tuple(map(tuple, key))
-
-
-def stacked_kernel_mod(rows, n, m):
-    """The Hermite key of {x in (Z/m)^n : r.x = 0 mod m for every row r},
-    from one key k + n columns wide for the k rows A.
-
-    The vectors (A.e_i, e_i) and m.Z^(k+n) span a lattice whose vectors
-    with k leading zeros are the (0, x) with A.x = 0 mod m.  In its Hermite
-    key the rows past the k-th span exactly those, so their last n columns
-    are the kernel's own key.
-    """
-    k = len(rows)
-    stacked = [[row[i] for row in rows] + [int(i == j) for j in range(n)]
-               for i in range(n)]
-    return tuple(row[k:] for row in hermite_key(stacked, k + n, m)[k:])
 
 
 def check_hermite_keys(group, generator_sets):
@@ -514,133 +401,60 @@ def split_subgroup_pairs(group, perms):
     return pairs
 
 
-class RestrictedPolynomial(namedtuple("RestrictedPolynomial", "variables monomials full")):
-    """A polynomial restricted to a coordinate subspace (and maybe a fixed space).
-
-    ``variables`` are the remaining coordinates: plain 0-based indices for a
-    restriction, orbit tuples for a diagonal restriction.  ``monomials`` hold
-    (exponent vector over those coordinates, coefficient), sorted descending.
-    ``full`` means the monomial count equals the coordinate count.
-    """
-
-    __slots__ = ()
-
-    @property
-    def nvars(self):
-        return len(self.variables)
-
-    def determinant(self):
-        if not self.full:
-            raise ValueError("restriction is not full")
-        return determinant([list(m) for m, _c in self.monomials])
-
-
-def restrict(matrix, subset):
-    """Keep the monomials supported inside ``subset`` (0-based indices)."""
-    subset = sorted(set(subset))
-    if any(j < 0 or j >= matrix.n for j in subset):
-        raise ValueError("subset out of range")
-    inside = set(subset)
-    monos = []
-    for row, coeff in zip(matrix.rows, matrix.coefficients):
-        if all(e == 0 or j in inside for j, e in enumerate(row)):
-            monos.append((tuple(row[j] for j in subset), coeff))
-    monos.sort(reverse=True)
-    return RestrictedPolynomial(tuple(subset), tuple(monos),
-                                full=len(monos) == len(subset))
-
-
-def diagonal_restrict(restricted, perms):
-    """Identify the variables of f^I along the orbits of a permutation group.
-
-    ``restricted`` is f^I, as ``restrict`` returns it; ``perms`` is a PermGroup
-    acting on all n variables; it must preserve the subset and f^I.  Monomials
-    whose exponent vectors become equal are merged by summing coefficients.
-    """
-    subset = restricted.variables
-    inside = set(subset)
-    for p in perms.generators:
-        if {p[j] for j in inside} != inside:
-            raise NotInvariantError("group does not preserve the subset")
-    if non_symmetry(subset, restricted.monomials, perms) is not None:
-        raise NotInvariantError("group does not preserve the restricted polynomial")
-    orbs = orbits(perms, subset)
-    column = {v: k for k, orb in enumerate(orbs) for v in orb}
-    merged = {}
-    for mono, coeff in restricted.monomials:
-        folded = [0] * len(orbs)
-        for pos, e in enumerate(mono):
-            folded[column[subset[pos]]] += e
-        key = tuple(folded)
-        merged[key] = merged.get(key, Fraction(0)) + coeff
-    monos = tuple(sorted(((m, c) for m, c in merged.items() if c != 0), reverse=True))
-    return RestrictedPolynomial(tuple(orbs), monos, full=len(monos) == len(orbs))
-
-
-def stratum_chi_fixed(restricted, perms):
-    """Euler characteristic of the T-fixed part of the fibre on an open stratum,
-    by restriction and fold: the slow reference for ``euler.fixed_chi``.
-
-    ``restricted`` is f^I.  Zero unless its fold along T's orbits is full,
-    which it never is when f^I is not and T preserves f (T then permutes the
-    monomials of f^I as it permutes their anchors); then (-1)^(orbits-1)
-    |folded determinant|.
-    """
-    if not restricted.variables:
-        raise ValueError("the empty stratum has no fibre points")
-    folded = diagonal_restrict(restricted, perms)
-    if not folded.full:
-        return 0
-    return (-1) ** (folded.nvars - 1) * abs(folded.determinant())
-
-
 def milnor_orlik_chi(matrix, subset, t_group):
     """chi of the T-fixed part of the Milnor fibre of f^I, over all of C^I,
-    for a subset I on which f^I is full: 1 + (-1)^(k-1) prod_O (1/q_O - 1)
-    over T's k orbits O on I, the Milnor number of f^I on T's fixed space
-    by Milnor-Orlik.  Its variables are the orbits, each of the weight q_O
-    that ``polynomials.weights`` gives f^I at the orbit's points; a weight
-    of 0, as x1*x2 + x2 has, is refused.  The orbits are read off T's
-    element list."""
-    restricted = restrict(matrix, subset)
-    if not restricted.full:
+    for a sorted subset I closed under successors: 1 + (-1)^(k-1) mu over
+    T's k orbits O on I, for mu = prod_O (1/q_O - 1) the Milnor number of
+    f^I on T's fixed space by Milnor-Orlik.  f^I is the anchored rows of I
+    on I's columns, refused when a row of I reaches outside I, and an empty
+    I is refused.  Its variables are the orbits, each of the weight q_O that
+    ``polynomials.weights`` gives f^I at the orbit's points.
+
+    A weight of 0, beyond Milnor-Orlik, comes in a monomial v^a*w with v of
+    weight 0 and w of weight 1, as x2^3*x1 in x1 + x1*x2^3, and the pair
+    counts a in mu in place of its two factors.  Taken from the end of the
+    chain, where w's own monomial is w: the fibre is a graph over w where
+    v^a != -1, and a line times the fibre of f^I without v and w where
+    v^a = -1, so 1 - chi is a times that of the rest.  A weight-1 variable
+    in no pair, a linear monomial, gives mu = 0, as the formula does.  The
+    orbits are read off T's element list."""
+    if not subset:
+        raise ValueError("the empty stratum has no fibre points")
+    rows = matrix.anchored().rows
+    inside = set(subset)
+    if any(e and j not in inside for a in subset for j, e in enumerate(rows[a])):
         raise ValueError("f^I is not full on %s" % (subset,))
-    q = dict(zip(restricted.variables,
-                 weights(ExponentMatrix([m for m, _c in restricted.monomials]))))
-    if not all(q.values()):
-        raise ValueError("f^I has a variable of weight 0 on %s" % (subset,))
-    orbs = {min(t[i] for t in t_group.elements) for i in subset}
-    return 1 + (-1) ** (len(orbs) - 1) * prod(1 / q[i] - 1 for i in orbs)
+    q = dict(zip(subset, weights(ExponentMatrix([[rows[a][j] for j in subset]
+                                                 for a in subset]))))
+    orbit_of = {i: min(t[i] for t in t_group.elements) for i in subset}
+    orbs = set(orbit_of.values())
+    paired = {orbit_of[j] for i in orbs if not q[i] for j in subset if j != i and rows[i][j]}
+    mu = prod(rows[i][i] if not q[i] else 1 if i in paired else 1 / q[i] - 1 for i in orbs)
+    return 1 + (-1) ** (len(orbs) - 1) * mu
 
 
 def fixed_point_euler(matrix, perms, h_elements, t_elements):
-    """chi of the (H x| T)-fixed part of the fibre, summed stratum by stratum.
+    """chi of the (H x| T)-fixed part of the Milnor fibre of f, by Milnor-Orlik.
 
-    Independent of the Burnside bookkeeping: a stratum contributes exactly
-    when H acts trivially on it and T preserves it, and then contributes the
-    T-fixed determinant count.
+    The fixed part is the Milnor fibre of f on C^Z(H) meet Fix(T), for Z(H)
+    the points where every element of H vanishes, and it is empty when Z(H)
+    is.  Z(H) is closed under successors, since h_a = 0 and p.h_a + h_b = 0
+    mod 1 on the monomial x_a^p x_b give h_b = 0, and T preserves it, so
+    ``milnor_orlik_chi`` counts it.  Nothing here stratifies or marks.
     """
-    matrix = matrix.anchored()
-    n = matrix.n
-    t_group = perms.subgroup(t_elements)
-    total = 0
-    for mask in range(1, 1 << n):
-        subset = tuple(i for i in range(n) if mask >> i & 1)
-        if any(any(h[i] != 0 for i in subset) for h in h_elements):
-            continue
-        if any({t[i] for i in subset} != set(subset) for t in t_elements):
-            continue
-        total += stratum_chi_fixed(restrict(matrix, subset), t_group)
-    return total
+    zeros = tuple(i for i in range(matrix.n) if not any(h[i] for h in h_elements))
+    if not zeros:
+        return 0
+    return milnor_orlik_chi(matrix, zeros, perms.subgroup(t_elements))
 
 
 def check_fixed_point_consistency(analysis):
-    """Marks of the assembled invariant against direct stratum sums.
+    """Marks of the assembled invariant against Milnor-Orlik.
 
     For every split class of the ambient group, the weighted sum of marks of
     the computed equivariant Euler characteristic must equal the fixed-point
-    Euler characteristic computed directly from the strata.  Returns the
-    number of classes checked; raises AssertionError on any mismatch.
+    Euler characteristic in closed form (``fixed_point_euler``).  Returns
+    the number of classes checked; raises AssertionError on any mismatch.
     """
     ambient = analysis.ambient
     if ambient.order > CONSISTENCY_ORDER_BOUND:
@@ -660,7 +474,7 @@ def check_fixed_point_consistency(analysis):
                                 probe.h_elements, probe.t_elements)
         if lhs != rhs:
             raise AssertionError(
-                "fixed-point mismatch on %r: marks give %d, strata give %d"
+                "fixed-point mismatch on %r: marks give %d, Milnor-Orlik gives %d"
                 % (probe, lhs, rhs))
         checked += 1
     return checked

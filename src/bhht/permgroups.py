@@ -326,15 +326,24 @@ class SubgroupLattice:
         """Every subgroup as a frozenset of indices, by (order, sorted indices)."""
         mul = self._mul
         order = len(mul)
+        whole = frozenset(range(order))
 
         def product(a, b):
             return mul[a][b]
+
+        def closure(generators):
+            """The subgroup the generators generate; past half the group it
+            lies in no proper subgroup (Lagrange), so the walk stops there."""
+            try:
+                return orbit(0, generators, product, bound=order // 2)
+            except SizeBoundError:
+                return whole
 
         # each subgroup found, with the generators it was reached with
         gens = {frozenset({0}): ()}
         queue = []
         for g in range(order):
-            cyc = orbit(0, (g,), product)
+            cyc = closure((g,))
             if cyc not in gens:
                 gens[cyc] = (g,)
                 queue.append(cyc)
@@ -347,7 +356,7 @@ class SubgroupLattice:
             for g in range(order):
                 if g in covered:
                     continue
-                K = orbit(0, gens[H] + (g,), product)
+                K = closure(gens[H] + (g,))
                 if K not in gens:
                     gens[K] = gens[H] + (g,)
                     queue.append(K)

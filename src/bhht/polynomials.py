@@ -239,6 +239,12 @@ def serialize_polynomial(matrix):
 def _decompose(matrix):
     """Find the chain/loop block structure, or raise.
 
+    Two kinds of block are refused as not invertible, read off their
+    exponents, because f then has no weights in (0, 1): a chain whose last
+    monomial is its variable alone, of weight 1, so that f is smooth at 0,
+    and a loop x^a*y + x*y^b of two variables with a or b equal to 1, which
+    gives the other variable weight 0.
+
     Returns (blocks, anchors, successors): anchors maps row index -> the
     variable the monomial is anchored at (x_a^p or x_a^p * x_next), and
     successors maps that variable -> x_next, or None for x_a^p.
@@ -307,6 +313,10 @@ def _decompose(matrix):
             chain.append(nxt)
             seen.add(nxt)
         exps = tuple(matrix.rows[row_of[a]][a] for a in chain)
+        if exps[-1] == 1:
+            raise NotInvertibleError(
+                "chain on variables %s ends in x%d alone: f has a linear monomial "
+                "and no singular point at 0" % ([v + 1 for v in chain], chain[-1] + 1))
         blocks.append(AtomicBlock(CHAIN, tuple(chain), exps))
     # what is left are loops
     for start in range(n):
@@ -327,6 +337,10 @@ def _decompose(matrix):
                 "loop on variables %s has all exponents 1 (degenerate or A1; "
                 "also the only case admitting flip symmetries, which are excluded)"
                 % ([v + 1 for v in cycle],))
+        if len(cycle) == 2 and 1 in exps:
+            raise NotInvertibleError(
+                "loop on variables %s has an exponent 1: it gives a variable "
+                "weight 0" % ([v + 1 for v in cycle],))
         blocks.append(AtomicBlock(LOOP, tuple(cycle), exps))
     blocks.sort(key=lambda b: b.variables)
     return tuple(blocks), anchors, succ
@@ -407,23 +421,6 @@ def weights(matrix):
         for j in range(matrix.n))
 
 
-def non_symmetry(variables, monomials, perms):
-    """A generator that moves the monomial -> coefficient table, or None.
-
-    Exponent vectors are over ``variables``, a set the generators preserve.
-    """
-    pos_of = {v: k for k, v in enumerate(variables)}
-    table = dict(monomials)
-    for p in perms.generators:
-        for mono, coeff in table.items():
-            moved = [0] * len(mono)
-            for pos, e in enumerate(mono):
-                moved[pos_of[p[variables[pos]]]] = e
-            if table.get(tuple(moved)) != coeff:
-                return p
-    return None
-
-
 # -- permutation symmetries ------------------------------------------------------
 
 
@@ -443,7 +440,12 @@ def check_invariance(matrix, group):
         raise NotInvariantError("group degree %d != variable count %d"
                                 % (group.n, matrix.n))
     matrix.validate()
-    p = non_symmetry(range(matrix.n), zip(matrix.rows, matrix.coefficients), group)
-    if p is not None:
-        raise NotInvariantError(
-            "permutation %s does not preserve the polynomial" % cycle_notation(p))
+    table = dict(zip(matrix.rows, matrix.coefficients))
+    for p in group.generators:
+        for mono, coeff in table.items():
+            moved = [0] * matrix.n
+            for j, e in enumerate(mono):
+                moved[p[j]] = e
+            if table.get(tuple(moved)) != coeff:
+                raise NotInvariantError(
+                    "permutation %s does not preserve the polynomial" % cycle_notation(p))

@@ -32,6 +32,11 @@ def x15():
     return parse_polynomial(X15)
 
 
+def all_subsets(n):
+    """Every subset of n points, the empty one first, as sorted tuples."""
+    return [tuple(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
+
+
 def key_of(group, elements):
     """The Hermite key of the subgroup of a diagonal group that the elements
     generate: how a test hands ``HTClass`` an H it holds as elements."""
@@ -75,7 +80,10 @@ def summed(ambient, *elements):
 
 
 def random_invertible(rng, max_vars=6):
-    """Random Sebastiani-Thom sum of chains and loops, rows shuffled."""
+    """Random Sebastiani-Thom sum of chains and loops, rows shuffled, such
+    that f passes validation: an exponent 1 drawn at the end of a chain or
+    in a 2-loop is raised to 2.  A chain may still start with exponent 1,
+    as x1*x2 + x2^3 does; f^T then ends that chain in its variable alone."""
     n = 0
     blocks = []
     while n < max_vars:
@@ -85,10 +93,14 @@ def random_invertible(rng, max_vars=6):
             exps = [rng.randint(1, 5) for _ in range(m)]
             if all(p == 1 for p in exps):
                 exps[rng.randrange(m)] = rng.randint(2, 5)
+            if m == 2:
+                exps = [max(p, 2) for p in exps]
             blocks.append(("loop", m, exps))
         else:
             m = rng.randint(1, min(3, room))
-            blocks.append(("chain", m, [rng.randint(1, 5) for _ in range(m)]))
+            exps = [rng.randint(1, 5) for _ in range(m)]
+            exps[-1] = max(exps[-1], 2)
+            blocks.append(("chain", m, exps))
         n += blocks[-1][1]
     variables = list(range(n))
     rng.shuffle(variables)

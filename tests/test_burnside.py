@@ -333,26 +333,30 @@ def test_mark_against_naive_oracle_on_all_class_pairs(polynomial, generators,
     ("x1^3*x2+x2^3*x3+x3^3*x4+x4^3*x1", ["(1234)"]),
 ])
 def test_cocycle_kernel_order_matches_scan(polynomial, generators):
-    # every (K', K) class pair and every s that mark counts over
-    from bhht.intmat import hermite_generators, kernel_mod
-    from bhht.oracles import brute_cocycle_kernel_order, cocycle_kernel_order
+    # c(U) in closed form against a scan of G, for the zero set C' of every
+    # class K' that a mark counts the cosets of, and every conjugate
+    # U = s^-1 T s of a class's T, over every s of S, that fixes C'
+    from bhht.oracles import brute_cocycle_kernel_order, brute_isotropy
     from bhht.permgroups import conjugate, inverse
 
     ambient = ambient_of(polynomial, generators)
     diag = ambient.diag
     classes = split_classes(ambient)
     checked = set()
-    L = diag.exponent
-    for kp in classes:
-        congruences = hermite_generators(kernel_mod(kp.h_gens, diag.n, L), L)
+    for kp in stratum_classes_of(ambient):
+        closed = kp.closed
+        inside = set(closed)
+        h_elements = brute_isotropy(diag, closed)
         for k in classes:
             for s in ambient.perms.elements:
-                moved = tuple(conjugate(inverse(s), t) for t in k.t_gens)
-                if (kp.tag, moved) not in checked:
-                    checked.add((kp.tag, moved))
-                    assert cocycle_kernel_order(diag, moved, congruences) \
-                        == brute_cocycle_kernel_order(diag, moved, kp.h_elements)
-    assert len(checked) > len(classes)
+                u = frozenset(conjugate(inverse(s), t) for t in k.t_elements)
+                if (closed, u) not in checked and all({p[i] for i in closed} == inside
+                                                      for p in u):
+                    checked.add((closed, u))
+                    assert ambient.stratum_cocycle_order(closed, u) \
+                        == brute_cocycle_kernel_order(diag, tuple(u), h_elements)
+    # some U moves a point of its C', so that c(U) is not all of G
+    assert any(p[i] != i for closed, u in checked for p in u for i in closed)
 
 
 def test_mark_triangular_in_subconjugacy(small, small_classes):

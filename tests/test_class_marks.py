@@ -6,15 +6,15 @@ D that K's H vanishes on and K's T fixes adds, per conjugate U of T carried
 onto K''s zero set, c(U) read off the block generators.  The element scan
 of S (``oracles.conjugators_by_scan``) and the coset count of
 ``oracles.naive_mark`` must agree with it on every class pair of a stratum,
-and on chi's own classes against every split class, and c(U) with its
-kernel order and with a scan of G on every subgroup U.  No mark reads S's
-element list.  The Saito dual accepts ann(K_C) = K'_{C^c} by containment
-and orders; that must agree with the annihilator solved by keys on every C,
-and refuse a corrupted order or generator.
+and on chi's own classes against every split class, and c(U) with a scan
+of G on every subgroup U.  No mark reads S's element list.  The Saito
+dual accepts ann(K_C) = K'_{C^c} by containment and orders; that must
+agree with the annihilator solved by keys on every C, and refuse a
+corrupted order or generator.
 """
 
 import pytest
-from conftest import key_of, key_zero_set
+from conftest import all_subsets, key_of, key_zero_set
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_stratum_naming import CATALOGUE, catalogue_pairs, generated_pairs
@@ -26,13 +26,11 @@ from bhht.intmat import hermite_generators, hermite_order, in_hermite
 from bhht.oracles import (
     CONSISTENCY_ORDER_BOUND,
     brute_cocycle_kernel_order,
+    brute_isotropy,
     conjugators_by_scan,
     key_class,
     naive_mark,
-    orbit_cocycle_order,
-    orbits_on_subsets,
     split_subgroup_pairs,
-    stratum_key,
 )
 from bhht.permgroups import PermGroup, conjugate, group_from_generators, identity_perm
 from bhht.polynomials import parse_polynomial, transpose
@@ -66,6 +64,11 @@ def symmetric_input(text, generators):
     return matrix, group_from_generators(matrix.n, generators)
 
 
+def both_sides(matrix):
+    """f and f^T, once when they are equal, as for a Fermat polynomial."""
+    return dict.fromkeys((matrix, transpose(matrix)))
+
+
 def stratum_classes(analysis):
     """Per stratum: its ambient G x| S_I and every class [K_C x| T] of it."""
     for stratum in analysis.strata:
@@ -77,7 +80,7 @@ def stratum_classes(analysis):
 def assert_class_marks(matrix, perms):
     """Every class pair of every stratum of f and f^T; returns their number."""
     pairs = 0
-    for side in (matrix, transpose(matrix)):
+    for side in both_sides(matrix):
         for ambient, classes in stratum_classes(euler_analysis(side, perms)):
             closed = classes[0].closed
             assert closed is not None
@@ -96,7 +99,7 @@ def assert_orbit_counts(matrix, perms):
     for ambient, classes in stratum_classes(euler_analysis(matrix, perms)):
         diag = ambient.diag
         closed = classes[0].closed
-        h_elements = diag.kernel_elements(stratum_key(diag, closed))
+        h_elements = brute_isotropy(diag, closed)
         for u in ambient.perms.lattice.subgroups:
             assert ambient.stratum_cocycle_order(closed, u) \
                 == brute_cocycle_kernel_order(diag, tuple(u), h_elements)
@@ -131,19 +134,30 @@ def test_orbit_partition_counts_match_a_scan_of_g_on_generated_inputs():
 
 
 def assert_closed_form_counts(matrix, perms):
-    """c(U) in closed form against its kernel order, for f and f^T, every
+    """c(U) in closed form against a scan of G, for f and f^T, every
     stratum zero set C and every subgroup U of C's stabilizer, which fixes
-    C; returns the number of (C, U) compared."""
+    C; returns the number of (C, U) compared.  G is scanned once per class
+    of U: an s of the stabilizer carries the w constant on U's orbits in C
+    onto those constant on sUs^-1's, so conjugates have one count."""
     compared = 0
-    for side in (matrix, transpose(matrix)):
+    for side in both_sides(matrix):
         diag = DiagonalGroup(side.anchored())
-        for rep, stabilizer, _size in orbits_on_subsets(perms):
+        for rep, stabilizer, _size in perms.orbits_of(all_subsets(side.n)):
             ambient = SemidirectAmbient(diag, stabilizer)
             closed = diag.zero_set(rep)
             assert stabilizer.subset_orbit(closed)[2] is stabilizer
-            for u in stabilizer.lattice.subgroups:
-                assert ambient.stratum_cocycle_order(closed, u) \
-                    == orbit_cocycle_order(ambient, closed, u), (side, closed, sorted(u))
+            h_elements = brute_isotropy(diag, closed)
+            lattice = stabilizer.lattice
+            scanned = {}
+            for u in lattice.subgroups:
+                key = lattice.key_of[u]
+                if key not in scanned:
+                    # U's generators suffice: U fixes C, so K_C is U-invariant,
+                    # and (uv).w - w = u.(v.w - w) + (u.w - w)
+                    scanned[key] = brute_cocycle_kernel_order(
+                        diag, stabilizer.subgroup(key).generators, h_elements)
+                assert ambient.stratum_cocycle_order(closed, u) == scanned[key], \
+                    (side, closed, sorted(u))
                 compared += 1
     return compared
 
@@ -273,8 +287,8 @@ def test_marks_of_chi_classes_match_the_naive_count(pair):
 def zero_sets(group):
     """Z(K_I) for every subset I: every C a verdict can hand the dual."""
     n = group.n
-    return sorted({key_zero_set(group, stratum_key(
-        group, tuple(i for i in range(n) if m >> i & 1))) for m in range(1 << n)})
+    return sorted({key_zero_set(group, key_of(group, brute_isotropy(
+        group, tuple(i for i in range(n) if m >> i & 1)))) for m in range(1 << n)})
 
 
 def complement_of(closed, n):
@@ -288,9 +302,9 @@ def assert_containment_agrees_with_keys(matrix, perms):
     for pairing in (forward, forward.swapped()):
         left, right = pairing.left, pairing.right
         for closed in zero_sets(left):
-            ann = pairing.dual_kernel(stratum_key(left, closed))
+            ann = pairing.dual_kernel(key_of(left, brute_isotropy(left, closed)))
             dual = pairing.dual_stratum(closed)
-            assert ann == stratum_key(right, complement_of(closed, left.n))
+            assert ann == key_of(right, brute_isotropy(right, complement_of(closed, left.n)))
             assert dual == key_zero_set(right, ann)
             checked += 1
     return checked
@@ -335,7 +349,7 @@ def assert_corruptions_refused(monkeypatch, matrix):
     for closed in zero_sets(left):
         assert refused_with(monkeypatch, matrix, closed,
                             lambda group, gens, order: (gens, 2 * order))
-        key = stratum_key(left, closed)
+        key = key_of(left, brute_isotropy(left, closed))
         if hermite_order(key, left.exponent) == 1:
             continue
         ann = reference.dual_kernel(key)

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from conftest import key_of, key_zero_set, random_invertible, seeded, stratum_elements
+from conftest import key_of, random_invertible, seeded, stratum_elements
 
 from bhht.diaggroups import (
     DEFAULT_GROUP_BOUND,
@@ -23,7 +23,6 @@ from bhht.oracles import (
     check_hermite_keys,
     kernel_nondegenerate,
     pairing_value,
-    stratum_key,
 )
 from bhht.permgroups import PermGroup, group_from_generators, parse_cycles
 from bhht.polynomials import check_invariance, parse_polynomial, weights
@@ -231,8 +230,8 @@ def test_pairing_nondegenerate_small():
 
 
 def nondegeneracy_refusals(pairing):
-    """The messages with which the block check and the kernel-order
-    reference refuse the pairing, "" for an accepted one."""
+    """The messages with which the block check and the reference, by the
+    pairing's values, refuse the pairing, "" for an accepted one."""
     out = []
     for check in (CharacterPairing.verify_nondegenerate, kernel_nondegenerate):
         try:
@@ -261,8 +260,13 @@ def pairing_inputs():
             + [random_invertible(rng, max_vars=5) for _ in range(60)])
 
 
+def distinct(matrices):
+    """The matrices in order, each once: many fixtures share one f."""
+    return list(dict.fromkeys(matrices))
+
+
 def test_block_nondegeneracy_agrees_with_the_kernel_orders():
-    for matrix in pairing_inputs():
+    for matrix in distinct(pairing_inputs()):
         assert nondegeneracy_refusals(CharacterPairing(matrix)) == ["", ""]
 
 
@@ -270,7 +274,7 @@ def test_a_scaled_block_generator_is_refused_exactly_when_it_loses_order():
     # k g'_B still generates <g'_B> when k is a unit mod d_B, and otherwise
     # generates a proper subgroup: both checks refuse exactly then
     refused = 0
-    for matrix in pairing_inputs()[::3]:
+    for matrix in distinct(pairing_inputs()[::3]):
         for d, _g, variables in DiagonalGroup(matrix.anchored()).blocks:
             for k in (2, 3, 5, 7):
                 block, kernel = nondegeneracy_refusals(
@@ -457,9 +461,9 @@ def test_isotropy_on_stratum_matches_scan(quintic, x14, x15):
 
 
 def test_stratum_kernel_is_the_kernel_of_unit_rows(quintic):
-    # in closed form, and solved on the free coordinates alone by the
-    # oracle, the key is the one the unit congruences e_i.x = 0 give, for
-    # every subset of a chain, a loop and a Fermat polynomial
+    # in closed form, the key is the one the unit congruences e_i.x = 0
+    # give, and it lists what a scan of G finds, for every subset of a
+    # chain, a loop and a Fermat polynomial
     from itertools import combinations
 
     matrices = [parse_polynomial("x1^2*x2+x2^3*x3+x3^4*x4+x4^2"),
@@ -471,32 +475,33 @@ def test_stratum_kernel_is_the_kernel_of_unit_rows(quintic):
             for subset in combinations(range(n), k):
                 units = [[int(i == j) for j in range(n)] for i in subset]
                 key = group.kernel(units)
-                assert stratum_key(group, subset) == key
                 assert key_of(group, group.stratum_kernel(subset)[0]) == key
+                assert group.kernel_elements(key) == brute_isotropy(group, subset)
 
 
 def closed_form_inputs():
     """At least 100 seeded sums of chains and loops in up to 6 variables,
-    x1+x2^3+x3+x4^3, whose G fixes x1 and x3, and every catalogue matrix
-    with its transpose."""
+    x1+x1*x2^3+x3+x3*x4^3, the transpose of x1*x2+x2^3+x3*x4+x4^3, whose G
+    fixes x1 and x3, and every catalogue matrix with its transpose."""
     from bhht.errors import BhhtError
     from bhht.polynomials import transpose
 
     rng = seeded(47)
     matrices = [random_invertible(rng, max_vars=rng.randint(1, 6)) for _ in range(120)]
-    matrices.append(parse_polynomial("x1+x2^3+x3+x4^3"))
+    matrices.append(transpose(parse_polynomial("x1*x2+x2^3+x3*x4+x4^3")))
     for fx in load_catalogue().values():
         try:
             matrices += [fx.matrix, transpose(fx.matrix)]
         except BhhtError:
             continue
-    return matrices
+    return distinct(matrices)
 
 
 def test_stratum_kernels_in_closed_form_match_the_solved_keys():
-    # on every subset, the closed form's generators span the kernel the
-    # oracle solves, with its order and zero set; |G| is |det E| and L the
-    # exponent of the kernel of E mod |det E|
+    # on every subset, the closed form's generators lie in the kernel a scan
+    # of G lists and generate a subgroup of its order, so they span it, and
+    # its zero set is the closed form's; |G| is |det E| and L the exponent
+    # of the kernel of E mod |det E|
     from itertools import combinations
 
     from bhht.intmat import kernel_mod
@@ -512,10 +517,10 @@ def test_stratum_kernels_in_closed_form_match_the_solved_keys():
         for k in range(n + 1):
             for subset in combinations(range(n), k):
                 gens, order = group.stratum_kernel(subset)
-                key = stratum_key(group, subset)
-                assert key_of(group, gens) == key, (matrix, subset)
-                assert order == hermite_order(key, L)
-                zeros = key_zero_set(group, key)
+                listed = brute_isotropy(group, subset)
+                assert order == len(listed) == hermite_order(key_of(group, gens), L)
+                assert set(gens) <= listed, (matrix, subset)
+                zeros = tuple(i for i in range(n) if not any(e[i] for e in listed))
                 assert group.zero_set(subset) == zeros
                 seen["Z(G) not empty"] += k == 0 and zeros != ()
         blocks = matrix.validate()

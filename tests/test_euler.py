@@ -2,7 +2,7 @@ import sys
 from collections import Counter, deque
 
 import pytest
-from conftest import X14, X15, seeded, stratum_elements, summed
+from conftest import X14, X15, all_subsets, seeded, stratum_elements, summed
 from test_stratum_naming import CATALOGUE, catalogue_pairs, generated_pairs
 
 from bhht import diaggroups, euler, intmat
@@ -16,13 +16,7 @@ from bhht.euler import (
     verify_duality,
 )
 from bhht.fixtures import load_catalogue
-from bhht.oracles import (
-    check_fixed_point_consistency,
-    diagonal_restrict,
-    orbits_on_subsets,
-    restrict,
-    stratum_chi_fixed,
-)
+from bhht.oracles import check_fixed_point_consistency
 from bhht.permgroups import (
     PermGroup,
     group_from_generators,
@@ -47,7 +41,8 @@ def torus_curve_chi_oracle(m):
 
 
 def test_chi_one_variable_power():
-    for m in range(1, 8):
+    # x1 alone (m = 1) is smooth at 0, and validation refuses it
+    for m in range(2, 8):
         e = parse_polynomial("x1^%d" % m)
         assert fixed_chi(e, (0,), PermGroup(1, ())) == m
 
@@ -87,23 +82,20 @@ def fold_cases():
 
 
 def test_fold_fullness_alone_decides_a_fixed_chi():
-    # stratum_chi_fixed tests only the fold: a restriction that is not full
-    # folds to one that is not full, for every class T of every S_I
+    # fixed_chi is 0 on a stratum where f^I is not full, and on a full one
+    # sums with the strata within it to Milnor-Orlik's chi, for every class
+    # T of every S_I
+    from test_fixed_chi import assert_matches_milnor_orlik
+
     short = 0
     for matrix, perms in fold_cases():
-        for subset, stabilizer, _size in orbits_on_subsets(perms):
+        for subset, stabilizer, _size in perms.orbits_of(all_subsets(matrix.n)):
             if not subset:
                 continue
-            base = restrict(matrix, subset)
             lattice = stabilizer.lattice
             for cls in lattice.conjugacy_classes:
                 t = stabilizer.subgroup(lattice.class_key(cls))
-                folded = diagonal_restrict(base, t)
-                expected = 0
-                if base.full and folded.full:
-                    expected = (-1) ** (folded.nvars - 1) * abs(folded.determinant())
-                assert stratum_chi_fixed(base, t) == expected
-                short += not base.full
+                short += not assert_matches_milnor_orlik(matrix, subset, t)
     assert short
 
 
@@ -240,16 +232,17 @@ def test_reduce_subtracts_the_point(quintic):
 
 
 def expected_kernel_orders(matrix, n):
-    """Map each full stratum to (kernel order, sign) by direct restriction."""
+    """Map each full stratum to (kernel order, sign) by the determinant of f^I."""
     group = DiagonalGroup(matrix.anchored())
     out = {}
     for mask in range(1, 1 << n):
         subset = tuple(i for i in range(n) if mask >> i & 1)
-        base = restrict(matrix.anchored(), subset)
-        if not base.full:
+        if not matrix.full_on(subset):
             continue
         kernel = stratum_elements(group, subset)
-        chi = (-1) ** (len(subset) - 1) * abs(base.determinant())
+        rows = matrix.anchored().rows
+        chi = (-1) ** (len(subset) - 1) * abs(intmat.determinant(
+            [[rows[a][j] for j in subset] for a in subset]))
         out[subset] = (len(kernel), chi * len(kernel) // group.order)
     return out
 
@@ -541,7 +534,7 @@ def test_stratum_profile_equal_for_complements_under_pc():
     # coloured subgroup diagram, and the same codimension parity at its top
     g = group_from_generators(5, ["(12345)", "(14)(23)"])
     assert pc_check(g).satisfies
-    for rep, stab, _size in orbits_on_subsets(g):
+    for rep, stab, _size in g.orbits_of(all_subsets(5)):
         complement = tuple(sorted(set(range(5)) - set(rep)))
         reps = class_reps(stab)
         assert (_stratum_profile(rep, stab, reps)[0]
@@ -762,25 +755,9 @@ def verdict_input(name):
 
 @pytest.mark.parametrize("name", ["pc_a3", "x15_z5", "table1_r2", "quartic6_a3"])
 def test_a_verdict_restricts_each_stratum_once(monkeypatch, name):
-    # a verdict and its lemma checks restrict nothing: fullness is read off
-    # the anchored rows, and fixed_chi folds each (stratum, class) once
-    import bhht
-    from bhht import oracles
-
+    # fullness is read off the anchored rows, and fixed_chi folds each
+    # (stratum, class) once across a verdict and its lemma checks
     f, s = verdict_input(name)
-    restrictions = []
-    patched = 0
-    for fn in ("restrict", "diagonal_restrict"):
-        original = getattr(oracles, fn)
-
-        def counted(*args, original=original, fn=fn):
-            restrictions.append(fn)
-            return original(*args)
-
-        for module in vars(bhht).values():
-            if getattr(module, fn, None) is original:
-                monkeypatch.setattr(module, fn, counted)
-                patched += 1
     fold = euler.fixed_chi
     calls = Counter()
 
@@ -792,7 +769,6 @@ def test_a_verdict_restricts_each_stratum_once(monkeypatch, name):
     monkeypatch.setattr(euler, "_RECENT", deque(maxlen=2))
     assert verify_duality(f, s).equal
     assert lemma_level_checks(f, s).all_passed
-    assert patched >= 2 and restrictions == []
     assert calls and set(calls.values()) == {1}
 
 
@@ -842,7 +818,7 @@ def test_a_verdict_solves_each_stratum_kernel_once(monkeypatch, name):
     monkeypatch.setattr(euler, "_RECENT", deque(maxlen=2))
     assert verify_duality(f, s).equal
     assert lemma_level_checks(f, s).all_passed
-    reps = {rep for rep, _stab, _size in orbits_on_subsets(s)}
+    reps = {rep for rep, _stab, _size in s.orbits_of(all_subsets(s.n))}
     n = f.n
     closures = {tuple(i for i in range(n) if not any(g[i] for g in plain(group, rep)[0]))
                 for group in groups.values() for rep in reps}

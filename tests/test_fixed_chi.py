@@ -1,14 +1,17 @@
-"""The fixed-point Euler characteristic from anchored rows against the
-reference fold.
+"""The fixed-point Euler characteristic from anchored rows against
+Milnor-Orlik.
 
 ``euler.fixed_chi`` reads fullness and the folded determinant straight off
-the anchored exponent rows; ``oracles.stratum_chi_fixed`` restricts f to
-the stratum, folds the restriction along T's orbits by merging monomials,
-and takes the determinant of what is left.  The two must agree on every
-stratum and every subgroup of its stabilizer, and refuse the same inputs.
-Summed over the T-invariant strata J of a full subset I, ``fixed_chi`` must
-also give the chi of the T-fixed fibre of f^I on all of C^I, which
-``oracles.milnor_orlik_chi`` reads off the weights of f^I alone.
+the anchored exponent rows, one open stratum at a time.  It is 0 on a
+stratum I where f^I is not full, and summed over the T-invariant strata J
+of a full subset I it must give the chi of the T-fixed fibre of f^I on all
+of C^I, which ``oracles.milnor_orlik_chi`` reads off the weights of f^I
+alone, also where f^I has weights 1 and 0, as the transpose of a chain
+that starts with exponent 1 has.  By induction on I, the two fix
+fixed_chi on every stratum and every subgroup T of its stabilizer.  It refuses a T that moves I or the
+monomials of f^I, and one that moves an anchored monomial apart from its
+anchor.  Summed over the whole Burnside element with the marks of the
+trivial subgroup, chi of the whole fibre must be Milnor-Orlik's too.
 """
 
 import random
@@ -20,10 +23,10 @@ from hypothesis import strategies as st
 from test_stratum_naming import CATALOGUE, catalogue_pairs, doubled, symmetries
 
 from bhht.errors import NotInvariantError
-from bhht.euler import fixed_chi
-from bhht.oracles import milnor_orlik_chi, restrict, stratum_chi_fixed
-from bhht.permgroups import group_from_generators
-from bhht.polynomials import ExponentMatrix, parse_polynomial, transpose, weights
+from bhht.euler import euler_analysis, fixed_chi
+from bhht.oracles import milnor_orlik_chi
+from bhht.permgroups import PermGroup, group_from_generators
+from bhht.polynomials import parse_polynomial, transpose, weights
 
 
 def subsets(n):
@@ -47,18 +50,54 @@ def both_sides():
         yield transpose(fx.matrix), s
 
 
+def monomials_inside(matrix, subset):
+    """The monomials of f^I, those supported inside the subset, with their
+    coefficients, by a scan of the rows."""
+    inside = set(subset)
+    return {row: c for row, c in zip(matrix.rows, matrix.coefficients)
+            if all(not e or j in inside for j, e in enumerate(row))}
+
+
+def preserves_stratum(matrix, subset, t):
+    """Whether T maps the subset and the monomials of f^I to themselves."""
+    inside = set(subset)
+    table = monomials_inside(matrix, subset)
+    return all({p[i] for i in inside} == inside
+               and all(table.get(tuple(row[p.index(j)] for j in range(matrix.n))) == c
+                       for row, c in table.items())
+               for p in t.generators)
+
+
+def invariant_unions(subset, t):
+    """Every nonempty T-invariant J within the subset: the unions of T's
+    orbits on it, as sorted tuples."""
+    orbs = sorted({tuple(sorted({g[i] for g in t.elements})) for i in subset})
+    return [tuple(sorted(i for k, orb in enumerate(orbs) if mask >> k & 1 for i in orb))
+            for mask in range(1, 1 << len(orbs))]
+
+
+def assert_matches_milnor_orlik(matrix, subset, t):
+    """fixed_chi against Milnor-Orlik on one (I, T): 0 where f^I is not
+    full, and where it is, the sum over the T-invariant J within I is the
+    formula's.  Returns whether f^I is full."""
+    full = len(monomials_inside(matrix, subset)) == len(subset)
+    if full:
+        total = sum(fixed_chi(matrix, j, t) for j in invariant_unions(subset, t))
+        assert milnor_orlik_chi(matrix, subset, t) == total, (matrix, subset, t)
+    else:
+        assert fixed_chi(matrix, subset, t) == 0, (matrix, subset, t)
+    return full
+
+
 def assert_agree(matrix, perms):
-    """fixed_chi equals the reference on every (I, T); returns how many
+    """fixed_chi against Milnor-Orlik on every (I, T); returns how many
     pairs were compared and how many of them were on strata that are not
     full."""
     compared = short = 0
     for subset in subsets(matrix.n):
-        base = restrict(matrix, subset)
         for t in stabilizer_subgroups(perms, subset):
-            assert fixed_chi(matrix, subset, t) == stratum_chi_fixed(base, t), \
-                (matrix, subset, t)
+            short += not assert_matches_milnor_orlik(matrix, subset, t)
             compared += 1
-            short += not base.full
     return compared, short
 
 
@@ -91,7 +130,8 @@ def test_anchor_fullness_is_the_fullness_of_the_restriction():
     matrices += [random_invertible(rng, max_vars=6) for _ in range(40)]
     for matrix in matrices:
         for subset in subsets(matrix.n):
-            assert matrix.full_on(subset) == restrict(matrix, subset).full, (matrix, subset)
+            assert matrix.full_on(subset) == (
+                len(monomials_inside(matrix, subset)) == len(subset)), (matrix, subset)
 
 
 @pytest.mark.parametrize("text, subset, generators", [
@@ -102,73 +142,62 @@ def test_anchor_fullness_is_the_fullness_of_the_restriction():
 def test_fixed_chi_refuses_what_the_reference_refuses(text, subset, generators):
     matrix = parse_polynomial(text)
     t = group_from_generators(matrix.n, generators)
+    assert not preserves_stratum(matrix, subset, t)
     with pytest.raises(NotInvariantError):
         fixed_chi(matrix, subset, t)
-    with pytest.raises(NotInvariantError):
-        stratum_chi_fixed(restrict(matrix, subset), t)
 
 
 def test_fixed_chi_refuses_a_t_that_moves_anchors_apart():
-    # (12) preserves f^I = x1*x2, but not the monomial x2^2*x3 anchored in
-    # I = (1 2): the reference folds f^I alone and finds chi 2, the two
-    # points x1 = x2 = +-1, while fixed_chi, whose fold needs T to move
-    # anchored monomials with their anchors, refuses
+    # (12) preserves I = (1 2) and f^I = x1*x2, but not the monomial
+    # x2^2*x3 anchored in I: fixed_chi, whose fold needs T to move anchored
+    # monomials with their anchors, refuses it
     matrix = parse_polynomial("x1*x2+x2^2*x3+x3^2")
     swap = group_from_generators(3, ["(12)"])
-    assert stratum_chi_fixed(restrict(matrix, (0, 1)), swap) == 2
+    assert preserves_stratum(matrix, (0, 1), swap)
     with pytest.raises(NotInvariantError):
         fixed_chi(matrix, (0, 1), swap)
 
 
-def restricted_matrix(matrix, subset):
-    """f^I as an exponent matrix of its own."""
-    return ExponentMatrix([m for m, _c in restrict(matrix, subset).monomials])
-
-
-def assert_inclusion_exclusion(matrix, perms):
-    """For each orbit representative I among the full subsets and each class
-    T of S_I, the sum of fixed_chi(J, T) over the nonempty T-invariant
-    J <= I is the Milnor-Orlik chi of I; returns the number of (I, T).
-
-    An f^I with a variable of weight 0, which random draws with exponent 1
-    make, is no quasi-homogeneous singularity, and the formula says nothing
-    about it; such an I is passed over."""
+def test_the_assembled_chi_counts_the_whole_fibre_on_the_catalogue():
+    # the mark of the trivial subgroup, sum of a_c |G x| S| / (|H_c| |T_c|)
+    # over chi's classes, is chi(V_f) = 1 + (-1)^(n-1) mu(f): induction and
+    # the assembly at every catalogue size, past the oracle sweep's bound
     checked = 0
-    for rep, stabilizer, _size in perms.orbits_of(matrix.full_subsets()):
-        if not rep or not all(weights(restricted_matrix(matrix, rep))):
-            continue
-        for key in stabilizer.lattice.class_members:
-            t = stabilizer.subgroup(key)
-            total = 0
-            for mask in range(1, 1 << len(rep)):
-                j = tuple(p for k, p in enumerate(rep) if mask >> k & 1)
-                if all({g[i] for i in j} == set(j) for g in t.generators):
-                    total += fixed_chi(matrix, j, t)
-            assert milnor_orlik_chi(matrix, rep, t) == total, (matrix, rep, key)
-            checked += 1
-    return checked
+    for matrix, perms in both_sides():
+        analysis = euler_analysis(matrix, perms)
+        order = analysis.ambient.order
+        total = sum(c * order // (cls.h_order * cls.t_order)
+                    for cls, c in analysis.element.coefficients.items())
+        trivial = PermGroup(matrix.n, ())
+        assert total == milnor_orlik_chi(matrix, tuple(range(matrix.n)), trivial), matrix
+        checked += 1
+    assert checked == 2 * len(catalogue_pairs())
 
 
-def test_fixed_chi_sums_to_milnor_orlik_on_the_catalogue():
-    assert sum(assert_inclusion_exclusion(m, s) for m, s in both_sides()) > 500
+def test_milnor_orlik_pairs_a_weight_of_zero_with_a_weight_of_one():
+    # f = x1*x2 + x2^3 is valid, but its transpose x1 + x1*x2^3 gives x1
+    # weight 1 and x2 weight 0: its fibre is the x2-line less the three
+    # points where x2^3 = -1, and on I = (1) alone it is the point x1 = 1
+    matrix = transpose(parse_polynomial("x1*x2+x2^3"))
+    trivial = group_from_generators(2, [])
+    assert weights(matrix) == (1, 0)
+    assert milnor_orlik_chi(matrix, (0, 1), trivial) == 1 - 3
+    assert milnor_orlik_chi(matrix, (0,), trivial) == 1
 
 
-@given(seed=st.integers(0, 2 ** 32 - 1))
-def test_fixed_chi_sums_to_milnor_orlik_on_random_inputs(seed):
-    # drawn as in the reference comparison above
-    rng = random.Random(seed)
-    matrix = random_invertible(rng, max_vars=rng.randint(1, 4))
-    if seed % 2:
-        matrix = doubled(random_invertible(rng, max_vars=2))
-    perms = symmetries(matrix)
-    assert_inclusion_exclusion(matrix, perms)
-    assert_inclusion_exclusion(transpose(matrix), perms)
-
-
-def test_milnor_orlik_refuses_a_weight_of_zero():
-    matrix = parse_polynomial("x1*x2+x2")
-    with pytest.raises(ValueError):
-        milnor_orlik_chi(matrix, (0, 1), group_from_generators(2, []))
+@pytest.mark.parametrize("text", [
+    "x1*x2+x2^3",
+    "x1*x2+x2^2*x3+x3^4",
+    "x1*x2+x2*x3+x3*x4+x4^2",
+    "x1*x2+x2^3+x3*x4+x4^3",
+])
+def test_fixed_chi_matches_milnor_orlik_where_f_t_has_a_weight_of_zero(text):
+    # a chain of f that starts with exponent 1 ends in its variable alone in
+    # f^T, which then has weights 1 and 0; fixed_chi against the pairing of
+    # the two in milnor_orlik_chi, under every symmetry of f
+    matrix = parse_polynomial(text)
+    assert 0 in weights(transpose(matrix))
+    assert_agree(transpose(matrix), symmetries(matrix))
 
 
 def test_milnor_orlik_of_a_fermat_quintic_under_a_rotation():

@@ -117,6 +117,19 @@ def test_malformed_text_is_an_input_error(tmp_path, verb, polynomial, g_line, s_
     assert code == 2
 
 
+@pytest.mark.parametrize("polynomial", ["x1*x2+x2", "x1^2*x2+x2*x3+x3", "x1*x2+x2^3*x1"])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_cmd_verify_refuses_an_f_without_weights_in_the_unit_interval(
+        tmp_path, capsys, polynomial, as_json):
+    # a chain ending in its variable alone, and a 2-loop with an exponent 1:
+    # an input error, with nothing on stdout
+    fx = tmp_path / "linear.fix"
+    fx.write_text("[polynomial]\n%s\n\n[S]\n" % polynomial)
+    code, out = run_cli("verify", *(["--json"] if as_json else []), str(fx))
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cmd_pc_five_example_groups():
     code, out = run_cli("pc", "pc_a3", "pc_a4", "pc_z2x2", "pc_d10", "pc_a5")
     assert code == 0
@@ -262,6 +275,23 @@ def test_cmd_verify_oracle_skips_groups_above_the_cap(capsys):
         % CONSISTENCY_ORDER_BOUND,
         "# oracle: pc_a3: 16 fixed-point classes consistent, |G x| S| = 81",
     ]
+
+
+@pytest.mark.parametrize("polynomial, s_line, line", [
+    ("x1*x2+x2^3", "", "4 fixed-point classes consistent, |G x| S| = 3"),
+    ("x1*x2+x2^3+x3*x4+x4^3", "(13)(24)", "18 fixed-point classes consistent, |G x| S| = 18"),
+])
+def test_cmd_verify_oracle_sweeps_an_f_t_with_a_weight_of_zero(
+        tmp_path, capsys, polynomial, s_line, line):
+    # a valid f whose chain starts with exponent 1 has an f^T with weights
+    # 1 and 0, and the sweep checks it too; stdout is that of a plain run
+    fx = tmp_path / "w0.fix"
+    fx.write_text("[polynomial]\n%s\n\n[S]\n%s\n" % (polynomial, s_line))
+    code, plain = run_cli("verify", str(fx))
+    capsys.readouterr()
+    code, out = run_cli("verify", "--oracle", str(fx))
+    assert (code, out) == (0, plain) and "duality HOLDS" in out
+    assert capsys.readouterr().err == "# oracle: w0: %s\n" % line
 
 
 def test_cmd_verify_expected_outcomes():

@@ -14,7 +14,6 @@ from bhht.intmat import (
     hermite_order,
     kernel_mod,
 )
-from bhht.oracles import kernel_order, stacked_kernel_mod
 
 
 def det_by_fractions(a):
@@ -121,10 +120,14 @@ def test_kernel_mod_keeps_entries_reduced():
                    for row in a for g in gens)
 
 
-def test_kernel_mod_matches_the_stacked_oracle():
-    # the kernel's key is unique, so the n-wide dual and the (k + n)-wide
-    # stacked lattice give the same tuple; k = 0 and k > n included, with
-    # entries negative and entries past m
+def test_kernel_mod_matches_sympy_on_wide_inputs():
+    # past the reach of the brute-force comparison: k = 0 and k > n rows,
+    # entries negative and entries past m, m up to 9^5.  The key is
+    # canonical, its generators solve every row, and it has as many
+    # elements as sympy's Smith form counts, so it is the kernel's own key
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
     rng = seeded(44)
     for m in (1, 2, 12, 625, 1000, 9 ** 5):
         for _ in range(12):
@@ -132,8 +135,13 @@ def test_kernel_mod_matches_the_stacked_oracle():
             for k in (0, rng.randint(1, n), rng.randint(n + 1, n + 4)):
                 rows = random_matrix(rng, k, n, -3 * m, 3 * m)
                 key = kernel_mod(rows, n, m)
-                assert key == stacked_kernel_mod(rows, n, m)
-                assert kernel_order(rows, n, m) == hermite_order(key, m)
+                gens = hermite_generators(key, m)
+                assert key == hermite_key(gens, n, m)
+                assert all(sum(a * b for a, b in zip(r, g)) % m == 0
+                           for r in rows for g in gens)
+                d = sympy_snf(sympy.Matrix(rows or [[0] * n]), domain=sympy.ZZ)
+                diag = [abs(int(d[j, j])) if j < max(k, 1) else 0 for j in range(n)]
+                assert hermite_order(key, m) == prod(gcd(dj, m) for dj in diag)
 
 
 def test_hermite_dual_is_its_own_inverse_on_keys():

@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from conftest import is_even, seeded
+from conftest import all_subsets, is_even, seeded
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -29,7 +29,6 @@ from bhht.oracles import (
     brute_subgroups,
     brute_subset_representative,
     lattice_pc_witness,
-    orbits_on_subsets,
 )
 
 S5 = ["(12345)", "(12)"]
@@ -37,6 +36,12 @@ PGL25 = ["(1 2 6 5 3 4)", "(1 2)(3 4)"]  # PGL(2,5) acting on the 6 points of P^
 # (degree, generators) of the groups whose classes are checked against scans
 CLASS_GROUPS = [(3, ["A3"]), (4, ["A4"]), (4, ["(12)", "(1234)"]), (5, ["A5"]),
                 (5, S5), (5, ["D10"]), (4, ["Z2x2"])]
+
+
+def orbits_on_subsets(group):
+    """The group's orbits on all subsets of its points, as
+    ``PermGroup.orbits_of`` lists them."""
+    return group.orbits_of(all_subsets(group.n))
 
 
 # -- parsing -------------------------------------------------------------------

@@ -10,7 +10,7 @@ from bhht.errors import (
     NotInvertibleError,
     ParseError,
 )
-from bhht.oracles import diagonal_restrict, restrict
+from bhht.euler import fixed_chi
 from bhht.permgroups import PermGroup, group_from_generators, inverse
 from bhht.polynomials import (
     ExponentMatrix,
@@ -118,6 +118,20 @@ def test_validate_degenerate_loop():
         parse_polynomial("x1*x2+x2*x3+x3*x1").validate()
 
 
+@pytest.mark.parametrize("text", ["x1*x2+x2", "x1^2*x2+x2*x3+x3", "x1*x2+x2^3*x1"])
+def test_validate_refuses_a_block_without_weights_in_the_unit_interval(text):
+    # a chain ending in its variable alone (weight 1: f is smooth at 0), and
+    # a 2-loop with an exponent 1 (weights 1 and 0)
+    with pytest.raises(NotInvertibleError):
+        parse_polynomial(text).validate()
+
+
+def test_validate_keeps_a_chain_that_starts_with_exponent_1():
+    # x1*x2 + x2^3 has weights 2/3 and 1/3
+    (block,) = parse_polynomial("x1*x2+x2^3").validate()
+    assert (block.kind, block.exponents) == ("chain", (1, 3))
+
+
 def test_validate_no_unit_link():
     m = ExponentMatrix([(2, 2), (0, 3)])
     with pytest.raises(NotInvertibleError):
@@ -197,7 +211,9 @@ def test_validate_transposes_blocks_random():
 def test_transpose_carries_the_blocks_a_search_finds():
     # the transpose's blocks, anchors and successors are f's read the other
     # way, set without a search; they are what the orientation search finds
-    # on the transposed rows, for seeded sums and every catalogue matrix
+    # on the transposed rows, for seeded sums and every catalogue matrix.
+    # Where a chain of f starts with exponent 1, f^T ends it in its variable
+    # alone and the search refuses it, as validation does: no comparison
     from bhht.fixtures import load_catalogue
     from bhht.polynomials import ExponentMatrix, _decompose
 
@@ -209,12 +225,19 @@ def test_transpose_carries_the_blocks_a_search_finds():
         except (DegenerateLoopError, NotInvertibleError, ParseError):
             continue
     kinds = set()
+    refused = 0
     for m in matrices:
         t = transpose(m)
+        if any(b.kind == "chain" and len(b.variables) > 1 and b.exponents[0] == 1
+               for b in m.validate()):
+            with pytest.raises(NotInvertibleError):
+                _decompose(ExponentMatrix(t.rows))
+            refused += 1
+            continue
         searched = _decompose(ExponentMatrix(t.rows))
         assert (t.validate(), t.anchors(), t._successors) == searched, m
         kinds.update(b.kind for b in t.validate() if len(b.variables) > 2)
-    assert kinds == {"chain", "loop"}
+    assert kinds == {"chain", "loop"} and 0 < refused < len(matrices) // 2
 
 
 # -- weights -------------------------------------------------------------------
@@ -246,30 +269,35 @@ def test_weights_defining_equation_random():
         weights(ExponentMatrix([(2, 1)]))
 
 
-# -- restrict ------------------------------------------------------------------
+# -- restrict: f^I read off the anchored rows ------------------------------------
+
+
+def trivial(n):
+    return PermGroup(n, ())
 
 
 def test_restrict_quintic(quintic):
-    r = restrict(quintic, [0, 2])
-    assert r.full
-    assert [m for m, _c in r.monomials] == [(5, 0), (0, 5)]
+    # f^I = x1^5 + x3^5: full, and the torus part of its fibre has
+    # chi = -25, its determinant 5 * 5 with the sign of two points
+    assert quintic.full_on([0, 2])
+    assert fixed_chi(quintic, (0, 2), trivial(5)) == -25
 
 
 def test_restrict_x14_partial(x14):
-    r = restrict(x14, [0, 4])
-    assert not r.full
-    assert [m for m, _c in r.monomials] == [(0, 5)]
+    # f^I = x5^5 alone on two points
+    assert not x14.full_on([0, 4])
+    assert fixed_chi(x14, (0, 4), trivial(5)) == 0
 
 
 def test_restrict_x15_partial(x15):
-    r = restrict(x15, [0, 1])
-    assert not r.full
-    assert [m for m, _c in r.monomials] == [(4, 1)]
+    # f^I = x1^4*x2 alone on two points
+    assert not x15.full_on([0, 1])
+    assert fixed_chi(x15, (0, 1), trivial(5)) == 0
 
 
 def test_restrict_empty_is_vacuously_full(quintic):
-    r = restrict(quintic, [])
-    assert r.full and r.monomials == ()
+    assert quintic.full_on([])
+    assert () in quintic.full_subsets()
 
 
 def test_restrict_full_iff_dual_complement_full():
@@ -281,63 +309,40 @@ def test_restrict_full_iff_dual_complement_full():
         for mask in range(1 << n):
             subset = [i for i in range(n) if mask >> i & 1]
             complement = [i for i in range(n) if not mask >> i & 1]
-            assert (restrict(m.anchored(), subset).full
-                    == restrict(t, complement).full)
+            assert m.anchored().full_on(subset) == t.full_on(complement)
 
 
-# -- diagonal restrict -----------------------------------------------------------
+# -- diagonal restrict: f^I folded along T's orbits --------------------------------
 
 
 def test_diagonal_restrict_two_squares():
+    # the line x1 = x2 carries 2 x^4 = 1: four points
     m = parse_polynomial("x1^4+x2^4")
-    d = diagonal_restrict(restrict(m, [0, 1]), group_from_generators(2, ["(12)"]))
-    assert d.full
-    assert d.variables == ((0, 1),)
-    assert d.monomials == (((4,), Fraction(2)),)
+    assert fixed_chi(m, (0, 1), group_from_generators(2, ["(12)"])) == 4
 
 
 def test_diagonal_restrict_trivial_group_is_restrict(x14):
-    t = PermGroup(5, ())
-    for subset in ([0, 1], [2, 3, 4], [4]):
-        r = restrict(x14, subset)
-        d = diagonal_restrict(r, t)
-        assert d.full == r.full
-        assert [c for _m, c in d.monomials] == [c for _m, c in r.monomials]
+    # with no symmetry the fold is f^I itself: (-1)^(|I|-1) |det E_I|
+    for subset, chi in (((0, 1), -15), ((2, 3, 4), 15 * 5), ((4,), 5)):
+        assert fixed_chi(x14, subset, trivial(5)) == chi
 
 
 def test_diagonal_restrict_x14_pair_swap(x14):
     # (12)(34) folds each loop onto one variable: the linked monomials become
-    # fifth powers of the orbit variable, merged with doubled coefficients
-    d = diagonal_restrict(restrict(x14, [0, 1, 2, 3]),
-                          group_from_generators(5, ["(12)(34)"]))
-    assert d.full
-    assert d.variables == ((0, 1), (2, 3))
-    assert d.monomials == (((5, 0), Fraction(2)), ((0, 5), Fraction(2)))
+    # fifth powers of the orbit variables, a determinant of 25 on two orbits
+    t = group_from_generators(5, ["(12)(34)"])
+    assert fixed_chi(x14, (0, 1, 2, 3), t) == -25
 
 
 def test_diagonal_restrict_cross_pairing(x14):
-    # (13)(24) identifies the two loops monomial by monomial
-    d = diagonal_restrict(restrict(x14, [0, 1, 2, 3]),
-                          group_from_generators(5, ["(13)(24)"]))
-    assert d.full
-    assert d.monomials == (((4, 1), Fraction(2)), ((1, 4), Fraction(2)))
-
-
-def test_diagonal_restrict_merged_coefficients_positive_integers():
-    # with unit coefficients, merged coefficients are counts of collapsed monomials
-    rng = seeded(17)
-    for _ in range(20):
-        m = random_invertible(rng, max_vars=5)
-        check_invariance(m, PermGroup(m.n, ()))
-        full = list(range(m.n))
-        d = diagonal_restrict(restrict(m, full), PermGroup(m.n, ()))
-        for _mono, c in d.monomials:
-            assert c.denominator == 1 and c > 0
+    # (13)(24) identifies the two loops monomial by monomial: x^4*y + x*y^4
+    t = group_from_generators(5, ["(13)(24)"])
+    assert fixed_chi(x14, (0, 1, 2, 3), t) == -15
 
 
 def test_diagonal_restrict_requires_invariance(x14):
     with pytest.raises(NotInvariantError):
-        diagonal_restrict(restrict(x14, [0, 1, 2, 3]), group_from_generators(5, ["(23)"]))
+        fixed_chi(x14, (0, 1, 2, 3), group_from_generators(5, ["(23)"]))
 
 
 def test_plain_swap_is_a_rotation_of_a_short_loop(x14):
@@ -347,7 +352,7 @@ def test_plain_swap_is_a_rotation_of_a_short_loop(x14):
 
 def test_diagonal_restrict_requires_preserved_subset(quintic):
     with pytest.raises(NotInvariantError):
-        diagonal_restrict(restrict(quintic, [0]), group_from_generators(5, ["(12)"]))
+        fixed_chi(quintic, (0,), group_from_generators(5, ["(12)"]))
 
 
 # -- invariance ------------------------------------------------------------------
@@ -440,7 +445,8 @@ def test_invariance_on_generators_matches_a_scan_of_every_element():
 
 def test_no_loop_reflection_preserves_f():
     # only a loop with all exponents 1, which validation rejects, has a
-    # reflection among its symmetries; for length 2 each reflection is a rotation
+    # reflection among its symmetries; for length 2 each reflection is a
+    # rotation, and validation rejects an exponent 1 there too
     for m in range(2, 6):
         for exps in product(range(1, 5), repeat=m):
             rows = []
@@ -453,6 +459,10 @@ def test_no_loop_reflection_preserves_f():
             reflections = [tuple((s - i) % m for i in range(m)) for s in range(m)]
             if all(a == 1 for a in exps):
                 assert m == 2 or all(preserves(matrix, r) for r in reflections)
+                continue
+            if m == 2 and 1 in exps:  # a variable of weight 0
+                with pytest.raises(NotInvertibleError):
+                    matrix.validate()
                 continue
             for r in reflections:
                 rotation = all(r[i] == (i + r[0]) % m for i in range(m))

@@ -171,28 +171,43 @@ def test_a_wrong_annihilator_is_refused(monkeypatch, fresh):
     assert main(["verify", "pc_a3"]) == 3
 
 
+def assert_named_by_zero_sets(matrix, perms, element, reduced):
+    # a stratum kernel can vanish beyond its stratum; its zero set, not the
+    # stratum, names the class, and both namings still agree
+    def named(x):
+        return {(cls.name[0], cls.t_order): c for cls, c in x.coefficients.items()}
+
+    analysis = euler_analysis(matrix, perms)
+    assert (named(analysis.element), named(analysis.reduced)) == (element, reduced)
+    assert_namings_agree(matrix, perms)
+
+
 @pytest.mark.parametrize("text, n, gens, element, reduced", [
     # K_(2) is trivial like K_(1 2): both strata name the class (1 2), whose
     # coefficients +1 and -1 cancel
     ("x1*x2+x2^4", 2, [], {}, {((), 1): -1}),
-    # G fixes x1 and x3, so G = K_(1 3) and every stratum kernel vanishes on
-    # them; chi is the point, named by (1 3), and the reduced chi is zero
-    ("x1+x2^3+x3+x4^3", 4, ["(13)", "(24)"], {((0, 2), 4): 1}, {}),
 ])
 def test_a_class_is_named_by_the_zero_set_of_its_kernel(text, n, gens, element, reduced):
-    # a stratum kernel can vanish beyond its stratum; its zero set, not the
-    # stratum, names the class, and both namings still agree
     from bhht.permgroups import group_from_generators
     from bhht.polynomials import parse_polynomial
 
-    def named(x):
-        return {(cls.name[0], cls.t_order): c for cls, c in x.coefficients.items()}
+    assert_named_by_zero_sets(parse_polynomial(text).anchored(),
+                              group_from_generators(n, gens), element, reduced)
 
-    matrix = parse_polynomial(text).anchored()
-    perms = group_from_generators(n, gens)
-    analysis = euler_analysis(matrix, perms)
-    assert (named(analysis.element), named(analysis.reduced)) == (element, reduced)
-    assert_namings_agree(matrix, perms)
+
+def test_a_class_is_named_by_a_zero_set_that_g_fixes():
+    # f^T = x1 + x1*x2^3 + x3 + x3*x4^3 for f = x1*x2 + x2^3 + x3*x4 + x4^3:
+    # G fixes x1 and x3, so G = K_(1 3) and every stratum kernel vanishes
+    # on them.  chi is the plane of (x2, x4), named by (1 3), less the nine
+    # points where x2^3 = x4^3 = -1, one free orbit of G that the swap
+    # keeps a point of, named by (1 2 3 4); its reduced part is that orbit
+    from bhht.permgroups import group_from_generators
+    from bhht.polynomials import parse_polynomial
+
+    matrix = transpose(parse_polynomial("x1*x2+x2^3+x3*x4+x4^3"))
+    assert_named_by_zero_sets(matrix, group_from_generators(4, ["(13)(24)"]),
+                              {((0, 2), 2): 1, ((0, 1, 2, 3), 2): -1},
+                              {((0, 1, 2, 3), 2): -1})
 
 
 # -- no scan of S on the verdict path ---------------------------------------------------

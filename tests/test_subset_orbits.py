@@ -1,20 +1,21 @@
 """Subset orbits walked on demand, and the full subsets the verdict walks.
 
 ``PermGroup.subset_orbit`` walks one orbit the first time a member is asked
-for; ``oracles.subset_orbits`` walks all 2^n subsets and scans the group for
-every stabilizer.  The two must give every subset the same representative,
-stabilizer and orbit size, whichever member an orbit is first met at.  The
+for.  On every one of the 2^n subsets it must give the representative that
+``oracles.brute_subset_representative`` finds by a scan of the group, the
+stabilizer a scan finds, and an orbit size that counts the subsets with
+that representative, whichever member an orbit is first met at.  The
 verdict walks only the orbits of subsets on which f^I is full
 (``ExponentMatrix.full_subsets``), which S maps to full subsets.
 """
 
 import random
 import sys
-from collections import deque
+from collections import Counter, deque
 from pathlib import Path
 
 import pytest
-from conftest import random_invertible
+from conftest import all_subsets, random_invertible
 from hypothesis import given
 from hypothesis import strategies as st
 from test_stratum_naming import CATALOGUE, catalogue_pairs, doubled, symmetries
@@ -22,15 +23,11 @@ from test_stratum_naming import CATALOGUE, catalogue_pairs, doubled, symmetries
 from bhht import euler
 from bhht.euler import lemma_level_checks, verify_duality
 from bhht.fixtures import parse_fixture
-from bhht.oracles import subset_orbits
+from bhht.oracles import brute_subset_representative
 from bhht.permgroups import PermGroup, group_from_generators
 from bhht.polynomials import parse_polynomial, transpose
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def all_subsets(n):
-    return [tuple(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
 
 
 def generated_groups():
@@ -53,19 +50,27 @@ def groups():
 
 @pytest.mark.parametrize("group", groups(), ids=repr)
 def test_subset_orbit_matches_the_all_subsets_walk(group):
-    # subsets are asked for from the last mask down, so an orbit is mostly
-    # walked from another member than the one the reference starts at
-    listed, transversal = subset_orbits(group)
-    sizes = {rep: size for rep, _stab, size in listed}
+    # every subset, asked for from the last mask down so that an orbit is
+    # mostly walked from another member than its least, against a scan of
+    # the group: the least image under any element, the subgroup of the
+    # elements that fix it, and as many subsets with that least image as
+    # the stabilizer's index
+    sizes = Counter()
+    stabilizers = {}
     for subset in reversed(all_subsets(group.n)):
         rep, s, stab = group.subset_orbit(subset)
-        ref_rep, _ref_s, ref_stab = transversal[subset]
-        assert rep == ref_rep, subset
-        assert stab is ref_stab, subset
-        assert group.order // stab.order == sizes[rep], subset
+        assert rep == brute_subset_representative(group, subset), subset
+        inside = set(rep)
+        assert stab is group.subgroup([p for p in group.elements
+                                       if {p[i] for i in rep} == inside]), subset
         assert s in group
         assert tuple(sorted(s[i] for i in subset)) == rep, subset
-    assert group.orbits_of(all_subsets(group.n)) == listed
+        sizes[rep] += 1
+        stabilizers[rep] = stab
+    listed = [(rep, stab, group.order // stab.order) for rep, stab in stabilizers.items()]
+    assert all(size == sizes[rep] for rep, _stab, size in listed)
+    assert group.orbits_of(all_subsets(group.n)) == sorted(
+        listed, key=lambda item: (len(item[0]), item[0]))
 
 
 def assert_full_subsets(matrix, perms):
