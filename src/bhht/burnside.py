@@ -34,7 +34,6 @@ T.  No mark scans S or builds a Hermite key.
 """
 
 from functools import cached_property
-from math import gcd, lcm
 
 from .diaggroups import check_listing_bound, independent_generators, perm_act
 from .errors import AmbientMismatchError, StructuralAssumptionViolated
@@ -43,7 +42,8 @@ from .permgroups import conjugate, cycle_notation, generating_set
 
 
 class SemidirectAmbient:
-    """The group G x| S, given by its two factors."""
+    """The group G x| S, given by its two factors: equal to another when
+    their exponent matrices and the element sets of their S are."""
 
     def __init__(self, diag, perms):
         if diag.n != perms.n:
@@ -52,57 +52,14 @@ class SemidirectAmbient:
         self.perms = perms
         self.n = diag.n
         self.order = diag.order * perms.order
-        self._by_subgroup = {}  # (C, U) -> c(U)
 
-    @property
-    def signature(self):
-        return (self.diag.matrix, self.perms.element_set)
+    def __eq__(self, other):
+        return other is self or (isinstance(other, SemidirectAmbient)
+                                 and self.diag.matrix == other.diag.matrix
+                                 and self.perms.element_set == other.perms.element_set)
 
-    def compatible(self, other):
-        return other is self or self.signature == other.signature
-
-    def stratum_cocycle_order(self, closed, u_elements):
-        """c(U) = #{w in G : w is constant on U's orbits in C}, for a zero
-        set C and a subgroup U of P that fixes C, given by its elements, in
-        closed form and once per C and U.  P itself need not fix C.
-
-        Such a w is a U-fixed element of G restricted to C, lifted in |K_C|
-        ways.  G restricted to C is the direct sum of the cyclic <g_B|C>,
-        of orders m_B (``DiagonalGroup.stratum_kernel``), and U permutes
-        those summands, as S permutes isomorphic blocks.  So a U-fixed
-        element is one Stab_U(B)-fixed element of <g_B|C> per U-orbit of
-        blocks, and c(U) is |K_C| times the product of m_B / q_B over the
-        orbits, q_B the order of the subgroup of Z/L that the
-        g_B[j] - g_B[u(j)] span, for u in Stab_U(B) and j in C and B.  q_B
-        is 1 unless U rotates a loop in place."""
-        order = self._by_subgroup.get((closed, u_elements))
-        if order is not None:
-            return order
-        diag = self.diag
-        L = diag.exponent
-        points = diag.points
-        inside = {}  # block -> its points in C
-        for i in closed:
-            inside.setdefault(points[i][0], []).append(i)
-        order = diag.stratum(closed)[1]
-        met = set()
-        for b, js in inside.items():
-            if b in met:
-                continue
-            g = diag.blocks[b][1]
-            spanned = L
-            first = js[0]
-            for u in u_elements:
-                image = points[u[first]][0]
-                if image != b:
-                    met.add(image)
-                elif u[first] != first:
-                    # u rotates a loop in place; a u that maps B to itself
-                    # and fixes a point of B fixes B pointwise
-                    spanned = gcd(spanned, *(g[j] - g[u[j]] for j in js))
-            order *= lcm(*(points[j][1] for j in js)) * spanned // L
-        self._by_subgroup[closed, u_elements] = order
-        return order
+    def __hash__(self):
+        return hash((self.diag.matrix, self.perms.element_set))
 
 
 class HTClass:
@@ -139,7 +96,7 @@ class HTClass:
 
     def __eq__(self, other):
         return (isinstance(other, HTClass) and self.name == other.name
-                and self.ambient.compatible(other.ambient))
+                and self.ambient == other.ambient)
 
     def __hash__(self):
         return self._hash
@@ -243,7 +200,7 @@ class BurnsideElement:
         if coefficients:
             for cls, c in coefficients.items():
                 if c:
-                    if not cls.ambient.compatible(ambient):
+                    if cls.ambient != ambient:
                         raise AmbientMismatchError("class over a different group")
                     self.coefficients[cls] = int(c)
 
@@ -253,7 +210,7 @@ class BurnsideElement:
 
     def __eq__(self, other):
         return (isinstance(other, BurnsideElement)
-                and self.ambient.compatible(other.ambient)
+                and self.ambient == other.ambient
                 and self.coefficients == other.coefficients)
 
     def coefficient(self, cls):
@@ -279,7 +236,7 @@ def mark(kprime, k):
     stratum, K_C' x| T' with C' representing its P-orbit, and K = H x| T
     any split class.  g = (v, s) qualifies exactly when H's generators
     vanish on D = s(C'), T fixes D and U = s^-1 T s <= T', and then adds
-    c_C'(U) (``SemidirectAmbient.stratum_cocycle_order``) over v.  With
+    c_C'(U) (``DiagonalGroup.stratum_cocycle_order``) over v.  With
     s = r^-1 p, for r the carrier of D onto C' that the orbit's walk kept
     and p in P_C', U = p^-1 T_D p for T_D = r T r^-1 <= P_C', so D adds
     |P_C'| / |class of T_D| times the sum of c_C'(U) over T_D's conjugates
@@ -287,7 +244,7 @@ def mark(kprime, k):
     reported with its residual.
     """
     ambient = kprime.ambient
-    if not ambient.compatible(k.ambient):
+    if ambient != k.ambient:
         raise AmbientMismatchError("marks need a common ambient group")
     closed = kprime.closed
     if closed is None:
@@ -305,7 +262,7 @@ def mark(kprime, k):
             continue
         conjugates = lattice.class_members[key]
         total += stabilizer.order // len(conjugates) * sum(
-            ambient.stratum_cocycle_order(closed, u) for u in conjugates if u <= tp)
+            ambient.diag.stratum_cocycle_order(closed, u) for u in conjugates if u <= tp)
     count, rest = divmod(total, kprime.order)
     if rest:
         raise StructuralAssumptionViolated(

@@ -68,6 +68,7 @@ class DiagonalGroup:
             self.blocks.append((d, tuple(g), block.variables))
         self.zero = (0,) * n
         self._strata = {}  # subset -> (generators, order) of its stratum kernel
+        self._by_subgroup = {}  # (C, U) -> c(U)
         self.pairings = {}  # group of the transpose -> CharacterPairing
 
     def __repr__(self):
@@ -131,6 +132,49 @@ class DiagonalGroup:
         every element of K_I vanishes.  It is the closure of I: it contains
         I, has the same kernel, and is that kernel's only such set."""
         return _zeros(self.n, self.stratum(subset)[0])
+
+    def stratum_cocycle_order(self, closed, u_elements):
+        """c(U) = #{w in G : w is constant on U's orbits in C}, for a zero
+        set C and a group U of permutations of the points that fixes C and
+        preserves f, given by its elements, in closed form and once per C
+        and U.
+
+        Such a w is a U-fixed element of G restricted to C, lifted in |K_C|
+        ways.  G restricted to C is the direct sum of the cyclic <g_B|C>,
+        of orders m_B (``stratum_kernel``), and U permutes those summands,
+        as S permutes isomorphic blocks.  So a U-fixed element is one
+        Stab_U(B)-fixed element of <g_B|C> per U-orbit of blocks, and c(U)
+        is |K_C| times the product of m_B / q_B over the orbits, q_B the
+        order of the subgroup of Z/L that the g_B[j] - g_B[u(j)] span, for
+        u in Stab_U(B) and j in C and B.  q_B is 1 unless U rotates a loop
+        in place."""
+        order = self._by_subgroup.get((closed, u_elements))
+        if order is not None:
+            return order
+        L = self.exponent
+        points = self.points
+        inside = {}  # block -> its points in C
+        for i in closed:
+            inside.setdefault(points[i][0], []).append(i)
+        order = self.stratum(closed)[1]
+        met = set()
+        for b, js in inside.items():
+            if b in met:
+                continue
+            g = self.blocks[b][1]
+            spanned = L
+            first = js[0]
+            for u in u_elements:
+                image = points[u[first]][0]
+                if image != b:
+                    met.add(image)
+                elif u[first] != first:
+                    # u rotates a loop in place; a u that maps B to itself
+                    # and fixes a point of B fixes B pointwise
+                    spanned = gcd(spanned, *(g[j] - g[u[j]] for j in js))
+            order *= lcm(*(points[j][1] for j in js)) * spanned // L
+        self._by_subgroup[closed, u_elements] = order
+        return order
 
     def kernel_elements(self, key):
         """The elements of the subgroup of a Hermite key mod L, as a frozenset,

@@ -15,7 +15,8 @@ stratum counts and those counts are read off f's anchored exponent rows
 named by its stratum: by the zero set C of K_I, which is I itself unless
 K_I vanishes beyond I, carried to the representative of its S-orbit, and
 by T's class key in the lattice of S_C (``burnside.stratum_class``); the
-point class is (Z(G), S), and Z(G) is empty unless G fixes a point.  So
+point class is ((), S): Z(G) is empty, since G's grading element J, the
+weights mod 1, moves every coordinate.  So
 the strata sum to chi without re-identifying a class, and the Saito dual
 of f^T's classes is read off the complements.
 Everything is exact integer arithmetic.
@@ -160,31 +161,26 @@ def _stratum_contribution(matrix, subset, group, perms, stabilizer, orbit_size):
     fixed = {key: fixed_chi(matrix, subset, reps[key]) for key in keys}
 
     stratum = tuple(i + 1 for i in subset)
-    # a mark is 0 unless the class ki is subconjugate to kj; mark decides that
-    marks = {}
-    for i, ki in enumerate(order):
-        for j in range(i + 1):
-            kj = order[j]
-            try:
-                marks[(kj, ki)] = mark(node[kj], node[ki])
-            except StructuralAssumptionViolated as exc:
-                exc.stratum = stratum
-                raise
-
+    # row i of the triangular solve reads mark(kj, ki) for j <= i, which is
+    # 0 unless the class ki is subconjugate to kj; mark decides that
     solved = {}
-    for i, ki in enumerate(order):
-        acc = fixed[ki] - sum(solved[kj] * marks[(kj, ki)] for kj in order[:i])
-        diag = marks[(ki, ki)]
-        if diag <= 0:
-            raise StructuralAssumptionViolated(
-                "non-positive diagonal mark on stratum %s" % (stratum,),
-                stratum=stratum, class_order=len(ki))
-        solved[ki], rest = divmod(acc, diag)
-        if rest:
-            raise StructuralAssumptionViolated(
-                "non-integer coefficient %s for class of order %d on stratum %s"
-                % (Fraction(acc, diag), len(ki), stratum),
-                stratum=stratum, class_order=len(ki), residual=rest)
+    try:
+        for i, ki in enumerate(order):
+            acc = fixed[ki] - sum(solved[kj] * mark(node[kj], node[ki]) for kj in order[:i])
+            diag = mark(node[ki], node[ki])
+            if diag <= 0:
+                raise StructuralAssumptionViolated(
+                    "non-positive diagonal mark on stratum %s" % (stratum,),
+                    class_order=len(ki))
+            solved[ki], rest = divmod(acc, diag)
+            if rest:
+                raise StructuralAssumptionViolated(
+                    "non-integer coefficient %s for class of order %d on stratum %s"
+                    % (Fraction(acc, diag), len(ki), stratum),
+                    class_order=len(ki), residual=rest)
+    except StructuralAssumptionViolated as exc:
+        exc.stratum = stratum
+        raise
 
     element = BurnsideElement(
         ambient, {node[key]: solved[key] for key in keys if solved[key]})

@@ -159,7 +159,7 @@ def conjugators_by_scan(kprime, k):
     v = s.w, the count over v is #{w in G : u.w - w vanishes on C' for u in
     U}.  U <= T' fixes C', so u.w - w vanishes on C' exactly when w is
     constant on U's orbits in C', and each s adds c_C'(U)
-    (``SemidirectAmbient.stratum_cocycle_order``).
+    (``DiagonalGroup.stratum_cocycle_order``).
     """
     ambient = kprime.ambient
     tp = kprime.t_elements
@@ -169,7 +169,7 @@ def conjugators_by_scan(kprime, k):
         si = inverse(s)
         u = frozenset([compose(si, compose(t, s)) for t in k.t_elements])
         if u <= tp and not any(h[s[i]] for h in k.h_gens for i in closed):
-            total += ambient.stratum_cocycle_order(closed, u)
+            total += ambient.diag.stratum_cocycle_order(closed, u)
     return total
 
 
@@ -408,15 +408,8 @@ def milnor_orlik_chi(matrix, subset, t_group):
     f^I on T's fixed space by Milnor-Orlik.  f^I is the anchored rows of I
     on I's columns, refused when a row of I reaches outside I, and an empty
     I is refused.  Its variables are the orbits, each of the weight q_O that
-    ``polynomials.weights`` gives f^I at the orbit's points.
-
-    A weight of 0, beyond Milnor-Orlik, comes in a monomial v^a*w with v of
-    weight 0 and w of weight 1, as x2^3*x1 in x1 + x1*x2^3, and the pair
-    counts a in mu in place of its two factors.  Taken from the end of the
-    chain, where w's own monomial is w: the fibre is a graph over w where
-    v^a != -1, and a line times the fibre of f^I without v and w where
-    v^a = -1, so 1 - chi is a times that of the rest.  A weight-1 variable
-    in no pair, a linear monomial, gives mu = 0, as the formula does.  The
+    ``polynomials.weights`` gives f^I at the orbit's points; a weight
+    outside (0, 1), where the formula does not hold, is refused.  The
     orbits are read off T's element list."""
     if not subset:
         raise ValueError("the empty stratum has no fibre points")
@@ -426,10 +419,10 @@ def milnor_orlik_chi(matrix, subset, t_group):
         raise ValueError("f^I is not full on %s" % (subset,))
     q = dict(zip(subset, weights(ExponentMatrix([[rows[a][j] for j in subset]
                                                  for a in subset]))))
-    orbit_of = {i: min(t[i] for t in t_group.elements) for i in subset}
-    orbs = set(orbit_of.values())
-    paired = {orbit_of[j] for i in orbs if not q[i] for j in subset if j != i and rows[i][j]}
-    mu = prod(rows[i][i] if not q[i] else 1 if i in paired else 1 / q[i] - 1 for i in orbs)
+    if not all(0 < w < 1 for w in q.values()):
+        raise ValueError("f^I has a weight outside (0, 1) on %s" % (subset,))
+    orbs = {min(t[i] for t in t_group.elements) for i in subset}
+    mu = prod(1 / q[i] - 1 for i in orbs)
     return 1 + (-1) ** (len(orbs) - 1) * mu
 
 

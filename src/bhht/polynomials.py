@@ -239,11 +239,14 @@ def serialize_polynomial(matrix):
 def _decompose(matrix):
     """Find the chain/loop block structure, or raise.
 
-    Two kinds of block are refused as not invertible, read off their
-    exponents, because f then has no weights in (0, 1): a chain whose last
-    monomial is its variable alone, of weight 1, so that f is smooth at 0,
-    and a loop x^a*y + x*y^b of two variables with a or b equal to 1, which
-    gives the other variable weight 0.
+    Three kinds of block are refused as not invertible, read off their
+    exponents, because f or f^T then has a weight outside (0, 1): a chain
+    whose last monomial is its variable alone, of weight 1, so that f is
+    smooth at 0; a chain of two or more variables that starts with exponent
+    1, which f^T ends in its variable alone; and a loop of even length whose
+    exponents at every other variable are all 1, which gives those
+    variables weight 1 and the others weight 0 in f and in f^T alike.  So
+    f^T of a valid f is valid.
 
     Returns (blocks, anchors, successors): anchors maps row index -> the
     variable the monomial is anchored at (x_a^p or x_a^p * x_next), and
@@ -317,6 +320,10 @@ def _decompose(matrix):
             raise NotInvertibleError(
                 "chain on variables %s ends in x%d alone: f has a linear monomial "
                 "and no singular point at 0" % ([v + 1 for v in chain], chain[-1] + 1))
+        if len(chain) > 1 and exps[0] == 1:
+            raise NotInvertibleError(
+                "chain on variables %s starts with exponent 1: f^T ends it in x%d "
+                "alone" % ([v + 1 for v in chain], chain[0] + 1))
         blocks.append(AtomicBlock(CHAIN, tuple(chain), exps))
     # what is left are loops
     for start in range(n):
@@ -337,10 +344,10 @@ def _decompose(matrix):
                 "loop on variables %s has all exponents 1 (degenerate or A1; "
                 "also the only case admitting flip symmetries, which are excluded)"
                 % ([v + 1 for v in cycle],))
-        if len(cycle) == 2 and 1 in exps:
+        if len(cycle) % 2 == 0 and 1 in (max(exps[::2]), max(exps[1::2])):
             raise NotInvertibleError(
-                "loop on variables %s has an exponent 1: it gives a variable "
-                "weight 0" % ([v + 1 for v in cycle],))
+                "loop on variables %s has exponent 1 at every other variable: those "
+                "have weight 1 and the others weight 0" % ([v + 1 for v in cycle],))
         blocks.append(AtomicBlock(LOOP, tuple(cycle), exps))
     blocks.sort(key=lambda b: b.variables)
     return tuple(blocks), anchors, succ
@@ -381,33 +388,16 @@ def transpose(matrix):
 
     Rows are aligned with their anchor variables first, so the transpose is
     invariant under the same variable permutations as the original and the
-    operation is an involution.  Coefficients are reset to 1.
-
-    Row a of the transpose is column a: x_a^p times the predecessor of a.
-    So it is anchored, each chain reads backwards and each loop runs the
-    other way round from its least variable, and those blocks are set as
-    ``anchored`` sets them, with no orientation search.  Made once per
-    anchored matrix, and the same object returned after that.
+    operation is an involution.  Coefficients are reset to 1.  The
+    transpose is validated like any input, which a valid f^T passes, and
+    made once per anchored matrix, the same object returned after that.
     """
     anchored = matrix.anchored()
-    if anchored._transpose is not None:
-        return anchored._transpose
-    out = ExponentMatrix(tuple(zip(*anchored.rows)))
-    blocks = []
-    for b in anchored.validate():
-        if b.kind == CHAIN:
-            blocks.append(AtomicBlock(CHAIN, b.variables[::-1], b.exponents[::-1]))
-        else:
-            blocks.append(AtomicBlock(LOOP, b.variables[:1] + b.variables[:0:-1],
-                                      b.exponents[:1] + b.exponents[:0:-1]))
-    out._blocks = tuple(sorted(blocks, key=lambda b: b.variables))
-    out._successors = dict.fromkeys(range(out.n))
-    for a, b in anchored._successors.items():
-        if b is not None:
-            out._successors[b] = a
-    out._anchors = {a: a for a in range(out.n)}
-    out._anchored = anchored._transpose = out
-    return out
+    if anchored._transpose is None:
+        out = ExponentMatrix(tuple(zip(*anchored.rows)))
+        out.validate()
+        anchored._transpose = out
+    return anchored._transpose
 
 
 def weights(matrix):

@@ -81,9 +81,10 @@ def summed(ambient, *elements):
 
 def random_invertible(rng, max_vars=6):
     """Random Sebastiani-Thom sum of chains and loops, rows shuffled, such
-    that f passes validation: an exponent 1 drawn at the end of a chain or
-    in a 2-loop is raised to 2.  A chain may still start with exponent 1,
-    as x1*x2 + x2^3 does; f^T then ends that chain in its variable alone."""
+    that f and f^T pass validation: an exponent 1 drawn at either end of a
+    chain of two or more variables, or at the end of a chain of one, is
+    raised to 2, and so is the first of an even loop's exponents at every
+    other variable where those are all 1."""
     n = 0
     blocks = []
     while n < max_vars:
@@ -93,13 +94,15 @@ def random_invertible(rng, max_vars=6):
             exps = [rng.randint(1, 5) for _ in range(m)]
             if all(p == 1 for p in exps):
                 exps[rng.randrange(m)] = rng.randint(2, 5)
-            if m == 2:
-                exps = [max(p, 2) for p in exps]
+            if m % 2 == 0:
+                for k in (0, 1):
+                    if all(p == 1 for p in exps[k::2]):
+                        exps[k] = 2
             blocks.append(("loop", m, exps))
         else:
             m = rng.randint(1, min(3, room))
             exps = [rng.randint(1, 5) for _ in range(m)]
-            exps[-1] = max(exps[-1], 2)
+            exps[0], exps[-1] = max(exps[0], 2), max(exps[-1], 2)
             blocks.append(("chain", m, exps))
         n += blocks[-1][1]
     variables = list(range(n))

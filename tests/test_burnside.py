@@ -353,7 +353,7 @@ def test_cocycle_kernel_order_matches_scan(polynomial, generators):
                 if (closed, u) not in checked and all({p[i] for i in closed} == inside
                                                       for p in u):
                     checked.add((closed, u))
-                    assert ambient.stratum_cocycle_order(closed, u) \
+                    assert diag.stratum_cocycle_order(closed, u) \
                         == brute_cocycle_kernel_order(diag, tuple(u), h_elements)
     # some U moves a point of its C', so that c(U) is not all of G
     assert any(p[i] != i for closed, u in checked for p in u for i in closed)

@@ -156,7 +156,6 @@ def test_residual_check_trips_on_wrong_fixed_data(quintic):
 
 
 def test_structural_failure_carries_stratum_class_and_residual(monkeypatch):
-    import bhht.burnside as burnside_mod
     import bhht.euler as euler_mod
 
     f = parse_polynomial("x1^2+x2^2")
@@ -174,9 +173,9 @@ def test_structural_failure_carries_stratum_class_and_residual(monkeypatch):
 
     # a fixed-element count one too many: the class formula's c(U) for the
     # trivial U, in closed form, reads 5, and mark divides 5 by |K'| = 2
-    count = burnside_mod.SemidirectAmbient.stratum_cocycle_order
-    monkeypatch.setattr(burnside_mod.SemidirectAmbient, "stratum_cocycle_order",
-                        lambda ambient, closed, u_elements: count(ambient, closed, u_elements) + 1)
+    count = DiagonalGroup.stratum_cocycle_order
+    monkeypatch.setattr(DiagonalGroup, "stratum_cocycle_order",
+                        lambda group, closed, u_elements: count(group, closed, u_elements) + 1)
     with pytest.raises(StructuralAssumptionViolated) as info:
         euler_analysis(f, swap)
     assert (info.value.stratum, info.value.class_order, info.value.residual) \
@@ -772,10 +771,10 @@ def test_a_verdict_restricts_each_stratum_once(monkeypatch, name):
     assert calls and set(calls.values()) == {1}
 
 
-def test_a_verdict_decomposes_f_once_and_never_its_transpose(monkeypatch):
-    # an anchored matrix is its own anchored form, and anchoring and the
-    # transpose carry the block structure over: a verdict and its lemma
-    # checks decompose the parsed f alone
+def test_a_verdict_decomposes_f_and_its_transpose_once_each(monkeypatch):
+    # an anchored matrix is its own anchored form, anchoring carries the
+    # block structure over, and the transpose is validated once as it is
+    # made: a verdict and its lemma checks decompose the parsed f and f^T
     from bhht import polynomials
     from bhht.polynomials import serialize_polynomial
 
@@ -793,9 +792,9 @@ def test_a_verdict_decomposes_f_once_and_never_its_transpose(monkeypatch):
     monkeypatch.setattr(polynomials, "_decompose", counted)
     monkeypatch.setattr(euler, "_RECENT", deque(maxlen=2))
     assert verify_duality(f, s).equal
-    assert calls == [f]
+    assert calls == [f, transpose(f)]
     assert lemma_level_checks(f, s).all_passed
-    assert calls == [f]
+    assert calls == [f, transpose(f)]
     assert f.rows != f.anchored().rows
 
 

@@ -183,9 +183,10 @@ def assert_named_by_zero_sets(matrix, perms, element, reduced):
 
 
 @pytest.mark.parametrize("text, n, gens, element, reduced", [
-    # K_(2) is trivial like K_(1 2): both strata name the class (1 2), whose
-    # coefficients +1 and -1 cancel
-    ("x1*x2+x2^4", 2, [], {}, {((), 1): -1}),
+    # K_(3) = K_(2 3): both strata name the class (2 3), whose coefficients
+    # +1 and -1 cancel
+    ("x1^2*x2+x2*x3+x3^2", 3, [], {((0, 1, 2), 1): 1},
+     {((0, 1, 2), 1): 1, ((), 1): -1}),
 ])
 def test_a_class_is_named_by_the_zero_set_of_its_kernel(text, n, gens, element, reduced):
     from bhht.permgroups import group_from_generators
@@ -193,21 +194,6 @@ def test_a_class_is_named_by_the_zero_set_of_its_kernel(text, n, gens, element, 
 
     assert_named_by_zero_sets(parse_polynomial(text).anchored(),
                               group_from_generators(n, gens), element, reduced)
-
-
-def test_a_class_is_named_by_a_zero_set_that_g_fixes():
-    # f^T = x1 + x1*x2^3 + x3 + x3*x4^3 for f = x1*x2 + x2^3 + x3*x4 + x4^3:
-    # G fixes x1 and x3, so G = K_(1 3) and every stratum kernel vanishes
-    # on them.  chi is the plane of (x2, x4), named by (1 3), less the nine
-    # points where x2^3 = x4^3 = -1, one free orbit of G that the swap
-    # keeps a point of, named by (1 2 3 4); its reduced part is that orbit
-    from bhht.permgroups import group_from_generators
-    from bhht.polynomials import parse_polynomial
-
-    matrix = transpose(parse_polynomial("x1*x2+x2^3+x3*x4+x4^3"))
-    assert_named_by_zero_sets(matrix, group_from_generators(4, ["(13)(24)"]),
-                              {((0, 2), 2): 1, ((0, 1, 2, 3), 2): -1},
-                              {((0, 1, 2, 3), 2): -1})
 
 
 # -- no scan of S on the verdict path ---------------------------------------------------
