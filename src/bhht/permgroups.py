@@ -301,91 +301,24 @@ def subset_image(p, subset):
 class SubgroupLattice:
     """All subgroups of a small group, with their conjugacy classes.
 
-    The group's sorted elements are indexed once, and all work runs on
-    indices through the Cayley table mul[a][b], the index of
-    compose(elements[a], elements[b]); the sorted order makes the identity
-    index 0 and keeps index order equal to element order.  Enumeration
-    extends already-found subgroups by single elements, starting from the
-    cyclic subgroups, until closure; this finds every subgroup since any
-    subgroup is reached by adjoining its generators one at a time.  The
-    order of the normalizer of a subgroup is |group| / |its class|.
+    The classes are found on the indices of the group's sorted elements
+    (``_subgroup_classes``), through a Cayley table dropped once they are.
+    The subgroups are indexed by (order, sorted elements), and each class is
+    the sorted list of its members' indices, in the order of least indices.
+    The order of the normalizer of a subgroup is |group| / |its class|.
     """
 
     def __init__(self, group):
         self.group = group
         els = group.elements
         index = {p: i for i, p in enumerate(els)}
-        self._mul = [[index[compose(p, q)] for q in els] for p in els]
-        self._generators = [index[g] for g in group.generators]
-        self._sets = self._enumerate()
-        self._index = {s: i for i, s in enumerate(self._sets)}
-        self.subgroups = [frozenset([els[i] for i in s]) for s in self._sets]
-        self._classes = None
-
-    def _enumerate(self):
-        """Every subgroup as a frozenset of indices, by (order, sorted indices)."""
-        mul = self._mul
-        order = len(mul)
-        whole = frozenset(range(order))
-
-        def product(a, b):
-            return mul[a][b]
-
-        def closure(generators):
-            """The subgroup the generators generate; past half the group it
-            lies in no proper subgroup (Lagrange), so the walk stops there."""
-            try:
-                return orbit(0, generators, product, bound=order // 2)
-            except SizeBoundError:
-                return whole
-
-        # each subgroup found, with the generators it was reached with
-        gens = {frozenset({0}): ()}
-        queue = []
-        for g in range(order):
-            cyc = closure((g,))
-            if cyc not in gens:
-                gens[cyc] = (g,)
-                queue.append(cyc)
-        while queue:
-            H = queue.pop()
-            if len(H) == order:
-                continue
-            rows = [mul[h] for h in H]
-            covered = set(H)
-            for g in range(order):
-                if g in covered:
-                    continue
-                K = closure(gens[H] + (g,))
-                if K not in gens:
-                    gens[K] = gens[H] + (g,)
-                    queue.append(K)
-                # skip the rest of the double coset H g H
-                gH = [mul[g][h] for h in H]
-                covered.update(row[x] for row in rows for x in gH)
-        return sorted(gens, key=lambda s: (len(s), sorted(s)))
-
-    @property
-    def conjugacy_classes(self):
-        """List of classes, each a sorted list of subgroup indices, in the order
-        of their least indices: by (order, class key), as subgroups are indexed."""
-        if self._classes is None:
-            mul = self._mul
-            inv = [row.index(0) for row in mul]
-
-            def act(g, i):
-                row, g_inv = mul[g], inv[g]
-                return self._index[frozenset([mul[row[h]][g_inv]
-                                              for h in self._sets[i]])]
-
-            unassigned = set(range(len(self._sets)))
-            classes = []
-            while unassigned:
-                cls = orbit(min(unassigned), self._generators, act)
-                classes.append(sorted(cls))
-                unassigned -= cls
-            self._classes = classes
-        return self._classes
+        mul = [[index[compose(p, q)] for q in els] for p in els]
+        classes = _subgroup_classes(mul, [index[g] for g in group.generators])
+        sets = sorted((s for cls in classes for s in cls),
+                      key=lambda s: (len(s), sorted(s)))
+        at = {s: i for i, s in enumerate(sets)}
+        self.subgroups = [frozenset([els[i] for i in s]) for s in sets]
+        self.conjugacy_classes = sorted(sorted(at[s] for s in cls) for cls in classes)
 
     def class_key(self, cls):
         """The class's least member as a sorted tuple: its first, as indexed."""
@@ -402,6 +335,66 @@ class SubgroupLattice:
         """The key of each class to its subgroups, as element sets."""
         return {self.class_key(cls): [self.subgroups[i] for i in cls]
                 for cls in self.conjugacy_classes}
+
+
+def _subgroup_classes(mul, generators):
+    """Every conjugacy class of subgroups, as a frozenset of index sets, of
+    the group whose Cayley table mul[a][b] is the index of element a after
+    element b, for its elements in sorted order (so the identity is index 0), and whose
+    generators have the given indices.
+
+    One walk extends one member H of each class by one element g of each
+    double coset HgH, closing H and g.  A closure that no class holds yet
+    brings its whole class, its orbit under conjugation, and goes on to be
+    extended in turn.  Every class is reached: a subgroup K > 1 is H and g
+    for a maximal subgroup H < K and g in K - H, and if sHs^-1 is the member
+    of H's class that was extended, extending it by sgs^-1 gives sKs^-1.
+    """
+    order = len(mul)
+    whole = frozenset(range(order))
+    inv = [row.index(0) for row in mul]
+
+    def product(a, b):
+        return mul[a][b]
+
+    def conjugate_set(g, s):
+        row, g_inv = mul[g], inv[g]
+        return frozenset([mul[row[h]][g_inv] for h in s])
+
+    def closure(gens):
+        """The subgroup the generators generate; past half the group it
+        lies in no proper subgroup (Lagrange), so the walk stops there."""
+        try:
+            return orbit(0, gens, product, bound=order // 2)
+        except SizeBoundError:
+            return whole
+
+    trivial = frozenset({0})
+    # the extended member of each class, with the generators it was reached with
+    gens = {trivial: ()}
+    classes = [frozenset([trivial])]
+    met = {trivial}
+    queue = [trivial]
+    while queue:
+        H = queue.pop()
+        if len(H) == order:
+            continue
+        rows = [mul[h] for h in H]
+        covered = set(H)
+        for g in range(order):
+            if g in covered:
+                continue
+            s = closure(gens[H] + (g,))
+            if s not in met:
+                cls = orbit(s, generators, conjugate_set)
+                met.update(cls)
+                classes.append(cls)
+                gens[s] = gens[H] + (g,)
+                queue.append(s)
+            # skip the rest of the double coset H g H
+            gH = [mul[g][h] for h in H]
+            covered.update(row[x] for row in rows for x in gH)
+    return classes
 
 
 # -- parity condition -------------------------------------------------------------
@@ -470,9 +463,10 @@ def pc_check(group):
     orbits, and <t> for an involution t has n minus the number of its
     2-cycles, so it violates exactly when t is odd: the least odd involution
     names the witness, if there is one, and no lattice is built.  Otherwise
-    the subgroups are read in the lattice's order.  Orbit counts are
-    invariant under conjugation, so no classes need to be formed.  The
-    orbit of i under a subgroup is the set of its images p(i).
+    the lattice's classes are read in order, each by its least member:
+    orbit counts are invariant under conjugation, so the least member of
+    the first violating class is the least violating subgroup.  The orbit
+    of i under a subgroup is the set of its images p(i).
     """
     n = group.n
     identity = identity_perm(n)
@@ -480,7 +474,9 @@ def pc_check(group):
         # an odd number of 2-cycles moves 2 mod 4 points
         if sum(map(ne, t, identity)) % 4 == 2 and compose(t, t) == identity:
             return PCResult(False, group.subgroup([identity, t]))
-    for rep in group.lattice.subgroups:
+    lattice = group.lattice
+    for cls in lattice.conjugacy_classes:
+        rep = lattice.subgroups[cls[0]]
         orbits = {frozenset(p[i] for p in rep) for i in range(n)}
         if (len(orbits) - n) % 2 != 0:
             return PCResult(False, group.subgroup(rep))

@@ -148,13 +148,27 @@ def test_lattice_matches_brute_force():
         assert set(g.lattice.subgroups) == brute_subgroups(g), gens
 
 
-def test_lattice_of_a6_counts():
-    # A6 has 501 subgroups in 22 conjugacy classes (S6, with 1,455 in 56,
-    # takes several times longer)
+def test_lattice_of_a6_counts(monkeypatch):
+    # A6 has 501 subgroups in 22 conjugacy classes
     lattice = group_from_generators(6, ["(123)", "(23456)"]).lattice
     assert lattice.group.order == 360
     assert len(lattice.subgroups) == 501
     assert len(lattice.conjugacy_classes) == 22
+    # S6 has 1,455 in 56; extending one member of each class by one element
+    # of each of its double cosets takes a few thousand bounded closures
+    bounded = []
+    plain = permgroups.orbit
+
+    def counted(seed, generators, act, bound=None):
+        bounded.append(bound is not None)
+        return plain(seed, generators, act, bound)
+
+    s6 = group_from_generators(6, ["(12)", "(123456)"])
+    monkeypatch.setattr(permgroups, "orbit", counted)
+    lattice = s6.lattice
+    assert len(lattice.subgroups) == 1455
+    assert len(lattice.conjugacy_classes) == 56
+    assert sum(bounded) < 5000
 
 
 def test_lattice_products_come_from_the_cayley_table(monkeypatch):
