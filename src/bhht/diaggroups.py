@@ -16,7 +16,8 @@ G's congruences, the Hermite key of E's rows mod L, are built on first use:
 by membership and by the subgroups that further congruences cut out, each
 named by its Hermite key (``intmat.kernel_mod``), which decides equality,
 membership and order without listing it.  Only ``kernel_elements`` lists a
-subgroup, from its key and within ``DEFAULT_GROUP_BOUND``;
+subgroup, from its key and within ``DEFAULT_GROUP_BOUND``, coordinate by
+coordinate, so that an element's tuple is made once it is complete;
 ``independent_generators`` reads output generators and the key off a
 subgroup's elements.
 """
@@ -25,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product, repeat
 from math import gcd, lcm, prod
-from operator import add, itemgetter, mod, mul
+from operator import itemgetter, mod, mul
 
 from .errors import DegeneratePairingError, MembershipError, SizeBoundError
 from .intmat import (hermite_generators, hermite_key, hermite_order, in_hermite,
@@ -188,13 +189,16 @@ class DiagonalGroup:
         q_k moves coordinate k alone, in steps of w_k.d_k, so each sum of
         the r_k.row_k is completed by one product of ranges.  The w_k are
         taken least from the last row up; a diagonal key is one product.
+        The sums of the r_k.row_k are kept as n columns of coordinates and
+        zipped into elements only at the end: walking row k puts, for each
+        r < w_k in turn, column j plus r.row_k[j] mod L after column j, a
+        plain repeat where row_k[j] is 0.
         """
         L = self.exponent
         check_listing_bound(hermite_order(key, L))
         n = self.n
-        moduli = (L,) * n
         steps = [L] * n
-        sums = [self.zero]
+        columns = [[0]] * n
         for k in reversed(range(n)):
             row = key[k]
             w = lcm(1, *(steps[i] // gcd(steps[i], row[i]) for i in range(k + 1, n)))
@@ -202,9 +206,9 @@ class DiagonalGroup:
                 w = L // row[k]
             steps[k] = w * row[k]
             if w > 1:
-                multiples = [tuple(r * x for x in row) for r in range(w)]
-                sums = [tuple(map(mod, map(add, s, m), moduli))
-                        for m in multiples for s in sums]
+                columns = [[(x + s) % L for s in range(0, w * a, a) for x in column]
+                           if a else column * w for a, column in zip(row, columns)]
+        sums = zip(*columns)
         if min(steps) == L:  # every product is one element
             return frozenset(sums)
         return frozenset(chain.from_iterable(

@@ -6,7 +6,7 @@ text is 1-based, e.g. ``(12)(34)``.
 
 from collections import namedtuple
 from functools import cached_property
-from operator import ne
+from operator import itemgetter, ne
 
 from .errors import ParseError, SizeBoundError
 
@@ -312,7 +312,11 @@ class SubgroupLattice:
         self.group = group
         els = group.elements
         index = {p: i for i, p in enumerate(els)}
-        mul = [[index[compose(p, q)] for q in els] for p in els]
+        # row q of the table is p after q for every p: p read at the points
+        # of q, one getter mapped over the elements; on one point a getter
+        # returns no tuple, and p after q is p
+        mul = [list(map(index.__getitem__, map(itemgetter(*q) if len(q) > 1 else tuple, els)))
+               for q in els]
         classes = _subgroup_classes(mul, [index[g] for g in group.generators])
         sets = sorted((s for cls in classes for s in cls),
                       key=lambda s: (len(s), sorted(s)))
@@ -339,9 +343,10 @@ class SubgroupLattice:
 
 def _subgroup_classes(mul, generators):
     """Every conjugacy class of subgroups, as a frozenset of index sets, of
-    the group whose Cayley table mul[a][b] is the index of element a after
-    element b, for its elements in sorted order (so the identity is index 0), and whose
-    generators have the given indices.
+    the group whose Cayley table mul[a][b] is the index of element b after
+    element a, for its elements in sorted order (so the identity is index
+    0), and whose generators have the given indices.  The subgroups and
+    their classes are the same for either order of the product.
 
     One walk extends one member H of each class by one element g of each
     double coset HgH, closing H and g.  A closure that no class holds yet

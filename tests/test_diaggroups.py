@@ -1,9 +1,12 @@
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
+from operator import mul
 
 import pytest
 from conftest import key_of, random_invertible, seeded, stratum_elements
 
+from bhht import diaggroups
 from bhht.diaggroups import (
     DEFAULT_GROUP_BOUND,
     CharacterPairing,
@@ -628,7 +631,8 @@ def test_hermite_keys_match_listed_subgroups():
 def test_key_listing_matches_span_closure():
     # random keys, each listed from the key and by closing its generators
     rng = seeded(45)
-    kinds = dict.fromkeys(["trivial", "full", "diagonal", "non-diagonal", "n = 1"], 0)
+    kinds = dict.fromkeys(
+        ["trivial", "full", "diagonal", "non-diagonal", "walked", "n = 1"], 0)
     # the last group's key has first row (4, 1, 6) mod 8: its multiples repeat
     # past column 0 with period 4, which does not divide L/d_0 = 2, so the row
     # is walked whole
@@ -647,16 +651,58 @@ def test_key_listing_matches_span_closure():
             key = hermite_key(gens, n, L)
             listed = group.kernel_elements(key)
             assert listed == brute_span(group, gens), (matrix, gens)
+            # an entry past a pivot is reduced below it, so a row with one
+            # has w_k > 1: some multiple under L/d_k is not zero there
+            walked = any(x for j, row in enumerate(key) for x in row[j + 1:])
             if len(listed) == 1:
                 kinds["trivial"] += 1
             elif len(listed) == group.order:
                 kinds["full"] += 1
-            elif any(x for j, row in enumerate(key) for x in row[j + 1:]):
+            elif walked:
                 kinds["non-diagonal"] += 1
             else:
                 kinds["diagonal"] += 1
+            kinds["walked"] += walked
             kinds["n = 1"] += n == 1
     assert min(kinds.values()) >= 10, kinds
+
+
+def test_listing_of_rows_walked_whole_matches_the_sums_of_the_rows():
+    # perfbench's mirror03 input: G = <J, 1/100(29,31,10,7,57,30)> in the
+    # group of this f, L = 300.  Past its pivot, row 1's multiples first
+    # vanish at 150 = L/d_1, and row 0's at 300, which does not divide
+    # L/d_0 = 100; so both rows are walked whole, and every one of the
+    # 15,000 elements is a walked sum
+    group = DiagonalGroup(parse_polynomial(
+        "x6^10+x1^10*x3+x4^10*x6+x2^3*x4+x1*x5^3+x3^10"))
+    L = group.exponent
+    h = group.from_fractions([Fraction(a, 100) for a in (29, 31, 10, 7, 57, 30)])
+    key = hermite_key([J(group), h], group.n, L)
+    assert L == 300
+    assert key[:2] == ((3, 1, 270, 297, 199, 30), (0, 2, 0, 294, 200, 60))
+    assert all(row[k] == L for k, row in enumerate(key) if k > 1)
+    sums = [tuple(sum(map(mul, c, column)) % L for column in zip(*key))
+            for c in product(*(range(L // row[k]) for k, row in enumerate(key)))]
+    assert len(set(sums)) == len(sums) == 15000
+    assert group.kernel_elements(key) == frozenset(sums)
+
+
+def test_a_key_over_the_bound_is_refused_before_a_row_is_walked(monkeypatch):
+    # the chain's group is cyclic of order 8^7, so its key's first row is
+    # nonzero past its pivot; each row's w_k is an lcm, taken before its
+    # columns are walked
+    group = DiagonalGroup(parse_polynomial(
+        "+".join("x%d^8*x%d" % (i, i + 1) for i in range(1, 7)) + "+x7^8"))
+    key = group.kernel()
+    assert hermite_order(key, group.exponent) == 8 ** 7 > DEFAULT_GROUP_BOUND
+    assert any(key[0][1:])
+
+    def no_walk(*numbers):
+        raise AssertionError("a row was walked")
+
+    monkeypatch.setattr(diaggroups, "lcm", no_walk)
+    with pytest.raises(SizeBoundError):
+        group.kernel_elements(key)
 
 
 def test_format_element(gq):

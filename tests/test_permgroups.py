@@ -172,19 +172,26 @@ def test_lattice_of_a6_counts(monkeypatch):
 
 
 def test_lattice_products_come_from_the_cayley_table(monkeypatch):
-    # the table takes |S|^2 products of permutation tuples, and the
-    # enumeration no more
-    calls = []
-    plain = permgroups.compose
-
-    def counted(p, q):
-        calls.append(1)
-        return plain(p, q)
+    # the table is filled by one getter per row, and the enumeration reads
+    # it: no product of permutation tuples is taken
+    def refused(p, q):
+        raise AssertionError("compose called")
 
     s5 = group_from_generators(5, S5)
-    monkeypatch.setattr(permgroups, "compose", counted)
+    monkeypatch.setattr(permgroups, "compose", refused)
     assert len(s5.lattice.subgroups) == 156
-    assert len(calls) <= s5.order ** 2
+
+
+def test_lattices_of_the_smallest_groups():
+    # on one point a getter returns a bare point, not a permutation
+    trivial = group_from_generators(1, [])
+    assert trivial.lattice.subgroups == [frozenset({(0,)})]
+    assert trivial.lattice.conjugacy_classes == [[0]]
+    s2 = group_from_generators(2, ["(12)"])
+    assert s2.lattice.subgroups == [frozenset({(0, 1)}), frozenset({(0, 1), (1, 0)})]
+    assert s2.lattice.conjugacy_classes == [[0], [1]]
+    for group in (trivial, s2):
+        assert set(group.lattice.subgroups) == brute_subgroups(group)
 
 
 def test_normalizer_and_conjugacy():
