@@ -5,8 +5,11 @@ E @ v integral.  Internally every element is a tuple of integers modulo the
 group exponent L, i.e. v = a / L; this keeps equality, hashing and
 arithmetic exact and fast.
 
-Each chain or loop block B of f has a cyclic group <g_B> of order d_B, and
-G is their direct sum.  A verdict reads all it needs off those generators:
+Each chain or loop block B of f has a cyclic group <g_B> of order d_B
+(``AtomicBlock.order``), and G is their direct sum, of order the product of
+the d_B; J, f's weights mod 1, is a sum of multiples of the g_B
+(``DiagonalGroup.grading``).  A verdict reads all it needs off those
+generators:
 the stratum kernels K_I, each a direct sum of some <m_B g_B>
 (``DiagonalGroup.stratum_kernel``), the pairing with f^T's group, checked
 nondegenerate block by block, and ann(K_C) = K'_{C^c}, checked by
@@ -22,7 +25,6 @@ coordinate, so that an element's tuple is made once it is complete;
 subgroup's elements.
 """
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product, repeat
 from math import gcd, lcm, prod
@@ -32,7 +34,7 @@ from .errors import DegeneratePairingError, MembershipError, SizeBoundError
 from .intmat import (hermite_generators, hermite_key, hermite_order, in_hermite,
                      kernel_mod, matvec)
 from .permgroups import inverse
-from .polynomials import LOOP, transpose
+from .polynomials import transpose
 
 DEFAULT_GROUP_BOUND = 10 ** 6
 
@@ -46,15 +48,10 @@ class DiagonalGroup:
         self.matrix = matrix
         n = self.n = matrix.n
         # a block's monomials v_i^a_i v_(i+1) give its angles, in block order,
-        # as the multiples of (1, -a_1, a_1 a_2, ...) / d, where the last
-        # monomial leaves d = prod a for a chain, prod a - (-1)^m for a loop
+        # as the multiples of (1, -a_1, a_1 a_2, ...) / d_B, where the last
+        # monomial leaves d_B (``AtomicBlock.order``)
         blocks = matrix.validate()
-        orders = []
-        for block in blocks:
-            d = prod(block.exponents)
-            if block.kind == LOOP:
-                d -= (-1) ** len(block.exponents)
-            orders.append(d)
+        orders = [block.order for block in blocks]
         self.order = prod(orders)
         L = self.exponent = lcm(1, *orders)
         self.blocks = []  # (d_B, g_B, B's variables)
@@ -214,25 +211,20 @@ class DiagonalGroup:
         return frozenset(chain.from_iterable(
             product(*map(range, map(mod, s, steps), repeat(L), steps)) for s in sums))
 
-    # -- conversions -------------------------------------------------------
-
-    def from_fractions(self, fractions):
-        """Element from a vector of rationals (taken mod 1)."""
-        if len(fractions) != self.n:
-            raise MembershipError("vector length %d != %d" % (len(fractions), self.n))
+    @cached_property
+    def grading(self):
+        """J, the weights of f mod 1, as the sum of the k_B g_B: in block
+        order, k_B = sum over j of (-1)^j times the product of the exponents
+        past j, the same for chains and loops, made by Horner's rule."""
         L = self.exponent
-        out = []
-        for q in fractions:
-            q = Fraction(q)
-            if L % q.denominator != 0:
-                raise MembershipError(
-                    "denominator %d does not divide group exponent %d"
-                    % (q.denominator, L))
-            out.append(int(q * L) % L)
-        element = tuple(out)
-        if element not in self:
-            raise MembershipError("vector %s is not a diagonal symmetry" % (fractions,))
-        return element
+        j = [0] * self.n
+        for block, (_, g, variables) in zip(self.matrix.validate(), self.blocks):
+            k = 0
+            for i, a in enumerate(block.exponents):
+                k = a * k + (-1) ** i
+            for i in variables:
+                j[i] = k * g[i] % L
+        return tuple(j)
 
     def format_element(self, element):
         """Short notation 1/m(a1,...,an) with the least common denominator."""

@@ -8,23 +8,24 @@ S-orbits are walked, on demand (``ExponentMatrix.full_subsets``,
 the stratum of I the classes that can occur as isotropy groups are the
 [K_I x| T], for K_I the stratum kernel and T <= S_I, and their
 coefficients are obtained by exactly solving the triangular system of
-marks against the fixed-point Euler characteristics, which are plain
-determinant counts.  Both whether a
-stratum counts and those counts are read off f's anchored exponent rows
-(``fixed_chi``); f is never restricted to a stratum.  Each class is
-named by its stratum: by the zero set C of K_I, which is I itself unless
-K_I vanishes beyond I, carried to the representative of its S-orbit, and
-by T's class key in the lattice of S_C (``burnside.stratum_class``); the
-point class is ((), S): Z(G) is empty, since G's grading element J, the
-weights mod 1, moves every coordinate.  So
-the strata sum to chi without re-identifying a class, and the Saito dual
-of f^T's classes is read off the complements.
+marks against the fixed-point Euler characteristics, which are signed
+products of the orders of the chains and loops that f^I folds into along
+T's orbits.  Both whether a stratum counts and those counts are read off
+f's anchored exponent rows (``fixed_chi``); f is never restricted to a
+stratum.  Each class is named by its stratum: by the zero set C of K_I,
+which is I itself unless K_I vanishes beyond I, carried to the
+representative of its S-orbit, and by T's class key in the lattice of S_C
+(``burnside.stratum_class``); the point class is ((), S): Z(G) is empty,
+since G's grading element J, the weights mod 1, moves every coordinate.
+So the strata sum to chi without re-identifying a class, and the Saito
+dual of f^T's classes is read off the complements.
 Everything is exact integer arithmetic.
 """
 
 from collections import deque, namedtuple
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 
 from .burnside import (
     BurnsideElement,
@@ -38,9 +39,8 @@ from .burnside import (
 )
 from .diaggroups import CharacterPairing, DiagonalGroup, perm_act
 from .errors import NotInvariantError, StructuralAssumptionViolated
-from .intmat import determinant
 from .permgroups import orbit_count, orbits, pc_check
-from .polynomials import check_invariance, transpose
+from .polynomials import AtomicBlock, check_invariance, link_blocks, transpose
 
 
 def _stratum_profile(subset, stabilizer, reps):
@@ -68,11 +68,14 @@ def fixed_chi(matrix, subset, perms):
     t(a), coefficient included, as every symmetry of f does; so it preserves
     f^I, and it refuses T otherwise.  Zero unless f^I is full
     (``ExponentMatrix.full_on``).  Then the monomials anchored in one
-    T-orbit fold along T's orbits to one exponent vector, with coefficient
-    |orbit|.c, never 0: F takes, for each of the k orbits, the anchored row
-    of one of its points with its columns summed over the orbits, and chi
-    is (-1)^(k-1) |det F|.  Two orbits that fold alike make F singular, and
-    chi is 0.
+    T-orbit fold along T's orbits to one monomial, with coefficient
+    |orbit|.c, never 0, and chi is (-1)^(k-1) |det F| for the matrix F of
+    the k folded monomials.  T commutes with the successor map, which is
+    injective, so it maps each orbit onto an orbit, one to one, and the
+    folded monomials are chains and loops on the orbits, with the exponents
+    of their points; det F is the product of their orders d
+    (``AtomicBlock.order``), none negative.  A loop folded onto one orbit
+    gives x_O^(a+1), the 1-loop of order a + 1.
     """
     if not subset:
         raise ValueError("the empty stratum has no fibre points")
@@ -91,14 +94,13 @@ def fixed_chi(matrix, subset, perms):
         return 0
     orbs = orbits(perms, subset)
     column = {v: k for k, orb in enumerate(orbs) for v in orb}
-    folded = []
-    for orb in orbs:
-        row = [0] * len(orbs)
-        for j, e in enumerate(rows[orb[0]]):
-            if e:
-                row[column[j]] += e
-        folded.append(row)
-    return (-1) ** (len(orbs) - 1) * abs(determinant(folded))
+    succ = matrix.successors()
+    folded = {k: column.get(succ[orb[0]]) for k, orb in enumerate(orbs)}
+    chi = (-1) ** (len(orbs) - 1)
+    for kind, block in link_blocks(folded):
+        exponents = [rows[a][a] for a in (orbs[k][0] for k in block)]
+        chi *= AtomicBlock(kind, block, exponents).order
+    return chi
 
 
 class StratumContribution(namedtuple("StratumContribution", [

@@ -14,15 +14,15 @@ Format: section headers in brackets, one datum per line, ``#`` comments.
 """
 
 import os
-from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from pathlib import Path
 
 from .diaggroups import independent_generators
-from .errors import ParseError
+from .errors import MembershipError, ParseError
 from .intmat import hermite_key
 from .permgroups import group_from_generators
-from .polynomials import parse_polynomial, serialize_polynomial, weights
+from .polynomials import parse_polynomial, serialize_polynomial
 
 DATA_DIR = Path(__file__).parent / "fixtures_data"
 ENV_VAR = "SAITO_FIXTURES"
@@ -63,21 +63,37 @@ class FixtureSpec:
 
 
 def parse_group_element(line, group):
-    """``1/m(a1,...,an)`` or the name J (weights of the matrix, mod 1)."""
+    """``1/m(a1,...,an)`` or the name J (``DiagonalGroup.grading``).
+
+    The entries are the a_i / m mod 1, read as integers mod the group
+    exponent L: each a_i.L must be a multiple of m, and the entry is
+    a_i.L / m mod L.  The line need not be reduced, and negative a_i are
+    taken mod 1."""
     line = line.strip()
     if line == "J":
-        return group.from_fractions([q % 1 for q in weights(group.matrix)])
+        return group.grading
     if not line.startswith("1/"):
         raise ParseError("bad group element %r" % line)
     try:
         denom_part, rest = line[2:].split("(", 1)
         m = int(denom_part)
-        if not rest.endswith(")"):
+        if not rest.endswith(")") or not m:
             raise ValueError
-        fractions = [Fraction(int(t), m) for t in rest[:-1].split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
+        numerators = [int(t) for t in rest[:-1].split(",")]
+    except ValueError as exc:
         raise ParseError("bad group element %r" % line) from exc
-    return group.from_fractions(fractions)
+    if len(numerators) != group.n:
+        raise MembershipError("vector length %d != %d" % (len(numerators), group.n))
+    L = group.exponent
+    for a in numerators:
+        if a * L % m:
+            raise MembershipError(
+                "denominator %d does not divide group exponent %d"
+                % (abs(m) // gcd(a, m), L))
+    element = tuple([a * L // m % L for a in numerators])
+    if element not in group:
+        raise MembershipError("%s is not a diagonal symmetry" % line)
+    return element
 
 
 def format_group_subgroup(group, elements):

@@ -1,4 +1,4 @@
-"""Exact integer matrix routines.
+"""Exact integer matrix routines: Hermite keys and kernels mod m.
 
 Everything here works on plain lists of Python ints; no floating point is
 used anywhere.
@@ -18,31 +18,6 @@ from operator import mul
 
 def matvec(a, v):
     return [sum(map(mul, row, v)) for row in a]
-
-
-def determinant(a):
-    """Determinant of a square integer matrix (Bareiss, fraction free)."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def hermite_key(generators, n, L):

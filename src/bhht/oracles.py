@@ -4,8 +4,9 @@ These deliberately avoid the closed forms and canonical representatives of
 the main code paths so they can serve as oracles for it; everything here is
 plain enumeration over small groups, including the element list of the
 semidirect product G x| S, which the main paths never build, except the
-fixed-point chi, which is Milnor-Orlik's closed form in the weights of f.
-Each quantity has one reference here.
+fixed-point chi, which is Milnor-Orlik's closed form in the weights of f,
+and the integer linear algebra the main paths read off the blocks: Bareiss
+determinants and Cramer's weights.  Each quantity has one reference here.
 """
 
 from fractions import Fraction
@@ -19,7 +20,7 @@ from .diaggroups import perm_act
 from .errors import DegeneratePairingError, MembershipError, SizeBoundError
 from .intmat import hermite_generators, hermite_key, hermite_order, in_hermite, matvec
 from .permgroups import compose, conjugate, identity_perm, inverse, orbit
-from .polynomials import ExponentMatrix, weights
+from .polynomials import ExponentMatrix
 
 # Every enumeration here lists a whole group; none runs on one larger than this.
 ORACLE_ORDER_BOUND = 20000
@@ -401,6 +402,46 @@ def split_subgroup_pairs(group, perms):
     return pairs
 
 
+def determinant(a):
+    """Determinant of a square integer matrix (Bareiss, fraction free), the
+    reference for ``ExponentMatrix.determinant``'s product over blocks."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("determinant of a non-square matrix")
+    if n == 0:
+        return 1
+    m = [list(row) for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def weights(matrix):
+    """Rational weights q with E @ q = (1, ..., 1), by Cramer's rule: q_j is
+    the determinant of E with column j replaced by ones, over det E; the
+    reference for J, the sum over blocks of k_B g_B."""
+    det = determinant(matrix.rows)
+    if det == 0:
+        raise ValueError("singular exponent matrix")
+    return tuple(
+        Fraction(determinant([row[:j] + (1,) + row[j + 1:] for row in matrix.rows]), det)
+        for j in range(matrix.n))
+
+
 def milnor_orlik_chi(matrix, subset, t_group):
     """chi of the T-fixed part of the Milnor fibre of f^I, over all of C^I,
     for a sorted subset I closed under successors: 1 + (-1)^(k-1) mu over
@@ -408,7 +449,7 @@ def milnor_orlik_chi(matrix, subset, t_group):
     f^I on T's fixed space by Milnor-Orlik.  f^I is the anchored rows of I
     on I's columns, refused when a row of I reaches outside I, and an empty
     I is refused.  Its variables are the orbits, each of the weight q_O that
-    ``polynomials.weights`` gives f^I at the orbit's points; a weight
+    Cramer's rule (``weights``) gives f^I at the orbit's points; a weight
     outside (0, 1), where the formula does not hold, is refused.  The
     orbits are read off T's element list."""
     if not subset:

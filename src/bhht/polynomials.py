@@ -14,9 +14,9 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 
 from .errors import DegenerateLoopError, NotInvariantError, NotInvertibleError, ParseError
-from .intmat import determinant
 from .permgroups import cycle_notation
 
 CHAIN = "chain"
@@ -32,6 +32,14 @@ class AtomicBlock(namedtuple("AtomicBlock", "kind variables exponents")):
     """
 
     __slots__ = ()
+
+    @property
+    def order(self):
+        """d_B, the determinant of the block's anchored rows and the order of
+        its group: prod a for a chain, prod a - (-1)^m for an m-loop, whose
+        last monomial adds the m-cycle's term."""
+        d = prod(self.exponents)
+        return d - (-1) ** len(self.exponents) if self.kind == LOOP else d
 
 
 class ExponentMatrix:
@@ -85,9 +93,14 @@ class ExponentMatrix:
         return "ExponentMatrix(%s)" % serialize_polynomial(self)
 
     def determinant(self):
-        if not self.is_square:
-            raise ValueError("determinant of a non-square exponent matrix")
-        return determinant([list(r) for r in self.rows])
+        """det E, of a valid matrix: the anchored matrix is E with its rows
+        permuted, and with its rows and columns both in block order it is
+        block diagonal, so det E is the sign of that row permutation times
+        the product of the d_B (``AtomicBlock.order``)."""
+        blocks = self.validate()
+        anchors = self.anchors()
+        swaps = sum(anchors[s] > anchors[r] for r in range(self.n) for s in range(r))
+        return (-1) ** swaps * prod(block.order for block in blocks)
 
     # -- chain/loop structure ------------------------------------------------
 
@@ -101,6 +114,11 @@ class ExponentMatrix:
         """Map row index -> anchor variable (the variable the monomial is based at)."""
         self.validate()
         return self._anchors
+
+    def successors(self):
+        """Map variable -> the variable its monomial links to, or None for x_a^p."""
+        self.validate()
+        return self._successors
 
     def anchored(self):
         """Rows permuted so that row i is the monomial anchored at variable i:
@@ -132,8 +150,7 @@ class ExponentMatrix:
         as many monomials as points.  A monomial involves its anchor and its
         successor and nothing else, so f^I is full exactly when the subset is
         closed under successors."""
-        self.validate()
-        succ = self._successors
+        succ = self.successors()
         inside = set(subset)
         return all(succ[a] is None or succ[a] in inside for a in subset)
 
@@ -293,64 +310,61 @@ def _decompose(matrix):
     anchors = {i: a for i, (a, _nxt) in enumerate(assignment)}
     succ = {a: nxt for a, nxt in assignment}
     row_of = {a: i for i, (a, _nxt) in enumerate(assignment)}
-    pred = {}
-    for a, nxt in succ.items():
+    linked = set()
+    for nxt in succ.values():
         if nxt is not None:
-            if nxt in pred:
+            if nxt in linked:
                 raise NotInvertibleError(
                     "variable x%d is linked from two monomials" % (nxt + 1))
-            pred[nxt] = a
+            linked.add(nxt)
 
-    # every variable now has at most one predecessor and one successor: a
-    # walk from a variable with no predecessor is a chain that meets no
-    # variable twice, and succ permutes the variables left over, in loops
+    # every variable now has at most one predecessor and one successor
     blocks = []
-    seen = set()
-    for start in range(n):
-        if start in pred:
-            continue
-        chain = [start]
-        seen.add(start)
-        while succ[chain[-1]] is not None:
-            nxt = succ[chain[-1]]
-            chain.append(nxt)
-            seen.add(nxt)
-        exps = tuple(matrix.rows[row_of[a]][a] for a in chain)
-        if exps[-1] == 1:
-            raise NotInvertibleError(
-                "chain on variables %s ends in x%d alone: f has a linear monomial "
-                "and no singular point at 0" % ([v + 1 for v in chain], chain[-1] + 1))
-        if len(chain) > 1 and exps[0] == 1:
-            raise NotInvertibleError(
-                "chain on variables %s starts with exponent 1: f^T ends it in x%d "
-                "alone" % ([v + 1 for v in chain], chain[0] + 1))
-        blocks.append(AtomicBlock(CHAIN, tuple(chain), exps))
-    # what is left are loops
-    for start in range(n):
-        if start in seen:
-            continue
-        cycle = [start]
-        seen.add(start)
-        cur = succ[start]
-        while cur != start:
-            cycle.append(cur)
-            seen.add(cur)
-            cur = succ[cur]
-        least = cycle.index(min(cycle))
-        cycle = cycle[least:] + cycle[:least]
-        exps = tuple(matrix.rows[row_of[a]][a] for a in cycle)
-        if all(p == 1 for p in exps):
+    for kind, block in link_blocks(succ):
+        exps = tuple(matrix.rows[row_of[a]][a] for a in block)
+        names = [v + 1 for v in block]
+        if kind == CHAIN:
+            if exps[-1] == 1:
+                raise NotInvertibleError(
+                    "chain on variables %s ends in x%d alone: f has a linear monomial "
+                    "and no singular point at 0" % (names, block[-1] + 1))
+            if len(block) > 1 and exps[0] == 1:
+                raise NotInvertibleError(
+                    "chain on variables %s starts with exponent 1: f^T ends it in x%d "
+                    "alone" % (names, block[0] + 1))
+        elif all(p == 1 for p in exps):
             raise DegenerateLoopError(
                 "loop on variables %s has all exponents 1 (degenerate or A1; "
                 "also the only case admitting flip symmetries, which are excluded)"
-                % ([v + 1 for v in cycle],))
-        if len(cycle) % 2 == 0 and 1 in (max(exps[::2]), max(exps[1::2])):
+                % (names,))
+        elif len(block) % 2 == 0 and 1 in (max(exps[::2]), max(exps[1::2])):
             raise NotInvertibleError(
                 "loop on variables %s has exponent 1 at every other variable: those "
-                "have weight 1 and the others weight 0" % ([v + 1 for v in cycle],))
-        blocks.append(AtomicBlock(LOOP, tuple(cycle), exps))
+                "have weight 1 and the others weight 0" % (names,))
+        blocks.append(AtomicBlock(kind, block, exps))
     blocks.sort(key=lambda b: b.variables)
     return tuple(blocks), anchors, succ
+
+
+def link_blocks(succ):
+    """The chains and loops of an injective successor map, a dict from each
+    point to the next one or to None past a chain's end, as (kind, points in
+    block order): a chain from its point with no predecessor, a loop from
+    its least point."""
+    heads = set(succ).difference(succ.values())
+    seen = set()
+    out = []
+    for start in sorted(heads) + sorted(succ):
+        if start in seen:
+            continue
+        block = [start]
+        nxt = succ[start]
+        while nxt is not None and nxt != start:
+            block.append(nxt)
+            nxt = succ[nxt]
+        seen.update(block)
+        out.append((CHAIN if nxt is None else LOOP, tuple(block)))
+    return out
 
 
 def _assign_anchors(candidates, n):
@@ -398,17 +412,6 @@ def transpose(matrix):
         out.validate()
         anchored._transpose = out
     return anchored._transpose
-
-
-def weights(matrix):
-    """Rational weights q with E @ q = (1, ..., 1), by Cramer's rule: q_j is
-    the determinant of E with column j replaced by ones, over det E."""
-    det = matrix.determinant()
-    if det == 0:
-        raise ValueError("singular exponent matrix")
-    return tuple(
-        Fraction(determinant([row[:j] + (1,) + row[j + 1:] for row in matrix.rows]), det)
-        for j in range(matrix.n))
 
 
 # -- permutation symmetries ------------------------------------------------------

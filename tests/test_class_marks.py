@@ -28,6 +28,7 @@ from bhht.oracles import (
     brute_cocycle_kernel_order,
     brute_isotropy,
     conjugators_by_scan,
+    determinant,
     key_class,
     naive_mark,
     split_subgroup_pairs,
@@ -39,7 +40,7 @@ from bhht.polynomials import parse_polynomial, transpose
 def small_catalogue_pairs():
     """The catalogue pairs within the consistency sweep's bound, by name."""
     return [name for name in catalogue_pairs()
-            if abs(CATALOGUE[name].matrix.determinant()) * CATALOGUE[name].perm_group().order
+            if abs(determinant(CATALOGUE[name].matrix.rows)) * CATALOGUE[name].perm_group().order
             <= CONSISTENCY_ORDER_BOUND]
 
 

@@ -14,8 +14,8 @@ from bhht.diaggroups import (
     independent_generators,
     perm_act,
 )
-from bhht.errors import DegeneratePairingError, MembershipError, SizeBoundError
-from bhht.fixtures import load_catalogue
+from bhht.errors import BhhtError, DegeneratePairingError, MembershipError, SizeBoundError
+from bhht.fixtures import load_catalogue, parse_group_element
 from bhht.intmat import hermite_generators, hermite_key, hermite_order
 from bhht.oracles import (
     all_subgroups_abelian,
@@ -24,15 +24,13 @@ from bhht.oracles import (
     brute_isotropy,
     brute_span,
     check_hermite_keys,
+    determinant,
     kernel_nondegenerate,
     pairing_value,
+    weights,
 )
 from bhht.permgroups import PermGroup, group_from_generators, parse_cycles
-from bhht.polynomials import check_invariance, parse_polynomial, weights
-
-
-def J(group):
-    return group.from_fractions([q % 1 for q in weights(group.matrix)])
+from bhht.polynomials import check_invariance, parse_polynomial
 
 
 @pytest.fixture
@@ -54,10 +52,32 @@ def test_order_equals_det_random():
     for _ in range(40):
         m = random_invertible(rng, max_vars=5)
         g = DiagonalGroup(m.anchored())
-        assert g.order == abs(m.determinant())
+        assert g.order == abs(determinant(m.rows))
         assert len(g.elements) == g.order
         for e in g.elements:
             assert e in g
+
+
+def test_determinant_and_grading_match_bareiss_and_cramer():
+    # det E is the anchoring sign times the block orders, and J the sum of
+    # the k_B g_B; the references are Bareiss and Cramer's weights mod 1,
+    # on every valid catalogue matrix and seeded sums with shuffled rows
+    rng = seeded(37)
+    matrices = [random_invertible(rng) for _ in range(200)]
+    for fx in load_catalogue().values():
+        try:
+            fx.matrix.validate()
+        except BhhtError:
+            continue
+        matrices.append(fx.matrix)
+    signs = set()
+    for m in matrices:
+        assert m.determinant() == determinant(m.rows), m
+        group = DiagonalGroup(m)
+        L = group.exponent
+        assert group.grading == tuple(q % 1 * L for q in weights(m)), m
+        signs.add(m.determinant() > 0)
+    assert signs == {True, False}
 
 
 def test_cyclic_of_order_six():
@@ -74,12 +94,12 @@ def test_single_variable_power():
 
 
 def test_quintic_generators(gq):
-    e1 = gq.from_fractions([Fraction(1, 5), 0, 0, 0, 0])
+    e1 = parse_group_element("1/5(1,0,0,0,0)", gq)
     assert e1 in gq
     with pytest.raises(MembershipError):
-        gq.from_fractions([Fraction(1, 2), 0, 0, 0, 0])
+        parse_group_element("1/2(1,0,0,0,0)", gq)
     with pytest.raises(MembershipError):
-        gq.from_fractions([Fraction(1, 7), 0, 0, 0, 0])
+        parse_group_element("1/7(1,0,0,0,0)", gq)
 
 
 def test_size_bound():
@@ -100,8 +120,8 @@ def test_subgroup_generated_trivial_and_full(gq):
 
 
 def test_exponential_grading_subgroup(gq):
-    j = J(gq)
-    assert j == gq.from_fractions([Fraction(1, 5)] * 5)
+    j = gq.grading
+    assert j == parse_group_element("1/5(1,1,1,1,1)", gq)
     assert len(brute_span(gq, [j])) == 5
 
 
@@ -146,7 +166,7 @@ def test_fixed_subgroup(gq):
     assert fixed(PermGroup(5, ())) == frozenset(gq.elements)
     assert len(fixed(group_from_generators(5, ["(12)(34)"]))) == 125
     transitive = group_from_generators(5, ["(12345)"])
-    assert fixed(transitive) == brute_span(gq, [J(gq)])
+    assert fixed(transitive) == brute_span(gq, [gq.grading])
 
 
 def test_perm_act():
@@ -201,8 +221,8 @@ def test_perm_act_membership_iff_symmetry():
 
 def test_pairing_values(quintic):
     pairing = CharacterPairing(quintic)
-    e1 = pairing.left.from_fractions([Fraction(1, 5), 0, 0, 0, 0])
-    f1 = pairing.right.from_fractions([Fraction(1, 5), 0, 0, 0, 0])
+    e1 = parse_group_element("1/5(1,0,0,0,0)", pairing.left)
+    f1 = parse_group_element("1/5(1,0,0,0,0)", pairing.right)
     assert pairing_value(pairing, e1, f1) == Fraction(1, 5)
     assert pairing_value(pairing, pairing.left.zero, f1) == 0
 
@@ -376,7 +396,7 @@ def test_annihilator_extremes(quintic):
 def test_annihilator_of_grading_element(quintic):
     # characters killing the grading element: total exponent divisible by 5
     pairing = CharacterPairing(quintic)
-    ann = pairing.annihilator(brute_span(pairing.left, [J(pairing.left)]))
+    ann = pairing.annihilator(brute_span(pairing.left, [pairing.left.grading]))
     assert len(ann) == 625
     assert all(sum(w) % 5 == 0 for w in ann)
 
@@ -407,9 +427,9 @@ def test_annihilator_s_invariance(quintic):
     perms = group_from_generators(5, ["(12345)", "(14)(23)"])
     h = brute_span(
         pairing.left,
-        [J(pairing.left),
-         pairing.left.from_fractions([Fraction(k, 5) for k in (0, 1, 4, 4, 1)]),
-         pairing.left.from_fractions([Fraction(k, 5) for k in (0, 1, 2, 3, 4)])])
+        [pairing.left.grading,
+         parse_group_element("1/5(0,1,4,4,1)", pairing.left),
+         parse_group_element("1/5(0,1,2,3,4)", pairing.left)])
     for s in perms.elements:
         assert frozenset(perm_act(s, x) for x in h) == h
     ann = pairing.annihilator(h)
@@ -511,7 +531,7 @@ def test_stratum_kernels_in_closed_form_match_the_solved_keys():
     for matrix in closed_form_inputs():
         group = DiagonalGroup(matrix)
         n, L = group.n, group.exponent
-        det = abs(matrix.determinant())
+        det = abs(determinant(matrix.rows))
         assert group.order == det
         solved = hermite_generators(kernel_mod(matrix.rows, n, det), det)
         assert L == lcm(1, *(det // gcd(det, *g) for g in solved))
@@ -676,8 +696,8 @@ def test_listing_of_rows_walked_whole_matches_the_sums_of_the_rows():
     group = DiagonalGroup(parse_polynomial(
         "x6^10+x1^10*x3+x4^10*x6+x2^3*x4+x1*x5^3+x3^10"))
     L = group.exponent
-    h = group.from_fractions([Fraction(a, 100) for a in (29, 31, 10, 7, 57, 30)])
-    key = hermite_key([J(group), h], group.n, L)
+    h = parse_group_element("1/100(29,31,10,7,57,30)", group)
+    key = hermite_key([group.grading, h], group.n, L)
     assert L == 300
     assert key[:2] == ((3, 1, 270, 297, 199, 30), (0, 2, 0, 294, 200, 60))
     assert all(row[k] == L for k, row in enumerate(key) if k > 1)
@@ -706,6 +726,6 @@ def test_a_key_over_the_bound_is_refused_before_a_row_is_walked(monkeypatch):
 
 
 def test_format_element(gq):
-    j = J(gq)
+    j = gq.grading
     assert gq.format_element(j) == "1/5(1,1,1,1,1)"
     assert gq.format_element(gq.zero) == "1/1(0,0,0,0,0)"

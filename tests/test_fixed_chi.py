@@ -1,8 +1,8 @@
 """The fixed-point Euler characteristic from anchored rows against
 Milnor-Orlik.
 
-``euler.fixed_chi`` reads fullness and the folded determinant straight off
-the anchored exponent rows, one open stratum at a time.  It is 0 on a
+``euler.fixed_chi`` reads fullness and the folded blocks' orders straight
+off the anchored exponent rows, one open stratum at a time.  It is 0 on a
 stratum I where f^I is not full, and summed over the T-invariant strata J
 of a full subset I it must give the chi of the T-fixed fibre of f^I on all
 of C^I, which ``oracles.milnor_orlik_chi`` reads off the weights of f^I
@@ -23,9 +23,9 @@ from test_stratum_naming import CATALOGUE, catalogue_pairs, doubled, symmetries
 
 from bhht.errors import NotInvariantError, NotInvertibleError
 from bhht.euler import euler_analysis, fixed_chi
-from bhht.oracles import milnor_orlik_chi
+from bhht.oracles import milnor_orlik_chi, weights
 from bhht.permgroups import PermGroup, group_from_generators
-from bhht.polynomials import ExponentMatrix, parse_polynomial, transpose, weights
+from bhht.polynomials import ExponentMatrix, parse_polynomial, transpose
 
 
 def subsets(n):

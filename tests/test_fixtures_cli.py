@@ -2,13 +2,13 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
+from conftest import X1
 
 from bhht.cli import main
 from bhht.diaggroups import CharacterPairing, DiagonalGroup
-from bhht.errors import ParseError
+from bhht.errors import MembershipError, ParseError
 from bhht.fixtures import (
     DATA_DIR,
     load_catalogue,
@@ -68,9 +68,32 @@ def test_group_element_grammar(catalogue):
     gen = parse_group_element("1/41(1,-4,16,18,10)", group)
     assert gen in group
     j = parse_group_element("J", group)
-    assert j == group.from_fractions([Fraction(1, 5)] * 5)
+    assert j == parse_group_element("1/5(1,1,1,1,1)", group)
     with pytest.raises(ParseError):
         parse_group_element("5(1,2)", group)
+
+
+@pytest.mark.parametrize("polynomial, line, expected", [
+    (X1, "1/5(1,0,0,0,0)", (1, 0, 0, 0, 0)),
+    (X1, "1/10(2,4,6,8,0)", (1, 2, 3, 4, 0)),  # not reduced
+    (X1, "1/5(-1,6,-5,0,-14)", (4, 1, 0, 0, 1)),  # taken mod 1
+    (X1, "1/-5(1,0,0,0,0)", (4, 0, 0, 0, 0)),
+    (X1, "1/0(1,0,0,0,0)", ParseError),
+    (X1, "1/5(1,x,0,0,0)", ParseError),
+    (X1, "1/2(1,0,0,0,0)", MembershipError),  # 2 does not divide L = 5
+    (X1, "1/5(1,0,0,0)", MembershipError),  # four entries for five variables
+    ("x1^2*x2+x2^3", "1/6(1,0)", MembershipError),  # L = 6, but 2/6 + 0 is no integer
+    ("x1^2*x2+x2^3", "1/6(2,2)", (2, 2)),
+    ("x1^2*x2+x2^3", "J", (2, 2)),  # weights 1/3 and 1/3
+])
+def test_group_element_lines(polynomial, line, expected):
+    # the entries are the rationals a/m mod 1, in units of 1/L
+    group = DiagonalGroup(parse_polynomial(polynomial))
+    if isinstance(expected, tuple):
+        assert parse_group_element(line, group) == expected
+    else:
+        with pytest.raises(expected):
+            parse_group_element(line, group)
 
 
 def test_g_subgroup_orders(catalogue):

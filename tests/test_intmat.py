@@ -7,13 +7,13 @@ import pytest
 from conftest import seeded
 
 from bhht.intmat import (
-    determinant,
     hermite_dual,
     hermite_generators,
     hermite_key,
     hermite_order,
     kernel_mod,
 )
+from bhht.oracles import determinant
 
 
 def det_by_fractions(a):

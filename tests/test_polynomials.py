@@ -11,6 +11,7 @@ from bhht.errors import (
     ParseError,
 )
 from bhht.euler import fixed_chi
+from bhht.oracles import weights
 from bhht.permgroups import PermGroup, group_from_generators, inverse
 from bhht.polynomials import (
     ExponentMatrix,
@@ -18,7 +19,6 @@ from bhht.polynomials import (
     parse_polynomial,
     serialize_polynomial,
     transpose,
-    weights,
 )
 
 

@@ -20,7 +20,13 @@ from bhht.diaggroups import CharacterPairing, DiagonalGroup
 from bhht.errors import NotInvariantError, StructuralAssumptionViolated
 from bhht.euler import euler_analysis, lemma_level_checks, verify_duality
 from bhht.fixtures import load_catalogue
-from bhht.oracles import CONSISTENCY_ORDER_BOUND, key_class, key_induction, key_saito_dual
+from bhht.oracles import (
+    CONSISTENCY_ORDER_BOUND,
+    determinant,
+    key_class,
+    key_induction,
+    key_saito_dual,
+)
 from bhht.permgroups import PermGroup
 from bhht.polynomials import ExponentMatrix, check_invariance, transpose
 
@@ -67,7 +73,7 @@ def generated_pairs(count=50, seed=2110):
             matrix = doubled(random_invertible(rng, max_vars=rng.randint(1, 2)))
         matrix = matrix.anchored()
         perms = symmetries(matrix)
-        if abs(matrix.determinant()) * perms.order <= CONSISTENCY_ORDER_BOUND:
+        if abs(determinant(matrix.rows)) * perms.order <= CONSISTENCY_ORDER_BOUND:
             out.append((matrix, perms))
     return out
 
