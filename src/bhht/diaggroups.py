@@ -15,14 +15,13 @@ the stratum kernels K_I, each a direct sum of some <m_B g_B>
 nondegenerate block by block, and ann(K_C) = K'_{C^c}, checked by
 containment and orders (``CharacterPairing``).
 
-G's congruences, the Hermite key of E's rows mod L, are built on first use:
-by membership and by the subgroups that further congruences cut out, each
-named by its Hermite key (``intmat.kernel_mod``), which decides equality,
-membership and order without listing it.  Only ``kernel_elements`` lists a
-subgroup, from its key and within ``DEFAULT_GROUP_BOUND``, coordinate by
-coordinate, so that an element's tuple is made once it is complete;
-``independent_generators`` reads output generators and the key off a
-subgroup's elements.
+G's key is the Hermite key of the g_B (``DiagonalGroup.key``), and E's rows
+cut G out of (Z/L)^n and, with further rows, the annihilators of a pairing.
+A key decides equality, membership and order without listing.  Only
+``kernel_elements`` lists a subgroup, from its key and within
+``DEFAULT_GROUP_BOUND``, coordinate by coordinate, so that an element's
+tuple is made once it is complete; ``independent_generators`` reads output
+generators and the key off a subgroup's elements.
 """
 
 from functools import cached_property
@@ -40,7 +39,7 @@ DEFAULT_GROUP_BOUND = 10 ** 6
 
 
 class DiagonalGroup:
-    """The full group of diagonal symmetries of an exponent matrix."""
+    """The group of diagonal symmetries of an exponent matrix, spanned by its g_B."""
 
     def __init__(self, matrix):
         if not matrix.is_square:
@@ -73,16 +72,16 @@ class DiagonalGroup:
         return "DiagonalGroup(order %d, exponent %d)" % (self.order, self.exponent)
 
     @cached_property
-    def congruences(self):
-        """Rows cutting G out of (Z/L)^n: those of E's Hermite key mod L."""
-        L = self.exponent
-        return list(hermite_generators(hermite_key(self.matrix.rows, self.n, L), L))
+    def key(self):
+        """The Hermite key of G, spanned by the block generators g_B."""
+        return hermite_key([g for _, g, _ in self.blocks], self.n, self.exponent)
 
     def __contains__(self, element):
+        """E's rows cut G out of (Z/L)^n: a / L is in G iff E.a = 0 mod L."""
         L = self.exponent
         if len(element) != self.n or not all(0 <= a < L for a in element):
             return False
-        return not any(sum(map(mul, row, element)) % L for row in self.congruences)
+        return not any(sum(map(mul, row, element)) % L for row in self.matrix.rows)
 
     def add(self, a, b):
         L = self.exponent
@@ -90,11 +89,7 @@ class DiagonalGroup:
 
     @cached_property
     def elements(self):
-        return tuple(sorted(self.kernel_elements(self.kernel())))
-
-    def kernel(self, rows=()):
-        """The Hermite key of the subgroup cut out by extra congruences mod L."""
-        return kernel_mod(self.congruences + list(rows), self.n, self.exponent)
+        return tuple(sorted(self.kernel_elements(self.key)))
 
     def stratum_kernel(self, subset):
         """Generators and order of K_I, the elements vanishing on the subset.
@@ -335,9 +330,11 @@ class CharacterPairing:
         return self.right.kernel_elements(self.dual_kernel(key))
 
     def dual_kernel(self, key):
-        """The Hermite key of the annihilator of the left subgroup of a key."""
+        """The Hermite key of the annihilator of the left subgroup of a key:
+        the kernel mod L2 of E^T's rows and of E.a / L1 for its generators a."""
         gens = hermite_generators(key, self.left.exponent)
-        return self.right.kernel([self._congruence(a) for a in gens])
+        rows = [*self.right.matrix.rows, *map(self._congruence, gens)]
+        return kernel_mod(rows, self.right.n, self.right.exponent)
 
     def _congruence(self, a):
         """The row c = E.a / L1 of a left element a: w kills a iff c.w = 0 mod L2.

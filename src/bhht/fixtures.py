@@ -53,7 +53,7 @@ class FixtureSpec:
     def g_key(self, group):
         """The Hermite key of the configured subgroup of the diagonal group."""
         if self.g_lines == ["full"]:
-            return group.kernel()
+            return group.key
         gens = [parse_group_element(line, group) for line in self.g_lines]
         return hermite_key(gens, group.n, group.exponent)
 

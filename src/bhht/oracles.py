@@ -18,7 +18,8 @@ from types import SimpleNamespace
 from .burnside import BurnsideElement, HTClass, SemidirectAmbient, carriers, mark
 from .diaggroups import perm_act
 from .errors import DegeneratePairingError, MembershipError, SizeBoundError
-from .intmat import hermite_generators, hermite_key, hermite_order, in_hermite, matvec
+from .intmat import (hermite_generators, hermite_key, hermite_order, in_hermite, kernel_mod,
+                     matvec)
 from .permgroups import compose, conjugate, identity_perm, inverse, orbit
 from .polynomials import ExponentMatrix
 
@@ -130,11 +131,12 @@ def subgroup_elements(cls):
     return [(h, t) for h in sorted(cls.h_elements) for t in sorted(cls.t_elements)]
 
 
-def naive_mark(kprime, k):
-    """Fixed cosets counted with explicit cosets, no closed form: every coset
-    gK' of the listed G x| P gets an id, and it is K-fixed exactly when each
-    generator x of K, (h, e) for h among H's and (0, t) for t among T's,
-    keeps its representative g in it: x.g has g's id."""
+def naive_marks(kprime):
+    """K -> the mark of K' at K, fixed cosets counted with explicit cosets, no
+    closed form: every coset gK' of the listed G x| P gets an id, once per
+    K', and it is K-fixed exactly when each generator x of K, (h, e) for h
+    among H's and (0, t) for t among T's, keeps its representative g in it:
+    x.g has g's id."""
     ambient = kprime.ambient
     members = subgroup_elements(kprime)
     coset_of = {}
@@ -144,10 +146,13 @@ def naive_mark(kprime, k):
             for m in members:
                 coset_of[mul(ambient, g, m)] = len(reps)
             reps.append(g)
-    generators = ([(h, identity_perm(ambient.n)) for h in k.h_gens]
-                  + [(ambient.diag.zero, t) for t in k.t_gens])
-    return sum(all(coset_of[mul(ambient, x, g)] == c for x in generators)
-               for c, g in enumerate(reps))
+
+    def fixed(k):
+        generators = ([(h, identity_perm(ambient.n)) for h in k.h_gens]
+                      + [(ambient.diag.zero, t) for t in k.t_gens])
+        return sum(all(coset_of[mul(ambient, x, g)] == c for x in generators)
+                   for c, g in enumerate(reps))
+    return fixed
 
 
 def conjugators_by_scan(kprime, k):
@@ -268,10 +273,11 @@ def kernel_nondegenerate(pairing):
     """Both kernels of the pairing are trivial, from its values: for each
     side, the characters w -> (pairing(g, w)) over the block generators g
     of one group, as w runs over the other group, take as many values as
-    that group has elements.  The values are spanned from those of the
-    generators of the other group's key (``brute_span``), with no kernel
-    solved.  Raises DegeneratePairingError otherwise.  The reference for
-    the block check ``CharacterPairing.verify_nondegenerate``."""
+    that group has elements.  The values are spanned (``brute_span``) from
+    those of the generators of the other group's key, solved from its
+    matrix's rows (``kernel_mod``) rather than read off its blocks.  Raises
+    DegeneratePairingError otherwise.  The reference for the block check
+    ``CharacterPairing.verify_nondegenerate``."""
     if pairing.left.order != pairing.right.order:
         raise DegeneratePairingError(pairing.matrix, "group orders differ")
     sides = ((pairing, "a nonzero character vanishes on the whole group"),
@@ -280,10 +286,11 @@ def kernel_nondegenerate(pairing):
         gens = side.left.stratum(())[0]  # K_empty = G
         right = side.right
         m = side.left.exponent * right.exponent
+        whole = kernel_mod(right.matrix.rows, right.n, right.exponent)
         values = SimpleNamespace(zero=(0,) * len(gens), add=lambda x, y: tuple(
             map(mod, map(add, x, y), repeat(m))))
         steps = [tuple(int(pairing_value(side, g, w) * m) for g in gens)
-                 for w in hermite_generators(right.kernel(), right.exponent)]
+                 for w in hermite_generators(whole, right.exponent)]
         if len(brute_span(values, steps)) != right.order:
             raise DegeneratePairingError(pairing.matrix, what)
 

@@ -16,7 +16,7 @@ from bhht.diaggroups import (
 )
 from bhht.errors import BhhtError, DegeneratePairingError, MembershipError, SizeBoundError
 from bhht.fixtures import load_catalogue, parse_group_element
-from bhht.intmat import hermite_generators, hermite_key, hermite_order
+from bhht.intmat import hermite_generators, hermite_key, hermite_order, kernel_mod
 from bhht.oracles import (
     all_subgroups_abelian,
     loop_perm_act,
@@ -114,9 +114,9 @@ def test_size_bound():
 
 def test_subgroup_generated_trivial_and_full(gq):
     assert independent_generators(gq, [gq.zero]) == ((), key_of(gq, ()))
-    gens = hermite_generators(gq.kernel(), gq.exponent)
+    gens = hermite_generators(gq.key, gq.exponent)
     assert brute_span(gq, gens) == frozenset(gq.elements)
-    assert independent_generators(gq, gq.elements)[1] == gq.kernel()
+    assert independent_generators(gq, gq.elements)[1] == gq.key
 
 
 def test_exponential_grading_subgroup(gq):
@@ -484,9 +484,9 @@ def test_isotropy_on_stratum_matches_scan(quintic, x14, x15):
 
 
 def test_stratum_kernel_is_the_kernel_of_unit_rows(quintic):
-    # in closed form, the key is the one the unit congruences e_i.x = 0
-    # give, and it lists what a scan of G finds, for every subset of a
-    # chain, a loop and a Fermat polynomial
+    # in closed form, the key is the one E's rows and the unit congruences
+    # e_i.x = 0 give, and it lists what a scan of G finds, for every subset
+    # of a chain, a loop and a Fermat polynomial
     from itertools import combinations
 
     matrices = [parse_polynomial("x1^2*x2+x2^3*x3+x3^4*x4+x4^2"),
@@ -497,7 +497,7 @@ def test_stratum_kernel_is_the_kernel_of_unit_rows(quintic):
         for k in range(n + 1):
             for subset in combinations(range(n), k):
                 units = [[int(i == j) for j in range(n)] for i in subset]
-                key = group.kernel(units)
+                key = kernel_mod([*group.matrix.rows, *units], n, group.exponent)
                 assert key_of(group, group.stratum_kernel(subset)[0]) == key
                 assert group.kernel_elements(key) == brute_isotropy(group, subset)
 
@@ -525,8 +525,6 @@ def test_stratum_kernels_in_closed_form_match_the_solved_keys():
     # |det E| and L the exponent of the kernel of E mod |det E|
     from itertools import combinations
 
-    from bhht.intmat import kernel_mod
-
     seen = dict.fromkeys(["chain with an exponent 1", "loop", "6 variables"], 0)
     for matrix in closed_form_inputs():
         group = DiagonalGroup(matrix)
@@ -552,6 +550,18 @@ def test_stratum_kernels_in_closed_form_match_the_solved_keys():
     assert min(seen.values()) > 0, seen
 
 
+def test_the_key_of_the_block_generators_is_the_kernel_of_e():
+    # G's key, spanned by its block generators, is the one kernel_mod solves
+    # from E's rows, on every valid bundled matrix and 200 seeded ones
+    rng = seeded(38)
+    bundled = [fx.matrix for fx in load_catalogue().values() if "error" not in fx.expect]
+    matrices = distinct(bundled) + [random_invertible(rng, max_vars=6) for _ in range(200)]
+    for matrix in matrices:
+        group = DiagonalGroup(matrix)
+        assert group.key == kernel_mod(matrix.rows, group.n, group.exponent), matrix
+    assert len(bundled) == 54
+
+
 def test_generating_subset_round_trip(gq):
     rng = seeded(36)
     for _ in range(20):
@@ -564,9 +574,8 @@ def test_generating_subset_round_trip(gq):
 
 
 def test_reduced_congruences_cut_out_the_group():
-    # G keeps E's rows only as their Hermite key mod L: membership by those
-    # congruences is E.v = 0 mod L, and a kernel of further rows is the scan
-    # of G for them
+    # membership in G is E.v = 0 mod L on E's own rows, and the kernel of
+    # E's rows with further rows is the scan of G for those rows
     rng = seeded(45)
     catalogue = load_catalogue()
     matrices = [catalogue[name].matrix for name in (
@@ -577,7 +586,7 @@ def test_reduced_congruences_cut_out_the_group():
     for matrix in matrices:
         group = DiagonalGroup(matrix.anchored())
         n, L = group.n, group.exponent
-        gens = hermite_generators(group.kernel(), L)
+        gens = hermite_generators(group.key, L)
         for _ in range(20):
             v = [rng.randrange(L) for _ in range(n)]
             if rng.random() < 0.5:  # a member: a combination of G's generators
@@ -593,14 +602,12 @@ def test_reduced_congruences_cut_out_the_group():
         for _ in range(5):
             rows = [[rng.randrange(-L, L) for _ in range(n)]
                     for _ in range(rng.randint(1, 3))]
-            key = group.kernel(rows)
+            key = kernel_mod([*group.matrix.rows, *rows], n, L)
             scan = frozenset(g for g in group.elements if all(
                 sum(r * a for r, a in zip(row, g)) % L == 0 for row in rows))
             assert hermite_order(key, L) == len(scan), (matrix, rows)
             assert group.kernel_elements(key) == scan, (matrix, rows)
     assert inside > 100 and outside > 100 and scanned > 30
-    fermat = DiagonalGroup(catalogue["x1_z2"].matrix)
-    assert fermat.congruences == []  # E = 5.I vanishes mod 5
 
 
 def test_independent_generators_match_greedy_closure():
@@ -664,7 +671,7 @@ def test_key_listing_matches_span_closure():
         if group.order > 3000:
             continue
         n, L = group.n, group.exponent
-        generator_sets = [[], hermite_generators(group.kernel(), L)]
+        generator_sets = [[], hermite_generators(group.key, L)]
         generator_sets += [[rng.choice(group.elements) for _ in range(rng.randint(1, 3))]
                            for _ in range(6)]
         for gens in generator_sets:
@@ -713,7 +720,7 @@ def test_a_key_over_the_bound_is_refused_before_a_row_is_walked(monkeypatch):
     # columns are walked
     group = DiagonalGroup(parse_polynomial(
         "+".join("x%d^8*x%d" % (i, i + 1) for i in range(1, 7)) + "+x7^8"))
-    key = group.kernel()
+    key = group.key
     assert hermite_order(key, group.exponent) == 8 ** 7 > DEFAULT_GROUP_BOUND
     assert any(key[0][1:])
 

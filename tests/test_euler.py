@@ -733,8 +733,8 @@ def test_every_hermite_key_of_a_verdict_is_n_wide(monkeypatch, name):
                                   if abs(determinant(CATALOGUE[name].matrix.rows))
                                   * CATALOGUE[name].perm_group().order <= 10_000])
 def test_a_verdict_builds_no_hermite_key(monkeypatch, name):
-    # c(U) and nondegeneracy come from the block generators, and G's
-    # congruences are keyed only on first use, which no verdict makes
+    # c(U) and nondegeneracy come from the block generators, and G's key
+    # is built only on first use, which no verdict makes
     fx = CATALOGUE[name]
     widths = measure_hermite_keys(monkeypatch)
     s = fx.perm_group()

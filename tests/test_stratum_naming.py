@@ -97,7 +97,7 @@ def key_reduced(analysis):
         for cls, c in key_induction(stratum.element, analysis.perms).coefficients.items():
             total[cls] = total.get(cls, 0) + c
     element = BurnsideElement(analysis.ambient, total)
-    point = key_class(analysis.ambient, analysis.group.kernel(), analysis.perms.generators)
+    point = key_class(analysis.ambient, analysis.group.key, analysis.perms.generators)
     total[point] = total.get(point, 0) - 1
     return element, BurnsideElement(analysis.ambient, total)
 
