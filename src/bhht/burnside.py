@@ -20,8 +20,10 @@ are orbits the stratification has walked already).  H
 comes with its generators and order in closed form
 (``DiagonalGroup.stratum_kernel``), and membership in it is v_i = 0 on C.
 No class scans S or computes a Hermite key.  Output orders classes by
-``tag``, computed from the named representative on first use, and only
-output and the oracles, which name classes of any H by Hermite keys
+``tag`` and prints H by its rows there: the least Hermite rows of s.H over
+the s carrying T to its class key, which compare as the sorted listings of
+the s.H would (``intmat``), so no H is listed.  Only output and the
+oracles, which name classes of any H by Hermite keys
 (``oracles.key_class``), build H's key.
 
 Marks come from Burnside's formula in closed form: conjugation by (v, s)
@@ -35,9 +37,9 @@ T.  No mark scans S or builds a Hermite key.
 
 from functools import cached_property
 
-from .diaggroups import check_listing_bound, independent_generators, perm_act
+from .diaggroups import perm_act
 from .errors import AmbientMismatchError, StructuralAssumptionViolated
-from .intmat import hermite_key, in_hermite
+from .intmat import hermite_generators, hermite_key
 from .permgroups import conjugate, cycle_notation, generating_set
 
 
@@ -71,9 +73,8 @@ class HTClass:
     ``closed`` is the zero set C with H = K_C; the oracles name a class of
     any H by Hermite keys, and ``closed`` is None.  The representative is
     H x| T: H by its generators and order, T by its generators and
-    elements.  Nothing is listed and nothing keyed: H's Hermite key, the
-    element lists and the output order ``tag``, the least (sorted T,
-    sorted H) over conjugation, are computed on first use.
+    elements.  Nothing is listed, and only the output order ``tag``, made
+    on first use, builds Hermite keys.
     """
 
     def __init__(self, ambient, name, h_gens, h_order, t_gens, t_elements, closed=None):
@@ -106,43 +107,27 @@ class HTClass:
                                              self.h_order, self.t_order)
 
     @cached_property
-    def h_key(self):
-        """H's Hermite key, for output and the oracles."""
-        diag = self.ambient.diag
-        return hermite_key(self.h_gens, diag.n, diag.exponent)
-
-    @cached_property
-    def h_elements(self):
-        return self.ambient.diag.kernel_elements(self.h_key)
-
-    @cached_property
     def tag(self):
-        """The least (sorted T, sorted H) over conjugation: the output order.
-
-        T's least conjugate is its class key in the lattice of P, and H's
-        least image is taken over the s that carry T there."""
-        perms = self.ambient.perms
+        """The output order: T's class key in the lattice of P, and the least
+        Hermite rows (``hermite_generators``) of s.H over the s that carry T
+        there.  Rows compare as sorted subgroups do (``intmat``), so this
+        orders classes by their least (sorted T, sorted H) over conjugation,
+        and lists nothing."""
+        perms, diag = self.ambient.perms, self.ambient.diag
+        n, L = diag.n, diag.exponent
         best_t = perms.lattice.key_of[self.t_elements]
-        sorted_h = tuple(sorted(self.h_elements))
-        best_h = None
-        for s in carriers(perms, self.t_gens, frozenset(best_t)):
-            if all(in_hermite(self.h_key, perm_act(s, h)) for h in self.h_gens):
-                hc = sorted_h
-            else:
-                hc = tuple(sorted(perm_act(s, h) for h in self.h_elements))
-            if best_h is None or hc < best_h:
-                best_h = hc
-        return best_t, best_h
+        keys = (hermite_key([perm_act(s, h) for h in self.h_gens], n, L)
+                for s in carriers(perms, self.t_gens, frozenset(best_t)))
+        return best_t, min(hermite_generators(key, L) for key in keys)
 
     def describe(self):
-        """The class for output, read from the representative of ``tag``."""
+        """The class for output, read from ``tag``: H by its Hermite rows."""
         diag = self.ambient.diag
         best_t, best_h = self.tag
-        h_gens = independent_generators(diag, best_h)[0]
         return {
             "orbitType": "[G⋊S/H⋊T]",
             "T": sorted(cycle_notation(t) for t in generating_set(best_t)) or ["()"],
-            "H": sorted(map(diag.format_element, h_gens))
+            "H": sorted(map(diag.format_element, best_h))
                  or [diag.format_element(diag.zero)],
             "Torder": self.t_order,
             "Horder": self.h_order,
@@ -184,10 +169,7 @@ def carriers(perms, t_gens, target):
 
 
 def sorted_by_tag(entries):
-    """Tuples led by a class, sorted by the class's ``tag``; each tag lists
-    its class's H, so every H is held to the listing bound before the first."""
-    for entry in entries:
-        check_listing_bound(entry[0].h_order)
+    """Tuples led by a class, sorted by the class's ``tag``."""
     return sorted(entries, key=lambda entry: entry[0].tag)
 
 

@@ -17,11 +17,12 @@ containment and orders (``CharacterPairing``).
 
 G's key is the Hermite key of the g_B (``DiagonalGroup.key``), and E's rows
 cut G out of (Z/L)^n and, with further rows, the annihilators of a pairing.
-A key decides equality, membership and order without listing.  Only
-``kernel_elements`` lists a subgroup, from its key and within
+A key decides equality, membership and order without listing, and its
+rows are the subgroup's output generators (``intmat.hermite_generators``).
+Only ``kernel_elements`` lists a subgroup, from its key and within
 ``DEFAULT_GROUP_BOUND``, coordinate by coordinate, so that an element's
-tuple is made once it is complete; ``independent_generators`` reads output
-generators and the key off a subgroup's elements.
+tuple is made once it is complete; ``subgroup_key`` reads the key off a
+subgroup's elements.
 """
 
 from functools import cached_property
@@ -82,10 +83,6 @@ class DiagonalGroup:
         if len(element) != self.n or not all(0 <= a < L for a in element):
             return False
         return not any(sum(map(mul, row, element)) % L for row in self.matrix.rows)
-
-    def add(self, a, b):
-        L = self.exponent
-        return tuple((x + y) % L for x, y in zip(a, b))
 
     @cached_property
     def elements(self):
@@ -261,16 +258,15 @@ class _Permuters(dict):
 _PERMUTERS = _Permuters()
 
 
-def independent_generators(group, subgroup_elements):
-    """Generators of a whole subgroup, given as its elements, and its Hermite
-    key: each element in the order given that lies outside the key so far.
+def subgroup_key(group, subgroup_elements):
+    """The Hermite key of a whole subgroup, given as its elements: each
+    element in the order given that lies outside the key so far joins it.
 
     The walk stops once the key has as many elements as were given, so the
     elements must be all of a subgroup.
     """
     n, L = group.n, group.exponent
     size = len(subgroup_elements)
-    gens = []
     key = hermite_key((), n, L)
     order = 1
     for e in subgroup_elements:
@@ -279,10 +275,9 @@ def independent_generators(group, subgroup_elements):
         if not in_hermite(key, e):
             if e not in group:
                 raise MembershipError("generator %s not in the group" % (e,))
-            gens.append(e)
-            key = hermite_key(gens, n, L)
+            key = hermite_key((*key, e), n, L)
             order = hermite_order(key, L)
-    return tuple(gens), key
+    return key
 
 
 class CharacterPairing:
@@ -326,8 +321,8 @@ class CharacterPairing:
     def annihilator(self, subgroup_elements):
         """Dual subgroup: characters vanishing on the given left subgroup H,
         listed from the annihilator of H's key."""
-        key = independent_generators(self.left, subgroup_elements)[1]
-        return self.right.kernel_elements(self.dual_kernel(key))
+        return self.right.kernel_elements(self.dual_kernel(
+            subgroup_key(self.left, subgroup_elements)))
 
     def dual_kernel(self, key):
         """The Hermite key of the annihilator of the left subgroup of a key:

@@ -25,7 +25,6 @@ Everything is exact integer arithmetic.
 from collections import deque, namedtuple
 from fractions import Fraction
 from functools import cached_property
-from math import prod
 
 from .burnside import (
     BurnsideElement,

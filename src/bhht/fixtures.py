@@ -18,9 +18,9 @@ from functools import cached_property
 from math import gcd
 from pathlib import Path
 
-from .diaggroups import independent_generators
+from .diaggroups import subgroup_key
 from .errors import MembershipError, ParseError
-from .intmat import hermite_key
+from .intmat import hermite_generators, hermite_key, hermite_order
 from .permgroups import group_from_generators
 from .polynomials import parse_polynomial, serialize_polynomial
 
@@ -97,10 +97,17 @@ def parse_group_element(line, group):
 
 
 def format_group_subgroup(group, elements):
-    """Generator lines for a subgroup, matching the fixture grammar."""
-    if len(elements) == group.order:
+    """Generator lines for a subgroup given as its elements (``format_group_key``)."""
+    return format_group_key(group, subgroup_key(group, elements))
+
+
+def format_group_key(group, key):
+    """Generator lines for the subgroup of a Hermite key, matching the fixture
+    grammar: ``full`` for the whole group, otherwise the key's rows."""
+    L = group.exponent
+    if hermite_order(key, L) == group.order:
         return ["full"]
-    gens = independent_generators(group, sorted(elements))[0]
+    gens = hermite_generators(key, L)
     return [group.format_element(g) for g in gens] or [group.format_element(group.zero)]
 
 

@@ -10,6 +10,17 @@ columns wide, and so is every step that makes one.  A key is upper
 triangular, so back substitution over it gives its dual, the congruences
 that cut its subgroup out (``hermite_dual``).  The kernel of congruences
 mod m is the dual of their own key (``kernel_mod``).
+
+A key's rows also sort subgroups.  Let r_1, r_2, ... be the rows with a
+pivot below L, read from the bottom up (``hermite_generators``).
+The elements of H that vanish on the columns before j are the span of the
+rows with pivot column j or later, so each r_i is the least element of H
+outside the span of r_1 ... r_(i-1): its pivot is the least positive value
+of its column there, and its later entries are reduced.  So sorted(H) runs
+through sorted(span(r_1 ... r_i)) and goes on with r_(i+1): the r_i are the
+generators a greedy walk over sorted(H) picks, and sorted(H) < sorted(H')
+exactly when (r_1, r_2, ...) < (r'_1, r'_2, ...) as tuples.  Subgroups are
+ordered and printed by those rows, and none is listed to do it.
 """
 
 from math import prod
@@ -75,8 +86,9 @@ def hermite_order(key, L):
 
 
 def hermite_generators(key, L):
-    """Generators of the key's subgroup: its rows with a pivot below L."""
-    return tuple(row for j, row in enumerate(key) if row[j] != L)
+    """Generators of the key's subgroup: its rows with a pivot below L, from
+    the bottom up, so that they compare as the sorted subgroups do."""
+    return tuple(key[j] for j in reversed(range(len(key))) if key[j][j] != L)
 
 
 def hermite_dual(key, m):

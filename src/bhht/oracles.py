@@ -12,7 +12,7 @@ determinants and Cramer's weights.  Each quantity has one reference here.
 from fractions import Fraction
 from itertools import combinations_with_replacement, repeat
 from math import prod
-from operator import add, mod, sub
+from operator import mod, sub
 from types import SimpleNamespace
 
 from .burnside import BurnsideElement, HTClass, SemidirectAmbient, carriers, mark
@@ -29,10 +29,16 @@ ORACLE_ORDER_BOUND = 20000
 CONSISTENCY_ORDER_BOUND = 2000
 
 
+def add(group, a, b):
+    """a + b in a group of vectors mod its exponent."""
+    L = group.exponent
+    return tuple((x + y) % L for x, y in zip(a, b))
+
+
 def mul(ambient, a, b):
     """(v, s)(w, t) = (v + s.w, st) in G x| S."""
     (v, s), (w, t) = a, b
-    return (ambient.diag.add(v, perm_act(s, w)), compose(s, t))
+    return (add(ambient.diag, v, perm_act(s, w)), compose(s, t))
 
 
 def inv(ambient, a):
@@ -104,13 +110,24 @@ def key_class(ambient, h_key, t_generators):
                    frozenset(best_t))
 
 
+def h_key_of(cls):
+    """The Hermite key of a class's H."""
+    diag = cls.ambient.diag
+    return hermite_key(cls.h_gens, diag.n, diag.exponent)
+
+
+def h_elements_of(cls):
+    """The elements of a class's H, listed from its key."""
+    return cls.ambient.diag.kernel_elements(h_key_of(cls))
+
+
 def key_induction(element, perms_big):
     """``burnside.induction`` by Hermite keys: every class named again by
     ``key_class`` over G x| S."""
     big = SemidirectAmbient(element.ambient.diag, perms_big)
     out = {}
     for cls, c in element.coefficients.items():
-        lifted = key_class(big, cls.h_key, cls.t_gens)
+        lifted = key_class(big, h_key_of(cls), cls.t_gens)
         out[lifted] = out.get(lifted, 0) + c
     return BurnsideElement(big, out)
 
@@ -121,14 +138,14 @@ def key_saito_dual(element, pairing):
     dual_ambient = SemidirectAmbient(pairing.right, element.ambient.perms)
     out = {}
     for cls, c in element.coefficients.items():
-        lifted = key_class(dual_ambient, pairing.dual_kernel(cls.h_key), cls.t_gens)
+        lifted = key_class(dual_ambient, pairing.dual_kernel(h_key_of(cls)), cls.t_gens)
         out[lifted] = out.get(lifted, 0) + c
     return BurnsideElement(dual_ambient, out)
 
 
 def subgroup_elements(cls):
     """Every element (h, t) of a class's representative H x| T, sorted."""
-    return [(h, t) for h in sorted(cls.h_elements) for t in sorted(cls.t_elements)]
+    return [(h, t) for h in sorted(h_elements_of(cls)) for t in sorted(cls.t_elements)]
 
 
 def naive_marks(kprime):
@@ -287,8 +304,7 @@ def kernel_nondegenerate(pairing):
         right = side.right
         m = side.left.exponent * right.exponent
         whole = kernel_mod(right.matrix.rows, right.n, right.exponent)
-        values = SimpleNamespace(zero=(0,) * len(gens), add=lambda x, y: tuple(
-            map(mod, map(add, x, y), repeat(m))))
+        values = SimpleNamespace(zero=(0,) * len(gens), exponent=m)
         steps = [tuple(int(pairing_value(side, g, w) * m) for g in gens)
                  for w in hermite_generators(whole, right.exponent)]
         if len(brute_span(values, steps)) != right.order:
@@ -329,8 +345,8 @@ def _adjoin(group, h, g):
     x = g
     while x not in h:
         shifts.append(x)
-        x = group.add(x, g)
-    return h.union(group.add(a, s) for a in h for s in shifts)
+        x = add(group, x, g)
+    return h.union(add(group, a, s) for a in h for s in shifts)
 
 
 def check_hermite_keys(group, generator_sets):
@@ -378,7 +394,7 @@ def all_subgroups_abelian(group):
         for g in group.elements:
             if g in covered:
                 continue
-            covered.update(group.add(g, x) for x in h)
+            covered.update(add(group, g, x) for x in h)
             k = _adjoin(group, h, g)
             if k not in found:
                 found.add(k)
@@ -512,7 +528,7 @@ def check_fixed_point_consistency(analysis):
         lhs = sum(c * mark(cls, probe)
                   for cls, c in analysis.element.coefficients.items())
         rhs = fixed_point_euler(analysis.matrix, analysis.perms,
-                                probe.h_elements, probe.t_elements)
+                                h_elements_of(probe), probe.t_elements)
         if lhs != rhs:
             raise AssertionError(
                 "fixed-point mismatch on %r: marks give %d, Milnor-Orlik gives %d"

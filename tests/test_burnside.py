@@ -10,19 +10,17 @@ from bhht.burnside import (
     saito_dual,
     stratum_class,
 )
-from bhht.diaggroups import (
-    CharacterPairing,
-    DiagonalGroup,
-    independent_generators,
-)
+from bhht.diaggroups import CharacterPairing, DiagonalGroup, subgroup_key
 from bhht.errors import AmbientMismatchError, MembershipError
 from bhht.euler import verify_duality
+from bhht.intmat import hermite_generators
 from bhht.oracles import (
     ambient_elements,
     brute_conjugate_element,
     brute_conjugating_perm,
     brute_span,
     brute_tag,
+    h_elements_of,
     inv,
     key_class,
     key_induction,
@@ -153,10 +151,9 @@ def test_conjugacy_criterion_matches_brute_force(small, small_classes):
     # split subgroups are conjugate iff conjugate by a permutation alone
     for a in small_classes:
         for b in small_classes:
-            quick = brute_conjugating_perm(small, a.h_elements, a.t_elements,
-                                           b.h_elements, b.t_elements)
-            full = brute_conjugate_element(small, a.h_elements, a.t_elements,
-                                           b.h_elements, b.t_elements)
+            ha, hb = h_elements_of(a), h_elements_of(b)
+            quick = brute_conjugating_perm(small, ha, a.t_elements, hb, b.t_elements)
+            full = brute_conjugate_element(small, ha, a.t_elements, hb, b.t_elements)
             assert (quick is None) == (full is None)
 
 
@@ -166,7 +163,7 @@ def test_canonicalize_conjugates_share_representative(small, small_classes):
 
     for cls in small_classes:
         for s in small.perms.elements:
-            moved_h = frozenset(perm_act(s, h) for h in cls.h_elements)
+            moved_h = frozenset(perm_act(s, h) for h in h_elements_of(cls))
             moved_t = frozenset(conjugate(s, t) for t in cls.t_elements)
             again = key_class(small, key_of(small.diag, moved_h), moved_t)
             assert again.tag == cls.tag
@@ -186,14 +183,21 @@ TAG_AMBIENTS = [
 
 @pytest.mark.parametrize("polynomial, generators", TAG_AMBIENTS)
 def test_canonical_tag_matches_brute_force(polynomial, generators):
-    # the fast canonicaliser against the minimum over every s of (sorted T, sorted H),
-    # for a class built from element sets and from generating sets
+    # the fast canonicaliser against the minimum over every s of (sorted T,
+    # sorted H), that H read back as its key's rows, for a class built from
+    # element sets and from generating sets; and tags order the classes as
+    # those listed minima do
     ambient = ambient_of(polynomial, generators)
-    for h, t in split_subgroup_pairs(ambient.diag, ambient.perms):
-        tag = brute_tag(ambient, h, t)
-        assert key_class(ambient, key_of(ambient.diag, h), t).tag == tag
-        gens = independent_generators(ambient.diag, sorted(h))[0]
-        assert key_class(ambient, key_of(ambient.diag, gens), generating_set(t)).tag == tag
+    diag = ambient.diag
+    pairs = set()
+    for h, t in split_subgroup_pairs(diag, ambient.perms):
+        brute = brute_tag(ambient, h, t)
+        tag = (brute[0], hermite_generators(key_of(diag, brute[1]), diag.exponent))
+        assert key_class(ambient, key_of(diag, h), t).tag == tag
+        gens = hermite_generators(key_of(diag, h), diag.exponent)
+        assert key_class(ambient, key_of(diag, gens), generating_set(t)).tag == tag
+        pairs.add((brute, tag))
+    assert all((a < b) == (tag_a < tag_b) for a, tag_a in pairs for b, tag_b in pairs)
 
 
 @pytest.mark.parametrize("polynomial, generators", TAG_AMBIENTS)
@@ -204,8 +208,7 @@ def test_class_identity_matches_brute_force(polynomial, generators):
     by_tag = {}
     for h, t in split_subgroup_pairs(ambient.diag, ambient.perms):
         by_tag.setdefault(brute_tag(ambient, h, t), []).append(
-            key_class(ambient, independent_generators(ambient.diag, sorted(h))[1],
-                    generating_set(t)))
+            key_class(ambient, subgroup_key(ambient.diag, h), generating_set(t)))
     reps = []
     for same in by_tag.values():
         assert all(cls == same[0] and hash(cls) == hash(same[0]) for cls in same)
@@ -319,12 +322,13 @@ def test_mark_against_naive_oracle_on_all_class_pairs(polynomial, generators,
     classes = split_classes(ambient)
     unequal_h = not_invariant = 0
     for kp in stratum_classes_of(ambient):
-        invariant = all(frozenset(perm_act(s, h) for h in kp.h_elements)
-                        == kp.h_elements for s in ambient.perms.generators)
+        hp = h_elements_of(kp)
+        invariant = all(frozenset(perm_act(s, h) for h in hp) == hp
+                        for s in ambient.perms.generators)
         fixed = naive_marks(kp)
         for k in classes:
             assert mark(kp, k) == fixed(k)
-            unequal_h += kp.h_elements != k.h_elements
+            unequal_h += hp != h_elements_of(k)
             not_invariant += not invariant
     assert unequal_h
     assert bool(not_invariant) != cyclic_g
@@ -471,10 +475,10 @@ def test_dual_conjugacy_criterion(small, small_classes):
     dual_ambient = SemidirectAmbient(pairing.right, small.perms)
     for a in small_classes:
         for b in small_classes:
-            forward = brute_conjugating_perm(small, a.h_elements, a.t_elements,
-                                             b.h_elements, b.t_elements)
-            da = (pairing.annihilator(a.h_elements), a.t_elements)
-            db = (pairing.annihilator(b.h_elements), b.t_elements)
+            ha, hb = h_elements_of(a), h_elements_of(b)
+            forward = brute_conjugating_perm(small, ha, a.t_elements, hb, b.t_elements)
+            da = (pairing.annihilator(ha), a.t_elements)
+            db = (pairing.annihilator(hb), b.t_elements)
             backward = brute_conjugating_perm(dual_ambient, *da, *db)
             assert (forward is None) == (backward is None)
 

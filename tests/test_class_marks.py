@@ -25,6 +25,7 @@ from bhht.euler import euler_analysis
 from bhht.intmat import hermite_generators, hermite_order, in_hermite
 from bhht.oracles import (
     CONSISTENCY_ORDER_BOUND,
+    add,
     brute_cocycle_kernel_order,
     brute_isotropy,
     conjugators_by_scan,
@@ -359,7 +360,7 @@ def assert_corruptions_refused(monkeypatch, matrix):
         w = next(g for g in whole if not in_hermite(ann, g))
 
         def move(group, gens, order):
-            first = group.add(gens[0], w) if gens else w
+            first = add(group, gens[0], w) if gens else w
             return (first,) + tuple(gens[1:]), order
 
         assert refused_with(monkeypatch, matrix, closed, move)

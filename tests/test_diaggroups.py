@@ -11,13 +11,14 @@ from bhht.diaggroups import (
     DEFAULT_GROUP_BOUND,
     CharacterPairing,
     DiagonalGroup,
-    independent_generators,
     perm_act,
+    subgroup_key,
 )
 from bhht.errors import BhhtError, DegeneratePairingError, MembershipError, SizeBoundError
 from bhht.fixtures import load_catalogue, parse_group_element
 from bhht.intmat import hermite_generators, hermite_key, hermite_order, kernel_mod
 from bhht.oracles import (
+    add,
     all_subgroups_abelian,
     loop_perm_act,
     brute_annihilator,
@@ -113,10 +114,10 @@ def test_size_bound():
 
 
 def test_subgroup_generated_trivial_and_full(gq):
-    assert independent_generators(gq, [gq.zero]) == ((), key_of(gq, ()))
+    assert subgroup_key(gq, [gq.zero]) == key_of(gq, ())
     gens = hermite_generators(gq.key, gq.exponent)
     assert brute_span(gq, gens) == frozenset(gq.elements)
-    assert independent_generators(gq, gq.elements)[1] == gq.key
+    assert subgroup_key(gq, gq.elements) == gq.key
 
 
 def test_exponential_grading_subgroup(gq):
@@ -133,7 +134,7 @@ def test_generator_not_in_group():
     assert len(outside) == 6 and (3, 0) in g
     for order in (sorted(outside), sorted(outside, reverse=True)):
         with pytest.raises(MembershipError):
-            independent_generators(g, order)
+            subgroup_key(g, order)
 
 
 def test_membership_requires_reduced_vectors():
@@ -241,7 +242,7 @@ def test_pairing_bilinear(x14):
     for _ in range(50):
         v1, v2 = rng.choice(left), rng.choice(left)
         w = rng.choice(right)
-        lhs = pairing_value(pairing, pairing.left.add(v1, v2), w)
+        lhs = pairing_value(pairing, add(pairing.left, v1, v2), w)
         rhs = (pairing_value(pairing, v1, w) + pairing_value(pairing, v2, w)) % 1
         assert lhs == rhs
 
@@ -567,22 +568,24 @@ def test_generating_subset_round_trip(gq):
     for _ in range(20):
         gens = [rng.choice(gq.elements) for _ in range(rng.randint(1, 3))]
         h = brute_span(gq, gens)
-        small, key = independent_generators(gq, sorted(h))
+        key = subgroup_key(gq, h)
+        small = hermite_generators(key, gq.exponent)
         assert brute_span(gq, small) == h
         assert key == key_of(gq, gens)
         assert len(small) <= 5
 
 
 def test_reduced_congruences_cut_out_the_group():
-    # membership in G is E.v = 0 mod L on E's own rows, and the kernel of
-    # E's rows with further rows is the scan of G for those rows
+    # membership in G is E.v = 0 mod L on E's own rows, each of them: the
+    # kernel of all rows but one holds elements that one row cuts out; and
+    # the kernel of E's rows with further rows is the scan of G for those rows
     rng = seeded(45)
     catalogue = load_catalogue()
     matrices = [catalogue[name].matrix for name in (
         "chain23_abelian", "loop23_abelian", "x1_n2_abelian", "counterexample_m4",
         "x1_z2")]
     matrices += [random_invertible(rng, max_vars=4) for _ in range(40)]
-    inside = outside = scanned = 0
+    inside = outside = scanned = cut = 0
     for matrix in matrices:
         group = DiagonalGroup(matrix.anchored())
         n, L = group.n, group.exponent
@@ -590,12 +593,19 @@ def test_reduced_congruences_cut_out_the_group():
         for _ in range(20):
             v = [rng.randrange(L) for _ in range(n)]
             if rng.random() < 0.5:  # a member: a combination of G's generators
-                v = [sum(rng.randrange(L) * g[i] for g in gens) % L for i in range(n)]
+                cs = [rng.randrange(L) for _ in gens]
+                v = [sum(c * g[i] for c, g in zip(cs, gens)) % L for i in range(n)]
             by_e = all(sum(e * a for e, a in zip(row, v)) % L == 0
                        for row in group.matrix.rows)
             assert (tuple(v) in group) == by_e, (matrix, v)
             inside += by_e
             outside += not by_e
+        e_rows = group.matrix.rows
+        for k in range(n):  # the kernel of every row but row k
+            for v in hermite_generators(kernel_mod(e_rows[:k] + e_rows[k + 1:], n, L), L):
+                by_e = all(sum(e * a for e, a in zip(row, v)) % L == 0 for row in e_rows)
+                assert (v in group) == by_e, (matrix, k, v)
+                cut += not by_e
         if group.order > 2000:
             continue
         scanned += 1
@@ -607,31 +617,47 @@ def test_reduced_congruences_cut_out_the_group():
                 sum(r * a for r, a in zip(row, g)) % L == 0 for row in rows))
             assert hermite_order(key, L) == len(scan), (matrix, rows)
             assert group.kernel_elements(key) == scan, (matrix, rows)
-    assert inside > 100 and outside > 100 and scanned > 30
+    assert inside > 100 and outside > 100 and scanned > 30 and cut > 100
 
 
-def test_independent_generators_match_greedy_closure():
-    # each generator is the least element outside the closure of the ones
-    # before it, and the key is the subgroup's own
+def test_hermite_rows_are_the_greedy_generators_and_order_subgroups_as_listed():
+    # read from the bottom up, a key's rows are the generators a greedy walk
+    # over the sorted subgroup picks, each the least element outside the
+    # closure of the ones before it; and they compare, equality included, as
+    # the sorted subgroups do.  Over the bundled groups and seeded ones, with
+    # |G| <= 5,000, and random subgroups of each
     rng = seeded(39)
+    bundled = [fx.matrix for fx in load_catalogue().values() if "error" not in fx.expect]
+    matrices = distinct(bundled) + [random_invertible(rng, max_vars=5) for _ in range(60)]
     partial = 0  # generators whose order exceeds the index they add
-    tested = 0
-    while tested < 40:
-        group = DiagonalGroup(random_invertible(rng, max_vars=4).anchored())
-        if group.order > 2000:
+    pairs = groups = 0
+    for matrix in matrices:
+        group = DiagonalGroup(matrix.anchored())
+        if group.order > 5000:
             continue
-        tested += 1
-        gens = [rng.choice(group.elements) for _ in range(rng.randint(1, 4))]
-        h = brute_span(group, gens)
-        greedy, closed = [], brute_span(group, [])
-        for e in sorted(h):
-            if e not in closed:
-                index = len(brute_span(group, greedy + [e])) // len(closed)
-                partial += 1 < index < len(brute_span(group, [e]))
-                greedy.append(e)
-                closed = brute_span(group, greedy)
-        assert independent_generators(group, sorted(h)) == (tuple(greedy), key_of(group, h))
-    assert partial > 0
+        groups += 1
+        L = group.exponent
+        subgroups = [brute_span(group, [rng.choice(group.elements)
+                                        for _ in range(rng.randint(0, 3))])
+                     for _ in range(5)]
+        listed = []
+        for h in subgroups:
+            greedy, closed = [], frozenset({group.zero})
+            for e in sorted(h):
+                if e not in closed:
+                    index = len(brute_span(group, greedy + [e])) // len(closed)
+                    partial += 1 < index < len(brute_span(group, [e]))
+                    greedy.append(e)
+                    closed = brute_span(group, greedy)
+            key = subgroup_key(group, h)
+            assert key == key_of(group, h), matrix
+            assert hermite_generators(key, L) == tuple(greedy), (matrix, h)
+            listed.append((tuple(sorted(h)), tuple(greedy)))
+        for a, rows_a in listed:
+            for b, rows_b in listed:
+                assert (a < b, a == b) == (rows_a < rows_b, rows_a == rows_b), matrix
+                pairs += 1
+    assert partial > 0 and groups > 60 and pairs > 1500
 
 
 def test_hermite_keys_match_listed_subgroups():
@@ -649,7 +675,7 @@ def test_hermite_keys_match_listed_subgroups():
         generator_sets = []
         for _ in range(4):
             gens = [rng.choice(group.elements) for _ in range(rng.randint(1, 3))]
-            generator_sets += [gens, gens[::-1], gens + [group.add(gens[0], gens[-1])],
+            generator_sets += [gens, gens[::-1], gens + [add(group, gens[0], gens[-1])],
                                brute_span(group, gens)]
         distinct += check_hermite_keys(group, generator_sets)
     assert distinct > 80

@@ -1,11 +1,10 @@
-import sys
 from collections import Counter, deque
 
 import pytest
 from conftest import X14, X15, all_subsets, seeded, stratum_elements, summed
 from test_stratum_naming import CATALOGUE, catalogue_pairs, generated_pairs
 
-from bhht import diaggroups, euler, intmat
+from bhht import euler, intmat
 from bhht.diaggroups import DiagonalGroup
 from bhht.errors import StructuralAssumptionViolated
 from bhht.euler import (
@@ -15,8 +14,8 @@ from bhht.euler import (
     lemma_level_checks,
     verify_duality,
 )
-from bhht.fixtures import load_catalogue
-from bhht.oracles import check_fixed_point_consistency, determinant
+from bhht.fixtures import DATA_DIR, load_catalogue
+from bhht.oracles import check_fixed_point_consistency, determinant, h_elements_of
 from bhht.permgroups import (
     PermGroup,
     group_from_generators,
@@ -210,7 +209,7 @@ def test_support_is_stratum_kernels(quintic):
         subset = [i for i in range(5) if mask >> i & 1]
         kernels.add(stratum_elements(group, subset))
     for cls in element.coefficients:
-        assert cls.h_elements in kernels
+        assert h_elements_of(cls) in kernels
 
 
 def test_assembly_is_sum_of_stratum_inductions(x14):
@@ -305,25 +304,15 @@ def test_verify_duality_lists_no_kernel(monkeypatch):
 
 
 def test_verdict_path_lists_no_subgroup(monkeypatch):
-    # classes are told apart by Hermite keys, so neither a verdict nor its
-    # lemma checks reads generators off a listed subgroup or lists G
-    walks, reads = [], []
-    plain = diaggroups.independent_generators
-    listed = vars(DiagonalGroup)["elements"].func
+    # classes are told apart by Hermite keys and ordered and printed by
+    # their rows, so neither a verdict, its lemma checks nor the output of
+    # euler and verify --json --lemmas lists a subgroup or G
+    from test_fixtures_cli import run_cli
 
-    def counted_walk(group, subgroup_elements):
-        walks.append(1)
-        return plain(group, subgroup_elements)
+    def refuse(*_args):
+        raise AssertionError("a subgroup was listed")
 
-    def counted_elements(group):
-        reads.append(1)
-        return listed(group)
-
-    for module in list(sys.modules.values()):
-        if module and module.__name__.startswith("bhht") \
-                and getattr(module, "independent_generators", None) is plain:
-            monkeypatch.setattr(module, "independent_generators", counted_walk)
-    monkeypatch.setattr(DiagonalGroup, "elements", property(counted_elements))
+    monkeypatch.setattr(DiagonalGroup, "kernel_elements", refuse)
     monkeypatch.setattr(euler, "_RECENT", deque(maxlen=2))
     catalogue = load_catalogue()
     cases = [(fx.matrix, fx.perm_group(), 0)
@@ -337,9 +326,14 @@ def test_verdict_path_lists_no_subgroup(monkeypatch):
         assert len(report.differences) == differences, matrix
         if report.pc.satisfies:
             assert lemma_level_checks(matrix, s).all_passed, matrix
-    assert (len(walks), len(reads)) == (0, 0)
-
-
+    printed = 0
+    for name, fx in catalogue.items():
+        path = str(DATA_DIR / (name + ".fix"))
+        for args in (("euler", path), ("verify", path, "--json", "--lemmas")):
+            code, out = run_cli(*args)
+            assert code == (2 if "error" in fx.expect else 0), args
+            printed += out.count('"orbitType"')
+    assert printed > 1000
 def test_duality_counterexample_diff_structure():
     e = parse_polynomial("x1^4+x2^4+x3^4+x4^4")
     s = group_from_generators(4, ["(12)(34)", "(13)(24)"])

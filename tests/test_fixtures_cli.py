@@ -17,6 +17,7 @@ from bhht.fixtures import (
     parse_group_element,
     serialize_fixture,
 )
+from bhht.intmat import hermite_key, hermite_order
 from bhht.polynomials import parse_polynomial
 
 
@@ -213,6 +214,17 @@ def test_cmd_dual_is_involutive(tmp_path):
     assert twice.g_subgroup(group) == original.g_subgroup(group)
 
 
+def test_cmd_dual_writes_the_whole_group_as_full(tmp_path):
+    # the dual of the whole group is the trivial one, written as its zero
+    # element, and the dual of that is the whole group, written as the word
+    text = "[polynomial]\nx1^2*x2+x2^3\n\n[G]\n%s\n\n[S]\n"
+    for g_line, dual_line in (("full", "1/1(0,0)"), ("1/1(0,0)", "full")):
+        path = tmp_path / "g.fix"
+        path.write_text(text % g_line)
+        code, out = run_cli("dual", str(path))
+        assert (code, parse_fixture(out).g_lines) == (0, [dual_line]), g_line
+
+
 def test_cmd_dual_output_validates(tmp_path, catalogue):
     # f^T of a valid f is valid: the fixture bhht dual writes, with its G
     # and S, passes bhht validate for every catalogue fixture that validates
@@ -398,12 +410,14 @@ def test_cmd_table1_times_in_milliseconds_and_skipped_rows_show_a_dash():
     assert any(r[-2] == "skip" for r in rows)
 
 
-def test_size_bound_is_a_resource_error(tmp_path, monkeypatch):
-    # |G| = 11^6 is over DEFAULT_GROUP_BOUND: the verdict lists nothing, but
-    # the JSON and euler output would list the H of the full class, and the
-    # differences of the failed verdict under (12) one of order 11^6 too, so
-    # each fails before it lists any H
-    text = "[polynomial]\n%s\n\n[S]\n%%s\n" % "+".join("x%d^11" % i for i in range(1, 7))
+def test_output_over_the_listing_bound_lists_nothing(tmp_path, monkeypatch):
+    # |G| = 11^6 is over DEFAULT_GROUP_BOUND, which bounds listing only: the
+    # JSON and euler output print the H of every class, and the failed
+    # verdict under (12) its differences, by Hermite rows, so each completes
+    # without listing a subgroup, and the printed generators of each H span
+    # a group of its printed order
+    poly = "+".join("x%d^11" % i for i in range(1, 7))
+    text = "[polynomial]\n%s\n\n[S]\n%%s\n" % poly
     for name, s_line in (("big", "(123)(456)"), ("swap", "(12)")):
         (tmp_path / (name + ".fix")).write_text(text % s_line)
     big, swap = str(tmp_path / "big.fix"), str(tmp_path / "swap.fix")
@@ -415,9 +429,24 @@ def test_size_bound_is_a_resource_error(tmp_path, monkeypatch):
         return listed(group, key)
 
     monkeypatch.setattr(DiagonalGroup, "kernel_elements", counted)
-    for args in (("verify", big, "--json"), ("euler", big), ("verify", swap)):
-        code, _out = run_cli(*args, "--max-group-order", "100000000")
-        assert (code, listings) == (4, []), args
+    group = DiagonalGroup(parse_polynomial(poly))  # f^T = f
+    printed = []
+    for args in (("verify", big, "--json"), ("euler", big), ("verify", swap),
+                 ("verify", swap, "--json")):
+        code, out = run_cli(*args, "--max-group-order", "100000000")
+        assert (code, listings) == (0, []), args
+        if args[0] == "euler":
+            printed += [rec for rec in map(json.loads, out.splitlines())
+                        if rec["type"] == "class"]
+        elif "--json" in args:
+            payload = json.loads(out)
+            printed += payload["lhs"] + payload["rhs"]
+            printed += [d["class"] for d in payload["diff"]]
+    assert len(printed) > 200
+    for rec in printed:
+        gens = [parse_group_element(line, group) for line in rec["H"]]
+        key = hermite_key(gens, group.n, group.exponent)
+        assert hermite_order(key, group.exponent) == rec["Horder"], rec
     code, out = run_cli("verify", big, "--lemmas", "--max-group-order", "100000000")
     assert code == 0 and "duality HOLDS" in out
     assert sum(line.endswith(" ok") for line in out.splitlines()) == 5
