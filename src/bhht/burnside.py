@@ -12,19 +12,20 @@ is I itself unless some point outside I is fixed by all of K_I.  Since
 s.K_I = K_{s(I)}, two such classes are conjugate exactly when some s
 carries the one C to the other and T onto the other T.  So a class is
 named (C0, key): C0 represents C's orbit under S, and key is T's class key
-in the lattice of S_C0.  Induction keeps the name of a stratum's class, and
-the Saito dual sends K_C to ann(K_C) = K'_{C^c}, checked once per C and
-renamed by the orbit of the new zero set (``PermGroup.subset_orbit``, which
-walks an orbit the first time it is asked for; zero sets are full, so these
-are orbits the stratification has walked already).  H
+in the lattice of S_C0.  One step, ``carried``, names [K_C x| T] for any
+zero set C: the carrier s of C to C0 that the orbit's walk kept
+(``PermGroup.subset_orbit``; zero sets are full, so the stratification has
+walked their orbits already) and the key of sTs^-1.  Induction keeps the
+name of a stratum's class, and the Saito dual sends K_C to
+ann(K_C) = K'_{C^c}, checked once per C, and carries the new zero set.  H
 comes with its generators and order in closed form
 (``DiagonalGroup.stratum_kernel``), and membership in it is v_i = 0 on C.
 No class scans S or computes a Hermite key.  Output orders classes by
-``tag`` and prints H by its rows there: the least Hermite rows of s.H over
-the s carrying T to its class key, which compare as the sorted listings of
-the s.H would (``intmat``), so no H is listed.  Only output and the
-oracles, which name classes of any H by Hermite keys
-(``oracles.key_class``), build H's key.
+``tag`` and prints H by its rows there: the least Hermite rows of
+s.K_C = K_s(C) over the s carrying T to its class key, read off C's orbit,
+which compare as the sorted listings would (``intmat``), so no H is listed
+and no S is scanned.  Only output and the oracles (``oracles.key_class``,
+which names a class of any H by Hermite keys and a scan of S) build H's key.
 
 Marks come from Burnside's formula in closed form: conjugation by (v, s)
 moves (h, t) to (s^-1(h + t.v - v), s^-1 t s), so fixed cosets are counted
@@ -37,7 +38,6 @@ T.  No mark scans S or builds a Hermite key.
 
 from functools import cached_property
 
-from .diaggroups import perm_act
 from .errors import AmbientMismatchError, StructuralAssumptionViolated
 from .intmat import hermite_generators, hermite_key
 from .permgroups import conjugate, cycle_notation, generating_set
@@ -72,19 +72,18 @@ class HTClass:
     path the class is [K_I x| T], named by stratum (``stratum_class``), and
     ``closed`` is the zero set C with H = K_C; the oracles name a class of
     any H by Hermite keys, and ``closed`` is None.  The representative is
-    H x| T: H by its generators and order, T by its generators and
-    elements.  Nothing is listed, and only the output order ``tag``, made
-    on first use, builds Hermite keys.
+    H x| T: H by its generators and order, T by its element set.  Nothing
+    is listed, and only the output order ``tag``, made on first use, builds
+    Hermite keys.
     """
 
-    def __init__(self, ambient, name, h_gens, h_order, t_gens, t_elements, closed=None):
+    def __init__(self, ambient, name, h_gens, h_order, t_elements, closed=None):
         self.ambient = ambient
         self.name = name
         self.closed = closed
         self._hash = hash(name)  # tuples do not cache their hash
         self.h_gens = h_gens
         self.h_order = h_order
-        self.t_gens = t_gens
         self.t_elements = t_elements
 
     @property
@@ -108,17 +107,23 @@ class HTClass:
 
     @cached_property
     def tag(self):
-        """The output order: T's class key in the lattice of P, and the least
-        Hermite rows (``hermite_generators``) of s.H over the s that carry T
-        there.  Rows compare as sorted subgroups do (``intmat``), so this
-        orders classes by their least (sorted T, sorted H) over conjugation,
-        and lists nothing."""
+        """The output order of a class named by stratum: T's class key in the
+        lattice of P, and the least Hermite rows (``hermite_generators``) of
+        s.H over the s that carry T there.  Since s.K_C = K_s(C), those s.H
+        are the K_D for the members D of C's orbit whose carrier takes that
+        key into T's class of P_C's lattice (``carried``).  Rows compare as
+        sorted subgroups do (``intmat``), so this orders classes by their
+        least (sorted T, sorted H) over conjugation; it lists nothing and
+        scans no S."""
+        if self.closed is None:
+            raise ValueError("the output order is read off a class named by stratum")
         perms, diag = self.ambient.perms, self.ambient.diag
         n, L = diag.n, diag.exponent
         best_t = perms.lattice.key_of[self.t_elements]
-        keys = (hermite_key([perm_act(s, h) for h in self.h_gens], n, L)
-                for s in carriers(perms, self.t_gens, frozenset(best_t)))
-        return best_t, min(hermite_generators(key, L) for key in keys)
+        target = frozenset(best_t)
+        return best_t, min(hermite_generators(hermite_key(diag.stratum(d)[0], n, L), L)
+                           for d in perms.orbit_carriers(self.closed)[1]
+                           if carried(perms, d, target) == self.name)
 
     def describe(self):
         """The class for output, read from ``tag``: H by its Hermite rows."""
@@ -143,29 +148,25 @@ def stratum_class(ambient, subset, t_key):
 
 def named_class(ambient, closed, t_key):
     """The class named (C, key), for C a zero set of a stratum kernel that
-    represents its orbit under P, and a class key of P_C's lattice."""
-    t = ambient.perms.subgroup(t_key)
+    represents its orbit under P, and a class key of P_C's lattice; a key of
+    None (``carried`` for a T that does not fix C) names no class."""
+    if t_key is None:
+        raise StructuralAssumptionViolated(
+            "T does not fix the zero set %s" % (tuple(i + 1 for i in closed),))
     h_gens, h_order = ambient.diag.stratum(closed)
-    return HTClass(ambient, (closed, t_key), h_gens, h_order, t.generators,
-                   t.element_set, closed)
+    return HTClass(ambient, (closed, t_key), h_gens, h_order, frozenset(t_key), closed)
 
 
-def _renamed(ambient, closed, t_elements):
-    """The class [K_C x| T] of the ambient, for any zero set C of a stratum
-    kernel and T <= P_C: the transversal element s carries C to its
-    representative C0, where the class is named by the key of sTs^-1 in
-    P_C0's lattice."""
-    rep, s, stabilizer = ambient.perms.subset_orbit(closed)
-    if rep != closed:
+def carried(perms, subset, t_elements):
+    """(C0, key) for a subset given as a sorted tuple and a group T of
+    permutations given by its element set: C0 represents the subset's orbit
+    under P, s is the carrier of the subset to C0 that the orbit's walk kept
+    (``subset_orbit``), and key is the class key of sTs^-1 in the lattice of
+    P_C0, or None unless T fixes the subset."""
+    rep, s, stabilizer = perms.subset_orbit(subset)
+    if rep != subset:
         t_elements = frozenset([conjugate(s, t) for t in t_elements])
-    return named_class(ambient, rep, stabilizer.lattice.key_of[t_elements])
-
-
-def carriers(perms, t_gens, target):
-    """The s in S with s T s^-1 = target, for T generated by t_gens and a
-    target of T's order, by a scan of S."""
-    return [s for s in perms.elements
-            if all(conjugate(s, t) in target for t in t_gens)]
+    return rep, stabilizer.lattice.key_of.get(t_elements)
 
 
 def sorted_by_tag(entries):
@@ -220,10 +221,10 @@ def mark(kprime, k):
     vanish on D = s(C'), T fixes D and U = s^-1 T s <= T', and then adds
     c_C'(U) (``DiagonalGroup.stratum_cocycle_order``) over v.  With
     s = r^-1 p, for r the carrier of D onto C' that the orbit's walk kept
-    and p in P_C', U = p^-1 T_D p for T_D = r T r^-1 <= P_C', so D adds
-    |P_C'| / |class of T_D| times the sum of c_C'(U) over T_D's conjugates
-    U <= T'.  A count that |K'| does not divide is a structural failure,
-    reported with its residual.
+    and p in P_C', U = p^-1 T_D p for T_D = r T r^-1 <= P_C' (``carried``),
+    so D adds |P_C'| / |class of T_D| times the sum of c_C'(U) over T_D's
+    conjugates U <= T'.  A count that |K'| does not divide is a structural
+    failure, reported with its residual.
     """
     ambient = kprime.ambient
     if ambient != k.ambient:
@@ -231,15 +232,13 @@ def mark(kprime, k):
     closed = kprime.closed
     if closed is None:
         raise ValueError("a mark counts the cosets of a class named by stratum")
-    stabilizer, orbit = ambient.perms.orbit_carriers(closed)
+    perms = ambient.perms
+    stabilizer, members = perms.orbit_carriers(closed)
     lattice = stabilizer.lattice
     tp = kprime.t_elements
     total = 0
-    for d, r in orbit:
-        t_d = k.t_elements
-        if d != closed:  # the representative's carrier is the identity
-            t_d = frozenset([conjugate(r, t) for t in t_d])
-        key = lattice.key_of.get(t_d)  # None unless T_D <= P_C', that is T fixes D
+    for d in members:
+        key = carried(perms, d, k.t_elements)[1]  # None unless T fixes D
         if key is None or any(h[i] for h in k.h_gens for i in d):
             continue
         conjugates = lattice.class_members[key]
@@ -257,8 +256,8 @@ def mark(kprime, k):
 def induction(element, perms_big):
     """Reinterpret classes over G x| S' inside G x| S for S' <= S.
 
-    The class named (C, key) is [K_C x| T] in G x| S too, renamed by C's
-    orbit under S.  On the verdict path S' = S_I for a stratum I that
+    The class named (C, key) is [K_C x| T] in G x| S too, named again by
+    C's orbit under S (``carried``).  On the verdict path S' = S_I for a stratum I that
     represents its S-orbit, and C = I unless K_I vanishes beyond I, so the
     name stays: two classes of the stratum are S-conjugate only by an
     element of S_I, and none fuse."""
@@ -268,7 +267,7 @@ def induction(element, perms_big):
     big = SemidirectAmbient(small.diag, perms_big)
     out = {}
     for cls, c in element.coefficients.items():
-        lifted = _renamed(big, cls.name[0], cls.t_elements)
+        lifted = named_class(big, *carried(perms_big, cls.name[0], cls.t_elements))
         out[lifted] = out.get(lifted, 0) + c
     return BurnsideElement(big, out)
 
@@ -278,8 +277,8 @@ def saito_dual(element, pairing):
 
     ``pairing`` must have its left group equal to the element's diagonal
     group; the result lives over (right group) x| S.  The class named
-    (C, key) has H = K_C and goes to [K'_{C^c} x| T], renamed by the orbit
-    of the zero set of K'_{C^c}.  That ann(K_C) = K'_{C^c} is checked once
+    (C, key) has H = K_C and goes to [K'_{C^c} x| T], named by the orbit of
+    the zero set of K'_{C^c} (``carried``).  That ann(K_C) = K'_{C^c} is checked once
     per C (``CharacterPairing.dual_stratum``); otherwise
     StructuralAssumptionViolated names the stratum.
     """
@@ -296,6 +295,6 @@ def saito_dual(element, pairing):
             raise StructuralAssumptionViolated(
                 "the annihilator of the kernel of stratum %s is not the kernel of "
                 "its complement" % (stratum,), stratum=stratum)
-        lifted = _renamed(dual_ambient, dual, cls.t_elements)
+        lifted = named_class(dual_ambient, *carried(src.perms, dual, cls.t_elements))
         out[lifted] = out.get(lifted, 0) + c
     return BurnsideElement(dual_ambient, out)

@@ -20,7 +20,7 @@ import time
 from itertools import combinations_with_replacement
 from pathlib import Path
 
-from .diaggroups import DEFAULT_GROUP_BOUND, CharacterPairing, check_listing_bound, perm_act
+from .diaggroups import DEFAULT_GROUP_BOUND, CharacterPairing, perm_act
 from .errors import (
     BhhtError,
     DegeneratePairingError,
@@ -36,7 +36,7 @@ from .fixtures import (
     load_fixture,
     serialize_fixture,
 )
-from .intmat import hermite_generators, hermite_key, hermite_order, in_hermite
+from .intmat import hermite_generators, hermite_key, in_hermite
 from .permgroups import cycle_notation, pc_check
 from .polynomials import check_invariance, serialize_polynomial, transpose
 
@@ -233,9 +233,6 @@ def cmd_dual(args):
     if not all(in_hermite(key, perm_act(s, g)) for s in S.generators
                for g in hermite_generators(key, pairing.left.exponent)):
         raise BhhtError("G is not invariant under S; no dual pair")
-    # G's order is held to the listing bound, though the dual G is printed
-    # from its key and nothing is listed
-    check_listing_bound(hermite_order(key, pairing.left.exponent))
     dual = FixtureSpec(
         name=fx.name + "_dual",
         polynomial_text=serialize_polynomial(transpose(matrix)),

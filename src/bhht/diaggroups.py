@@ -184,7 +184,10 @@ class DiagonalGroup:
         plain repeat where row_k[j] is 0.
         """
         L = self.exponent
-        check_listing_bound(hermite_order(key, L))
+        order = hermite_order(key, L)
+        if order > DEFAULT_GROUP_BOUND:
+            raise SizeBoundError("group of order %d exceeds bound %d"
+                                 % (order, DEFAULT_GROUP_BOUND))
         n = self.n
         steps = [L] * n
         columns = [[0]] * n
@@ -231,13 +234,6 @@ def _zeros(n, gens):
     if not gens:
         return tuple(range(n))
     return tuple(i for i, column in enumerate(zip(*gens)) if not any(column))
-
-
-def check_listing_bound(order):
-    """Refuse to list a subgroup of more than ``DEFAULT_GROUP_BOUND`` elements."""
-    if order > DEFAULT_GROUP_BOUND:
-        raise SizeBoundError("group of order %d exceeds bound %d"
-                             % (order, DEFAULT_GROUP_BOUND))
 
 
 def perm_act(perm, element):

@@ -15,12 +15,12 @@ from math import prod
 from operator import mod, sub
 from types import SimpleNamespace
 
-from .burnside import BurnsideElement, HTClass, SemidirectAmbient, carriers, mark
+from .burnside import BurnsideElement, HTClass, SemidirectAmbient, mark
 from .diaggroups import perm_act
 from .errors import DegeneratePairingError, MembershipError, SizeBoundError
 from .intmat import (hermite_generators, hermite_key, hermite_order, in_hermite, kernel_mod,
                      matvec)
-from .permgroups import compose, conjugate, identity_perm, inverse, orbit
+from .permgroups import compose, conjugate, generating_set, identity_perm, inverse, orbit
 from .polynomials import ExponentMatrix
 
 # Every enumeration here lists a whole group; none runs on one larger than this.
@@ -72,6 +72,13 @@ def brute_tag(ambient, h_elements, t_elements):
                for s in ambient.perms.elements)
 
 
+def carriers(perms, t_gens, target):
+    """The s in S with s T s^-1 = target, for T generated by t_gens and a
+    target of T's order, by a scan of S."""
+    return [s for s in perms.elements
+            if all(conjugate(s, t) in target for t in t_gens)]
+
+
 def key_class(ambient, h_key, t_generators):
     """The class of H x| T named by Hermite keys, for any H, by a scan of S.
 
@@ -96,18 +103,12 @@ def key_class(ambient, h_key, t_generators):
         raise MembershipError(
             "H is not invariant under T; the split subgroup is ill-formed")
     best_t = perms.lattice.key_of[orbit(identity_perm(n), t_gens, compose)]
-    best_key = best_s = None
-    for s in carriers(perms, t_gens, frozenset(best_t)):
-        moved = [perm_act(s, h) for h in h_gens]
-        if all(in_hermite(h_key, h) for h in moved):
-            key = h_key
-        else:
-            key = hermite_key(moved, n, L)
-        if best_key is None or key < best_key:
-            best_key, best_s = key, s
+    moves = ([perm_act(s, h) for h in h_gens]
+             for s in carriers(perms, t_gens, frozenset(best_t)))
+    best_key = min(h_key if all(in_hermite(h_key, h) for h in moved)
+                   else hermite_key(moved, n, L) for moved in moves)
     return HTClass(ambient, (best_t, best_key), hermite_generators(best_key, L),
-                   hermite_order(best_key, L), tuple(conjugate(best_s, t) for t in t_gens),
-                   frozenset(best_t))
+                   hermite_order(best_key, L), frozenset(best_t))
 
 
 def h_key_of(cls):
@@ -127,7 +128,7 @@ def key_induction(element, perms_big):
     big = SemidirectAmbient(element.ambient.diag, perms_big)
     out = {}
     for cls, c in element.coefficients.items():
-        lifted = key_class(big, h_key_of(cls), cls.t_gens)
+        lifted = key_class(big, h_key_of(cls), cls.t_elements)
         out[lifted] = out.get(lifted, 0) + c
     return BurnsideElement(big, out)
 
@@ -138,7 +139,7 @@ def key_saito_dual(element, pairing):
     dual_ambient = SemidirectAmbient(pairing.right, element.ambient.perms)
     out = {}
     for cls, c in element.coefficients.items():
-        lifted = key_class(dual_ambient, pairing.dual_kernel(h_key_of(cls)), cls.t_gens)
+        lifted = key_class(dual_ambient, pairing.dual_kernel(h_key_of(cls)), cls.t_elements)
         out[lifted] = out.get(lifted, 0) + c
     return BurnsideElement(dual_ambient, out)
 
@@ -166,7 +167,7 @@ def naive_marks(kprime):
 
     def fixed(k):
         generators = ([(h, identity_perm(ambient.n)) for h in k.h_gens]
-                      + [(ambient.diag.zero, t) for t in k.t_gens])
+                      + [(ambient.diag.zero, t) for t in generating_set(k.t_elements)])
         return sum(all(coset_of[mul(ambient, x, g)] == c for x in generators)
                    for c, g in enumerate(reps))
     return fixed

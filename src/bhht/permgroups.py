@@ -151,8 +151,8 @@ class PermGroup:
 
     # subset -> (its representative, s with s(subset) = representative, the
     # representative's stabilizer), and representative -> its orbit's
-    # (member, s) pairs, for the orbits walked so far; made on the first
-    # walk, so a group that walks none carries none
+    # members, for the orbits walked so far; made on the first walk, so a
+    # group that walks none carries none
     _walked = None
     _orbits = None
     # point tuple -> the group's orbits on it (``orbits``), made on first use
@@ -165,10 +165,10 @@ class PermGroup:
         the subset's orbit, and carries itself by the identity; s carries
         the subset to it, and the stabilizer is the representative's.  The
         orbit is walked the first time one of its members is asked for, and
-        the answer is kept for every member, and the members with their s
-        for the orbit (``orbit_carriers``).  The walk keeps, for each
-        subset it meets, a p carrying the subset asked for there, so s is
-        the representative's p after the member's p inverted.  Equal
+        the answer is kept for every member, and the members for the orbit
+        (``orbit_carriers``).  The walk keeps, for each subset it meets, a p
+        carrying the subset asked for there, so s is the representative's p
+        after the member's p inverted.  Equal
         stabilizers are one object: the group itself for a subset it fixes,
         the trivial subgroup for an orbit of |group| subsets, and otherwise
         the subgroup of the elements that fix the representative.
@@ -203,14 +203,15 @@ class PermGroup:
                                   if subset_image(p, rep) == inside])
             assert self.order == len(reach) * stab.order
         to_rep = reach[rep]
-        orbit = self._orbits[rep] = [(member, compose(to_rep, inverse(p)))
-                                     for member, p in reach.items()]
-        walked.update((member, (rep, s, stab)) for member, s in orbit)
+        self._orbits[rep] = list(reach)
+        walked.update((member, (rep, compose(to_rep, inverse(p)), stab))
+                      for member, p in reach.items())
         return walked[subset]
 
     def orbit_carriers(self, subset):
-        """The representative's stabilizer, and the subset's orbit as
-        ``subset_orbit`` walked it: (member, s) pairs."""
+        """The representative's stabilizer, and the members of the subset's
+        orbit in the order ``subset_orbit`` walked them; each member's
+        carrier to the representative is ``subset_orbit``'s s."""
         rep, _s, stab = self.subset_orbit(subset)
         return stab, self._orbits[rep]
 

@@ -65,11 +65,10 @@ def single(ambient, h_elements, t_elements, coefficient=1):
 
 
 def split_classes(ambient):
-    classes = {}
-    for h, t in split_subgroup_pairs(ambient.diag, ambient.perms):
-        cls = key_class(ambient, key_of(ambient.diag, h), t)
-        classes.setdefault(cls.tag, cls)
-    return sorted(classes.values(), key=lambda c: c.tag)
+    """Every class of split subgroups, named by Hermite keys, sorted by name."""
+    classes = {key_class(ambient, key_of(ambient.diag, h), t)
+               for h, t in split_subgroup_pairs(ambient.diag, ambient.perms)}
+    return sorted(classes, key=lambda c: c.name)
 
 
 @pytest.fixture(scope="module")
@@ -166,9 +165,9 @@ def test_canonicalize_conjugates_share_representative(small, small_classes):
             moved_h = frozenset(perm_act(s, h) for h in h_elements_of(cls))
             moved_t = frozenset(conjugate(s, t) for t in cls.t_elements)
             again = key_class(small, key_of(small.diag, moved_h), moved_t)
-            assert again.tag == cls.tag
-    tags = {cls.tag for cls in small_classes}
-    assert len(tags) == len(small_classes)
+            assert again == cls
+    names = {cls.name for cls in small_classes}
+    assert len(names) == len(small_classes)
 
 
 # T with several conjugates: S4, D8 and Z2 x Z2 on four variables
@@ -183,21 +182,27 @@ TAG_AMBIENTS = [
 
 @pytest.mark.parametrize("polynomial, generators", TAG_AMBIENTS)
 def test_canonical_tag_matches_brute_force(polynomial, generators):
-    # the fast canonicaliser against the minimum over every s of (sorted T,
-    # sorted H), that H read back as its key's rows, for a class built from
-    # element sets and from generating sets; and tags order the classes as
+    # the output order of every class named by stratum, read off its zero
+    # set's orbit, against the minimum over every s of (sorted T, sorted H),
+    # that H read back as its key's rows; and tags order the classes as
     # those listed minima do
     ambient = ambient_of(polynomial, generators)
     diag = ambient.diag
-    pairs = set()
-    for h, t in split_subgroup_pairs(diag, ambient.perms):
-        brute = brute_tag(ambient, h, t)
+    pairs = []
+    for cls in stratum_classes_of(ambient):
+        brute = brute_tag(ambient, h_elements_of(cls), cls.t_elements)
         tag = (brute[0], hermite_generators(key_of(diag, brute[1]), diag.exponent))
-        assert key_class(ambient, key_of(diag, h), t).tag == tag
-        gens = hermite_generators(key_of(diag, h), diag.exponent)
-        assert key_class(ambient, key_of(diag, gens), generating_set(t)).tag == tag
-        pairs.add((brute, tag))
+        assert cls.tag == tag
+        pairs.append((brute, tag))
     assert all((a < b) == (tag_a < tag_b) for a, tag_a in pairs for b, tag_b in pairs)
+
+
+def test_tag_refuses_a_class_named_by_hermite_key(small):
+    # only a class named by stratum has a zero set whose orbit gives its
+    # conjugates; a class named by Hermite keys is ordered by the brute tag
+    cls = key_class(small, key_of(small.diag, ()), {parse_cycles("e", 3)})
+    with pytest.raises(ValueError):
+        cls.tag
 
 
 @pytest.mark.parametrize("polynomial, generators", TAG_AMBIENTS)
@@ -484,8 +489,12 @@ def test_dual_conjugacy_criterion(small, small_classes):
 
 
 def test_serialization_is_deterministic(small):
-    full = single(small, small.diag.elements, small.perms.elements)
-    x = summed(small, full, single(small, {small.diag.zero}, {parse_cycles("e", 3)}, -2))
+    # [G x| S / G x| S] is named by the empty stratum, and [G x| S / 1] by
+    # the zero set of all three points, with T trivial
+    full = stratum_class(small, (), small.perms.elements)
+    trivial = stratum_class(small, (0, 1, 2), (identity_perm(3),))
+    assert full.order == small.order and trivial.order == 1
+    x = BurnsideElement(small, {full: 1, trivial: -2})
     records = x.records()
     assert records == x.records()
     assert all(rec["orbitType"] == "[G⋊S/H⋊T]" for rec in records)

@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_stratum_naming import CATALOGUE, catalogue_pairs, generated_pairs
 
-from bhht.burnside import SemidirectAmbient, mark, stratum_class
+from bhht.burnside import SemidirectAmbient, carried, mark, stratum_class
 from bhht.diaggroups import CharacterPairing, DiagonalGroup
 from bhht.euler import euler_analysis
 from bhht.intmat import hermite_generators, hermite_order, in_hermite
@@ -34,7 +34,7 @@ from bhht.oracles import (
     naive_marks,
     split_subgroup_pairs,
 )
-from bhht.permgroups import PermGroup, conjugate, group_from_generators, identity_perm
+from bhht.permgroups import PermGroup, group_from_generators
 from bhht.polynomials import parse_polynomial, transpose
 
 
@@ -219,14 +219,14 @@ def test_no_mark_scans_s(monkeypatch):
         assert count * kp.order == conjugators_by_scan(kp, k)
         assert count == fixed[kp](k)
         tp = kp.t_elements
-        stabilizer, orbit = perms.orbit_carriers(kp.closed)
+        stabilizer, members = perms.orbit_carriers(kp.closed)
         lattice = stabilizer.lattice
-        adding = [r for d, r in orbit
+        adding = [d for d in members
                   if not any(h[i] for h in k.h_gens for i in d)
-                  and all(set(t[i] for i in d) == set(d) for t in k.t_gens)
-                  and any(u <= tp for u in lattice.class_members[lattice.key_of[
-                      frozenset(conjugate(r, t) for t in k.t_elements)]])]
-        if len(adding) > 1 and any(r != identity_perm(perms.n) for r in adding):
+                  and all(set(t[i] for i in d) == set(d) for t in k.t_elements)
+                  and any(u <= tp for u in lattice.class_members[
+                      carried(perms, d, k.t_elements)[1]])]
+        if len(adding) > 1:  # a member other than K''s zero set adds
             summed += 1
     assert summed
 

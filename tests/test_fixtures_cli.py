@@ -7,7 +7,7 @@ import pytest
 from conftest import X1
 
 from bhht.cli import main
-from bhht.diaggroups import CharacterPairing, DiagonalGroup
+from bhht.diaggroups import DEFAULT_GROUP_BOUND, CharacterPairing, DiagonalGroup
 from bhht.errors import MembershipError, ParseError
 from bhht.fixtures import (
     DATA_DIR,
@@ -453,14 +453,19 @@ def test_output_over_the_listing_bound_lists_nothing(tmp_path, monkeypatch):
 
 
 def test_listing_bound_does_not_depend_on_how_g_is_written(tmp_path):
-    # 8^7 elements over DEFAULT_GROUP_BOUND, as the word full or as generators
+    # 8^7 elements, over DEFAULT_GROUP_BOUND, as the word full or as
+    # generators: the dual goes key to key and lists nothing, so no bound
+    # applies, and G's annihilator is the trivial group either way
+    assert 8 ** 7 > DEFAULT_GROUP_BOUND
     text = "[polynomial]\n%s\n\n[G]\n%s\n\n[S]\n"
     poly = "+".join("x%d^8" % i for i in range(1, 8))
     units = ["1/8(%s)" % ",".join(str(int(i == j)) for j in range(7)) for i in range(7)]
     for name, g_lines in (("full", ["full"]), ("units", units)):
         fx = tmp_path / (name + ".fix")
         fx.write_text(text % (poly, "\n".join(g_lines)))
-        assert run_cli("dual", str(fx))[0] == 4, name
+        code, out = run_cli("dual", str(fx))
+        assert code == 0, name
+        assert parse_fixture(out).g_lines == ["1/1(0,0,0,0,0,0,0)"], name
 
 
 def test_cmd_dual_rejects_g_that_s_does_not_preserve(tmp_path, capsys):

@@ -13,7 +13,7 @@ from itertools import permutations
 import pytest
 from conftest import key_zero_set, random_invertible, seeded
 
-from bhht import burnside, euler
+from bhht import burnside, euler, oracles
 from bhht.burnside import BurnsideElement
 from bhht.cli import main
 from bhht.diaggroups import CharacterPairing, DiagonalGroup
@@ -84,7 +84,7 @@ def key_named(element):
     stratum names may fall into one key class."""
     out = {}
     for cls, c in element.coefficients.items():
-        again = key_class(cls.ambient, h_key_of(cls), cls.t_gens)
+        again = key_class(cls.ambient, h_key_of(cls), cls.t_elements)
         assert again not in out, "two stratum names for one class"
         out[again] = c
     return BurnsideElement(element.ambient, out)
@@ -208,17 +208,24 @@ def test_a_class_is_named_by_the_zero_set_of_its_kernel(text, n, gens, element, 
 
 @pytest.mark.parametrize("name", ["pc_a3", "x15_z5", "table1_r2", "counterexample_m3"])
 def test_verdict_path_scans_no_carriers(monkeypatch, fresh, name):
-    # only output (tag) and the oracles look for the s that carry one T onto
-    # another; a verdict and its lemma checks name classes by stratum
+    # only the oracles look for the s that carry one T onto another; a
+    # verdict and its lemma checks name classes by stratum, and output
+    # orders them off the orbits the verdict walked, reading no element
+    # list of S or of a subgroup of S
     def refuse(*_args):
         raise AssertionError("S was scanned for carriers")
 
-    monkeypatch.setattr(burnside, "carriers", refuse)
+    def unreadable(group):
+        raise AssertionError("output read the element list of %r" % (group,))
+
+    monkeypatch.setattr(oracles, "carriers", refuse)
     fx = CATALOGUE[name]
     s = fx.perm_group()
     report = verify_duality(fx.matrix, s)
     assert report.equal == (name != "counterexample_m3")
     if report.pc.satisfies:
         assert lemma_level_checks(fx.matrix, s).all_passed
-    with pytest.raises(AssertionError):
-        report.to_records()  # output still reads tags off a scan
+    monkeypatch.setattr(PermGroup, "elements", property(unreadable), raising=False)
+    records = report.to_records()
+    assert records["lhs"] and records["rhs"]
+    assert len(records["diff"]) == len(report.diff) == len(report.differences)
