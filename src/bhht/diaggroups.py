@@ -18,11 +18,9 @@ containment and orders (``CharacterPairing``).
 G's key is the Hermite key of the g_B (``DiagonalGroup.key``), and E's rows
 cut G out of (Z/L)^n and, with further rows, the annihilators of a pairing.
 A key decides equality, membership and order without listing, and its
-rows are the subgroup's output generators (``intmat.hermite_generators``).
-Only ``kernel_elements`` lists a subgroup, from its key and within
-``DEFAULT_GROUP_BOUND``, coordinate by coordinate, so that an element's
-tuple is made once it is complete; ``subgroup_key`` reads the key off a
-subgroup's elements.
+rows are the subgroup's output generators (``intmat.hermite_generators``),
+so a subgroup is handed out as its key (``Subgroup``), walked only when
+iterated.
 """
 
 from functools import cached_property
@@ -167,44 +165,13 @@ class DiagonalGroup:
         return order
 
     def kernel_elements(self, key):
-        """The elements of the subgroup of a Hermite key mod L, as a frozenset,
-        listed only when its order is within the bound.
-
-        The key is in echelon form with pivots d_k dividing L, so every
-        element is written once as the sum of c_k.row_k over 0 <= c_k < L/d_k:
-        nothing is met twice or looked up.  Split c_k = r_k + w_k.q_k with
-        0 <= r_k < w_k, where w_k divides L/d_k and w_k.row_k is zero past
-        column k modulo the steps of those columns, or w_k = L/d_k.  Then
-        q_k moves coordinate k alone, in steps of w_k.d_k, so each sum of
-        the r_k.row_k is completed by one product of ranges.  The w_k are
-        taken least from the last row up; a diagonal key is one product.
-        The sums of the r_k.row_k are kept as n columns of coordinates and
-        zipped into elements only at the end: walking row k puts, for each
-        r < w_k in turn, column j plus r.row_k[j] mod L after column j, a
-        plain repeat where row_k[j] is 0.
-        """
-        L = self.exponent
-        order = hermite_order(key, L)
+        """The subgroup of a Hermite key mod L, as a ``Subgroup``, refused
+        when its order is over the bound."""
+        order = hermite_order(key, self.exponent)
         if order > DEFAULT_GROUP_BOUND:
             raise SizeBoundError("group of order %d exceeds bound %d"
                                  % (order, DEFAULT_GROUP_BOUND))
-        n = self.n
-        steps = [L] * n
-        columns = [[0]] * n
-        for k in reversed(range(n)):
-            row = key[k]
-            w = lcm(1, *(steps[i] // gcd(steps[i], row[i]) for i in range(k + 1, n)))
-            if (L // row[k]) % w:
-                w = L // row[k]
-            steps[k] = w * row[k]
-            if w > 1:
-                columns = [[(x + s) % L for s in range(0, w * a, a) for x in column]
-                           if a else column * w for a, column in zip(row, columns)]
-        sums = zip(*columns)
-        if min(steps) == L:  # every product is one element
-            return frozenset(sums)
-        return frozenset(chain.from_iterable(
-            product(*map(range, map(mod, s, steps), repeat(L), steps)) for s in sums))
+        return Subgroup(self, key)
 
     @cached_property
     def grading(self):
@@ -254,14 +221,74 @@ class _Permuters(dict):
 _PERMUTERS = _Permuters()
 
 
-def subgroup_key(group, subgroup_elements):
-    """The Hermite key of a whole subgroup, given as its elements: each
-    element in the order given that lies outside the key so far joins it.
+class Subgroup:
+    """The subgroup of a Hermite key mod L in a diagonal group, a set of
+    elements read off the key: its length is the key's order, ``in`` is
+    membership in G and in the key, and a subgroup of the same (Z/L)^n,
+    ``space`` = (n, L), is equal to it exactly when their keys are.  Only
+    iteration walks it; equality with a set and the hash iterate it."""
 
-    The walk stops once the key has as many elements as were given, so the
-    elements must be all of a subgroup.
-    """
+    def __init__(self, group, key):
+        self.group = group
+        self.key = key
+        self.space = group.n, group.exponent
+
+    def __len__(self):
+        return hermite_order(self.key, self.group.exponent)
+
+    def __contains__(self, element):
+        return element in self.group and in_hermite(self.key, element)
+
+    def __eq__(self, other):
+        if isinstance(other, Subgroup):
+            if other.space == self.space:
+                return other.key == self.key
+            other = frozenset(other)
+        elif not isinstance(other, (set, frozenset)):
+            return NotImplemented
+        return len(other) == len(self) and other.issuperset(self)
+
+    def __hash__(self):
+        return hash(frozenset(self))
+
+    def __iter__(self):
+        """The elements, each once as the sum of c_k.row_k over the key's
+        rows, 0 <= c_k < L/d_k for the pivots d_k.  Split c_k = r_k + w_k.q_k
+        with 0 <= r_k < w_k, where w_k divides L/d_k and w_k.row_k is zero
+        past column k modulo the steps of those columns, or w_k = L/d_k.
+        Then q_k moves coordinate k alone, in steps of w_k.d_k, so each sum
+        of the r_k.row_k is completed by one product of ranges.  The w_k are
+        taken least from the last row up; a diagonal key is one product.
+        The sums are walked as n columns of coordinates, row k putting, for
+        each r < w_k in turn, column j plus r.row_k[j] mod L after column j,
+        and zipped into elements only at the end."""
+        n, L = self.space
+        steps = [L] * n
+        columns = [[0]] * n
+        for k in reversed(range(n)):
+            row = self.key[k]
+            w = lcm(1, *(steps[i] // gcd(steps[i], row[i]) for i in range(k + 1, n)))
+            if (L // row[k]) % w:
+                w = L // row[k]
+            steps[k] = w * row[k]
+            if w > 1:
+                columns = [[(x + s) % L for s in range(0, w * a, a) for x in column]
+                           if a else column * w for a, column in zip(row, columns)]
+        sums = zip(*columns)
+        if min(steps) == L:  # every product is one element
+            return sums
+        return chain.from_iterable(
+            product(*map(range, map(mod, s, steps), repeat(L), steps)) for s in sums)
+
+
+def subgroup_key(group, subgroup_elements):
+    """The Hermite key of a whole subgroup: a ``Subgroup`` in the group's
+    (Z/L)^n is its key.  Of other elements, each in the order given that
+    lies outside the key so far joins it, until the key has as many
+    elements as were given, so they must be all of a subgroup."""
     n, L = group.n, group.exponent
+    if isinstance(subgroup_elements, Subgroup) and subgroup_elements.space == (n, L):
+        return subgroup_elements.key
     size = len(subgroup_elements)
     key = hermite_key((), n, L)
     order = 1
@@ -316,7 +343,7 @@ class CharacterPairing:
 
     def annihilator(self, subgroup_elements):
         """Dual subgroup: characters vanishing on the given left subgroup H,
-        listed from the annihilator of H's key."""
+        as the ``Subgroup`` of the annihilator of H's key."""
         return self.right.kernel_elements(self.dual_kernel(
             subgroup_key(self.left, subgroup_elements)))
 

@@ -58,7 +58,8 @@ class FixtureSpec:
         return hermite_key(gens, group.n, group.exponent)
 
     def g_subgroup(self, group):
-        """The configured subgroup of the diagonal symmetry group, listed."""
+        """The configured subgroup of the diagonal symmetry group, as the
+        ``Subgroup`` of its key: nothing is listed unless it is iterated."""
         return group.kernel_elements(self.g_key(group))
 
 
@@ -97,7 +98,8 @@ def parse_group_element(line, group):
 
 
 def format_group_subgroup(group, elements):
-    """Generator lines for a subgroup given as its elements (``format_group_key``)."""
+    """Generator lines for a subgroup given as a ``Subgroup``, read by its key,
+    or as its elements (``format_group_key``)."""
     return format_group_key(group, subgroup_key(group, elements))
 
 

@@ -720,6 +720,94 @@ def test_key_listing_matches_span_closure():
     assert min(kinds.values()) >= 10, kinds
 
 
+def test_a_subgroup_is_the_set_of_the_elements_of_its_key():
+    # kernel_elements hands out a Subgroup, which answers len, in, == and !=
+    # from its key; each answer, its walk and its hash are checked against
+    # the frozenset that the oracle closes from the key's rows, over seeded
+    # keys of every kind
+    rng = seeded(47)
+    kinds = dict.fromkeys(["trivial", "full", "diagonal", "non-diagonal", "n = 1"], 0)
+    matrices = [parse_polynomial(text) for text in (
+        "x1^7", "x1^12", "x1^2*x2+x2^3*x3+x3^4", "x1^2+x1*x3^2+x2^2*x3")]
+    # the last group's key: row 0's multiples repeat past column 0 with
+    # period 4, which does not divide L/d_0 = 2, so the walk takes w_0 = 2
+    assert DiagonalGroup(matrices[-1]).key == ((4, 1, 6), (0, 2, 4), (0, 0, 8))
+    matrices += [random_invertible(rng, max_vars=rng.randint(1, 4)) for _ in range(60)]
+    keys = 0
+    for matrix in matrices:
+        group = DiagonalGroup(matrix.anchored())
+        if group.order > 3000:
+            continue
+        n, L = group.n, group.exponent
+        gens = hermite_generators(group.key, L)
+
+        def member():  # a combination of G's generators, not read off a walk
+            cs = [rng.randrange(L) for _ in gens]
+            return tuple(sum(c * g[i] for c, g in zip(cs, gens)) % L for i in range(n))
+
+        generator_sets = [[], list(gens)]
+        generator_sets += [[member() for _ in range(rng.randint(1, 3))] for _ in range(4)]
+        subgroups = []
+        for h_gens in generator_sets:
+            key = hermite_key(h_gens, n, L)
+            sub, oracle = group.kernel_elements(key), brute_span(group, h_gens)
+            subgroups.append((sub, oracle))
+            keys += 1
+            kinds["n = 1"] += n == 1
+            if len(oracle) == 1:
+                kinds["trivial"] += 1
+            elif len(oracle) == group.order:
+                kinds["full"] += 1
+            elif any(x for j, row in enumerate(key) for x in row[j + 1:]):
+                kinds["non-diagonal"] += 1
+            else:
+                kinds["diagonal"] += 1
+            assert len(sub) == len(oracle) and sorted(sub) == sorted(oracle), key
+            assert hash(sub) == hash(oracle) and oracle in {sub}, key
+            for other in (oracle, set(oracle)):
+                assert sub == other and other == sub, key
+                assert not (sub != other or other != sub), key
+            outside = [v for v in group.elements if v not in oracle]
+            unequal = []
+            if len(oracle) > 1:
+                unequal.append(oracle - {rng.choice(sorted(oracle - {group.zero}))})
+            if outside:
+                unequal += [oracle | {rng.choice(outside)}, set(oracle) | set(outside)]
+            for other in unequal:
+                assert sub != other and other != sub, key
+                assert not (sub == other or other == sub), key
+            vectors = [member() for _ in range(10)] + outside[:10]
+            vectors += [tuple(rng.randrange(L) for _ in range(n)) for _ in range(10)]
+            for v in vectors:
+                assert (v in sub) == (v in oracle), (key, v)
+            for v in list(oracle)[:5]:
+                out_of_range = [(v[0] + L, *v[1:]), (v[0] - L, *v[1:])]
+                wrong_length = [v + (0,), v[:-1]]
+                assert not any(w in sub for w in out_of_range + wrong_length), (key, v)
+        for a, oracle_a in subgroups:
+            for b, oracle_b in subgroups:
+                assert (a == b, a != b) == (oracle_a == oracle_b, oracle_a != oracle_b)
+    assert keys >= 200 and min(kinds.values()) >= 10, (keys, kinds)
+
+
+def test_subgroups_of_two_spaces_compare_by_their_elements():
+    # the trivial subgroups of a group with L = 5 and one with L = 15 are
+    # both {(0,)}, and their keys differ; the full group of the first and
+    # the subgroup of order 5 of the second have equal orders and differ
+    five, fifteen = (DiagonalGroup(parse_polynomial(f)) for f in ("x1^5", "x1^15"))
+    trivial_5, trivial_15 = (g.kernel_elements(key_of(g, ())) for g in (five, fifteen))
+    assert trivial_5.key != trivial_15.key
+    assert trivial_5 == trivial_15 and trivial_15 == trivial_5
+    assert hash(trivial_5) == hash(trivial_15) and len({trivial_5, trivial_15}) == 1
+    full_5 = five.kernel_elements(five.key)
+    order_5 = fifteen.kernel_elements(key_of(fifteen, [(3,)]))
+    assert len(full_5) == len(order_5) == 5
+    assert full_5 != order_5 and not order_5 == full_5
+    # subgroup_key reads a Subgroup's key only in its own (Z/L)^n
+    assert subgroup_key(fifteen, trivial_5) == key_of(fifteen, ())
+    assert subgroup_key(five, full_5) == five.key
+
+
 def test_listing_of_rows_walked_whole_matches_the_sums_of_the_rows():
     # perfbench's mirror03 input: G = <J, 1/100(29,31,10,7,57,30)> in the
     # group of this f, L = 300.  Past its pivot, row 1's multiples first

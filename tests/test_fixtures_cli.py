@@ -2,15 +2,18 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from conftest import X1
 
 from bhht.cli import main
-from bhht.diaggroups import DEFAULT_GROUP_BOUND, CharacterPairing, DiagonalGroup
+from bhht.diaggroups import DEFAULT_GROUP_BOUND, CharacterPairing, DiagonalGroup, Subgroup
 from bhht.errors import MembershipError, ParseError
 from bhht.fixtures import (
     DATA_DIR,
+    format_group_key,
+    format_group_subgroup,
     load_catalogue,
     load_fixture,
     parse_fixture,
@@ -244,6 +247,37 @@ def test_cmd_dual_matches_listed_dual_group(catalogue):
     pairing = CharacterPairing(catalogue["table1_r2"].matrix.anchored())
     expected = catalogue["table1_r83"].g_subgroup(pairing.right)
     assert dual.g_subgroup(pairing.right) == expected
+
+
+def test_the_mirror_pair_is_built_from_keys(monkeypatch, catalogue):
+    # g_subgroup and annihilator hand out Subgroups, which format_group_subgroup
+    # reads by their keys: on every Table 1 row the dual G comes out as
+    # bhht dual writes it with the walk refused, and on x1^9+...+x5^9 with G
+    # full (|G| = 9^5) the path holds no listing
+    def refuse(_subgroup):
+        raise AssertionError("a subgroup was walked")
+
+    monkeypatch.setattr(Subgroup, "__iter__", refuse)
+    rows = sorted(name for name in catalogue if name.startswith("table1_"))
+    assert len(rows) == 30
+    for name in rows:
+        fx = catalogue[name]
+        pairing = CharacterPairing(fx.matrix)
+        left, right = pairing.left, pairing.right
+        dual = pairing.annihilator(fx.g_subgroup(left))
+        assert format_group_subgroup(right, dual) \
+            == format_group_key(right, pairing.dual_kernel(fx.g_key(left))), name
+    fermat = parse_fixture("[polynomial]\n%s\n" % "+".join("x%d^9" % i for i in range(1, 6)))
+    pairing = CharacterPairing(fermat.matrix)
+    tracemalloc.start()
+    try:
+        lines = format_group_subgroup(
+            pairing.right, pairing.annihilator(fermat.g_subgroup(pairing.left)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lines == [pairing.right.format_element(pairing.right.zero)]
+    assert peak < 64 * 1024, peak
 
 
 @pytest.mark.parametrize("g_section", ["[G]\n1/3(0,0)\n\n", ""], ids=["trivial_g", "no_g"])
