@@ -226,7 +226,8 @@ class Subgroup:
     elements read off the key: its length is the key's order, ``in`` is
     membership in G and in the key, and a subgroup of the same (Z/L)^n,
     ``space`` = (n, L), is equal to it exactly when their keys are.  Only
-    iteration walks it; equality with a set and the hash iterate it."""
+    iteration walks it; equality with a set, which trusts the walk to give
+    each element once, and the hash iterate it."""
 
     def __init__(self, group, key):
         self.group = group

@@ -119,7 +119,7 @@ def h_key_of(cls):
 
 def h_elements_of(cls):
     """The elements of a class's H, listed from its key."""
-    return cls.ambient.diag.kernel_elements(h_key_of(cls))
+    return frozenset(cls.ambient.diag.kernel_elements(h_key_of(cls)))
 
 
 def key_induction(element, perms_big):
@@ -370,7 +370,7 @@ def check_hermite_keys(group, generator_sets):
                                  % (key, hermite_order(key, L), len(elements)))
         if any(in_hermite(key, g) != (g in elements) for g in group.elements):
             raise AssertionError("key %s and its listed subgroup differ" % (key,))
-        if group.kernel_elements(key) != elements:
+        if frozenset(group.kernel_elements(key)) != elements:
             raise AssertionError("key %s lists another subgroup" % (key,))
     if len(set(listed.values())) != len(listed):
         raise AssertionError("one subgroup under two keys")

@@ -46,7 +46,7 @@ def key_of(group, elements):
 def stratum_elements(group, subset):
     """The stratum kernel K_I listed, from the closed-form generators of
     ``DiagonalGroup.stratum_kernel``."""
-    return group.kernel_elements(key_of(group, group.stratum_kernel(subset)[0]))
+    return frozenset(group.kernel_elements(key_of(group, group.stratum_kernel(subset)[0])))
 
 
 def stratum_classes_of(ambient):

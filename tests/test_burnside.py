@@ -482,8 +482,8 @@ def test_dual_conjugacy_criterion(small, small_classes):
         for b in small_classes:
             ha, hb = h_elements_of(a), h_elements_of(b)
             forward = brute_conjugating_perm(small, ha, a.t_elements, hb, b.t_elements)
-            da = (pairing.annihilator(ha), a.t_elements)
-            db = (pairing.annihilator(hb), b.t_elements)
+            da = (frozenset(pairing.annihilator(ha)), a.t_elements)
+            db = (frozenset(pairing.annihilator(hb)), b.t_elements)
             backward = brute_conjugating_perm(dual_ambient, *da, *db)
             assert (forward is None) == (backward is None)
 
