@@ -36,7 +36,7 @@ from .fixtures import (
     load_fixture,
     serialize_fixture,
 )
-from .intmat import hermite_generators, hermite_key, in_hermite
+from .intmat import hermite_generators, in_hermite
 from .permgroups import cycle_notation, pc_check
 from .polynomials import check_invariance, serialize_polynomial, transpose
 
@@ -82,8 +82,8 @@ def _positive_int(text):
 
 def _build_parser():
     fixtures = _option("--fixtures", metavar="DIR", default=None,
-                       help="fixture directory (default: bundled; "
-                            "env SAITO_FIXTURES overrides)")
+                       help="fixture directory (this flag, else env "
+                            "SAITO_FIXTURES, else the bundled fixtures)")
     as_json = _option("--json", action="store_true", help="JSON output")
     oracle = _option("--oracle", action="store_true",
                      help="run slow brute-force cross-checks on small fixtures")
@@ -398,7 +398,8 @@ def cmd_table1(args):
 def cmd_selftest(args):
     from .burnside import SemidirectAmbient, mark, stratum_class
     from .oracles import (brute_subgroups, check_hermite_keys, conjugators_by_scan,
-                          key_class, naive_marks, split_subgroup_pairs)
+                          group_elements, key_class, key_of_elements, naive_marks,
+                          split_subgroup_pairs)
     from .permgroups import group_from_generators
     from .polynomials import parse_polynomial
     from .diaggroups import DiagonalGroup
@@ -430,7 +431,7 @@ def cmd_selftest(args):
         S3 = group_from_generators(3, ["(12)", "(123)"])
         analysis = euler_analysis(E, S3)
         G = analysis.group
-        classes = {key_class(analysis.ambient, hermite_key(h, G.n, G.exponent), t)
+        classes = {key_class(analysis.ambient, key_of_elements(G, h), t)
                    for h, t in split_subgroup_pairs(G, S3)}
         # chi's classes against every split class, as the oracle sweep pairs them
         for a in analysis.element.coefficients:
@@ -450,7 +451,7 @@ def cmd_selftest(args):
 
     def hermite_battery():
         G = DiagonalGroup(E.anchored())
-        check_hermite_keys(G, combinations_with_replacement(G.elements, 2))
+        check_hermite_keys(G, combinations_with_replacement(group_elements(G), 2))
     step("Hermite keys match listed subgroups", hermite_battery)
 
     def lattice_battery():

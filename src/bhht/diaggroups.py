@@ -82,10 +82,6 @@ class DiagonalGroup:
             return False
         return not any(sum(map(mul, row, element)) % L for row in self.matrix.rows)
 
-    @cached_property
-    def elements(self):
-        return tuple(sorted(self.kernel_elements(self.key)))
-
     def stratum_kernel(self, subset):
         """Generators and order of K_I, the elements vanishing on the subset.
 
@@ -224,10 +220,10 @@ _PERMUTERS = _Permuters()
 class Subgroup:
     """The subgroup of a Hermite key mod L in a diagonal group, a set of
     elements read off the key: its length is the key's order, ``in`` is
-    membership in G and in the key, and a subgroup of the same (Z/L)^n,
-    ``space`` = (n, L), is equal to it exactly when their keys are.  Only
-    iteration walks it; equality with a set, which trusts the walk to give
-    each element once, and the hash iterate it."""
+    membership in G and in the key, and it equals another ``Subgroup``
+    exactly when their spaces, ``space`` = (n, L) of the ambient (Z/L)^n,
+    and their keys are equal.  Only iteration walks it, and equality with a
+    set, which trusts the walk to give each element once; it has no hash."""
 
     def __init__(self, group, key):
         self.group = group
@@ -242,15 +238,10 @@ class Subgroup:
 
     def __eq__(self, other):
         if isinstance(other, Subgroup):
-            if other.space == self.space:
-                return other.key == self.key
-            other = frozenset(other)
-        elif not isinstance(other, (set, frozenset)):
-            return NotImplemented
-        return len(other) == len(self) and other.issuperset(self)
-
-    def __hash__(self):
-        return hash(frozenset(self))
+            return other.space == self.space and other.key == self.key
+        if isinstance(other, (set, frozenset)):
+            return len(other) == len(self) and other.issuperset(self)
+        return NotImplemented
 
     def __iter__(self):
         """The elements, each once as the sum of c_k.row_k over the key's
@@ -282,26 +273,13 @@ class Subgroup:
             product(*map(range, map(mod, s, steps), repeat(L), steps)) for s in sums)
 
 
-def subgroup_key(group, subgroup_elements):
-    """The Hermite key of a whole subgroup: a ``Subgroup`` in the group's
-    (Z/L)^n is its key.  Of other elements, each in the order given that
-    lies outside the key so far joins it, until the key has as many
-    elements as were given, so they must be all of a subgroup."""
-    n, L = group.n, group.exponent
-    if isinstance(subgroup_elements, Subgroup) and subgroup_elements.space == (n, L):
-        return subgroup_elements.key
-    size = len(subgroup_elements)
-    key = hermite_key((), n, L)
-    order = 1
-    for e in subgroup_elements:
-        if order == size:
-            break
-        if not in_hermite(key, e):
-            if e not in group:
-                raise MembershipError("generator %s not in the group" % (e,))
-            key = hermite_key((*key, e), n, L)
-            order = hermite_order(key, L)
-    return key
+def subgroup_key(group, subgroup):
+    """The Hermite key of a ``Subgroup`` in the group's (Z/L)^n.  Anything
+    else is refused: a subgroup is handed over as its key, never listed
+    (``oracles.key_of_elements`` keys an element set)."""
+    if not isinstance(subgroup, Subgroup) or subgroup.space != (group.n, group.exponent):
+        raise MembershipError("not a subgroup of (Z/%d)^%d" % (group.exponent, group.n))
+    return subgroup.key
 
 
 class CharacterPairing:
@@ -342,11 +320,10 @@ class CharacterPairing:
         """The same pairing read from the dual side."""
         return CharacterPairing.between(self.right, self.left)
 
-    def annihilator(self, subgroup_elements):
-        """Dual subgroup: characters vanishing on the given left subgroup H,
-        as the ``Subgroup`` of the annihilator of H's key."""
-        return self.right.kernel_elements(self.dual_kernel(
-            subgroup_key(self.left, subgroup_elements)))
+    def annihilator(self, subgroup):
+        """Dual subgroup: characters vanishing on a left ``Subgroup`` H, as
+        the ``Subgroup`` of the annihilator of H's key."""
+        return self.right.kernel_elements(self.dual_kernel(subgroup_key(self.left, subgroup)))
 
     def dual_kernel(self, key):
         """The Hermite key of the annihilator of the left subgroup of a key:

@@ -97,10 +97,10 @@ def parse_group_element(line, group):
     return element
 
 
-def format_group_subgroup(group, elements):
-    """Generator lines for a subgroup given as a ``Subgroup``, read by its key,
-    or as its elements (``format_group_key``)."""
-    return format_group_key(group, subgroup_key(group, elements))
+def format_group_subgroup(group, subgroup):
+    """Generator lines for a ``Subgroup`` of the group, read off its key
+    (``format_group_key``)."""
+    return format_group_key(group, subgroup_key(group, subgroup))
 
 
 def format_group_key(group, key):

@@ -10,6 +10,7 @@ determinants and Cramer's weights.  Each quantity has one reference here.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement, repeat
 from math import prod
 from operator import mod, sub
@@ -56,12 +57,39 @@ def loop_perm_act(perm, vector):
     return tuple(out)
 
 
+@lru_cache(maxsize=4)
+def group_elements(group):
+    """Every element of a diagonal group, sorted, listed from its key;
+    refused past ``DEFAULT_GROUP_BOUND`` (``DiagonalGroup.kernel_elements``).
+    The latest few listings are kept, as scans of one group come in runs."""
+    return tuple(sorted(group.kernel_elements(group.key)))
+
+
+def key_of_elements(group, elements):
+    """The Hermite key of a subgroup of G given as its elements, each joining
+    the key when it lies outside it.  Refused unless the elements are all of
+    one subgroup: each lies in G, and so in the final key, and there are as
+    many distinct ones as the key's order."""
+    n, L = group.n, group.exponent
+    distinct = frozenset(elements)
+    key = hermite_key((), n, L)
+    for e in distinct:
+        if e not in group:
+            raise MembershipError("%s is not in the group" % (e,))
+        if not in_hermite(key, e):
+            key = hermite_key((*key, e), n, L)
+    if hermite_order(key, L) != len(distinct):
+        raise MembershipError("%d elements are not a subgroup: they span one of order %d"
+                              % (len(distinct), hermite_order(key, L)))
+    return key
+
+
 def ambient_elements(ambient):
     """Every element of a small G x| S, sorted."""
     if ambient.order > ORACLE_ORDER_BOUND:
         raise SizeBoundError("semidirect product of order %d exceeds %d"
                              % (ambient.order, ORACLE_ORDER_BOUND))
-    return sorted((v, s) for v in ambient.diag.elements
+    return sorted((v, s) for v in group_elements(ambient.diag)
                   for s in ambient.perms.elements)
 
 
@@ -270,7 +298,7 @@ def brute_conjugate_element(ambient, h1, t1, h2, t2):
 def brute_isotropy(group, subset):
     """Elements vanishing on the subset, by a scan of the whole group, cut
     down one point of the subset at a time."""
-    found = group.elements
+    found = group_elements(group)
     for i in subset:
         found = [e for e in found if not e[i]]
     return frozenset(found)
@@ -280,7 +308,7 @@ def brute_cocycle_kernel_order(diag, perms, subgroup):
     """#{w in G : u.w - w lies in the subgroup for every u in perms}, by a
     scan of G, cut down one u at a time."""
     L = diag.exponent
-    found = diag.elements
+    found = group_elements(diag)
     for u in perms:
         found = [w for w in found
                  if tuple(map(mod, map(sub, perm_act(u, w), w), repeat(L))) in subgroup]
@@ -327,7 +355,7 @@ def pairing_value(pairing, v, w):
 
 def brute_annihilator(pairing, subgroup_elements):
     """Characters of the right group pairing to zero with every given element."""
-    return frozenset(w for w in pairing.right.elements
+    return frozenset(w for w in group_elements(pairing.right)
                      if all(pairing_value(pairing, v, w) == 0 for v in subgroup_elements))
 
 
@@ -359,6 +387,7 @@ def check_hermite_keys(group, generator_sets):
     number of distinct subgroups; raises AssertionError on any mismatch.
     """
     n, L = group.n, group.exponent
+    every = group_elements(group)
     listed = {}
     for gens in generator_sets:
         elements = brute_span(group, gens)
@@ -368,7 +397,7 @@ def check_hermite_keys(group, generator_sets):
         if hermite_order(key, L) != len(elements):
             raise AssertionError("key %s gives order %d, listed %d"
                                  % (key, hermite_order(key, L), len(elements)))
-        if any(in_hermite(key, g) != (g in elements) for g in group.elements):
+        if any(in_hermite(key, g) != (g in elements) for g in every):
             raise AssertionError("key %s and its listed subgroup differ" % (key,))
         if frozenset(group.kernel_elements(key)) != elements:
             raise AssertionError("key %s lists another subgroup" % (key,))
@@ -386,13 +415,14 @@ def all_subgroups_abelian(group):
     if group.order > ORACLE_ORDER_BOUND:
         raise SizeBoundError("subgroup enumeration capped at order %d"
                              % ORACLE_ORDER_BOUND)
+    elements = group_elements(group)
     trivial = frozenset({group.zero})
     found = {trivial}
     queue = [trivial]
     while queue:
         h = queue.pop()
         covered = set(h)
-        for g in group.elements:
+        for g in elements:
             if g in covered:
                 continue
             covered.update(add(group, g, x) for x in h)

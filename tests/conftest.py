@@ -5,6 +5,7 @@ from hypothesis import settings
 
 from bhht.burnside import BurnsideElement, stratum_class
 from bhht.intmat import hermite_generators, hermite_key
+from bhht.oracles import key_of_elements
 from bhht.polynomials import ExponentMatrix, parse_polynomial
 
 # Property tests draw the same bounded examples on every run and store none.
@@ -41,6 +42,12 @@ def key_of(group, elements):
     """The Hermite key of the subgroup of a diagonal group that the elements
     generate: how a test hands ``HTClass`` an H it holds as elements."""
     return hermite_key(elements, group.n, group.exponent)
+
+
+def subgroup_of(group, elements):
+    """The ``Subgroup`` of a diagonal group that a test holds as all of its
+    elements, keyed by the oracle, which refuses any other element set."""
+    return group.kernel_elements(key_of_elements(group, elements))
 
 
 def stratum_elements(group, subset):

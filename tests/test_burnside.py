@@ -1,5 +1,6 @@
 import pytest
-from conftest import X1, key_of, seeded, stratum_classes_of, stratum_elements, summed
+from conftest import (X1, key_of, seeded, stratum_classes_of, stratum_elements, subgroup_of,
+                      summed)
 
 from bhht import burnside
 from bhht.burnside import (
@@ -10,7 +11,7 @@ from bhht.burnside import (
     saito_dual,
     stratum_class,
 )
-from bhht.diaggroups import CharacterPairing, DiagonalGroup, subgroup_key
+from bhht.diaggroups import CharacterPairing, DiagonalGroup
 from bhht.errors import AmbientMismatchError, MembershipError
 from bhht.euler import verify_duality
 from bhht.intmat import hermite_generators
@@ -20,10 +21,12 @@ from bhht.oracles import (
     brute_conjugating_perm,
     brute_span,
     brute_tag,
+    group_elements,
     h_elements_of,
     inv,
     key_class,
     key_induction,
+    key_of_elements,
     key_saito_dual,
     mul,
     naive_marks,
@@ -120,7 +123,7 @@ def test_ht_class_requires_invariant_h(small):
 
 
 def test_conjugate_test_identical(small):
-    h = frozenset(small.diag.elements)
+    h = frozenset(group_elements(small.diag))
     t = small.perms.element_set
     assert brute_conjugating_perm(small, h, t, h, t) == parse_cycles("e", 3)
 
@@ -213,7 +216,7 @@ def test_class_identity_matches_brute_force(polynomial, generators):
     by_tag = {}
     for h, t in split_subgroup_pairs(ambient.diag, ambient.perms):
         by_tag.setdefault(brute_tag(ambient, h, t), []).append(
-            key_class(ambient, subgroup_key(ambient.diag, h), generating_set(t)))
+            key_class(ambient, key_of_elements(ambient.diag, h), generating_set(t)))
     reps = []
     for same in by_tag.values():
         assert all(cls == same[0] and hash(cls) == hash(same[0]) for cls in same)
@@ -270,7 +273,7 @@ def test_classes_take_the_key_they_are_handed(monkeypatch):
 
 
 def test_element_arithmetic(small):
-    full = single(small, small.diag.elements, small.perms.elements)
+    full = single(small, group_elements(small.diag), small.perms.elements)
     assert summed(small, full, BurnsideElement(small)) == full
     assert full.scale(2) == summed(small, full, full)
     assert summed(small, full, full.scale(-1)) == BurnsideElement(small)
@@ -482,8 +485,8 @@ def test_dual_conjugacy_criterion(small, small_classes):
         for b in small_classes:
             ha, hb = h_elements_of(a), h_elements_of(b)
             forward = brute_conjugating_perm(small, ha, a.t_elements, hb, b.t_elements)
-            da = (frozenset(pairing.annihilator(ha)), a.t_elements)
-            db = (frozenset(pairing.annihilator(hb)), b.t_elements)
+            da = (frozenset(pairing.annihilator(subgroup_of(pairing.left, ha))), a.t_elements)
+            db = (frozenset(pairing.annihilator(subgroup_of(pairing.left, hb))), b.t_elements)
             backward = brute_conjugating_perm(dual_ambient, *da, *db)
             assert (forward is None) == (backward is None)
 

@@ -4,7 +4,7 @@ from math import gcd, lcm
 from operator import mul
 
 import pytest
-from conftest import key_of, random_invertible, seeded, stratum_elements
+from conftest import key_of, random_invertible, seeded, stratum_elements, subgroup_of
 
 from bhht import diaggroups
 from bhht.diaggroups import (
@@ -15,7 +15,7 @@ from bhht.diaggroups import (
     subgroup_key,
 )
 from bhht.errors import BhhtError, DegeneratePairingError, MembershipError, SizeBoundError
-from bhht.fixtures import load_catalogue, parse_group_element
+from bhht.fixtures import format_group_subgroup, load_catalogue, parse_group_element
 from bhht.intmat import hermite_generators, hermite_key, hermite_order, kernel_mod
 from bhht.oracles import (
     add,
@@ -26,7 +26,9 @@ from bhht.oracles import (
     brute_span,
     check_hermite_keys,
     determinant,
+    group_elements,
     kernel_nondegenerate,
+    key_of_elements,
     pairing_value,
     weights,
 )
@@ -54,8 +56,9 @@ def test_order_equals_det_random():
         m = random_invertible(rng, max_vars=5)
         g = DiagonalGroup(m.anchored())
         assert g.order == abs(determinant(m.rows))
-        assert len(g.elements) == g.order
-        for e in g.elements:
+        elements = group_elements(g)
+        assert len(elements) == g.order
+        for e in elements:
             assert e in g
 
 
@@ -84,14 +87,14 @@ def test_determinant_and_grading_match_bareiss_and_cramer():
 def test_cyclic_of_order_six():
     g = DiagonalGroup(parse_polynomial("x1^2*x2+x2^3"))
     assert g.order == 6
-    orders = sorted({len(brute_span(g, [e])) for e in g.elements})
+    orders = sorted({len(brute_span(g, [e])) for e in group_elements(g)})
     assert 6 in orders  # cyclic: an element of full order exists
 
 
 def test_single_variable_power():
     g = DiagonalGroup(parse_polynomial("x1^7"))
     assert g.order == 7
-    assert g.elements == tuple((k,) for k in range(7))
+    assert group_elements(g) == tuple((k,) for k in range(7))
 
 
 def test_quintic_generators(gq):
@@ -107,17 +110,17 @@ def test_size_bound():
     m = parse_polynomial("+".join("x%d^8" % i for i in range(1, 8)))
     g = DiagonalGroup(m)
     with pytest.raises(SizeBoundError):
-        _ = g.elements  # 8^7 > 10^6
+        group_elements(g)  # 8^7 > 10^6
 
 
 # -- subgroups ---------------------------------------------------------------
 
 
 def test_subgroup_generated_trivial_and_full(gq):
-    assert subgroup_key(gq, [gq.zero]) == key_of(gq, ())
+    assert key_of_elements(gq, [gq.zero]) == key_of(gq, ())
     gens = hermite_generators(gq.key, gq.exponent)
-    assert brute_span(gq, gens) == frozenset(gq.elements)
-    assert subgroup_key(gq, gq.elements) == gq.key
+    assert brute_span(gq, gens) == frozenset(group_elements(gq))
+    assert key_of_elements(gq, group_elements(gq)) == gq.key
 
 
 def test_exponential_grading_subgroup(gq):
@@ -134,7 +137,7 @@ def test_generator_not_in_group():
     assert len(outside) == 6 and (3, 0) in g
     for order in (sorted(outside), sorted(outside, reverse=True)):
         with pytest.raises(MembershipError):
-            subgroup_key(g, order)
+            key_of_elements(g, order)
 
 
 def test_membership_requires_reduced_vectors():
@@ -148,23 +151,24 @@ def test_exponent_is_largest_element_order():
     for _ in range(40):
         g = DiagonalGroup(random_invertible(rng, max_vars=3))
         L = g.exponent
-        assert len(g.elements) == g.order
-        assert max(L // gcd(L, *e) for e in g.elements) == L
+        elements = group_elements(g)
+        assert len(elements) == g.order
+        assert max(L // gcd(L, *e) for e in elements) == L
 
 
 def test_isotropy_on_stratum(gq):
     assert stratum_elements(gq, range(5)) == frozenset({gq.zero})
-    assert stratum_elements(gq, []) == frozenset(gq.elements)
+    assert stratum_elements(gq, []) == frozenset(group_elements(gq))
     assert len(stratum_elements(gq, [0, 1])) == 125
 
 
 def test_fixed_subgroup(gq):
     # the elements every permutation fixes: constant on the orbits
     def fixed(perms):
-        return frozenset(v for v in gq.elements
+        return frozenset(v for v in group_elements(gq)
                          if all(perm_act(p, v) == v for p in perms.generators))
 
-    assert fixed(PermGroup(5, ())) == frozenset(gq.elements)
+    assert fixed(PermGroup(5, ())) == frozenset(group_elements(gq))
     assert len(fixed(group_from_generators(5, ["(12)(34)"]))) == 125
     transitive = group_from_generators(5, ["(12345)"])
     assert fixed(transitive) == brute_span(gq, [gq.grading])
@@ -210,11 +214,10 @@ def test_perm_act_membership_iff_symmetry():
     swap = parse_cycles("(12)", 2)
     with pytest.raises(NotInvariantError):
         check_invariance(m, group_from_generators(2, ["(12)"]))
-    assert frozenset(perm_act(swap, e) for e in g.elements) \
-        != frozenset(g.elements)
-    gq = DiagonalGroup(parse_polynomial("x1^3+x2^3"))
-    assert frozenset(perm_act(parse_cycles("(12)", 2), e) for e in gq.elements) \
-        == frozenset(gq.elements)
+    elements = frozenset(group_elements(g))
+    assert frozenset(perm_act(swap, e) for e in elements) != elements
+    elements = frozenset(group_elements(DiagonalGroup(parse_polynomial("x1^3+x2^3"))))
+    assert frozenset(perm_act(swap, e) for e in elements) == elements
 
 
 # -- pairing and annihilators ---------------------------------------------------
@@ -237,8 +240,8 @@ def test_pairing_membership_checked():
 def test_pairing_bilinear(x14):
     pairing = CharacterPairing(x14)
     rng = seeded(33)
-    left = pairing.left.elements
-    right = pairing.right.elements
+    left = group_elements(pairing.left)
+    right = group_elements(pairing.right)
     for _ in range(50):
         v1, v2 = rng.choice(left), rng.choice(left)
         w = rng.choice(right)
@@ -326,9 +329,10 @@ def test_pairing_symmetric_under_swap(x15):
     pairing = CharacterPairing(x15)
     sw = pairing.swapped()
     rng = seeded(34)
+    left, right = group_elements(pairing.left), group_elements(pairing.right)
     for _ in range(50):
-        v = rng.choice(pairing.left.elements)
-        w = rng.choice(pairing.right.elements)
+        v = rng.choice(left)
+        w = rng.choice(right)
         assert pairing_value(pairing, v, w) == pairing_value(sw, w, v)
 
 
@@ -378,26 +382,28 @@ def test_pairing_equivariance(quintic, x14, x15):
                          (x14, ["(12)(34)"]), (x15, ["(12345)"])):
         pairing = CharacterPairing(matrix)
         perms = group_from_generators(5, gens)
+        left, right = group_elements(pairing.left), group_elements(pairing.right)
         for _ in range(30):
             s = rng.choice(perms.elements)
-            v = rng.choice(pairing.left.elements)
-            w = rng.choice(pairing.right.elements)
+            v = rng.choice(left)
+            w = rng.choice(right)
             assert pairing_value(pairing, perm_act(s, v), perm_act(s, w)) \
                 == pairing_value(pairing, v, w)
 
 
 def test_annihilator_extremes(quintic):
     pairing = CharacterPairing(quintic)
-    assert frozenset(pairing.annihilator(frozenset(pairing.left.elements))) \
-        == frozenset({pairing.right.zero})
-    assert frozenset(pairing.annihilator(frozenset({pairing.left.zero}))) \
-        == frozenset(pairing.right.elements)
+    left = subgroup_of(pairing.left, group_elements(pairing.left))
+    assert frozenset(pairing.annihilator(left)) == frozenset({pairing.right.zero})
+    trivial = subgroup_of(pairing.left, {pairing.left.zero})
+    assert frozenset(pairing.annihilator(trivial)) == frozenset(group_elements(pairing.right))
 
 
 def test_annihilator_of_grading_element(quintic):
     # characters killing the grading element: total exponent divisible by 5
     pairing = CharacterPairing(quintic)
-    ann = frozenset(pairing.annihilator(brute_span(pairing.left, [pairing.left.grading])))
+    h = subgroup_of(pairing.left, brute_span(pairing.left, [pairing.left.grading]))
+    ann = frozenset(pairing.annihilator(h))
     assert len(ann) == 625
     assert all(sum(w) % 5 == 0 for w in ann)
 
@@ -417,8 +423,8 @@ def test_annihilator_order_law_and_double_dual():
                  "x1^2*x2+x2^2*x3+x3^3", "x1^7"):
         pairing = CharacterPairing(parse_polynomial(text))
         for h in all_subgroups_abelian(pairing.left):
-            ann = frozenset(pairing.annihilator(h))
-            assert len(h) * len(ann) == pairing.left.order
+            ann = pairing.annihilator(subgroup_of(pairing.left, h))
+            assert len(h) * len(frozenset(ann)) == pairing.left.order
             assert frozenset(pairing.swapped().annihilator(ann)) == h
 
 
@@ -433,7 +439,7 @@ def test_annihilator_s_invariance(quintic):
          parse_group_element("1/5(0,1,2,3,4)", pairing.left)])
     for s in perms.elements:
         assert frozenset(perm_act(s, x) for x in h) == h
-    ann = frozenset(pairing.annihilator(h))
+    ann = frozenset(pairing.annihilator(subgroup_of(pairing.left, h)))
     for s in perms.elements:
         assert frozenset(perm_act(s, x) for x in ann) == ann
 
@@ -443,16 +449,19 @@ def test_annihilator_kernel_matches_pairing_scan(quintic, x14):
     for matrix in (quintic, x14):
         pairing = CharacterPairing(matrix)
         rng = seeded(37)
+        left = group_elements(pairing.left)
         for size in range(4):
-            gens = [rng.choice(pairing.left.elements) for _ in range(size)]
+            gens = [rng.choice(left) for _ in range(size)]
             h = brute_span(pairing.left, gens)
-            assert frozenset(pairing.annihilator(h)) == brute_annihilator(pairing, h)
+            ann = pairing.annihilator(subgroup_of(pairing.left, h))
+            assert frozenset(ann) == brute_annihilator(pairing, h)
     for text in ("x1^2*x2+x2^3", "x1^2+x2^2+x3^2", "x1^4*x2+x2^4*x1",
                  "x1^2*x2+x2^2*x3+x3^3"):
         pairing = CharacterPairing(parse_polynomial(text))
         for side in (pairing, pairing.swapped()):
             for h in all_subgroups_abelian(side.left):
-                assert frozenset(side.annihilator(h)) == brute_annihilator(side, h)
+                ann = side.annihilator(subgroup_of(side.left, h))
+                assert frozenset(ann) == brute_annihilator(side, h)
 
 
 def test_kernels_never_list_the_whole_group():
@@ -461,10 +470,10 @@ def test_kernels_never_list_the_whole_group():
     pairing = CharacterPairing(matrix)
     assert pairing.right.order == 8 ** 7 > DEFAULT_GROUP_BOUND
     with pytest.raises(SizeBoundError):
-        _ = pairing.right.elements
+        group_elements(pairing.right)
     h = stratum_elements(pairing.left, range(5))
     assert len(h) == 64
-    assert len(frozenset(pairing.annihilator(h))) == 8 ** 5
+    assert len(frozenset(pairing.annihilator(subgroup_of(pairing.left, h)))) == 8 ** 5
     with pytest.raises(SizeBoundError):
         stratum_elements(pairing.left, [])  # all of G
     pairing.verify_nondegenerate()
@@ -565,10 +574,11 @@ def test_the_key_of_the_block_generators_is_the_kernel_of_e():
 
 def test_generating_subset_round_trip(gq):
     rng = seeded(36)
+    elements = group_elements(gq)
     for _ in range(20):
-        gens = [rng.choice(gq.elements) for _ in range(rng.randint(1, 3))]
+        gens = [rng.choice(elements) for _ in range(rng.randint(1, 3))]
         h = brute_span(gq, gens)
-        key = subgroup_key(gq, h)
+        key = key_of_elements(gq, h)
         small = hermite_generators(key, gq.exponent)
         assert brute_span(gq, small) == h
         assert key == key_of(gq, gens)
@@ -609,11 +619,12 @@ def test_reduced_congruences_cut_out_the_group():
         if group.order > 2000:
             continue
         scanned += 1
+        elements = group_elements(group)
         for _ in range(5):
             rows = [[rng.randrange(-L, L) for _ in range(n)]
                     for _ in range(rng.randint(1, 3))]
             key = kernel_mod([*group.matrix.rows, *rows], n, L)
-            scan = frozenset(g for g in group.elements if all(
+            scan = frozenset(g for g in elements if all(
                 sum(r * a for r, a in zip(row, g)) % L == 0 for row in rows))
             assert hermite_order(key, L) == len(scan), (matrix, rows)
             assert frozenset(group.kernel_elements(key)) == scan, (matrix, rows)
@@ -637,7 +648,8 @@ def test_hermite_rows_are_the_greedy_generators_and_order_subgroups_as_listed():
             continue
         groups += 1
         L = group.exponent
-        subgroups = [brute_span(group, [rng.choice(group.elements)
+        elements = group_elements(group)
+        subgroups = [brute_span(group, [rng.choice(elements)
                                         for _ in range(rng.randint(0, 3))])
                      for _ in range(5)]
         listed = []
@@ -649,7 +661,7 @@ def test_hermite_rows_are_the_greedy_generators_and_order_subgroups_as_listed():
                     partial += 1 < index < len(brute_span(group, [e]))
                     greedy.append(e)
                     closed = brute_span(group, greedy)
-            key = subgroup_key(group, h)
+            key = key_of_elements(group, h)
             assert key == key_of(group, h), matrix
             assert hermite_generators(key, L) == tuple(greedy), (matrix, h)
             listed.append((tuple(sorted(h)), tuple(greedy)))
@@ -672,9 +684,10 @@ def test_hermite_keys_match_listed_subgroups():
         if group.order > 2000:
             continue
         tested += 1
+        elements = group_elements(group)
         generator_sets = []
         for _ in range(4):
-            gens = [rng.choice(group.elements) for _ in range(rng.randint(1, 3))]
+            gens = [rng.choice(elements) for _ in range(rng.randint(1, 3))]
             generator_sets += [gens, gens[::-1], gens + [add(group, gens[0], gens[-1])],
                                brute_span(group, gens)]
         distinct += check_hermite_keys(group, generator_sets)
@@ -684,8 +697,8 @@ def test_hermite_keys_match_listed_subgroups():
 def test_key_listing_matches_span_closure():
     # random keys, each listed from the key and by closing its generators;
     # kernel_elements hands out a Subgroup, which answers len, in, == and !=
-    # from its key, and each answer, its walk and its hash are checked
-    # against that closure
+    # from its key, and each answer and its walk are checked against that
+    # closure
     rng, pick = seeded(45), seeded(47)
     kinds = dict.fromkeys(
         ["trivial", "full", "diagonal", "non-diagonal", "walked", "n = 1"], 0)
@@ -702,8 +715,9 @@ def test_key_listing_matches_span_closure():
         if group.order > 3000:
             continue
         n, L = group.n, group.exponent
+        elements = group_elements(group)
         generator_sets = [[], hermite_generators(group.key, L)]
-        generator_sets += [[rng.choice(group.elements) for _ in range(rng.randint(1, 3))]
+        generator_sets += [[rng.choice(elements) for _ in range(rng.randint(1, 3))]
                            for _ in range(6)]
         subgroups = []
         for gens in generator_sets:
@@ -725,11 +739,11 @@ def test_key_listing_matches_span_closure():
                 kinds["diagonal"] += 1
             kinds["walked"] += walked
             kinds["n = 1"] += n == 1
-            assert hash(listed) == hash(oracle) and oracle in {listed}, key
+            assert frozenset(listed) == oracle, key
             for other in (oracle, set(oracle)):
                 assert listed == other and other == listed, key
                 assert not (listed != other or other != listed), key
-            outside = [v for v in group.elements if v not in oracle]
+            outside = [v for v in elements if v not in oracle]
             unequal = []
             if len(oracle) > 1:
                 unequal.append(oracle - {pick.choice(sorted(oracle - {group.zero}))})
@@ -752,22 +766,55 @@ def test_key_listing_matches_span_closure():
     assert keys >= 200 and min(kinds.values()) >= 10, (keys, kinds)
 
 
-def test_subgroups_of_two_spaces_compare_by_their_elements():
-    # the trivial subgroups of a group with L = 5 and one with L = 15 are
-    # both {(0,)}, and their keys differ; the full group of the first and
-    # the subgroup of order 5 of the second have equal orders and differ
+def test_subgroups_of_two_spaces_are_unequal():
+    # a Subgroup equals another exactly when their (n, L) and keys are: the
+    # trivial subgroups of a group with L = 5 and one with L = 15 both list
+    # {(0,)} and are unequal, as are the full group of the first and the
+    # subgroup of order 5 of the second.  Each still equals the element set
+    # of the other; none has a hash, and subgroup_key and the annihilator
+    # read a Subgroup's key only in their own (Z/L)^n
     five, fifteen = (DiagonalGroup(parse_polynomial(f)) for f in ("x1^5", "x1^15"))
     trivial_5, trivial_15 = (g.kernel_elements(key_of(g, ())) for g in (five, fifteen))
     assert trivial_5.key != trivial_15.key
-    assert trivial_5 == trivial_15 and trivial_15 == trivial_5
-    assert hash(trivial_5) == hash(trivial_15) and len({trivial_5, trivial_15}) == 1
+    assert trivial_5 != trivial_15 and not trivial_15 == trivial_5
+    assert trivial_5 == frozenset(trivial_15) and set(trivial_5) == trivial_15
     full_5 = five.kernel_elements(five.key)
     order_5 = fifteen.kernel_elements(key_of(fifteen, [(3,)]))
     assert len(full_5) == len(order_5) == 5
     assert full_5 != order_5 and not order_5 == full_5
-    # subgroup_key reads a Subgroup's key only in its own (Z/L)^n
-    assert subgroup_key(fifteen, trivial_5) == key_of(fifteen, ())
-    assert subgroup_key(five, full_5) == five.key
+    again = DiagonalGroup(parse_polynomial("x1^5"))
+    assert full_5 == again.kernel_elements(again.key) and subgroup_key(again, full_5) == five.key
+    for sub in (trivial_5, order_5):
+        with pytest.raises(TypeError):
+            hash(sub)
+    with pytest.raises(MembershipError):
+        subgroup_key(fifteen, trivial_5)
+    with pytest.raises(MembershipError):
+        CharacterPairing(parse_polynomial("x1^15")).annihilator(trivial_5)
+
+
+def test_a_set_that_is_not_one_whole_subgroup_is_refused():
+    # x1^5's group is Z/5: 6, 9 and 12 are not reduced mod 5, and {0, 1}
+    # is two elements of the five it spans.  On x1^3+x2^3, {0, (1,0), (0,1)}
+    # is three of the nine it spans, and the subgroup of order 3 of
+    # x1^6+x2^6 that (2,0) spans has (4,0), no element of G; neither is a
+    # Subgroup of G, so neither has an annihilator or generator lines
+    five = DiagonalGroup(parse_polynomial("x1^5"))
+    for elements in ([(0,), (3,), (6,), (9,), (12,)], [(0,), (1,)]):
+        with pytest.raises(MembershipError):
+            key_of_elements(five, elements)
+    pairing = CharacterPairing(parse_polynomial("x1^3+x2^3"))
+    three = {(0, 0), (1, 0), (0, 1)}
+    sixes = DiagonalGroup(parse_polynomial("x1^6+x2^6"))
+    other = sixes.kernel_elements(key_of(sixes, [(2, 0)]))
+    assert set(other) == {(0, 0), (2, 0), (4, 0)}
+    for h in (three, other):
+        with pytest.raises(MembershipError):
+            key_of_elements(pairing.left, h)
+        with pytest.raises(MembershipError):
+            pairing.annihilator(h)
+        with pytest.raises(MembershipError):
+            format_group_subgroup(pairing.left, h)
 
 
 def test_listing_of_rows_walked_whole_matches_the_sums_of_the_rows():

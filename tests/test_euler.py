@@ -1,7 +1,7 @@
 from collections import Counter, deque
 
 import pytest
-from conftest import X14, X15, all_subsets, seeded, stratum_elements, summed
+from conftest import X14, X15, all_subsets, key_of, seeded, stratum_elements, summed
 from test_stratum_naming import CATALOGUE, catalogue_pairs, generated_pairs
 
 from bhht import euler, intmat
@@ -688,11 +688,11 @@ def measure_hermite_keys(monkeypatch):
 
 @pytest.mark.parametrize("name", ["pc_a3", "x15_z5", "table1_r2"])
 def test_every_hermite_key_of_a_verdict_is_n_wide(monkeypatch, name):
-    # a verdict and its lemma checks build no Hermite key at all; the paths
-    # that still key, an annihilator and a fixture's subgroup lines, solve
-    # kernels mod L at most n columns wide: a lattice stacked k + n wide
-    # would show here as a wider key.  A scan of S for a mixed class pair
-    # keys nothing
+    # a verdict and its lemma checks build no Hermite key at all; the path
+    # that still keys, an annihilator, solves kernels mod L at most n
+    # columns wide: a lattice stacked k + n wide would show here as a wider
+    # key.  A fixture's subgroup lines read a key, and a scan of S for a
+    # mixed class pair keys nothing
     from bhht.burnside import stratum_class
     from bhht.oracles import conjugators_by_scan
     from bhht.diaggroups import CharacterPairing
@@ -709,8 +709,8 @@ def test_every_hermite_key_of_a_verdict_is_n_wide(monkeypatch, name):
 
     group = report.lhs_analysis.group
     pairing = CharacterPairing.between(group, report.rhs_analysis.group)
-    kernel = stratum_elements(group, (0,))
-    assert len(frozenset(pairing.annihilator(kernel))) * len(kernel) == group.order
+    kernel = group.kernel_elements(key_of(group, group.stratum_kernel((0,))[0]))
+    assert len(frozenset(pairing.annihilator(kernel))) * len(frozenset(kernel)) == group.order
     assert format_group_subgroup(group, kernel) != ["full"]
     annihilator_keys = len(widths)
     # [G x| S] against [K_full x| S]: two strata, so S is scanned, and each

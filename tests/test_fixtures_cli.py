@@ -534,6 +534,19 @@ def test_fixture_dir_env_override(tmp_path, monkeypatch):
     assert code == 0 and "only" in out
 
 
+def test_fixtures_flag_beats_the_env_directory(tmp_path, monkeypatch):
+    # one fixture name in two directories, expected to hold in the flag's
+    # and to fail in SAITO_FIXTURES': the flag's is read when both are set
+    text = "[polynomial]\nx1^3+x2^3+x3^3\n\n[S]\n(123)\n\n[expect]\npc = %s\n"
+    flag, env = tmp_path / "flag", tmp_path / "env"
+    for directory, pc in ((flag, "true"), (env, "false")):
+        directory.mkdir()
+        (directory / "only.fix").write_text(text % pc)
+    monkeypatch.setenv("SAITO_FIXTURES", str(env))
+    assert run_cli("pc", "only", "--fixtures", str(flag))[0] == 0
+    assert run_cli("pc", "only")[0] == 1
+
+
 def test_missing_fixture_is_input_error():
     code, _ = run_cli("pc", "no_such_fixture_anywhere")
     assert code == 2
