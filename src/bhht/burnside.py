@@ -234,14 +234,14 @@ def mark(kprime, k):
         raise ValueError("a mark counts the cosets of a class named by stratum")
     perms = ambient.perms
     stabilizer, members = perms.orbit_carriers(closed)
-    lattice = stabilizer.lattice
+    classes = stabilizer.lattice.classes
     tp = kprime.t_elements
     total = 0
     for d in members:
         key = carried(perms, d, k.t_elements)[1]  # None unless T fixes D
         if key is None or any(h[i] for h in k.h_gens for i in d):
             continue
-        conjugates = lattice.class_members[key]
+        conjugates = classes[key]
         total += stabilizer.order // len(conjugates) * sum(
             ambient.diag.stratum_cocycle_order(closed, u) for u in conjugates if u <= tp)
     count, rest = divmod(total, kprime.order)

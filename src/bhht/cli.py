@@ -458,7 +458,7 @@ def cmd_selftest(args):
         lattice = group_from_generators(4, ["(12)", "(1234)"]).lattice
         _expect(set(lattice.subgroups) == brute_subgroups(lattice.group),
                 "lattice differs from the brute-force oracle")
-        _expect((len(lattice.subgroups), len(lattice.conjugacy_classes)) == (30, 11),
+        _expect((len(lattice.subgroups), len(lattice.classes)) == (30, 11),
                 "S4 should have 30 subgroups in 11 classes")
     step("subgroup lattice of S4 matches the brute-force oracle", lattice_battery)
 

@@ -274,11 +274,14 @@ class Subgroup:
 
 
 def subgroup_key(group, subgroup):
-    """The Hermite key of a ``Subgroup`` in the group's (Z/L)^n.  Anything
-    else is refused: a subgroup is handed over as its key, never listed
+    """The Hermite key of a ``Subgroup`` of the group: a key in the group's
+    (Z/L)^n whose generators all lie in G, as E's rows tell.  Anything else
+    is refused: a subgroup is handed over as its key, never listed
     (``oracles.key_of_elements`` keys an element set)."""
     if not isinstance(subgroup, Subgroup) or subgroup.space != (group.n, group.exponent):
         raise MembershipError("not a subgroup of (Z/%d)^%d" % (group.exponent, group.n))
+    if not all(g in group for g in hermite_generators(subgroup.key, group.exponent)):
+        raise MembershipError("not a subgroup of %r" % (group,))
     return subgroup.key
 
 

@@ -150,8 +150,7 @@ class EulerAnalysis:
 
 
 def _stratum_contribution(matrix, subset, group, perms, stabilizer, orbit_size):
-    lattice = stabilizer.lattice
-    keys = [lattice.class_key(cls) for cls in lattice.conjugacy_classes]
+    keys = list(stabilizer.lattice.classes)
     reps = {key: stabilizer.subgroup(key) for key in keys}
     # descending subgroup order; ties broken by the canonical representative
     order = sorted(keys, key=lambda k: (-len(k), k))

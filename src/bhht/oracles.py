@@ -236,16 +236,16 @@ def brute_conjugating_perm(ambient, h1, t1, h2, t2):
     return None
 
 
-def brute_conjugacy_classes(lattice):
+def brute_classes(lattice):
     """The lattice's subgroups partitioned into classes by conjugating each
-    by every element of the group; sorted index lists in lattice class order."""
-    index = {h: i for i, h in enumerate(lattice.subgroups)}
-    classes = {frozenset(index[frozenset(conjugate(g, h) for h in H)]
-                         for g in lattice.group.elements)
+    by every element of the group, in ``SubgroupLattice.classes``' shape:
+    each class's least member as a sorted tuple to its members, sorted, the
+    classes by (order, key)."""
+    classes = {frozenset(frozenset(conjugate(g, h) for h in H) for g in lattice.group.elements)
                for H in lattice.subgroups}
-    return sorted((sorted(cls) for cls in classes),
-                  key=lambda cls: (len(lattice.subgroups[cls[0]]),
-                                   lattice.class_key(cls)))
+    listed = sorted((sorted(cls, key=sorted) for cls in classes),
+                    key=lambda cls: (len(cls[0]), sorted(cls[0])))
+    return {tuple(sorted(cls[0])): cls for cls in listed}
 
 
 def brute_subgroups(group):

@@ -1,4 +1,4 @@
-"""Permutation groups on {0..n-1}: lattices, conjugacy classes, parity condition.
+"""Permutation groups on {0..n-1}: subset orbits, subgroup classes, parity condition.
 
 Permutations are tuples p with p[i] = image of point i.  Cycle notation in
 text is 1-based, e.g. ``(12)(34)``.
@@ -168,10 +168,9 @@ class PermGroup:
         the answer is kept for every member, and the members for the orbit
         (``orbit_carriers``).  The walk keeps, for each subset it meets, a p
         carrying the subset asked for there, so s is the representative's p
-        after the member's p inverted.  Equal
-        stabilizers are one object: the group itself for a subset it fixes,
-        the trivial subgroup for an orbit of |group| subsets, and otherwise
-        the subgroup of the elements that fix the representative.
+        after the member's p inverted.  The stabilizer is the subgroup of
+        the elements that fix the representative, one object per element
+        set (``subgroup``): the group itself for a subset it fixes.
         """
         walked = self._walked
         if walked is None:
@@ -193,15 +192,9 @@ class PermGroup:
                         nxt.append(y)
             frontier = nxt
         rep = min(reach)
-        if len(reach) == 1:
-            stab = self
-        elif len(reach) == self.order:
-            stab = self.subgroup([identity])
-        else:
-            inside = set(rep)
-            stab = self.subgroup([p for p in self.elements
-                                  if subset_image(p, rep) == inside])
-            assert self.order == len(reach) * stab.order
+        inside = set(rep)
+        stab = self.subgroup([p for p in self.elements if subset_image(p, rep) == inside])
+        assert self.order == len(reach) * stab.order
         to_rep = reach[rep]
         self._orbits[rep] = list(reach)
         walked.update((member, (rep, compose(to_rep, inverse(p)), stab))
@@ -300,13 +293,14 @@ def subset_image(p, subset):
 
 
 class SubgroupLattice:
-    """All subgroups of a small group, with their conjugacy classes.
+    """All subgroups of a small group, as their conjugacy classes.
 
-    The classes are found on the indices of the group's sorted elements
-    (``_subgroup_classes``), through a Cayley table dropped once they are.
-    The subgroups are indexed by (order, sorted elements), and each class is
-    the sorted list of its members' indices, in the order of least indices.
-    The order of the normalizer of a subgroup is |group| / |its class|.
+    ``classes`` maps each class's key, its least member as a sorted tuple,
+    to its members as element sets, sorted; the classes are listed by
+    (order, key).  The classes are found on the indices of the group's
+    sorted elements (``_subgroup_classes``), through a Cayley table dropped
+    once they are.  The order of the normalizer of a subgroup is
+    |group| / |its class|.
     """
 
     def __init__(self, group):
@@ -319,27 +313,21 @@ class SubgroupLattice:
         mul = [list(map(index.__getitem__, map(itemgetter(*q) if len(q) > 1 else tuple, els)))
                for q in els]
         classes = _subgroup_classes(mul, [index[g] for g in group.generators])
-        sets = sorted((s for cls in classes for s in cls),
-                      key=lambda s: (len(s), sorted(s)))
-        at = {s: i for i, s in enumerate(sets)}
-        self.subgroups = [frozenset([els[i] for i in s]) for s in sets]
-        self.conjugacy_classes = sorted(sorted(at[s] for s in cls) for cls in classes)
-
-    def class_key(self, cls):
-        """The class's least member as a sorted tuple: its first, as indexed."""
-        return tuple(sorted(self.subgroups[cls[0]]))
+        # index order is element order, so a sorted index set reads as the
+        # sorted tuple of its elements
+        listed = sorted((sorted(tuple([els[i] for i in sorted(s)]) for s in cls)
+                         for cls in classes), key=lambda cls: (len(cls[0]), cls[0]))
+        self.classes = {cls[0]: [frozenset(s) for s in cls] for cls in listed}
 
     @cached_property
     def key_of(self):
         """Each subgroup, as an element set, to the key of its class."""
-        return {self.subgroups[i]: self.class_key(cls)
-                for cls in self.conjugacy_classes for i in cls}
+        return {s: key for key, members in self.classes.items() for s in members}
 
     @cached_property
-    def class_members(self):
-        """The key of each class to its subgroups, as element sets."""
-        return {self.class_key(cls): [self.subgroups[i] for i in cls]
-                for cls in self.conjugacy_classes}
+    def subgroups(self):
+        """Every subgroup, as an element set, by (order, sorted elements)."""
+        return sorted(self.key_of, key=lambda s: (len(s), sorted(s)))
 
 
 def _subgroup_classes(mul, generators):
@@ -480,10 +468,8 @@ def pc_check(group):
         # an odd number of 2-cycles moves 2 mod 4 points
         if sum(map(ne, t, identity)) % 4 == 2 and compose(t, t) == identity:
             return PCResult(False, group.subgroup([identity, t]))
-    lattice = group.lattice
-    for cls in lattice.conjugacy_classes:
-        rep = lattice.subgroups[cls[0]]
-        orbits = {frozenset(p[i] for p in rep) for i in range(n)}
+    for key in group.lattice.classes:
+        orbits = {frozenset(p[i] for p in key) for i in range(n)}
         if (len(orbits) - n) % 2 != 0:
-            return PCResult(False, group.subgroup(rep))
+            return PCResult(False, group.subgroup(key))
     return PCResult(True, None)

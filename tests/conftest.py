@@ -67,7 +67,7 @@ def stratum_classes_of(ambient):
         closed = ambient.diag.zero_set(tuple(i for i in range(n) if mask >> i & 1))
         rep, _s, stabilizer = ambient.perms.subset_orbit(closed)
         classes.update(stratum_class(ambient, rep, key)
-                       for key in stabilizer.lattice.class_members)
+                       for key in stabilizer.lattice.classes)
     return sorted(classes, key=lambda cls: cls.name)
 
 

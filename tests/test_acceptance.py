@@ -181,9 +181,7 @@ def test_criterion_6_structural_suite(catalogue):
         pairing = CharacterPairing(matrix)
         perms = group_from_generators(5, gens)
         ambient = SemidirectAmbient(pairing.left, perms)
-        lattice = perms.lattice
-        t_choices = [frozenset(lattice.class_key(c))
-                     for c in lattice.conjugacy_classes]
+        t_choices = [frozenset(key) for key in perms.lattice.classes]
         sub = perms.subgroup(t_choices[min(1, len(t_choices) - 1)])
         sub_ambient = SemidirectAmbient(pairing.left, sub)
         sub_choices = [t for t in t_choices if t <= sub.element_set]

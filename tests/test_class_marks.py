@@ -120,7 +120,7 @@ def test_class_marks_match_the_scan_and_the_naive_count_on_generated_inputs():
 @pytest.mark.parametrize("text, generators", SYMMETRIC)
 def test_class_marks_sum_over_several_conjugates(text, generators):
     matrix, perms = symmetric_input(text, generators)
-    classes = perms.lattice.class_members.values()
+    classes = perms.lattice.classes.values()
     assert any(len(members) > 1 for members in classes)
     assert assert_class_marks(matrix, perms)
     assert_orbit_counts(matrix, perms)
@@ -220,12 +220,11 @@ def test_no_mark_scans_s(monkeypatch):
         assert count == fixed[kp](k)
         tp = kp.t_elements
         stabilizer, members = perms.orbit_carriers(kp.closed)
-        lattice = stabilizer.lattice
+        classes = stabilizer.lattice.classes
         adding = [d for d in members
                   if not any(h[i] for h in k.h_gens for i in d)
                   and all(set(t[i] for i in d) == set(d) for t in k.t_elements)
-                  and any(u <= tp for u in lattice.class_members[
-                      carried(perms, d, k.t_elements)[1]])]
+                  and any(u <= tp for u in classes[carried(perms, d, k.t_elements)[1]])]
         if len(adding) > 1:  # a member other than K''s zero set adds
             summed += 1
     assert summed

@@ -817,6 +817,28 @@ def test_a_set_that_is_not_one_whole_subgroup_is_refused():
             format_group_subgroup(pairing.left, h)
 
 
+def test_a_subgroup_of_another_group_of_the_same_space_is_refused():
+    # x1^2*x2+x1*x2^2 and x1^3+x2^3 both have n = 2 and L = 3, and (1,0) is
+    # in the second's G but not in the first's, of order 3: the Subgroup
+    # (1,0) spans is in the first's (Z/3)^2 and is still refused there, as
+    # subgroup_key reads its key's generators against E's rows
+    pairing = CharacterPairing(parse_polynomial("x1^2*x2+x1*x2^2"))
+    small = pairing.left
+    big = DiagonalGroup(parse_polynomial("x1^3+x2^3"))
+    assert (small.n, small.exponent, small.order) == (2, 3, 3) and (1, 0) not in small
+    sub = subgroup_of(big, [(0, 0), (1, 0), (2, 0)])
+    assert sub.space == (small.n, small.exponent)
+    with pytest.raises(MembershipError):
+        subgroup_key(small, sub)
+    with pytest.raises(MembershipError):
+        format_group_subgroup(small, sub)
+    with pytest.raises(MembershipError):
+        pairing.annihilator(sub)
+    own = small.kernel_elements(small.key)
+    assert subgroup_key(small, own) == small.key
+    assert format_group_subgroup(small, own) == ["full"]
+
+
 def test_listing_of_rows_walked_whole_matches_the_sums_of_the_rows():
     # perfbench's mirror03 input: G = <J, 1/100(29,31,10,7,57,30)> in the
     # group of this f, L = 300.  Past its pivot, row 1's multiples first

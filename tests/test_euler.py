@@ -91,9 +91,8 @@ def test_fold_fullness_alone_decides_a_fixed_chi():
         for subset, stabilizer, _size in perms.orbits_of(all_subsets(matrix.n)):
             if not subset:
                 continue
-            lattice = stabilizer.lattice
-            for cls in lattice.conjugacy_classes:
-                t = stabilizer.subgroup(lattice.class_key(cls))
+            for key in stabilizer.lattice.classes:
+                t = stabilizer.subgroup(key)
                 short += not assert_matches_milnor_orlik(matrix, subset, t)
     assert short
 
@@ -363,9 +362,8 @@ def test_sign_law_under_pc():
     # all fixed-locus chis on the open torus share the sign (-1)^(n-1)
     matrix = parse_polynomial("x1^3+x2^3+x3^3+x4^3+x5^3")
     s = group_from_generators(5, ["D10"])
-    lattice = s.lattice
-    for cls in lattice.conjugacy_classes:
-        t = s.subgroup(lattice.class_key(cls))
+    for key in s.lattice.classes:
+        t = s.subgroup(key)
         value = fixed_chi(matrix, tuple(range(5)), t)
         assert value != 0
         assert value * (-1) ** (5 - 1) > 0
@@ -501,8 +499,7 @@ def test_deepest_coefficient_matches_orbit_parity(x14):
 
 
 def class_reps(group):
-    lattice = group.lattice
-    return [group.subgroup(lattice.class_key(cls)) for cls in lattice.conjugacy_classes]
+    return [group.subgroup(key) for key in group.lattice.classes]
 
 
 def test_stratum_profile_trivial():

@@ -24,7 +24,7 @@ from bhht.permgroups import (
     subset_image,
 )
 from bhht.oracles import (
-    brute_conjugacy_classes,
+    brute_classes,
     brute_normalizer_order,
     brute_subgroups,
     brute_subset_representative,
@@ -114,7 +114,7 @@ def test_contains_and_inverses():
 def test_lattice_klein_four():
     g = group_from_generators(4, ["(12)(34)", "(13)(24)"])
     assert len(g.lattice.subgroups) == 5
-    assert len(g.lattice.conjugacy_classes) == 5  # abelian: no fusion
+    assert len(g.lattice.classes) == 5  # abelian: no fusion
 
 
 def test_lattice_prime_cyclic():
@@ -125,13 +125,13 @@ def test_lattice_prime_cyclic():
 def test_lattice_a5_class_count():
     g = group_from_generators(5, ["A5"])
     assert len(g.lattice.subgroups) == 59
-    assert len(g.lattice.conjugacy_classes) == 9
+    assert len(g.lattice.classes) == 9
 
 
 def test_lattice_s4_counts():
     g = group_from_generators(4, ["(12)", "(1234)"])
     assert len(g.lattice.subgroups) == 30
-    assert len(g.lattice.conjugacy_classes) == 11
+    assert len(g.lattice.classes) == 11
 
 
 def test_lattice_matches_brute_force():
@@ -153,7 +153,7 @@ def test_lattice_of_a6_counts(monkeypatch):
     lattice = group_from_generators(6, ["(123)", "(23456)"]).lattice
     assert lattice.group.order == 360
     assert len(lattice.subgroups) == 501
-    assert len(lattice.conjugacy_classes) == 22
+    assert len(lattice.classes) == 22
     # S6 has 1,455 in 56; extending one member of each class by one element
     # of each of its double cosets takes a few thousand bounded closures
     bounded = []
@@ -167,7 +167,7 @@ def test_lattice_of_a6_counts(monkeypatch):
     monkeypatch.setattr(permgroups, "orbit", counted)
     lattice = s6.lattice
     assert len(lattice.subgroups) == 1455
-    assert len(lattice.conjugacy_classes) == 56
+    assert len(lattice.classes) == 56
     assert sum(bounded) < 5000
 
 
@@ -186,10 +186,12 @@ def test_lattices_of_the_smallest_groups():
     # on one point a getter returns a bare point, not a permutation
     trivial = group_from_generators(1, [])
     assert trivial.lattice.subgroups == [frozenset({(0,)})]
-    assert trivial.lattice.conjugacy_classes == [[0]]
+    assert trivial.lattice.classes == {((0,),): [frozenset({(0,)})]}
     s2 = group_from_generators(2, ["(12)"])
     assert s2.lattice.subgroups == [frozenset({(0, 1)}), frozenset({(0, 1), (1, 0)})]
-    assert s2.lattice.conjugacy_classes == [[0], [1]]
+    assert list(s2.lattice.classes.items()) == [
+        (((0, 1),), [frozenset({(0, 1)})]),
+        (((0, 1), (1, 0)), [frozenset({(0, 1), (1, 0)})])]
     for group in (trivial, s2):
         assert set(group.lattice.subgroups) == brute_subgroups(group)
 
@@ -197,12 +199,11 @@ def test_lattices_of_the_smallest_groups():
 def test_normalizer_and_conjugacy():
     g = group_from_generators(3, ["(12)", "(123)"])  # S3
     h = frozenset({identity_perm(3), parse_cycles("(12)", 3)})
-    cls = next(c for c in g.lattice.conjugacy_classes
-               if h in (g.lattice.subgroups[i] for i in c))
-    assert len(cls) == 3  # three conjugate reflections
+    key = g.lattice.key_of[h]
+    cls = g.lattice.classes[key]
+    assert h in cls and len(cls) == 3  # three conjugate reflections
     assert g.order // len(cls) == 2  # N(<(12)>) = <(12)>
-    assert g.lattice.class_key(cls) == min(
-        tuple(sorted(g.lattice.subgroups[i])) for i in cls)
+    assert key == min(tuple(sorted(u)) for u in cls) == tuple(sorted(cls[0]))
 
 
 @pytest.fixture(scope="module")
@@ -215,20 +216,19 @@ def class_groups():
 def test_conjugacy_classes_match_scan(class_groups):
     for g in class_groups:
         lattice = g.lattice
-        assert lattice.conjugacy_classes == brute_conjugacy_classes(lattice), g
-        for cls in lattice.conjugacy_classes:
-            key = min(tuple(sorted(lattice.subgroups[i])) for i in cls)
-            assert lattice.class_key(cls) == key
-            assert all(lattice.key_of[lattice.subgroups[i]] == key for i in cls)
+        # dict equality ignores order: the listed items keep it checked
+        assert list(lattice.classes.items()) == list(brute_classes(lattice).items()), g
+        for key, cls in lattice.classes.items():
+            assert key == min(tuple(sorted(u)) for u in cls)
+            assert all(lattice.key_of[u] == key for u in cls)
 
 
 def test_normalizer_orders_from_class_sizes_match_scan(class_groups):
     for g in class_groups:
         lattice = g.lattice
-        for cls in lattice.conjugacy_classes:
-            for i in cls:
-                assert g.order // len(cls) == brute_normalizer_order(
-                    g, lattice.subgroups[i]), (g, lattice.subgroups[i])
+        for cls in lattice.classes.values():
+            for u in cls:
+                assert g.order // len(cls) == brute_normalizer_order(g, u), (g, u)
 
 
 def test_subset_walk_representative_matches_scan():
@@ -281,8 +281,8 @@ def test_orbit_count_conjugation_invariant():
     g = group_from_generators(5, ["(12345)", "(14)(23)"])
     rng = seeded(22)
     subsets = [frozenset({0, 1}), frozenset({0, 2, 4}), frozenset(range(5))]
-    for cls in g.lattice.conjugacy_classes:
-        t = g.subgroup(g.lattice.class_key(cls))
+    for key in g.lattice.classes:
+        t = g.subgroup(key)
         for s in g.elements:
             conj = g.subgroup(frozenset(conjugate(s, p) for p in t.element_set))
             for subset in subsets:
@@ -317,9 +317,8 @@ def test_pc_implies_alternating_over_s5():
 def _class_based_witness(group):
     # the earlier choice: the representative of the first violating class,
     # classes ordered by (order, least sorted member)
-    lattice = group.lattice
-    for cls in lattice.conjugacy_classes:
-        sub = group.subgroup(lattice.class_key(cls))
+    for key in group.lattice.classes:
+        sub = group.subgroup(key)
         if (orbit_count(sub, range(group.n)) - group.n) % 2:
             return sub.generators
     return None
@@ -394,10 +393,13 @@ def test_orbits_on_subsets_trivial():
 
 
 def test_orbits_on_subsets_double_swap():
-    out = orbits_on_subsets(group_from_generators(5, ["(12)(34)"]))
+    g = group_from_generators(5, ["(12)(34)"])
+    out = orbits_on_subsets(g)
     assert sum(size for _r, _s, size in out) == 32
-    reps = {rep for rep, _s, _size in out}
-    assert (0,) in reps and (1,) not in reps  # {1} and {2} merged
+    stabilizers = {rep: s for rep, s, _size in out}
+    assert (0,) in stabilizers and (1,) not in stabilizers  # {1} and {2} merged
+    assert stabilizers[(4,)] is g  # a fixed subset
+    assert stabilizers[(0,)] is g.subgroup([identity_perm(5)])  # an orbit of |S| subsets
 
 
 def test_orbits_on_subsets_full_symmetric():
@@ -424,9 +426,8 @@ def test_quasi_parity_for_complementary_subsets():
     assert pc_check(g).satisfies
     for rep, stab, _size in orbits_on_subsets(g):
         complement = tuple(sorted(set(range(5)) - set(rep)))
-        lat = stab.lattice
-        for cls in lat.conjugacy_classes:
-            t = stab.subgroup(lat.class_key(cls))
+        for key in stab.lattice.classes:
+            t = stab.subgroup(key)
             lhs = orbit_count(t, rep) - orbit_count(stab, rep)
             rhs = orbit_count(t, complement) - orbit_count(stab, complement)
             assert (lhs - rhs) % 2 == 0

@@ -69,6 +69,11 @@ def test_subset_orbit_matches_the_all_subsets_walk(group):
         stabilizers[rep] = stab
     listed = [(rep, stab, group.order // stab.order) for rep, stab in stabilizers.items()]
     assert all(size == sizes[rep] for rep, _stab, size in listed)
+    # a fixed subset's stabilizer is the group, and an orbit of |S| subsets'
+    # the trivial subgroup, each the one object of its element set
+    assert stabilizers[()] is group
+    trivial = group.subgroup([tuple(range(group.n))])
+    assert all(stab is trivial for _rep, stab, size in listed if size == group.order)
     assert group.orbits_of(all_subsets(group.n)) == sorted(
         listed, key=lambda item: (len(item[0]), item[0]))
 
