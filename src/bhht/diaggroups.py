@@ -41,8 +41,6 @@ class DiagonalGroup:
     """The group of diagonal symmetries of an exponent matrix, spanned by its g_B."""
 
     def __init__(self, matrix):
-        if not matrix.is_square:
-            raise ValueError("diagonal symmetry group needs a square matrix")
         self.matrix = matrix
         n = self.n = matrix.n
         # a block's monomials v_i^a_i v_(i+1) give its angles, in block order,

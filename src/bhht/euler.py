@@ -12,7 +12,10 @@ marks against the fixed-point Euler characteristics, which are signed
 products of the orders of the chains and loops that f^I folds into along
 T's orbits.  Both whether a stratum counts and those counts are read off
 f's anchored exponent rows (``fixed_chi``); f is never restricted to a
-stratum.  Each class is named by its stratum: by the zero set C of K_I,
+stratum.  A class is its key in the lattice of S_I: T's orbits on I are
+read off the key once (``permgroups.orbits``) and kept on the stratum for
+the fold and the lemma checks, and no subgroup object is made for it.
+Each class is named by its stratum: by the zero set C of K_I,
 which is I itself unless K_I vanishes beyond I, carried to the
 representative of its S-orbit, and by T's class key in the lattice of S_C
 (``burnside.stratum_class``); the point class is ((), S): Z(G) is empty,
@@ -38,14 +41,15 @@ from .burnside import (
 )
 from .diaggroups import CharacterPairing, DiagonalGroup, perm_act
 from .errors import NotInvariantError, StructuralAssumptionViolated
-from .permgroups import orbit_count, orbits, pc_check
+from .permgroups import orbits, pc_check
 from .polynomials import AtomicBlock, check_invariance, link_blocks, transpose
 
 
-def _stratum_profile(subset, stabilizer, reps):
+def _stratum_profile(stabilizer, counts):
     """Key identifying the coloured subgroup diagram of a stratum.
 
-    ``reps`` are the stabilizer's class representatives, in class order.
+    ``counts`` maps each class key of the stabilizer, in class order, to
+    its subgroup's orbit count on the stratum.
 
     Colours are fixed-space dimension parities taken relative to the deepest
     node (the full stabilizer); with that normalisation the coefficient
@@ -54,8 +58,8 @@ def _stratum_profile(subset, stabilizer, reps):
     parity, which flips between a stratum and its complement when the
     variable count is odd.
     """
-    deepest = orbit_count(stabilizer, subset)
-    colours = tuple((orbit_count(rep, subset) - deepest) % 2 for rep in reps)
+    deepest = counts[stabilizer.elements]
+    colours = tuple((count - deepest) % 2 for count in counts.values())
     return (stabilizer.element_set, colours), (-1) ** (deepest - 1)
 
 
@@ -64,24 +68,27 @@ def fixed_chi(matrix, subset, perms):
     stratum of a subset I, for T = ``perms``, from f's anchored rows.
 
     T must move the monomial anchored at each a of I to the one anchored at
-    t(a), coefficient included, as every symmetry of f does; so it preserves
-    f^I, and it refuses T otherwise.  Zero unless f^I is full
-    (``ExponentMatrix.full_on``).  Then the monomials anchored in one
-    T-orbit fold along T's orbits to one monomial, with coefficient
-    |orbit|.c, never 0, and chi is (-1)^(k-1) |det F| for the matrix F of
-    the k folded monomials.  T commutes with the successor map, which is
-    injective, so it maps each orbit onto an orbit, one to one, and the
-    folded monomials are chains and loops on the orbits, with the exponents
-    of their points; det F is the product of their orders d
-    (``AtomicBlock.order``), none negative.  A loop folded onto one orbit
-    gives x_O^(a+1), the 1-loop of order a + 1.
+    t(a), as every symmetry of f does (``_check_moves``).  Zero unless f^I
+    is full (``ExponentMatrix.full_on``); then the fold of f^I along T's
+    orbits on I (``_fold``).
     """
     if not subset:
         raise ValueError("the empty stratum has no fibre points")
     matrix = matrix.anchored()
+    _check_moves(matrix, subset, perms.generators)
+    if not matrix.full_on(subset):
+        return 0
+    return _fold(matrix, orbits(perms.elements, subset))
+
+
+def _check_moves(matrix, subset, generators):
+    """Refuse, unless each generator maps the subset onto itself and the
+    monomial anchored at each a of it, coefficient included, to the one
+    anchored at the image of a; so it preserves f^I.  The matrix is
+    anchored.  What the generators pass, every product of them passes."""
     rows, coefficients = matrix.rows, matrix.coefficient_ids
     inside = set(subset)
-    for p in perms.generators:
+    for p in generators:
         if {p[j] for j in inside} != inside:
             raise NotInvariantError("group does not preserve the subset")
         for a in subset:
@@ -89,9 +96,23 @@ def fixed_chi(matrix, subset, perms):
                 raise NotInvariantError(
                     "group does not move the monomial anchored at x%d to the one "
                     "anchored at its image" % (a + 1))
-    if not matrix.full_on(subset):
-        return 0
-    orbs = orbits(perms, subset)
+
+
+def _fold(matrix, orbs):
+    """chi of the T-fixed part on the stratum of I, from T's orbits on I
+    (``permgroups.orbits``), for an anchored matrix with f^I full and a T
+    that ``_check_moves`` passes.
+
+    The monomials anchored in one T-orbit fold along T's orbits to one
+    monomial, with coefficient |orbit|.c, never 0, and chi is
+    (-1)^(k-1) |det F| for the matrix F of the k folded monomials.  T
+    commutes with the successor map, which is injective, so it maps each
+    orbit onto an orbit, one to one, and the folded monomials are chains
+    and loops on the orbits, with the exponents of their points; det F is
+    the product of their orders d (``AtomicBlock.order``), none negative.
+    A loop folded onto one orbit gives x_O^(a+1), the 1-loop of order a + 1.
+    """
+    rows = matrix.rows
     column = {v: k for k, orb in enumerate(orbs) for v in orb}
     succ = matrix.successors()
     folded = {k: column.get(succ[orb[0]]) for k, orb in enumerate(orbs)}
@@ -105,7 +126,7 @@ def fixed_chi(matrix, subset, perms):
 class StratumContribution(namedtuple("StratumContribution", [
         "subset", "stabilizer", "orbit_size",
         "class_keys",      # canonical key per conjugacy class of the stabilizer
-        "reps",            # class key -> the key's subgroup of the stabilizer
+        "orbits",          # class key -> the key's orbits on the subset
         "fixed_chi",       # class key -> chi of the fixed locus
         "coefficients",    # class key -> solved integer coefficient
         "element",         # BurnsideElement over G x| stabilizer
@@ -151,14 +172,17 @@ class EulerAnalysis:
 
 def _stratum_contribution(matrix, subset, group, perms, stabilizer, orbit_size):
     keys = list(stabilizer.lattice.classes)
-    reps = {key: stabilizer.subgroup(key) for key in keys}
+    # what S_I's generators pass, each T <= S_I passes; a class's orbits
+    # are its key's, and the stratum is full (``full_subsets``)
+    _check_moves(matrix, subset, stabilizer.generators)
+    orbs = {key: orbits(key, subset) for key in keys}
     # descending subgroup order; ties broken by the canonical representative
     order = sorted(keys, key=lambda k: (-len(k), k))
 
     ambient = SemidirectAmbient(group, stabilizer)
     closed = group.zero_set(subset)
     node = {key: named_class(ambient, closed, key) for key in keys}
-    fixed = {key: fixed_chi(matrix, subset, reps[key]) for key in keys}
+    fixed = {key: _fold(matrix, orbs[key]) for key in keys}
 
     stratum = tuple(i + 1 for i in subset)
     # row i of the triangular solve reads mark(kj, ki) for j <= i, which is
@@ -189,7 +213,7 @@ def _stratum_contribution(matrix, subset, group, perms, stabilizer, orbit_size):
         stabilizer=stabilizer,
         orbit_size=orbit_size,
         class_keys=tuple(order),
-        reps=reps,
+        orbits=orbs,
         fixed_chi=fixed,
         coefficients=solved,
         element=element,
@@ -366,13 +390,10 @@ def lemma_level_checks(matrix, perms):
     profiles = {}
     for analysis in (lhs, rhs):
         for s in analysis.strata:
-            top_key = max(s.class_keys, key=len)
-            stab_group = s.stabilizer
-            expect = (-1) ** (orbit_count(stab_group, s.subset) - 1)
-            if s.coefficients[top_key] != expect:
-                ok_deep = False
             profile, deep_sign = _stratum_profile(
-                s.subset, stab_group, [s.reps[k] for k in s.class_keys])
+                s.stabilizer, {k: len(s.orbits[k]) for k in s.class_keys})
+            if s.coefficients[s.stabilizer.elements] != deep_sign:
+                ok_deep = False
             vector = tuple(deep_sign * s.coefficients[k] for k in s.class_keys)
             profiles.setdefault(profile, []).append((s.subset, vector))
     for profile, entries in profiles.items():

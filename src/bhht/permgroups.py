@@ -155,8 +155,6 @@ class PermGroup:
     # group that walks none carries none
     _walked = None
     _orbits = None
-    # point tuple -> the group's orbits on it (``orbits``), made on first use
-    _point_orbits = None
 
     def subset_orbit(self, subset):
         """(representative, s, stabilizer) for a subset given as a sorted tuple.
@@ -394,48 +392,22 @@ def _subgroup_classes(mul, generators):
 # -- parity condition -------------------------------------------------------------
 
 
-def orbits(group, points):
-    """Orbits of the group on a point set it preserves, as a tuple of sorted
-    tuples ordered by their least points: walked once per group object and
-    tuple of the points, and the same tuple returned after that."""
-    points = tuple(points)
-    known = group._point_orbits
-    if known is None:
-        known = group._point_orbits = {}
-    out = known.get(points)
-    if out is None:
-        out = known[points] = _walk_orbits(group, points)
-    return out
-
-
-def _walk_orbits(group, points):
-    """``orbits`` by one breadth-first walk over the generators from each
-    least point not yet reached."""
-    generators = group.generators
-    reached = set()
+def orbits(elements, points):
+    """Orbits on a point set of the group with these elements, as a tuple
+    of sorted tuples ordered by their least points.  The orbit of i is
+    {p(i) : p in the group}, read from each least point not yet seen; a
+    group that does not preserve the points is refused."""
+    points = sorted(points)
+    seen = set()
     out = []
-    for start in sorted(points):
-        if start in reached:
-            continue
-        reached.add(start)
-        found = [start]
-        for x in found:  # the list grows as the walk reaches new points
-            for g in generators:
-                y = g[x]
-                if y not in reached:
-                    reached.add(y)
-                    found.append(y)
-        out.append(tuple(sorted(found)))
+    for i in points:
+        if i not in seen:
+            found = {p[i] for p in elements}
+            seen.update(found)
+            out.append(tuple(sorted(found)))
+    if len(seen) != len(points):
+        raise ValueError("group does not preserve the point set")
     return tuple(out)
-
-
-def orbit_count(group, points):
-    """Number of group orbits on the point set; group must preserve it."""
-    inside = set(points)
-    for p in group.generators:
-        if {p[i] for i in inside} != inside:
-            raise ValueError("group does not preserve the point set")
-    return len(orbits(group, points))
 
 
 class PCResult(namedtuple("PCResult", "satisfies witness")):
@@ -459,8 +431,8 @@ def pc_check(group):
     names the witness, if there is one, and no lattice is built.  Otherwise
     the lattice's classes are read in order, each by its least member:
     orbit counts are invariant under conjugation, so the least member of
-    the first violating class is the least violating subgroup.  The orbit
-    of i under a subgroup is the set of its images p(i).
+    the first violating class is the least violating subgroup, and its
+    orbits are read off the key (``orbits``).
     """
     n = group.n
     identity = identity_perm(n)
@@ -469,7 +441,6 @@ def pc_check(group):
         if sum(map(ne, t, identity)) % 4 == 2 and compose(t, t) == identity:
             return PCResult(False, group.subgroup([identity, t]))
     for key in group.lattice.classes:
-        orbits = {frozenset(p[i] for p in key) for i in range(n)}
-        if (len(orbits) - n) % 2 != 0:
+        if (len(orbits(key, range(n))) - n) % 2 != 0:
             return PCResult(False, group.subgroup(key))
     return PCResult(True, None)

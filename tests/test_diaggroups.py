@@ -14,7 +14,13 @@ from bhht.diaggroups import (
     perm_act,
     subgroup_key,
 )
-from bhht.errors import BhhtError, DegeneratePairingError, MembershipError, SizeBoundError
+from bhht.errors import (
+    BhhtError,
+    DegeneratePairingError,
+    MembershipError,
+    NotInvertibleError,
+    SizeBoundError,
+)
 from bhht.fixtures import format_group_subgroup, load_catalogue, parse_group_element
 from bhht.intmat import hermite_generators, hermite_key, hermite_order, kernel_mod
 from bhht.oracles import (
@@ -48,6 +54,13 @@ def test_group_orders(quintic, x14, x15):
     assert DiagonalGroup(quintic).order == 3125
     assert DiagonalGroup(x14.anchored()).order == 1125
     assert DiagonalGroup(x15.anchored()).order == 1025
+
+
+def test_a_matrix_that_is_not_square_is_refused_as_not_invertible():
+    # validation refuses it, with the input error every invertibility
+    # failure raises
+    with pytest.raises(NotInvertibleError, match="3 monomials in 2 variables"):
+        DiagonalGroup(parse_polynomial("x1^2+x1*x2+x2^3"))
 
 
 def test_order_equals_det_random():

@@ -5,7 +5,7 @@ from conftest import X14, X15, all_subsets, key_of, seeded, stratum_elements, su
 from test_stratum_naming import CATALOGUE, catalogue_pairs, generated_pairs
 
 from bhht import euler, intmat
-from bhht.diaggroups import DiagonalGroup
+from bhht.diaggroups import CharacterPairing, DiagonalGroup
 from bhht.errors import StructuralAssumptionViolated
 from bhht.euler import (
     _stratum_profile,
@@ -20,7 +20,7 @@ from bhht.permgroups import (
     PermGroup,
     group_from_generators,
     identity_perm,
-    orbit_count,
+    orbits,
     pc_check,
 )
 from bhht.polynomials import parse_polynomial, transpose
@@ -136,21 +136,22 @@ def test_quintic_full_torus_marks_system(quintic):
 
 
 def test_residual_check_trips_on_wrong_fixed_data(quintic):
-    # corrupting the fixed-point values must abort, not silently solve
+    # corrupting the fixed-point values must abort, not silently solve: the
+    # fold of the double transposition's three orbits on the open torus
     import bhht.euler as euler_mod
 
-    original = euler_mod.fixed_chi
+    original = euler_mod._fold
 
-    def corrupted(matrix, subset, perms):
-        value = original(matrix, subset, perms)
-        return value + 1 if len(subset) == 5 and perms.order == 2 else value
+    def corrupted(matrix, orbs):
+        value = original(matrix, orbs)
+        return value + 1 if sum(map(len, orbs)) == 5 and len(orbs) == 3 else value
 
-    euler_mod.fixed_chi = corrupted
+    euler_mod._fold = corrupted
     try:
         with pytest.raises(StructuralAssumptionViolated):
             euler_analysis(quintic, group_from_generators(5, ["(12)(34)"]))
     finally:
-        euler_mod.fixed_chi = original
+        euler_mod._fold = original
 
 
 def test_structural_failure_carries_stratum_class_and_residual(monkeypatch):
@@ -160,9 +161,8 @@ def test_structural_failure_carries_stratum_class_and_residual(monkeypatch):
     swap = group_from_generators(2, ["(12)"])
     # first stratum (1,): kernel of order 2, trivial stabilizer; the diagonal
     # mark is 2 and the fixed-locus Euler characteristic 2
-    original = euler_mod.fixed_chi
-    monkeypatch.setattr(euler_mod, "fixed_chi",
-                        lambda matrix, subset, perms: original(matrix, subset, perms) + 1)
+    original = euler_mod._fold
+    monkeypatch.setattr(euler_mod, "_fold", lambda matrix, orbs: original(matrix, orbs) + 1)
     with pytest.raises(StructuralAssumptionViolated) as info:
         euler_analysis(f, swap)
     assert (info.value.stratum, info.value.class_order, info.value.residual) \
@@ -178,6 +178,20 @@ def test_structural_failure_carries_stratum_class_and_residual(monkeypatch):
         euler_analysis(f, swap)
     assert (info.value.stratum, info.value.class_order, info.value.residual) \
         == ((1,), 2, 1)
+
+
+def test_a_non_positive_diagonal_mark_is_refused(monkeypatch):
+    # a class's mark on itself counts its own fixed points, at least one; a
+    # zero there aborts the solve on the first stratum (1,), at its deepest
+    # class, the trivial stabilizer
+    monkeypatch.setattr(euler, "_RECENT", deque(maxlen=2))
+    mark = euler.mark
+    monkeypatch.setattr(euler, "mark", lambda a, b: 0 if a is b else mark(a, b))
+    with pytest.raises(StructuralAssumptionViolated) as info:
+        euler_analysis(parse_polynomial("x1^2+x2^2"), group_from_generators(2, ["(12)"]))
+    assert str(info.value) == "non-positive diagonal mark on stratum (1,)"
+    assert (info.value.stratum, info.value.class_order, info.value.residual) \
+        == ((1,), 1, None)
 
 
 # -- assembled invariants -------------------------------------------------------------
@@ -473,6 +487,28 @@ def test_missing_dual_stratum_fails_the_complement_check():
     assert check.detail == "stratum (1, 2) is full but its dual complement is not"
 
 
+def test_a_complement_kernel_that_is_not_the_annihilator_fails_the_complement_check(
+        monkeypatch):
+    # chain23_abelian: x1^2*x2+x2^3, f^T != f, with the stratum (2).  The
+    # verdict has checked its dual strata; a pairing of f's group that then
+    # finds no annihilator for a stratum kernel turns the complement check
+    # to failed, while the f^T side still mirrors
+    monkeypatch.setattr(euler, "_RECENT", deque(maxlen=2))
+    fx = load_catalogue()["chain23_abelian"]
+    s = fx.perm_group()
+    report = verify_duality(fx.matrix, s)
+    assert lemma_level_checks(fx.matrix, s).all_passed
+    left = report.lhs_analysis.group
+    assert report.rhs_analysis.group is not left
+    dual = CharacterPairing.dual_stratum
+    monkeypatch.setattr(CharacterPairing, "dual_stratum",
+                        lambda pairing, closed: None if pairing.left is left
+                        else dual(pairing, closed))
+    checks = lemma_level_checks(fx.matrix, s).checks
+    assert [check.passed for check in checks] == [True, True, False, True, True]
+    assert checks[2].detail == "stratum kernel of the complement is not the annihilator"
+
+
 def test_differing_diagrams_are_named_by_one_based_strata(monkeypatch):
     # x14_z2a: the strata (5), (1234) and the open torus share a coloured
     # diagram, on f and on f^T alike; the corrupted analysis is not kept
@@ -491,29 +527,31 @@ def test_deepest_coefficient_matches_orbit_parity(x14):
     analysis = euler_analysis(x14, s)
     for stratum in analysis.strata:
         top_key = max(stratum.class_keys, key=len)
-        expected = (-1) ** (orbit_count(stratum.stabilizer, stratum.subset) - 1)
+        expected = (-1) ** (len(orbits(stratum.stabilizer.elements, stratum.subset)) - 1)
         assert stratum.coefficients[top_key] == expected
 
 
 # -- coloured subgroup diagrams -----------------------------------------------------
 
 
-def class_reps(group):
-    return [group.subgroup(key) for key in group.lattice.classes]
+def class_counts(group, subset):
+    """Each class key of the group, in class order, to its orbit count on
+    the subset."""
+    return {key: len(orbits(key, subset)) for key in group.lattice.classes}
 
 
 def test_stratum_profile_trivial():
     g = PermGroup(2, ())
-    profile, sign = _stratum_profile((0, 1), g, class_reps(g))
+    profile, sign = _stratum_profile(g, class_counts(g, (0, 1)))
     assert profile == (g.element_set, (0,))  # one node, coloured 0
     assert sign == -1  # two orbits at the deepest node
 
 
 def test_stratum_profile_swap():
     g = group_from_generators(2, ["(12)"])
-    reps = class_reps(g)
-    assert [rep.order for rep in reps] == [1, 2]
-    profile, sign = _stratum_profile((0, 1), g, reps)
+    counts = class_counts(g, (0, 1))
+    assert [len(key) for key in counts] == [1, 2]
+    profile, sign = _stratum_profile(g, counts)
     # colours relative to the deepest node, the whole group with one orbit
     assert profile == (g.element_set, (1, 0))
     assert sign == 1
@@ -526,11 +564,10 @@ def test_stratum_profile_equal_for_complements_under_pc():
     assert pc_check(g).satisfies
     for rep, stab, _size in g.orbits_of(all_subsets(5)):
         complement = tuple(sorted(set(range(5)) - set(rep)))
-        reps = class_reps(stab)
-        assert (_stratum_profile(rep, stab, reps)[0]
-                == _stratum_profile(complement, stab, reps)[0])
-        assert ((len(rep) - orbit_count(stab, rep)) % 2
-                == (len(complement) - orbit_count(stab, complement)) % 2)
+        assert (_stratum_profile(stab, class_counts(stab, rep))[0]
+                == _stratum_profile(stab, class_counts(stab, complement))[0])
+        assert ((len(rep) - len(orbits(stab.elements, rep))) % 2
+                == (len(complement) - len(orbits(stab.elements, complement))) % 2)
 
 
 # -- one analysis per verdict ---------------------------------------------------------
@@ -593,9 +630,8 @@ def test_failed_analysis_is_not_remembered(monkeypatch):
 
     f = parse_polynomial("x1^2+x2^2")
     swap = group_from_generators(2, ["(12)"])
-    original = euler_mod.fixed_chi
-    monkeypatch.setattr(euler_mod, "fixed_chi",
-                        lambda matrix, subset, perms: original(matrix, subset, perms) + 1)
+    original = euler_mod._fold
+    monkeypatch.setattr(euler_mod, "_fold", lambda matrix, orbs: original(matrix, orbs) + 1)
     with pytest.raises(StructuralAssumptionViolated):
         euler_analysis(f, swap)
     monkeypatch.undo()
@@ -606,11 +642,10 @@ def test_failed_analysis_is_not_remembered(monkeypatch):
 
 
 def test_a_verdict_walks_each_orbit_and_transposes_once(monkeypatch):
-    # table1_r80: a 5-loop with its Z5 rotation, f^T != f and PC.  Across a
-    # verdict and its lemma checks, the orbits of one group object on one
-    # point tuple are walked at most once, shared by fixed_chi, orbit_count
-    # and the coloured diagrams, and f^T is built once
-    from bhht import permgroups
+    # table1_r80: a 5-loop with its Z5 rotation, f^T != f and PC.  A
+    # verdict reads each class's orbits on each stratum once per side, for
+    # the fold; its lemma checks read the kept ones, the deepest coefficient
+    # and the coloured diagrams alike; and f^T is built once
     from bhht.polynomials import ExponentMatrix
 
     fx = CATALOGUE["table1_r80"]
@@ -619,11 +654,11 @@ def test_a_verdict_walks_each_orbit_and_transposes_once(monkeypatch):
     assert s.order == 5 and pc_check(s).satisfies
     monkeypatch.setattr(euler, "_RECENT", deque(maxlen=2))
     walks = []
-    walk = permgroups._walk_orbits
+    walk = euler.orbits
 
-    def counted_walk(group, points):
-        walks.append((group, points))
-        return walk(group, points)
+    def counted_walk(elements, points):
+        walks.append((elements, tuple(points)))
+        return walk(elements, points)
 
     built = []
     init = ExponentMatrix.__init__
@@ -632,12 +667,16 @@ def test_a_verdict_walks_each_orbit_and_transposes_once(monkeypatch):
         built.append(matrix)
         init(matrix, *args)
 
-    monkeypatch.setattr(permgroups, "_walk_orbits", counted_walk)
+    monkeypatch.setattr(euler, "orbits", counted_walk)
     monkeypatch.setattr(ExponentMatrix, "__init__", counted_init)
-    assert verify_duality(f, s).equal
+    report = verify_duality(f, s)
+    assert report.equal
+    read = Counter((key, st.subset)
+                   for side in (report.lhs_analysis, report.rhs_analysis)
+                   for st in side.strata for key in st.class_keys)
+    assert read and Counter(walks) == read
     assert lemma_level_checks(f, s).all_passed
-    assert walks
-    assert max(Counter((id(g), points) for g, points in walks).values()) == 1
+    assert Counter(walks) == read
     assert built == [transpose(f)] and built[0] != f
 
 
@@ -745,21 +784,26 @@ def verdict_input(name):
 
 @pytest.mark.parametrize("name", ["pc_a3", "x15_z5", "table1_r2", "quartic6_a3"])
 def test_a_verdict_restricts_each_stratum_once(monkeypatch, name):
-    # fullness is read off the anchored rows, and fixed_chi folds each
-    # (stratum, class) once across a verdict and its lemma checks
+    # fullness is read off the anchored rows, and each (stratum, class) is
+    # folded once across a verdict and its lemma checks: as many folds on a
+    # stratum of a side as it has classes
     f, s = verdict_input(name)
-    fold = euler.fixed_chi
+    fold = euler._fold
     calls = Counter()
 
-    def folded(matrix, subset, perms):
-        calls[matrix, tuple(subset), perms.element_set] += 1
-        return fold(matrix, subset, perms)
+    def folded(matrix, orbs):
+        calls[matrix, tuple(sorted(v for orb in orbs for v in orb))] += 1
+        return fold(matrix, orbs)
 
-    monkeypatch.setattr(euler, "fixed_chi", folded)
+    monkeypatch.setattr(euler, "_fold", folded)
     monkeypatch.setattr(euler, "_RECENT", deque(maxlen=2))
-    assert verify_duality(f, s).equal
+    report = verify_duality(f, s)
+    assert report.equal
     assert lemma_level_checks(f, s).all_passed
-    assert calls and set(calls.values()) == {1}
+    sides = {id(side): side for side in (report.lhs_analysis, report.rhs_analysis)}
+    assert calls and calls == Counter({
+        (side.matrix, st.subset): len(st.class_keys)
+        for side in sides.values() for st in side.strata})
 
 
 def test_a_verdict_decomposes_f_and_its_transpose_once_each(monkeypatch):

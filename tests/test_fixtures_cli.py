@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -64,6 +65,22 @@ def test_fixture_grammar_errors():
         parse_fixture("x1^2\n")
     with pytest.raises(ParseError):
         parse_fixture("[polynomial]\nx1^2\n[expect]\nnonsense\n")
+    with pytest.raises(ParseError, match="exactly one"):
+        parse_fixture("[polynomial]\nx1^2\nx1^3\n")
+    with pytest.raises(ParseError, match="bad meta line"):
+        parse_fixture("[polynomial]\nx1^2\n[meta]\nnonsense\n")
+
+
+@pytest.mark.parametrize("text", ["3/2*x1^2+x2^3", "-2*x1^3+x2^3"])
+def test_a_fixture_with_a_coefficient_round_trips(text):
+    # no bundled fixture has a coefficient other than 1
+    fx = parse_fixture("[polynomial]\n%s\n" % text)
+    assert fx.polynomial_text == text
+    serialized = serialize_fixture(fx)
+    assert text in serialized.splitlines()
+    again = parse_fixture(serialized)
+    assert again.matrix == fx.matrix == parse_polynomial(text)
+    assert serialize_fixture(again) == serialized
 
 
 def test_group_element_grammar(catalogue):
@@ -350,6 +367,29 @@ def test_cmd_euler_all_goldens():
         code, out = run_cli("euler", name)
         assert code == 0
         assert out == (DATA_DIR / ("%s.golden.jsonl" % name)).read_text()
+
+
+def test_cmd_euler_write_golden_and_a_golden_mismatch(tmp_path, capsys):
+    # on a copy of the fixtures: a stale golden is a mismatch (exit 1),
+    # --write-golden rewrites it, and the rewritten one matches
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(DATA_DIR, fixtures)
+    golden = fixtures / "counterexample_m3.golden.jsonl"
+    expected = golden.read_text()
+    golden.write_text("stale\n")
+    code, out = run_cli("euler", "--fixtures", str(fixtures), "counterexample_m3")
+    assert (code, out) == (1, expected)
+    assert capsys.readouterr().err == ("counterexample_m3: output differs from golden "
+                                       "counterexample_m3.golden.jsonl\n")
+    code, out = run_cli("euler", "--fixtures", str(fixtures), "--write-golden",
+                        "counterexample_m3")
+    assert (code, out) == (0, expected)
+    assert capsys.readouterr().err == "# wrote counterexample_m3.golden.jsonl\n"
+    assert golden.read_text() == expected
+    code, out = run_cli("euler", "--fixtures", str(fixtures), "counterexample_m3")
+    assert (code, out) == (0, expected)
+    assert capsys.readouterr().err == "# golden match: counterexample_m3.golden.jsonl\n"
+    assert (DATA_DIR / "counterexample_m3.golden.jsonl").read_text() == expected
 
 
 def test_cmd_euler_oracle_flag(capsys):

@@ -65,6 +65,25 @@ def test_parse_errors():
         parse_polynomial("x1^2+x3^2")  # x2 missing
     with pytest.raises(ParseError):
         parse_polynomial("0*x1^2")
+    with pytest.raises(ParseError):
+        parse_polynomial("x1^2+2")  # a monomial with no variables
+    with pytest.raises(ParseError):
+        parse_polynomial("x0^2+x1^2")  # variables are numbered from x1
+    with pytest.raises(ParseError):
+        parse_polynomial("x1^0*x2+x2^2")  # a zero exponent
+    for rows, coefficients, reason in (
+            ([(2, 0), (0,)], None, "ragged exponent rows"),
+            ([(2, -1), (0, 2)], None, "negative exponent"),
+            ([(2, 0), (0, 2)], [1], "coefficient count does not match monomial count"),
+            ([(2, 0), (0, 2)], [1, 0], "zero coefficient")):
+        with pytest.raises(ValueError, match=reason):
+            ExponentMatrix(rows, coefficients)
+    for text, reason in (("x1^2*x2+x1^3*x2", "no consistent chain/loop orientation"),
+                         ("x1^2*x3+x2^2*x3+x3^2", "x3 is linked from two monomials")):
+        with pytest.raises(NotInvertibleError, match=reason):
+            parse_polynomial(text).validate()
+    with pytest.raises(NotInvariantError, match="group degree 3 != variable count 2"):
+        check_invariance(parse_polynomial("x1^2+x2^2"), group_from_generators(3, ["(12)"]))
 
 
 def test_mismatched_counts_parse_but_fail_validation():
@@ -430,6 +449,11 @@ def test_invariance_x14_loop_exchange(x14):
 def test_invariance_rejects_non_symmetry(x14):
     with pytest.raises(NotInvariantError):
         check_invariance(x14, group_from_generators(5, ["(23)"]))
+    # (12) moves the coefficient 2 of x1^3 onto x2^3; (23) moves no coefficient
+    weighted = parse_polynomial("2*x1^3+x2^3+x3^3")
+    check_invariance(weighted, group_from_generators(3, ["(23)"]))
+    with pytest.raises(NotInvariantError):
+        check_invariance(weighted, group_from_generators(3, ["(12)"]))
 
 
 def candidate_perms(rng, matrix):
