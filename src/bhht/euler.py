@@ -11,7 +11,7 @@ coefficients are obtained by exactly solving the triangular system of
 marks against the fixed-point Euler characteristics, which are signed
 products of the orders of the chains and loops that f^I folds into along
 T's orbits.  Both whether a stratum counts and those counts are read off
-f's anchored exponent rows (``fixed_chi``); f is never restricted to a
+f's anchored exponent rows (``_fold``); f is never restricted to a
 stratum.  A class is its key in the lattice of S_I: T's orbits on I are
 read off the key once (``permgroups.orbits``) and kept on the stratum for
 the fold and the lemma checks, and no subgroup object is made for it.
@@ -61,24 +61,6 @@ def _stratum_profile(stabilizer, counts):
     deepest = counts[stabilizer.elements]
     colours = tuple((count - deepest) % 2 for count in counts.values())
     return (stabilizer.element_set, colours), (-1) ** (deepest - 1)
-
-
-def fixed_chi(matrix, subset, perms):
-    """Euler characteristic of the T-fixed part of the fibre on the open
-    stratum of a subset I, for T = ``perms``, from f's anchored rows.
-
-    T must move the monomial anchored at each a of I to the one anchored at
-    t(a), as every symmetry of f does (``_check_moves``).  Zero unless f^I
-    is full (``ExponentMatrix.full_on``); then the fold of f^I along T's
-    orbits on I (``_fold``).
-    """
-    if not subset:
-        raise ValueError("the empty stratum has no fibre points")
-    matrix = matrix.anchored()
-    _check_moves(matrix, subset, perms.generators)
-    if not matrix.full_on(subset):
-        return 0
-    return _fold(matrix, orbits(perms.elements, subset))
 
 
 def _check_moves(matrix, subset, generators):

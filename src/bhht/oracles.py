@@ -11,7 +11,7 @@ determinants and Cramer's weights.  Each quantity has one reference here.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, repeat
+from itertools import combinations_with_replacement, permutations, product, repeat
 from math import prod
 from operator import mod, sub
 from types import SimpleNamespace
@@ -482,6 +482,28 @@ def determinant(a):
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def brute_anchors(matrix):
+    """Each monomial's anchor and successor, by trying every product of the
+    monomials' orientations: x_a^p is anchored at a with no successor, and
+    a monomial in x_a and x_b at a, linking to b, when b's exponent is 1.
+    The first product whose anchors are all the variables, each monomial's
+    orientations tried smaller anchor first and the monomials in row order,
+    as (anchors, successors) in the form of ``ExponentMatrix.anchors`` and
+    ``successors``; None when there is none.  At most 2^n products, so for
+    small n only."""
+    options = []
+    for row in matrix.rows:
+        support = [j for j, e in enumerate(row) if e]
+        pairs = permutations(support) if len(support) == 2 else ()
+        options.append([(support[0], None)] if len(support) == 1
+                       else [(a, b) for a, b in pairs if row[b] == 1])
+    for choice in product(*options):
+        anchors = [a for a, _b in choice]
+        if sorted(anchors) == list(range(matrix.n)):
+            return dict(enumerate(anchors)), dict(choice)
+    return None
 
 
 def weights(matrix):

@@ -11,7 +11,7 @@ rational coefficient followed by ``*`` and one or more factors ``xK`` or
 """
 
 import re
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import prod
@@ -145,19 +145,12 @@ class ExponentMatrix:
         first = {}
         return tuple([first.setdefault(c, r) for r, c in enumerate(self.coefficients)])
 
-    def full_on(self, subset):
-        """Whether f^I, the monomials supported inside the subset, is full:
-        as many monomials as points.  A monomial involves its anchor and its
-        successor and nothing else, so f^I is full exactly when the subset is
-        closed under successors."""
-        succ = self.successors()
-        inside = set(subset)
-        return all(succ[a] is None or succ[a] in inside for a in subset)
-
     def full_subsets(self):
-        """Every subset on which f^I is full (``full_on``), as sorted tuples
-        in sorted order: the subsets closed under successors, which take a
-        suffix of each chain, in block order, and all or none of each loop."""
+        """Every subset I on which f^I, the monomials supported inside I, is
+        full: as many monomials as points.  A monomial involves its anchor
+        and its successor and nothing else, so these are the subsets closed
+        under successors, which take a suffix of each chain, in block order,
+        and all or none of each loop.  As sorted tuples in sorted order."""
         subsets = [()]
         for block in self.validate():
             vs = block.variables
@@ -265,6 +258,24 @@ def _decompose(matrix):
     variables weight 1 and the others weight 0 in f and in f^T alike.  So
     f^T of a valid f is valid.
 
+    Before the blocks, each monomial is given its anchor, so that the
+    anchors are all n variables: x_a^p, and x_a^p*x_b with p >= 2, can
+    only take a, and x_a*x_b either end.  One pass, most constrained
+    first, makes every choice: a monomial with one anchor still free takes
+    it, and else a variable that only one monomial can still anchor goes
+    to that monomial.  On chains and loops every step is forced: a chain's
+    pure power has one anchor, and once it is taken so has the monomial
+    linked into it, back to the chain's start; a loop with an exponent
+    p >= 2 unwinds the same way from its x_a^p*x_b.  A choice is left only
+    where every monomial left has two free anchors and no variable left a
+    single monomial that can take it.  Then either some variable has none,
+    and no anchoring exists, or, counting, each has exactly two: what is
+    left is cycles of monomials x_a*x_b, all-ones loops, which are refused
+    below.  There the first monomial left takes its smaller variable and
+    the rest of its cycle follows; either way round completes, so the pass
+    finds anchors whenever any exist, and the same ones as trying every
+    choice in row order, each monomial's smaller variable first.
+
     Returns (blocks, anchors, successors): anchors maps row index -> the
     variable the monomial is anchored at (x_a^p or x_a^p * x_next), and
     successors maps that variable -> x_next, or None for x_a^p.
@@ -285,27 +296,37 @@ def _decompose(matrix):
                 "monomial %d involves %d variables" % (i, len(sup)))
         supports.append(sup)
 
-    # candidate (anchor, successor) orientations for every row
-    candidates = []
+    # the (anchor, successor) orientations open to each monomial
+    options = []
     for i, sup in enumerate(supports):
         if len(sup) == 1:
             (a, _p), = sup.items()
-            candidates.append([(a, None)])
+            options.append([(a, None)])
         else:
             (a, pa), (b, pb) = sorted(sup.items())
-            opts = []
-            if pb == 1:
-                opts.append((a, b))
-            if pa == 1:
-                opts.append((b, a))
+            opts = [(a, b)] * (pb == 1) + [(b, a)] * (pa == 1)
             if not opts:
                 raise NotInvertibleError(
                     "monomial %d has no unit factor linking the block" % i)
-            candidates.append(opts)
+            options.append(opts)
 
-    assignment = _assign_anchors(candidates, n)
-    if assignment is None:
-        raise NotInvertibleError("no consistent chain/loop orientation exists")
+    picked = {}
+    taken = set()
+    while len(picked) < n:
+        free = {i: [o for o in opts if o[0] not in taken]
+                for i, opts in enumerate(options) if i not in picked}
+        i = min(free, key=lambda i: len(free[i]))
+        if not free[i]:
+            raise NotInvertibleError("no consistent chain/loop orientation exists")
+        pick = free[i][0]
+        if len(free[i]) > 1:
+            # a variable that only one monomial can still anchor goes to it
+            takers = Counter(a for opts in free.values() for a, _b in opts)
+            i, pick = next(((j, o) for j, opts in free.items() for o in opts
+                            if takers[o[0]] == 1), (i, pick))
+        picked[i] = pick
+        taken.add(pick[0])
+    assignment = [picked[i] for i in range(n)]
 
     anchors = {i: a for i, (a, _nxt) in enumerate(assignment)}
     succ = {a: nxt for a, nxt in assignment}
@@ -365,33 +386,6 @@ def link_blocks(succ):
         seen.update(block)
         out.append((CHAIN if nxt is None else LOOP, tuple(block)))
     return out
-
-
-def _assign_anchors(candidates, n):
-    """Pick one orientation per row so anchors are a bijection onto variables."""
-    order = sorted(range(len(candidates)), key=lambda i: len(candidates[i]))
-    used = [False] * n
-
-    def go(k):
-        if k == len(order):
-            return []
-        i = order[k]
-        for a, nxt in candidates[i]:
-            if used[a]:
-                continue
-            used[a] = True
-            rest = go(k + 1)
-            if rest is not None:
-                rest.append((i, (a, nxt)))
-                return rest
-            used[a] = False
-        return None
-
-    picked = go(0)
-    if picked is None:
-        return None
-    by_row = dict(picked)
-    return [by_row[i] for i in range(len(candidates))]
 
 
 # -- basic operations -----------------------------------------------------------

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import settings
 
 from bhht.burnside import BurnsideElement, stratum_class
+from bhht.euler import _check_moves, _fold
 from bhht.intmat import hermite_generators, hermite_key
 from bhht.oracles import key_of_elements
+from bhht.permgroups import orbits
 from bhht.polynomials import ExponentMatrix, parse_polynomial
 
 # Property tests draw the same bounded examples on every run and store none.
@@ -69,6 +71,24 @@ def stratum_classes_of(ambient):
         classes.update(stratum_class(ambient, rep, key)
                        for key in stabilizer.lattice.classes)
     return sorted(classes, key=lambda cls: cls.name)
+
+
+def fixed_chi(matrix, subset, perms):
+    """chi of the T-fixed part of the fibre on the open stratum of a subset
+    I where f^I is full, for T = ``perms``, as a verdict reads it: T
+    checked on its generators (``euler._check_moves``), then f^I folded
+    along T's orbits on I (``euler._fold``)."""
+    matrix = matrix.anchored()
+    _check_moves(matrix, subset, perms.generators)
+    return _fold(matrix, orbits(perms.elements, subset))
+
+
+def is_full(matrix, subset):
+    """Whether f^I is full: as many monomials supported inside the subset
+    as it has points, by a scan of the rows."""
+    inside = set(subset)
+    return len(inside) == sum(all(not e or j in inside for j, e in enumerate(row))
+                              for row in matrix.rows)
 
 
 def key_zero_set(group, key):

@@ -7,7 +7,7 @@ run with ``pytest -s tests/test_acceptance.py`` to see them.
 import time
 
 import pytest
-from conftest import X1, X14, X15, is_even, key_of, seeded, stratum_classes_of
+from conftest import X1, X14, X15, fixed_chi, is_even, key_of, seeded, stratum_classes_of
 
 from bhht.burnside import BurnsideElement, SemidirectAmbient, mark
 from bhht.diaggroups import (
@@ -15,7 +15,7 @@ from bhht.diaggroups import (
     DiagonalGroup,
     perm_act,
 )
-from bhht.euler import euler_analysis, fixed_chi, verify_duality
+from bhht.euler import euler_analysis, verify_duality
 from bhht.fixtures import load_catalogue
 from bhht.oracles import (
     group_elements,

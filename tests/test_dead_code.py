@@ -1,14 +1,16 @@
 """Every function, class, method and default of the package is used by the program.
 
 The program is the package modules and the non-test modules of the
-benchmark.  A module-level function or class counts as used when a program
-module imports it by name from its module, or when its own module refers
-to it outside its own definition.  A method or nested definition counts as
-used when its name appears as a name, an attribute or an imported name
-anywhere in the program outside its own definition.  The package
-``__init__`` does not count: a re-export is not a use.  Tests do not count
-either, except for ``oracles.py``: its brute-force scans exist for tests to
-compare against.
+benchmark.  A module-level function or class counts as used only when a
+program module imports it by name from its module or reads it as an
+attribute of its module (``polynomials.transpose``), or when its own module
+names it outside its own definition; an attribute of another object that
+shares its name (``self.fixed_chi``) does not count.  A method or nested
+definition counts as used when its name appears as a name, an attribute or
+an imported name anywhere in the program outside its own definition.  The
+package ``__init__`` does not count: a re-export is not a use.  Tests do
+not count either, except for ``oracles.py``: its brute-force scans exist
+for tests to compare against.
 
 A definition outside ``oracles.py`` that only ``oracles.py`` uses is oracle
 code, and belongs there: counted without ``oracles.py``, every definition
@@ -51,6 +53,21 @@ def _references(tree):
     return names
 
 
+def _names(tree):
+    return Counter(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
+
+
+def _module_attributes(tree):
+    """(module, name) per ``module.name`` or ``package.module.name`` read."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            value = node.value
+            module = value.id if isinstance(value, ast.Name) else getattr(value, "attr", None)
+            out[module, node.attr] += 1
+    return out
+
+
 def _imports(tree):
     """(module, name) per name imported from a package module."""
     out = Counter()
@@ -78,18 +95,19 @@ def _used(paths):
 def unreferenced_definitions(program=None):
     trees = {path: ast.parse(path.read_text()) for path in program or _program()}
     used = _used(trees)
-    imported = sum((_imports(tree) for tree in trees.values()), Counter())
+    imported = sum((_imports(tree) + _module_attributes(tree) for tree in trees.values()),
+                   Counter())
     used_by_tests = _used(_tests())
     out = []
     for path, tree in trees.items():
         if path.parent != PACKAGE:
             continue
-        own = _references(tree)
+        own = _names(tree)
         top = {id(node) for node in tree.body}
         for node in _definitions(tree):
             if id(node) in top:
                 count = (imported[(path.stem, node.name)]
-                         + own[node.name] - _references(node)[node.name])
+                         + own[node.name] - _names(node)[node.name])
             else:
                 count = used[node.name] - _references(node)[node.name]
             if path == ORACLES:

@@ -1,7 +1,17 @@
 from collections import Counter, deque
 
 import pytest
-from conftest import X14, X15, all_subsets, key_of, seeded, stratum_elements, summed
+from conftest import (
+    X14,
+    X15,
+    all_subsets,
+    fixed_chi,
+    is_full,
+    key_of,
+    seeded,
+    stratum_elements,
+    summed,
+)
 from test_stratum_naming import CATALOGUE, catalogue_pairs, generated_pairs
 
 from bhht import euler, intmat
@@ -10,7 +20,6 @@ from bhht.errors import StructuralAssumptionViolated
 from bhht.euler import (
     _stratum_profile,
     euler_analysis,
-    fixed_chi,
     lemma_level_checks,
     verify_duality,
 )
@@ -60,15 +69,6 @@ def test_chi_fermat_curve_swapped():
         assert fixed_chi(e, (0, 1), swap) == m
 
 
-def test_chi_degenerate_restriction_is_zero(x15):
-    assert fixed_chi(x15, (0, 1), PermGroup(5, ())) == 0
-
-
-def test_chi_empty_stratum_rejected(quintic):
-    with pytest.raises(ValueError):
-        fixed_chi(quintic, (), PermGroup(5, ()))
-
-
 def fold_cases():
     """Each distinct catalogue (f, S) on the f and the f^T side, then 50
     seeded inputs."""
@@ -81,9 +81,9 @@ def fold_cases():
 
 
 def test_fold_fullness_alone_decides_a_fixed_chi():
-    # fixed_chi is 0 on a stratum where f^I is not full, and on a full one
-    # sums with the strata within it to Milnor-Orlik's chi, for every class
-    # T of every S_I
+    # on a stratum where f^I is full, fixed_chi sums with the full strata
+    # within it to Milnor-Orlik's chi, for every class T of every S_I; the
+    # strata where it is not full are met too, and contribute nothing
     from test_fixed_chi import assert_matches_milnor_orlik
 
     short = 0
@@ -248,7 +248,7 @@ def expected_kernel_orders(matrix, n):
     out = {}
     for mask in range(1, 1 << n):
         subset = tuple(i for i in range(n) if mask >> i & 1)
-        if not matrix.full_on(subset):
+        if not is_full(matrix, subset):
             continue
         kernel = stratum_elements(group, subset)
         rows = matrix.anchored().rows

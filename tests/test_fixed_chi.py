@@ -1,13 +1,15 @@
 """The fixed-point Euler characteristic from anchored rows against
 Milnor-Orlik.
 
-``euler.fixed_chi`` reads fullness and the folded blocks' orders straight
-off the anchored exponent rows, one open stratum at a time.  It is 0 on a
-stratum I where f^I is not full, and summed over the T-invariant strata J
-of a full subset I it must give the chi of the T-fixed fibre of f^I on all
-of C^I, which ``oracles.milnor_orlik_chi`` reads off the weights of f^I
-alone.  By induction on I, the two fix fixed_chi on every stratum and
-every subgroup T of its stabilizer.  It refuses a T that moves I or the
+A verdict reads the chi of each stratum's T-fixed fibre straight off the
+anchored exponent rows, one open stratum at a time: ``euler._check_moves``
+checks T, and ``euler._fold`` reads the folded blocks' orders (``fixed_chi``
+here runs the two).  A stratum I where f^I is not full contributes
+nothing, and summed over the full T-invariant strata J of a full subset I,
+fixed_chi must give the chi of the T-fixed fibre of f^I on all of C^I,
+which ``oracles.milnor_orlik_chi`` reads off the weights of f^I alone.  By
+induction on I, the two fix fixed_chi on every full stratum and every
+subgroup T of its stabilizer.  The check refuses a T that moves I or the
 monomials of f^I, and one that moves an anchored monomial apart from its
 anchor.  Summed over the whole Burnside element with the marks of the
 trivial subgroup, chi of the whole fibre must be Milnor-Orlik's too.
@@ -16,13 +18,13 @@ trivial subgroup, chi of the whole fibre must be Milnor-Orlik's too.
 import random
 
 import pytest
-from conftest import X1, X14, random_invertible
+from conftest import X1, X14, all_subsets, fixed_chi, is_full, random_invertible
 from hypothesis import given
 from hypothesis import strategies as st
 from test_stratum_naming import CATALOGUE, catalogue_pairs, doubled, symmetries
 
 from bhht.errors import NotInvariantError, NotInvertibleError
-from bhht.euler import euler_analysis, fixed_chi
+from bhht.euler import euler_analysis
 from bhht.oracles import milnor_orlik_chi, weights
 from bhht.permgroups import PermGroup, group_from_generators
 from bhht.polynomials import ExponentMatrix, parse_polynomial, transpose
@@ -76,15 +78,14 @@ def invariant_unions(subset, t):
 
 
 def assert_matches_milnor_orlik(matrix, subset, t):
-    """fixed_chi against Milnor-Orlik on one (I, T): 0 where f^I is not
-    full, and where it is, the sum over the T-invariant J within I is the
-    formula's.  Returns whether f^I is full."""
-    full = len(monomials_inside(matrix, subset)) == len(subset)
+    """fixed_chi against Milnor-Orlik on one (I, T) with f^I full: the sum
+    over the full T-invariant J within I is the formula's.  Returns whether
+    f^I is full; nothing is compared where it is not."""
+    full = is_full(matrix, subset)
     if full:
-        total = sum(fixed_chi(matrix, j, t) for j in invariant_unions(subset, t))
+        total = sum(fixed_chi(matrix, j, t)
+                    for j in invariant_unions(subset, t) if is_full(matrix, j))
         assert milnor_orlik_chi(matrix, subset, t) == total, (matrix, subset, t)
-    else:
-        assert fixed_chi(matrix, subset, t) == 0, (matrix, subset, t)
     return full
 
 
@@ -128,9 +129,8 @@ def test_anchor_fullness_is_the_fullness_of_the_restriction():
     matrices = [m for m, _s in both_sides()]
     matrices += [random_invertible(rng, max_vars=6) for _ in range(40)]
     for matrix in matrices:
-        for subset in subsets(matrix.n):
-            assert matrix.full_on(subset) == (
-                len(monomials_inside(matrix, subset)) == len(subset)), (matrix, subset)
+        assert matrix.full_subsets() == [s for s in sorted(all_subsets(matrix.n))
+                                         if is_full(matrix, s)], matrix
 
 
 @pytest.mark.parametrize("text, subset, generators", [

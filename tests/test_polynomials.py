@@ -1,8 +1,10 @@
+import re
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from conftest import random_invertible, seeded
+from conftest import all_subsets, fixed_chi, random_invertible, seeded
 
 from bhht.errors import (
     DegenerateLoopError,
@@ -10,12 +12,12 @@ from bhht.errors import (
     NotInvertibleError,
     ParseError,
 )
-from bhht.euler import fixed_chi
-from bhht.oracles import weights
+from bhht.oracles import brute_anchors, weights
 from bhht.permgroups import PermGroup, group_from_generators, inverse
 from bhht.polynomials import (
     ExponentMatrix,
     check_invariance,
+    link_blocks,
     parse_polynomial,
     serialize_polynomial,
     transpose,
@@ -78,8 +80,11 @@ def test_parse_errors():
             ([(2, 0), (0, 2)], [1, 0], "zero coefficient")):
         with pytest.raises(ValueError, match=reason):
             ExponentMatrix(rows, coefficients)
+    # in the third, only x1*x3 can anchor x3, so x3 links to x1; had x1*x3
+    # taken x1, no anchor would be left for x2*x4, though an anchoring exists
     for text, reason in (("x1^2*x2+x1^3*x2", "no consistent chain/loop orientation"),
-                         ("x1^2*x3+x2^2*x3+x3^2", "x3 is linked from two monomials")):
+                         ("x1^2*x3+x2^2*x3+x3^2", "x3 is linked from two monomials"),
+                         ("x1*x3+x1*x4+x1*x2+x2*x4", "x1 is linked from two monomials")):
         with pytest.raises(NotInvertibleError, match=reason):
             parse_polynomial(text).validate()
     with pytest.raises(NotInvariantError, match="group degree 3 != variable count 2"):
@@ -132,9 +137,17 @@ def test_validate_three_variable_monomial_rejected():
         m.validate()
 
 
-def test_validate_degenerate_loop():
-    with pytest.raises(DegenerateLoopError):
-        parse_polynomial("x1*x2+x2*x3+x3*x1").validate()
+@pytest.mark.parametrize("text, names", [
+    ("x1*x2+x2*x3+x3*x1", "[1, 2, 3]"),
+    ("x2*x3+x1*x2+x3*x1", "[1, 2, 3]"),
+    ("x3*x1+x2*x3+x1*x2", "[1, 3, 2]"),
+])
+def test_validate_degenerate_loop(text, names):
+    # either way round is an orientation: the first monomial takes its
+    # smaller variable, and the loop is named from x1 in that direction
+    with pytest.raises(DegenerateLoopError,
+                       match=r"^loop on variables %s has all exponents 1 " % re.escape(names)):
+        parse_polynomial(text).validate()
 
 
 @pytest.mark.parametrize("text", [
@@ -198,6 +211,110 @@ def test_validate_no_unit_link():
     m = ExponentMatrix([(2, 2), (0, 3)])
     with pytest.raises(NotInvertibleError):
         m.validate()
+
+
+def adversarial(m):
+    """m all-ones 3-loops, then x_p^2*x_q, whose x_q no monomial can anchor,
+    and five monomials x_a*x_b on four variables: no orientation exists,
+    and a search over orientations in row order tries both ways round each
+    loop before it meets the five."""
+    terms = []
+    for k in range(0, 3 * m, 3):
+        terms += ["x%d*x%d" % (k + a, k + b) for a, b in ((1, 2), (2, 3), (1, 3))]
+    p = 3 * m + 1
+    terms.append("x%d^2*x%d" % (p, p + 1))
+    terms += ["x%d*x%d" % (p + a, p + b) for a, b in ((2, 3), (2, 4), (2, 5), (3, 4), (3, 5))]
+    return parse_polynomial("+".join(terms))
+
+
+def test_an_input_with_many_all_ones_loops_is_refused_in_one_pass():
+    matrix = adversarial(30)
+    assert matrix.n == 96 and matrix.is_square
+    with pytest.raises(NotInvertibleError,
+                       match="^no consistent chain/loop orientation exists$"):
+        matrix.validate()
+
+
+def random_square(rng):
+    """A square exponent matrix of up to 7 distinct monomials in one or two
+    variables each, exponents mostly 1: invertible about one time in ten."""
+    n = rng.randint(1, 7)
+    rows = set()
+    while len(rows) < n:
+        row = [0] * n
+        for v in rng.sample(range(n), 1 if n == 1 or rng.random() < 0.3 else 2):
+            row[v] = rng.choice((1, 1, 1, 2, 3))
+        rows.add(tuple(row))
+    return ExponentMatrix(sorted(rows, key=lambda _row: rng.random()))
+
+
+def random_blocks(rng):
+    """Chains and loops on a shuffle of up to 7 variables, with exponents
+    1 half the time and held to no rule: valid sums, all-ones loops, and
+    blocks that give f or f^T a weight outside (0, 1)."""
+    n = rng.randint(2, 7)
+    order = rng.sample(range(n), n)
+    rows = []
+    while order:
+        m = rng.randint(1, len(order))
+        block, order = order[:m], order[m:]
+        loop = m > 1 and rng.random() < 0.5
+        for k, a in enumerate(block):
+            row = [0] * n
+            row[a] = rng.choice((1, 1, 2, 3))
+            if loop or k + 1 < m:
+                row[block[(k + 1) % m]] += 1
+            rows.append(tuple(row))
+    if len(set(rows)) < n:
+        return random_blocks(rng)
+    return ExponentMatrix(sorted(rows, key=lambda _row: rng.random()))
+
+
+def refusal_of_blocks(matrix, anchors, successors):
+    """The class of error validation owes a matrix with the monomials
+    anchored as given, or None: a variable linked from two monomials, then
+    the first block, in ``link_blocks`` order, that is an all-ones loop or
+    that gives f or f^T a weight outside (0, 1)."""
+    linked = [b for b in successors.values() if b is not None]
+    if len(set(linked)) < len(linked):
+        return NotInvertibleError
+    exponent = {a: matrix.rows[r][a] for r, a in anchors.items()}
+    for kind, block in link_blocks(successors):
+        exps = [exponent[a] for a in block]
+        if kind == "loop" and max(exps) == 1:
+            return DegenerateLoopError
+        for side in (exps, exps[::-1]):
+            if not all(0 < w < 1 for w in weights(ExponentMatrix(block_rows(kind, side)))):
+                return NotInvertibleError
+    return None
+
+
+def test_anchors_match_the_exhaustive_reference():
+    # one pass against every product of orientations: where f is valid the
+    # same anchors and successors, and where it is refused the same class,
+    # an orientation refused only where none exists
+    rng = seeded(45)
+    matrices = [random_square(rng) for _ in range(1500)]
+    matrices += [random_blocks(rng) for _ in range(2000)]
+    matrices += [random_invertible(rng, max_vars=7) for _ in range(200)]
+    seen = Counter()
+    for matrix in matrices:
+        found = brute_anchors(matrix)
+        try:
+            matrix.validate()
+        except (NotInvertibleError, DegenerateLoopError) as exc:
+            if found is None:
+                assert type(exc) is NotInvertibleError, (matrix, exc)
+                seen["no orientation"] += 1
+            else:
+                assert "orientation" not in str(exc), (matrix, exc)
+                assert type(exc) is refusal_of_blocks(matrix, *found), (matrix, exc)
+                seen[type(exc)] += 1
+        else:
+            assert found == (matrix.anchors(), matrix.successors()), matrix
+            assert refusal_of_blocks(matrix, *found) is None, matrix
+            seen["valid"] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 10, seen
 
 
 def test_validate_random_sums(request):
@@ -338,24 +455,21 @@ def trivial(n):
 def test_restrict_quintic(quintic):
     # f^I = x1^5 + x3^5: full, and the torus part of its fibre has
     # chi = -25, its determinant 5 * 5 with the sign of two points
-    assert quintic.full_on([0, 2])
+    assert (0, 2) in quintic.full_subsets()
     assert fixed_chi(quintic, (0, 2), trivial(5)) == -25
 
 
 def test_restrict_x14_partial(x14):
     # f^I = x5^5 alone on two points
-    assert not x14.full_on([0, 4])
-    assert fixed_chi(x14, (0, 4), trivial(5)) == 0
+    assert (0, 4) not in x14.full_subsets()
 
 
 def test_restrict_x15_partial(x15):
     # f^I = x1^4*x2 alone on two points
-    assert not x15.full_on([0, 1])
-    assert fixed_chi(x15, (0, 1), trivial(5)) == 0
+    assert (0, 1) not in x15.full_subsets()
 
 
 def test_restrict_empty_is_vacuously_full(quintic):
-    assert quintic.full_on([])
     assert () in quintic.full_subsets()
 
 
@@ -363,12 +477,10 @@ def test_restrict_full_iff_dual_complement_full():
     rng = seeded(16)
     for _ in range(25):
         m = random_invertible(rng, max_vars=5)
-        t = transpose(m)
-        n = m.n
-        for mask in range(1 << n):
-            subset = [i for i in range(n) if mask >> i & 1]
-            complement = [i for i in range(n) if not mask >> i & 1]
-            assert m.anchored().full_on(subset) == t.full_on(complement)
+        full, dual = set(m.full_subsets()), set(transpose(m).full_subsets())
+        for subset in all_subsets(m.n):
+            complement = tuple(sorted(set(range(m.n)) - set(subset)))
+            assert (subset in full) == (complement in dual)
 
 
 # -- diagonal restrict: f^I folded along T's orbits --------------------------------

@@ -15,7 +15,7 @@ from collections import Counter, deque
 from pathlib import Path
 
 import pytest
-from conftest import all_subsets, random_invertible
+from conftest import all_subsets, is_full, random_invertible
 from hypothesis import given
 from hypothesis import strategies as st
 from test_stratum_naming import CATALOGUE, catalogue_pairs, doubled, symmetries
@@ -80,10 +80,10 @@ def test_subset_orbit_matches_the_all_subsets_walk(group):
 
 def assert_full_subsets(matrix, perms):
     full = matrix.full_subsets()
-    assert full == sorted(s for s in all_subsets(matrix.n) if matrix.full_on(s))
+    assert full == sorted(s for s in all_subsets(matrix.n) if is_full(matrix, s))
     for subset in full:
         for g in perms.generators:
-            assert matrix.full_on(sorted(g[i] for i in subset)), (subset, g)
+            assert tuple(sorted(g[i] for i in subset)) in full, (subset, g)
 
 
 def test_full_subsets_are_the_full_ones_on_the_catalogue():
