@@ -4,6 +4,10 @@ Ambient elements are pairs (v, s) of a diagonal-group element and a
 permutation, multiplied by (v, s)(w, t) = (v + s.w, st).  Generators of the
 free abelian group are classes of split subgroups H x| T.
 
+An ambient group is equal only to itself: classes of two never mix
+(AmbientMismatchError).  ``induction`` and ``saito_dual`` are handed the
+ambient they land in, over the same G and over the same S object.
+
 On the verdict path every class is [K_I x| T]: K_I is the stratum kernel
 of a subset I of the points, the elements vanishing on I (K_empty = G), and
 T <= S_I.  K_I is also the kernel of its zero set C = Z(K_I), which
@@ -34,34 +38,27 @@ K' whose cosets are counted is always named by stratum, and one formula
 counts every mark: the class formula summed over the orbit of K''s zero
 set, as its walk left it, adding c_C'(U) in closed form per conjugate U of
 T.  No mark scans S or builds a Hermite key.
+
+Memos: an ``HTClass`` keeps its output order ``tag``, made on first use.
 """
 
 from functools import cached_property
 
+from .diaggroups import CharacterPairing
 from .errors import AmbientMismatchError, StructuralAssumptionViolated
 from .intmat import hermite_generators, hermite_key
 from .permgroups import conjugate, cycle_notation, generating_set
 
 
 class SemidirectAmbient:
-    """The group G x| S, given by its two factors: equal to another when
-    their exponent matrices and the element sets of their S are."""
+    """The group G x| S, given by its two factors, and equal only to itself."""
 
     def __init__(self, diag, perms):
         if diag.n != perms.n:
             raise AmbientMismatchError("diagonal and permutation degrees differ")
         self.diag = diag
         self.perms = perms
-        self.n = diag.n
         self.order = diag.order * perms.order
-
-    def __eq__(self, other):
-        return other is self or (isinstance(other, SemidirectAmbient)
-                                 and self.diag.matrix == other.diag.matrix
-                                 and self.perms.element_set == other.perms.element_set)
-
-    def __hash__(self):
-        return hash((self.diag.matrix, self.perms.element_set))
 
 
 class HTClass:
@@ -96,7 +93,7 @@ class HTClass:
 
     def __eq__(self, other):
         return (isinstance(other, HTClass) and self.name == other.name
-                and self.ambient == other.ambient)
+                and self.ambient is other.ambient)
 
     def __hash__(self):
         return self._hash
@@ -183,7 +180,7 @@ class BurnsideElement:
         if coefficients:
             for cls, c in coefficients.items():
                 if c:
-                    if cls.ambient != ambient:
+                    if cls.ambient is not ambient:
                         raise AmbientMismatchError("class over a different group")
                     self.coefficients[cls] = int(c)
 
@@ -193,7 +190,7 @@ class BurnsideElement:
 
     def __eq__(self, other):
         return (isinstance(other, BurnsideElement)
-                and self.ambient == other.ambient
+                and self.ambient is other.ambient
                 and self.coefficients == other.coefficients)
 
     def coefficient(self, cls):
@@ -227,7 +224,7 @@ def mark(kprime, k):
     failure, reported with its residual.
     """
     ambient = kprime.ambient
-    if ambient != k.ambient:
+    if ambient is not k.ambient:
         raise AmbientMismatchError("marks need a common ambient group")
     closed = kprime.closed
     if closed is None:
@@ -253,39 +250,39 @@ def mark(kprime, k):
     return count
 
 
-def induction(element, perms_big):
-    """Reinterpret classes over G x| S' inside G x| S for S' <= S.
+def induction(element, big):
+    """Reinterpret classes over G x| S' inside ``big``, G x| S for S' <= S.
 
     The class named (C, key) is [K_C x| T] in G x| S too, named again by
-    C's orbit under S (``carried``).  On the verdict path S' = S_I for a stratum I that
-    represents its S-orbit, and C = I unless K_I vanishes beyond I, so the
-    name stays: two classes of the stratum are S-conjugate only by an
-    element of S_I, and none fuse."""
+    C's orbit under S (``carried``).  On the verdict path S' = S_I for a
+    stratum I that represents its S-orbit, and C = I unless K_I vanishes
+    beyond I, so the name stays: two classes of the stratum are S-conjugate
+    only by an element of S_I, and none fuse."""
     small = element.ambient
-    if not small.perms.is_subgroup_of(perms_big):
+    if small.diag is not big.diag or not small.perms.is_subgroup_of(big.perms):
         raise AmbientMismatchError("induction target does not contain the source")
-    big = SemidirectAmbient(small.diag, perms_big)
     out = {}
     for cls, c in element.coefficients.items():
-        lifted = named_class(big, *carried(perms_big, cls.name[0], cls.t_elements))
+        lifted = named_class(big, *carried(big.perms, cls.name[0], cls.t_elements))
         out[lifted] = out.get(lifted, 0) + c
     return BurnsideElement(big, out)
 
 
-def saito_dual(element, pairing):
+def saito_dual(element, target):
     """Replace every H by its annihilator, keeping T and coefficients.
 
-    ``pairing`` must have its left group equal to the element's diagonal
-    group; the result lives over (right group) x| S.  The class named
-    (C, key) has H = K_C and goes to [K'_{C^c} x| T], named by the orbit of
-    the zero set of K'_{C^c} (``carried``).  That ann(K_C) = K'_{C^c} is checked once
+    The element lives over G x| S and the result over ``target``, G' x| S
+    for the same S object and the group G' of the transposed matrix
+    (``CharacterPairing.between``).  The class named (C, key) has
+    H = K_C and goes to [K'_{C^c} x| T], named by the orbit of the zero set
+    of K'_{C^c} (``carried``).  That ann(K_C) = K'_{C^c} is checked once
     per C (``CharacterPairing.dual_stratum``); otherwise
     StructuralAssumptionViolated names the stratum.
     """
     src = element.ambient
-    if pairing.left is not src.diag and pairing.left.matrix != src.diag.matrix:
-        raise AmbientMismatchError("pairing does not match the element's group")
-    dual_ambient = SemidirectAmbient(pairing.right, src.perms)
+    if target.perms is not src.perms:
+        raise AmbientMismatchError("the dual lands over the same S")
+    pairing = CharacterPairing.between(src.diag, target.diag)
     out = {}
     for cls, c in element.coefficients.items():
         closed = cls.name[0]
@@ -295,6 +292,6 @@ def saito_dual(element, pairing):
             raise StructuralAssumptionViolated(
                 "the annihilator of the kernel of stratum %s is not the kernel of "
                 "its complement" % (stratum,), stratum=stratum)
-        lifted = named_class(dual_ambient, *carried(src.perms, dual, cls.t_elements))
+        lifted = named_class(target, *carried(src.perms, dual, cls.t_elements))
         out[lifted] = out.get(lifted, 0) + c
-    return BurnsideElement(dual_ambient, out)
+    return BurnsideElement(target, out)

@@ -10,6 +10,8 @@ Exit codes:
        (StructuralAssumptionViolated, DegeneratePairingError)
     4  resource bound: a listing exceeded its size bound (SizeBoundError);
        no verdict and no printed class lists a diagonal subgroup
+
+Memos: ``table1`` keeps each verdict by (f, S) for one run, printed as cached.
 """
 
 import argparse
@@ -335,7 +337,7 @@ def cmd_verify(args):
             payload["fixture"] = fx.name
             payload["expected_met"] = ok and pc_ok
             if lemmas:
-                payload["lemmas"] = [vars(check) for check in lemmas]
+                payload["lemmas"] = [check._asdict() for check in lemmas]
             print(json.dumps(payload, sort_keys=True))
         else:
             print("%s: pc = %s, duality %s%s"
@@ -396,7 +398,7 @@ def cmd_table1(args):
 
 
 def cmd_selftest(args):
-    from .burnside import SemidirectAmbient, mark, stratum_class
+    from .burnside import mark, stratum_class
     from .oracles import (brute_subgroups, check_hermite_keys, conjugators_by_scan,
                           group_elements, key_class, key_of_elements, naive_marks,
                           split_subgroup_pairs)
@@ -441,7 +443,7 @@ def cmd_selftest(args):
                     raise AssertionError("mark mismatch on %r / %r" % (a, b))
         # the classes of each stratum, by the class formula and by a scan of S_I
         for stratum in analysis.strata:
-            amb = SemidirectAmbient(G, stratum.stabilizer)
+            amb = stratum.element.ambient
             classes = [stratum_class(amb, stratum.subset, key) for key in stratum.class_keys]
             for a in classes:
                 for b in classes:

@@ -21,6 +21,11 @@ A key decides equality, membership and order without listing, and its
 rows are the subgroup's output generators (``intmat.hermite_generators``),
 so a subgroup is handed out as its key (``Subgroup``), walked only when
 iterated.
+
+Memos: a ``DiagonalGroup`` keeps its ``key``, ``grading``, stratum kernels,
+cocycle orders c(U) and pairings; a ``CharacterPairing`` its checked dual
+strata, congruence rows and nondegeneracy; the module one ``perm_act``
+getter per permutation, unbounded.
 """
 
 from functools import cached_property
@@ -28,7 +33,8 @@ from itertools import chain, product, repeat
 from math import gcd, lcm, prod
 from operator import itemgetter, mod, mul
 
-from .errors import DegeneratePairingError, MembershipError, SizeBoundError
+from .errors import (AmbientMismatchError, DegeneratePairingError, MembershipError,
+                     SizeBoundError)
 from .intmat import (hermite_generators, hermite_key, hermite_order, in_hermite,
                      kernel_mod, matvec)
 from .permgroups import inverse
@@ -299,11 +305,14 @@ class CharacterPairing:
     @classmethod
     def between(cls, left, right):
         """The pairing of two groups already built: the left one of an
-        anchored matrix, the right one of its transpose.  There is one
-        pairing per pair of groups, kept by the left group, so a verdict and
-        its lemma checks share its checked dual strata."""
+        anchored matrix, the right one of its transpose, read off the rows
+        (AmbientMismatchError otherwise).  There is one pairing per pair of
+        groups, kept by the left group, so a verdict and its lemma checks
+        share its checked dual strata."""
         pairing = left.pairings.get(right)
         if pairing is None:
+            if right.matrix.rows != tuple(zip(*left.matrix.rows)):
+                raise AmbientMismatchError("the right group is not of the transposed matrix")
             pairing = cls.__new__(cls)
             pairing._join(left, right)
         return pairing
@@ -316,10 +325,6 @@ class CharacterPairing:
         self._congruences = {}  # left element a -> E.a / L1
         self._nondegenerate = False
         left.pairings[right] = self
-
-    def swapped(self):
-        """The same pairing read from the dual side."""
-        return CharacterPairing.between(self.right, self.left)
 
     def annihilator(self, subgroup):
         """Dual subgroup: characters vanishing on a left ``Subgroup`` H, as

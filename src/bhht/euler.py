@@ -23,6 +23,9 @@ since G's grading element J, the weights mod 1, moves every coordinate.
 So the strata sum to chi without re-identifying a class, and the Saito
 dual of f^T's classes is read off the complements.
 Everything is exact integer arithmetic.
+
+Memos: the module keeps the latest verdict's two analyses (``_RECENT``),
+an ``EulerAnalysis`` its ``reduced`` and a ``DualityReport`` its ``diff``.
 """
 
 from collections import deque, namedtuple
@@ -135,11 +138,11 @@ class StratumContribution(namedtuple("StratumContribution", [
 
 
 class EulerAnalysis:
-    def __init__(self, matrix, perms, group, ambient, strata, element):
+    def __init__(self, matrix, ambient, strata, element):
         self.matrix = matrix
-        self.perms = perms
-        self.group = group
-        self.ambient = ambient
+        self.ambient = ambient  # G x| S, where every stratum is induced
+        self.group = ambient.diag
+        self.perms = ambient.perms
         self.strata = strata
         self.element = element
 
@@ -147,12 +150,11 @@ class EulerAnalysis:
     def reduced(self):
         """The element minus the class of the one-point set, [G x| S / G x| S]."""
         point = stratum_class(self.ambient, (), self.perms.elements)
-        total = dict(self.element.coefficients)
-        total[point] = total.get(point, 0) - 1
-        return BurnsideElement(self.ambient, total)
+        return BurnsideElement(self.ambient, {**self.element.coefficients,
+                                              point: self.element.coefficient(point) - 1})
 
 
-def _stratum_contribution(matrix, subset, group, perms, stabilizer, orbit_size):
+def _stratum_contribution(matrix, subset, big, stabilizer, orbit_size):
     keys = list(stabilizer.lattice.classes)
     # what S_I's generators pass, each T <= S_I passes; a class's orbits
     # are its key's, and the stratum is full (``full_subsets``)
@@ -161,8 +163,8 @@ def _stratum_contribution(matrix, subset, group, perms, stabilizer, orbit_size):
     # descending subgroup order; ties broken by the canonical representative
     order = sorted(keys, key=lambda k: (-len(k), k))
 
-    ambient = SemidirectAmbient(group, stabilizer)
-    closed = group.zero_set(subset)
+    ambient = SemidirectAmbient(big.diag, stabilizer)
+    closed = big.diag.zero_set(subset)
     node = {key: named_class(ambient, closed, key) for key in keys}
     fixed = {key: _fold(matrix, orbs[key]) for key in keys}
 
@@ -199,7 +201,7 @@ def _stratum_contribution(matrix, subset, group, perms, stabilizer, orbit_size):
         fixed_chi=fixed,
         coefficients=solved,
         element=element,
-        induced=induction(element, perms),
+        induced=induction(element, big),
     )
 
 
@@ -223,19 +225,17 @@ def euler_analysis(matrix, perms):
         if analysis.perms is perms and analysis.matrix == matrix:
             return analysis
     check_invariance(matrix, perms)
-    group = DiagonalGroup(matrix)
-    ambient = SemidirectAmbient(group, perms)
+    ambient = SemidirectAmbient(DiagonalGroup(matrix), perms)
     total = {}  # the strata's classes and their summed coefficients
     strata = []
     for rep, stab, size in perms.orbits_of(matrix.full_subsets()):
         if not rep:
             continue
-        contribution = _stratum_contribution(matrix, rep, group, perms, stab, size)
+        contribution = _stratum_contribution(matrix, rep, ambient, stab, size)
         for cls, c in contribution.induced.coefficients.items():
             total[cls] = total.get(cls, 0) + c
         strata.append(contribution)
-    analysis = EulerAnalysis(matrix=matrix, perms=perms, group=group, ambient=ambient,
-                             strata=strata, element=BurnsideElement(ambient, total))
+    analysis = EulerAnalysis(matrix, ambient, strata, BurnsideElement(ambient, total))
     _RECENT.append(analysis)
     return analysis
 
@@ -257,7 +257,7 @@ class DualityReport:
         return sorted_by_tag(self.differences)
 
     def to_records(self):
-        out = {
+        return {
             "n": self.nvars,
             "pc": self.pc.satisfies,
             "equal": self.equal,
@@ -268,17 +268,15 @@ class DualityReport:
                 for cls, lc, rc in self.diff
             ],
         }
-        return out
 
 
 def verify_duality(matrix, perms):
     """Compare the reduced invariant of f with the sign-twisted dual of its transpose."""
     lhs_analysis = euler_analysis(matrix, perms)
     rhs_analysis = euler_analysis(transpose(matrix), perms)
-    pairing = CharacterPairing.between(lhs_analysis.group, rhs_analysis.group)
     n = lhs_analysis.matrix.n
     lhs = lhs_analysis.reduced
-    rhs = saito_dual(rhs_analysis.reduced, pairing.swapped()).scale((-1) ** n)
+    rhs = saito_dual(rhs_analysis.reduced, lhs_analysis.ambient).scale((-1) ** n)
     differences = []
     for cls in lhs.coefficients.keys() | rhs.coefficients.keys():
         lc = lhs.coefficient(cls)
@@ -290,11 +288,7 @@ def verify_duality(matrix, perms):
                          lhs_analysis=lhs_analysis, rhs_analysis=rhs_analysis)
 
 
-class LemmaCheck:
-    def __init__(self, name, passed, detail=""):
-        self.name = name
-        self.passed = passed
-        self.detail = detail
+LemmaCheck = namedtuple("LemmaCheck", "name passed detail", defaults=("",))
 
 
 class LemmaReport:
@@ -339,54 +333,43 @@ def lemma_level_checks(matrix, perms):
     checks.append(LemmaCheck(
         "proper subgroups contribute zero on the open torus", proper_ok))
 
-    ok_c = True
-    detail_c = ""
+    detail_c = ""  # the first failure, if any
     rhs_by_subset = {s.subset: s for s in rhs.strata}
     for s in lhs.strata:
         if len(s.subset) in (0, n):
             continue
+        stratum = tuple(i + 1 for i in s.subset)
         complement = tuple(i for i in range(n) if i not in s.subset)
         dual_side = rhs_by_subset.get(perms.subset_orbit(complement)[0])
         if dual_side is None:
-            ok_c = False
-            detail_c = ("stratum %s is full but its dual complement is not"
-                        % (tuple(i + 1 for i in s.subset),))
-            break
-        mirrored = saito_dual(dual_side.induced, pairing.swapped()).scale((-1) ** n)
-        if mirrored != s.induced:
-            ok_c = False
-            detail_c = "orbit of %s is not dual to the orbit of its complement" \
-                       % (tuple(i + 1 for i in s.subset),)
-            break
+            detail_c = "stratum %s is full but its dual complement is not" % (stratum,)
+        elif saito_dual(dual_side.induced, lhs.ambient).scale((-1) ** n) != s.induced:
+            detail_c = "orbit of %s is not dual to the orbit of its complement" % (stratum,)
         # the verdict's own check, on the stratum's zero set C: K_I = K_C
-        if pairing.dual_stratum(pairing.left.zero_set(s.subset)) is None:
-            ok_c = False
+        elif pairing.dual_stratum(pairing.left.zero_set(s.subset)) is None:
             detail_c = "stratum kernel of the complement is not the annihilator"
+        if detail_c:
             break
     checks.append(LemmaCheck(
-        "complementary strata are dual with sign (-1)^n", ok_c, detail_c))
+        "complementary strata are dual with sign (-1)^n", not detail_c, detail_c))
 
     ok_deep = True
-    ok_hasse = True
-    detail_hasse = ""
+    detail_hasse = ""  # the last failure, if any
     profiles = {}
     for analysis in (lhs, rhs):
         for s in analysis.strata:
             profile, deep_sign = _stratum_profile(
                 s.stabilizer, {k: len(s.orbits[k]) for k in s.class_keys})
-            if s.coefficients[s.stabilizer.elements] != deep_sign:
-                ok_deep = False
+            ok_deep &= s.coefficients[s.stabilizer.elements] == deep_sign
             vector = tuple(deep_sign * s.coefficients[k] for k in s.class_keys)
             profiles.setdefault(profile, []).append((s.subset, vector))
-    for profile, entries in profiles.items():
-        vectors = {v for _s, v in entries}
-        if len(vectors) > 1:
-            ok_hasse = False
+    for entries in profiles.values():
+        if len({v for _s, v in entries}) > 1:
             detail_hasse = "coefficient vectors differ on strata %s" % (
                 [tuple(i + 1 for i in e[0]) for e in entries],)
     checks.append(LemmaCheck("deepest stratum coefficient is a bare sign", ok_deep))
     checks.append(LemmaCheck(
         "identical coloured diagrams give identical coefficient vectors",
-        ok_hasse, detail_hasse))
+        not detail_hasse, detail_hasse))
     return LemmaReport(checks)
 

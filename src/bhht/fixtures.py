@@ -11,6 +11,8 @@ Format: section headers in brackets, one datum per line, ``#`` comments.
     [expect]      ``key = value`` expectations (pc, duality_equal, error,
                   golden_euler, ...)
     [meta]        free-form ``key = value`` bookkeeping (table row numbers etc.)
+
+Memos: a ``FixtureSpec`` keeps its parsed ``matrix``.
 """
 
 import os

@@ -7,6 +7,8 @@ semidirect product G x| S, which the main paths never build, except the
 fixed-point chi, which is Milnor-Orlik's closed form in the weights of f,
 and the integer linear algebra the main paths read off the blocks: Bareiss
 determinants and Cramer's weights.  Each quantity has one reference here.
+
+Memos: ``group_elements`` keeps the latest four listings.
 """
 
 from fractions import Fraction
@@ -16,9 +18,10 @@ from math import prod
 from operator import mod, sub
 from types import SimpleNamespace
 
-from .burnside import BurnsideElement, HTClass, SemidirectAmbient, mark
-from .diaggroups import perm_act
-from .errors import DegeneratePairingError, MembershipError, SizeBoundError
+from .burnside import BurnsideElement, HTClass, mark
+from .diaggroups import CharacterPairing, perm_act
+from .errors import (AmbientMismatchError, DegeneratePairingError, MembershipError,
+                     SizeBoundError)
 from .intmat import (hermite_generators, hermite_key, hermite_order, in_hermite, kernel_mod,
                      matvec)
 from .permgroups import compose, conjugate, generating_set, identity_perm, inverse, orbit
@@ -150,10 +153,11 @@ def h_elements_of(cls):
     return frozenset(cls.ambient.diag.kernel_elements(h_key_of(cls)))
 
 
-def key_induction(element, perms_big):
+def key_induction(element, big):
     """``burnside.induction`` by Hermite keys: every class named again by
-    ``key_class`` over G x| S."""
-    big = SemidirectAmbient(element.ambient.diag, perms_big)
+    ``key_class`` over ``big``, G x| S."""
+    if element.ambient.diag is not big.diag:
+        raise AmbientMismatchError("induction target does not contain the source")
     out = {}
     for cls, c in element.coefficients.items():
         lifted = key_class(big, h_key_of(cls), cls.t_elements)
@@ -161,15 +165,17 @@ def key_induction(element, perms_big):
     return BurnsideElement(big, out)
 
 
-def key_saito_dual(element, pairing):
+def key_saito_dual(element, target):
     """``burnside.saito_dual`` by Hermite keys: every H replaced by its
-    annihilator and the class named again by ``key_class``."""
-    dual_ambient = SemidirectAmbient(pairing.right, element.ambient.perms)
+    annihilator and the class named again by ``key_class`` over ``target``."""
+    if target.perms is not element.ambient.perms:
+        raise AmbientMismatchError("the dual lands over the same S")
+    pairing = CharacterPairing.between(element.ambient.diag, target.diag)
     out = {}
     for cls, c in element.coefficients.items():
-        lifted = key_class(dual_ambient, pairing.dual_kernel(h_key_of(cls)), cls.t_elements)
+        lifted = key_class(target, pairing.dual_kernel(h_key_of(cls)), cls.t_elements)
         out[lifted] = out.get(lifted, 0) + c
-    return BurnsideElement(dual_ambient, out)
+    return BurnsideElement(target, out)
 
 
 def subgroup_elements(cls):
@@ -194,7 +200,7 @@ def naive_marks(kprime):
             reps.append(g)
 
     def fixed(k):
-        generators = ([(h, identity_perm(ambient.n)) for h in k.h_gens]
+        generators = ([(h, identity_perm(ambient.diag.n)) for h in k.h_gens]
                       + [(ambient.diag.zero, t) for t in generating_set(k.t_elements)])
         return sum(all(coset_of[mul(ambient, x, g)] == c for x in generators)
                    for c, g in enumerate(reps))
@@ -327,7 +333,7 @@ def kernel_nondegenerate(pairing):
     if pairing.left.order != pairing.right.order:
         raise DegeneratePairingError(pairing.matrix, "group orders differ")
     sides = ((pairing, "a nonzero character vanishes on the whole group"),
-             (pairing.swapped(), "a nonzero element is killed by every character"))
+             (swapped(pairing), "a nonzero element is killed by every character"))
     for side, what in sides:
         gens = side.left.stratum(())[0]  # K_empty = G
         right = side.right
@@ -338,6 +344,11 @@ def kernel_nondegenerate(pairing):
                  for w in hermite_generators(whole, right.exponent)]
         if len(brute_span(values, steps)) != right.order:
             raise DegeneratePairingError(pairing.matrix, what)
+
+
+def swapped(pairing):
+    """The same pairing read from the dual side."""
+    return CharacterPairing.between(pairing.right, pairing.left)
 
 
 def pairing_value(pairing, v, w):

@@ -2,6 +2,10 @@
 
 Permutations are tuples p with p[i] = image of point i.  Cycle notation in
 text is 1-based, e.g. ``(12)(34)``.
+
+Memos: a ``PermGroup`` keeps its ``lattice``, its walked subset orbits and
+one subgroup per element set, shared with its subgroups; a
+``SubgroupLattice`` keeps ``key_of`` and ``subgroups``.
 """
 
 from collections import namedtuple
@@ -98,10 +102,12 @@ class PermGroup:
 
     def __init__(self, n, generators=(), _elements=None):
         self.n = n
-        self.generators = tuple(tuple(g) for g in generators)
-        for g in self.generators:
+        generators = tuple(map(tuple, generators))
+        for g in generators:
             if sorted(g) != list(range(n)):
                 raise ValueError("not a permutation of 0..%d: %s" % (n - 1, g))
+        # the identity and repeats dropped, the rest in the order given
+        self.generators = tuple(dict.fromkeys(g for g in generators if g != identity_perm(n)))
         if _elements is None:
             _elements = orbit(identity_perm(n), self.generators, compose,
                               DEFAULT_ORDER_BOUND)

@@ -8,6 +8,9 @@ are 0-based everywhere in the API; the text grammar uses the 1-based names
 The text grammar: monomials joined by ``+``; a monomial is an optional
 rational coefficient followed by ``*`` and one or more factors ``xK`` or
 ``xK^P`` joined by ``*``.  Whitespace is ignored.
+
+Memos: an ``ExponentMatrix`` keeps its blocks, anchors, successors,
+anchored copy, sort key, ``coefficient_ids`` and ``transpose``.
 """
 
 import re

@@ -63,7 +63,7 @@ def stratum_classes_of(ambient):
     counts the cosets of: for every subset I, C = Z(K_I) taken to its
     S-orbit representative, and every class key of that stabilizer's
     lattice; sorted by name."""
-    n = ambient.n
+    n = ambient.diag.n
     classes = set()
     for mask in range(1 << n):
         closed = ambient.diag.zero_set(tuple(i for i in range(n) if mask >> i & 1))

@@ -14,6 +14,7 @@ from bhht.burnside import (
 from bhht.diaggroups import CharacterPairing, DiagonalGroup
 from bhht.errors import AmbientMismatchError, MembershipError
 from bhht.euler import verify_duality
+from bhht.fixtures import load_catalogue
 from bhht.intmat import hermite_generators
 from bhht.oracles import (
     ambient_elements,
@@ -42,7 +43,7 @@ from bhht.permgroups import (
     orbit,
     parse_cycles,
 )
-from bhht.polynomials import parse_polynomial
+from bhht.polynomials import parse_polynomial, transpose
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +53,11 @@ def small():
     group = DiagonalGroup(matrix.anchored())
     perms = group_from_generators(3, ["(12)", "(123)"])
     return SemidirectAmbient(group, perms)
+
+
+def dual_of(ambient):
+    """G' x| S for the group G' of the transposed matrix, built afresh."""
+    return SemidirectAmbient(DiagonalGroup(transpose(ambient.diag.matrix)), ambient.perms)
 
 
 def ambient_of(polynomial, generators):
@@ -286,6 +292,30 @@ def test_element_ambient_mismatch(small):
         BurnsideElement(other, x.coefficients)
 
 
+@pytest.mark.parametrize("name", ["pc_a3", "table1_r80", "counterexample_m3"])
+def test_one_ambient_per_analysis(name):
+    # each stratum is induced into its own analysis's ambient, and the dual
+    # of f^T's classes lands in f's; an equal ambient built again is another
+    # group, whose classes neither an element nor a mark mixes with these
+    fx = load_catalogue()[name]
+    report = verify_duality(fx.matrix, fx.perm_group())
+    for analysis in (report.lhs_analysis, report.rhs_analysis):
+        for stratum in analysis.strata:
+            assert stratum.induced.ambient is analysis.ambient
+            assert all(cls.ambient is analysis.ambient for cls in stratum.induced.coefficients)
+    ambient = report.lhs_analysis.ambient
+    assert report.rhs.ambient is ambient and report.rhs.coefficients
+    assert all(cls.ambient is ambient for cls in report.rhs.coefficients)
+    again = SemidirectAmbient(ambient.diag, ambient.perms)
+    mine, theirs = (stratum_class(amb, (), ambient.perms.elements) for amb in (ambient, again))
+    assert mine.name == theirs.name and mine != theirs
+    with pytest.raises(AmbientMismatchError):
+        BurnsideElement(again, {mine: 1})
+    for kprime, k in ((mine, theirs), (theirs, mine)):
+        with pytest.raises(AmbientMismatchError):
+            mark(kprime, k)
+
+
 def test_mark_trivial_column_is_index(small):
     trivial = key_class(small, key_of(small.diag, ()), {parse_cycles("e", 3)})
     for cls in stratum_classes_of(small):
@@ -409,7 +439,7 @@ def test_diagonal_mark_is_normalizer_index(small):
 
 def test_induction_identity(small):
     full = BurnsideElement(small, {stratum_class(small, (), small.perms.elements): 1})
-    assert induction(full, small.perms) == full
+    assert induction(full, small) == full
 
 
 def test_induction_fuses_conjugate_classes():
@@ -417,35 +447,55 @@ def test_induction_fuses_conjugate_classes():
     group = DiagonalGroup(quintic)
     s3 = group_from_generators(3, ["(12)", "(123)"])
     loner = SemidirectAmbient(group, PermGroup(3, ()))
+    big = SemidirectAmbient(group, s3)
     e3 = (parse_cycles("e", 3),)
     x = BurnsideElement(loner, {stratum_class(loner, (i,), e3): 1 for i in (0, 1)})
-    lifted = induction(x, s3)
+    lifted = induction(x, big)
     (cls, c), = lifted.coefficients.items()
-    assert c == 2 and cls.name == ((0,), e3)
+    assert c == 2 and cls.name == ((0,), e3) and cls.ambient is big
     # the key naming fuses the same two classes
-    assert list(key_induction(x, s3).coefficients.values()) == [2]
+    assert list(key_induction(x, big).coefficients.values()) == [2]
 
 
 def test_induction_requires_subgroup(small):
     with pytest.raises(AmbientMismatchError):
-        induction(BurnsideElement(small), PermGroup(3, ()))
+        induction(BurnsideElement(small), SemidirectAmbient(small.diag, PermGroup(3, ())))
+
+
+@pytest.mark.parametrize("induce", [induction, key_induction])
+def test_induction_requires_the_same_diagonal_group(small, induce):
+    # an equal G built again is another group: its classes are not small's
+    again = SemidirectAmbient(DiagonalGroup(small.diag.matrix), small.perms)
+    with pytest.raises(AmbientMismatchError):
+        induce(BurnsideElement(small), again)
 
 
 def test_saito_dual_extremes(small):
     # [G x| S / G x| S] and [G x| S / e x| S] are the classes of the
     # strata empty and {1, 2, 3}, each other's complement
-    matrix = parse_polynomial("x1^2+x2^2+x3^2")
-    pairing = CharacterPairing(matrix)
+    target = dual_of(small)
     s = small.perms.elements
     full_h = BurnsideElement(small, {stratum_class(small, (), s): 1})
-    dual = saito_dual(full_h, pairing)
+    dual = saito_dual(full_h, target)
     (cls, coeff), = dual.coefficients.items()
-    assert coeff == 1 and cls.name == ((0, 1, 2), s)
+    assert coeff == 1 and cls.name == ((0, 1, 2), s) and cls.ambient is target
     assert cls.h_order == 1 and cls.t_order == small.perms.order
     free = BurnsideElement(small, {stratum_class(small, (0, 1, 2), s): 1})
-    dual_free = saito_dual(free, pairing)
+    dual_free = saito_dual(free, target)
     (cls2, _), = dual_free.coefficients.items()
-    assert cls2.name == ((), s) and cls2.h_order == pairing.right.order
+    assert cls2.name == ((), s) and cls2.h_order == target.diag.order
+
+
+@pytest.mark.parametrize("dual", [saito_dual, key_saito_dual])
+def test_saito_dual_lands_over_the_transpose_and_the_same_s(dual):
+    # x1^2*x2+x2^3 is not its own transpose: G of f^T, not G of f, is the
+    # target, and an equal S built again is another S
+    source = ambient_of("x1^2*x2+x2^3", [])
+    x = BurnsideElement(source, {stratum_class(source, (), source.perms.elements): 1})
+    assert dual(x, dual_of(source)).coefficients
+    for target in (source, SemidirectAmbient(dual_of(source).diag, PermGroup(2, ()))):
+        with pytest.raises(AmbientMismatchError):
+            dual(x, target)
 
 
 def random_element(rng, ambient, pairs, max_terms=3):
@@ -458,22 +508,20 @@ def random_element(rng, ambient, pairs, max_terms=3):
 
 
 def test_saito_dual_involution_and_induction_commute(small):
-    matrix = parse_polynomial("x1^2+x2^2+x3^2")
-    pairing = CharacterPairing(matrix)
+    dual_small = dual_of(small)
     rng = seeded(42)
     pairs = split_subgroup_pairs(small.diag, small.perms)
     sub_perms = group_from_generators(3, ["(12)"])
     sub_ambient = SemidirectAmbient(small.diag, sub_perms)
+    dual_sub = SemidirectAmbient(dual_small.diag, sub_perms)
     sub_pairs = [(h, t) for h, t in split_subgroup_pairs(small.diag, sub_perms)]
     for _ in range(100):
         x = random_element(rng, small, pairs)
-        back = key_saito_dual(key_saito_dual(x, pairing), pairing.swapped())
-        assert BurnsideElement(small, back.coefficients) == x
+        assert key_saito_dual(key_saito_dual(x, dual_small), small) == x
         y = random_element(rng, sub_ambient, sub_pairs)
-        a = key_induction(key_saito_dual(y, pairing), small.perms)
-        b = key_saito_dual(key_induction(y, small.perms), pairing)
-        assert BurnsideElement(small, a.coefficients) \
-            == BurnsideElement(small, b.coefficients)
+        a = key_induction(key_saito_dual(y, dual_sub), dual_small)
+        b = key_saito_dual(key_induction(y, small), dual_small)
+        assert a == b
 
 
 def test_dual_conjugacy_criterion(small, small_classes):

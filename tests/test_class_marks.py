@@ -33,6 +33,7 @@ from bhht.oracles import (
     key_class,
     naive_marks,
     split_subgroup_pairs,
+    swapped,
 )
 from bhht.permgroups import PermGroup, group_from_generators
 from bhht.polynomials import parse_polynomial, transpose
@@ -302,7 +303,7 @@ def assert_containment_agrees_with_keys(matrix, perms):
     """Both directions of the pairing, every C; returns how many were checked."""
     forward = CharacterPairing(matrix)
     checked = 0
-    for pairing in (forward, forward.swapped()):
+    for pairing in (forward, swapped(forward)):
         left, right = pairing.left, pairing.right
         for closed in zero_sets(left):
             ann = pairing.dual_kernel(key_of(left, brute_isotropy(left, closed)))

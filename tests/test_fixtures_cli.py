@@ -193,6 +193,19 @@ def test_cmd_validate_refuses_an_f_without_weights_in_the_unit_interval(
     assert capsys.readouterr().err.startswith("linear: NotInvertibleError: ")
 
 
+@pytest.mark.parametrize("s_lines", [["(12)", "(12)"], ["(12)", "()", "(12)"]],
+                         ids=["repeated", "with-identity"])
+def test_cmd_pc_witness_names_each_generator_once(tmp_path, s_lines):
+    # S = <(12)> is its own least violating subgroup, so the witness is S
+    # itself, printed by its generators: the repeated line and the identity
+    # are not among them
+    fx = tmp_path / "twice.fix"
+    fx.write_text("[polynomial]\nx1^3+x2^3\n\n[S]\n%s\n" % "\n".join(s_lines))
+    code, out = run_cli("pc", "--json", str(fx))
+    assert code == 0
+    assert json.loads(out)["witness"] == ["(12)"]
+
+
 def test_cmd_pc_five_example_groups():
     code, out = run_cli("pc", "pc_a3", "pc_a4", "pc_z2x2", "pc_d10", "pc_a5")
     assert code == 0

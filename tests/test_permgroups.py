@@ -103,6 +103,14 @@ def test_order_bound_enforced():
         group_from_generators(8, ["(12)", "(12345678)"])
 
 
+def test_generators_drop_the_identity_and_repeats_in_order():
+    t, c, e = parse_cycles("(12)", 3), parse_cycles("(123)", 3), identity_perm(3)
+    assert PermGroup(3, [e, c, t, c, e, t]).generators == (c, t)
+    assert PermGroup(3, [e, e]).generators == () and PermGroup(3, [e]).order == 1
+    with pytest.raises(ValueError):
+        PermGroup(3, [e, (0, 0, 1)])
+
+
 def test_contains_and_inverses():
     g = group_from_generators(4, ["(12)", "(1234)"])
     assert g.order == 24

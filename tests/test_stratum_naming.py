@@ -16,20 +16,21 @@ from conftest import key_zero_set, random_invertible, seeded
 from bhht import burnside, euler, oracles
 from bhht.burnside import BurnsideElement
 from bhht.cli import main
-from bhht.diaggroups import CharacterPairing, DiagonalGroup
+from bhht.diaggroups import DiagonalGroup
 from bhht.errors import NotInvariantError, StructuralAssumptionViolated
 from bhht.euler import euler_analysis, lemma_level_checks, verify_duality
 from bhht.fixtures import load_catalogue
 from bhht.oracles import (
     CONSISTENCY_ORDER_BOUND,
+    check_fixed_point_consistency,
     determinant,
     h_key_of,
     key_class,
     key_induction,
     key_saito_dual,
 )
-from bhht.permgroups import PermGroup
-from bhht.polynomials import ExponentMatrix, check_invariance, transpose
+from bhht.permgroups import PermGroup, group_from_generators, pc_check
+from bhht.polynomials import ExponentMatrix, check_invariance, parse_polynomial, transpose
 
 CATALOGUE = load_catalogue()
 
@@ -95,7 +96,7 @@ def key_reduced(analysis):
     by Hermite keys."""
     total = {}
     for stratum in analysis.strata:
-        for cls, c in key_induction(stratum.element, analysis.perms).coefficients.items():
+        for cls, c in key_induction(stratum.element, analysis.ambient).coefficients.items():
             total[cls] = total.get(cls, 0) + c
     element = BurnsideElement(analysis.ambient, total)
     point = key_class(analysis.ambient, analysis.group.key, analysis.perms.generators)
@@ -106,13 +107,12 @@ def key_reduced(analysis):
 def assert_namings_agree(matrix, perms):
     lhs = euler_analysis(matrix, perms)
     rhs = euler_analysis(transpose(matrix), perms)
-    pairing = CharacterPairing.between(lhs.group, rhs.group).swapped()
     for analysis in (lhs, rhs):
         element, reduced = key_reduced(analysis)
         assert key_named(analysis.element) == element
         assert key_named(analysis.reduced) == reduced
-    dual = burnside.saito_dual(rhs.reduced, pairing)
-    mirrored = key_saito_dual(key_reduced(rhs)[1], pairing)
+    dual = burnside.saito_dual(rhs.reduced, lhs.ambient)
+    mirrored = key_saito_dual(key_reduced(rhs)[1], lhs.ambient)
     assert key_named(dual) == mirrored
     for x in (lhs.reduced, dual):
         assert all(cls.name[0] == key_zero_set(x.ambient.diag, h_key_of(cls))
@@ -196,11 +196,46 @@ def assert_named_by_zero_sets(matrix, perms, element, reduced):
      {((0, 1, 2), 1): 1, ((), 1): -1}),
 ])
 def test_a_class_is_named_by_the_zero_set_of_its_kernel(text, n, gens, element, reduced):
-    from bhht.permgroups import group_from_generators
-    from bhht.polynomials import parse_polynomial
-
     assert_named_by_zero_sets(parse_polynomial(text).anchored(),
                               group_from_generators(n, gens), element, reduced)
+
+
+def chain_copies(k):
+    """k copies of x1^2*x2+x2*x3+x3^3: on each, K_(3) = K_(2 3), so a stratum
+    kernel can vanish beyond its stratum."""
+    return parse_polynomial("+".join(
+        "x%d^2*x%d+x%d*x%d+x%d^3" % (i + 1, i + 2, i + 2, i + 3, i + 3)
+        for i in range(0, 3 * k, 3))).anchored()
+
+
+def widened(analysis):
+    """How many of the analysis's strata have a zero set C larger than I."""
+    return sum(analysis.group.zero_set(s.subset) != s.subset for s in analysis.strata)
+
+
+def test_zero_sets_beyond_the_strata_under_a_rotation_of_copies():
+    # S permutes the copies, so induction and the dual carry names by the
+    # S-orbits of zero sets that are not the strata themselves
+    f = chain_copies(3)
+    s = group_from_generators(9, ["(147)(258)(369)"])
+    analysis = euler_analysis(f, s)
+    assert pc_check(s).satisfies and analysis.ambient.order == 648
+    assert (len(analysis.strata), widened(analysis)) == (23, 13)
+    assert_namings_agree(f, s)
+    assert lemma_level_checks(f, s).all_passed
+
+
+def test_zero_sets_beyond_the_strata_under_a_swap_of_copies():
+    # not PC, and duality fails; both namings agree on it all the same, and
+    # the marks of both sides match Milnor-Orlik on every split class
+    f = chain_copies(2)
+    s = group_from_generators(6, ["(14)(25)(36)"])
+    sides = euler_analysis(f, s), euler_analysis(transpose(f), s)
+    assert not pc_check(s).satisfies
+    assert [(len(a.strata), widened(a)) for a in sides] == [(9, 4), (9, 4)]
+    assert_namings_agree(f, s)
+    assert not verify_duality(f, s).equal
+    assert [check_fixed_point_consistency(a) for a in sides] == [33, 33]
 
 
 # -- no scan of S on the verdict path ---------------------------------------------------
