@@ -36,8 +36,10 @@ moves (h, t) to (s^-1(h + t.v - v), s^-1 t s), so fixed cosets are counted
 from S and G alone and the semidirect product is never listed.  The class
 K' whose cosets are counted is always named by stratum, and one formula
 counts every mark: the class formula summed over the orbit of K''s zero
-set, as its walk left it, adding c_C'(U) in closed form per conjugate U of
-T.  No mark scans S or builds a Hermite key.
+set, as its walk left it, adding c_C'(U) per conjugate U of T inside T',
+read once per member since conjugates share it: |K_C'| times the fold of
+the fixed points along U's orbits (``DiagonalGroup.stratum_cocycle_order``).
+No mark scans S or builds a Hermite key.
 
 Memos: an ``HTClass`` keeps its output order ``tag``, made on first use.
 """
@@ -220,8 +222,9 @@ def mark(kprime, k):
     s = r^-1 p, for r the carrier of D onto C' that the orbit's walk kept
     and p in P_C', U = p^-1 T_D p for T_D = r T r^-1 <= P_C' (``carried``),
     so D adds |P_C'| / |class of T_D| times the sum of c_C'(U) over T_D's
-    conjugates U <= T'.  A count that |K'| does not divide is a structural
-    failure, reported with its residual.
+    conjugates U <= T'.  c_C' is constant on the class, so that sum is
+    their count times c_C' of one of them.  A count that |K'| does not
+    divide is a structural failure, reported with its residual.
     """
     ambient = kprime.ambient
     if ambient is not k.ambient:
@@ -239,8 +242,10 @@ def mark(kprime, k):
         if key is None or any(h[i] for h in k.h_gens for i in d):
             continue
         conjugates = classes[key]
-        total += stabilizer.order // len(conjugates) * sum(
-            ambient.diag.stratum_cocycle_order(closed, u) for u in conjugates if u <= tp)
+        inside = sum(u <= tp for u in conjugates)
+        if inside:
+            total += stabilizer.order // len(conjugates) * inside * (
+                ambient.diag.stratum_cocycle_order(closed, conjugates[0]))
     count, rest = divmod(total, kprime.order)
     if rest:
         raise StructuralAssumptionViolated(

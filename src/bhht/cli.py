@@ -135,14 +135,20 @@ def _build_parser():
     return parser
 
 
-def _load(args, name_or_path):
+def _locate(args, name_or_path):
+    """The fixture file: a path as given, else the named fixture of the
+    fixtures directory."""
     path = Path(name_or_path)
     if path.exists():
-        return load_fixture(path)
+        return path
     candidate = fixtures_dir(args.fixtures) / (name_or_path + ".fix")
     if candidate.exists():
-        return load_fixture(candidate)
+        return candidate
     raise BhhtError("no such fixture: %s" % name_or_path)
+
+
+def _load(args, name_or_path):
+    return load_fixture(_locate(args, name_or_path))
 
 
 def _emit(args, payload, text_lines):
@@ -286,7 +292,9 @@ def _oracle_sweep(fx, *analyses):
 def cmd_euler(args):
     status = OK
     for name in args.files:
-        fx = _load(args, name)
+        # a fixture's golden lies next to it
+        path = _locate(args, name)
+        fx = load_fixture(path)
         S = fx.perm_group()
         if _over_bound(args, fx, S):
             print("%s: skipped (group order over %d)" % (fx.name, args.max_group_order))
@@ -296,17 +304,16 @@ def cmd_euler(args):
             _oracle_sweep(fx, analysis)
         out = _euler_jsonl(analysis)
         golden_name = fx.expect.get("golden_euler")
-        if golden_name and not args.write_golden:
-            golden_path = fixtures_dir(args.fixtures) / golden_name
-            if golden_path.read_bytes() != out.encode():
+        if golden_name and args.write_golden:
+            (path.parent / golden_name).write_text(out)
+            print("# wrote %s" % golden_name, file=sys.stderr)
+        elif golden_name:
+            if (path.parent / golden_name).read_bytes() != out.encode():
                 print("%s: output differs from golden %s" % (fx.name, golden_name),
                       file=sys.stderr)
                 status = max(status, MISMATCH)
             else:
                 print("# golden match: %s" % golden_name, file=sys.stderr)
-        elif golden_name and args.write_golden:
-            (fixtures_dir(args.fixtures) / golden_name).write_text(out)
-            print("# wrote %s" % golden_name, file=sys.stderr)
         sys.stdout.write(out)
     return status
 

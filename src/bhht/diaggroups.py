@@ -9,10 +9,11 @@ Each chain or loop block B of f has a cyclic group <g_B> of order d_B
 (``AtomicBlock.order``), and G is their direct sum, of order the product of
 the d_B; J, f's weights mod 1, is a sum of multiples of the g_B
 (``DiagonalGroup.grading``).  A verdict reads all it needs off those
-generators:
-the stratum kernels K_I, each a direct sum of some <m_B g_B>
-(``DiagonalGroup.stratum_kernel``), the pairing with f^T's group, checked
-nondegenerate block by block, and ann(K_C) = K'_{C^c}, checked by
+generators and the blocks: the stratum kernels K_I, each a direct sum of
+some <m_B g_B> (``DiagonalGroup.stratum_kernel``), the counts c(U) of
+every mark, |K_C| times the order of f^C folded along U's orbits
+(``DiagonalGroup.stratum_cocycle_order``), the pairing with f^T's group,
+checked nondegenerate block by block, and ann(K_C) = K'_{C^c}, checked by
 containment and orders (``CharacterPairing``).
 
 G's key is the Hermite key of the g_B (``DiagonalGroup.key``), and E's rows
@@ -37,8 +38,8 @@ from .errors import (AmbientMismatchError, DegeneratePairingError, MembershipErr
                      SizeBoundError)
 from .intmat import (hermite_generators, hermite_key, hermite_order, in_hermite,
                      kernel_mod, matvec)
-from .permgroups import inverse
-from .polynomials import transpose
+from .permgroups import inverse, orbits
+from .polynomials import fold_order, transpose
 
 DEFAULT_GROUP_BOUND = 10 ** 6
 
@@ -127,41 +128,19 @@ class DiagonalGroup:
         preserves f, given by its elements, in closed form and once per C
         and U.
 
-        Such a w is a U-fixed element of G restricted to C, lifted in |K_C|
-        ways.  G restricted to C is the direct sum of the cyclic <g_B|C>,
-        of orders m_B (``stratum_kernel``), and U permutes those summands,
-        as S permutes isomorphic blocks.  So a U-fixed element is one
-        Stab_U(B)-fixed element of <g_B|C> per U-orbit of blocks, and c(U)
-        is |K_C| times the product of m_B / q_B over the orbits, q_B the
-        order of the subgroup of Z/L that the g_B[j] - g_B[u(j)] span, for
-        u in Stab_U(B) and j in C and B.  q_B is 1 unless U rotates a loop
-        in place."""
-        order = self._by_subgroup.get((closed, u_elements))
-        if order is not None:
-            return order
-        L = self.exponent
-        points = self.points
-        inside = {}  # block -> its points in C
-        for i in closed:
-            inside.setdefault(points[i][0], []).append(i)
-        order = self.stratum(closed)[1]
-        met = set()
-        for b, js in inside.items():
-            if b in met:
-                continue
-            g = self.blocks[b][1]
-            spanned = L
-            first = js[0]
-            for u in u_elements:
-                image = points[u[first]][0]
-                if image != b:
-                    met.add(image)
-                elif u[first] != first:
-                    # u rotates a loop in place; a u that maps B to itself
-                    # and fixes a point of B fixes B pointwise
-                    spanned = gcd(spanned, *(g[j] - g[u[j]] for j in js))
-            order *= lcm(*(points[j][1] for j in js)) * spanned // L
-        self._by_subgroup[closed, u_elements] = order
+        Restricted to C, which is closed under successors, G is the group
+        of f^C, and its elements constant on U's orbits are the diagonal
+        symmetries of f^C folded along them: |det F| of them, for the
+        matrix F of the folded monomials (``fold_order``).  Each lifts to
+        G in |K_C| ways.  c is constant on a class of U under the
+        permutations p that fix C and preserve f: w -> p.w carries the w
+        counted for U onto those counted for pUp^-1, so ``mark`` reads one
+        c per class."""
+        key = closed, u_elements
+        order = self._by_subgroup.get(key)
+        if order is None:
+            order = self._by_subgroup[key] = self.stratum(closed)[1] * fold_order(
+                self.matrix.anchored(), orbits(u_elements, closed))
         return order
 
     def kernel_elements(self, key):

@@ -8,13 +8,16 @@ S-orbits are walked, on demand (``ExponentMatrix.full_subsets``,
 the stratum of I the classes that can occur as isotropy groups are the
 [K_I x| T], for K_I the stratum kernel and T <= S_I, and their
 coefficients are obtained by exactly solving the triangular system of
-marks against the fixed-point Euler characteristics, which are signed
-products of the orders of the chains and loops that f^I folds into along
-T's orbits.  Both whether a stratum counts and those counts are read off
-f's anchored exponent rows (``_fold``); f is never restricted to a
-stratum.  A class is its key in the lattice of S_I: T's orbits on I are
+marks against the fixed-point Euler characteristics.  The monomials
+anchored in one T-orbit fold to one, with coefficient |orbit|.c, never 0,
+and chi of the T-fixed part is (-1)^(k-1) |det F| for the matrix F of
+the k folded monomials: the order of f^I folded along T's k orbits
+(``polynomials.fold_order``).  Both whether a stratum counts and those
+counts are read off f's anchored exponent rows; f is never restricted to
+a stratum.  A class is its key in the lattice of S_I: T's orbits on I are
 read off the key once (``permgroups.orbits``) and kept on the stratum for
 the fold and the lemma checks, and no subgroup object is made for it.
+The marks read the same fold, on zero sets (``burnside.mark``).
 Each class is named by its stratum: by the zero set C of K_I,
 which is I itself unless K_I vanishes beyond I, carried to the
 representative of its S-orbit, and by T's class key in the lattice of S_C
@@ -45,7 +48,7 @@ from .burnside import (
 from .diaggroups import CharacterPairing, DiagonalGroup, perm_act
 from .errors import NotInvariantError, StructuralAssumptionViolated
 from .permgroups import orbits, pc_check
-from .polynomials import AtomicBlock, check_invariance, link_blocks, transpose
+from .polynomials import check_invariance, fold_order, transpose
 
 
 def _stratum_profile(stabilizer, counts):
@@ -81,31 +84,6 @@ def _check_moves(matrix, subset, generators):
                 raise NotInvariantError(
                     "group does not move the monomial anchored at x%d to the one "
                     "anchored at its image" % (a + 1))
-
-
-def _fold(matrix, orbs):
-    """chi of the T-fixed part on the stratum of I, from T's orbits on I
-    (``permgroups.orbits``), for an anchored matrix with f^I full and a T
-    that ``_check_moves`` passes.
-
-    The monomials anchored in one T-orbit fold along T's orbits to one
-    monomial, with coefficient |orbit|.c, never 0, and chi is
-    (-1)^(k-1) |det F| for the matrix F of the k folded monomials.  T
-    commutes with the successor map, which is injective, so it maps each
-    orbit onto an orbit, one to one, and the folded monomials are chains
-    and loops on the orbits, with the exponents of their points; det F is
-    the product of their orders d (``AtomicBlock.order``), none negative.
-    A loop folded onto one orbit gives x_O^(a+1), the 1-loop of order a + 1.
-    """
-    rows = matrix.rows
-    column = {v: k for k, orb in enumerate(orbs) for v in orb}
-    succ = matrix.successors()
-    folded = {k: column.get(succ[orb[0]]) for k, orb in enumerate(orbs)}
-    chi = (-1) ** (len(orbs) - 1)
-    for kind, block in link_blocks(folded):
-        exponents = [rows[a][a] for a in (orbs[k][0] for k in block)]
-        chi *= AtomicBlock(kind, block, exponents).order
-    return chi
 
 
 class StratumContribution(namedtuple("StratumContribution", [
@@ -166,7 +144,7 @@ def _stratum_contribution(matrix, subset, big, stabilizer, orbit_size):
     ambient = SemidirectAmbient(big.diag, stabilizer)
     closed = big.diag.zero_set(subset)
     node = {key: named_class(ambient, closed, key) for key in keys}
-    fixed = {key: _fold(matrix, orbs[key]) for key in keys}
+    fixed = {key: (-1) ** (len(orbs[key]) - 1) * fold_order(matrix, orbs[key]) for key in keys}
 
     stratum = tuple(i + 1 for i in subset)
     # row i of the triangular solve reads mark(kj, ki) for j <= i, which is

@@ -98,7 +98,9 @@ def cycle_notation(p):
 
 
 class PermGroup:
-    """A permutation group with its full element list."""
+    """A permutation group with its full element list, equal only to
+    itself; a group's subgroups are one object per element set
+    (``subgroup``)."""
 
     def __init__(self, n, generators=(), _elements=None):
         self.n = n
@@ -125,13 +127,6 @@ class PermGroup:
 
     def __iter__(self):
         return iter(self.elements)
-
-    def __eq__(self, other):
-        return (isinstance(other, PermGroup) and self.n == other.n
-                and self.element_set == other.element_set)
-
-    def __hash__(self):
-        return hash((self.n, self.element_set))
 
     def __repr__(self):
         gens = ",".join(cycle_notation(g) for g in self.generators) or "e"

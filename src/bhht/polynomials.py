@@ -10,7 +10,8 @@ rational coefficient followed by ``*`` and one or more factors ``xK`` or
 ``xK^P`` joined by ``*``.  Whitespace is ignored.
 
 Memos: an ``ExponentMatrix`` keeps its blocks, anchors, successors,
-anchored copy, sort key, ``coefficient_ids`` and ``transpose``.
+anchored copy, sort key, ``coefficient_ids``, ``transpose`` and one
+``fold_order`` per orbit partition.
 """
 
 import re
@@ -67,6 +68,7 @@ class ExponentMatrix:
         self.n = width
         self._blocks = None
         self._anchors = None
+        self._folds = {}  # orbits -> ``fold_order``
 
     # what ``anchored``, ``_key`` and ``transpose`` found, made on first use
     _anchored = _sorted = _transpose = None
@@ -389,6 +391,32 @@ def link_blocks(succ):
         seen.update(block)
         out.append((CHAIN if nxt is None else LOOP, tuple(block)))
     return out
+
+
+def fold_order(matrix, orbs):
+    """The product of the orders d (``AtomicBlock.order``) of the chains and
+    loops that the monomials of an anchored matrix fold into along the
+    orbits of a group T of its symmetries on a set closed under successors
+    (``permgroups.orbits``).
+
+    The monomials anchored in one T-orbit fold to one monomial.  T commutes
+    with the successor map, which is injective, so it maps each orbit onto
+    an orbit, one to one, and the folded monomials are chains and loops on
+    the orbits, with the exponents of their points; a loop folded onto one
+    orbit gives x_O^(a+1), the 1-loop of order a + 1.  The product is
+    |det F| for the matrix F of the folded monomials.  Kept per orbits on
+    the matrix, so the marks of a stratum reuse its fixed points' folds."""
+    order = matrix._folds.get(orbs)
+    if order is None:
+        rows = matrix.rows
+        column = {v: k for k, orb in enumerate(orbs) for v in orb}
+        succ = matrix.successors()
+        folded = {k: column.get(succ[orb[0]]) for k, orb in enumerate(orbs)}
+        exponents = [rows[orb[0]][orb[0]] for orb in orbs]
+        order = prod([AtomicBlock(kind, block, [exponents[k] for k in block]).order
+                      for kind, block in link_blocks(folded)])
+        matrix._folds[orbs] = order
+    return order
 
 
 # -- basic operations -----------------------------------------------------------

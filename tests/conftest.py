@@ -4,11 +4,11 @@ import pytest
 from hypothesis import settings
 
 from bhht.burnside import BurnsideElement, stratum_class
-from bhht.euler import _check_moves, _fold
+from bhht.euler import _check_moves
 from bhht.intmat import hermite_generators, hermite_key
 from bhht.oracles import key_of_elements
 from bhht.permgroups import orbits
-from bhht.polynomials import ExponentMatrix, parse_polynomial
+from bhht.polynomials import ExponentMatrix, fold_order, parse_polynomial
 
 # Property tests draw the same bounded examples on every run and store none.
 settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=60,
@@ -76,11 +76,13 @@ def stratum_classes_of(ambient):
 def fixed_chi(matrix, subset, perms):
     """chi of the T-fixed part of the fibre on the open stratum of a subset
     I where f^I is full, for T = ``perms``, as a verdict reads it: T
-    checked on its generators (``euler._check_moves``), then f^I folded
-    along T's orbits on I (``euler._fold``)."""
+    checked on its generators (``euler._check_moves``), then (-1)^(k-1)
+    times the order of f^I folded along T's k orbits on I
+    (``polynomials.fold_order``)."""
     matrix = matrix.anchored()
     _check_moves(matrix, subset, perms.generators)
-    return _fold(matrix, orbits(perms.elements, subset))
+    orbs = orbits(perms.elements, subset)
+    return (-1) ** (len(orbs) - 1) * fold_order(matrix, orbs)
 
 
 def is_full(matrix, subset):

@@ -193,7 +193,8 @@ def test_closed_form_counts_match_the_kernel_order_on_symmetric_inputs(text, gen
 ])
 def test_orbit_counts_where_u_rotates_one_loop_and_fixes_the_other(generators):
     # two 3-loops: some U rotate the first in place and fix the second
-    # pointwise, so only the first loop's differences enter c(U)
+    # pointwise, so c(U) folds the first onto one orbit, a 1-loop, and
+    # keeps the second as it is
     matrix, perms = symmetric_input(
         "x1^3*x2+x2^3*x3+x3^3*x1+x4^3*x5+x5^3*x6+x6^3*x4", generators)
     assert_orbit_counts(matrix, perms)

@@ -2,6 +2,7 @@ from collections import Counter, deque
 
 import pytest
 from conftest import (
+    X1,
     X14,
     X15,
     all_subsets,
@@ -137,21 +138,22 @@ def test_quintic_full_torus_marks_system(quintic):
 
 def test_residual_check_trips_on_wrong_fixed_data(quintic):
     # corrupting the fixed-point values must abort, not silently solve: the
-    # fold of the double transposition's three orbits on the open torus
+    # fold of the double transposition's three orbits on the open torus,
+    # patched where it feeds the fixed points and not the marks
     import bhht.euler as euler_mod
 
-    original = euler_mod._fold
+    original = euler_mod.fold_order
 
     def corrupted(matrix, orbs):
         value = original(matrix, orbs)
         return value + 1 if sum(map(len, orbs)) == 5 and len(orbs) == 3 else value
 
-    euler_mod._fold = corrupted
+    euler_mod.fold_order = corrupted
     try:
         with pytest.raises(StructuralAssumptionViolated):
             euler_analysis(quintic, group_from_generators(5, ["(12)(34)"]))
     finally:
-        euler_mod._fold = original
+        euler_mod.fold_order = original
 
 
 def test_structural_failure_carries_stratum_class_and_residual(monkeypatch):
@@ -161,8 +163,9 @@ def test_structural_failure_carries_stratum_class_and_residual(monkeypatch):
     swap = group_from_generators(2, ["(12)"])
     # first stratum (1,): kernel of order 2, trivial stabilizer; the diagonal
     # mark is 2 and the fixed-locus Euler characteristic 2
-    original = euler_mod._fold
-    monkeypatch.setattr(euler_mod, "_fold", lambda matrix, orbs: original(matrix, orbs) + 1)
+    original = euler_mod.fold_order
+    monkeypatch.setattr(euler_mod, "fold_order",
+                        lambda matrix, orbs: original(matrix, orbs) + 1)
     with pytest.raises(StructuralAssumptionViolated) as info:
         euler_analysis(f, swap)
     assert (info.value.stratum, info.value.class_order, info.value.residual) \
@@ -302,6 +305,23 @@ def test_duality_pc_cases_small():
         report = verify_duality(matrix, s)
         assert report.pc.satisfies
         assert report.equal, (text, gens)
+
+
+@pytest.mark.parametrize("text, generators", [
+    ("x1^3+x2^3+x3^3+x4^3", ["(12)", "(1234)"]),
+    ("x1^4+x2^4+x3^4+x4^4", ["(12)", "(1234)"]),
+    ("x1^3+x2^3+x3^3+x4^3+x5^3", ["(12)", "(12345)"]),
+    (X1, ["(12)", "(12345)"]),
+])
+def test_duality_holds_exactly_under_pc_for_every_subgroup_class(text, generators):
+    # the identity is stated under the parity condition only; on these
+    # Fermat sums it holds for a class T of subgroups of S_n exactly when
+    # T satisfies PC
+    matrix = parse_polynomial(text)
+    s = group_from_generators(matrix.n, generators)
+    for key in s.lattice.classes:
+        t = s.subgroup(key)
+        assert verify_duality(matrix, t).equal == pc_check(t).satisfies, t
 
 
 def test_verify_duality_lists_no_kernel(monkeypatch):
@@ -630,8 +650,9 @@ def test_failed_analysis_is_not_remembered(monkeypatch):
 
     f = parse_polynomial("x1^2+x2^2")
     swap = group_from_generators(2, ["(12)"])
-    original = euler_mod._fold
-    monkeypatch.setattr(euler_mod, "_fold", lambda matrix, orbs: original(matrix, orbs) + 1)
+    original = euler_mod.fold_order
+    monkeypatch.setattr(euler_mod, "fold_order",
+                        lambda matrix, orbs: original(matrix, orbs) + 1)
     with pytest.raises(StructuralAssumptionViolated):
         euler_analysis(f, swap)
     monkeypatch.undo()
@@ -788,14 +809,14 @@ def test_a_verdict_restricts_each_stratum_once(monkeypatch, name):
     # folded once across a verdict and its lemma checks: as many folds on a
     # stratum of a side as it has classes
     f, s = verdict_input(name)
-    fold = euler._fold
+    fold = euler.fold_order
     calls = Counter()
 
     def folded(matrix, orbs):
         calls[matrix, tuple(sorted(v for orb in orbs for v in orb))] += 1
         return fold(matrix, orbs)
 
-    monkeypatch.setattr(euler, "_fold", folded)
+    monkeypatch.setattr(euler, "fold_order", folded)
     monkeypatch.setattr(euler, "_RECENT", deque(maxlen=2))
     report = verify_duality(f, s)
     assert report.equal

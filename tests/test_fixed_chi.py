@@ -3,8 +3,8 @@ Milnor-Orlik.
 
 A verdict reads the chi of each stratum's T-fixed fibre straight off the
 anchored exponent rows, one open stratum at a time: ``euler._check_moves``
-checks T, and ``euler._fold`` reads the folded blocks' orders (``fixed_chi``
-here runs the two).  A stratum I where f^I is not full contributes
+checks T, and ``polynomials.fold_order`` reads the folded blocks' orders
+(``fixed_chi`` here runs the two).  A stratum I where f^I is not full contributes
 nothing, and summed over the full T-invariant strata J of a full subset I,
 fixed_chi must give the chi of the T-fixed fibre of f^I on all of C^I,
 which ``oracles.milnor_orlik_chi`` reads off the weights of f^I alone.  By

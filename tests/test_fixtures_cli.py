@@ -405,6 +405,25 @@ def test_cmd_euler_write_golden_and_a_golden_mismatch(tmp_path, capsys):
     assert (DATA_DIR / "counterexample_m3.golden.jsonl").read_text() == expected
 
 
+def test_cmd_euler_golden_of_a_fixture_given_by_path_lies_next_to_it(tmp_path, capsys):
+    # a copy of a bundled fixture elsewhere, its polynomial changed: its
+    # golden is written and then matched next to the copy, and the bundled
+    # golden stays as it was
+    bundled = DATA_DIR / "counterexample_m3.golden.jsonl"
+    before = bundled.read_bytes()
+    copy = tmp_path / "counterexample_m3.fix"
+    copy.write_text((DATA_DIR / "counterexample_m3.fix").read_text()
+                    .replace("x1^3+x2^3+x3^3+x4^3", "x1^5+x2^5+x3^5+x4^5"))
+    code, out = run_cli("euler", "--write-golden", str(copy))
+    assert code == 0 and out != before.decode()
+    assert capsys.readouterr().err == "# wrote counterexample_m3.golden.jsonl\n"
+    assert (tmp_path / "counterexample_m3.golden.jsonl").read_text() == out
+    assert run_cli("euler", str(copy)) == (0, out)
+    assert capsys.readouterr().err == "# golden match: counterexample_m3.golden.jsonl\n"
+    assert bundled.read_bytes() == before
+    assert run_cli("euler", "counterexample_m3") == (0, before.decode())
+
+
 def test_cmd_euler_oracle_flag(capsys):
     code, _out = run_cli("euler", "--oracle", "pc_a3")
     assert code == 0

@@ -41,9 +41,13 @@ def generated_groups():
 
 def groups():
     """Each distinct S of the catalogue, S5, a trivial group and the
-    generated templates' S, every one fresh, with no orbit walked yet."""
-    catalogue = dict.fromkeys(CATALOGUE[name].perm_group() for name in catalogue_pairs())
-    return (list(catalogue)
+    generated templates' S, every one fresh, with no orbit walked yet;
+    catalogue groups with the same elements are one."""
+    catalogue = {}
+    for name in catalogue_pairs():
+        group = CATALOGUE[name].perm_group()
+        catalogue.setdefault((group.n, group.element_set), group)
+    return (list(catalogue.values())
             + [group_from_generators(5, ["(12345)", "(12)"]), PermGroup(4, ())]
             + generated_groups())
 
